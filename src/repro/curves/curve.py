@@ -8,26 +8,153 @@ Points on ``y^2 = x^3 + a*x + b`` over a prime field.  Two representations:
   free group law used in all inner loops.  This matches hardware practice:
   zkPHIRE's fully-pipelined PADD units operate on projective coordinates.
 
-Formulas follow the standard Jacobian dbl-2009-l / add-2007-bl forms.
+The group law is written once, as :func:`jacobian_double`,
+:func:`jacobian_add` and :func:`jacobian_add_affine` on bare integer
+coordinates, so the MSM kernel (:mod:`repro.curves.msm`) can run its
+inner loops without building a :class:`JacobianPoint` per operation;
+the point classes are thin wrappers over the same three functions.
+A modular reduction costs more than a multiplication on Python
+integers, so the formulas reduce only what is multiplied again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.fields.prime_field import PrimeField
+from repro.fields.prime_field import PrimeField, batch_inverse
+
+#: Jacobian coordinates of the point at infinity (any z == 0 triple is).
+INFINITY = (1, 1, 0)
+
+
+def jacobian_double(x: int, y: int, z: int, p: int, a: int) -> tuple[int, int, int]:
+    """``2 * (x, y, z)`` on y^2 = x^3 + a*x + b over F_p."""
+    if z == 0 or y == 0:
+        return INFINITY
+    yy = y * y % p
+    s = 4 * x * yy % p
+    m = 3 * x * x
+    if a:
+        zz = z * z % p
+        m += a * zz * zz
+    m %= p
+    nx = (m * m - 2 * s) % p
+    return nx, (m * (s - nx) - 8 * yy * yy) % p, 2 * y * z % p
+
+
+def jacobian_add_affine(
+    x1: int, y1: int, z1: int, x2: int, y2: int, p: int, a: int
+) -> tuple[int, int, int]:
+    """``(x1, y1, z1) + (x2, y2, 1)``: mixed addition, the hardware PADD case.
+
+    Falls through to doubling when both operands are the same point and
+    to infinity when they are inverses; the second operand is finite.
+    """
+    if z1 == 0:
+        return x2, y2, 1
+    zz = z1 * z1 % p
+    h = (x2 * zz - x1) % p
+    r = (y2 * z1 % p * zz - y1) % p
+    if h == 0:
+        return jacobian_double(x1, y1, z1, p, a) if r == 0 else INFINITY
+    hh = h * h % p
+    hhh = h * hh % p
+    v = x1 * hh % p
+    nx = (r * r - hhh - 2 * v) % p
+    return nx, (r * (v - nx) - y1 * hhh) % p, z1 * h % p
+
+
+def jacobian_add(
+    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, p: int, a: int
+) -> tuple[int, int, int]:
+    """``(x1, y1, z1) + (x2, y2, z2)`` with both operands projective."""
+    if z1 == 0:
+        return x2, y2, z2
+    if z2 == 0:
+        return x1, y1, z1
+    z1z1 = z1 * z1 % p
+    z2z2 = z2 * z2 % p
+    u1 = x1 * z2z2 % p
+    s1 = y1 * z2 % p * z2z2 % p
+    h = (x2 * z1z1 - u1) % p
+    r = (y2 * z1 % p * z1z1 - s1) % p
+    if h == 0:
+        return jacobian_double(x1, y1, z1, p, a) if r == 0 else INFINITY
+    hh = h * h % p
+    hhh = h * hh % p
+    v = u1 * hh % p
+    nx = (r * r - hhh - 2 * v) % p
+    return nx, (r * (v - nx) - s1 * hhh) % p, z1 * z2 % p * h % p
+
+
+def jacobian_normalize(
+    field: PrimeField, triples: "list[tuple[int, int, int]]"
+) -> "list[tuple[int, int] | None]":
+    """Jacobian triples → affine (x, y) pairs with one shared inversion
+    (Montgomery's trick); a point at infinity becomes ``None``."""
+    p = field.modulus
+    inverses = iter(batch_inverse(field, [z for _, _, z in triples if z]))
+    out: list[tuple[int, int] | None] = []
+    for x, y, z in triples:
+        if z == 0:
+            out.append(None)
+            continue
+        zinv = next(inverses)
+        zinv2 = zinv * zinv % p
+        out.append((x * zinv2 % p, y * zinv2 % p * zinv % p))
+    return out
+
+
+def affine_add_all(
+    field: PrimeField,
+    a: int,
+    entries: "list[tuple[int, int] | None]",
+    point: "tuple[int, int] | None",
+) -> "list[tuple[int, int] | None]":
+    """``[e + point for e in entries]`` on affine (x, y) pairs, ``None``
+    being the point at infinity: chord additions through one shared
+    inversion, about half the multiplications of a mixed Jacobian
+    addition and nothing to normalise afterwards."""
+    if point is None:
+        return list(entries)
+    p = field.modulus
+    x2, y2 = point
+    inverses = iter(batch_inverse(
+        field, [(x2 - e[0]) % p for e in entries if e and e[0] != x2]
+    ))
+    out: list[tuple[int, int] | None] = []
+    for e in entries:
+        if e is None:
+            out.append(point)
+        elif e[0] != x2:
+            x1, y1 = e
+            slope = (y2 - y1) * next(inverses) % p
+            x3 = (slope * slope - x1 - x2) % p
+            out.append((x3, (slope * (x1 - x3) - y1) % p))
+        elif e[1] == y2:  # the same point: tangent, not chord
+            out += jacobian_normalize(field, [jacobian_double(x2, y2, 1, p, a)])
+        else:
+            out.append(None)
+    return out
 
 
 class ShortWeierstrassCurve:
-    """The curve y^2 = x^3 + a*x + b over ``field``, with group order ``order``."""
+    """The curve y^2 = x^3 + a*x + b over ``field``, with group order ``order``.
 
-    def __init__(self, field: PrimeField, a: int, b: int, order: int, name: str):
+    ``endomorphism`` is curve data like ``a`` and ``b``: a pair (β, λ)
+    with λ² + λ + 1 = ``order`` exactly and (x, y) ↦ (βx, y) acting as
+    multiplication by λ, when the curve has one (j-invariant 0).  The
+    MSM kernel uses it to halve scalar lengths (GLV).
+    """
+
+    def __init__(self, field: PrimeField, a: int, b: int, order: int, name: str,
+                 endomorphism: tuple[int, int] | None = None):
         self.field = field
         self.a = a % field.modulus
         self.b = b % field.modulus
         self.order = order
         self.name = name
+        self.endomorphism = endomorphism
 
     def is_on_curve(self, x: int, y: int) -> bool:
         p = self.field.modulus
@@ -45,15 +172,18 @@ class ShortWeierstrassCurve:
 
     @property
     def jacobian_infinity(self) -> "JacobianPoint":
-        return JacobianPoint(self, 1, 1, 0)
+        return JacobianPoint(self, *INFINITY)
 
     def __repr__(self):
         return f"ShortWeierstrassCurve({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePoint:
-    """An affine curve point, or the point at infinity when ``inf`` is set."""
+    """An affine curve point, or the point at infinity when ``inf`` is set.
+
+    Slotted: an SRS holds thousands of bases.
+    """
 
     curve: ShortWeierstrassCurve
     x: int
@@ -77,6 +207,7 @@ class AffinePoint:
         return self.to_jacobian().double().to_affine()
 
     def scalar_mul(self, k: int) -> "AffinePoint":
+        """``k * self``; see :meth:`JacobianPoint.scalar_mul`."""
         return self.to_jacobian().scalar_mul(k).to_affine()
 
     def __eq__(self, other):
@@ -113,6 +244,8 @@ class JacobianPoint:
     def to_affine(self) -> AffinePoint:
         if self.z == 0:
             return self.curve.infinity
+        if self.z == 1:
+            return AffinePoint(self.curve, self.x, self.y)
         p = self.curve.field.modulus
         zinv = pow(self.z, -1, p)
         zinv2 = zinv * zinv % p
@@ -124,91 +257,36 @@ class JacobianPoint:
         return JacobianPoint(self.curve, self.x, self.curve.field.modulus - self.y, self.z)
 
     def double(self) -> "JacobianPoint":
-        if self.z == 0 or self.y == 0:
-            return self.curve.jacobian_infinity if self.y == 0 else self
-        p = self.curve.field.modulus
-        x, y, z = self.x, self.y, self.z
-        a = self.curve.a
-        ysq = y * y % p
-        s = 4 * x * ysq % p
-        if a == 0:
-            m = 3 * x * x % p
-        else:
-            z2 = z * z % p
-            m = (3 * x * x + a * z2 * z2) % p
-        nx = (m * m - 2 * s) % p
-        ny = (m * (s - nx) - 8 * ysq * ysq) % p
-        nz = 2 * y * z % p
-        return JacobianPoint(self.curve, nx, ny, nz)
+        curve = self.curve
+        return JacobianPoint(curve, *jacobian_double(
+            self.x, self.y, self.z, curve.field.modulus, curve.a))
 
     def add(self, other: "JacobianPoint") -> "JacobianPoint":
-        if self.z == 0:
-            return other
-        if other.z == 0:
-            return self
-        p = self.curve.field.modulus
-        x1, y1, z1 = self.x, self.y, self.z
-        x2, y2, z2 = other.x, other.y, other.z
-        z1z1 = z1 * z1 % p
-        z2z2 = z2 * z2 % p
-        u1 = x1 * z2z2 % p
-        u2 = x2 * z1z1 % p
-        s1 = y1 * z2 * z2z2 % p
-        s2 = y2 * z1 * z1z1 % p
-        if u1 == u2:
-            if s1 != s2:
-                return self.curve.jacobian_infinity
-            return self.double()
-        h = (u2 - u1) % p
-        i = 4 * h * h % p
-        j = h * i % p
-        r = 2 * (s2 - s1) % p
-        v = u1 * i % p
-        nx = (r * r - j - 2 * v) % p
-        ny = (r * (v - nx) - 2 * s1 * j) % p
-        nz = 2 * h * z1 * z2 % p
-        return JacobianPoint(self.curve, nx, ny, nz)
+        curve = self.curve
+        return JacobianPoint(curve, *jacobian_add(
+            self.x, self.y, self.z, other.x, other.y, other.z,
+            curve.field.modulus, curve.a))
 
     def add_affine(self, other: AffinePoint) -> "JacobianPoint":
-        """Mixed addition (other has Z=1); ~30% cheaper, the hardware PADD case."""
+        """Mixed addition (other has Z=1); ~30% cheaper than :meth:`add`."""
         if other.inf:
             return self
-        if self.z == 0:
-            return other.to_jacobian()
-        p = self.curve.field.modulus
-        x1, y1, z1 = self.x, self.y, self.z
-        z1z1 = z1 * z1 % p
-        u2 = other.x * z1z1 % p
-        s2 = other.y * z1 * z1z1 % p
-        if x1 == u2:
-            if y1 != s2:
-                return self.curve.jacobian_infinity
-            return self.double()
-        h = (u2 - x1) % p
-        hh = h * h % p
-        i = 4 * hh % p
-        j = h * i % p
-        r = 2 * (s2 - y1) % p
-        v = x1 * i % p
-        nx = (r * r - j - 2 * v) % p
-        ny = (r * (v - nx) - 2 * y1 * j) % p
-        nz = (z1 + h) * (z1 + h) % p
-        nz = (nz - z1z1 - hh) % p
-        return JacobianPoint(self.curve, nx, ny, nz)
+        curve = self.curve
+        return JacobianPoint(curve, *jacobian_add_affine(
+            self.x, self.y, self.z, other.x, other.y,
+            curve.field.modulus, curve.a))
 
     def scalar_mul(self, k: int) -> "JacobianPoint":
-        """Double-and-add scalar multiplication (left-to-right)."""
-        k %= self.curve.order
-        if k == 0 or self.z == 0:
-            return self.curve.jacobian_infinity
-        result: Optional[JacobianPoint] = None
-        for bit in bin(k)[2:]:
-            if result is not None:
-                result = result.double()
-            if bit == "1":
-                result = self if result is None else result.add(self)
-        assert result is not None
-        return result
+        """``k * self``: the one-point case of the MSM kernel.
+
+        Like the kernel it takes ``k`` modulo ``curve.order`` and, on a
+        curve with an endomorphism, needs the point to be in the
+        subgroup of that order; ``msm_jacobian(..., in_subgroup=False)``
+        is the form for a curve point of unchecked origin.
+        """
+        from repro.curves.msm import msm_jacobian
+
+        return msm_jacobian(self.curve, [k], [self.to_affine()])
 
     def __eq__(self, other):
         if not isinstance(other, JacobianPoint):
@@ -239,15 +317,8 @@ def batch_normalize(points: "list[JacobianPoint]") -> "list[AffinePoint]":
     """
     if not points:
         return []
-    from repro.fields.prime_field import batch_inverse
-
     curve = points[0].curve
-    p = curve.field.modulus
-    finite = [(i, pt) for i, pt in enumerate(points) if pt.z != 0]
-    inverses = batch_inverse(curve.field, [pt.z for _, pt in finite])
-    out: list[AffinePoint] = [curve.infinity] * len(points)
-    for (i, pt), zinv in zip(finite, inverses):
-        zinv2 = zinv * zinv % p
-        out[i] = AffinePoint(curve, pt.x * zinv2 % p,
-                             pt.y * zinv2 * zinv % p)
-    return out
+    pairs = jacobian_normalize(curve.field, [(pt.x, pt.y, pt.z) for pt in points])
+    return [
+        curve.infinity if xy is None else AffinePoint(curve, *xy) for xy in pairs
+    ]

@@ -75,6 +75,14 @@ def _mp_context():
         return mp.get_context()
 
 
+#: how long a run waits for every worker's ``ready`` before giving up
+READY_TIMEOUT_S = 120.0
+
+
+class WorkerStartupError(RuntimeError):
+    """A worker process exited before reporting ``ready``."""
+
+
 @dataclass
 class FleetConfig:
     """Knobs for one :class:`ProvingFleet`.
@@ -500,44 +508,70 @@ class ProvingFleet:
         self._total = len(jobs)
         for node_id in self.node_ids:
             self._spawn(node_id)
-        ready = [h.ready.wait() for h in self._handles.values()]
-        await asyncio.wait_for(asyncio.gather(*ready), timeout=120.0)
-        # makespan starts when the fleet is warm, not when Python forked
-        self._t0 = self._loop.time()
-        scale = self.config.time_scale
         timers = []
-        if self.config.respect_arrivals:
-            for job in jobs:
+        watchdog = None
+        try:
+            await self._await_ready()
+            # makespan starts when the fleet is warm, not when Python forked
+            self._t0 = self._loop.time()
+            scale = self.config.time_scale
+            if self.config.respect_arrivals:
+                for job in jobs:
+                    timers.append(
+                        self._loop.call_later(
+                            job.arrival_s * scale, self._submit, job
+                        )
+                    )
+            else:
+                for job in jobs:
+                    self._submit(job)
+            for event in churn:
                 timers.append(
                     self._loop.call_later(
-                        job.arrival_s * scale, self._submit, job
+                        event.at_s * scale, self._on_churn, event
                     )
                 )
-        else:
-            for job in jobs:
-                self._submit(job)
-        for event in churn:
-            timers.append(
-                self._loop.call_later(
-                    event.at_s * scale, self._on_churn, event
-                )
-            )
-        for at_s, fn in actions:
-            timers.append(self._loop.call_later(at_s, fn, self))
-        watchdog = asyncio.ensure_future(self._watch())
-        try:
+            for at_s, fn in actions:
+                timers.append(self._loop.call_later(at_s, fn, self))
+            watchdog = asyncio.ensure_future(self._watch())
             if self._total:
                 await asyncio.wait_for(
                     self._done.wait(), timeout=self.config.run_timeout_s
                 )
         finally:
             self._shutting_down = True
-            watchdog.cancel()
+            if watchdog is not None:
+                watchdog.cancel()
             for timer in timers:
                 timer.cancel()
             await self._shutdown()
         self.records.sort(key=lambda r: (r.finish_s, r.job_id))
         return self.records
+
+    async def _await_ready(self) -> None:
+        """Wait for every worker's ``ready``; a worker that exits first
+        (bad preload, unimportable ``__main__`` under forkserver, crash
+        while building its SRS) fails the run at once, by name."""
+        deadline = self._loop.time() + READY_TIMEOUT_S
+        while True:
+            waiting = [
+                h for h in self._handles.values() if not h.ready.is_set()
+            ]
+            if not waiting:
+                return
+            for handle in waiting:
+                code = handle.process.exitcode
+                if code is not None:
+                    raise WorkerStartupError(
+                        f"fleet worker {handle.node_id} exited with code "
+                        f"{code} before it was ready"
+                    )
+            if self._loop.time() >= deadline:
+                raise asyncio.TimeoutError(
+                    "fleet workers not ready after "
+                    f"{READY_TIMEOUT_S:.0f}s: {[h.node_id for h in waiting]}"
+                )
+            await asyncio.sleep(0.02)
 
     async def _watch(self) -> None:
         """Declare heartbeat-silent nodes dead (kill + retry + respawn)."""
@@ -566,6 +600,8 @@ class ProvingFleet:
             except asyncio.TimeoutError:  # pragma: no cover - wedged worker
                 pass
         for handle in self._handles.values():
+            if not handle.ready.is_set():  # still starting: never got "stop"
+                handle.process.kill()
             if handle.process.is_alive():
                 handle.process.join(timeout=5.0)
             if handle.process.is_alive():  # pragma: no cover - wedged worker

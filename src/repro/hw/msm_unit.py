@@ -10,6 +10,17 @@ window's buckets are reduced with the running-suffix-sum scan
 Sparsity (§IV-B1): witness scalars are mostly 0 (skipped entirely) or 1
 (a single direct accumulation instead of W bucket insertions); only the
 "full" fraction pays the dense cost.
+
+This models the paper's unit, not the software kernel in
+:mod:`repro.curves.msm`, which since DESIGN.md §13 makes three choices
+the unit does *not*: the unit slices scalars into **unsigned** windows
+(``2^w`` buckets per window, not ``2^(w-1)`` signed ones), it uses
+**no endomorphism** (full 255-bit scalars, one term per point, where
+the software splits each into two 128-bit halves), and **every
+quotient MSM of every opening is priced** (the software shares the
+quotients of same-polynomial openings with a common point prefix).
+The op counts here, the ``ProofPlan`` MSM inventory and every ``hw.*``
+number are therefore unchanged by that kernel, on purpose.
 """
 
 from __future__ import annotations

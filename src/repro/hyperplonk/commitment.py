@@ -23,11 +23,28 @@ from typing import Sequence
 import random
 import threading
 
-from repro.curves import AffinePoint, G1, G1_GENERATOR, msm_pippenger
-from repro.curves.msm import FixedBaseTable, msm_fixed_base
+from repro.curves import (
+    AffinePoint,
+    G1,
+    G1_GENERATOR,
+    batch_normalize,
+    msm_pippenger,
+)
+from repro.curves.bls12_381_g1 import generator_table
+from repro.curves.msm import FixedBaseTable, msm_fixed_base, msm_jacobian
 from repro.fields import FR_MODULUS, Fr
 from repro.mle import DenseMLE
 from repro.mle.eq import build_eq_mle
+
+
+def _msm_unchecked(scalars: Sequence[int],
+                   points: Sequence[AffinePoint]) -> AffinePoint:
+    """Σ kᵢ·Pᵢ for points a prover supplied.  Nothing here checks that
+    they lie in the order-r subgroup, so the kernel runs without its
+    endomorphism split (valid only inside it) and the verifier's
+    equations mean what plain double-and-add makes them mean on any
+    curve point."""
+    return msm_jacobian(G1, scalars, points, in_subgroup=False).to_affine()
 
 
 @dataclass(frozen=True)
@@ -46,6 +63,15 @@ class Commitment:
 
     def scale(self, k: int) -> "Commitment":
         return Commitment(self.point.scalar_mul(k), self.num_vars)
+
+    @staticmethod
+    def combine(weights: Sequence[int],
+                commitments: "Sequence[Commitment]") -> "Commitment":
+        """Σ wⱼ·Cⱼ as one MSM (the verifier's side of a batched opening)."""
+        if len({c.num_vars for c in commitments}) != 1:
+            raise ValueError("commitment arity mismatch")
+        point = _msm_unchecked(weights, [c.point for c in commitments])
+        return Commitment(point, commitments[0].num_vars)
 
 
 @dataclass(frozen=True)
@@ -97,9 +123,10 @@ class TrapdoorSRS:
         """G1 bases g^{eq_x(suffix secrets)} for all 2^ν hypercube points."""
         if num_vars not in self._bases_cache:
             eq = build_eq_mle(Fr, self.secrets_for(num_vars))
-            self._bases_cache[num_vars] = [
-                G1_GENERATOR.scalar_mul(v) for v in eq.table
-            ]
+            table = generator_table()
+            self._bases_cache[num_vars] = batch_normalize(
+                [table.mul(v) for v in eq.table]
+            )
         return self._bases_cache[num_vars]
 
     def g2_elements(self, num_vars: int):
@@ -115,14 +142,15 @@ class TrapdoorSRS:
 class MultilinearKZG:
     """Commit/open/verify for dense MLEs against a :class:`TrapdoorSRS`.
 
-    ``fixed_base=True`` precomputes :class:`FixedBaseTable` windows for
-    the generator and for SRS bases of arity ≤ ``fixed_base_max_vars``
-    (lazily, per arity), replacing Pippenger for the prover's many small
-    MSMs — opening quotients and 0-variable constants — whose cost is
-    dominated by Pippenger's fixed ~255 running-sum doublings.  Results
-    are bit-identical group elements either way; the mode only pays for
-    itself when one KZG instance serves many requests, which is why
-    :mod:`repro.service` enables it and one-shot callers don't.
+    ``fixed_base=True`` precomputes a :class:`FixedBaseTable` comb for
+    every SRS base of arity ≤ ``fixed_base_max_vars`` (lazily, per
+    arity, ~2 ms per base) and commits through them, in a bit over half
+    the MSM kernel's time on the prover's many small commitments — the
+    opening quotients.  Results are bit-identical group elements
+    either way; the mode only pays for itself when one KZG instance
+    serves several requests, which is why :mod:`repro.service` enables it
+    and one-shot callers don't.  Multiples of the generator go through
+    the process-wide :func:`generator_table` in both modes.
     """
 
     def __init__(self, srs: TrapdoorSRS, fixed_base: bool = False,
@@ -131,10 +159,11 @@ class MultilinearKZG:
         self.fixed_base = fixed_base
         self.fixed_base_max_vars = fixed_base_max_vars
         self._fb_tables: dict[int, list[FixedBaseTable]] = {}
-        self._gen_table: FixedBaseTable | None = None
         # table precompute is expensive; serialize it so concurrent
         # thread-pool workers hitting a new arity don't build it twice
         self._fb_lock = threading.Lock()
+        # open_many's per-thread (polynomial, prefix memo) for open()
+        self._sharing = threading.local()
 
     # -- fixed-base tables ---------------------------------------------------
     def _tables(self, num_vars: int) -> list[FixedBaseTable]:
@@ -149,13 +178,7 @@ class MultilinearKZG:
         return tables
 
     def _generator_mul(self, k: int) -> AffinePoint:
-        if not self.fixed_base:
-            return G1_GENERATOR.scalar_mul(k)
-        if self._gen_table is None:
-            with self._fb_lock:
-                if self._gen_table is None:
-                    self._gen_table = FixedBaseTable(G1_GENERATOR)
-        return self._gen_table.scalar_mul(k)
+        return generator_table().scalar_mul(k)
 
     # -- commit ------------------------------------------------------------
     def commit(self, mle: DenseMLE) -> Commitment:
@@ -179,52 +202,81 @@ class MultilinearKZG:
         The quotients come from progressively fixing variables:
         with f_1 = f and f_{i+1} = f_i(z_i, ·),
         q_i(X_{i+1..μ}) = f_i(1, ·) - f_i(0, ·), and f(z) = f_{μ+1}.
+
+        f_i and q_i depend on the polynomial and z_1..z_{i-1} only, so
+        inside :meth:`open_many` they are memoised per point prefix and
+        same-prefix openings share them.
         """
         if len(point) != mle.num_vars:
             raise ValueError("opening point arity mismatch")
         p = Fr.modulus
-        quotients: list[AffinePoint] = []
+        point = tuple(v % p for v in point)
+        shared_mle, memo = getattr(self._sharing, "memo", (None, None))
+        if shared_mle is not mle:
+            memo = None
+        # memo[z_1..z_{i-1}] = (f_i, commitment to q_i)
+        quotients = []
         cur = mle
-        for z in point:
-            half = len(cur.table) // 2
-            q_table = [
-                (cur.table[2 * j + 1] - cur.table[2 * j]) % p for j in range(half)
-            ]
-            rem_vars = cur.num_vars - 1
-            if half == 1:
-                # 0-variable quotient: constant committed on the generator
-                q_commit = (
-                    G1.infinity
-                    if q_table[0] == 0
-                    else self._generator_mul(q_table[0])
-                )
-            else:
-                q_mle = DenseMLE(Fr, q_table)
-                q_commit = self.commit(q_mle).point
-            quotients.append(q_commit)
-            cur = cur.fix_first_variable(z)
-        return Opening(point=tuple(v % p for v in point), value=cur.table[0],
+        for i in range(len(point)):
+            hit = memo.get(point[:i]) if memo is not None else None
+            if hit is None:
+                if i:
+                    cur = cur.fix_first_variable(point[i - 1])
+                hit = (cur, self._commit_quotient(cur))
+                if memo is not None:
+                    memo[point[:i]] = hit
+            cur = hit[0]
+            quotients.append(hit[1])
+        if point:
+            cur = cur.fix_first_variable(point[-1])
+        return Opening(point=point, value=cur.table[0],
                        quotients=tuple(quotients))
+
+    def _commit_quotient(self, cur: DenseMLE) -> AffinePoint:
+        """Commitment to q(X_2..) = cur(1, ·) - cur(0, ·)."""
+        p = Fr.modulus
+        table = cur.table
+        q_table = [(table[j + 1] - table[j]) % p for j in range(0, len(table), 2)]
+        if len(q_table) > 1:
+            return self.commit(DenseMLE(Fr, q_table)).point
+        # 0-variable quotient: constant committed on the generator
+        return self._generator_mul(q_table[0]) if q_table[0] else G1.infinity
+
+    def open_many(self, mle: DenseMLE,
+                  points: Sequence[Sequence[int]]) -> list[Opening]:
+        """``[self.open(mle, pt) for pt in points]`` with the quotient
+        commitments and folded tables of every shared point prefix
+        computed once (the points are walked as a prefix trie).
+
+        The memo is per thread, so concurrent provers sharing this KZG
+        never see each other's, and keyed to ``mle`` by identity, so an
+        ``open`` of another polynomial inside the walk ignores it.
+        """
+        self._sharing.memo = (mle, {})
+        try:
+            return [self.open(mle, point) for point in points]
+        finally:
+            del self._sharing.memo
 
     # -- verify -------------------------------------------------------------
     def verify(self, commitment: Commitment, opening: Opening) -> bool:
         """Check C - v·G == Σ_i (s_i - z_i)·Q_i in G1 (exponent-space
         equivalent of the PST pairing product — see module docstring)."""
-        if len(opening.point) != commitment.num_vars:
+        if not (len(opening.point) == len(opening.quotients)
+                == commitment.num_vars):
             return False
-        p = Fr.modulus
-        lhs = commitment.point.to_jacobian().add(
-            self._generator_mul(opening.value).neg().to_jacobian()
-        )
-        rhs = G1.jacobian_infinity
+        if not all(pt.inf or G1.is_on_curve(pt.x, pt.y)
+                   for pt in (commitment.point, *opening.quotients)):
+            return False
+        lhs = commitment.point.add(self._generator_mul(opening.value).neg())
+        if not opening.quotients:
+            return lhs.inf
         # An arity-ν commitment is bound to the suffix secrets; its i-th
         # quotient (arity ν-1-i) is bound to the suffix one deeper, which
         # is how `open` committed it.
         secrets = self.srs.secrets_for(commitment.num_vars)
-        for i, (z, q) in enumerate(zip(opening.point, opening.quotients)):
-            factor = (secrets[i] - z) % p
-            rhs = rhs.add(q.to_jacobian().scalar_mul(factor))
-        return lhs == rhs
+        factors = [s - z for s, z in zip(secrets, opening.point)]
+        return lhs == _msm_unchecked(factors, opening.quotients)
 
     def verify_pairing(self, commitment: Commitment, opening: Opening) -> bool:
         """Publicly verify an opening with the real BLS12-381 pairing:

@@ -155,7 +155,7 @@ def verify_opencheck(
     unique = sorted({c.poly_name for c in claims})
     p = field.modulus
     combined_value = 0
-    combined_commitment: Commitment | None = None
+    weights = []
     w = 1
     for name in unique:
         w = w * beta % p
@@ -163,16 +163,14 @@ def verify_opencheck(
         if final is None:
             raise SumCheckError(f"missing final evaluation for {name!r}")
         combined_value = (combined_value + w * final) % p
-        scaled = commitments[name].scale(w)
-        combined_commitment = (
-            scaled if combined_commitment is None
-            else combined_commitment.add(scaled)
-        )
+        weights.append(w)
 
     if tuple(proof.combined_opening.point) != tuple(v % p for v in rho):
         raise SumCheckError("combined opening is at the wrong point")
     if proof.combined_opening.value % p != combined_value:
         raise SumCheckError("combined opening value mismatch")
-    assert combined_commitment is not None
+    combined_commitment = Commitment.combine(
+        weights, [commitments[name] for name in unique]
+    )
     if not kzg.verify(combined_commitment, proof.combined_opening):
         raise SumCheckError("combined KZG opening failed")

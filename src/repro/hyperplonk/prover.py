@@ -174,14 +174,18 @@ class HyperPlonkProver:
             backend=self.backend,
         )
 
-        tree_openings = {
-            "pi": self.kzg.open(perm.prod_tree, list(rho_p) + [1]),
-            "p1": self.kzg.open(perm.prod_tree, [0] + list(rho_p)),
-            "p2": self.kzg.open(perm.prod_tree, [1] + list(rho_p)),
-            "root": self.kzg.open(
-                perm.prod_tree, [0] + [1] * self.circuit.num_vars
-            ),
+        # four openings of one polynomial: shared point prefixes (the
+        # empty one, and p1/root's leading 0) share quotient commitments
+        tree_points = {
+            "pi": list(rho_p) + [1],
+            "p1": [0] + list(rho_p),
+            "p2": [1] + list(rho_p),
+            "root": [0] + [1] * self.circuit.num_vars,
         }
+        tree_openings = dict(zip(
+            tree_points,
+            self.kzg.open_many(perm.prod_tree, list(tree_points.values())),
+        ))
         if counter is not None:
             counter.bump("opening_msm", 1 + len(tree_openings))
 

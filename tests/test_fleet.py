@@ -16,13 +16,17 @@ ISSUE 7 coverage:
 * **graceful drain** — a run cut off by ``run_timeout_s`` stops its
   workers cleanly with jobs still queued, no crash accounting;
 * **build-once SRS** — a worker's final probe shows exactly one SRS
-  construction however many jobs it proved.
+  construction however many jobs it proved;
+* **start-up failure** — a worker that exits before ``ready`` fails the
+  run at once with its node id and exit code.
 
 Everything is seeded and event-driven — no sleeps in assertions; chaos
 is injected through the fleet's deterministic action hooks.
 """
 
 import asyncio
+import sys
+import time
 
 import pytest
 
@@ -30,7 +34,7 @@ from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import NodeConfig
 from repro.cluster.routing import ROUTING_POLICIES
 from repro.fleet import EventLog
-from repro.fleet.core import FleetConfig, ProvingFleet
+from repro.fleet.core import FleetConfig, ProvingFleet, WorkerStartupError
 from repro.fleet.validation import reference_proofs, significant_pairs
 from repro.service.traffic import TrafficGenerator
 
@@ -53,6 +57,12 @@ def make_fleet(**kwargs) -> ProvingFleet:
 
 def stream(n: int):
     return TrafficGenerator(SCENARIO, seed=SEED).jobs(n)
+
+
+def exit_3(spec, inbox, outbox):
+    """A worker target that dies during start-up (module level so the
+    forkserver child can import it)."""
+    sys.exit(3)
 
 
 class TestParity:
@@ -179,6 +189,15 @@ class TestFailurePaths:
         final = fleet.worker_probes[-1]
         assert final.srs_builds == 1
         assert final.jobs_proved >= len(fleet.records)
+
+    def test_worker_dying_before_ready_fails_fast_by_name(self, monkeypatch):
+        monkeypatch.setattr("repro.fleet.core.worker_main", exit_3)
+        fleet = make_fleet(num_nodes=2)
+        started = time.monotonic()
+        with pytest.raises(WorkerStartupError, match=r"node-\d exited with code 3"):
+            fleet.run(stream(2))
+        assert time.monotonic() - started < 60.0  # not the 120 s ready wait
+        assert not any(h.process.is_alive() for h in fleet._handles.values())
 
     def test_single_run_guard(self):
         fleet = make_fleet(num_nodes=1)

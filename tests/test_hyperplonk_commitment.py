@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.curves import G1, G1_GENERATOR, AffinePoint, msm_naive
 from repro.fields import Fr
 from repro.hyperplonk.commitment import (
     Commitment,
@@ -121,7 +122,64 @@ class TestOpenVerify:
         assert (kzg.open(g, point).value - kzg.open(f, point).value) % P == c
 
 
+class TestUncheckedProverPoints:
+    """``verify`` is handed points nobody has subgroup-checked: its
+    equation must be the plain group equation on whatever they are, not
+    one that silently assumes the order-r subgroup."""
+
+    #: on the curve, order 3, outside G1
+    TORSION = G1.affine(0, 2)
+
+    def forged(self, kzg, mle, rng):
+        point = [rng.randrange(P) for _ in range(3)]
+        opening = kzg.open(mle, point)
+        quotients = (opening.quotients[0].add(self.TORSION),
+                     *opening.quotients[1:])
+        return Opening(opening.point, opening.value, quotients)
+
+    def test_off_subgroup_quotient_gets_the_plain_equation(self, kzg, mle, rng):
+        commitment = kzg.commit(mle)
+        for _ in range(3):
+            bad = self.forged(kzg, mle, rng)
+            secrets = kzg.srs.secrets_for(3)
+            factors = [(s - z) % P for s, z in zip(secrets, bad.point)]
+            lhs = commitment.point.add(
+                msm_naive([bad.value], [G1_GENERATOR]).neg()
+            )
+            expected = lhs == msm_naive(factors, bad.quotients)
+            assert kzg.verify(commitment, bad) == expected
+            # 3 ∤ (s₁ - z₁) leaves the torsion component in: rejected
+            assert expected == (factors[0] % 3 == 0)
+
+    def test_off_curve_quotient_rejected(self, kzg, mle, rng):
+        opening = kzg.open(mle, [rng.randrange(P) for _ in range(3)])
+        q = opening.quotients[1]
+        off = AffinePoint(G1, q.x, (q.y + 1) % G1.field.modulus)
+        bad = Opening(opening.point, opening.value,
+                      (opening.quotients[0], off, opening.quotients[2]))
+        assert not kzg.verify(kzg.commit(mle), bad)
+
+    def test_quotient_count_mismatch_rejected(self, kzg, mle):
+        opening = kzg.open(mle, [1, 2, 3])
+        short = Opening(opening.point, opening.value, opening.quotients[:2])
+        assert not kzg.verify(kzg.commit(mle), short)
+
+
 class TestCommitmentAlgebra:
+    def test_combine_is_the_weighted_sum(self, kzg, rng):
+        cs = [kzg.commit(DenseMLE.random(Fr, 3, rng)) for _ in range(3)]
+        weights = [rng.randrange(P) for _ in cs]
+        expected = cs[0].scale(weights[0])
+        for w, c in zip(weights[1:], cs[1:]):
+            expected = expected.add(c.scale(w))
+        assert Commitment.combine(weights, cs) == expected
+
+    def test_combine_arity_mismatch(self, kzg, rng):
+        c1 = kzg.commit(DenseMLE.random(Fr, 3, rng))
+        c2 = kzg.commit(DenseMLE.random(Fr, 2, rng))
+        with pytest.raises(ValueError, match="arity"):
+            Commitment.combine([1, 2], [c1, c2])
+
     def test_add_arity_mismatch(self, kzg, rng):
         c1 = kzg.commit(DenseMLE.random(Fr, 3, rng))
         c2 = kzg.commit(DenseMLE.random(Fr, 2, rng))

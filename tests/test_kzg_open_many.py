@@ -1,0 +1,189 @@
+"""``MultilinearKZG.open_many``: same-polynomial openings share the
+quotient commitments (and folded tables) of every common point prefix.
+
+The i-th quotient of an opening is a function of the polynomial and
+z_1..z_{i-1} only, so sharing changes how often ``commit`` runs and
+nothing about what any opening contains.
+"""
+
+import random
+import threading
+from collections import Counter
+
+import pytest
+
+from repro.fields import Fr
+from repro.hyperplonk import (
+    VANILLA,
+    HyperPlonkProver,
+    HyperPlonkVerifier,
+    MultilinearKZG,
+    TrapdoorSRS,
+    preprocess,
+)
+from repro.mle import DenseMLE
+from repro.service.traffic import synthesize_circuit
+
+P = Fr.modulus
+MU = 3
+
+
+class CountingKZG(MultilinearKZG):
+    """Counts ``commit`` calls by table size, the way the benchmark's
+    ``TracedKZG`` wraps them."""
+
+    def __init__(self, srs):
+        super().__init__(srs)
+        self.commit_sizes = Counter()
+        self.open_calls = 0
+
+    def commit(self, mle):
+        self.commit_sizes[len(mle.table)] += 1
+        return super().commit(mle)
+
+    def open(self, mle, point):
+        self.open_calls += 1
+        return super().open(mle, point)
+
+
+@pytest.fixture(scope="module")
+def srs():
+    return TrapdoorSRS(MU + 1, random.Random(0x0BE7))
+
+
+def tree_points(rho):
+    """The four product-tree points the HyperPlonk prover opens."""
+    return [
+        list(rho) + [1],
+        [0] + list(rho),
+        [1] + list(rho),
+        [0] + [1] * len(rho),
+    ]
+
+
+class TestOpenMany:
+    def test_equals_open_per_point_field_for_field(self, srs, rng):
+        kzg = MultilinearKZG(srs)
+        f = DenseMLE.random(Fr, MU + 1, rng)
+        rho = [rng.randrange(P) for _ in range(MU)]
+        # unreduced and repeated points too
+        points = tree_points(rho) + [[v + P for v in [0] + rho], [1] + rho]
+        shared = kzg.open_many(f, points)
+        alone = [kzg.open(f, pt) for pt in points]
+        assert len(shared) == len(points)
+        for got, expected in zip(shared, alone):
+            assert got.point == expected.point
+            assert got.value == expected.value
+            assert got.quotients == expected.quotients
+            assert kzg.verify(kzg.commit(f), got)
+        assert shared[0].value == f.evaluate(points[0])
+
+    def test_empty_and_zero_variable_inputs(self, srs):
+        kzg = MultilinearKZG(srs)
+        constant = DenseMLE(Fr, [42])
+        assert kzg.open_many(constant, []) == []
+        (opening,) = kzg.open_many(constant, [[]])
+        assert (opening.value, opening.quotients) == (42, ())
+        assert kzg.verify(kzg.commit(constant), opening)
+
+    def test_tree_points_cost_one_top_quotient_and_three_second(self, srs, rng):
+        f = DenseMLE.random(Fr, MU + 1, rng)
+        rho = [rng.randrange(2, P) for _ in range(MU)]
+        counting = CountingKZG(srs)
+        counting.open_many(f, tree_points(rho))
+        # prefix (): once; prefixes (rho_1), (0), (1): p1 and root share (0)
+        assert counting.commit_sizes[1 << MU] == 1
+        assert counting.commit_sizes[1 << (MU - 1)] == 3
+        assert counting.open_calls == 4  # still attributed to open(), per point
+
+        unshared = CountingKZG(srs)
+        for point in tree_points(rho):
+            unshared.open(f, point)
+        assert unshared.commit_sizes[1 << MU] == 4
+        assert unshared.commit_sizes[1 << (MU - 1)] == 4
+
+    def test_memo_does_not_outlive_the_call_or_leak_across_polynomials(self, srs, rng):
+        f = DenseMLE.random(Fr, MU + 1, rng)
+        g = DenseMLE.random(Fr, MU + 1, rng)
+        point = [rng.randrange(P) for _ in range(MU + 1)]
+
+        class OpensAnother(MultilinearKZG):
+            def open(self, mle, pt):
+                if mle is f:  # an open of g in the middle of f's walk
+                    self.inner = super().open(g, pt)
+                return super().open(mle, pt)
+
+        kzg = OpensAnother(srs)
+        kzg.open_many(f, [point, point])
+        plain = MultilinearKZG(srs)
+        assert kzg.inner == plain.open(g, point)
+        assert not hasattr(kzg._sharing, "memo")
+        counting = CountingKZG(srs)
+        counting.open_many(f, [point])
+        counting.open(f, point)  # afterwards: nothing shared
+        assert counting.commit_sizes[1 << MU] == 2
+
+    def test_failed_walk_still_clears_the_memo(self, srs, rng):
+        kzg = MultilinearKZG(srs)
+        f = DenseMLE.random(Fr, MU + 1, rng)
+        with pytest.raises(ValueError, match="arity"):
+            kzg.open_many(f, [[1] * (MU + 1), [1]])
+        assert not hasattr(kzg._sharing, "memo")
+
+    def test_two_threads_on_one_kzg_do_not_share_a_memo(self, srs):
+        """Different polynomials, same points, one KZG: each thread's
+        walk is paused inside ``commit`` while the other runs."""
+        kzg = MultilinearKZG(srs)
+        rng = random.Random(5)
+        polys = [DenseMLE.random(Fr, MU + 1, rng) for _ in range(2)]
+        rho = [rng.randrange(P) for _ in range(MU)]
+        expected = [[kzg.open(f, pt) for pt in tree_points(rho)] for f in polys]
+
+        barrier = threading.Barrier(2, timeout=60)
+        stock_commit = kzg.commit
+        met = threading.local()
+
+        def commit_in_lockstep(mle):
+            if not getattr(met, "done", False):
+                met.done = True
+                barrier.wait()  # both walks are now mid-open, memos installed
+            return stock_commit(mle)
+
+        kzg.commit = commit_in_lockstep
+        results: list = [None, None]
+        errors: list = []
+
+        def work(i):
+            try:
+                results[i] = kzg.open_many(polys[i], tree_points(rho))
+            except Exception as exc:  # surfaced through the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert results == expected
+
+
+def test_prover_opens_the_tree_through_open_many(srs):
+    """End to end: 2^μ-point quotient once, 2^(μ-1)-point three times
+    among the tree openings, and the proof is the unshared one."""
+    circuit = synthesize_circuit(VANILLA, MU, witness_seed=11)
+    plain = MultilinearKZG(srs)
+    pidx, vidx = preprocess(circuit, plain)
+    counting = CountingKZG(srs)
+    proof = HyperPlonkProver(circuit, pidx, counting, backend="fused").prove()
+    # 5 openings: the combined one (μ vars) and four of the tree (μ+1 vars)
+    assert counting.open_calls == 5
+    # witness/phi/tree commits have these sizes too, so count against a
+    # prover whose open_many opens point by point
+    unshared = CountingKZG(srs)
+    unshared.open_many = lambda mle, points: [unshared.open(mle, p) for p in points]
+    assert HyperPlonkProver(circuit, pidx, unshared, backend="fused").prove() == proof
+    assert unshared.commit_sizes[1 << MU] - counting.commit_sizes[1 << MU] == 3
+    assert unshared.commit_sizes[1 << (MU - 1)] - counting.commit_sizes[1 << (MU - 1)] == 1
+    HyperPlonkVerifier(Fr, vidx, plain).verify(proof)
