@@ -9,7 +9,9 @@ Two measurements (ISSUE 2 acceptance):
   the *naive one-job-at-a-time loop* (the stateless pattern
   ``examples/quickstart.py`` uses today: fresh SRS view + preprocess +
   prove per request) versus the warm service.  Proofs must be
-  bit-identical, and service throughput must be ≥ 1.5× the naive loop.
+  bit-identical; service throughput must be ≥ 1.5× the naive loop in
+  the bench lane (``BENCH_SERVICE_EMIT=1``), while tier-1 only prints
+  the ratio, which is one wall clock over another.
 
 Like ``BENCH_sumcheck.json``, the JSON artifact is only (re)written when
 missing or ``BENCH_SERVICE_EMIT=1`` is set (as CI does), so committed
@@ -154,15 +156,26 @@ class TestProvingServiceBench:
         assert any(row["cache_hit_rate"] > 0 for row in scenarios)
 
         acceptance = run_same_circuit_acceptance()
-        if acceptance["speedup"] < SPEEDUP_FLOOR:
+        emit = os.environ.get("BENCH_SERVICE_EMIT") == "1"
+        if emit and acceptance["speedup"] < SPEEDUP_FLOOR:
             # wall-clock ratios wobble on loaded machines; re-measure once
             # before declaring a regression
             acceptance = run_same_circuit_acceptance()
         emit_bench_json(scenarios, acceptance)
-        assert acceptance["speedup"] >= SPEEDUP_FLOOR, (
-            f"batched+cached service speedup {acceptance['speedup']}x "
-            f"fell below the {SPEEDUP_FLOOR}x floor"
-        )
+        print(f"same-circuit speedup={acceptance['speedup']}x "
+              f"(floor {SPEEDUP_FLOOR}x, asserted in the emit lane)")
+        assert acceptance["bit_identical"]
+        assert acceptance["jobs"] == ACCEPTANCE_JOBS
+        assert acceptance["cache_hit_rate"] > 0
+        assert acceptance["speedup"] > 0
+        # a ratio of two wall clocks decides nothing in tier-1; the bench
+        # lane (BENCH_SERVICE_EMIT=1) holds the floor and
+        # check_regression.py gates the record it writes
+        if emit:
+            assert acceptance["speedup"] >= SPEEDUP_FLOOR, (
+                f"batched+cached service speedup {acceptance['speedup']}x "
+                f"fell below the {SPEEDUP_FLOOR}x floor"
+            )
 
     def test_smoke_small(self):
         """Cheap CI smoke: a 3-job same-circuit run, no JSON write."""

@@ -36,6 +36,6 @@ G1_GENERATOR = G1.affine(G1_GENERATOR_X, G1_GENERATOR_Y)
 def generator_table() -> FixedBaseTable:
     """The process-wide fixed-base table of the generator, built on
     first use (255 affine points): SRS bases and every KZG constant
-    commitment are multiples of G, 16 doublings and ≤32 mixed additions
-    each through it."""
+    commitment are multiples of G, 16 doublings and ≤32 additions each
+    through it."""
     return FixedBaseTable(G1_GENERATOR)

@@ -5,8 +5,9 @@ Points on ``y^2 = x^3 + a*x + b`` over a prime field.  Two representations:
 * :class:`AffinePoint` — canonical (x, y) pairs; cheap equality, used at
   API boundaries (commitments, SRS files).
 * :class:`JacobianPoint` — (X, Y, Z) with x = X/Z^2, y = Y/Z^3; inversion-
-  free group law used in all inner loops.  This matches hardware practice:
-  zkPHIRE's fully-pipelined PADD units operate on projective coordinates.
+  free group law used wherever one operation waits for the last.  This
+  matches hardware practice: zkPHIRE's fully-pipelined PADD units
+  operate on projective coordinates.
 
 The group law is written once, as :func:`jacobian_double`,
 :func:`jacobian_add` and :func:`jacobian_add_affine` on bare integer
@@ -15,6 +16,9 @@ inner loops without building a :class:`JacobianPoint` per operation;
 the point classes are thin wrappers over the same three functions.
 A modular reduction costs more than a multiplication on Python
 integers, so the formulas reduce only what is multiplied again.
+Where many additions are independent of each other — everything an MSM
+accumulates — :func:`affine_sum_rows` does them in affine coordinates
+through shared inversions, at a bit over half the cost.
 """
 
 from __future__ import annotations
@@ -105,37 +109,67 @@ def jacobian_normalize(
     return out
 
 
-def affine_add_all(
+#: Fewest additions a round of :func:`affine_sum_rows` shares one
+#: inversion among.  On the reference host an Fq inversion costs ~29 µs,
+#: an addition through a shared one ~4.4 µs and the mixed Jacobian
+#: addition it replaces ~7.3 µs (``tools/msm_crossover.py`` prints all
+#: three), so a round pays for itself from 29 / (7.3 - 4.4) = 10 pairs.
+BATCH_MIN_PAIRS = 10
+
+
+def affine_sum_rows(
     field: PrimeField,
     a: int,
-    entries: "list[tuple[int, int] | None]",
-    point: "tuple[int, int] | None",
-) -> "list[tuple[int, int] | None]":
-    """``[e + point for e in entries]`` on affine (x, y) pairs, ``None``
-    being the point at infinity: chord additions through one shared
-    inversion, about half the multiplications of a mixed Jacobian
-    addition and nothing to normalise afterwards."""
-    if point is None:
-        return list(entries)
+    rows: "list[list[tuple[int, int]]]",
+    min_pairs: int = BATCH_MIN_PAIRS,
+) -> None:
+    """Batch-affine accumulation: shrink every row of affine (x, y)
+    summands towards its sum, in place, leaving the sum of each row
+    unchanged (an empty row is the point at infinity).
+
+    One round adds the entries of every row in adjacent pairs, halving
+    it, and all additions of a round share one inversion
+    (:func:`~repro.fields.prime_field.batch_inverse`): ~6
+    multiplications each against 11 for a mixed Jacobian addition, and
+    nothing to normalise afterwards.  Equal points take the tangent
+    slope through the same inversion; a point and its inverse drop out.
+    Rounds stop once fewer than ``min_pairs`` additions are left in
+    one, so the caller finishes rows that still hold several entries
+    (with mixed additions); ``min_pairs=1`` reduces every row to at
+    most one point.
+    """
     p = field.modulus
-    x2, y2 = point
-    inverses = iter(batch_inverse(
-        field, [(x2 - e[0]) % p for e in entries if e and e[0] != x2]
-    ))
-    out: list[tuple[int, int] | None] = []
-    for e in entries:
-        if e is None:
-            out.append(point)
-        elif e[0] != x2:
-            x1, y1 = e
-            slope = (y2 - y1) * next(inverses) % p
-            x3 = (slope * slope - x1 - x2) % p
-            out.append((x3, (slope * (x1 - x3) - y1) % p))
-        elif e[1] == y2:  # the same point: tangent, not chord
-            out += jacobian_normalize(field, [jacobian_double(x2, y2, 1, p, a)])
-        else:
-            out.append(None)
-    return out
+    pairs = sum(len(row) >> 1 for row in rows)
+    while pairs and pairs >= min_pairs:
+        # x₂ - x₁ for a chord and y₁ + y₂ = 2y for a tangent; a pair that
+        # cancels (inverse points, or a doubled 2-torsion point) has
+        # neither and holds its place in the batch with a 1
+        inverses = iter(batch_inverse(field, [
+            (row[i][0] - row[i - 1][0]) or (row[i][1] + row[i - 1][1]) % p or 1
+            for row in rows
+            for i in range(1, len(row), 2)
+        ]))
+        pairs = 0
+        for r, row in enumerate(rows):
+            if len(row) < 2:
+                continue
+            out = []
+            for i in range(1, len(row), 2):
+                x1, y1 = row[i - 1]
+                x2, y2 = row[i]
+                inverse = next(inverses)
+                if x1 != x2:
+                    slope = (y2 - y1) * inverse % p
+                elif (y1 + y2) % p:
+                    slope = (3 * x1 * x1 + a) * inverse % p
+                else:
+                    continue
+                x3 = (slope * slope - x1 - x2) % p
+                out.append((x3, (slope * (x1 - x3) - y1) % p))
+            if len(row) & 1:
+                out.append(row[-1])
+            rows[r] = out
+            pairs += len(out) >> 1
 
 
 class ShortWeierstrassCurve:
@@ -198,7 +232,7 @@ class AffinePoint:
     def neg(self) -> "AffinePoint":
         if self.inf:
             return self
-        return AffinePoint(self.curve, self.x, self.curve.field.modulus - self.y)
+        return AffinePoint(self.curve, self.x, -self.y % self.curve.field.modulus)
 
     def add(self, other: "AffinePoint") -> "AffinePoint":
         return self.to_jacobian().add_affine(other).to_affine()

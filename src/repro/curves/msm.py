@@ -5,8 +5,12 @@ MSMs dominate HyperPlonk's prover runtime (§II-B, Fig. 12), and zkPHIRE's
 MSM unit implements Pippenger's bucket algorithm [Pippenger76] in hardware.
 
 :func:`msm_pippenger` is the software kernel (:func:`msm_jacobian`
-documents its three stages): a GLV scalar split, then interleaved wNAF
-(Straus) for few terms or signed-digit buckets for many.  The bucket
+documents its stages): equal scalars merged, a GLV scalar split, then
+interleaved wNAF (Straus) for few terms or signed-digit buckets for
+many, with every accumulation of affine points done batch-affine —
+pairwise, a whole round of independent additions through one shared
+inversion (:func:`~repro.curves.curve.affine_sum_rows`), at a bit over
+half the cost of the mixed Jacobian additions it replaces.  The bucket
 stage is the algorithm the hardware model (``repro.hw.msm_unit``) costs
 out: per scalar window, accumulate points into buckets, then reduce
 them with a running-sum scan; that model's docstring lists which of the
@@ -18,11 +22,13 @@ has, which is why scalar multiplication is simply the one-point case.
 
 **Fixed-base path.**  :class:`FixedBaseTable` is a comb (Lim–Lee)
 table of one base: 2^8 - 1 precomputed affine points turn a scalar
-multiplication into 16 doublings and ≤32 mixed additions, and
-:func:`msm_fixed_base` sums such tables on one shared doubling chain:
-a bit over half the kernel's time on the same points (5.0 ms against
-8.8 ms at n=16) for ~2 ms of precomputation per base.  The result is the same group element
-(hence bit-identical affine coordinates) as any other MSM algorithm;
+multiplication into 16 doublings and ≤32 additions, and
+:func:`msm_fixed_base` sums such tables on one shared doubling chain,
+its 16 columns being 16 rows of the same batch-affine accumulation:
+a bit over half the kernel's time on the same points (3.2 ms against
+5.6 ms at n=16) for ~2 ms of precomputation per base.  The result is
+the same group element (hence bit-identical affine coordinates) as any
+other MSM algorithm;
 ``tests/test_msm_fixed_base.py`` locks the equivalence.  The serving
 layer (:mod:`repro.service`) turns this on for its shared KZG; one-shot
 callers only ever use the shared generator table
@@ -40,7 +46,7 @@ from repro.curves.curve import (
     AffinePoint,
     JacobianPoint,
     ShortWeierstrassCurve,
-    affine_add_all,
+    affine_sum_rows,
     jacobian_add,
     jacobian_add_affine,
     jacobian_double,
@@ -52,10 +58,11 @@ from repro.fields.vector import window_decompose
 #: the odd values in [-7, 7], so each point precomputes P, 3P, 5P, 7P.
 WNAF_WIDTH = 4
 
-#: Largest term count (after the GLV split: two terms per point) the
-#: Straus path handles; above it the signed-bucket path is faster.
-#: Chosen from the per-size measurement recorded in DESIGN.md §13.
-STRAUS_MAX_TERMS = 128
+#: Largest term count (after equal scalars are merged and the GLV split
+#: has made two terms of a point) the Straus path handles; above it the
+#: signed-bucket path is faster.  The two tie at 224 terms in the
+#: per-size measurement of ``tools/msm_crossover.py`` (DESIGN.md §13).
+STRAUS_MAX_TERMS = 224
 
 
 def _check_lengths(scalars: Sequence[int], points: Sequence) -> None:
@@ -118,44 +125,60 @@ def msm_jacobian(
 ) -> JacobianPoint:
     """The kernel behind :func:`msm_pippenger` and ``scalar_mul``.
 
-    1. **GLV split.**  On a curve with an endomorphism (β, λ), where
+    1. **Equal scalars.**  Live points are grouped by scalar and every
+       class is summed first (k·P + k·Q = k·(P + Q)), so a column with
+       few distinct values — a selector, a sparse witness — is a
+       few-term MSM whatever its length (the paper's sparse-MSM path,
+       §IV-B1: 0 is skipped, 1 is a plain accumulation).
+    2. **GLV split.**  On a curve with an endomorphism (β, λ), where
        λ² + λ + 1 equals the group order, ``divmod(k, λ)`` writes
        k = k₁ + k₂·λ with both halves below 2¹²⁸, and
        k·P = k₁·P + k₂·φ(P) with φ(x, y) = (βx, y): twice the terms at
        half the length, so half the doublings.
-    2. **Straus** (few terms): width-4 wNAF per term over batch-
-       normalised odd multiples, one shared doubling chain.
-    3. **Signed buckets** (many terms, or a pinned window): digits in
-       [-2^(c-1), 2^(c-1)], so half the buckets of unsigned Pippenger.
+    3. **Straus** (few terms): width-4 wNAF per term over affine odd
+       multiples; the summands of each bit position are one row, and
+       one doubling chain walks the row sums.
+    4. **Signed buckets** (many terms, or a pinned window): digits in
+       [-2^(c-1), 2^(c-1)], so half the buckets of unsigned Pippenger;
+       each bucket is one row.
 
-    All arithmetic runs on bare integer coordinates; zero scalars and
-    points at infinity are dropped up front.
+    Every sum of affine points — classes, odd multiples, rows, buckets
+    — is :func:`~repro.curves.curve.affine_sum_rows`: batch-affine
+    additions sharing one inversion per round.  Only doublings, the
+    bucket running sums and the few additions a round cannot amortise
+    an inversion over are Jacobian.  All arithmetic runs on bare integer
+    coordinates; zero scalars and points at infinity are dropped up
+    front.
 
     φ acts as λ only inside the subgroup of order ``curve.order``, so
-    stage 1 needs every point to be in it.  ``in_subgroup=False`` is
+    stage 2 needs every point to be in it.  ``in_subgroup=False`` is
     for points of unchecked origin (what a verifier is handed): it
     skips the split and returns the same element as double-and-add for
     any curve point, at twice the doublings.
     """
     order = curve.order
-    # without the split λ = order leaves k₁ = k, k₂ = 0
-    beta, lam = (in_subgroup and curve.endomorphism) or (1, order)
-    split = []  # (x, y, k₁, k₂) per live point
+    # k·P + k·Q = k·(P + Q): points under one scalar are summed first
+    classes: dict[int, list[tuple[int, int]]] = {}
     for k, pt in zip(scalars, points):
         k %= order
         if k and not pt.inf:
-            k2, k1 = divmod(k, lam)
-            split.append((pt.x, pt.y, k1, k2))
+            classes.setdefault(k, []).append((pt.x, pt.y))
+    rows = list(classes.values())
+    # a point left over in a class costs a whole term, not one addition
+    affine_sum_rows(curve.field, curve.a, rows, min_pairs=1)
+    # without the split λ = order leaves k₁ = k, k₂ = 0
+    beta, lam = (in_subgroup and curve.endomorphism) or (1, order)
+    split = [  # (x, y, k₁, k₂) per class with a finite sum
+        (*row[0], k % lam, k // lam) for k, row in zip(classes, rows) if row
+    ]
     if not split:
         return curve.jacobian_infinity
     terms = sum((k1 > 0) + (k2 > 0) for _, _, k1, k2 in split)
     if window_bits is None and terms <= STRAUS_MAX_TERMS:
         xyz = _straus(curve, split, beta)
     else:
-        # signed digits halve the bucket count, which moves the measured
-        # optimum one bit above the unsigned formula (DESIGN.md §13)
         xyz = _signed_buckets(
-            curve, split, beta, window_bits or optimal_window_bits(terms) + 1
+            curve, split, beta, window_bits or optimal_window_bits(terms)
         )
     return JacobianPoint(curve, *xyz)
 
@@ -182,17 +205,18 @@ def _wnaf(k: int) -> list[tuple[int, int]]:
 
 def _straus(curve, split, beta: int) -> tuple[int, int, int]:
     """Interleaved wNAF over per-point tables of odd multiples."""
-    p, a = curve.field.modulus, curve.a
-    extra = (1 << (WNAF_WIDTH - 2)) - 1  # odd multiples beyond P itself
-    odd = []
-    for x, y, _, _ in split:
-        twice = jacobian_double(x, y, 1, p, a)
-        cur = jacobian_add_affine(*twice, x, y, p, a)
-        odd.append(cur)
-        for _ in range(extra - 1):
-            cur = jacobian_add(*cur, *twice, p, a)
-            odd.append(cur)
-    odd = jacobian_normalize(curve.field, odd)
+    field, a = curve.field, curve.a
+    p = field.modulus
+    # (2i+1)·P = (2i-1)·P + 2P for every point at once, in affine form
+    multiple = [[(x, y)] for x, y, _, _ in split]
+    twice = [row * 2 for row in multiple]
+    affine_sum_rows(field, a, twice, min_pairs=1)
+    tables = [list(row) for row in multiple]
+    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+        multiple = [m + t for m, t in zip(multiple, twice)]
+        affine_sum_rows(field, a, multiple, min_pairs=1)
+        for table, row in zip(tables, multiple):
+            table.append(row[0] if row else None)
 
     top = max(max(k1, k2) for _, _, k1, k2 in split).bit_length()
     schedule: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
@@ -202,19 +226,21 @@ def _straus(curve, split, beta: int) -> tuple[int, int, int]:
             entry = table[abs(d) >> 1]
             if entry is not None:
                 ex, ey = entry
-                schedule[pos].append((ex, ey if d > 0 else p - ey))
+                schedule[pos].append((ex, ey if d > 0 else ey and p - ey))
 
-    for i, (x, y, k1, k2) in enumerate(split):
-        table = [(x, y), *odd[extra * i:extra * (i + 1)]]
+    for (_, _, k1, k2), table in zip(split, tables):
         place(k1, table)
         if k2:  # runs on φ(P), whose odd multiples are φ of P's
             place(k2, [e and (e[0] * beta % p, e[1]) for e in table])
 
-    return _horner(schedule, p, a)
+    return _horner(curve, schedule)
 
 
-def _horner(schedule, p: int, a: int) -> tuple[int, int, int]:
-    """Σ_j 2^j · Σ schedule[j] for rows of affine (x, y) pairs."""
+def _horner(curve, schedule) -> tuple[int, int, int]:
+    """Σ_j 2^j · Σ schedule[j] for rows of affine (x, y) pairs: the
+    rows are summed batch-affine, the walk over their sums is Jacobian."""
+    p, a = curve.field.modulus, curve.a
+    affine_sum_rows(curve.field, a, schedule)
     x, y, z = INFINITY
     for row in reversed(schedule):
         x, y, z = jacobian_double(x, y, z, p, a)
@@ -231,6 +257,8 @@ def _signed_buckets(curve, split, beta: int, c: int) -> tuple[int, int, int]:
     with k = Σ_w (u_w - 2^(c-1))·2^(cw): the borrow/carry chain of
     signed recoding is done by one integer addition.  A negative digit
     adds the negated point, so buckets are indexed by |digit| ≤ 2^(c-1).
+    Every (window, |digit|) bucket is one row of a single batch-affine
+    accumulation; only the running-sum scan is Jacobian.
     """
     p, a = curve.field.modulus, curve.a
     terms = []
@@ -245,31 +273,26 @@ def _signed_buckets(curve, split, beta: int, c: int) -> tuple[int, int, int]:
     bias = sum(half << (c * w) for w in range(num_windows - 1))
     digits = window_decompose([k + bias for k in ks], c, num_windows)
 
-    x, y, z = INFINITY
-    for w in range(num_windows - 1, -1, -1):
+    # bucket |d| of window w is buckets[w * half + |d| - 1]
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(num_windows * half)]
+    for w in range(num_windows):
         offset = half if w < num_windows - 1 else 0
-        buckets: list[tuple[int, int, int] | None] = [None] * (half + 1)
+        first = w * half - 1
         for u, x2, y2 in zip(digits[w], xs, ys):
             d = u - offset
-            if d == 0:
-                continue
-            if d < 0:
-                d = -d
-                y2 = p - y2
-            b = buckets[d]
-            buckets[d] = (
-                (x2, y2, 1) if b is None
-                else jacobian_add_affine(*b, x2, y2, p, a)
-            )
+            if d > 0:
+                buckets[first + d].append((x2, y2))
+            elif d < 0:
+                buckets[first - d].append((x2, y2 and p - y2))
+    affine_sum_rows(curve.field, a, buckets)
+
+    x, y, z = INFINITY
+    for w in range(num_windows - 1, -1, -1):
         # Σ_d d·bucket[d] by a suffix running sum
         running = total = INFINITY
         for d in range(half, 0, -1):
-            b = buckets[d]
-            if b is not None:
-                running = (
-                    jacobian_add_affine(*running, b[0], b[1], p, a) if b[2] == 1
-                    else jacobian_add(*running, *b, p, a)
-                )
+            for x2, y2 in buckets[w * half + d - 1]:
+                running = jacobian_add_affine(*running, x2, y2, p, a)
             total = jacobian_add(*total, *running, p, a)
         for _ in range(c):
             x, y, z = jacobian_double(x, y, z, p, a)
@@ -285,7 +308,7 @@ class FixedBaseTable:
     holds Σ_{t ∈ bits of m} 2^(t·columns)·P in affine form.  Gathering
     bit j of every block into an index m_j gives
     k·P = Σ_j 2^j · rows[0][m_j - 1]: ``columns`` doublings and one
-    mixed addition per column, against a table of 2^window_bits - 1
+    addition per column, against a table of 2^window_bits - 1
     points that costs one affine addition per entry to build.  (A comb
     is that one row; ``rows`` stays a list of rows for entry counts.)
 
@@ -332,7 +355,12 @@ class FixedBaseTable:
             teeth.append(cur)
         comb: list[tuple[int, int] | None] = []
         for tooth in jacobian_normalize(field, teeth):
-            comb += [tooth, *affine_add_all(field, a, comb, tooth)]
+            if tooth is None:  # adding infinity repeats the table so far
+                comb += [None, *comb]
+                continue
+            rows = [[entry, tooth] if entry else [tooth] for entry in comb]
+            affine_sum_rows(field, a, rows, min_pairs=1)
+            comb += [tooth, *[row[0] if row else None for row in rows]]
         return comb
 
     def place(self, k: int, schedule: "list[list[tuple[int, int]]]") -> None:
@@ -382,9 +410,7 @@ def _sum_fixed_base(curve, scalars, tables) -> JacobianPoint:
     ]
     for k, table in zip(scalars, tables):
         table.place(k, schedule)
-    return JacobianPoint(
-        curve, *_horner(schedule, curve.field.modulus, curve.a)
-    )
+    return JacobianPoint(curve, *_horner(curve, schedule))
 
 
 def msm_fixed_base(scalars: Sequence[int],

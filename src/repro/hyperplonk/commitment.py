@@ -26,7 +26,6 @@ import threading
 from repro.curves import (
     AffinePoint,
     G1,
-    G1_GENERATOR,
     batch_normalize,
     msm_pippenger,
 )
@@ -62,7 +61,7 @@ class Commitment:
         return Commitment(self.point.add(other.point), self.num_vars)
 
     def scale(self, k: int) -> "Commitment":
-        return Commitment(self.point.scalar_mul(k), self.num_vars)
+        return Commitment(_msm_unchecked([k], [self.point]), self.num_vars)
 
     @staticmethod
     def combine(weights: Sequence[int],
@@ -292,9 +291,7 @@ class MultilinearKZG:
         if len(opening.point) != commitment.num_vars:
             return False
         h, s_h = self.srs.g2_elements(commitment.num_vars)
-        c_minus_v = commitment.point.to_jacobian().add(
-            G1_GENERATOR.scalar_mul(opening.value).neg().to_jacobian()
-        ).to_affine()
+        c_minus_v = commitment.point.add(self._generator_mul(opening.value).neg())
         pairs = [(c_minus_v, h)]
         for z, q, hs in zip(opening.point, opening.quotients, s_h):
             if q.inf:

@@ -151,6 +151,20 @@ class TestUncheckedProverPoints:
             # 3 ∤ (s₁ - z₁) leaves the torsion component in: rejected
             assert expected == (factors[0] % 3 == 0)
 
+    def test_scale_and_combine_take_the_plain_multiple(self, kzg, mle):
+        """A commitment is a prover-supplied point too: on one shifted
+        by the cofactor point, k·C must stay what double-and-add says."""
+        honest = kzg.commit(mle)
+        shifted = Commitment(honest.point.add(self.TORSION), 3)
+        split_differs = 0
+        for k in (P - 2, 5, (1 << 200) + 1, 0xDEADBEEF << 130):
+            expected = msm_naive([k], [shifted.point])
+            assert shifted.scale(k).point == expected
+            assert Commitment.combine([k], [shifted]).point == expected
+            split_differs += shifted.point.scalar_mul(k) != expected
+        # the endomorphism split is not this map outside the subgroup
+        assert split_differs
+
     def test_off_curve_quotient_rejected(self, kzg, mle, rng):
         opening = kzg.open(mle, [rng.randrange(P) for _ in range(3)])
         q = opening.quotients[1]

@@ -5,9 +5,13 @@ Sizes straddle the Straus/bucket crossover; scalars sit on every
 boundary the kernel has (group order, the GLV λ, the 128-bit half
 length, wNAF carries); inputs include repeated bases, P with -P, points
 at infinity and all-zero scalars, each of which reaches the equal-point
-or inverse-point branch of the inlined group law somewhere.
+or inverse-point branch of the inlined group law somewhere.  The
+batch-affine primitive ``affine_sum_rows`` is tested on its own (tangent,
+cancelling and empty rows), through equal-scalar classes, on a toy curve
+with a ≠ 0 and under a three-point pool that collides in every round.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -28,10 +32,20 @@ from repro.curves import (
     msm_pippenger,
 )
 from repro.curves.bls12_381_g1 import G1_BETA, G1_LAMBDA, generator_table
-from repro.curves.curve import ShortWeierstrassCurve, affine_add_all
+from repro.curves.curve import ShortWeierstrassCurve, affine_sum_rows
 from repro.curves.msm import STRAUS_MAX_TERMS, WNAF_WIDTH, _wnaf, msm_jacobian
 from repro.fields import FR_MODULUS as R
+from repro.fields import Fr, PrimeField
 from repro.fields.bls12_381 import FQ_MODULUS as Q
+from repro.hyperplonk import (
+    JELLYFISH,
+    HyperPlonkProver,
+    HyperPlonkVerifier,
+    MultilinearKZG,
+    TrapdoorSRS,
+    preprocess,
+)
+from repro.service.traffic import synthesize_circuit
 
 EDGE_SCALARS = [
     0, 1, 2, R - 1, R, R + 1,
@@ -219,13 +233,159 @@ class TestCombTable:
         for k in range(40):
             assert table.scalar_mul(k) == msm_naive([k], [TORSION])
 
-    def test_affine_add_all(self, points):
+
+def _row_sum(curve, row):
+    """The oracle for one row of affine pairs: unit scalars through
+    ``msm_naive`` (infinity for the empty row)."""
+    if not row:
+        return curve.infinity
+    return msm_naive([1] * len(row), [curve.affine(*e) for e in row])
+
+
+def _as_point(curve, row):
+    assert len(row) <= 1
+    return curve.affine(*row[0]) if row else curve.infinity
+
+
+class TestAffineSumRows:
+    def test_special_pairs_and_row_lengths(self, points):
+        a, b, c = [(pt.x, pt.y) for pt in points[:3]]
+        neg_b = (b[0], Q - b[1])
+        rows = [
+            [],                      # infinity
+            [a],                     # length 1: untouched
+            [a, b],                  # chord
+            [b, b],                  # the same point twice: tangent
+            [b, neg_b],              # P and -P cancel
+            [a, b, c],               # odd length: the last entry is carried
+            [b, b, b, neg_b, a],     # tangent and chord in one row
+            [a, neg_b, b, (a[0], Q - a[1])],  # cancels only in round two
+            [c] * 7,
+        ]
+        expected = [_row_sum(G1, row) for row in rows]
+        assert expected[4].inf and expected[7].inf
+        affine_sum_rows(G1.field, G1.a, rows, min_pairs=1)
+        assert [_as_point(G1, row) for row in rows] == expected
+
+    def test_short_rounds_are_left_to_the_caller(self, points):
+        """Below ``min_pairs`` additions a round is not worth its
+        inversion: rows keep several entries, sums unchanged."""
+        pairs = [(pt.x, pt.y) for pt in points[:24]]
+        rows = [pairs[:16], pairs[16:19], pairs[19:24]]
+        expected = [_row_sum(G1, row) for row in rows]
+        affine_sum_rows(G1.field, G1.a, rows, min_pairs=7)
+        # 8 + 1 + 2 pairs, then 4 + 1 + 1: the second round is skipped
+        assert [len(row) for row in rows] == [8, 2, 3]
+        assert [_row_sum(G1, row) for row in rows] == expected
+        untouched = [pairs[:4], pairs[4:6]]
+        affine_sum_rows(G1.field, G1.a, untouched)  # 3 pairs < the default
+        assert untouched == [pairs[:4], pairs[4:6]]
+
+    def test_comb_entries_are_the_subset_sums(self, points):
+        """What ``FixedBaseTable._comb`` asks of it: entry + tooth for
+        entries that are infinity, the tooth itself, or its inverse."""
         a, b = points[0], points[1]
-        entries = [None, (a.x, a.y), (b.x, b.y), (b.x, Q - b.y)]
-        got = affine_add_all(G1.field, G1.a, entries, (b.x, b.y))
+        rows = [[(b.x, b.y)], [(a.x, a.y), (b.x, b.y)],
+                [(b.x, b.y), (b.x, b.y)], [(b.x, Q - b.y), (b.x, b.y)]]
+        affine_sum_rows(G1.field, G1.a, rows, min_pairs=1)
         want = [b, a.add(b), b.double(), G1.infinity]
-        assert [G1.infinity if e is None else G1.affine(*e) for e in got] == want
-        assert affine_add_all(G1.field, G1.a, entries, None) == entries
+        assert [_as_point(G1, row) for row in rows] == want
+
+
+@pytest.fixture(scope="module")
+def toy():
+    """y² = x³ + 2x + 3 over F_1009: a ≠ 0, composite order, a point of
+    order 2 (y = 0), and so few points that every special case of the
+    group law turns up."""
+    field = PrimeField(1009, "F1009")
+    roots: dict[int, list[int]] = {}
+    for y in range(1009):
+        roots.setdefault(y * y % 1009, []).append(y)
+    on_curve = [
+        (x, y) for x in range(1009)
+        for y in roots.get((x * x * x + 2 * x + 3) % 1009, ())
+    ]
+    curve = ShortWeierstrassCurve(field, 2, 3, len(on_curve) + 1, "toy")
+    return curve, [curve.affine(x, y) for x, y in on_curve]
+
+
+class TestToyCurve:
+    def test_has_two_torsion_and_a_is_nonzero(self, toy):
+        curve, pts = toy
+        assert curve.a == 2 and any(pt.y == 0 for pt in pts)
+        assert all(msm_naive([curve.order], [pt]).inf for pt in pts[:20])
+
+    @pytest.mark.parametrize("window_bits", [None, 2, 3])
+    def test_kernel_matches_the_oracle(self, toy, window_bits):
+        curve, pts = toy
+        rng = random.Random(window_bits or 0)
+        two_torsion = next(pt for pt in pts if pt.y == 0)
+        for n in (1, 2, 5, 40):
+            chosen = [rng.choice(pts) for _ in range(n - 1)] + [two_torsion]
+            scalars = [rng.randrange(3 * curve.order) for _ in chosen]
+            got = msm_jacobian(curve, scalars, chosen, window_bits)
+            assert got.to_affine() == msm_naive(scalars, chosen)
+
+    def test_rows_with_tangents_on_a_curve_with_a(self, toy):
+        curve, pts = toy
+        rng = random.Random(7)
+        rows = [[(pt.x, pt.y) for pt in rng.choices(pts[:6], k=k)]
+                for k in (0, 1, 2, 3, 8, 13)]
+        rows.append([(pt.x, pt.y) for pt in pts if pt.y == 0] * 2)
+        expected = [_row_sum(curve, row) for row in rows]
+        affine_sum_rows(curve.field, curve.a, rows, min_pairs=1)
+        assert [_as_point(curve, row) for row in rows] == expected
+
+    def test_comb_table(self, toy):
+        curve, pts = toy
+        for base in pts[:3]:
+            table = FixedBaseTable(base, window_bits=3)
+            for k in (0, 1, 2, curve.order - 1, curve.order + 5, 777):
+                assert table.scalar_mul(k) == msm_naive([k], [base])
+
+
+class TestEqualScalarClasses:
+    """Points under one scalar are summed before anything else runs."""
+
+    @pytest.mark.parametrize("window_bits", [None, 3])
+    def test_sparse_column(self, points, window_bits):
+        """Two distinct values over 43 live points, like a selector."""
+        rng = random.Random(43)
+        scalars = [rng.choice([0, 1, 1, R - 5]) for _ in range(64)]
+        assert len(set(scalars)) == 3
+        got = msm_pippenger(scalars, points[:64], window_bits)
+        assert got == msm_naive(scalars, points[:64])
+
+    @pytest.mark.parametrize("window_bits", [None, 4])
+    @pytest.mark.parametrize("k", [1, 2, G1_LAMBDA, R - 1])
+    def test_one_distinct_scalar(self, points, k, window_bits):
+        pts = points[:9]
+        assert msm_pippenger([k] * 9, pts, window_bits) == msm_naive([k] * 9, pts)
+        assert msm_pippenger([k + R] * 2 + [k], pts[:3], window_bits) == (
+            msm_naive([k] * 3, pts[:3]))
+
+    @pytest.mark.parametrize("window_bits", [None, 4])
+    def test_class_sums_of_infinity_and_single_points(self, points, window_bits):
+        p0, p1, p2 = points[:3]
+        k, j = 0xABCDEF << 100, 12345
+        # class k sums to infinity, class j to one point (2·p2), class 1 to p1
+        pts = [p0, p0.neg(), p2, p2, p1, p0, p0.neg()]
+        scalars = [k, k, j, j, 1, 1, 1]
+        expected = msm_naive([2 * j, 1], [p2, p1])
+        assert msm_pippenger(scalars, pts, window_bits) == expected
+        assert msm_pippenger(scalars[:2], pts[:2], window_bits).inf
+        # ... and every class at once
+        assert msm_pippenger([k, k, 1, 1], [p0, p0.neg(), p1, p1.neg()],
+                             window_bits).inf
+
+    @pytest.mark.parametrize("window_bits", [None, 4])
+    def test_unchecked_points_share_a_scalar(self, points, window_bits):
+        """The order-3 point's odd multiples include infinity (3P), and a
+        class may sum into or out of the cofactor torsion."""
+        pts = [TORSION, points[0], TORSION, TORSION.neg(), points[0].add(TORSION)]
+        for scalars in ([7, 7, 7, 5, 5], [3, 3, 5, 7, R - 1], [R - 2] * 5):
+            got = msm_jacobian(G1, scalars, pts, window_bits, in_subgroup=False)
+            assert got.to_affine() == msm_naive(scalars, pts)
 
 
 _POOL = st.integers(min_value=0, max_value=7)
@@ -264,3 +424,62 @@ def test_importing_curves_builds_no_table():
         [sys.executable, "-c", script], check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+@functools.cache
+def _collision_pool():
+    """A, 3A, 5A: few points, and each an odd multiple in A's table."""
+    a = generator_table().scalar_mul(0xA11CE)
+    pool = [a, a.scalar_mul(3), a.scalar_mul(5)]
+    return pool, {pt: FixedBaseTable(pt) for pt in pool + [p.neg() for p in pool]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(_SCALAR, st.integers(min_value=0, max_value=2), st.booleans()),
+        min_size=1, max_size=48,
+    ),
+    window_bits=st.sampled_from([None, 2, 4]),
+)
+def test_three_point_pool_collides_in_every_round(terms, window_bits):
+    """Equal points and inverse pairs meet in the classes, in the Straus
+    rows, in the buckets and in the comb columns alike."""
+    pool, tables = _collision_pool()
+    scalars = [k for k, _, _ in terms]
+    pts = [pool[i].neg() if negate else pool[i] for _, i, negate in terms]
+    expected = msm_naive(scalars, pts)
+    assert msm_pippenger(scalars, pts, window_bits) == expected
+    assert msm_fixed_base(scalars, [tables[pt] for pt in pts]) == expected
+    unchecked = msm_jacobian(G1, scalars, pts, window_bits, in_subgroup=False)
+    assert unchecked.to_affine() == expected
+
+
+#: two coordinates of that proof as the parent commit's kernel (Jacobian
+#: bucket fill, per-term Horner adds) produced them
+PINNED_PHI_X = (
+    "0xaef6567e8c4c483ffac6b57a7e496195e459ffc5d5ae7ca8"
+    "a9e8bf9a0aecfe68259d655aea364233519ae3a6b69e2ba"
+)
+PINNED_QUOTIENT_X = (
+    "0x12ec73b7112ef62e557c63cce4c2c2a6c405d9c7d53600cf"
+    "5270e41b711fcdb023d54da3496888b09e8949d3b08e24a2"
+)
+
+
+def test_jellyfish_proof_is_the_same_with_and_without_tables():
+    """End to end: every MSM of a proof returns the same group element
+    whichever path computed it, so the proofs are equal field for field
+    (and equal to what the kernel produced before it was batch-affine)."""
+    circuit = synthesize_circuit(JELLYFISH, 4, witness_seed=13)
+    proofs = []
+    for fixed_base in (False, True):
+        srs = TrapdoorSRS(5, random.Random(0xE2E))
+        kzg = MultilinearKZG(srs, fixed_base=fixed_base)
+        pidx, vidx = preprocess(circuit, kzg)
+        proofs.append(HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove())
+        HyperPlonkVerifier(Fr, vidx, kzg).verify(proofs[-1])
+    assert proofs[0] == proofs[1]
+    assert hex(proofs[0].phi_commitment.point.x) == PINNED_PHI_X
+    last_quotient = proofs[0].tree_openings["root"].quotients[-1]
+    assert hex(last_quotient.x) == PINNED_QUOTIENT_X
