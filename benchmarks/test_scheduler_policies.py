@@ -9,7 +9,9 @@ worst job finishes when it always did, so nothing is sacrificed.
 The same job stream (same seed, same circuits) runs through one service
 per policy; latencies are the service's own submit→finish stamps.  Like
 the other ``BENCH_*.json`` artifacts, the record is only (re)written
-when missing or ``BENCH_SCHEDULER_EMIT=1`` is set (as CI does).
+when missing or ``BENCH_SCHEDULER_EMIT=1`` is set (as CI does), and the
+ranking of two measured p95s is asserted in that lane only: tier-1
+checks the record's structure and prints the ratio.
 """
 
 import json
@@ -46,6 +48,7 @@ def run_policy(policy: str) -> dict:
     with ProvingService(config) as service:
         results = service.run(gen.jobs(JOBS))
         summary = service.summary()
+    assert all(r.predicted_s is not None for r in results)
     realtime = [r.latency_s for r in results
                 if r.request_class is RequestClass.REALTIME]
     alljobs = [r.latency_s for r in results]
@@ -78,11 +81,21 @@ class TestSchedulerPolicies:
         rows = [run_policy(p) for p in POLICIES]
         by = {row["policy"]: row for row in rows}
 
+        assert set(by) == set(POLICIES)
+        for row in rows:
+            assert row["jobs"] == JOBS and 0 < row["realtime_jobs"] <= JOBS
+            assert row["realtime_p95_s"] > 0
         fifo, sjf = by["fifo"]["realtime_p95_s"], by["sjf"]["realtime_p95_s"]
-        assert sjf < fifo, (
-            f"cost-aware drain must improve realtime p95: sjf={sjf} "
-            f"vs fifo={fifo}"
-        )
+        print(f"realtime p95 fifo/sjf = {fifo / sjf:.3f} "
+              "(sjf < fifo is asserted in the emit lane)")
+        # a ranking of two wall clocks decides nothing in tier-1; the bench
+        # lane (BENCH_SCHEDULER_EMIT=1) holds it and check_regression.py
+        # gates the record it writes
+        if os.environ.get("BENCH_SCHEDULER_EMIT") == "1":
+            assert sjf < fifo, (
+                f"cost-aware drain must improve realtime p95: sjf={sjf} "
+                f"vs fifo={fifo}"
+            )
 
         record = {
             "scenario": SCENARIO,

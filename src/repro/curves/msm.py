@@ -20,25 +20,34 @@ has, which is why scalar multiplication is simply the one-point case.
 
 :func:`msm_naive` is the O(n · 256) double-and-add oracle used in tests.
 
-**Fixed-base path.**  :class:`FixedBaseTable` is a comb (Lim–Lee)
-table of one base: 2^8 - 1 precomputed affine points turn a scalar
-multiplication into 16 doublings and ≤32 additions, and
-:func:`msm_fixed_base` sums such tables on one shared doubling chain,
-its 16 columns being 16 rows of the same batch-affine accumulation:
-a bit over half the kernel's time on the same points (3.2 ms against
-5.6 ms at n=16) for ~2 ms of precomputation per base.  The result is
-the same group element (hence bit-identical affine coordinates) as any
-other MSM algorithm;
-``tests/test_msm_fixed_base.py`` locks the equivalence.  The serving
-layer (:mod:`repro.service`) turns this on for its shared KZG; one-shot
-callers only ever use the shared generator table
-(:func:`repro.curves.bls12_381_g1.generator_table`), since per-base
-tables pay for themselves only after some ten MSMs over the same bases.
+**Fixed bases.**  Every MSM a prover runs is over the bases of an SRS,
+and a list of bases wrapped in :class:`ResidentBases` keeps the 32 odd
+multiples of each between calls: a class that holds one base reads
+them with a width-7 wNAF (16 additions a 128-bit term and no table to
+build, against 26 + 4 at the per-call width 4), which is 1.6× on a
+64-point commitment and, at 0.24 ms a base to build, repaid by the
+third or fourth read of a base's table — inside the first proof.
+
+:class:`FixedBaseTable` goes further for one base: a comb (Lim–Lee)
+of 2^8 - 1 precomputed affine points turns a scalar multiplication
+into 16 doublings and ≤32 additions, and :func:`msm_fixed_base` sums
+such tables on one shared doubling chain, its 16 columns being 16 rows
+of the same batch-affine accumulation: 0.4–0.85× the resident-table
+time on the same points from n=1 to n=32, for ~2 ms of precomputation
+per base (ten times the resident build), which pays for itself after
+some ten MSMs over the same bases.  The serving layer
+(:mod:`repro.service`) turns it on for the small arities of its shared
+KZG; multiples of the generator go through one process-wide comb
+(:func:`repro.curves.bls12_381_g1.generator_table`).  Either way the
+result is the same group element (hence bit-identical affine
+coordinates) as any other MSM algorithm;
+``tests/test_msm_fixed_base.py`` locks the equivalence.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Sequence
 
 from repro.curves.curve import (
@@ -54,15 +63,38 @@ from repro.curves.curve import (
 )
 from repro.fields.vector import window_decompose
 
-#: Width of the interleaved wNAF on the Straus path (≥ 3): digits are
-#: the odd values in [-7, 7], so each point precomputes P, 3P, 5P, 7P.
+#: Width of the interleaved wNAF for a term that builds its table in the
+#: call (≥ 3): digits are the odd values in [-7, 7] over P, 3P, 5P, 7P.
+#: ``tools/msm_crossover.py``, plain points, ms at width 3 / 4 / 5:
+#: n=1 1.48 / 1.42 / 1.52, n=4 2.96 / 2.77 / 2.74, n=16 8.34 / 7.32 /
+#: 6.99, n=64 29.4 / 25.4 / 23.2 — width 5 leads only from ~16 points a
+#: call, and the callers that had that many (SRS commitments) now read
+#: resident tables; what builds a table here is a merged class or two of
+#: a witness column, or the verifier's μ-term sums.
 WNAF_WIDTH = 4
 
+#: Width of the wNAF over the tables of :class:`ResidentBases`: 2^5 = 32
+#: odd multiples a base, one digit per 8 bits where width 4 has one per
+#: 5.  ``tools/msm_crossover.py``, n=64, width 5 / 6 / 7 / 8: MSM 20.0 /
+#: 18.0 / 15.7 / 14.1 ms (25.1 with per-call width-4 tables), one-time
+#: build 0.06 / 0.12 / 0.24 / 0.53 ms a base, repaid after 1.4 / 2.2 /
+#: 3.2 / 6.2 reads of a base's table (a dense MSM reads it twice).
+#: Width 8 buys 10% for twice the build and 13 kB a base instead of 6.7.
+RESIDENT_WIDTH = 7
+
 #: Largest term count (after equal scalars are merged and the GLV split
-#: has made two terms of a point) the Straus path handles; above it the
-#: signed-bucket path is faster.  The two tie at 224 terms in the
-#: per-size measurement of ``tools/msm_crossover.py`` (DESIGN.md §13).
+#: has made two terms of a point) the Straus path handles when every
+#: term builds its table in the call; above it the signed-bucket path is
+#: faster.  The two tie at 224 terms in the per-size measurement of
+#: ``tools/msm_crossover.py`` (DESIGN.md §13).
 STRAUS_MAX_TERMS = 224
+
+#: The same bound when every term reads a resident table.  Median
+#: resident-Straus / buckets time over 11 alternations
+#: (``tools/msm_crossover.py`` sizes): 0.73 at 512 terms, 0.88 at 1024,
+#: 0.92 at 1536, 0.99 at 2048, 1.05 at 3072.  It is also what bounds the
+#: tables: a list of more than 1024 bases gets none (:func:`msm_jacobian`).
+RESIDENT_STRAUS_MAX_TERMS = 2048
 
 
 def _check_lengths(scalars: Sequence[int], points: Sequence) -> None:
@@ -135,12 +167,21 @@ def msm_jacobian(
        k = k₁ + k₂·λ with both halves below 2¹²⁸, and
        k·P = k₁·P + k₂·φ(P) with φ(x, y) = (βx, y): twice the terms at
        half the length, so half the doublings.
-    3. **Straus** (few terms): width-4 wNAF per term over affine odd
-       multiples; the summands of each bit position are one row, and
-       one doubling chain walks the row sums.
+    3. **Straus** (few terms): wNAF per term over affine odd multiples;
+       the summands of each bit position are one row, and one doubling
+       chain walks the row sums.  When ``points`` is a
+       :class:`ResidentBases`, a class that holds a single base reads
+       that base's resident table at width :data:`RESIDENT_WIDTH`; a
+       class merged from several is a new point and builds its
+       width-:data:`WNAF_WIDTH` table here.
     4. **Signed buckets** (many terms, or a pinned window): digits in
        [-2^(c-1), 2^(c-1)], so half the buckets of unsigned Pippenger;
        each bucket is one row.
+
+    Straus is taken while ``fresh / STRAUS_MAX_TERMS + resident /
+    RESIDENT_STRAUS_MAX_TERMS ≤ 1`` over the terms that build a table
+    and the terms that read one: each kind against the count at which it
+    alone ties with the buckets.
 
     Every sum of affine points — classes, odd multiples, rows, buckets
     — is :func:`~repro.curves.curve.affine_sum_rows`: batch-affine
@@ -159,35 +200,54 @@ def msm_jacobian(
     order = curve.order
     # k·P + k·Q = k·(P + Q): points under one scalar are summed first
     classes: dict[int, list[tuple[int, int]]] = {}
-    for k, pt in zip(scalars, points):
+    last: dict[int, int] = {}  # scalar -> index of the last point under it
+    for i, (k, pt) in enumerate(zip(scalars, points)):
         k %= order
         if k and not pt.inf:
             classes.setdefault(k, []).append((pt.x, pt.y))
+            last[k] = i
     rows = list(classes.values())
+    # a class of one base keeps its index into the resident tables; a
+    # list too long for a dense MSM over it to take the Straus path
+    # never gets any
+    tabled = (isinstance(points, ResidentBases)
+              and 2 * len(points) <= RESIDENT_STRAUS_MAX_TERMS)
+    bases = [last[k] if tabled and len(row) == 1 else None
+             for k, row in classes.items()]
     # a point left over in a class costs a whole term, not one addition
     affine_sum_rows(curve.field, curve.a, rows, min_pairs=1)
     # without the split λ = order leaves k₁ = k, k₂ = 0
     beta, lam = (in_subgroup and curve.endomorphism) or (1, order)
-    split = [  # (x, y, k₁, k₂) per class with a finite sum
-        (*row[0], k % lam, k // lam) for k, row in zip(classes, rows) if row
+    split = [  # (x, y, k₁, k₂, base) per class with a finite sum
+        (*row[0], k % lam, k // lam, base)
+        for k, row, base in zip(classes, rows, bases) if row
     ]
     if not split:
         return curve.jacobian_infinity
-    terms = sum((k1 > 0) + (k2 > 0) for _, _, k1, k2 in split)
-    if window_bits is None and terms <= STRAUS_MAX_TERMS:
-        xyz = _straus(curve, split, beta)
+    fresh = resident = 0
+    for _, _, k1, k2, base in split:
+        if base is None:
+            fresh += (k1 > 0) + (k2 > 0)
+        else:
+            resident += (k1 > 0) + (k2 > 0)
+    if window_bits is None and (
+        fresh * RESIDENT_STRAUS_MAX_TERMS + resident * STRAUS_MAX_TERMS
+        <= STRAUS_MAX_TERMS * RESIDENT_STRAUS_MAX_TERMS
+    ):
+        xyz = _straus(curve, split, beta,
+                      points.odd_multiples() if resident else None)
     else:
         xyz = _signed_buckets(
-            curve, split, beta, window_bits or optimal_window_bits(terms)
+            curve, split, beta, window_bits or optimal_window_bits(fresh + resident)
         )
     return JacobianPoint(curve, *xyz)
 
 
-def _wnaf(k: int) -> list[tuple[int, int]]:
-    """Nonzero width-:data:`WNAF_WIDTH` NAF digits of ``k > 0`` as
-    (bit position, odd digit in (-2^(w-1), 2^(w-1))), LSB first; any two
-    are at least ``w`` positions apart."""
-    full = 1 << WNAF_WIDTH
+def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
+    """Nonzero width-``width`` NAF digits of ``k > 0`` as (bit position,
+    odd digit in (-2^(w-1), 2^(w-1))), LSB first; any two are at least
+    ``w`` positions apart."""
+    full = 1 << width
     out = []
     pos = 0
     while k:
@@ -198,40 +258,101 @@ def _wnaf(k: int) -> list[tuple[int, int]]:
         if d > full >> 1:
             d -= full
         out.append((pos, d))
-        k = (k - d) >> WNAF_WIDTH
-        pos += WNAF_WIDTH
+        k = (k - d) >> width
+        pos += width
     return out
 
 
-def _straus(curve, split, beta: int) -> tuple[int, int, int]:
-    """Interleaved wNAF over per-point tables of odd multiples."""
-    field, a = curve.field, curve.a
-    p = field.modulus
-    # (2i+1)·P = (2i-1)·P + 2P for every point at once, in affine form
-    multiple = [[(x, y)] for x, y, _, _ in split]
+def _odd_multiples(field, a: int, points, width: int) -> list[list]:
+    """``[P, 3P, …, (2^(width-1) - 1)·P]`` in affine form for every
+    (x, y) of ``points`` at once: (2i+1)·P = (2i-1)·P + 2P, one round of
+    shared-inversion additions per table column.  ``None`` stands for
+    the point at infinity, as an input and as an entry."""
+    multiple = [[xy] if xy else [] for xy in points]
     twice = [row * 2 for row in multiple]
     affine_sum_rows(field, a, twice, min_pairs=1)
-    tables = [list(row) for row in multiple]
-    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+    tables = [[xy] for xy in points]
+    for _ in range((1 << (width - 2)) - 1):
         multiple = [m + t for m, t in zip(multiple, twice)]
         affine_sum_rows(field, a, multiple, min_pairs=1)
         for table, row in zip(tables, multiple):
             table.append(row[0] if row else None)
+    return tables
 
-    top = max(max(k1, k2) for _, _, k1, k2 in split).bit_length()
+
+class ResidentBases(list):
+    """Points that many MSMs run over — one arity of an SRS: a list of
+    :class:`AffinePoint` that also carries, for the kernel, the odd
+    multiples B, 3B, …, (2^(w-1) - 1)·B of every base B at
+    w = :data:`RESIDENT_WIDTH`.
+
+    The tables are built on the first Straus MSM that reads one (all
+    bases at once, so each of the 2^(w-2) - 1 rounds shares one
+    inversion across the list; ~0.24 ms and ~7 kB a base) and kept for
+    the life of the list, which must not change after that.  A list
+    too long for a dense MSM over it to take the Straus path never gets
+    them, which bounds their memory; neither does a copy or a slice,
+    which is a plain list.  They are derived data: pickling sends the
+    points only.
+    """
+
+    def __init__(self, points=()):
+        super().__init__(points)
+        self._tables: list[list] | None = None
+        # the build is expensive; concurrent first MSMs must share one
+        self._lock = threading.Lock()
+
+    def odd_multiples(self) -> list[list]:
+        """``tables[i][j]`` = (2j+1)·self[i] as (x, y), or ``None`` for
+        infinity; built on first use."""
+        if self._tables is None:
+            with self._lock:
+                if self._tables is None:
+                    curve = self[0].curve
+                    self._tables = _odd_multiples(
+                        curve.field, curve.a,
+                        [None if pt.inf else (pt.x, pt.y) for pt in self],
+                        RESIDENT_WIDTH,
+                    )
+        return self._tables
+
+    def __reduce__(self):
+        return ResidentBases, (list(self),)
+
+
+def _straus(curve, split, beta: int, resident) -> tuple[int, int, int]:
+    """Interleaved wNAF over per-point tables of odd multiples:
+    ``resident[base]`` for a term that has one, built here otherwise."""
+    field = curve.field
+    p = field.modulus
+    built = iter(_odd_multiples(
+        field, curve.a,
+        [(x, y) for x, y, _, _, base in split if base is None], WNAF_WIDTH,
+    ))
+    top = max(max(k1, k2) for _, _, k1, k2, _ in split).bit_length()
     schedule: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
 
-    def place(k: int, table: list) -> None:
-        for pos, d in _wnaf(k):
+    def place(k: int, table: list, width: int, twist: int) -> None:
+        for pos, d in _wnaf(k, width):
             entry = table[abs(d) >> 1]
             if entry is not None:
                 ex, ey = entry
+                if twist != 1:
+                    ex = ex * twist % p
                 schedule[pos].append((ex, ey if d > 0 else ey and p - ey))
 
-    for (_, _, k1, k2), table in zip(split, tables):
-        place(k1, table)
-        if k2:  # runs on φ(P), whose odd multiples are φ of P's
-            place(k2, [e and (e[0] * beta % p, e[1]) for e in table])
+    # k₂ runs on φ(P), whose odd multiples are φ of P's: β times each x
+    for _, _, k1, k2, base in split:
+        if base is not None:
+            # 32 entries, ~16 digits a half: φ per digit placed
+            place(k1, resident[base], RESIDENT_WIDTH, 1)
+            place(k2, resident[base], RESIDENT_WIDTH, beta)
+            continue
+        table = next(built)
+        place(k1, table, WNAF_WIDTH, 1)
+        if k2:  # 4 entries, ~26 digits: φ per entry
+            place(k2, [e and (e[0] * beta % p, e[1]) for e in table],
+                  WNAF_WIDTH, 1)
 
     return _horner(curve, schedule)
 
@@ -262,7 +383,7 @@ def _signed_buckets(curve, split, beta: int, c: int) -> tuple[int, int, int]:
     """
     p, a = curve.field.modulus, curve.a
     terms = []
-    for x, y, k1, k2 in split:
+    for x, y, k1, k2, _ in split:
         if k1:
             terms.append((k1, x, y))
         if k2:

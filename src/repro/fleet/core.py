@@ -83,6 +83,10 @@ class WorkerStartupError(RuntimeError):
     """A worker process exited before reporting ``ready``."""
 
 
+class FleetStalledError(RuntimeError):
+    """Every node is down, none will come back, and jobs are still owed."""
+
+
 @dataclass
 class FleetConfig:
     """Knobs for one :class:`ProvingFleet`.
@@ -203,6 +207,9 @@ class ProvingFleet:
         self._total = 0
         self._next_id = 0
         self._done: asyncio.Event | None = None
+        #: churn recovery events not yet applied: each will spawn a node
+        self._recoveries_due = 0
+        self._stalled: FleetStalledError | None = None
         self._shutting_down = False
         self._ran = False
 
@@ -447,9 +454,32 @@ class ProvingFleet:
                 self._fail_job(job)
         if respawn and not self._shutting_down:
             self._spawn(node_id)
+        else:
+            self._check_stalled(node_id, reason)
+
+    def _check_stalled(self, node_id: str, reason: str) -> None:
+        """End the run by name when the node that just went down was the
+        last one and nothing will bring one back: no node up or still
+        starting, no churn recovery due.  The jobs still owed (parked, or
+        not yet arrived) could only wait out ``run_timeout_s``."""
+        owed = self._total - len(self.records) - len(self.failed_jobs)
+        alive = any(
+            h.up or (not h.ready.is_set() and h.process.exitcode is None)
+            for h in self._handles.values()
+        )
+        if owed <= 0 or alive or self._recoveries_due or self._shutting_down:
+            return
+        self._stalled = FleetStalledError(
+            "every fleet node is down and none will respawn: "
+            f"{sorted(self._handles)} dead (last: {node_id}, reason "
+            f"{reason!r}) with {owed} of {self._total} jobs still owed"
+        )
+        self._done.set()
 
     def _on_churn(self, event) -> None:
         """Apply one seeded churn event: crash = SIGKILL, recover = spawn."""
+        if event.kind != "crash":
+            self._recoveries_due -= 1
         node_id = f"node-{event.node_index}"
         handle = self._handles.get(node_id)
         if handle is None:
@@ -525,6 +555,7 @@ class ProvingFleet:
             else:
                 for job in jobs:
                     self._submit(job)
+            self._recoveries_due = sum(e.kind != "crash" for e in churn)
             for event in churn:
                 timers.append(
                     self._loop.call_later(
@@ -538,6 +569,8 @@ class ProvingFleet:
                 await asyncio.wait_for(
                     self._done.wait(), timeout=self.config.run_timeout_s
                 )
+                if self._stalled is not None:
+                    raise self._stalled
         finally:
             self._shutting_down = True
             if watchdog is not None:

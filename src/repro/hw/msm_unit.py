@@ -12,7 +12,7 @@ Sparsity (§IV-B1): witness scalars are mostly 0 (skipped entirely) or 1
 "full" fraction pays the dense cost.
 
 This models the paper's unit, not the software kernel in
-:mod:`repro.curves.msm`, which since DESIGN.md §13 makes five choices
+:mod:`repro.curves.msm`, which since DESIGN.md §13 makes six choices
 the unit does *not*: the unit slices scalars into **unsigned** windows
 (``2^w`` buckets per window, not ``2^(w-1)`` signed ones), it uses
 **no endomorphism** (full 255-bit scalars, one term per point, where
@@ -22,9 +22,14 @@ quotients of same-polynomial openings with a common point prefix),
 its PADD is a **pipelined mixed-Jacobian adder**, one addition a cycle
 and no inversion anywhere (the software accumulates in *affine* form,
 a round of independent additions through one shared inversion, which
-only pays where an inversion costs a handful of additions), and its
+only pays where an inversion costs a handful of additions), its
 sparse path special-cases the scalars **0 and 1 only** (the software
-sums the points of *every* repeated scalar before the MSM proper).
+sums the points of *every* repeated scalar before the MSM proper), and
+it streams the SRS points as they are, **no precomputed multiples**
+(the software keeps 32 odd multiples of every SRS base resident and
+runs a width-7 wNAF over them up to 1024 points, buckets only above:
+a time-for-memory trade a bucket SRAM sized for ``windows × 2^w``
+points does not have room for).
 The op counts here, the ``ProofPlan`` MSM inventory and every ``hw.*``
 number are therefore unchanged by that kernel, on purpose.
 """

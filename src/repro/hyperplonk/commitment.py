@@ -30,7 +30,12 @@ from repro.curves import (
     msm_pippenger,
 )
 from repro.curves.bls12_381_g1 import generator_table
-from repro.curves.msm import FixedBaseTable, msm_fixed_base, msm_jacobian
+from repro.curves.msm import (
+    FixedBaseTable,
+    ResidentBases,
+    msm_fixed_base,
+    msm_jacobian,
+)
 from repro.fields import FR_MODULUS, Fr
 from repro.mle import DenseMLE
 from repro.mle.eq import build_eq_mle
@@ -108,7 +113,7 @@ class TrapdoorSRS:
         rng = rng or random.Random(0x5EED)
         self.max_vars = max_vars
         self.secret = [rng.randrange(1, FR_MODULUS) for _ in range(max_vars)]
-        self._bases_cache: dict[int, list[AffinePoint]] = {}
+        self._bases_cache: dict[int, ResidentBases] = {}
 
     def secrets_for(self, num_vars: int) -> list[int]:
         """The suffix secrets an arity-``num_vars`` polynomial is bound to."""
@@ -118,14 +123,20 @@ class TrapdoorSRS:
             )
         return self.secret[self.max_vars - num_vars:]
 
-    def bases(self, num_vars: int) -> list[AffinePoint]:
-        """G1 bases g^{eq_x(suffix secrets)} for all 2^ν hypercube points."""
+    def bases(self, num_vars: int) -> ResidentBases:
+        """G1 bases g^{eq_x(suffix secrets)} for all 2^ν hypercube points.
+
+        The list is the same object on every call, and the MSM kernel
+        keeps its odd-multiple tables of these bases on it (built by the
+        first commitment of this arity that runs the Straus path), so
+        every later MSM over ``srs.bases(ν)`` is a fixed-base one.
+        """
         if num_vars not in self._bases_cache:
             eq = build_eq_mle(Fr, self.secrets_for(num_vars))
             table = generator_table()
-            self._bases_cache[num_vars] = batch_normalize(
+            self._bases_cache[num_vars] = ResidentBases(batch_normalize(
                 [table.mul(v) for v in eq.table]
-            )
+            ))
         return self._bases_cache[num_vars]
 
     def g2_elements(self, num_vars: int):
@@ -141,15 +152,19 @@ class TrapdoorSRS:
 class MultilinearKZG:
     """Commit/open/verify for dense MLEs against a :class:`TrapdoorSRS`.
 
-    ``fixed_base=True`` precomputes a :class:`FixedBaseTable` comb for
-    every SRS base of arity ≤ ``fixed_base_max_vars`` (lazily, per
-    arity, ~2 ms per base) and commits through them, in a bit over half
-    the MSM kernel's time on the prover's many small commitments — the
-    opening quotients.  Results are bit-identical group elements
-    either way; the mode only pays for itself when one KZG instance
-    serves several requests, which is why :mod:`repro.service` enables it
-    and one-shot callers don't.  Multiples of the generator go through
-    the process-wide :func:`generator_table` in both modes.
+    Every commitment is an MSM over ``srs.bases(ν)``, whose resident
+    odd-multiple tables (:class:`~repro.curves.msm.ResidentBases`) make
+    it a fixed-base one in either mode.  ``fixed_base=True`` further
+    precomputes a :class:`FixedBaseTable` comb for every SRS base of
+    arity ≤ ``fixed_base_max_vars`` (lazily, per arity, ~2 ms per base)
+    and commits through them, in 0.4–0.75× the resident-table time on
+    the prover's many small (≤ 16-point) commitments — the opening
+    quotients.
+    Results are bit-identical group elements either way; the combs only
+    pay for themselves when one KZG instance serves several requests,
+    which is why :mod:`repro.service` enables them and one-shot callers
+    don't.  Multiples of the generator go through the process-wide
+    :func:`generator_table` in both modes.
     """
 
     def __init__(self, srs: TrapdoorSRS, fixed_base: bool = False,
@@ -258,14 +273,20 @@ class MultilinearKZG:
             del self._sharing.memo
 
     # -- verify -------------------------------------------------------------
+    @staticmethod
+    def _well_formed(commitment: Commitment, opening: Opening) -> bool:
+        """An opening is outside input: one coordinate and one quotient
+        per variable, every point on the curve."""
+        return (
+            len(opening.point) == len(opening.quotients) == commitment.num_vars
+            and all(pt.inf or G1.is_on_curve(pt.x, pt.y)
+                    for pt in (commitment.point, *opening.quotients))
+        )
+
     def verify(self, commitment: Commitment, opening: Opening) -> bool:
         """Check C - v·G == Σ_i (s_i - z_i)·Q_i in G1 (exponent-space
         equivalent of the PST pairing product — see module docstring)."""
-        if not (len(opening.point) == len(opening.quotients)
-                == commitment.num_vars):
-            return False
-        if not all(pt.inf or G1.is_on_curve(pt.x, pt.y)
-                   for pt in (commitment.point, *opening.quotients)):
+        if not self._well_formed(commitment, opening):
             return False
         lhs = commitment.point.add(self._generator_mul(opening.value).neg())
         if not opening.quotients:
@@ -288,7 +309,7 @@ class MultilinearKZG:
         """
         from repro.curves.pairing import multi_pairing
 
-        if len(opening.point) != commitment.num_vars:
+        if not self._well_formed(commitment, opening):
             return False
         h, s_h = self.srs.g2_elements(commitment.num_vars)
         c_minus_v = commitment.point.add(self._generator_mul(opening.value).neg())

@@ -74,6 +74,7 @@ class HyperPlonkVerifier:
         perm_terms = permcheck_terms(field, gate_type.num_witnesses, alpha)
         rho_p = verify_zerocheck(field, perm_terms, proof.perm_zerocheck,
                                  transcript)
+        self._require_perm_evals(proof)
         transcript.absorb_scalars(b"hp/perm-w-evals",
                                   proof.perm_witness_evals.values())
         transcript.absorb_scalars(b"hp/perm-s-evals",
@@ -89,6 +90,21 @@ class HyperPlonkVerifier:
         verify_opencheck(field, claims, commitments, proof.opencheck,
                          self.kzg, transcript)
         self._check_tree_openings(proof, rho_p)
+
+    def _require_perm_evals(self, proof: HyperPlonkProof) -> None:
+        """The proof is outside input: every column's witness and sigma
+        evaluation must be there, and be an integer, before anything
+        absorbs or computes with it."""
+        columns = range(1, self.index.gate_type.num_witnesses + 1)
+        for label, evals, prefix in (
+            ("perm_witness_evals", proof.perm_witness_evals, "w"),
+            ("perm_sigma_evals", proof.perm_sigma_evals, "sigma"),
+        ):
+            bad = [f"{prefix}{col}" for col in columns
+                   if not isinstance(evals.get(f"{prefix}{col}"), int)]
+            if bad:
+                raise HyperPlonkError(
+                    f"{label} missing or not an integer for {bad}")
 
     def _check_permcheck_consistency(
         self, proof: HyperPlonkProof, rho_p: Sequence[int],

@@ -34,7 +34,12 @@ from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import NodeConfig
 from repro.cluster.routing import ROUTING_POLICIES
 from repro.fleet import EventLog
-from repro.fleet.core import FleetConfig, ProvingFleet, WorkerStartupError
+from repro.fleet.core import (
+    FleetConfig,
+    FleetStalledError,
+    ProvingFleet,
+    WorkerStartupError,
+)
 from repro.fleet.validation import reference_proofs, significant_pairs
 from repro.service.traffic import TrafficGenerator
 
@@ -101,28 +106,49 @@ class TestParity:
 
 class TestFailurePaths:
     def test_frozen_worker_misses_heartbeats_and_job_retries(self):
+        """Asserts on what was detected and how it was handled (event
+        kinds, the ``node_down`` reason), never on who proved what how
+        fast: on a loaded host a stalled survivor may be declared dead
+        too, and respawning (the default) absorbs that."""
         fleet = make_fleet(
             num_nodes=2,
             policy="round_robin",
             heartbeat_s=0.05,
             heartbeat_misses=4.0,
-            auto_respawn=False,
         )
         actions = [(0.0, lambda f: f.freeze("node-0", 30.0))]
         records = fleet.run(stream(4), actions=actions)
-        assert len(records) == 4
-        assert not fleet.failed_jobs
-        assert fleet.crashes == 1
-        assert fleet.retries == 1
+        assert len(records) + len(fleet.failed_jobs) == 4
         kinds = fleet.events.kinds()
-        assert kinds["job_crashed"] == 1
-        assert kinds["job_retried"] == 1
+        assert kinds["job_crashed"] >= 1
+        assert kinds["job_retried"] >= 1
+        assert fleet.crashes == kinds["node_down"] >= 1
         downs = [e for e in fleet.events if e.kind == "node_down"]
-        assert [e.node_id for e in downs] == ["node-0"]
-        assert downs[0].detail["reason"] == "heartbeat"
-        # the lost job finished on the surviving peer, attempt bumped
-        (lost,) = [r for r in records if r.attempt == 1]
-        assert lost.node_id == "node-1"
+        assert downs[0].node_id == "node-0"
+        assert {e.detail["reason"] for e in downs} == {"heartbeat"}
+
+    def test_every_node_down_without_respawn_fails_fast_by_name(self):
+        """One node, killed with a job in flight and three parked behind
+        it: nothing can finish them, so the run ends now, by name, not
+        after ``run_timeout_s`` (180 s here)."""
+        fleet = make_fleet(num_nodes=1, auto_respawn=False)
+        ended: list[float] = []
+        real_shutdown = fleet._shutdown
+
+        async def timed_shutdown():
+            ended.append(fleet._now())
+            await real_shutdown()
+
+        fleet._shutdown = timed_shutdown
+        actions = [(0.05, lambda f: f.kill("node-0"))]
+        with pytest.raises(FleetStalledError, match=r"node-0.*'kill'.*jobs still owed"):
+            fleet.run(stream(4), actions=actions)
+        # from the kill to the end of the run: a few heartbeats, not the
+        # timeout (run-relative clock, so worker start-up is not in it)
+        assert ended and ended[0] < 2.0
+        assert fleet.crashes == 1
+        assert len(fleet.records) + len(fleet.failed_jobs) < 4
+        assert not any(h.process.is_alive() for h in fleet._handles.values())
 
     def test_kill_cancels_in_flight_job_and_excludes_loser(self):
         fleet = make_fleet(

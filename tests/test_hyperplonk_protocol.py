@@ -162,6 +162,7 @@ class TestSoundness:
     @pytest.mark.parametrize("mutation", [
         "claim", "round", "final", "witness_commit", "tree_value",
         "perm_eval", "opencheck_value",
+        "perm_w_missing", "perm_sigma_missing", "perm_w_none", "perm_sigma_none",
     ])
     def test_tampered_proofs_rejected(self, proven, mutation):
         proof, verifier = proven
@@ -190,6 +191,16 @@ class TestSoundness:
             sc = proof.opencheck.sumcheck
             name = next(iter(sc.final_evals))
             sc.final_evals[name] = (sc.final_evals[name] + 1) % P
+        # malformed, not just wrong: still HyperPlonkError, never a
+        # KeyError / TypeError out of the verifier
+        elif mutation == "perm_w_missing":
+            del proof.perm_witness_evals["w1"]
+        elif mutation == "perm_sigma_missing":
+            del proof.perm_sigma_evals["sigma1"]
+        elif mutation == "perm_w_none":
+            proof.perm_witness_evals["w1"] = None
+        elif mutation == "perm_sigma_none":
+            proof.perm_sigma_evals["sigma1"] = None
         with pytest.raises(HyperPlonkError):
             verifier.verify(proof)
 

@@ -9,13 +9,18 @@ or inverse-point branch of the inlined group law somewhere.  The
 batch-affine primitive ``affine_sum_rows`` is tested on its own (tangent,
 cancelling and empty rows), through equal-scalar classes, on a toy curve
 with a ≠ 0 and under a three-point pool that collides in every round.
+``ResidentBases`` (the SRS's odd-multiple tables) is tested through the
+same oracle: mixed with merged classes, at the term bounds, on small-order
+bases, from two threads and through pickle.
 """
 
 import functools
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +38,15 @@ from repro.curves import (
 )
 from repro.curves.bls12_381_g1 import G1_BETA, G1_LAMBDA, generator_table
 from repro.curves.curve import ShortWeierstrassCurve, affine_sum_rows
-from repro.curves.msm import STRAUS_MAX_TERMS, WNAF_WIDTH, _wnaf, msm_jacobian
+from repro.curves.msm import (
+    RESIDENT_STRAUS_MAX_TERMS,
+    RESIDENT_WIDTH,
+    STRAUS_MAX_TERMS,
+    WNAF_WIDTH,
+    ResidentBases,
+    _wnaf,
+    msm_jacobian,
+)
 from repro.fields import FR_MODULUS as R
 from repro.fields import Fr, PrimeField
 from repro.fields.bls12_381 import FQ_MODULUS as Q
@@ -86,6 +99,8 @@ class TestDifferential:
         assert msm_pippenger(scalars, points[:n]) == msm_naive(scalars, points[:n])
 
     def test_crossover_is_inside_the_tested_sizes(self):
+        """... for plain points; ``TestResidentBases`` brackets the
+        bound of resident-table terms."""
         terms = [2 * n for n in SIZES]
         assert min(terms) < STRAUS_MAX_TERMS < max(terms)
 
@@ -165,13 +180,20 @@ class TestDifferential:
 
 
 class TestWnaf:
+    @pytest.mark.parametrize("width", [3, WNAF_WIDTH, RESIDENT_WIDTH])
     @pytest.mark.parametrize("k", [k for k in EDGE_SCALARS if k] + [0x5555 << 100])
-    def test_digits_recompose_and_are_sparse(self, k):
-        digits = _wnaf(k)
+    def test_digits_recompose_and_are_sparse(self, k, width):
+        digits = _wnaf(k, width)
         assert sum(d << pos for pos, d in digits) == k
-        assert all(d % 2 == 1 and abs(d) < 1 << (WNAF_WIDTH - 1) for _, d in digits)
+        assert all(d % 2 == 1 and abs(d) < 1 << (width - 1) for _, d in digits)
         positions = [pos for pos, _ in digits]
-        assert all(b - a >= WNAF_WIDTH for a, b in zip(positions, positions[1:]))
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+
+    @pytest.mark.parametrize("width", [WNAF_WIDTH, RESIDENT_WIDTH])
+    def test_a_run_of_ones_carries_one_position_past_the_top(self, width):
+        """The schedule's last row: position = bit length."""
+        k = (1 << 127) - 1
+        assert _wnaf(k, width) == [(0, -1), (127, 1)]
 
 
 #: on the curve, of order 3: in the cofactor torsion, outside G1
@@ -388,6 +410,216 @@ class TestEqualScalarClasses:
             assert got.to_affine() == msm_naive(scalars, pts)
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """Which path each MSM took, and the width of every table build."""
+    seen = {"straus": 0, "buckets": 0, "builds": []}
+    real = {name: getattr(msm_module, name)
+            for name in ("_straus", "_signed_buckets", "_odd_multiples")}
+
+    def straus(*args):
+        seen["straus"] += 1
+        return real["_straus"](*args)
+
+    def buckets(*args):
+        seen["buckets"] += 1
+        return real["_signed_buckets"](*args)
+
+    def odd_multiples(field, a, pts, width):
+        if pts:
+            seen["builds"].append(width)
+        return real["_odd_multiples"](field, a, pts, width)
+
+    monkeypatch.setattr(msm_module, "_straus", straus)
+    monkeypatch.setattr(msm_module, "_signed_buckets", buckets)
+    monkeypatch.setattr(msm_module, "_odd_multiples", odd_multiples)
+    return seen
+
+
+def _order(pt):
+    return next(n for n in range(1, pt.curve.order + 1)
+                if msm_naive([n], [pt]).inf)
+
+
+class TestResidentBases:
+    """The odd-multiple tables an SRS arity keeps between MSMs."""
+
+    def test_resident_merged_and_repeated_terms_in_one_msm(self, points, paths):
+        """points[0] sits at two indices under two scalars (two resident
+        terms off equal tables), four bases share a scalar (one merged
+        class, width-4 table built in the call), two are dropped."""
+        bases = ResidentBases(points[:6] + [points[0], G1.infinity])
+        rng = random.Random(18)
+        j = rng.randrange(R)
+        scalars = [rng.randrange(R), j, j, 0, j, j, rng.randrange(R), 5]
+        expected = msm_naive(scalars, bases)
+        assert msm_pippenger(scalars, bases) == expected
+        assert paths["builds"] == [RESIDENT_WIDTH, WNAF_WIDTH]
+        table = bases.odd_multiples()
+        assert len(table) == 8 and table[0] == table[6]
+        assert len(table[0]) == 1 << (RESIDENT_WIDTH - 2)
+        assert table[7] == [None] * len(table[0])
+        # warm: the resident build is not repeated, the merged class's is
+        assert msm_pippenger(scalars, bases) == expected
+        assert paths["builds"] == [RESIDENT_WIDTH, WNAF_WIDTH, WNAF_WIDTH]
+        # a pinned window reads no table and gives the same element
+        assert msm_pippenger(scalars, bases, window_bits=4) == expected
+        assert paths["straus"] == 2 and paths["buckets"] == 1
+
+    @pytest.mark.parametrize("k", [
+        1, 2, R - 1, R - 2, G1_LAMBDA - 1, G1_LAMBDA, G1_LAMBDA + 1,
+        (1 << 127) - 1,                     # top digit on the schedule's last row
+        ((1 << 127) - 1) * (G1_LAMBDA + 1),  # ... in both GLV halves
+        63, 65, 1 << 126,
+    ])
+    def test_edge_scalars_read_the_tables(self, points, k):
+        bases = ResidentBases(points[:3])
+        for scalars in ([k, 0, 0], [k, k + 1, R - k]):
+            assert msm_pippenger(scalars, bases) == msm_naive(scalars, bases)
+        assert bases._tables is not None
+
+    def test_table_entries_are_the_odd_multiples(self, points):
+        bases = ResidentBases(points[:2])
+        for pt, row in zip(bases, bases.odd_multiples()):
+            assert [G1.affine(*e) for e in row] == [
+                msm_naive([2 * i + 1], [pt]) for i in range(len(row))]
+
+    def test_small_order_bases_on_the_toy_curve(self, toy):
+        """No endomorphism, a ≠ 0, and bases whose odd multiples are
+        infinity (order 3), all equal (order 2: 2P is infinity) or a
+        2-torsion point with y = 0 (order 6)."""
+        curve, pts = toy
+        by_order: dict[int, object] = {}
+        for pt in pts:
+            by_order.setdefault(_order(pt), pt)
+        small = [by_order[n] for n in (2, 3, 6) if n in by_order]
+        assert any(pt.y == 0 for pt in small) and len(small) >= 2
+        bases = ResidentBases(small + pts[:5] + [curve.infinity])
+        tables = bases.odd_multiples()
+        assert any(None in row for row in tables[:len(small)])
+        rng = random.Random(6)
+        for _ in range(12):
+            scalars = [rng.randrange(3 * curve.order) for _ in bases]
+            got = msm_jacobian(curve, scalars, bases)
+            assert got.to_affine() == msm_naive(scalars, bases)
+
+    def test_curve_without_endomorphism(self, points):
+        plain = ShortWeierstrassCurve(G1.field, G1.a, G1.b, G1.order, "G1, no GLV")
+        bases = ResidentBases(plain.affine(pt.x, pt.y) for pt in points[:4])
+        scalars = [R - 1, (1 << 255) % R, 3, G1_LAMBDA]
+        expected = msm_naive(scalars, points[:4])
+        got = msm_pippenger(scalars, bases)
+        assert (got.x, got.y) == (expected.x, expected.y)
+        assert bases._tables is not None
+
+    def test_unchecked_points_over_srs_bases(self):
+        """``in_subgroup=False`` skips the split, not the tables."""
+        srs = TrapdoorSRS(3, random.Random(0x5B))
+        bases = srs.bases(3)
+        assert isinstance(bases, ResidentBases) and srs.bases(3) is bases
+        rng = random.Random(4)
+        scalars = [rng.randrange(R) for _ in bases]
+        expected = msm_naive(scalars, bases)
+        got = msm_jacobian(G1, scalars, bases, in_subgroup=False)
+        assert got.to_affine() == expected
+        assert bases._tables is not None
+        assert msm_pippenger(scalars, bases) == expected
+
+    def test_unchecked_torsion_points_with_tables(self, points):
+        """3·TORSION is infinity: its table is P, ∞, -P, P, ∞, …"""
+        bases = ResidentBases([TORSION, points[0].add(TORSION), TORSION.neg()])
+        assert None in bases.odd_multiples()[0]
+        for scalars in ([R - 2, G1_LAMBDA + 5, 7], [3, 1 << 200, 9]):
+            got = msm_jacobian(G1, scalars, bases, in_subgroup=False)
+            assert got.to_affine() == msm_naive(scalars, bases)
+
+    def test_term_bounds_bracketed_on_both_sides(self, points, paths, monkeypatch):
+        """Straus while fresh/STRAUS_MAX_TERMS + resident/RESIDENT_… ≤ 1:
+        each kind of term against its own bound, and a mix against both."""
+        monkeypatch.setattr(msm_module, "STRAUS_MAX_TERMS", 8)
+        monkeypatch.setattr(msm_module, "RESIDENT_STRAUS_MAX_TERMS", 24)
+        rng = random.Random(24)
+        dense = [rng.randrange(1 << 200, R) for _ in range(13)]
+        shared = rng.randrange(1 << 200, R)
+
+        def run(scalars, pts):
+            before = paths["straus"], paths["buckets"]
+            assert msm_pippenger(scalars, pts) == msm_naive(scalars, pts)
+            return (paths["straus"] - before[0], paths["buckets"] - before[1])
+
+        # resident terms only: 24 stay, 26 go
+        assert run(dense[:12], ResidentBases(points[:12])) == (1, 0)
+        assert run(dense[:13], ResidentBases(points[:13])) == (0, 1)
+        # plain points: 8 stay, 10 go
+        assert run(dense[:4], points[:4]) == (1, 0)
+        assert run(dense[:5], points[:5]) == (0, 1)
+        # 4 fresh (two merged classes) + 12 resident: 4/8 + 12/24 = 1
+        mixed = [shared, shared, shared + 1, shared + 1] + dense[:6]
+        assert run(mixed, ResidentBases(points[:10])) == (1, 0)
+        assert run(mixed + dense[6:7], ResidentBases(points[:11])) == (0, 1)
+
+    def test_a_list_too_long_for_straus_never_gets_tables(self, paths):
+        """What bounds the tables' memory: past RESIDENT_STRAUS_MAX_TERMS
+        / 2 bases a dense MSM runs buckets, so even a sparse one (Straus
+        by its term count) builds its few tables in the call."""
+        table = generator_table()
+        few = [table.scalar_mul(i + 2) for i in range(3)]
+        limit = RESIDENT_STRAUS_MAX_TERMS // 2
+        scalars = [0] * (limit - 3) + [R - 1, 12345, 1 << 127]
+        longest = ResidentBases([G1_GENERATOR] * (limit - 3) + few)
+        assert msm_pippenger(scalars, longest) == msm_naive(scalars, longest)
+        assert paths["builds"] == [RESIDENT_WIDTH]
+        too_long = ResidentBases([G1_GENERATOR] * (limit - 2) + few)
+        assert msm_pippenger([0] + scalars, too_long) == msm_naive(scalars, longest)
+        assert paths["builds"] == [RESIDENT_WIDTH, WNAF_WIDTH]
+        assert too_long._tables is None and paths["buckets"] == 0
+
+    def test_shipped_bounds_order(self):
+        assert RESIDENT_WIDTH > WNAF_WIDTH >= 3
+        assert RESIDENT_STRAUS_MAX_TERMS > STRAUS_MAX_TERMS
+
+    def test_two_threads_build_one_table_and_agree(self, points, paths):
+        bases = ResidentBases(points[:16])
+        rng = random.Random(16)
+        scalars = [rng.randrange(R) for _ in bases]
+        start = threading.Barrier(2, timeout=60)
+        results = []
+
+        def first_msm():
+            start.wait()
+            results.append(msm_pippenger(scalars, bases))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=first_msm) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert paths["builds"] == [RESIDENT_WIDTH]
+        assert results == [msm_naive(scalars, bases)] * 2
+
+    def test_pickle_carries_the_points_only(self):
+        srs = TrapdoorSRS(3, random.Random(9))
+        for arity in range(4):
+            srs.bases(arity)
+        cold = pickle.dumps(srs)
+        scalars = list(range(1, 9))
+        expected = msm_pippenger(scalars, srs.bases(3))
+        assert srs.bases(3)._tables is not None
+        assert len(pickle.dumps(srs)) == len(cold)
+        copy = pickle.loads(pickle.dumps(srs))
+        assert isinstance(copy.bases(3), ResidentBases)
+        assert copy.bases(3) == srs.bases(3) and copy.bases(3)._tables is None
+        assert msm_pippenger(scalars, copy.bases(3)) == expected
+        # a slice or a copy is a plain list: no tables to go stale
+        assert type(srs.bases(3)[:4]) is list and type(list(srs.bases(3))) is list
+
+
 _POOL = st.integers(min_value=0, max_value=7)
 _SCALAR = st.one_of(
     st.sampled_from(EDGE_SCALARS),
@@ -479,6 +711,10 @@ def test_jellyfish_proof_is_the_same_with_and_without_tables():
         pidx, vidx = preprocess(circuit, kzg)
         proofs.append(HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove())
         HyperPlonkVerifier(Fr, vidx, kzg).verify(proofs[-1])
+        # the commits went through the resident tables, except where the
+        # comb (arity ≤ 4 with ``fixed_base``) took them
+        built = {nu for nu in range(6) if srs.bases(nu)._tables is not None}
+        assert built == ({5} if fixed_base else {1, 2, 3, 4, 5})
     assert proofs[0] == proofs[1]
     assert hex(proofs[0].phi_commitment.point.x) == PINNED_PHI_X
     last_quotient = proofs[0].tree_openings["root"].quotients[-1]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.curves import G1_GENERATOR
+from repro.curves import G1, G1_GENERATOR, AffinePoint
 from repro.curves.pairing import (
     G2Point,
     multi_pairing,
@@ -188,3 +188,19 @@ class TestPublicKZGVerification:
 
         wrong = Commitment(kzg.commit(f).point, 1)
         assert not kzg.verify_pairing(wrong, opening)
+
+    def test_malformed_openings_rejected_like_verify(self, kzg):
+        """Same shape gate as ``verify``: a dropped quotient is not
+        zipped away (here it is the point at infinity, so the pairing
+        product alone would still hold), and points must be on the curve."""
+        f = DenseMLE(Fr, [3, 8, 3, 8])  # constant in the last variable
+        commitment, opening = kzg.commit(f), kzg.open(f, [5, 6])
+        assert opening.quotients[1].inf
+        assert kzg.verify_pairing(commitment, opening)
+        short = Opening(opening.point, opening.value, opening.quotients[:1])
+        assert not kzg.verify_pairing(commitment, short)
+        q = opening.quotients[0]
+        off = AffinePoint(G1, q.x, (q.y + 1) % G1.field.modulus)
+        bad = Opening(opening.point, opening.value, (off, opening.quotients[1]))
+        assert not kzg.verify_pairing(commitment, bad)
+        assert not kzg.verify(commitment, bad)

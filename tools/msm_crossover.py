@@ -1,26 +1,38 @@
 #!/usr/bin/env python
-"""Measure the Straus / signed-bucket crossover of the G1 MSM kernel.
+"""Measure the constants of the G1 MSM kernel.
 
-``repro.curves.msm.STRAUS_MAX_TERMS`` and
-``repro.curves.curve.BATCH_MIN_PAIRS`` are constants chosen from these
-tables (recorded in DESIGN.md §13); rerun it after changing the group
-law or the kernel::
+``repro.curves.curve.BATCH_MIN_PAIRS`` and ``repro.curves.msm``'s
+``WNAF_WIDTH``, ``RESIDENT_WIDTH``, ``STRAUS_MAX_TERMS`` and
+``RESIDENT_STRAUS_MAX_TERMS`` are chosen from these tables (recorded in
+DESIGN.md §13); rerun it after changing the group law or the kernel::
 
     PYTHONPATH=src python tools/msm_crossover.py
     PYTHONPATH=src python tools/msm_crossover.py --sizes 48 64 96 --repeats 5
     PYTHONPATH=src python tools/msm_crossover.py --sizes 4 64 --repeats 1 --check
 
-It first prints the per-operation costs, in µs, the break-even of a
-shared-inversion round follows from: a mixed and a full Jacobian
-addition, a batched affine addition (16 rows of 16 points summed by
-``affine_sum_rows``, its four inversions included), and one Fq
-inversion.  Then, per size n (random full-length scalars, so 2n terms
-after the GLV split), the fastest of ``--repeats`` runs, in ms, of the
-Straus path, of the bucket path at the window the kernel would pick,
-and of the best pinned window with its width; each round times every
-variant once, so a slow stretch of the host hits all of them.
-``--check`` compares every timed MSM with ``msm_naive`` and exits
-non-zero on a mismatch.
+Every number is the fastest of ``--repeats`` runs, and each round times
+all variants of a line once, so a slow stretch of the host hits all of
+them.  In order:
+
+* per-operation costs, in µs, the break-even of a shared-inversion round
+  follows from: a mixed and a full Jacobian addition, a batched affine
+  addition (16 rows of 16 points summed by ``affine_sum_rows``, its four
+  inversions included), and one Fq inversion;
+* wNAF widths at n=64: the Straus path over tables built in the call
+  (plain points) and over resident tables (``ResidentBases``, with the
+  one-time build per base and the number of term uses that repays it);
+* per size n (random full-length scalars, so 2n terms after the GLV
+  split), ms: Straus over plain points, Straus over resident tables, the
+  bucket path at the window the kernel would pick, and the best pinned
+  window with its width;
+* the comb (``msm_fixed_base``) against resident-table Straus on the
+  same bases, n = 1 … 32, with the comb's build per base;
+* a Jellyfish proof at μ = 4 and 6 on plain-list bases (the kernel sees
+  variable bases), on a fresh SRS (every table built inside the proof)
+  and warm.
+
+``--check`` compares every timed MSM with ``msm_naive`` and the three
+proofs with each other, and exits non-zero on a mismatch.
 """
 
 from __future__ import annotations
@@ -29,9 +41,17 @@ import argparse
 import random
 import sys
 import time
+from contextlib import contextmanager
 
 import repro.curves.msm as msm
-from repro.curves import G1, batch_normalize, msm_naive, msm_pippenger
+from repro.curves import (
+    G1,
+    FixedBaseTable,
+    batch_normalize,
+    msm_fixed_base,
+    msm_naive,
+    msm_pippenger,
+)
 from repro.curves.bls12_381_g1 import generator_table
 from repro.curves.curve import (
     BATCH_MIN_PAIRS,
@@ -39,7 +59,18 @@ from repro.curves.curve import (
     jacobian_add,
     jacobian_add_affine,
 )
+from repro.curves.msm import ResidentBases
 from repro.fields import FR_MODULUS
+from repro.hyperplonk import (
+    JELLYFISH,
+    HyperPlonkProver,
+    MultilinearKZG,
+    TrapdoorSRS,
+    preprocess,
+)
+from repro.service.traffic import synthesize_circuit
+
+ALWAYS = 1 << 62  # a term bound no MSM reaches: the Straus path, forced
 
 
 def fastest(fns: dict, repeats: int) -> dict:
@@ -54,6 +85,45 @@ def fastest(fns: dict, repeats: int) -> dict:
             seconds = time.perf_counter() - started
             best[name] = (min(best[name][0], seconds), result)
     return best
+
+
+@contextmanager
+def kernel(**constants):
+    """Module constants of ``repro.curves.msm`` set for the block."""
+    shipped = {name: getattr(msm, name) for name in constants}
+    for name, value in constants.items():
+        setattr(msm, name, value)
+    try:
+        yield
+    finally:
+        for name, value in shipped.items():
+            setattr(msm, name, value)
+
+
+def straus(scalars, points, **constants):
+    """A callable running the MSM on the Straus path whatever its size."""
+    def run():
+        with kernel(STRAUS_MAX_TERMS=ALWAYS, RESIDENT_STRAUS_MAX_TERMS=ALWAYS,
+                    **constants):
+            return msm_pippenger(scalars, points)
+    return run
+
+
+class Checker:
+    """Counts results that differ from the expected one."""
+
+    def __init__(self, enabled: bool):
+        self.enabled = enabled
+        self.mismatches = 0
+
+    def __call__(self, what: str, timed: dict, expected) -> None:
+        if not self.enabled:
+            return
+        expected = expected()
+        for name, (_, got) in timed.items():
+            if got != expected:
+                self.mismatches += 1
+                print(f"MISMATCH {what} {name}", file=sys.stderr)
 
 
 def operation_costs_us(points, repeats: int) -> dict[str, float]:
@@ -89,10 +159,134 @@ def operation_costs_us(points, repeats: int) -> dict[str, float]:
     return {name: timed[name][0] / count * 1e6 for name, (_, count) in calls.items()}
 
 
+def width_table(points, scalars, repeats: int, check: Checker) -> None:
+    """wNAF widths on the Straus path, tables built per call and resident."""
+    n = len(points)
+    fresh_widths, resident_widths = (3, 4, 5), (5, 6, 7, 8)
+    residents, build_ms = {}, {}
+    for width in resident_widths:
+        with kernel(RESIDENT_WIDTH=width):
+            residents[width] = ResidentBases(points)
+            started = time.perf_counter()
+            residents[width].odd_multiples()
+            build_ms[width] = (time.perf_counter() - started) * 1e3 / n
+    timed = fastest({
+        **{f"w={w}": straus(scalars, points, WNAF_WIDTH=w) for w in fresh_widths},
+        **{f"resident w={w}": straus(scalars, residents[w], RESIDENT_WIDTH=w)
+           for w in resident_widths},
+    }, repeats)
+    check(f"widths n={n}", timed, lambda: msm_naive(scalars, points))
+    ms = {name: seconds * 1e3 for name, (seconds, _) in timed.items()}
+    print(f"WNAF_WIDTH = {msm.WNAF_WIDTH}, tables built in the call, n={n}, ms: "
+          + "  ".join(f"w={w} {ms[f'w={w}']:.2f}" for w in fresh_widths))
+    print(f"RESIDENT_WIDTH = {msm.RESIDENT_WIDTH}, n={n}:")
+    print(f"{'w':>5} {'msm ms':>8} {'build ms/base':>14} {'repaid after':>13}")
+    shipped_ms = ms[f"w={msm.WNAF_WIDTH}"]
+    for w in resident_widths:
+        # reads of a base's table (two a dense MSM, one per GLV half)
+        # until what a term saves over building its own repays the build
+        saved_per_term = (shipped_ms - ms[f"resident w={w}"]) / (2 * n)
+        uses = build_ms[w] / saved_per_term if saved_per_term > 0 else float("inf")
+        print(f"{w:>5} {ms[f'resident w={w}']:>8.2f} {build_ms[w]:>14.3f} "
+              f"{uses:>8.1f} uses")
+
+
+def crossover_table(points, sizes, rng, repeats: int, check: Checker) -> None:
+    """Straus (plain and resident) against the buckets, per size."""
+    print(f"STRAUS_MAX_TERMS = {msm.STRAUS_MAX_TERMS}, "
+          f"RESIDENT_STRAUS_MAX_TERMS = {msm.RESIDENT_STRAUS_MAX_TERMS}")
+    print(f"{'n':>5} {'terms':>6} {'straus':>9} {'resident':>9} {'buckets':>9} "
+          f"{'(c)':>4} {'best pinned':>12} {'(c)':>4}")
+    for n in sizes:
+        scalars = [rng.randrange(FR_MODULUS) for _ in range(n)]
+        pts = points[:n]
+        resident = ResidentBases(pts)
+        resident.odd_multiples()  # built off the clock
+        auto_c = msm.optimal_window_bits(2 * n)
+        timed = fastest({
+            "straus": straus(scalars, pts),
+            "resident": straus(scalars, resident),
+            **{c: (lambda c=c: msm_pippenger(scalars, pts, c))
+               for c in range(max(2, auto_c - 2), auto_c + 3)},
+        }, repeats)
+        check(f"n={n} path", timed, lambda: msm_naive(scalars, pts))
+        ms = {name: seconds * 1e3 for name, (seconds, _) in timed.items()}
+        best_c = min((c for c in ms if isinstance(c, int)), key=ms.get)
+        print(f"{n:>5} {2 * n:>6} {ms['straus']:>9.2f} {ms['resident']:>9.2f} "
+              f"{ms[auto_c]:>9.2f} {auto_c:>4} {ms[best_c]:>12.2f} {best_c:>4}")
+
+
+def comb_table(points, rng, repeats: int, check: Checker) -> None:
+    """The comb of ``fixed_base=True`` against resident-table Straus."""
+    started = time.perf_counter()
+    combs = [FixedBaseTable(pt) for pt in points[:32]]
+    comb_build_ms = (time.perf_counter() - started) * 1e3 / len(combs)
+    print(f"comb (msm_fixed_base, build {comb_build_ms:.2f} ms/base) vs resident Straus, ms:")
+    print(f"{'n':>5} {'comb':>8} {'resident':>9}")
+    for n in (1, 2, 4, 8, 16, 32):
+        scalars = [rng.randrange(FR_MODULUS) for _ in range(n)]
+        resident = ResidentBases(points[:n])
+        resident.odd_multiples()
+        timed = fastest({
+            "comb": lambda: msm_fixed_base(scalars, combs[:n]),
+            "resident": lambda: msm_pippenger(scalars, resident),
+        }, repeats)
+        check(f"comb table n={n}", timed, lambda: msm_naive(scalars, points[:n]))
+        print(f"{n:>5} {timed['comb'][0] * 1e3:>8.2f} {timed['resident'][0] * 1e3:>9.2f}")
+
+
+class ViewSRS(TrapdoorSRS):
+    """An SRS whose bases reach the kernel as ``view(bases)``: ``list``
+    hides the resident tables (the kernel sees variable bases), and a
+    new ``ResidentBases`` after :meth:`forget` has none built yet."""
+
+    def __init__(self, max_vars: int, seed: int, view):
+        super().__init__(max_vars, random.Random(seed))
+        self.view = view
+        self.forget()
+
+    def forget(self) -> None:
+        self.viewed: dict[int, list] = {}
+
+    def bases(self, num_vars: int):
+        if num_vars not in self.viewed:
+            self.viewed[num_vars] = self.view(super().bases(num_vars))
+        return self.viewed[num_vars]
+
+
+def proof_lines(seed: int, repeats: int, check: Checker) -> None:
+    """One Jellyfish proof on plain-list bases, cold and warm."""
+    for mu in (4, 6):
+        circuit = synthesize_circuit(JELLYFISH, mu, witness_seed=seed)
+        plain = ViewSRS(mu + 1, seed, list)
+        cold = ViewSRS(mu + 1, seed, ResidentBases)
+        # the index is the same for both (same secrets) and is built on
+        # the plain one, so the cold SRS meets its first MSM in prove()
+        pidx, _ = preprocess(circuit, MultilinearKZG(plain))
+        for arity in range(mu + 2):
+            cold.bases(arity)
+
+        def prove(srs):
+            return HyperPlonkProver(
+                circuit, pidx, MultilinearKZG(srs), backend="fused").prove()
+
+        def first_proof():
+            cold.forget()
+            return prove(cold)
+
+        timed = fastest({"plain": lambda: prove(plain), "cold": first_proof,
+                         "warm": lambda: prove(cold)}, repeats)
+        check(f"mu={mu} proof", timed, lambda: timed["plain"][1])
+        print(f"Jellyfish mu={mu} proof, ms: plain-list bases "
+              f"{timed['plain'][0] * 1e3:.0f}, first on a fresh SRS (tables "
+              f"built inside) {timed['cold'][0] * 1e3:.0f}, "
+              f"warm {timed['warm'][0] * 1e3:.0f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[1, 4, 16, 32, 48, 64, 80, 96, 112, 128, 256, 512])
+                        default=[1, 4, 16, 32, 64, 128, 256, 512, 1024, 2048])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--check", action="store_true",
@@ -105,6 +299,7 @@ def main() -> int:
         table.mul(rng.randrange(1, FR_MODULUS))
         for _ in range(max(*args.sizes, 256))
     ])
+    check = Checker(args.check)
 
     costs = operation_costs_us(points[:256], args.repeats)
     print("  ".join(f"{name} {us:.2f} us" for name, us in costs.items()))
@@ -113,43 +308,15 @@ def main() -> int:
     print(f"BATCH_MIN_PAIRS = {BATCH_MIN_PAIRS} "
           f"(measured break-even {costs['inversion'] / saved:.1f} pairs)")
 
-    shipped = msm.STRAUS_MAX_TERMS
-    mismatches = 0
-    print(f"STRAUS_MAX_TERMS = {shipped}")
-    print(f"{'n':>5} {'terms':>6} {'straus':>9} {'buckets':>9} {'(c)':>4} "
-          f"{'best pinned':>12} {'(c)':>4}")
-    for n in args.sizes:
-        scalars = [rng.randrange(FR_MODULUS) for _ in range(n)]
-        pts = points[:n]
-
-        def forced(straus_max_terms: int, window_bits: int | None = None):
-            def run():
-                msm.STRAUS_MAX_TERMS = straus_max_terms
-                try:
-                    return msm_pippenger(scalars, pts, window_bits)
-                finally:
-                    msm.STRAUS_MAX_TERMS = shipped
-            return run
-
-        auto_c = msm.optimal_window_bits(2 * n)
-        timed = fastest({
-            "straus": forced(1 << 62),
-            "buckets": forced(0),
-            **{c: forced(0, c) for c in range(max(2, auto_c - 2), auto_c + 3)},
-        }, args.repeats)
-        if args.check:
-            expected = msm_naive(scalars, pts)
-            for name, (_, got) in timed.items():
-                if got != expected:
-                    mismatches += 1
-                    print(f"MISMATCH n={n} path={name}", file=sys.stderr)
-        ms = {name: seconds * 1e3 for name, (seconds, _) in timed.items()}
-        best_c = min((c for c in ms if isinstance(c, int)), key=ms.get)
-        print(f"{n:>5} {2 * n:>6} {ms['straus']:>9.2f} {ms['buckets']:>9.2f} "
-              f"{auto_c:>4} {ms[best_c]:>12.2f} {best_c:>4}")
+    scalars64 = [rng.randrange(FR_MODULUS) for _ in range(64)]
+    width_table(points[:64], scalars64, args.repeats, check)
+    crossover_table(points, args.sizes, rng, args.repeats, check)
+    comb_table(points, rng, args.repeats, check)
+    proof_lines(args.seed, args.repeats, check)
     if args.check:
-        print("check: " + ("FAILED" if mismatches else "every result equals msm_naive"))
-    return 1 if mismatches else 0
+        print("check: " + ("FAILED" if check.mismatches
+                           else "every MSM equals msm_naive, the proofs are equal"))
+    return 1 if check.mismatches else 0
 
 
 if __name__ == "__main__":
