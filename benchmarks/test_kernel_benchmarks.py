@@ -76,7 +76,7 @@ class TestEndToEnd:
         m = b.mul(b.add(x, y), x)
         b.assert_equal(m, b.constant(24))
         circuit = b.build(min_gates=8)
-        kzg = MultilinearKZG(TrapdoorSRS(circuit.num_vars + 1, RNG))
+        kzg = MultilinearKZG(TrapdoorSRS(circuit.num_vars, RNG))
         pidx, _ = preprocess(circuit, kzg)
         prover = HyperPlonkProver(circuit, pidx, kzg)
         benchmark.pedantic(prover.prove, rounds=1, iterations=1)

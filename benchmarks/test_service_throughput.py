@@ -87,7 +87,7 @@ def run_same_circuit_acceptance(jobs: int = ACCEPTANCE_JOBS) -> dict:
     t0 = time.perf_counter()
     naive_proofs = []
     for circuit in circuits:
-        srs = TrapdoorSRS(ACCEPTANCE_MU + 1, random.Random(SRS_SEED))
+        srs = TrapdoorSRS(ACCEPTANCE_MU, random.Random(SRS_SEED))
         kzg = MultilinearKZG(srs)
         pidx, vidx = preprocess(circuit, kzg)
         naive_proofs.append(

@@ -50,7 +50,7 @@ def prove_and_verify(gate_type, label: str) -> int:
     circuit = builder.build()
     assert circuit.check_gates() == []
 
-    kzg = MultilinearKZG(TrapdoorSRS(circuit.num_vars + 1, random.Random(9)))
+    kzg = MultilinearKZG(TrapdoorSRS(circuit.num_vars, random.Random(9)))
     pidx, vidx = preprocess(circuit, kzg)
     proof = HyperPlonkProver(circuit, pidx, kzg).prove()
     HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)

@@ -66,7 +66,7 @@ def main() -> None:
     # 3. Differential check: the served proof equals the one-shot path.
     job = results[0]
     circuit = next(j.circuit for j in jobs if j.job_id == job.job_id)
-    srs = TrapdoorSRS(config.max_vars + 1, random.Random(config.srs_seed))
+    srs = TrapdoorSRS(config.max_vars, random.Random(config.srs_seed))
     kzg = MultilinearKZG(srs)
     prover_index, _ = preprocess(circuit, kzg)
     direct = HyperPlonkProver(circuit, prover_index, kzg,

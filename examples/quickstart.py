@@ -30,7 +30,7 @@ def main() -> None:
     print(f"circuit: {circuit}; unsatisfied gates: {circuit.check_gates()}")
 
     # 2. Universal setup + one-time preprocessing (commits selectors/σ).
-    srs = TrapdoorSRS(circuit.num_vars + 1, random.Random(2024))
+    srs = TrapdoorSRS(circuit.num_vars, random.Random(2024))
     kzg = MultilinearKZG(srs)
     prover_index, verifier_index = preprocess(circuit, kzg)
 

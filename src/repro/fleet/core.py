@@ -230,7 +230,7 @@ class ProvingFleet:
         """Start a fresh worker process for ``node_id`` (cold cache)."""
         spec = WorkerSpec(
             node_id=node_id,
-            srs_max_vars=self.config.node.max_vars + 1,
+            srs_max_vars=self.config.node.max_vars,
             srs_seed=self.config.node.srs_seed,
             cache_capacity=self.config.node.cache_capacity,
             heartbeat_s=self.config.heartbeat_s,

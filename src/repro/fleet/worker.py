@@ -49,7 +49,7 @@ class WorkerSpec:
     """
 
     node_id: str
-    #: SRS size; ``circuit max_vars + 1`` like the service's
+    #: SRS size: the largest circuit μ, like the service's
     srs_max_vars: int
     srs_seed: int = 0x5EED
     cache_capacity: int | None = None

@@ -103,6 +103,10 @@ class TrapdoorSRS:
     quotient has arity ν-i and naturally lives on the remaining (suffix)
     secrets — the telescoping identity
     f(s) - f(z) = Σ_i (s_i - z_i) · q_i(s_{i+1..ν}) then holds verbatim.
+    The secrets are drawn last variable first, so the suffix an arity uses
+    does not depend on ``max_vars``: two SRSs from one seed agree on every
+    arity both support, and a verifier may hold a larger one than the
+    prover did.
 
     The secret ``s`` is retained for exponent-space verification (see
     module docstring).  A production system would run a ceremony and
@@ -112,7 +116,7 @@ class TrapdoorSRS:
     def __init__(self, max_vars: int, rng: random.Random | None = None):
         rng = rng or random.Random(0x5EED)
         self.max_vars = max_vars
-        self.secret = [rng.randrange(1, FR_MODULUS) for _ in range(max_vars)]
+        self.secret = [rng.randrange(1, FR_MODULUS) for _ in range(max_vars)][::-1]
         self._bases_cache: dict[int, ResidentBases] = {}
 
     def secrets_for(self, num_vars: int) -> list[int]:

@@ -8,20 +8,37 @@ labels σ_i and challenges β, γ it builds
 * per-column Denominators D_i(x) = w_i(x) + β·σ_i(x) + γ,
 * the Fraction MLE        φ(x) = Π_i N_i(x) / Π_i D_i(x)
   (batched modular inversion — the paper's batch-2 Montgomery scheme),
-* the Product tree MLE    π̃ over μ+1 variables (built by the
-  Multifunction Forest in hardware).
+* the Product MLE          π(t), the upper half of the product tree
+  (built by the Multifunction Forest in hardware).
 
-Product-tree layout (Quarks-style): the bottom half of π̃'s table holds
-the 2^μ leaf values φ(x); entry 2^μ + t holds π̃[2t]·π̃[2t+1], packing the
-reduction levels contiguously; the final slot 2^(μ+1)-1 is fixed to 1,
+Product-tree layout (Quarks-style).  The tree over μ+1 variables is
+*virtual*:
+
+    T(x, b) = (1 - b)·φ(x) + b·π(x),      x ∈ {0,1}^μ, b = X_{μ+1},
+
+so its lower half *is* φ — by definition, not by a check — and only the
+upper half π is a polynomial of its own.  π[t] = T[2t]·T[2t+1] packs the
+reduction levels contiguously; the final slot π[2^μ - 1] is fixed to 1,
 which makes the single constraint
 
     π(t) - p1(t)·p2(t) = 0   for all t in {0,1}^μ,
 
-with π = π̃(·, X_{μ+1}=1), p1 = π̃(X_1=0, ·), p2 = π̃(X_1=1, ·),
-*also* enforce that the root product equals 1 (at t = 2^μ - 1 the
-constraint reads 1 = root · 1).  The permutation argument is sound iff
-Π φ = 1, i.e. Π_i,x N_i = Π_i,x D_i under the β, γ randomization.
+with π = T(·, 1), p1 = T(X_1=0, ·), p2 = T(X_1=1, ·), *also* consistent
+at t = 2^μ - 1 (it reads 1 = root · 1 there).  The permutation argument
+is sound iff Π φ = 1, i.e. Π_i,x N_i = Π_i,x D_i under the β, γ
+randomization; the root is π(0, 1, …, 1).
+
+What is committed: φ and π, 2^μ points each.  The prover keeps the whole
+tree in memory (:attr:`PermutationData.prod_tree`) because the ZeroCheck
+sums over its p1/p2 slices, but no (μ+1)-variable polynomial is ever
+committed or opened: at the ZeroCheck point ρ,
+
+    p1(ρ) = T(0, ρ_1..ρ_μ) = h(0, ρ′),   p2(ρ) = h(1, ρ′),
+    h = (1 - ρ_μ)·φ + ρ_μ·π,             ρ′ = ρ_1..ρ_{μ-1},
+
+and h's commitment is the same combination of the two the proof
+carries.  A tree whose leaves are anything but the committed φ cannot
+even be expressed.
 
 The full PermCheck ZeroCheck polynomial is then exactly Table I rows
 21/23:  (π - p1·p2 + α·(φ·D_1..D_k - N_1..N_k)) · fr.
@@ -44,22 +61,22 @@ class PermutationData:
     numerators: dict[str, DenseMLE]    # N1..Nk
     denominators: dict[str, DenseMLE]  # D1..Dk
     phi: DenseMLE                      # fraction MLE (μ vars)
-    prod_tree: DenseMLE                # π̃ (μ+1 vars)
+    prod_tree: DenseMLE                # T = φ ‖ π, in memory only (μ+1 vars)
 
     @property
     def pi(self) -> DenseMLE:
-        """π(t) = π̃(t, 1): the top half of the tree table."""
+        """π(t) = T(t, 1): the top half of the tree table — the committed half."""
         half = len(self.prod_tree.table) // 2
         return DenseMLE(self.prod_tree.field, self.prod_tree.table[half:])
 
     @property
     def p1(self) -> DenseMLE:
-        """p1(t) = π̃(0, t): even entries."""
+        """p1(t) = T(0, t): even entries."""
         return self.prod_tree.fix_first_variable(0)
 
     @property
     def p2(self) -> DenseMLE:
-        """p2(t) = π̃(1, t): odd entries."""
+        """p2(t) = T(1, t): odd entries."""
         return self.prod_tree.fix_first_variable(1)
 
     @property
@@ -77,7 +94,8 @@ def build_permutation_data(
     gamma: int,
     counter: OpCounter | None = None,
 ) -> PermutationData:
-    """Construct N/D/φ/π̃ (the Permutation Quotient Generator's outputs)."""
+    """Construct N/D/φ and the product tree (the Permutation Quotient
+    Generator's outputs)."""
     p = field.modulus
     beta %= p
     gamma %= p

@@ -7,14 +7,19 @@ Protocol steps (§IV-A) and what each produces:
 2. **Gate Identity** — ZeroCheck that the gate polynomial (Table I row
    20/22) vanishes on the cube, over selector + witness MLEs.
 3. **Wire Identity** — challenges β, γ; the Permutation Quotient
-   Generator builds N/D/φ/π̃; commitments to φ and π̃; challenge α; then
-   a ZeroCheck of the PermCheck polynomial (Table I row 21/23).
+   Generator builds N/D/φ and the product tree; commitments to φ and to
+   the tree's product half π (its leaf half is φ by definition, see
+   :mod:`repro.hyperplonk.permutation`); challenge α; then a ZeroCheck of
+   the PermCheck polynomial (Table I row 21/23).
 4. **Batch Evaluations** — all evaluation claims produced by the two
    ZeroChecks are batched into a single OpenCheck SumCheck (Table I row
    24).
 5. **Polynomial Opening** — one combined KZG opening at the OpenCheck
-   point, plus four direct openings of the (μ+1)-variable product tree
-   (its π/p1/p2 slices and the root).
+   point, plus the four claims about the virtual product tree
+   T = (1 - b)·φ + b·π as openings of μ-variable polynomials: π at ρ_p
+   and at the root point (0, 1, …, 1), and the blend
+   h = (1 - ρ_μ)·φ + ρ_μ·π at (0, ρ′) and (1, ρ′), which are p1(ρ_p) and
+   p2(ρ_p).  The verifier forms h's commitment from φ's and π's.
 
 The prover mirrors the verifier's transcript exactly, so the proof is
 non-interactive via Fiat–Shamir.
@@ -25,12 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from repro.fields.counters import OpCounter
+from repro.fields.vector import get_backend
 from repro.gates.library import gate_by_id
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.commitment import Commitment, MultilinearKZG, Opening
 from repro.hyperplonk.opencheck import EvalClaim, OpenCheckProof, prove_opencheck
 from repro.hyperplonk.permutation import build_permutation_data, permcheck_terms
 from repro.hyperplonk.preprocess import ProverIndex
+from repro.mle.table import DenseMLE
 from repro.mle.virtual import Term
 from repro.sumcheck.prover import SumCheckProof
 from repro.sumcheck.transcript import Transcript
@@ -58,7 +65,7 @@ class HyperPlonkProof:
     gate_type_name: str
     witness_commitments: dict[str, Commitment]
     phi_commitment: Commitment
-    tree_commitment: Commitment
+    prod_commitment: Commitment
     gate_zerocheck: SumCheckProof
     perm_zerocheck: SumCheckProof
     perm_witness_evals: dict[str, int]
@@ -68,7 +75,7 @@ class HyperPlonkProof:
 
     def size_bytes(self) -> int:
         """Serialized size: 48-byte G1 points, 32-byte scalars."""
-        total = 48 * (len(self.witness_commitments) + 2)
+        total = 48 * (len(self.witness_commitments) + 2)  # + φ and π
         for sc in (self.gate_zerocheck, self.perm_zerocheck):
             total += 32  # claim
             total += sum(32 * len(e) for e in sc.round_evals)
@@ -131,16 +138,17 @@ class HyperPlonkProver:
             field, witness, self.index.identities, self.index.sigmas,
             beta, gamma, counter,
         )
+        pi = perm.pi
         phi_commitment = self.kzg.commit(perm.phi)
-        tree_commitment = self.kzg.commit(perm.prod_tree)
+        prod_commitment = self.kzg.commit(pi)
         transcript.absorb_point(b"hp/phi-commit", phi_commitment.point)
-        transcript.absorb_point(b"hp/tree-commit", tree_commitment.point)
+        transcript.absorb_point(b"hp/tree-commit", prod_commitment.point)
         if counter is not None:
             counter.bump("permcheck_msm", 2)
 
         alpha = transcript.challenge(b"hp/alpha")
         perm_terms = permcheck_terms(field, gate_type.num_witnesses, alpha)
-        perm_mles = {"pi": perm.pi, "p1": perm.p1, "p2": perm.p2, "phi": perm.phi}
+        perm_mles = {"pi": pi, "p1": perm.p1, "p2": perm.p2, "phi": perm.phi}
         perm_mles.update(perm.numerators)
         perm_mles.update(perm.denominators)
         perm_zc = prove_zerocheck(
@@ -174,17 +182,19 @@ class HyperPlonkProver:
             backend=self.backend,
         )
 
-        # four openings of one polynomial: shared point prefixes (the
-        # empty one, and p1/root's leading 0) share quotient commitments
-        tree_points = {
-            "pi": list(rho_p) + [1],
-            "p1": [0] + list(rho_p),
-            "p2": [1] + list(rho_p),
-            "root": [0] + [1] * self.circuit.num_vars,
-        }
+        # the tree's four claims, two polynomials of μ variables: each
+        # open_many shares the quotient of the empty point prefix
+        rho_rest, rho_last = list(rho_p[:-1]), rho_p[-1]
+        be = get_backend(self.backend)
+        blend = DenseMLE(field, be.axpy(
+            field, be.scale(field, perm.phi.table, 1 - rho_last, counter),
+            rho_last, pi.table, counter,
+        ))
+        root_point = [0] + [1] * (self.circuit.num_vars - 1)
         tree_openings = dict(zip(
-            tree_points,
-            self.kzg.open_many(perm.prod_tree, list(tree_points.values())),
+            ("pi", "root", "p1", "p2"),
+            self.kzg.open_many(pi, [rho_p, root_point])
+            + self.kzg.open_many(blend, [[0] + rho_rest, [1] + rho_rest]),
         ))
         if counter is not None:
             counter.bump("opening_msm", 1 + len(tree_openings))
@@ -194,7 +204,7 @@ class HyperPlonkProver:
             gate_type_name=gate_type.name,
             witness_commitments=witness_commitments,
             phi_commitment=phi_commitment,
-            tree_commitment=tree_commitment,
+            prod_commitment=prod_commitment,
             gate_zerocheck=gate_zc,
             perm_zerocheck=perm_zc,
             perm_witness_evals=perm_witness_evals,

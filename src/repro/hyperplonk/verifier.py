@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.fields.prime_field import PrimeField
-from repro.hyperplonk.commitment import MultilinearKZG
+from repro.hyperplonk.commitment import Commitment, MultilinearKZG
 from repro.hyperplonk.opencheck import EvalClaim, verify_opencheck
 from repro.hyperplonk.permutation import permcheck_terms
 from repro.hyperplonk.preprocess import VerifierIndex
@@ -52,6 +52,14 @@ class HyperPlonkVerifier:
         transcript.absorb_scalar(b"hp/num-vars", proof.num_vars)
         transcript.absorb_bytes(b"hp/gate-type", gate_type.name.encode())
 
+        # the proof's commitments are combined homomorphically below,
+        # which needs them all to be of one arity
+        for name, commitment in (*proof.witness_commitments.items(),
+                                 ("phi", proof.phi_commitment),
+                                 ("pi", proof.prod_commitment)):
+            if commitment.num_vars != proof.num_vars:
+                raise HyperPlonkError(f"commitment {name!r} has the wrong arity")
+
         # -- 1. witness commitments ----------------------------------------
         for name in gate_type.witness_names:
             if name not in proof.witness_commitments:
@@ -69,7 +77,7 @@ class HyperPlonkVerifier:
         beta = transcript.challenge(b"hp/beta")
         gamma = transcript.challenge(b"hp/gamma")
         transcript.absorb_point(b"hp/phi-commit", proof.phi_commitment.point)
-        transcript.absorb_point(b"hp/tree-commit", proof.tree_commitment.point)
+        transcript.absorb_point(b"hp/tree-commit", proof.prod_commitment.point)
         alpha = transcript.challenge(b"hp/alpha")
         perm_terms = permcheck_terms(field, gate_type.num_witnesses, alpha)
         rho_p = verify_zerocheck(field, perm_terms, proof.perm_zerocheck,
@@ -128,32 +136,43 @@ class HyperPlonkVerifier:
 
     def _check_tree_openings(self, proof: HyperPlonkProof,
                              rho_p: Sequence[int]) -> None:
-        """Certify π/p1/p2 final evals as slices of the committed product
-        tree, and check the grand-product root equals 1."""
+        """Certify the π/p1/p2 final evals as evaluations of the virtual
+        product tree T(x, b) = (1 - b)·φ(x) + b·π(x), and check that the
+        grand-product root equals 1.
+
+        π(ρ_p) and the root π(0, 1, …, 1) are openings of the committed
+        π.  p1(ρ_p) = T(0, ρ_1..ρ_μ) and p2(ρ_p) = T(1, ρ_1..ρ_μ) are
+        openings at (0, ρ′) and (1, ρ′) of h = (1 - ρ_μ)·φ + ρ_μ·π, whose
+        commitment is formed here from the two the transcript absorbed
+        before ρ_μ was drawn — the tree's leaves are the committed φ
+        because no other leaves can be named.
+        """
         p = self.field.modulus
         finals = proof.perm_zerocheck.final_evals
-        mu = proof.num_vars
-        expected_points = {
-            "pi": tuple(v % p for v in list(rho_p) + [1]),
-            "p1": tuple(v % p for v in [0] + list(rho_p)),
-            "p2": tuple(v % p for v in [1] + list(rho_p)),
-            "root": tuple([0] + [1] * mu),
+        rho_rest = tuple(v % p for v in rho_p[:-1])
+        rho_last = rho_p[-1] % p
+        blend_commitment = Commitment.combine(
+            [1 - rho_last, rho_last],
+            [proof.phi_commitment, proof.prod_commitment],
+        )
+        # name -> (commitment, point, value)
+        expected = {
+            "pi": (proof.prod_commitment, (*rho_rest, rho_last),
+                   finals.get("pi")),
+            "root": (proof.prod_commitment, (0,) + (1,) * (proof.num_vars - 1),
+                     1),
+            "p1": (blend_commitment, (0, *rho_rest), finals.get("p1")),
+            "p2": (blend_commitment, (1, *rho_rest), finals.get("p2")),
         }
-        expected_values = {
-            "pi": finals.get("pi"),
-            "p1": finals.get("p1"),
-            "p2": finals.get("p2"),
-            "root": 1,
-        }
-        for name, point in expected_points.items():
+        for name, (commitment, point, value) in expected.items():
             opening = proof.tree_openings.get(name)
             if opening is None:
                 raise HyperPlonkError(f"missing product-tree opening {name!r}")
             if tuple(opening.point) != point:
                 raise HyperPlonkError(f"tree opening {name!r} at wrong point")
-            if opening.value % p != (expected_values[name] or 0) % p:
+            if opening.value % p != (value or 0) % p:
                 raise HyperPlonkError(f"tree opening {name!r} value mismatch")
-            if not self.kzg.verify(proof.tree_commitment, opening):
+            if not self.kzg.verify(commitment, opening):
                 raise HyperPlonkError(f"tree opening {name!r} failed KZG check")
 
     def _build_claims(self, proof: HyperPlonkProof, rho_g: Sequence[int],

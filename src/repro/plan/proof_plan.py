@@ -243,7 +243,8 @@ class ProofPlan:
         every MLE in the session dict folds once per output entry
         (2^μ - 1 ee muls per MLE).  Each eq(x, r) table build costs
         2·(2^μ - 1) ee muls.  PermQuot adds 4·N plain muls per column
-        plus N (φ) and N-1 (tree).  (The opening-combine axpy runs
+        plus N (φ) and N-1 (tree); the blend of φ and π the prover opens
+        for p1/p2 adds 2·N.  (The opening-combine axpy runs
         uninstrumented, so it is deliberately absent from ``total_mul``.)
         """
         n = self.num_gates
@@ -272,15 +273,16 @@ class ProofPlan:
 
         pl = sumcheck_pl(gate_poly) + sumcheck_pl(perm_poly) + oc_pl
         permquot_mul = 4 * n * k + n + (n - 1)
+        blend_mul = 2 * n                  # (1 - ρ_μ)·φ + ρ_μ·π
         return PlanOps(
             ee_mul=ee,
             pl_mul=pl,
-            total_mul=ee + pl + permquot_mul,
+            total_mul=ee + pl + permquot_mul + blend_mul,
             inv=n,
             msm_counts={
                 "witness_msm": k,
-                "permcheck_msm": 2,        # φ and π̃ commitments
-                "opening_msm": 1 + 4,      # combined + 4 tree openings
+                "permcheck_msm": 2,        # φ and π commitments
+                "opening_msm": 1 + 4,      # combined + 4 tree claims
             },
         )
 
@@ -337,6 +339,12 @@ def hyperplonk_plan(gate_type_name: str, num_vars: int,
         PhaseCost("permquot", "permquot", after=("witness_msm",),
                   rows=n, columns=k),
         PhaseCost("prod_tree", "product_tree", after=("permquot",), rows=n),
+        # wiring_msm and opening_msm keep the paper's sizes (φ and the
+        # 2n-point π̃; an n- and a 2n-point opening).  The functional
+        # prover commits n + n (φ and the tree's product half π) and opens
+        # five n-point polynomials (the combined one, π twice, the φ/π
+        # blend twice); the cost model's refit (ROADMAP item 1) is where
+        # the two meet.
         PhaseCost("wiring_msm", "msm", after=("permquot", "prod_tree"),
                   msms=(MSMTask(n), MSMTask(2 * n))),
         PhaseCost("permcheck", "sumcheck", after=("wiring_msm",),

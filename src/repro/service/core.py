@@ -40,8 +40,7 @@ from repro.service.workers import EXECUTOR_KINDS, ProveTask, make_executor
 class ServiceConfig:
     """Knobs for one :class:`ProvingService` instance."""
 
-    #: largest circuit μ the service accepts (SRS is sized to μ+1 for the
-    #: prover's (μ+1)-variable product tree)
+    #: largest circuit μ the service accepts, and the size of its SRS
     max_vars: int = 6
     #: seed for the service-owned deterministic trapdoor SRS
     srs_seed: int = 0x5EED
@@ -104,8 +103,7 @@ class ProvingService:
                 or config.drain_policy != "fifo"):
             self.cost_model = JobCostModel(config.cost_model)
         if kzg is None:
-            srs = TrapdoorSRS(config.max_vars + 1,
-                              random.Random(config.srs_seed))
+            srs = TrapdoorSRS(config.max_vars, random.Random(config.srs_seed))
             kzg = MultilinearKZG(srs, fixed_base=config.fixed_base_msm)
         elif config.executor == "process":
             raise ValueError(
@@ -144,10 +142,10 @@ class ProvingService:
         reassigns ``job_id`` to keep service-wide ids unique."""
         if job.circuit.field != Fr:
             raise ValueError("the service proves circuits over Fr only")
-        if job.circuit.num_vars + 1 > self.kzg.srs.max_vars:
+        if job.circuit.num_vars > self.kzg.srs.max_vars:
             raise ValueError(
                 f"circuit μ={job.circuit.num_vars} exceeds the service "
-                f"SRS (max μ={self.kzg.srs.max_vars - 1})"
+                f"SRS (max μ={self.kzg.srs.max_vars})"
             )
         if job.backend is not None:
             backend_name(job.backend)  # validate before queueing

@@ -212,7 +212,7 @@ class TestHyperPlonkBackendDifferential:
         b.assert_equal(z, b.constant(246 * 243 % P))
         circuit = b.build(min_gates=8)
 
-        srs = TrapdoorSRS(circuit.num_vars + 1, random.Random(7))
+        srs = TrapdoorSRS(circuit.num_vars, random.Random(7))
         kzg = MultilinearKZG(srs)
         pidx, vidx = preprocess(circuit, kzg)
 

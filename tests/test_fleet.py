@@ -41,6 +41,7 @@ from repro.fleet.core import (
     WorkerStartupError,
 )
 from repro.fleet.validation import reference_proofs, significant_pairs
+from repro.service.core import ProvingService, ServiceConfig
 from repro.service.traffic import TrafficGenerator
 
 SCENARIO = "zipf-mixed"
@@ -247,6 +248,22 @@ class TestWorkerState:
         final = fleet.worker_probes[-1]
         assert final.jobs_proved == 5
         assert final.cache_capacity == fleet.config.node.cache_capacity
+
+    def test_node_srs_of_max_vars_proves_a_max_vars_job(self):
+        """``NodeConfig.max_vars`` is the worker's SRS size: the stream's
+        first job is μ=4 and proves on a 4-variable SRS (nothing in a
+        proof is committed at arity μ+1), to the service's very proof."""
+        (job,) = stream(1)
+        assert job.circuit.num_vars == 4
+        fleet = make_fleet(num_nodes=1, node=NodeConfig(max_vars=4))
+        (record,) = fleet.run([job])
+        with ProvingService(ServiceConfig(
+            max_vars=4, srs_seed=fleet.config.node.srs_seed,
+            default_backend="fused",
+        )) as service:
+            assert service.kzg.srs.max_vars == 4
+            (expected,) = service.run(stream(1))
+        assert fleet.proofs[record.job_id] == expected.proof
 
     def test_fleet_event_log_is_structurally_complete(self):
         fleet = make_fleet(num_nodes=2, policy="round_robin")

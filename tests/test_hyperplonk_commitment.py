@@ -54,6 +54,20 @@ class TestCommit:
         with pytest.raises(ValueError):
             kzg.commit(DenseMLE.random(Fr, 5, rng))
 
+    def test_srs_sizes_from_one_seed_are_nested(self, rng):
+        """The suffix secrets of an arity do not depend on ``max_vars``:
+        a verifier holding a larger SRS from the prover's seed accepts
+        the prover's openings (services size theirs to the largest μ,
+        out-of-band checkers may size theirs differently)."""
+        small = MultilinearKZG(TrapdoorSRS(2, random.Random(0xABCD)))
+        large = MultilinearKZG(TrapdoorSRS(4, random.Random(0xABCD)))
+        assert small.srs.bases(2) == large.srs.bases(2)
+        assert small.srs.bases(1) == large.srs.bases(1)
+        f = DenseMLE.random(Fr, 2, rng)
+        point = [rng.randrange(P) for _ in range(2)]
+        assert small.commit(f) == large.commit(f)
+        assert large.verify(large.commit(f), small.open(f, point))
+
 
 class TestOpenVerify:
     def test_honest_opening_verifies(self, kzg, mle, rng):

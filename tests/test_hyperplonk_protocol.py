@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import repro.hyperplonk.prover as prover_module
 from repro.fields import Fr, OpCounter
 from repro.hyperplonk import (
     JELLYFISH,
     VANILLA,
+    Circuit,
     CircuitBuilder,
     HyperPlonkError,
     HyperPlonkProver,
@@ -16,12 +18,15 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
+from repro.hyperplonk.commitment import Commitment, Opening
 from repro.hyperplonk.opencheck import (
     EvalClaim,
     prove_opencheck,
     verify_opencheck,
 )
+from repro.hyperplonk.permutation import build_permutation_data
 from repro.mle import DenseMLE
+from repro.service.traffic import synthesize_circuit
 from repro.sumcheck import SumCheckError, Transcript
 
 P = Fr.modulus
@@ -48,7 +53,8 @@ def jellyfish_circuit():
 
 
 def setup(circuit, seed=7):
-    srs = TrapdoorSRS(circuit.num_vars + 1, random.Random(seed))
+    # exactly μ variables: nothing in a proof is committed at arity μ+1
+    srs = TrapdoorSRS(circuit.num_vars, random.Random(seed))
     kzg = MultilinearKZG(srs)
     pidx, vidx = preprocess(circuit, kzg)
     return kzg, pidx, vidx
@@ -103,6 +109,19 @@ class TestCompleteness:
         kzg, pidx, vidx = setup(circuit)
         proof = HyperPlonkProver(circuit, pidx, kzg).prove()
         assert 1000 < proof.size_bytes() < 20000
+
+    @pytest.mark.parametrize("gate_type", [VANILLA, JELLYFISH],
+                             ids=lambda g: g.name)
+    @pytest.mark.parametrize("mu", [1, 2])
+    def test_smallest_sizes_roundtrip(self, gate_type, mu):
+        """μ=1: ρ′ is empty, the blend is opened at (0,) and (1,) and the
+        root point is (0,); μ=2: ρ′ is one coordinate."""
+        circuit = synthesize_circuit(gate_type, mu, witness_seed=mu)
+        kzg, pidx, vidx = setup(circuit)
+        proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+        assert proof.tree_openings["root"].point == (0,) + (1,) * (mu - 1)
+        assert all(len(op.point) == mu for op in proof.tree_openings.values())
+        HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
 
 
 class TestSoundness:
@@ -180,8 +199,6 @@ class TestSoundness:
             proof.witness_commitments["w1"] = proof.witness_commitments["w2"]
         elif mutation == "tree_value":
             op = proof.tree_openings["root"]
-            from repro.hyperplonk.commitment import Opening
-
             proof.tree_openings["root"] = Opening(op.point, 2, op.quotients)
         elif mutation == "perm_eval":
             proof.perm_sigma_evals["sigma1"] = (
@@ -202,6 +219,100 @@ class TestSoundness:
         elif mutation == "perm_sigma_none":
             proof.perm_sigma_evals["sigma1"] = None
         with pytest.raises(HyperPlonkError):
+            verifier.verify(proof)
+
+    @pytest.mark.parametrize("gate_type", [VANILLA, JELLYFISH],
+                             ids=lambda g: g.name)
+    def test_tree_with_leaves_other_than_phi_rejected(self, gate_type,
+                                                      monkeypatch):
+        """Every gate holds, the copy constraints do not, and the prover
+        sums over a product tree that is consistent in itself but whose
+        leaves are not φ.  Accepted while the tree was a commitment of
+        its own that nothing tied to φ's."""
+        honest = synthesize_circuit(gate_type, 4, witness_seed=3)
+        output = gate_type.witness_names[-1]
+
+        class Miswired(Circuit):
+            """Row 0 is ``acc = x + y``: one more on its first input and
+            on its output keeps the gate and splits two wire classes."""
+
+            def witness_tables(self):
+                tables = super().witness_tables()
+                for name in ("w1", output):
+                    tables[name].table[0] = (tables[name].table[0] + 1) % P
+                return tables
+
+        circuit = Miswired(gate_type, Fr, honest.rows, honest.values)
+        witness = circuit.witness_tables()
+        for i, row in enumerate(circuit.rows):
+            values = [witness[name].table[i] for name in gate_type.witness_names]
+            assert gate_type.constraint_value(Fr, row.selectors, values) == 0
+        assert witness != honest.witness_tables()
+
+        def all_ones_tree(*args):
+            perm = build_permutation_data(*args)
+            assert perm.root != 1  # the wiring really is violated
+            perm.prod_tree = DenseMLE.constant(Fr, perm.prod_tree.num_vars, 1)
+            return perm
+
+        monkeypatch.setattr(prover_module, "build_permutation_data",
+                            all_ones_tree)
+        kzg, pidx, vidx = setup(honest)
+        proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+        with pytest.raises(HyperPlonkError, match="tree opening 'p1' value"):
+            HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
+
+    @pytest.mark.parametrize("name", ["pi", "root", "p1", "p2"])
+    def test_each_tree_opening_is_checked_by_name(self, proven, name):
+        proof, verifier = proven
+        honest = proof.tree_openings[name]
+        proof.tree_openings[name] = Opening(
+            honest.point, (honest.value + 1) % P, honest.quotients)
+        with pytest.raises(HyperPlonkError, match=f"{name!r} value mismatch"):
+            verifier.verify(proof)
+        # right value, quotients of another polynomial or point
+        other = proof.tree_openings["p2" if name == "pi" else "pi"]
+        proof.tree_openings[name] = Opening(
+            honest.point, honest.value, other.quotients)
+        with pytest.raises(HyperPlonkError, match=f"{name!r} failed KZG"):
+            verifier.verify(proof)
+        del proof.tree_openings[name]
+        with pytest.raises(HyperPlonkError, match=f"missing .* {name!r}"):
+            verifier.verify(proof)
+
+    def test_swapped_product_commitment_rejected(self, proven):
+        proof, verifier = proven
+        proof.prod_commitment = proof.phi_commitment
+        with pytest.raises(HyperPlonkError):
+            verifier.verify(proof)
+
+    def test_blend_openings_bind_the_blended_commitment(self, proven):
+        """p1/p2 are openings of h = (1 - ρ_μ)·φ + ρ_μ·π: they verify
+        against that combination of the two commitments and against
+        neither of them alone — a verifier that checked them against
+        C_π would turn this honest proof down."""
+        proof, verifier = proven
+        rho_last = proof.perm_zerocheck.challenges[-1]
+        blend = Commitment.combine(
+            [1 - rho_last, rho_last],
+            [proof.phi_commitment, proof.prod_commitment],
+        )
+        for name in ("p1", "p2"):
+            opening = proof.tree_openings[name]
+            assert verifier.kzg.verify(blend, opening)
+            assert not verifier.kzg.verify(proof.prod_commitment, opening)
+            assert not verifier.kzg.verify(proof.phi_commitment, opening)
+        for name in ("pi", "root"):
+            assert verifier.kzg.verify(proof.prod_commitment,
+                                       proof.tree_openings[name])
+
+    def test_commitments_of_unequal_arity_rejected(self, proven):
+        """The proof is outside input: the blend of a μ- and a
+        (μ-1)-variable commitment is refused by name, not a ValueError."""
+        proof, verifier = proven
+        proof.phi_commitment = Commitment(proof.phi_commitment.point,
+                                          proof.num_vars - 1)
+        with pytest.raises(HyperPlonkError, match="arity"):
             verifier.verify(proof)
 
     def test_wrong_index_rejected(self):

@@ -21,6 +21,7 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
+from repro.hyperplonk.commitment import Commitment
 from repro.mle import DenseMLE
 from repro.service.traffic import synthesize_circuit
 
@@ -36,6 +37,7 @@ class CountingKZG(MultilinearKZG):
         super().__init__(srs)
         self.commit_sizes = Counter()
         self.open_calls = 0
+        self.opened = []
 
     def commit(self, mle):
         self.commit_sizes[len(mle.table)] += 1
@@ -43,6 +45,7 @@ class CountingKZG(MultilinearKZG):
 
     def open(self, mle, point):
         self.open_calls += 1
+        self.opened.append(mle)
         return super().open(mle, point)
 
 
@@ -52,7 +55,9 @@ def srs():
 
 
 def tree_points(rho):
-    """The four product-tree points the HyperPlonk prover opens."""
+    """Four points over two levels of shared prefixes: all share the
+    empty one, the second and fourth share ``(0,)`` as well.  (The
+    prover's own calls share the empty prefix only, see the last test.)"""
     return [
         list(rho) + [1],
         [0] + list(rho),
@@ -169,21 +174,34 @@ class TestOpenMany:
         assert results == expected
 
 
-def test_prover_opens_the_tree_through_open_many(srs):
-    """End to end: 2^μ-point quotient once, 2^(μ-1)-point three times
-    among the tree openings, and the proof is the unshared one."""
+def test_prover_opens_the_tree_through_open_many():
+    """End to end: five openings, all of μ-variable polynomials — the
+    combined one, π twice and the blend h = (1 - ρ_μ)·φ + ρ_μ·π twice —
+    each pair sharing its 2^(μ-1)-point top quotient, and the proof is
+    the unshared one.  The SRS has μ variables: nothing is committed or
+    opened at arity μ+1."""
+    srs = TrapdoorSRS(MU, random.Random(0x0BE7))
     circuit = synthesize_circuit(VANILLA, MU, witness_seed=11)
     plain = MultilinearKZG(srs)
     pidx, vidx = preprocess(circuit, plain)
     counting = CountingKZG(srs)
     proof = HyperPlonkProver(circuit, pidx, counting, backend="fused").prove()
-    # 5 openings: the combined one (μ vars) and four of the tree (μ+1 vars)
     assert counting.open_calls == 5
-    # witness/phi/tree commits have these sizes too, so count against a
+    combined, pi, pi_again, blend, blend_again = counting.opened
+    assert [mle.num_vars for mle in counting.opened] == [MU] * 5
+    assert pi is pi_again and blend is blend_again and pi is not blend
+    assert plain.commit(pi) == proof.prod_commitment
+    rho_last = proof.perm_zerocheck.challenges[-1]
+    assert plain.commit(blend) == Commitment.combine(
+        [1 - rho_last, rho_last], [proof.phi_commitment, proof.prod_commitment]
+    )
+    # witness/phi/pi commits have these sizes too, so count against a
     # prover whose open_many opens point by point
     unshared = CountingKZG(srs)
     unshared.open_many = lambda mle, points: [unshared.open(mle, p) for p in points]
     assert HyperPlonkProver(circuit, pidx, unshared, backend="fused").prove() == proof
-    assert unshared.commit_sizes[1 << MU] - counting.commit_sizes[1 << MU] == 3
-    assert unshared.commit_sizes[1 << (MU - 1)] - counting.commit_sizes[1 << (MU - 1)] == 1
+    # one top quotient saved per open_many, nothing below it: π's two
+    # points part at the first coordinate and so do h's (0 / 1)
+    saved = unshared.commit_sizes - counting.commit_sizes
+    assert saved == Counter({1 << (MU - 1): 2})
     HyperPlonkVerifier(Fr, vidx, plain).verify(proof)

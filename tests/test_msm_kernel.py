@@ -687,23 +687,27 @@ def test_three_point_pool_collides_in_every_round(terms, window_bits):
     assert unchecked.to_affine() == expected
 
 
-#: two coordinates of that proof as the parent commit's kernel (Jacobian
-#: bucket fill, per-term Horner adds) produced them
+#: two coordinates of the proof below.  Re-pinned when the product tree became
+#: virtual (PR 19): the proof format changed (π is committed instead of
+#: the (μ+1)-variable tree, and the root is opened on π), the SRS draws
+#: its secrets last variable first, and the circuit grew from μ=4 to μ=5
+#: so that a proof still mixes comb and resident-table commits now that
+#: its largest arity is μ.  Across kernels they must not move.
 PINNED_PHI_X = (
-    "0xaef6567e8c4c483ffac6b57a7e496195e459ffc5d5ae7ca8"
-    "a9e8bf9a0aecfe68259d655aea364233519ae3a6b69e2ba"
+    "0x35906939b83896afc6261958f8afd9ddd24d0a8dbd639aaa"
+    "b12c76c57cee302b68f71849e619c3a53230f2acff8d875"
 )
 PINNED_QUOTIENT_X = (
-    "0x12ec73b7112ef62e557c63cce4c2c2a6c405d9c7d53600cf"
-    "5270e41b711fcdb023d54da3496888b09e8949d3b08e24a2"
+    "0xf87c8b4c1101deddde2daedf69ccad5313d8e58ac607463e"
+    "4e8d519d3edbc1a4db08371b2e956a451ffffe014c7257a"
 )
 
 
 def test_jellyfish_proof_is_the_same_with_and_without_tables():
     """End to end: every MSM of a proof returns the same group element
     whichever path computed it, so the proofs are equal field for field
-    (and equal to what the kernel produced before it was batch-affine)."""
-    circuit = synthesize_circuit(JELLYFISH, 4, witness_seed=13)
+    (and equal to what the kernel produced when the pins were taken)."""
+    circuit = synthesize_circuit(JELLYFISH, 5, witness_seed=13)
     proofs = []
     for fixed_base in (False, True):
         srs = TrapdoorSRS(5, random.Random(0xE2E))
@@ -712,7 +716,8 @@ def test_jellyfish_proof_is_the_same_with_and_without_tables():
         proofs.append(HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove())
         HyperPlonkVerifier(Fr, vidx, kzg).verify(proofs[-1])
         # the commits went through the resident tables, except where the
-        # comb (arity ≤ 4 with ``fixed_base``) took them
+        # comb (arity ≤ 4 with ``fixed_base``) took them; the SRS stops at
+        # μ, so nothing was committed above it
         built = {nu for nu in range(6) if srs.bases(nu)._tables is not None}
         assert built == ({5} if fixed_base else {1, 2, 3, 4, 5})
     assert proofs[0] == proofs[1]

@@ -204,3 +204,27 @@ class TestPublicKZGVerification:
         bad = Opening(opening.point, opening.value, (off, opening.quotients[1]))
         assert not kzg.verify_pairing(commitment, bad)
         assert not kzg.verify(commitment, bad)
+
+    def test_blended_commitment_opening_agrees_with_verify(self, kzg):
+        """The product tree's p1/p2 claims are openings of
+        h = (1 - ρ_μ)·φ + ρ_μ·π, checked against the same combination of
+        the two commitments in the proof.  That homomorphic combine is
+        all a public verifier does beyond a plain opening check, and the
+        pairing agrees with the trapdoor on it — both ways."""
+        from repro.hyperplonk import VANILLA, HyperPlonkProver, preprocess
+        from repro.hyperplonk.commitment import Commitment
+        from repro.service.traffic import synthesize_circuit
+
+        circuit = synthesize_circuit(VANILLA, 2, witness_seed=19)
+        pidx, _ = preprocess(circuit, kzg)
+        proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+        rho_last = proof.perm_zerocheck.challenges[-1]
+        blend = Commitment.combine(
+            [1 - rho_last, rho_last],
+            [proof.phi_commitment, proof.prod_commitment],
+        )
+        opening = proof.tree_openings["p1"]
+        assert kzg.verify(blend, opening)
+        assert kzg.verify_pairing(blend, opening)
+        assert not kzg.verify(proof.prod_commitment, opening)
+        assert not kzg.verify_pairing(proof.prod_commitment, opening)

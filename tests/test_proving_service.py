@@ -41,7 +41,7 @@ SRS_SEED = 0x5EED  # ServiceConfig default; direct provers must match
 
 def direct_prove(circuit, backend=None):
     """The one-shot path the service must match bit-for-bit."""
-    srs = TrapdoorSRS(MAX_VARS + 1, random.Random(SRS_SEED))
+    srs = TrapdoorSRS(MAX_VARS, random.Random(SRS_SEED))
     kzg = MultilinearKZG(srs)
     pidx, vidx = preprocess(circuit, kzg)
     proof = HyperPlonkProver(circuit, pidx, kzg, backend=backend).prove()
@@ -399,17 +399,24 @@ class TestServiceOperations:
         cfg = ServiceConfig(max_vars=2, fixed_base_msm=False)
         ok_circuit = synthesize_circuit(GATE_TYPES["vanilla"], 2,
                                         witness_seed=1)
-        too_big = synthesize_circuit(GATE_TYPES["vanilla"], 4)
+        too_big = synthesize_circuit(GATE_TYPES["vanilla"], 3)
         foreign = synthesize_circuit(GATE_TYPES["vanilla"], 2,
                                      field=PrimeField((1 << 61) - 1, "F61"))
         with ProvingService(cfg) as svc:
-            with pytest.raises(ValueError, match="exceeds the service SRS"):
+            # ``max_vars`` is the SRS's size and the largest μ accepted
+            assert svc.kzg.srs.max_vars == 2
+            with pytest.raises(ValueError,
+                               match=r"μ=3 exceeds the service SRS \(max μ=2\)"):
                 svc.submit(too_big)
             with pytest.raises(ValueError, match="over Fr only"):
                 svc.submit(foreign)
             with pytest.raises(ValueError, match="unknown vector backend"):
                 svc.submit(ok_circuit, backend="no-such-backend")
             assert svc.pending == 0
+            svc.submit(ok_circuit)  # μ = max_vars proves on that SRS
+            (result,) = svc.drain()
+            _, vidx = preprocess(ok_circuit, svc.kzg)
+            HyperPlonkVerifier(Fr, vidx, svc.kzg).verify(result.proof)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown executor"):

@@ -9,8 +9,9 @@ the worker-local index cache honours the service's configured bound
 
 import pytest
 
+from repro.hyperplonk.preprocess import circuit_fingerprint
 from repro.service.core import ProvingService, ServiceConfig
-from repro.service.traffic import TrafficGenerator
+from repro.service.traffic import GATE_TYPES, TrafficGenerator, synthesize_circuit
 from repro.service.workers import ProveTask, WorkerState, worker_state
 
 MAX_VARS = 4
@@ -31,7 +32,7 @@ def tasks(n: int, start_id: int = 0) -> list[ProveTask]:
 
 class TestWorkerState:
     def test_srs_built_once_across_batches(self):
-        state = WorkerState(0x5EED, MAX_VARS + 1, cache_capacity=4)
+        state = WorkerState(0x5EED, MAX_VARS, cache_capacity=4)
         for batch in (tasks(2), tasks(2, start_id=2)):
             for task in batch:
                 outcome = state.prove(task)
@@ -40,7 +41,7 @@ class TestWorkerState:
         assert state.jobs_proved == 4
 
     def test_repeat_circuit_hits_cache_with_zero_install(self):
-        state = WorkerState(0x5EED, MAX_VARS + 1, cache_capacity=4)
+        state = WorkerState(0x5EED, MAX_VARS, cache_capacity=4)
         first, second = tasks(1)[0], tasks(1)[0]
         miss = state.prove(first)
         hit = state.prove(second)
@@ -48,14 +49,14 @@ class TestWorkerState:
         assert hit.cache_hit and hit.install_s == 0.0
 
     def test_worker_state_guard_reuses_same_params(self):
-        a = worker_state(0x5EED, MAX_VARS + 1, cache_capacity=2)
-        b = worker_state(0x5EED, MAX_VARS + 1, cache_capacity=2)
+        a = worker_state(0x5EED, MAX_VARS, cache_capacity=2)
+        b = worker_state(0x5EED, MAX_VARS, cache_capacity=2)
         assert a is b
-        c = worker_state(0x5EED, MAX_VARS + 1, cache_capacity=3)
+        c = worker_state(0x5EED, MAX_VARS, cache_capacity=3)
         assert c is not a
 
     def test_probe_snapshot_reflects_state(self):
-        state = WorkerState(0x5EED, MAX_VARS + 1, cache_capacity=4)
+        state = WorkerState(0x5EED, MAX_VARS, cache_capacity=4)
         state.prove(tasks(1)[0])
         probe = state.probe(worker_id="w-0")
         assert probe.worker_id == "w-0"
@@ -63,6 +64,19 @@ class TestWorkerState:
         assert probe.jobs_proved == 1
         assert probe.cache_capacity == 4
         assert probe.cache_len == 1
+
+    def test_srs_of_max_vars_proves_max_vars_and_refuses_one_more(self):
+        """Nothing in a proof has more variables than the circuit, so a
+        worker's SRS is as large as its largest job and no larger."""
+        def task(mu: int) -> ProveTask:
+            circuit = synthesize_circuit(GATE_TYPES["jellyfish"], mu)
+            return ProveTask(job_id=mu, circuit=circuit, backend="fused",
+                             circuit_key=circuit_fingerprint(circuit))
+
+        state = WorkerState(0x5EED, 3, fixed_base=False)
+        assert state.prove(task(3)).proof.num_vars == state.kzg.srs.max_vars == 3
+        with pytest.raises(ValueError, match="SRS supports up to 3 vars"):
+            state.prove(task(4))
 
 
 class TestProcessExecutor:

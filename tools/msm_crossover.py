@@ -29,9 +29,10 @@ them.  In order:
   same bases, n = 1 … 32, with the comb's build per base;
 * a Jellyfish proof at μ = 4 and 6 on plain-list bases (the kernel sees
   variable bases), on a fresh SRS (every table built inside the proof)
-  and warm.
+  and warm, with the G1 points it commits directly and in opening
+  quotients.
 
-``--check`` compares every timed MSM with ``msm_naive`` and the three
+``--check`` compares every timed MSM with ``msm_naive`` and the
 proofs with each other, and exits non-zero on a mismatch.
 """
 
@@ -254,16 +255,38 @@ class ViewSRS(TrapdoorSRS):
         return self.viewed[num_vars]
 
 
+class PointCountingKZG(MultilinearKZG):
+    """Tallies the points a proof commits: directly, and as opening
+    quotients (the commits ``open`` makes)."""
+
+    def __init__(self, srs: TrapdoorSRS):
+        super().__init__(srs)
+        self.points = {"commit": 0, "quotient": 0}
+        self.kind = "commit"
+
+    def commit(self, mle):
+        self.points[self.kind] += len(mle.table)
+        return super().commit(mle)
+
+    def open(self, mle, point):
+        self.kind = "quotient"
+        try:
+            return super().open(mle, point)
+        finally:
+            self.kind = "commit"
+
+
 def proof_lines(seed: int, repeats: int, check: Checker) -> None:
-    """One Jellyfish proof on plain-list bases, cold and warm."""
+    """One Jellyfish proof on plain-list bases, cold and warm, and the
+    G1 points it commits (the SRS has μ variables: no more are needed)."""
     for mu in (4, 6):
         circuit = synthesize_circuit(JELLYFISH, mu, witness_seed=seed)
-        plain = ViewSRS(mu + 1, seed, list)
-        cold = ViewSRS(mu + 1, seed, ResidentBases)
+        plain = ViewSRS(mu, seed, list)
+        cold = ViewSRS(mu, seed, ResidentBases)
         # the index is the same for both (same secrets) and is built on
         # the plain one, so the cold SRS meets its first MSM in prove()
         pidx, _ = preprocess(circuit, MultilinearKZG(plain))
-        for arity in range(mu + 2):
+        for arity in range(mu + 1):
             cold.bases(arity)
 
         def prove(srs):
@@ -276,11 +299,16 @@ def proof_lines(seed: int, repeats: int, check: Checker) -> None:
 
         timed = fastest({"plain": lambda: prove(plain), "cold": first_proof,
                          "warm": lambda: prove(cold)}, repeats)
+        counting = PointCountingKZG(cold)
+        counted = HyperPlonkProver(circuit, pidx, counting, backend="fused").prove()
+        timed["counted"] = (0.0, counted)
         check(f"mu={mu} proof", timed, lambda: timed["plain"][1])
         print(f"Jellyfish mu={mu} proof, ms: plain-list bases "
               f"{timed['plain'][0] * 1e3:.0f}, first on a fresh SRS (tables "
               f"built inside) {timed['cold'][0] * 1e3:.0f}, "
-              f"warm {timed['warm'][0] * 1e3:.0f}")
+              f"warm {timed['warm'][0] * 1e3:.0f}; G1 points: "
+              f"{counting.points['commit']} committed, "
+              f"{counting.points['quotient']} in opening quotients")
 
 
 def main() -> int:
