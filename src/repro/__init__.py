@@ -41,35 +41,41 @@ field-vector backend layer behind the fast-path SumCheck prover) and
 BENCH_sumcheck.json for the recorded fast-path perf trajectory.
 """
 
-from repro.cluster import ClusterConfig, ProvingCluster
-from repro.fields import Fq, Fr
-from repro.plan import FunctionalProverCostModel, ProofPlan, hyperplonk_plan
-from repro.service import (
-    IndexCache,
-    JobCostModel,
-    ProofJob,
-    ProofResult,
-    ProvingService,
-    ServiceConfig,
-    TrafficGenerator,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusterConfig",
-    "Fr",
-    "Fq",
-    "FunctionalProverCostModel",
-    "IndexCache",
-    "JobCostModel",
-    "ProofJob",
-    "ProofResult",
-    "ProofPlan",
-    "ProvingCluster",
-    "ProvingService",
-    "ServiceConfig",
-    "TrafficGenerator",
-    "hyperplonk_plan",
-    "__version__",
-]
+#: where each re-exported name lives; resolved on first access (PEP 562)
+#: so importing a sub-package loads that layer and the ones under it,
+#: not the serving and cluster stack above
+_EXPORTS = {
+    "ClusterConfig": "repro.cluster",
+    "Fr": "repro.fields",
+    "Fq": "repro.fields",
+    "FunctionalProverCostModel": "repro.plan",
+    "IndexCache": "repro.service",
+    "JobCostModel": "repro.service",
+    "ProofJob": "repro.service",
+    "ProofResult": "repro.service",
+    "ProofPlan": "repro.plan",
+    "ProvingCluster": "repro.cluster",
+    "ProvingService": "repro.service",
+    "ServiceConfig": "repro.service",
+    "TrafficGenerator": "repro.service",
+    "hyperplonk_plan": "repro.plan",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

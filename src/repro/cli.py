@@ -11,18 +11,22 @@ import argparse
 import math
 
 
-def backend_choices() -> list[str]:
-    """Live field-vector backend names for ``--backend`` choices.
+def vector_backend(text: str) -> str:
+    """A field-vector backend name that can run here (``--backend``).
 
-    Sourced from the registry at parser-build time so optional backends
-    (numpy ``array``, gmpy2 ``gmp``) are offered exactly when their
-    dependencies import — a hardcoded list would either hide them or
-    advertise unavailable ones.  Bad values still exit 2 via argparse's
-    ``choices`` machinery.
+    Resolved through the registry when the value is parsed, not when the
+    parser is built: a built-in name (``fused``, the default) never
+    imports an optional backend, a name whose dependency is missing
+    exits 2 with the install extra that fixes it, and an unknown one
+    exits 2 listing what ``list_backends()`` offers on this host.
     """
-    from repro.fields.vector import list_backends
+    from repro.fields.vector import BackendUnavailable, get_backend
 
-    return list_backends()
+    try:
+        get_backend(text)
+    except (BackendUnavailable, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
 
 
 def positive_int(text: str) -> int:

@@ -27,7 +27,6 @@ from repro.carbon import (
     node_watts,
 )
 from repro.cli import (
-    backend_choices,
     cache_capacity,
     carbon_trace,
     int_list,
@@ -37,6 +36,7 @@ from repro.cli import (
     positive_float,
     positive_int,
     rate_fraction,
+    vector_backend,
 )
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.core import ClusterConfig, ProvingCluster
@@ -202,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         default="fused",
-        choices=backend_choices(),
-        help="field-vector backend for execute-mode proving "
-        "(registry-sourced; optional backends appear when installed)",
+        type=vector_backend,
+        help="field-vector backend for execute-mode proving: reference, "
+        "fused, or an optional one (array, gmp) if installed",
     )
     parser.add_argument(
         "--open-loop",

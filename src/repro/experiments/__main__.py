@@ -55,14 +55,13 @@ def main(argv: list[str] | None = None) -> int:
         print(err, file=sys.stderr)
         return 2
     if backend is not None:
-        from repro.fields.vector import list_backends, set_default_backend
+        from repro.fields.vector import BackendUnavailable, set_default_backend
 
-        if backend not in list_backends():
-            print(f"unknown backend {backend!r}", file=sys.stderr)
-            print(f"valid backends: {', '.join(list_backends())}",
-                  file=sys.stderr)
+        try:
+            set_default_backend(backend)
+        except (BackendUnavailable, ValueError) as exc:
+            print(exc, file=sys.stderr)  # names the choices / the extra
             return 2
-        set_default_backend(backend)
     known_flags = {"--full"}
     bad_flags = sorted({a for a in argv
                         if a.startswith("-") and a not in known_flags})

@@ -38,9 +38,10 @@ Everything here is bit-identical to the ``reference`` backend and
 reports the same closed-form :class:`~repro.fields.counters.OpCounter`
 tallies; ``tests/test_fastpath_differential.py`` and
 ``tests/test_vector_fuzz.py`` enforce both.  The module imports only
-when numpy is present — :mod:`repro.fields.vector` registers the backend
-opportunistically and reports :class:`~repro.fields.vector.BackendUnavailable`
-otherwise.
+when numpy is present — :mod:`repro.fields.vector` imports it the first
+time a caller asks for the backend (or lists the backends), never
+before, and reports :class:`~repro.fields.vector.BackendUnavailable`
+if that fails.
 
 The ``gmp`` variant at the bottom swaps CPython bigints for ``gmpy2``
 ``mpz`` objects behind the exact same interface; it is registered only

@@ -14,11 +14,15 @@ the same protocol code can run on interchangeable implementations:
   extend→product→accumulate dataflow is fused into single passes with
   local-variable binding and deferred modular reduction on accumulators.
 * ``array`` — numpy uint64 limb planes with vectorized Montgomery REDC
-  and Barrett reduction (:mod:`repro.fields.array_backend`); registered
-  only when numpy is importable, otherwise :func:`get_backend` raises
-  :class:`BackendUnavailable`.
-* ``gmp`` — optional gmpy2 ``mpz`` variant of the fused kernels,
-  registered only when gmpy2 is importable.
+  and Barrett reduction (:mod:`repro.fields.array_backend`); needs
+  numpy, otherwise :func:`get_backend` raises :class:`BackendUnavailable`.
+* ``gmp`` — optional gmpy2 ``mpz`` variant of the fused kernels; needs
+  gmpy2 as well.
+
+The two optional backends are imported on the first request that could
+involve them — asking for one by name, :func:`list_backends`,
+:func:`unavailable_backends` — so a process that only ever names the
+built-in ones never imports numpy.
 
 All backends produce **bit-identical results** and report **identical
 :class:`~repro.fields.counters.OpCounter` tallies** — the counter models
@@ -34,6 +38,7 @@ routes operator arithmetic through a chosen backend.
 from __future__ import annotations
 
 import random
+import threading
 from typing import Sequence
 
 from repro.fields.counters import OpCounter
@@ -483,6 +488,53 @@ _UNAVAILABLE: dict[str, str] = {}
 
 DEFAULT_BACKEND = "reference"
 
+#: the optional backends have not been looked for yet
+_optional_pending = True
+_optional_lock = threading.Lock()
+
+
+def _load_optional_backends() -> None:
+    """Register ``array`` (numpy limb planes) and ``gmp`` (gmpy2), once.
+
+    An import failure files the name under ``_UNAVAILABLE`` with the
+    install extra that fixes it, so :func:`list_backends` — and every
+    CLI message built from it — shrinks instead of breaking and
+    :func:`get_backend` raises a clear :class:`BackendUnavailable`.  A
+    backend someone registered under either name beforehand is kept.
+    """
+    global _optional_pending
+    if not _optional_pending:
+        return
+    with _optional_lock:
+        if not _optional_pending:
+            return
+        try:
+            from repro.fields.array_backend import ArrayBackend, GmpBackend
+        except ImportError as exc:
+            found: dict[str, VectorBackend] = {}
+            missing = {
+                "array": f"requires numpy (pip install repro-zkphire[fast]): {exc}",
+                "gmp": "requires numpy + gmpy2 "
+                       f"(pip install repro-zkphire[fast,gmp]): {exc}",
+            }
+        else:
+            found = {"array": ArrayBackend()}
+            missing = {}
+            try:
+                import gmpy2  # noqa: F401  (availability probe only)
+            except ImportError as exc:
+                missing["gmp"] = (
+                    f"requires gmpy2 (pip install repro-zkphire[gmp]): {exc}"
+                )
+            else:
+                found["gmp"] = GmpBackend()
+        for name, backend in found.items():
+            _BACKENDS.setdefault(name, backend)
+        for name, reason in missing.items():
+            if name not in _BACKENDS:
+                _UNAVAILABLE[name] = reason
+        _optional_pending = False
+
 
 class BackendUnavailable(RuntimeError):
     """A known backend cannot run here (missing optional dependency).
@@ -512,6 +564,8 @@ def get_backend(backend: str | VectorBackend | None = None) -> VectorBackend:
         backend = DEFAULT_BACKEND
     if isinstance(backend, VectorBackend):
         return backend
+    if backend not in _BACKENDS:
+        _load_optional_backends()
     try:
         return _BACKENDS[backend]
     except KeyError:
@@ -533,6 +587,7 @@ def list_backends() -> list[str]:
     for the test parametrization matrix; backends whose optional
     dependencies are missing are omitted (see :func:`unavailable_backends`).
     """
+    _load_optional_backends()
     return sorted(_BACKENDS)
 
 
@@ -543,6 +598,7 @@ def available_backends() -> list[str]:
 
 def unavailable_backends() -> dict[str, str]:
     """Known-but-unregistered backends mapped to the reason (a copy)."""
+    _load_optional_backends()
     return dict(_UNAVAILABLE)
 
 
@@ -576,30 +632,6 @@ def backend_name(backend: str | VectorBackend | None) -> str:
 
 register_backend("reference", ReferenceBackend())
 register_backend("fused", FusedBackend())
-
-# optional fast backends: numpy limb planes ("array") and gmpy2 ("gmp").
-# Import failures downgrade them to _UNAVAILABLE so list_backends() — and
-# every CLI choices list built from it — shrinks instead of breaking,
-# and get_backend() raises a clear BackendUnavailable.
-try:
-    from repro.fields.array_backend import ArrayBackend, GmpBackend
-except ImportError as exc:
-    _UNAVAILABLE["array"] = (
-        f"requires numpy (pip install repro-zkphire[fast]): {exc}"
-    )
-    _UNAVAILABLE["gmp"] = (
-        f"requires numpy + gmpy2 (pip install repro-zkphire[fast,gmp]): {exc}"
-    )
-else:
-    register_backend("array", ArrayBackend())
-    try:
-        import gmpy2  # noqa: F401  (availability probe only)
-    except ImportError as exc:
-        _UNAVAILABLE["gmp"] = (
-            f"requires gmpy2 (pip install repro-zkphire[gmp]): {exc}"
-        )
-    else:
-        register_backend("gmp", GmpBackend())
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,13 @@ import json
 import sys
 
 from repro.cli import (
-    backend_choices,
     cache_capacity,
     nonnegative_float,
     nonnegative_int,
     positive_float,
     positive_int,
     rate_fraction,
+    vector_backend,
 )
 from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
 from repro.cluster.routing import DEFAULT_REPLICAS, ROUTING_POLICIES
@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         default="fused",
-        choices=backend_choices(),
-        help="field-vector backend the workers prove with",
+        type=vector_backend,
+        help="field-vector backend the workers prove with: reference, "
+        "fused, or an optional one (array, gmp) if installed",
     )
     parser.add_argument(
         "--max-retries",

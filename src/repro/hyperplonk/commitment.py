@@ -30,6 +30,7 @@ from repro.curves import (
     msm_pippenger,
 )
 from repro.curves.bls12_381_g1 import generator_table
+from repro.curves.curve import affine_sum_rows
 from repro.curves.msm import (
     FixedBaseTable,
     ResidentBases,
@@ -91,6 +92,13 @@ class Opening:
         return 32 + 48 * len(self.quotients)
 
 
+#: Serialises SRS base builds (they are expensive, and one call fills
+#: several arities) so concurrent thread-pool workers meeting a new
+#: arity share one list and one set of resident tables.  Module-wide
+#: rather than per instance: a :class:`TrapdoorSRS` pickles.
+_BASES_LOCK = threading.Lock()
+
+
 class TrapdoorSRS:
     """Structured reference string for ≤ ``max_vars`` variables.
 
@@ -135,13 +143,42 @@ class TrapdoorSRS:
         first commitment of this arity that runs the Straus path), so
         every later MSM over ``srs.bases(ν)`` is a fixed-base one.
         """
-        if num_vars not in self._bases_cache:
-            eq = build_eq_mle(Fr, self.secrets_for(num_vars))
-            table = generator_table()
-            self._bases_cache[num_vars] = ResidentBases(batch_normalize(
-                [table.mul(v) for v in eq.table]
-            ))
-        return self._bases_cache[num_vars]
+        bases = self._bases_cache.get(num_vars)
+        if bases is None:
+            with _BASES_LOCK:
+                bases = self._bases_cache.get(num_vars)
+                if bases is None:
+                    bases = self._build_bases(num_vars)
+        return bases
+
+    def _build_bases(self, num_vars: int) -> ResidentBases:
+        """One generator multiplication per base for arity ``num_vars``,
+        then every arity below it that is not resident yet by pair sums:
+        eq sums to 1 over its first variable and a lower arity is bound
+        to the shorter suffix of the same secrets, so
+        ``bases(ν-1)[j] = bases(ν)[2j] + bases(ν)[2j+1]`` — one batched
+        addition (~4 µs) where a multiplication costs ~0.4 ms.  A caller
+        that commits at its top arity first therefore pays 2^ν
+        multiplications for the whole SRS, not 2^(ν+1) - 1."""
+        table = generator_table()
+        built = level = ResidentBases(batch_normalize(
+            [table.mul(v)
+             for v in build_eq_mle(Fr, self.secrets_for(num_vars)).table]
+        ))
+        cache = self._bases_cache
+        for arity in range(num_vars - 1, -1, -1):
+            if arity in cache:
+                break  # and with it every arity below
+            rows = [
+                [(pt.x, pt.y) for pt in level[j:j + 2] if not pt.inf]
+                for j in range(0, len(level), 2)
+            ]
+            affine_sum_rows(G1.field, G1.a, rows, min_pairs=1)
+            level = cache[arity] = ResidentBases(
+                AffinePoint(G1, *row[0]) if row else G1.infinity for row in rows
+            )
+        cache[num_vars] = built
+        return built
 
     def g2_elements(self, num_vars: int):
         """The *public* G2 verifying key for arity ν: (h, [s_i·h]) over

@@ -11,10 +11,10 @@ import json
 import sys
 
 from repro.cli import (
-    backend_choices,
     cache_capacity,
     nonnegative_float,
     positive_int,
+    vector_backend,
 )
 from repro.plan import FunctionalProverCostModel
 from repro.service.batching import DRAIN_POLICIES
@@ -42,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=positive_int, default=2,
                         help="worker count for thread/process executors")
     parser.add_argument("--backend", default="fused",
-                        choices=backend_choices(),
-                        help="field-vector backend (registry-sourced; "
-                             "optional backends appear when installed)")
+                        type=vector_backend,
+                        help="field-vector backend: reference, fused, or "
+                             "an optional one (array, gmp) if installed")
     parser.add_argument("--cache-capacity", type=cache_capacity, default=None,
                         help="LRU index-cache entries (0 or omitted: "
                              "unbounded)")

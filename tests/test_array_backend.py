@@ -167,44 +167,65 @@ class TestRegistryDegradation:
 
 
 class TestCliBackendChoices:
-    """Every ``--backend`` CLI must source choices from the registry."""
+    """Every ``--backend`` CLI validates through the registry when the
+    value is parsed (``repro.cli.vector_backend``): building a parser,
+    and the ``fused`` default, never resolve the optional backends."""
 
-    def _choices(self, parser):
-        for action in parser._actions:
-            if "--backend" in getattr(action, "option_strings", ()):
-                return list(action.choices)
-        raise AssertionError("parser has no --backend option")
+    PARSERS = ["repro.service", "repro.cluster", "repro.fleet"]
 
-    def test_backend_choices_helper_matches_registry(self):
-        from repro.cli import backend_choices
-
-        assert backend_choices() == list_backends()
-
-    def test_serve_parser_sources_registry(self):
-        from repro.service.__main__ import build_parser
-
-        assert self._choices(build_parser()) == list_backends()
-
-    def test_cluster_parser_sources_registry(self):
-        from repro.cluster.__main__ import build_parser
-
-        assert self._choices(build_parser()) == list_backends()
-
-    @pytest.mark.parametrize("module", ["repro.service", "repro.cluster"])
-    def test_bad_backend_exits_2(self, module, capsys):
+    @staticmethod
+    def _main(module):
         import importlib
 
-        main = importlib.import_module(f"{module}.__main__").main
+        return importlib.import_module(f"{module}.__main__")
+
+    def test_helper_accepts_exactly_the_registry(self):
+        import argparse
+
+        from repro.cli import vector_backend
+
+        for name in list_backends():
+            assert vector_backend(name) == name
+        for name in ["nope", *unavailable_backends()]:
+            with pytest.raises(argparse.ArgumentTypeError):
+                vector_backend(name)
+
+    @pytest.mark.parametrize("module", PARSERS)
+    def test_parsers_accept_every_live_backend(self, module):
+        parser = self._main(module).build_parser()
+        assert parser.parse_args([]).backend == "fused"
+        for name in list_backends():
+            assert parser.parse_args(["--backend", name]).backend == name
+
+    @pytest.mark.parametrize("module", PARSERS)
+    def test_bad_backend_exits_2(self, module, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--backend", "nope"])
+            self._main(module).main(["--backend", "nope"])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown vector backend 'nope'" in err
+        assert all(name in err for name in list_backends())
+
+    @pytest.mark.parametrize("module", PARSERS)
+    def test_unavailable_backend_exits_2_with_the_reason(
+        self, module, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(
+            vector_mod._UNAVAILABLE, "phantom",
+            "requires a unicorn (pip install repro-zkphire[unicorn])",
+        )
+        with pytest.raises(SystemExit) as exc:
+            self._main(module).main(["--backend", "phantom"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pip install repro-zkphire[unicorn]" in err
+        assert "invalid choice" not in err
 
     def test_experiments_bad_backend_exits_2(self, capsys):
         from repro.experiments.__main__ import main
 
         assert main(["--backend", "nope"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
+        assert "unknown vector backend 'nope'" in capsys.readouterr().err
         assert main(["--backend"]) == 2  # missing value
 
     def test_experiments_backend_sets_default(self):

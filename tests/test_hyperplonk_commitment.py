@@ -1,10 +1,15 @@
 """Tests for the multilinear KZG commitment scheme."""
 
 import random
+import sys
+import threading
 
 import pytest
 
-from repro.curves import G1, G1_GENERATOR, AffinePoint, msm_naive
+import repro.hyperplonk.commitment as commitment_module
+from repro.curves import G1, G1_GENERATOR, AffinePoint, msm_naive, msm_pippenger
+from repro.curves.bls12_381_g1 import generator_table
+from repro.curves.msm import ResidentBases
 from repro.fields import Fr
 from repro.hyperplonk.commitment import (
     Commitment,
@@ -13,6 +18,7 @@ from repro.hyperplonk.commitment import (
     TrapdoorSRS,
 )
 from repro.mle import DenseMLE
+from repro.mle.eq import build_eq_mle
 
 P = Fr.modulus
 
@@ -61,12 +67,116 @@ class TestCommit:
         out-of-band checkers may size theirs differently)."""
         small = MultilinearKZG(TrapdoorSRS(2, random.Random(0xABCD)))
         large = MultilinearKZG(TrapdoorSRS(4, random.Random(0xABCD)))
-        assert small.srs.bases(2) == large.srs.bases(2)
-        assert small.srs.bases(1) == large.srs.bases(1)
+        large.srs.bases(4)  # top first: 3..0 are pair sums of it
+        for arity in range(3):  # bottom first: each built directly
+            assert small.srs.bases(arity) == large.srs.bases(arity)
         f = DenseMLE.random(Fr, 2, rng)
         point = [rng.randrange(P) for _ in range(2)]
         assert small.commit(f) == large.commit(f)
         assert large.verify(large.commit(f), small.open(f, point))
+
+
+def request_orders(max_vars):
+    """Ascending (the benchmark's set-up loop), descending (a prover:
+    top arity first) and two mixed orders over every arity."""
+    ascending = list(range(max_vars + 1))
+    middle_out = sorted(ascending, key=lambda a: (abs(a - max_vars // 2), a))
+    shuffled = random.Random(max_vars).sample(ascending, len(ascending))
+    return [ascending, ascending[::-1], middle_out, shuffled]
+
+
+class TestSRSBases:
+    """Only the first arity a caller asks for (and any above what is
+    resident) costs a generator multiplication per base; the rest are
+    pair sums of the arity above — the same points either way."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The arity of every build from the generator, in order (each
+        one evaluates eq once)."""
+        builds = []
+        real = commitment_module.build_eq_mle
+        monkeypatch.setattr(
+            commitment_module, "build_eq_mle",
+            lambda field, point: builds.append(len(point)) or real(field, point),
+        )
+        return builds
+
+    @staticmethod
+    def direct(srs, arity):
+        table = generator_table()
+        eq = build_eq_mle(Fr, srs.secrets_for(arity))
+        return [table.scalar_mul(v) for v in eq.table]
+
+    @pytest.mark.parametrize("seed", [0xABCD, 20])
+    @pytest.mark.parametrize("max_vars", [1, 4, 7])
+    def test_every_order_gives_the_direct_points(self, seed, max_vars):
+        expected = None
+        for order in request_orders(max_vars):
+            srs = TrapdoorSRS(max_vars, random.Random(seed))
+            for arity in order:
+                assert len(srs.bases(arity)) == 1 << arity
+            if expected is None:
+                expected = [self.direct(srs, a) for a in range(max_vars + 1)]
+                assert all(G1.is_on_curve(pt.x, pt.y)
+                           for level in expected for pt in level)
+            got = [list(srs.bases(a)) for a in range(max_vars + 1)]
+            assert got == expected, order
+
+    def test_an_arity_is_built_once_and_keeps_its_tables(self, builds):
+        srs = TrapdoorSRS(5, random.Random(3))
+        low = srs.bases(2)
+        assert builds == [2] and sorted(srs._bases_cache) == [0, 1, 2]
+        scalars = list(range(1, 5))
+        expected = msm_pippenger(scalars, low)
+        tables = low._tables
+        assert tables is not None
+        top = srs.bases(5)  # fills 4 and 3, stops at the resident 2
+        assert builds == [2, 5] and sorted(srs._bases_cache) == list(range(6))
+        for arity in (4, 3, 1, 0):
+            assert isinstance(srs.bases(arity), ResidentBases)
+        assert builds == [2, 5]
+        assert srs.bases(2) is low and low._tables is tables
+        assert srs.bases(5) is top
+        assert msm_pippenger(scalars, srs.bases(2)) == expected
+        with pytest.raises(ValueError):
+            srs.bases(6)
+
+    def test_infinity_bases_survive_the_pair_sums(self):
+        """A secret equal to 1 (never drawn in practice) zeroes half of
+        eq: infinity summands drop out of their pair."""
+        srs = TrapdoorSRS(3, random.Random(1))
+        srs.secret[1] = 1
+        srs.bases(3)
+        assert sum(pt.inf for pt in srs.bases(3)) == 4
+        for arity in range(4):
+            assert list(srs.bases(arity)) == self.direct(srs, arity)
+
+    def test_threads_meeting_a_new_arity_share_one_build(self, builds):
+        srs = TrapdoorSRS(4, random.Random(8))
+        workers = 4  # more than the reference host has cores
+        start = threading.Barrier(workers, timeout=60)
+        results = []
+
+        def first_commit():
+            start.wait()
+            results.append(srs.bases(4))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=first_commit)
+                       for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert builds == [4] and len(results) == workers
+        assert all(bases is srs.bases(4) for bases in results)
+        assert list(results[0]) == self.direct(srs, 4)
 
 
 class TestOpenVerify:

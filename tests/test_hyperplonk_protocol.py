@@ -73,6 +73,21 @@ class TestCompleteness:
         proof = HyperPlonkProver(circuit, pidx, kzg).prove()
         HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
 
+    def test_proof_does_not_depend_on_srs_request_order(self):
+        """Bases derived top-down (a prover commits at μ first) and built
+        bottom-up (the benchmark's set-up loop) are the same points."""
+        _, circuit = jellyfish_circuit()
+        proofs = []
+        for order in (range(circuit.num_vars, -1, -1), range(circuit.num_vars + 1)):
+            srs = TrapdoorSRS(circuit.num_vars, random.Random(7))
+            for arity in order:
+                srs.bases(arity)
+            kzg = MultilinearKZG(srs)
+            pidx, vidx = preprocess(circuit, kzg)
+            proofs.append(HyperPlonkProver(circuit, pidx, kzg).prove())
+            HyperPlonkVerifier(Fr, vidx, kzg).verify(proofs[-1])
+        assert proofs[0] == proofs[1]
+
     def test_larger_circuit(self):
         """A 16-gate circuit with a longer mul chain."""
         b = CircuitBuilder(VANILLA, Fr)

@@ -1,0 +1,234 @@
+#!/usr/bin/env python
+"""What a process pays before its first proof: the cold-start table.
+
+Every number comes from a fresh interpreter (``python -c`` with only the
+source tree on ``PYTHONPATH``), fastest of ``--repeats``::
+
+    python tools/cold_start.py
+    python tools/cold_start.py --against /path/to/parent/checkout
+    python tools/cold_start.py --check
+
+In order:
+
+* per top-level layer: seconds to import it, how many ``repro`` modules
+  that loads, and whether numpy came with them (it must not: the
+  optional field-vector backends load on first request);
+* the SRS at μ ∈ {6, 8, 10}: every arity 0..μ asked bottom-first (the
+  benchmark's set-up loop: each one built from the generator) and
+  top-first (a prover: the top arity built, the rest pair sums of the
+  arity above), after the generator comb, which is timed on its own;
+* a Jellyfish μ=6 process step by step: import, SRS top-first,
+  preprocess, the first proof (which builds the resident odd-multiple
+  tables) and a warm one.
+
+``--against DIR`` runs the same probes on the source tree of another
+checkout (the parent commit) in alternation and prints its numbers
+beside ours, with whether the SRS points and the proof are identical.
+``--check`` times nothing: it asserts the module-set facts (what an
+import must *not* load) and exits non-zero when one fails — DESIGN.md
+§13 "Cold start" records the table, CI runs the check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: bottom of the stack first; every layer only reaches down
+LAYERS = (
+    "repro", "repro.fields", "repro.curves", "repro.mle", "repro.gates",
+    "repro.sumcheck", "repro.hyperplonk", "repro.plan", "repro.hw",
+    "repro.workloads", "repro.service", "repro.sim", "repro.cluster",
+    "repro.traffic", "repro.carbon", "repro.fleet", "repro.experiments",
+)
+
+#: the functional ZKP stack, and what importing any of it must not load
+FUNCTIONAL = LAYERS[1:7]
+NOT_FOR_A_PROOF = (
+    "numpy", "repro.service", "repro.sim", "repro.cluster", "repro.traffic",
+    "repro.carbon", "repro.fleet", "repro.experiments", "repro.hw",
+)
+
+#: SRS sizes μ the table builds
+SRS_SIZES = (6, 8, 10)
+
+LOADED = """
+import json, sys
+print(json.dumps({
+    "seconds": seconds,
+    "modules": sorted(m for m in sys.modules
+                      if m == "repro" or m.startswith("repro.")),
+    "numpy": "numpy" in sys.modules,
+    **extra,
+}))
+"""
+
+IMPORT = """
+import importlib, sys, time
+started = time.perf_counter()
+importlib.import_module(sys.argv[1])
+seconds, extra = time.perf_counter() - started, {}
+""" + LOADED
+
+PARSER = """
+import importlib, sys
+main = importlib.import_module(sys.argv[1] + ".__main__")
+seconds, extra = 0.0, {"backend": main.build_parser().parse_args([]).backend}
+""" + LOADED
+
+SRS = """
+import hashlib, random, sys, time
+from repro.curves.bls12_381_g1 import generator_table
+from repro.hyperplonk import TrapdoorSRS
+mu = int(sys.argv[1])
+started = time.perf_counter()
+generator_table()
+extra = {"comb": time.perf_counter() - started}
+for name, order in (("ascending", range(mu + 1)), ("prover", range(mu, -1, -1))):
+    srs = TrapdoorSRS(mu, random.Random(mu))
+    started = time.perf_counter()
+    for arity in order:
+        srs.bases(arity)
+    extra[name] = time.perf_counter() - started
+    points = [(pt.x, pt.y, pt.inf) for a in range(mu + 1) for pt in srs.bases(a)]
+    extra[name + "_points"] = hashlib.sha256(repr(points).encode()).hexdigest()
+seconds = extra["prover"]
+""" + LOADED
+
+PROVE = """
+import hashlib, pickle, random, sys, time
+clock = time.perf_counter
+mu, extra, started = int(sys.argv[1]), {}, clock()
+from repro.fields import Fr
+from repro.hyperplonk import (JELLYFISH, HyperPlonkProver, HyperPlonkVerifier,
+                              MultilinearKZG, TrapdoorSRS, preprocess)
+extra["import"], started = clock() - started, clock()
+srs = TrapdoorSRS(mu, random.Random(0))
+for arity in range(mu, -1, -1):
+    srs.bases(arity)
+extra["srs"] = clock() - started
+from repro.service.traffic import synthesize_circuit
+kzg = MultilinearKZG(srs)
+circuit = synthesize_circuit(JELLYFISH, mu, witness_seed=1)
+started = clock()
+pidx, vidx = preprocess(circuit, kzg)
+extra["preprocess"] = clock() - started
+for name in ("first_proof", "warm_proof"):
+    started = clock()
+    proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+    extra[name] = clock() - started
+HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
+extra["proof"] = hashlib.sha256(pickle.dumps(proof)).hexdigest()
+seconds = extra["warm_proof"]
+""" + LOADED
+
+
+def fresh(snippet: str, *args, src: Path = REPO / "src") -> dict:
+    """Run ``snippet`` in a new interpreter that sees only ``src``;
+    returns the JSON object it prints last."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", snippet, *map(str, args)],
+        env=env, capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise RuntimeError(f"probe failed under {src}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def failures() -> list[str]:
+    """The module-set facts, as a list of the ones that do not hold."""
+    bad = []
+
+    def absent(what: str, report: dict, names) -> None:
+        loaded = set(report["modules"]) | ({"numpy"} if report["numpy"] else set())
+        for name in names:
+            if name in loaded:
+                bad.append(f"{what} loads {name}")
+
+    for layer in LAYERS:
+        report = fresh(IMPORT, layer)
+        absent(f"import {layer}", report,
+               NOT_FOR_A_PROOF if layer in FUNCTIONAL else ("numpy",))
+        if layer == "repro" and report["modules"] != ["repro"]:
+            bad.append(f"import repro loads {report['modules'][1:]}")
+    for cli in ("repro.service", "repro.cluster", "repro.fleet"):
+        absent(f"{cli} parser with the default backend", fresh(PARSER, cli),
+               ("numpy",))
+    absent("a fused proof", fresh(PROVE, 4), ("numpy",))
+    return bad
+
+
+def fastest(snippet: str, arg, key: str, sources: list[Path], repeats: int):
+    """Per source tree, the run with the smallest ``key`` out of
+    ``repeats``; the trees alternate so a slow stretch of the host falls
+    on all of them."""
+    best: list[dict | None] = [None] * len(sources)
+    for _ in range(repeats):
+        for i, src in enumerate(sources):
+            report = fresh(snippet, arg, src=src)
+            if best[i] is None or report[key] < best[i][key]:
+                best[i] = report
+    return best
+
+
+def table(sources: list[Path], repeats: int) -> None:
+    def seconds(reports, key):
+        return "  ".join(f"{r[key]:8.3f}" for r in reports)
+
+    other = "  against" if len(sources) > 1 else ""
+    print(f"{'import':26s}    ours{other}   repro modules   numpy")
+    for layer in LAYERS:
+        reports = fastest(IMPORT, layer, "seconds", sources, repeats)
+        counts = " / ".join(str(len(r["modules"])) for r in reports)
+        numpy = " / ".join("y" if r["numpy"] else "n" for r in reports)
+        print(f"{layer:26s}{seconds(reports, 'seconds')}   {counts:^13s}   {numpy}")
+    print(f"\n{'SRS, all arities 0..μ':26s}    ours{other}")
+    for mu in SRS_SIZES:
+        reports = fastest(SRS, mu, "prover", sources, repeats)
+        same = len({r[k] for r in reports
+                    for k in ("ascending_points", "prover_points")}) == 1
+        if mu == SRS_SIZES[0]:
+            print(f"{'generator comb':26s}{seconds(reports, 'comb')}")
+        for key in ("ascending", "prover"):
+            print(f"{f'μ={mu} {key} order':26s}{seconds(reports, key)}")
+        print(f"{'':26s}points identical: {same}")
+    print(f"\n{'Jellyfish μ=6, one process':26s}    ours{other}")
+    reports = fastest(PROVE, 6, "warm_proof", sources, repeats)
+    for key, label in (("import", "import repro.hyperplonk"),
+                       ("srs", "SRS, prover order"),
+                       ("preprocess", "preprocess"),
+                       ("first_proof", "first proof"),
+                       ("warm_proof", "warm proof")):
+        print(f"{label:26s}{seconds(reports, key)}")
+    print(f"{'':26s}proofs identical: {len({r['proof'] for r in reports}) == 1}"
+          f"; numpy loaded: {' / '.join(str(r['numpy']) for r in reports)}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="assert the module-set facts only; no timing")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another checkout to measure beside this one")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.check:
+        bad = failures()
+        print("\n".join(bad) if bad else "cold start: module sets OK")
+        return 1 if bad else 0
+    sources = [REPO / "src"]
+    if args.against is not None:
+        sources.append(args.against.resolve() / "src")
+    table(sources, args.repeats)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
