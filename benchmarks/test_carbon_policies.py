@@ -26,15 +26,19 @@ record is (re)written only when missing or ``BENCH_CARBON_EMIT=1`` is
 set (as CI does), and ``benchmarks/check_regression.py`` gates it.
 """
 
+import hashlib
 import json
 import os
 from itertools import islice
 from pathlib import Path
 
+import pytest
+
 from repro.carbon import CarbonConfig, CarbonIntensityTrace
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.service.jobs import RequestClass
 from repro.traffic import SLO_TIERS, OpenLoopTraffic, SLOTier, TenantSpec
+from repro.workloads import trace_for_downtime
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_carbon.json"
 
@@ -133,6 +137,91 @@ def run_cell(policy: str, *, threshold: float | None = None) -> dict:
             "suspends": carbon["suspends"],
             "resumes": carbon["resumes"],
         }
+
+
+def run_capped_cell(policy: str, *, jobs: int, churn: bool) -> dict:
+    """An *active* start gate end to end: ``policy`` under a power cap
+    that admits one busy node of the two (350 + 42 W against 400 W),
+    over the first ``jobs`` jobs of the shared stream — holds, cap
+    deferrals and phase-boundary parking all fire, and with ``churn``
+    nodes crash under parked and parking jobs.  Returns digests of the
+    summary and the event log plus the run's counters."""
+    config = ClusterConfig(
+        num_nodes=NODES,
+        policy="least_loaded",
+        time_model=TIME_MODEL,
+        node=NodeConfig(max_vars=6),
+        max_retries=8,
+        carbon=CarbonConfig(
+            trace=make_trace(),
+            policy=policy,
+            low_threshold_g_per_kwh=LOW_THRESHOLD,
+            power_cap_w=400.0,
+        ),
+    )
+    trace = (
+        trace_for_downtime(NODES, jobs / RATE_RPS, downtime_fraction=0.1, seed=3)
+        if churn
+        else ()
+    )
+    with ProvingCluster(config) as cluster:
+        cluster.run_scenario(make_jobs()[:jobs], churn=trace)
+        summary = cluster.summary()
+        carbon = summary["carbon"]
+        return {
+            "summary": sha256(json.dumps(summary, sort_keys=True)),
+            "events": sha256(cluster.events.to_jsonl()),
+            "resilience": {
+                key: cluster.resilience[key]
+                for key in ("crashes", "retries", "requeues", "failed_jobs")
+            },
+            "gate": {
+                key: carbon[key]
+                for key in (
+                    "held_starts", "cap_deferrals", "cap_breaches",
+                    "suspends", "resumes",
+                )
+            },
+        }
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: what the parent commit of PR 21 (carbon / power-cap scheduling still
+#: inside ``ClusterEngine``) produced for :func:`run_capped_cell`
+CAPPED_GOLDEN = {
+    ("carbon_waiting", 400, False): {
+        "summary": "cda31d124bf048da2a2d4945ef3b81cf5a216fe8a17dcd899b50209ee6f3bea1",
+        "events": "99a0166062fc62593587fa1111fcf10eeeb935522736420b647e40ba2eac843a",
+        "resilience": {"crashes": 0, "retries": 0, "requeues": 0, "failed_jobs": 0},
+        "gate": {
+            "held_starts": 107, "cap_deferrals": 19, "cap_breaches": 0,
+            "suspends": 5, "resumes": 5,
+        },
+    },
+    ("edd", 300, True): {
+        "summary": "c619a37ee657bbdc586ba5cbf22fd678c3450c835968f58ec929b6ace2caebc1",
+        "events": "3d8a4ab9fca3c83e78edb2fffd0165fae04fb2b49196b01ea2985527f0a82171",
+        "resilience": {"crashes": 15, "retries": 4, "requeues": 1, "failed_jobs": 0},
+        "gate": {
+            "held_starts": 0, "cap_deferrals": 61, "cap_breaches": 0,
+            "suspends": 12, "resumes": 11,
+        },
+    },
+}
+
+
+class TestActiveGateGolden:
+    """Moving the carbon / power-cap state machine out of the engine
+    must not move a decision: same summary, same counters, same log."""
+
+    @pytest.mark.parametrize("policy, jobs, churn", sorted(CAPPED_GOLDEN))
+    def test_capped_cell_reproduces_the_recorded_digests(self, policy, jobs, churn):
+        cell = run_capped_cell(policy, jobs=jobs, churn=churn)
+        assert cell == CAPPED_GOLDEN[policy, jobs, churn]
+        assert cell["gate"]["suspends"] > 0 and cell["gate"]["cap_deferrals"] > 0
 
 
 class TestCarbonPolicies:

@@ -10,21 +10,27 @@ and a fleet power cap parks it at :class:`ProofPlan` phase boundaries —
 while *realtime* work is never delayed for carbon, only (transiently)
 for the cap, and preempts deferrable work to get under it.
 
-The runtime never advances time and never touches the event heap; the
-engine asks three kinds of question —
+The runtime plugs into the engine's two extension points
+(:mod:`repro.cluster.engine`, "Start gate") and answers three kinds of
+question —
 
+* **pricing** (:meth:`account_segment`, :meth:`as_dict`): how many
+  joules and grams did each busy segment burn against the trace —
+  installed as the engine's busy-segment observer by every runtime;
 * **ordering** (:meth:`select_job`): which queued job should this idle
   node start, and should the start be held until a cleaner window;
 * **capping** (:meth:`cap_allows`, :meth:`next_boundary`): may another
   node go busy under the fleet power cap, and where is the next
-  checkpointable phase boundary of a running deferrable job;
-* **pricing** (:meth:`account_segment`, :meth:`as_dict`): how many
-  joules and grams did each busy segment burn against the trace.
+  checkpointable phase boundary of a running deferrable job.
 
-With ``policy="none"`` and no cap the runtime is :attr:`passive`:
-the engine skips every scheduling hook and only the pricing runs, which
-is what makes the capless-parity test (bit-identical records and event
-log vs. a carbon-free run) hold by construction.
+Ordering and capping make the runtime the engine's *start gate*
+(:meth:`arm`, :meth:`node_down`, :meth:`capacity_changed`), and only a
+runtime with a policy or a cap installs itself as one.  With
+``policy="none"`` and no cap the runtime is :attr:`passive`: it
+installs the pricing observer and nothing else, so no scheduling
+decision can reach it — the capless-parity test (bit-identical records
+and event log vs. a carbon-free run) holds because there is no code
+path, not because a branch is skipped.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.carbon.power import NodePowerModel, node_watts
 from repro.carbon.trace import JOULES_PER_KWH, CarbonIntensityTrace
+from repro.cluster.engine import PRIO_START
 from repro.plan.cost import plan_modmuls
 from repro.plan.proof_plan import hyperplonk_plan
 from repro.service.jobs import ProofJob, RequestClass
@@ -82,6 +89,17 @@ class CarbonConfig:
         if self.max_wait_s is not None and self.max_wait_s <= 0:
             raise ValueError(f"max_wait_s must be > 0; got {self.max_wait_s}")
 
+    def attach(self, engine) -> "CarbonRuntime":
+        """Build this run's runtime and plug it into ``engine``.
+
+        What :class:`~repro.cluster.engine.ClusterEngine` calls on its
+        ``config.carbon`` — the cluster layer never names a carbon
+        class.
+        """
+        runtime = CarbonRuntime(self, engine.cluster.time_model)
+        runtime.install(engine)
+        return runtime
+
 
 class CarbonRuntime:
     """Per-run carbon state; see the module docstring for the contract."""
@@ -111,8 +129,8 @@ class CarbonRuntime:
                 f"power_cap_w={self.power_cap_w} is below one busy node "
                 f"({self.power.busy_w:.1f} W); the fleet could never prove"
             )
-        #: node ids currently drawing busy (prove/install) power
-        self._active: set[str] = set()
+        #: ids of the jobs whose nodes draw busy (prove/install) power
+        self._active: set[int] = set()
         #: per-shape cumulative prove-progress fractions at phase edges
         self._fractions: dict[tuple[str, int], tuple[float, ...]] = {}
         # gross accounting (lost segments included) + the lost slice
@@ -120,62 +138,277 @@ class CarbonRuntime:
         self.carbon_g = 0.0
         self.energy_lost_j = 0.0
         self.carbon_lost_g = 0.0
-        # policy counters, bumped by the engine at the emitting site
+        # policy counters, bumped at the emitting site
         self.suspends = 0
         self.resumes = 0
         self.held_starts = 0
         self.cap_deferrals = 0
         self.cap_breaches = 0
+        #: the engine this runtime gates (None until :meth:`install`)
+        self._engine = None
+        #: the one parking maneuver in flight, if any:
+        #: ``(event handle, victim node id, job id, beneficiary node id)``
+        self._parking: tuple | None = None
+        # per-node dedup keys so scheduler_choice / power_cap events
+        # record decisions, not every re-arm of an unchanged one
+        self._last_choice: dict[str, tuple] = {}
+        self._last_cap_note: dict[str, tuple] = {}
 
     @property
     def passive(self) -> bool:
         """True when only pricing runs — no policy, no cap.
 
-        The engine skips every scheduling hook for a passive runtime,
-        which is what the capless-parity test relies on.
+        A passive runtime never becomes the engine's start gate
+        (:meth:`install`), which is what the capless-parity test pins.
         """
         return self.policy == "none" and self.power_cap_w is None
 
-    # -- busy-set tracking (the cap's view of the fleet) ----------------------
-    def on_busy(self, node_id: str) -> None:
-        """Record that ``node_id`` started drawing busy power."""
-        self._active.add(node_id)
+    def install(self, engine) -> None:
+        """Plug into ``engine``: pricing always, the start gate if active."""
+        self._engine = engine
+        if self.passive:
+            engine.on_segment_end = self.account_segment
+        else:
+            engine.on_segment_end = self._segment_ended
+            engine.gate = self
 
-    def on_idle(self, node_id: str) -> None:
-        """Record that ``node_id`` stopped drawing busy power."""
-        self._active.discard(node_id)
+    # -- the start gate (engine hooks; never reached when passive) -----------
+    def arm(self, node) -> None:
+        """Carbon-aware (re)arm of one idle node.
 
-    def draw_w(self, up_nodes: int) -> float:
-        """Current fleet draw: busy rails plus idle draw of the rest."""
-        busy = len(self._active)
+        Parked work resumes first (its banked phases are hostage to
+        this node), then the policy picks among queued jobs, the
+        carbon-waiting hold is applied, and finally the power cap gets
+        a veto — which for a blocked *realtime* job also requests a
+        deferrable suspension somewhere in the fleet.
+        """
+        engine = self._engine
+        now = engine.sim.now
+        suspended = node.suspended_ids
+        if suspended:
+            if self.cap_allows():
+                self._resume(node, suspended[0])
+            # else: stay parked; the next finish/suspend re-arms us
+            return
+        job, hold = self.select_job(
+            node, now_s=now, respect_arrivals=engine.respect
+        )
+        if job is None:
+            return
+        ready = max(node.clock_s, job.arrival_s if engine.respect else 0.0)
+        if hold is not None and hold > now:
+            if self._note_choice(
+                node, job, "hold", round(hold, 9), until_s=round(hold, 6)
+            ):
+                self.held_starts += 1
+            engine.start_at(node, max(hold, ready))
+        elif ready > now:
+            engine.start_at(node, ready)
+        elif self.cap_allows():
+            self._start(node, job)
+        else:
+            self._power_block(node, job)
+
+    def node_down(self, node) -> None:
+        """A parking maneuver touching a crashing node is moot either way."""
+        if self._parking is not None:
+            handle, victim_id, _, beneficiary_id = self._parking
+            if node.node_id in (victim_id, beneficiary_id):
+                handle.cancel()
+                self._parking = None
+
+    def capacity_changed(self) -> None:
+        """Re-arm idle nodes after cap headroom may have changed.
+
+        Two passes in node order — nodes whose next start is realtime
+        first, then the rest — so freed watts always go to the
+        latency-sensitive class before deferrable work re-fills them.
+        """
+        if self.power_cap_w is None:
+            return
+        engine = self._engine
+        nodes = engine.cluster.nodes
+        for realtime_first in (True, False):
+            for node_id in sorted(nodes):
+                node = nodes[node_id]
+                if node.down or node.in_flight is not None:
+                    continue
+                head = node.peek_next(respect_arrivals=engine.respect)
+                if head is None and not node.suspended_ids:
+                    continue
+                is_realtime = (
+                    head is not None
+                    and head.request_class is RequestClass.REALTIME
+                )
+                if is_realtime == realtime_first:
+                    engine.kick(node)
+
+    def _segment_ended(self, flight, end_s: float, lost: bool) -> None:
+        """The active runtime's busy-segment observer: price, then free
+        the node's busy watts."""
+        self.account_segment(flight, end_s, lost)
+        self._active.discard(flight.job.job_id)
+
+    def _start(self, node, job: ProofJob) -> None:
+        """Start ``job`` on ``node``, recording a queue-reordering pick
+        (edd / skip-ahead) if one happened — starting the queue head is
+        not a decision."""
+        head = node.peek_next(respect_arrivals=self._engine.respect)
+        if head is not None and head.job_id != job.job_id:
+            self._note_choice(node, job, "skip_ahead")
+        self._active.add(job.job_id)
+        self._engine.begin(node, job)
+
+    def _note_choice(self, node, job: ProofJob, action: str, *key, **detail) -> bool:
+        """Emit one ``scheduler_choice`` unless it repeats the node's last."""
+        key = (job.job_id, action, *key)
+        if self._last_choice.get(node.node_id) == key:
+            return False
+        self._last_choice[node.node_id] = key
+        self._engine.events.emit(
+            "scheduler_choice",
+            job_id=job.job_id,
+            node_id=node.node_id,
+            attempt=job.attempt,
+            action=action,
+            policy=self.policy,
+            **detail,
+        )
+        return True
+
+    def _note_cap(self, node, job: ProofJob, reason: str) -> None:
+        self._engine.events.emit(
+            "power_cap",
+            job_id=job.job_id,
+            node_id=node.node_id,
+            attempt=job.attempt,
+            reason=reason,
+            draw_w=round(self.draw_w(), 6),
+        )
+
+    def _power_block(self, node, job: ProofJob) -> None:
+        """Handle a start the fleet power cap vetoed.
+
+        Liveness floor: with nothing busy and no parking in flight the
+        start proceeds anyway (and is counted as a breach) — a cap that
+        can never admit one busy node must not deadlock the fleet.  A
+        blocked *realtime* job additionally requests that a running
+        deferrable job park at its next phase boundary.
+        """
+        if not self._active and self._parking is None:
+            self.cap_breaches += 1
+            self._note_cap(node, job, "floor")
+            self._start(node, job)
+            return
+        key = (job.job_id, "defer")
+        if self._last_cap_note.get(node.node_id) != key:
+            self._last_cap_note[node.node_id] = key
+            self.cap_deferrals += 1
+            self._note_cap(node, job, "defer")
+        if job.request_class is RequestClass.REALTIME:
+            self._request_suspension(node.node_id)
+
+    def _request_suspension(self, beneficiary_id: str) -> None:
+        """Park the deferrable flight with the earliest phase boundary.
+
+        At most one parking maneuver is in flight at a time (the next
+        blocked start re-requests after it lands), which keeps the
+        victim choice a pure function of fleet state — the determinism
+        argument for cap-driven preemption.
+        """
+        if self._parking is not None:
+            return
+        engine = self._engine
+        now = engine.sim.now
+        candidates: list[tuple[float, str, int]] = []
+        for node_id in sorted(engine.cluster.nodes):
+            node = engine.cluster.nodes[node_id]
+            flight = node.in_flight
+            if node.down or flight is None:
+                continue
+            if flight.job.request_class is not RequestClass.DEFERRABLE:
+                continue
+            boundary = self.next_boundary(flight, now)
+            if boundary is not None:
+                candidates.append((boundary, node_id, flight.job.job_id))
+        if not candidates:
+            return
+        boundary, victim_id, job_id = min(candidates)
+        handle = engine.sim.schedule(
+            max(boundary, now), self._park, priority=PRIO_START
+        )
+        self._parking = (handle, victim_id, job_id, beneficiary_id)
+
+    def _park(self) -> None:
+        """Fire the scheduled park at the victim's phase boundary."""
+        engine = self._engine
+        _, victim_id, expected_job, beneficiary_id = self._parking
+        self._parking = None
+        node = engine.cluster.nodes.get(victim_id)
+        flight = node.in_flight if node is not None else None
+        if (
+            node is None
+            or node.down
+            or flight is None
+            or flight.job.job_id != expected_job
+        ):
+            # the victim finished, crashed, or swapped jobs meanwhile
+            self.capacity_changed()
+            return
+        now = engine.sim.now
+        engine.cancel_finish(node)
+        self._segment_ended(flight, now, False)
+        node.suspend(now)
+        self.suspends += 1
+        total = flight.install_s + flight.prove_s
+        engine.events.emit(
+            "job_suspend",
+            job_id=flight.job.job_id,
+            node_id=victim_id,
+            attempt=flight.job.attempt,
+            done_s=round(flight.done_before_s, 6),
+            remaining_s=round(total - flight.done_before_s, 6),
+        )
+        # the beneficiary the headroom was freed for starts first, so a
+        # resumed deferrable can never steal it back at this timestamp
+        beneficiary = engine.cluster.nodes.get(beneficiary_id)
+        if beneficiary is not None:
+            engine.kick(beneficiary)
+        self.capacity_changed()
+
+    def _resume(self, node, job_id: int) -> None:
+        """Unpark a suspended job on its node and re-arm its finish."""
+        engine = self._engine
+        flight = node.resume(job_id, engine.sim.now)
+        self._active.add(job_id)
+        self.resumes += 1
+        engine.events.emit(
+            "job_resume",
+            job_id=job_id,
+            node_id=node.node_id,
+            attempt=flight.job.attempt,
+            remaining_s=round(flight.finish_s - flight.start_s, 6),
+        )
+        engine.finish_at(node, flight)
+
+    # -- the cap's view of the fleet -------------------------------------------
+    def draw_w(self, busy: int | None = None) -> float:
+        """Fleet draw with ``busy`` nodes proving (default: right now):
+        busy rails plus idle draw of the rest of the up nodes."""
+        if busy is None:
+            busy = len(self._active)
+        up_nodes = self._engine.cluster.router.up_count()
         return self.power.busy_w * busy + self.power.idle_w * max(
             0, up_nodes - busy
         )
 
-    def cap_allows(self, up_nodes: int) -> bool:
+    def cap_allows(self) -> bool:
         """Whether one more node may go busy under the cap."""
         if self.power_cap_w is None:
             return True
-        busy = len(self._active) + 1
-        draw = self.power.busy_w * busy + self.power.idle_w * max(
-            0, up_nodes - busy
-        )
-        return draw <= self.power_cap_w + _EPS
-
-    @property
-    def active_nodes(self) -> int:
-        """How many nodes currently draw busy power."""
-        return len(self._active)
+        return self.draw_w(len(self._active) + 1) <= self.power_cap_w + _EPS
 
     # -- ordering policies ----------------------------------------------------
-    def _ready_s(
-        self, node, job: ProofJob, now_s: float, respect_arrivals: bool
-    ) -> float:
-        """Mirror of the engine's earliest-start rule for ``job``."""
-        arrival = job.arrival_s if respect_arrivals else 0.0
-        base = now_s if respect_arrivals else 0.0
-        return max(node.clock_s, arrival, base)
-
     def hold_until(self, job: ProofJob, t0: float) -> float | None:
         """Carbon-waiting hold for ``job`` ready at ``t0`` (None = start).
 
@@ -191,8 +424,7 @@ class CarbonRuntime:
         if self.trace.intensity_at(t0) <= self.threshold_g_per_kwh:
             return None
         if job.deadline_s is not None:
-            cold_s = self._cold_cost_s(job)
-            latest = job.deadline_s - cold_s
+            latest = job.deadline_s - self._time_model.cold_s(job)
             if latest <= t0:
                 return None
         else:
@@ -203,10 +435,6 @@ class CarbonRuntime:
         if start is None or start <= t0 + _EPS:
             return None
         return start
-
-    def _cold_cost_s(self, job: ProofJob) -> float:
-        """Worst-case (cache-miss) busy seconds for ``job``."""
-        return self._time_model.install_s(job) + self._time_model.prove_s(job)
 
     def select_job(
         self, node, *, now_s: float, respect_arrivals: bool
@@ -240,9 +468,9 @@ class CarbonRuntime:
                     return job, None
             best: tuple[float, int, ProofJob] | None = None
             for job in jobs:
-                t0 = max(
-                    self._ready_s(node, job, now_s, respect_arrivals), now_s
-                )
+                # the engine's earliest-start rule, never before now
+                arrival = job.arrival_s if respect_arrivals else 0.0
+                t0 = max(node.clock_s, arrival, now_s)
                 hold = self.hold_until(job, t0)
                 if hold is None:
                     return job, None
@@ -302,7 +530,7 @@ class CarbonRuntime:
         return None
 
     # -- pricing --------------------------------------------------------------
-    def account_segment(self, flight, end_s: float, *, lost: bool = False) -> None:
+    def account_segment(self, flight, end_s: float, lost: bool = False) -> None:
         """Price one contiguous busy segment ``[flight.start_s, end_s]``.
 
         The segment's overlap with the job's install window (progress

@@ -44,6 +44,12 @@ JOULES_PER_KWH = 3.6e6
 #: forward-scan bound for :meth:`CarbonIntensityTrace.next_low_start`
 _MAX_SCAN_WINDOWS = 1_000_000
 
+#: what a window's intensity is a function of; fixed at construction
+_SIGNAL_PARAMETERS = frozenset(
+    ("base_g_per_kwh", "amplitude", "period_s", "noise", "step_s", "seed",
+     "grid_events", "_event_times")
+)
+
 
 class CarbonIntensityTrace(EventSource):
     """A seeded diurnal + noisy + event-stepped carbon-intensity signal.
@@ -97,6 +103,17 @@ class CarbonIntensityTrace(EventSource):
         self.grid_events = tuple(events)
         self._event_times = [at_s for at_s, _ in events]
         self.horizon_s = horizon_s
+        #: window index -> intensity; sound because a window's value is a
+        #: pure function of the (read-only) parameters above
+        self._intensity: dict[int, float] = {}
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _SIGNAL_PARAMETERS and name in self.__dict__:
+            raise AttributeError(
+                f"{name} is read-only: window intensities are memoised; "
+                "build a new trace instead"
+            )
+        super().__setattr__(name, value)
 
     # -- point queries -------------------------------------------------------
     def _noise_factor(self, window: int) -> float:
@@ -122,19 +139,24 @@ class CarbonIntensityTrace(EventSource):
         Constant within each ``step_s`` window (the sinusoid and the
         event step are sampled at the window midpoint), so any two
         queries inside one window agree — what makes scheduler
-        decisions and energy integrals consistent.
+        decisions and energy integrals consistent.  Computed once per
+        window: a run prices thousands of segments over a few dozen
+        windows, and the value is the same in any query order.
         """
         window = int(max(at_s, 0.0) // self.step_s)
-        mid = (window + 0.5) * self.step_s
-        diurnal = 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * mid / self.period_s
-        )
-        return (
-            self.base_g_per_kwh
-            * diurnal
-            * self._noise_factor(window)
-            * self._event_multiplier(mid)
-        )
+        intensity = self._intensity.get(window)
+        if intensity is None:
+            mid = (window + 0.5) * self.step_s
+            diurnal = 1.0 + self.amplitude * math.sin(
+                2.0 * math.pi * mid / self.period_s
+            )
+            intensity = self._intensity[window] = (
+                self.base_g_per_kwh
+                * diurnal
+                * self._noise_factor(window)
+                * self._event_multiplier(mid)
+            )
+        return intensity
 
     # -- integration ---------------------------------------------------------
     def integral_g_s_per_kwh(self, start_s: float, end_s: float) -> float:

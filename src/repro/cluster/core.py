@@ -25,18 +25,21 @@ the changed node, so warm caches elsewhere survive rebalancing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.carbon.runtime import CarbonConfig, CarbonRuntime
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.metrics import cluster_summary
 from repro.cluster.nodes import JobRecord, NodeConfig, ProverNode
 from repro.cluster.routing import DEFAULT_REPLICAS, ClusterRouter
 from repro.cluster.timemodel import FleetTimeModel
-from repro.fleet.events import EventLog
 from repro.service.jobs import ProofJob, ProofResult
+from repro.sim.events import EventLog
 from repro.workloads.churn import ChurnEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: the carbon layer
+    # sits above this one and plugs itself in (CarbonConfig.attach)
+    from repro.carbon.runtime import CarbonConfig, CarbonRuntime
 
 
 @dataclass
@@ -62,8 +65,9 @@ class ClusterConfig:
     max_retries: int = 2
     #: plan-cost-driven fleet sizing for scenario runs (None = fixed)
     autoscale: AutoscalePolicy | None = None
-    #: carbon/power accounting and policies (None = carbon-free run);
-    #: see :mod:`repro.carbon`
+    #: carbon/power accounting and policies (None = carbon-free run): a
+    #: :class:`repro.carbon.CarbonConfig`, which attaches its own
+    #: runtime to each run's engine — this layer imports none of it
     carbon: "CarbonConfig | None" = None
 
 

@@ -26,6 +26,24 @@ bytes).  Queued-but-unstarted jobs requeue without a retry penalty
 (queue state is coordinator-side).  Jobs that exhaust ``max_retries``
 or strand with the whole fleet down are *failed* and count as deadline
 misses.
+
+Start gate.  By default an idle node starts the head of its queue as
+soon as the head is ready.  A layer above may decide *which* job starts
+and *when* by installing ``engine.gate``; the engine knows nothing of
+what the gate optimises and consults it at three points only:
+
+* ``gate.arm(node)`` — ``node`` is up and idle with no start armed:
+  :meth:`~ClusterEngine.begin` a job, look again later
+  (:meth:`~ClusterEngine.start_at`), or leave the node waiting;
+* ``gate.node_down(node)`` — ``node`` is crashing, work not yet requeued;
+* ``gate.capacity_changed()`` — a flight finished or a node went down:
+  waiting nodes may be worth a :meth:`~ClusterEngine.kick`.
+
+``engine.on_segment_end(flight, end_s, lost)`` is the one observer: a
+busy segment of ``flight`` ended at ``end_s``, finished or ``lost`` to a
+crash.  A run with only the observer installed schedules exactly as a
+run with nothing installed.  :mod:`repro.carbon.runtime` is the one
+customer of both (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -33,13 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.carbon.runtime import CarbonRuntime
-from repro.cluster.nodes import JobRecord, ProverNode
+from repro.cluster.nodes import InFlightJob, JobRecord, ProverNode
 from repro.cluster.records import RetryPolicy
 from repro.cluster.routing import NoRoutableNodeError
-from repro.fleet.events import EventLog
-from repro.service.jobs import ProofJob, RequestClass
-from repro.sim import EventHandle, Simulator, TraceSource, install
+from repro.service.jobs import ProofJob
+from repro.sim import EventHandle, EventLog, Simulator, TraceSource, install
 from repro.workloads.churn import ChurnEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -123,70 +139,71 @@ class ClusterEngine:
         #: shared crash-retry contract (same object family the fleet uses)
         self.retry_policy = RetryPolicy(cluster.config.max_retries)
         #: structured JSONL event log on the model clock (shared schema
-        #: with the real fleet — see :mod:`repro.fleet.events`)
+        #: with the real fleet — see :mod:`repro.sim.events`)
         self.events = EventLog(clock=lambda: self.sim.now)
-        #: carbon/power state machine (None = carbon-free run); with a
-        #: passive runtime only pricing runs and every scheduling path
-        #: below stays byte-identical to a carbon-free run
-        carbon_config = getattr(cluster.config, "carbon", None)
-        self.carbon: CarbonRuntime | None = (
-            CarbonRuntime(carbon_config, cluster.time_model)
-            if carbon_config is not None
-            else None
-        )
-        # one parking maneuver at a time keeps suspension deterministic
-        self._suspend_handle: EventHandle | None = None
-        self._suspend_victim: str | None = None
-        self._suspend_job: int | None = None
-        self._suspend_for: str | None = None
-        # per-node dedup keys so scheduler_choice / power_cap events
-        # record decisions, not every re-kick of an unchanged one
-        self._last_choice: dict[str, tuple] = {}
-        self._last_cap_note: dict[str, tuple] = {}
+        #: the start gate and the busy-segment observer (module
+        #: docstring); both None unless ``config.carbon`` installs them
+        self.gate = None
+        self.on_segment_end = None
+        #: what ``config.carbon`` attached to this run (None = nothing);
+        #: it reports through :meth:`ProvingCluster.summary`
+        carbon = cluster.config.carbon
+        self.carbon = carbon.attach(self) if carbon is not None else None
 
     # -- node work loop ------------------------------------------------------
-    def _kick(self, node: ProverNode) -> None:
+    def kick(self, node: ProverNode) -> None:
         """(Re)arm ``node``: start its next job now or at its ready time."""
         if node.down or node.in_flight is not None:
             return
         handle = self._start_handles.pop(node.node_id, None)
         if handle is not None:
             handle.cancel()
-        if self.carbon is not None and not self.carbon.passive:
-            self._kick_carbon(node)
+        if self.gate is not None:
+            self.gate.arm(node)
             return
         job = node.peek_next(respect_arrivals=self.respect)
         if job is None:
             return
-        arrival = job.arrival_s if self.respect else 0.0
-        ready = max(node.clock_s, arrival)
+        ready = max(node.clock_s, job.arrival_s if self.respect else 0.0)
         if ready <= self.sim.now:
-            self._begin(node)
+            self.begin(node, job)
         else:
-            self._start_handles[node.node_id] = self.sim.schedule(
-                ready, lambda: self._start_event(node), priority=PRIO_START
-            )
+            self.start_at(node, ready)
+
+    def start_at(self, node: ProverNode, at_s: float) -> None:
+        """Arm ``node`` to look for work again at model time ``at_s``."""
+        self._start_handles[node.node_id] = self.sim.schedule(
+            at_s, lambda: self._start_event(node), priority=PRIO_START
+        )
 
     def _start_event(self, node: ProverNode) -> None:
         self._start_handles.pop(node.node_id, None)
         if node.down or node.in_flight is not None:
             return
-        if self.carbon is not None and not self.carbon.passive:
-            self._kick_carbon(node)
+        if self.gate is not None:
+            self.gate.arm(node)
         else:
-            self._begin(node)
+            self.begin(node, node.peek_next(respect_arrivals=self.respect))
 
-    def _begin(self, node: ProverNode, job: ProofJob | None = None) -> None:
-        if job is None:
-            job = node.peek_next(respect_arrivals=self.respect)
+    def begin(self, node: ProverNode, job: ProofJob | None) -> None:
+        """Start ``job`` (any queued job of ``node``) now."""
         if job is None:
             return
-        flight = node.begin(job, self.sim.now, respect_arrivals=self.respect)
-        if self.carbon is not None:
-            self.carbon.on_busy(node.node_id)
+        self.finish_at(
+            node, node.begin(job, self.sim.now, respect_arrivals=self.respect)
+        )
+
+    def finish_at(self, node: ProverNode, flight: InFlightJob) -> None:
+        """Arm the finish event of the segment ``flight`` just started."""
         self._finish_handles[node.node_id] = self.sim.schedule(
             flight.finish_s, lambda: self._finish(node), priority=PRIO_FINISH
         )
+
+    def cancel_finish(self, node: ProverNode) -> None:
+        """Void ``node``'s armed finish event (its segment ends early)."""
+        handle = self._finish_handles.pop(node.node_id, None)
+        if handle is not None:
+            handle.cancel()
 
     def _finish(self, node: ProverNode) -> None:
         self._finish_handles.pop(node.node_id, None)
@@ -201,254 +218,16 @@ class ClusterEngine:
             attempt=record.attempt,
             cache_hit=record.cache_hit,
         )
-        if self.carbon is not None:
-            self.carbon.account_segment(flight, record.finish_s)
-            self.carbon.on_idle(node.node_id)
+        if self.on_segment_end is not None:
+            self.on_segment_end(flight, record.finish_s, False)
         if self._scenario:
             self.cluster.router.release(
                 node.node_id, self.cluster.router.job_cost_s(job)
             )
             self._check_done()
-        self._kick(node)
-        self._rekick_power_waiters()
-
-    # -- carbon/power scheduling gate ----------------------------------------
-    def _kick_carbon(self, node: ProverNode) -> None:
-        """Carbon-aware (re)arm of one idle node.
-
-        Parked work resumes first (its banked phases are hostage to
-        this node), then the policy picks among queued jobs, the
-        carbon-waiting hold is applied, and finally the power cap gets
-        a veto — which for a blocked *realtime* job also requests a
-        deferrable suspension somewhere in the fleet.
-        """
-        carbon = self.carbon
-        suspended = node.suspended_ids
-        if suspended:
-            if carbon.cap_allows(len(self.cluster.router.up_node_ids)):
-                self._resume(node, suspended[0])
-            # else: stay parked; the next finish/suspend re-kicks us
-            return
-        job, hold = carbon.select_job(
-            node, now_s=self.sim.now, respect_arrivals=self.respect
-        )
-        if job is None:
-            return
-        arrival = job.arrival_s if self.respect else 0.0
-        ready = max(node.clock_s, arrival)
-        if hold is not None and hold > self.sim.now:
-            self._note_hold(node, job, hold)
-            self._start_handles[node.node_id] = self.sim.schedule(
-                max(hold, ready),
-                lambda: self._start_event(node),
-                priority=PRIO_START,
-            )
-            return
-        if ready > self.sim.now:
-            self._start_handles[node.node_id] = self.sim.schedule(
-                ready, lambda: self._start_event(node), priority=PRIO_START
-            )
-            return
-        if not carbon.cap_allows(len(self.cluster.router.up_node_ids)):
-            self._power_block(node, job)
-            return
-        self._note_choice(node, job)
-        self._begin(node, job)
-
-    def _note_hold(self, node: ProverNode, job: ProofJob, hold: float) -> None:
-        """Record one carbon-waiting hold decision (deduplicated)."""
-        key = (job.job_id, "hold", round(hold, 9))
-        if self._last_choice.get(node.node_id) == key:
-            return
-        self._last_choice[node.node_id] = key
-        self.carbon.held_starts += 1
-        self.events.emit(
-            "scheduler_choice",
-            job_id=job.job_id,
-            node_id=node.node_id,
-            attempt=job.attempt,
-            action="hold",
-            until_s=round(hold, 6),
-            policy=self.carbon.policy,
-        )
-
-    def _note_choice(self, node: ProverNode, job: ProofJob) -> None:
-        """Record a queue-reordering pick (edd / skip-ahead) if one
-        happened — starting the queue head is not a decision."""
-        head = node.peek_next(respect_arrivals=self.respect)
-        if head is None or head.job_id == job.job_id:
-            return
-        key = (job.job_id, "skip_ahead")
-        if self._last_choice.get(node.node_id) == key:
-            return
-        self._last_choice[node.node_id] = key
-        self.events.emit(
-            "scheduler_choice",
-            job_id=job.job_id,
-            node_id=node.node_id,
-            attempt=job.attempt,
-            action="skip_ahead",
-            policy=self.carbon.policy,
-        )
-
-    def _power_block(self, node: ProverNode, job: ProofJob) -> None:
-        """Handle a start the fleet power cap vetoed.
-
-        Liveness floor: with nothing busy and no parking in flight the
-        start proceeds anyway (and is counted as a breach) — a cap that
-        can never admit one busy node must not deadlock the fleet.  A
-        blocked *realtime* job additionally requests that a running
-        deferrable job park at its next phase boundary.
-        """
-        carbon = self.carbon
-        up_nodes = len(self.cluster.router.up_node_ids)
-        if carbon.active_nodes == 0 and self._suspend_handle is None:
-            carbon.cap_breaches += 1
-            self.events.emit(
-                "power_cap",
-                job_id=job.job_id,
-                node_id=node.node_id,
-                attempt=job.attempt,
-                reason="floor",
-                draw_w=round(carbon.draw_w(up_nodes), 6),
-            )
-            self._note_choice(node, job)
-            self._begin(node, job)
-            return
-        key = (job.job_id, "defer")
-        if self._last_cap_note.get(node.node_id) != key:
-            self._last_cap_note[node.node_id] = key
-            carbon.cap_deferrals += 1
-            self.events.emit(
-                "power_cap",
-                job_id=job.job_id,
-                node_id=node.node_id,
-                attempt=job.attempt,
-                reason="defer",
-                draw_w=round(carbon.draw_w(up_nodes), 6),
-            )
-        if job.request_class is RequestClass.REALTIME:
-            self._request_suspension(node.node_id)
-
-    def _request_suspension(self, beneficiary_id: str) -> None:
-        """Park the deferrable flight with the earliest phase boundary.
-
-        At most one parking maneuver is in flight at a time (the next
-        blocked start re-requests after it lands), which keeps the
-        victim choice a pure function of fleet state — the determinism
-        argument for cap-driven preemption.
-        """
-        if self._suspend_handle is not None:
-            return
-        candidates: list[tuple[float, str, int]] = []
-        for node_id in sorted(self.cluster.nodes):
-            node = self.cluster.nodes[node_id]
-            flight = node.in_flight
-            if node.down or flight is None:
-                continue
-            if flight.job.request_class is not RequestClass.DEFERRABLE:
-                continue
-            boundary = self.carbon.next_boundary(flight, self.sim.now)
-            if boundary is not None:
-                candidates.append((boundary, node_id, flight.job.job_id))
-        if not candidates:
-            return
-        boundary, victim_id, job_id = min(candidates)
-        self._suspend_victim = victim_id
-        self._suspend_job = job_id
-        self._suspend_for = beneficiary_id
-        self._suspend_handle = self.sim.schedule(
-            max(boundary, self.sim.now),
-            lambda: self._suspend_event(victim_id),
-            priority=PRIO_START,
-        )
-
-    def _suspend_event(self, victim_id: str) -> None:
-        """Fire a scheduled park at the victim's phase boundary."""
-        self._suspend_handle = None
-        beneficiary_id = self._suspend_for
-        expected_job = self._suspend_job
-        self._suspend_victim = None
-        self._suspend_job = None
-        self._suspend_for = None
-        node = self.cluster.nodes.get(victim_id)
-        flight = node.in_flight if node is not None else None
-        if (
-            node is None
-            or node.down
-            or flight is None
-            or flight.job.job_id != expected_job
-        ):
-            # the victim finished, crashed, or swapped jobs meanwhile
-            self._rekick_power_waiters()
-            return
-        handle = self._finish_handles.pop(victim_id, None)
-        if handle is not None:
-            handle.cancel()
-        self.carbon.account_segment(flight, self.sim.now)
-        node.suspend(self.sim.now)
-        self.carbon.on_idle(victim_id)
-        self.carbon.suspends += 1
-        total = flight.install_s + flight.prove_s
-        self.events.emit(
-            "job_suspend",
-            job_id=flight.job.job_id,
-            node_id=victim_id,
-            attempt=flight.job.attempt,
-            done_s=round(flight.done_before_s, 6),
-            remaining_s=round(total - flight.done_before_s, 6),
-        )
-        # the beneficiary the headroom was freed for starts first, so a
-        # resumed deferrable can never steal it back at this timestamp
-        beneficiary = (
-            self.cluster.nodes.get(beneficiary_id)
-            if beneficiary_id is not None
-            else None
-        )
-        if beneficiary is not None:
-            self._kick(beneficiary)
-        self._rekick_power_waiters()
-
-    def _resume(self, node: ProverNode, job_id: int) -> None:
-        """Unpark a suspended job on its node and re-arm its finish."""
-        flight = node.resume(job_id, self.sim.now)
-        self.carbon.on_busy(node.node_id)
-        self.carbon.resumes += 1
-        self.events.emit(
-            "job_resume",
-            job_id=job_id,
-            node_id=node.node_id,
-            attempt=flight.job.attempt,
-            remaining_s=round(flight.finish_s - flight.start_s, 6),
-        )
-        self._finish_handles[node.node_id] = self.sim.schedule(
-            flight.finish_s, lambda: self._finish(node), priority=PRIO_FINISH
-        )
-
-    def _rekick_power_waiters(self) -> None:
-        """Re-arm idle nodes after cap headroom may have changed.
-
-        Two passes in node order — nodes whose next start is realtime
-        first, then the rest — so freed watts always go to the
-        latency-sensitive class before deferrable work re-fills them.
-        """
-        carbon = self.carbon
-        if carbon is None or carbon.passive or carbon.power_cap_w is None:
-            return
-        for realtime_first in (True, False):
-            for node_id in sorted(self.cluster.nodes):
-                node = self.cluster.nodes[node_id]
-                if node.down or node.in_flight is not None:
-                    continue
-                head = node.peek_next(respect_arrivals=self.respect)
-                if head is None and not node.suspended_ids:
-                    continue
-                is_realtime = (
-                    head is not None
-                    and head.request_class is RequestClass.REALTIME
-                )
-                if is_realtime == realtime_first:
-                    self._kick(node)
+        self.kick(node)
+        if self.gate is not None:
+            self.gate.capacity_changed()
 
     # -- scenario-side routing ----------------------------------------------
     def _route(self, job: ProofJob) -> str | None:
@@ -464,7 +243,7 @@ class ClusterEngine:
         try:
             node_id = router.assign(job, exclude=job.excluded_node_ids)
         except NoRoutableNodeError:
-            if not router.up_node_ids:
+            if not router.up_count():
                 self.stats.parked += 1
                 self._parked.append(job)
                 return None
@@ -478,7 +257,7 @@ class ClusterEngine:
             node_id=node_id,
             attempt=job.attempt,
         )
-        self._kick(node)
+        self.kick(node)
         return node_id
 
     def _unpark(self) -> None:
@@ -527,24 +306,13 @@ class ClusterEngine:
         handle = self._start_handles.pop(node.node_id, None)
         if handle is not None:
             handle.cancel()
-        if node.node_id in (self._suspend_victim, self._suspend_for):
-            # a parking maneuver touching this node is moot either way
-            if self._suspend_handle is not None:
-                self._suspend_handle.cancel()
-            self._suspend_handle = None
-            self._suspend_victim = None
-            self._suspend_job = None
-            self._suspend_for = None
+        if self.gate is not None:
+            self.gate.node_down(node)
         retry_job: ProofJob | None = None
         if node.in_flight is not None:
-            handle = self._finish_handles.pop(node.node_id, None)
-            if handle is not None:
-                handle.cancel()
-            if self.carbon is not None:
-                self.carbon.account_segment(
-                    node.in_flight, self.sim.now, lost=True
-                )
-                self.carbon.on_idle(node.node_id)
+            self.cancel_finish(node)
+            if self.on_segment_end is not None:
+                self.on_segment_end(node.in_flight, self.sim.now, True)
             retry_job, lost = node.abort(self.sim.now)
             self.stats.lost_model_s += lost
         requeued = node.crash(self.sim.now)
@@ -570,7 +338,8 @@ class ClusterEngine:
                 self._route(retry_job)
             else:
                 self._fail(retry_job)
-        self._rekick_power_waiters()
+        if self.gate is not None:
+            self.gate.capacity_changed()
 
     def _recover(self, node: ProverNode) -> None:
         self.stats.recoveries += 1
@@ -578,7 +347,7 @@ class ClusterEngine:
         self.cluster.router.mark_up(node.node_id)
         self.events.emit("node_up", node_id=node.node_id, reason="recover")
         self._unpark()
-        self._kick(node)
+        self.kick(node)
 
     # -- autoscaler ----------------------------------------------------------
     def _backlog_signal_s(self) -> float | None:
@@ -662,7 +431,7 @@ class ClusterEngine:
         self.cluster.router.mark_up(node.node_id)
         self.events.emit("node_up", node_id=node.node_id, reason="scale_out")
         self._unpark()
-        self._kick(node)
+        self.kick(node)
 
     def _scale_in(self, signal: float) -> None:
         policy = self.cluster.config.autoscale
@@ -730,7 +499,7 @@ class ClusterEngine:
             node.pending for node in self.cluster.nodes.values()
         )
         for node_id in sorted(self.cluster.nodes):
-            self._kick(self.cluster.nodes[node_id])
+            self.kick(self.cluster.nodes[node_id])
         self.sim.run()
         records = self._finalize()
         for node_id in sorted(self.cluster.nodes):

@@ -297,11 +297,10 @@ class ProverNode:
         del self._pending[job.job_id]
         arrival = job.arrival_s if respect_arrivals else 0.0
         start = max(self.clock_s, arrival, now_s if respect_arrivals else 0.0)
-        install = 0.0
+        install, prove = self.time_model.price(job)
         hit = self.sim_cache.lookup(job.circuit_key)
-        if not hit:
-            install = self.time_model.install_s(job)
-        prove = self.time_model.prove_s(job)
+        if hit:
+            install = 0.0
         self.in_flight = InFlightJob(
             job=job,
             arrival_s=arrival,

@@ -201,6 +201,10 @@ class ClusterRouter:
         """Member node ids currently accepting traffic (sorted)."""
         return [n for n in self._node_ids if n not in self._down]
 
+    def up_count(self) -> int:
+        """``len(up_node_ids)`` without building the list."""
+        return len(self._node_ids) - len(self._down)
+
     @property
     def down_node_ids(self) -> list[str]:
         """Member node ids currently marked down (sorted)."""

@@ -32,7 +32,7 @@ proving itself expensive, load balance matters more than cache locality
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from repro.plan.cost import (
     AcceleratorCostModel,
@@ -46,14 +46,22 @@ from repro.service.jobs import ProofJob
 TIME_MODEL_PRESETS = ("accelerator", "functional")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FleetTimeModel:
-    """Pluggable (prove, install) pricing for node model time."""
+    """Pluggable (prove, install) pricing for node model time.
+
+    Frozen: :meth:`price` remembers each shape's pair, which is sound
+    only while the two models cannot be swapped underneath it.
+    """
 
     prove_model: ShapeCostModel
     install_model: ShapeCostModel
     #: preset name (or "custom") carried into summaries
     name: str = "custom"
+    #: shape -> (install_s, prove_s), filled by :meth:`price`
+    _prices: dict[tuple[str, int], tuple[float, float]] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def accelerator(cls) -> "FleetTimeModel":
@@ -88,15 +96,26 @@ class FleetTimeModel:
             f"unknown time model {name!r}; choose from {TIME_MODEL_PRESETS}"
         )
 
-    def _shape(self, job: ProofJob) -> tuple[str, int]:
-        return (job.circuit.gate_type.name, job.circuit.num_vars)
+    def price(self, job: ProofJob) -> tuple[float, float]:
+        """``(install_s, prove_s)`` model seconds for ``job``'s shape.
 
-    def prove_s(self, job: ProofJob) -> float:
-        """Model seconds to prove ``job`` on a warm node."""
-        gate, num_vars = self._shape(job)
-        return self.prove_model.shape_cost_s(gate, num_vars)
+        Install seconds are what a node pays to build + install the
+        job's index on a cache miss, prove seconds what it pays on a
+        warm node.  A run sees a handful of ``(gate, μ)`` shapes and
+        both models are pure functions of the shape, so each is asked
+        once per shape, not once per job.
+        """
+        circuit = job.circuit
+        shape = (circuit.gate_type.name, circuit.num_vars)
+        pair = self._prices.get(shape)
+        if pair is None:
+            pair = self._prices[shape] = (
+                self.install_model.shape_cost_s(*shape),
+                self.prove_model.shape_cost_s(*shape),
+            )
+        return pair
 
-    def install_s(self, job: ProofJob) -> float:
-        """Model seconds to build + install ``job``'s index on a miss."""
-        gate, num_vars = self._shape(job)
-        return self.install_model.shape_cost_s(gate, num_vars)
+    def cold_s(self, job: ProofJob) -> float:
+        """Worst-case (cache-miss) busy seconds: install plus prove."""
+        install_s, prove_s = self.price(job)
+        return install_s + prove_s

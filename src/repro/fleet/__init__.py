@@ -17,8 +17,6 @@ routing policies the way wall-clock reality does
 
 Modules:
 
-* :mod:`repro.fleet.events` — the structured JSONL event schema shared
-  with :class:`~repro.cluster.engine.ClusterEngine`;
 * :mod:`repro.fleet.worker` — the worker-process main loop (build-once
   SRS, prove/probe/freeze/stop commands, heartbeats);
 * :mod:`repro.fleet.heartbeat` — miss-threshold failure detection;
@@ -30,17 +28,13 @@ Modules:
 Demo CLI: ``python -m repro.fleet --scenario zipf-mixed --nodes 3``
 (also installed as ``repro-fleet``).
 
-Only :mod:`repro.fleet.events` is imported eagerly — it is the one
-module the simulated cluster reaches up for, and keeping this package
-lazy otherwise breaks the import cycle that reach-up would create.
+The runtime classes resolve lazily, so importing the package loads
+none of the worker / asyncio machinery.  The structured event log both
+runtimes emit through lives beside the sim core
+(:mod:`repro.sim.events`).
 """
 
-from repro.fleet.events import EVENT_KINDS, EventLog, FleetEvent
-
 __all__ = [
-    "EVENT_KINDS",
-    "EventLog",
-    "FleetEvent",
     "FleetConfig",
     "HeartbeatMonitor",
     "ProvingFleet",

@@ -19,7 +19,7 @@ piece, so measured behavior is comparable to predicted behavior:
   :class:`~repro.cluster.records.RetryPolicy`: attempt bump, loser
   exclusion, ``max_retries`` → failed.  Queued jobs requeue without
   penalty.  Jobs park when the whole fleet is down.
-* **Events** — the same :class:`~repro.fleet.events.EventLog` schema
+* **Events** — the same :class:`~repro.sim.events.EventLog` schema
   the sim engine emits, stamped with run-relative wall seconds.
 
 Failure *injection* is deterministic: a seeded churn trace
@@ -52,7 +52,7 @@ from repro.cluster.routing import (
     ClusterRouter,
 )
 from repro.cluster.timemodel import FleetTimeModel
-from repro.fleet.events import EventLog
+from repro.sim.events import EventLog
 from repro.fleet.heartbeat import HeartbeatMonitor
 from repro.fleet.worker import WorkerSpec, worker_main
 from repro.service.workers import ProveTask, TaskOutcome, WorkerProbe

@@ -15,9 +15,9 @@ recorded sim log replays **bit-identically** under the same seed
 run-relative wall times and are reproducible in *structure* (event
 kinds, job/node ids, attempt counters) but not in timestamps.
 
-This module depends only on the standard library — it sits below both
-runtimes in the import graph, which is what lets the simulated cluster
-reuse a ``repro.fleet`` schema without a cycle.
+This module depends only on the standard library and is stamped from
+whatever clock its owner passes, so it sits beside the sim core — below
+both runtimes in the import graph.
 """
 
 from __future__ import annotations
@@ -51,11 +51,8 @@ EVENT_KINDS = (
 # O(1) membership for the emit hot path
 _EVENT_KIND_SET = frozenset(EVENT_KINDS)
 
-#: buffered-sink flush threshold, in lines
-FLUSH_EVERY = 4096
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FleetEvent:
     """One log line: something happened to a job or a node at ``at_s``."""
 
@@ -74,32 +71,37 @@ class FleetEvent:
     #: free-form extras (cache_hit, reason, …) — JSON-scalar values only
     detail: dict = dc_field(default_factory=dict)
 
+    def __init__(
+        self,
+        seq: int,
+        at_s: float,
+        kind: str,
+        job_id: int | None = None,
+        node_id: str | None = None,
+        attempt: int = 0,
+        detail: dict | None = None,
+    ):
+        # a frozen dataclass's generated __init__ pays one
+        # object.__setattr__ per field; the engine builds an event per
+        # emit, so the record is filled with a single dict update
+        self.__dict__.update(
+            seq=seq,
+            at_s=at_s,
+            kind=kind,
+            job_id=job_id,
+            node_id=node_id,
+            attempt=attempt,
+            detail={} if detail is None else detail,
+        )
+
     def to_line(self) -> str:
         """Serialize to one canonical JSONL line (sorted keys)."""
-        payload = {
-            "seq": self.seq,
-            "at_s": self.at_s,
-            "kind": self.kind,
-            "job_id": self.job_id,
-            "node_id": self.node_id,
-            "attempt": self.attempt,
-            "detail": self.detail,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_line(line: str) -> "FleetEvent":
         """Parse one JSONL line back into an event."""
-        raw = json.loads(line)
-        return FleetEvent(
-            seq=raw["seq"],
-            at_s=raw["at_s"],
-            kind=raw["kind"],
-            job_id=raw["job_id"],
-            node_id=raw["node_id"],
-            attempt=raw["attempt"],
-            detail=raw["detail"],
-        )
+        return FleetEvent(**json.loads(line))
 
 
 class EventLog:
@@ -109,51 +111,17 @@ class EventLog:
     sim engine passes its model clock, the fleet a run-relative
     ``time.monotonic`` delta.  Events carry a per-log sequence number,
     so logs are totally ordered even when many events share a stamp.
-
-    Million-event runs need the log out of the hot path, so the
-    recorder has three speed knobs (defaults preserve the original
-    keep-everything behaviour):
-
-    * ``enabled=False`` — :meth:`emit` returns immediately without
-      even constructing the event (open-loop runs that don't ask for
-      a log pay one attribute check per emit);
-    * ``sink=path`` — events stream to a JSONL file through an
-      in-memory buffer flushed every :data:`FLUSH_EVERY` lines (call
-      :meth:`close` to flush the tail);
-    * ``keep=False`` — with a sink, drop the in-memory ``events``
-      list so a 10⁶-event run holds only the unflushed buffer.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        *,
-        sink: str | Path | None = None,
-        keep: bool = True,
-        enabled: bool = True,
-    ):
-        if sink is None and not keep:
-            raise ValueError("keep=False requires a sink (events would vanish)")
+    def __init__(self, clock: Callable[[], float] | None = None):
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.events: list[FleetEvent] = []
-        self.enabled = enabled
-        self.keep = keep
-        self._seq = 0
-        self._sink_path = Path(sink) if sink is not None else None
-        self._sink_file = None
-        self._sink_closed = False
-        self._buffer: list[str] = []
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __iter__(self) -> Iterator[FleetEvent]:
         return iter(self.events)
-
-    @property
-    def emitted(self) -> int:
-        """Total events emitted, including streamed-and-dropped ones."""
-        return self._seq
 
     def emit(
         self,
@@ -164,54 +132,22 @@ class EventLog:
         attempt: int = 0,
         at_s: float | None = None,
         **detail,
-    ) -> FleetEvent | None:
-        """Record one event (stamped from the clock unless ``at_s`` given).
-
-        Returns the event, or None when the log is disabled.
-        """
-        if not self.enabled:
-            return None
+    ) -> FleetEvent:
+        """Record one event (stamped from the clock unless ``at_s`` given)."""
         if kind not in _EVENT_KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}; see EVENT_KINDS")
+        events = self.events
         event = FleetEvent(
-            seq=self._seq,
-            at_s=self.clock() if at_s is None else at_s,
-            kind=kind,
-            job_id=job_id,
-            node_id=node_id,
-            attempt=attempt,
-            detail=detail,
+            len(events),
+            self.clock() if at_s is None else at_s,
+            kind,
+            job_id,
+            node_id,
+            attempt,
+            detail,
         )
-        self._seq += 1
-        if self.keep:
-            self.events.append(event)
-        if self._sink_path is not None:
-            self._buffer.append(event.to_line())
-            if len(self._buffer) >= FLUSH_EVERY:
-                self.flush()
+        events.append(event)
         return event
-
-    def flush(self) -> None:
-        """Push buffered sink lines to disk (no-op without a sink)."""
-        if self._sink_path is None or not self._buffer:
-            return
-        if self._sink_file is None:
-            self._sink_file = self._sink_path.open("w", encoding="utf-8")
-        self._sink_file.write("\n".join(self._buffer) + "\n")
-        self._buffer.clear()
-
-    def close(self) -> None:
-        """Flush and close the sink file (safe to call repeatedly)."""
-        if self._sink_path is None or self._sink_closed:
-            return
-        self.flush()
-        if self._sink_file is not None:
-            self._sink_file.close()
-            self._sink_file = None
-        else:
-            # nothing was ever emitted: still materialize an empty log
-            self._sink_path.write_text("")
-        self._sink_closed = True
 
     def kinds(self) -> dict[str, int]:
         """Event count per kind (absent kinds omitted)."""

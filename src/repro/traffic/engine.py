@@ -69,17 +69,11 @@ def make_admission(
     capacity.  The budget tracks the router's up-node count, so
     admission and autoscaling reason about the same fleet size.
     """
-    router = cluster.router
-    time_model = cluster.time_model
-
-    def cold_cost_s(job: ProofJob) -> float:
-        return time_model.install_s(job) + time_model.prove_s(job)
-
     return AdmissionController(
         policy,
         list(tenants),
-        cost_of=cold_cost_s,
-        up_nodes=lambda: len(router.up_node_ids),
+        cost_of=cluster.time_model.cold_s,
+        up_nodes=cluster.router.up_count,
     )
 
 

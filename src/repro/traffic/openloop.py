@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from repro.hyperplonk.circuit import Circuit
@@ -45,6 +47,33 @@ DEFAULT_BURST_DURATION_S = 5.0
 
 #: ... covering this fraction of model time
 DEFAULT_BURST_FRACTION = 0.1
+
+
+class WeightedTable:
+    """``rng.choices(population, weights=w)[0]``, weights accumulated once.
+
+    :meth:`draw` is the draw :func:`random.choices` makes for ``k=1`` —
+    a ``bisect`` of ``rng.random() * total`` into the cumulative
+    weights — so it consumes the same one uniform and returns the same
+    element from the same generator state (``tests/test_traffic.py``
+    holds the equality for every committed weight list).
+    """
+
+    def __init__(self, population: Sequence, weights: Sequence[float]):
+        self.population = list(population)
+        self.cum_weights = list(accumulate(weights))
+        if len(self.cum_weights) != len(self.population):
+            raise ValueError("the number of weights does not match the population")
+        self.total = self.cum_weights[-1] + 0.0
+        if not 0.0 < self.total < math.inf:
+            raise ValueError(f"total weight must be finite and > 0; got {self.total}")
+        self._hi = len(self.population) - 1
+
+    def draw(self, rng: random.Random):
+        """One weighted draw from ``rng`` (advances it by one uniform)."""
+        return self.population[
+            bisect(self.cum_weights, rng.random() * self.total, 0, self._hi)
+        ]
 
 
 class CircuitShapeCache:
@@ -165,11 +194,21 @@ class OpenLoopTraffic:
         if self.arrival_trace is not None:
             yield from self.arrival_trace
             return
+        # the thinning loop evaluates rate_at()'s expression inline, in
+        # rate_at()'s operation order (same floats): two method calls
+        # per candidate, ~2.7 candidates per accepted arrival
         peak = self.peak_rate_rps
+        rate, amplitude = self.rate_rps, self.diurnal_amplitude
+        period, burst_mult = self.diurnal_period_s, self.burst_mult
+        burst_len = self.burst_duration_s
+        burst_period = burst_len / self.burst_fraction
+        expovariate, uniform, sin, pi = rng.expovariate, rng.random, math.sin, math.pi
         t = 0.0
         while True:
-            t += rng.expovariate(peak)
-            if rng.random() * peak < self.rate_at(t):
+            t += expovariate(peak)
+            diurnal = 1.0 + amplitude * sin(2.0 * pi * t / period)
+            burst = burst_mult if (t % burst_period) < burst_len else 1.0
+            if uniform() * peak < rate * diurnal * burst:
                 yield t
 
     # -- job stream ----------------------------------------------------------
@@ -182,24 +221,24 @@ class OpenLoopTraffic:
         """
         rng = random.Random(self.seed)
         scenario = self.scenario
-        tenant_names = [t.name for t in self.tenants]
-        tenant_weights = [t.weight for t in self.tenants]
-        tenant_by_name = {t.name: t for t in self.tenants}
-        gate_names = [g for g, _ in scenario.gate_mix]
-        gate_weights = [w for _, w in scenario.gate_mix]
-        sizes = [s for s, _ in scenario.size_weights]
-        size_weights = [w for _, w in scenario.size_weights]
+        # the three weight lists are constants of the stream: accumulate
+        # each once, not once per job
+        tenants = WeightedTable(self.tenants, [t.weight for t in self.tenants])
+        gates = WeightedTable(*zip(*scenario.gate_mix))
+        sizes = WeightedTable(*zip(*scenario.size_weights))
+        max_jobs, horizon_s = self.max_jobs, self.horizon_s
+        shape_of, backend = self.shapes.get, self.backend
+        prefix = scenario.name
         produced = 0
         for arrival in self._arrivals(rng):
-            if self.max_jobs is not None and produced >= self.max_jobs:
+            if max_jobs is not None and produced >= max_jobs:
                 return
-            if self.horizon_s is not None and arrival > self.horizon_s:
+            if horizon_s is not None and arrival > horizon_s:
                 return
-            tenant_name = rng.choices(tenant_names, weights=tenant_weights)[0]
-            tenant = tenant_by_name[tenant_name]
-            gate_name = rng.choices(gate_names, weights=gate_weights)[0]
-            log2 = rng.choices(sizes, weights=size_weights)[0]
-            circuit, key = self.shapes.get(gate_name, log2)
+            tenant = tenants.draw(rng)
+            gate_name = gates.draw(rng)
+            log2 = sizes.draw(rng)
+            circuit, key = shape_of(gate_name, log2)
             tier = tenant.tier
             deadline = (
                 arrival + tier.deadline_slack_s
@@ -210,13 +249,13 @@ class OpenLoopTraffic:
             yield ProofJob(
                 job_id=0,
                 circuit=circuit,
-                backend=self.backend,
+                backend=backend,
                 request_class=tier.request_class,
                 arrival_s=arrival,
                 deadline_s=deadline,
-                tag=f"{scenario.name}/{gate_name}-mu{log2}",
+                tag=f"{prefix}/{gate_name}-mu{log2}",
                 circuit_key=key,
-                tenant=tenant_name,
+                tenant=tenant.name,
             )
 
     def max_vars(self) -> int:

@@ -10,6 +10,7 @@ proof bytes.
 """
 
 import math
+import random
 
 import pytest
 
@@ -24,9 +25,9 @@ from repro.carbon import (
 )
 from repro.cluster import ClusterConfig, FleetTimeModel, NodeConfig, ProvingCluster
 from repro.cluster.nodes import ProverNode
-from repro.fleet.events import EventLog
 from repro.service.jobs import RequestClass
 from repro.service.traffic import TrafficGenerator
+from repro.sim.events import EventLog
 
 
 def make_trace(**kwargs) -> CarbonIntensityTrace:
@@ -56,6 +57,55 @@ class TestCarbonIntensityTrace:
             assert intensity == trace.intensity_at(at_s)
         times = [at_s for at_s, _ in trace.events()]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.07])
+    def test_memoised_windows_are_order_independent(self, noise):
+        """A window's intensity is computed once and remembered; the
+        O(1)-random-access contract says the value cannot depend on
+        what was asked before, so a shuffled, repeated and iterated
+        trace must agree with one fresh trace per query."""
+        kwargs = dict(
+            noise=noise, seed=9, horizon_s=300.0, grid_events=[(60.0, 1.5), (200.0, 0.5)]
+        )
+        fresh = {
+            at_s: make_trace(**kwargs).intensity_at(at_s)
+            for at_s in [w * 5.0 + 1.25 for w in range(80)] + [-3.0, 0.0, 4.999]
+        }
+        trace = make_trace(**kwargs)
+        order = list(fresh)
+        random.Random(1).shuffle(order)
+        for at_s in order + order[::-1]:
+            assert trace.intensity_at(at_s) == fresh[at_s]
+        for at_s, intensity in trace.events():
+            assert intensity == fresh[at_s + 1.25]
+            assert intensity == make_trace(**kwargs).intensity_at(at_s)
+        assert trace.integral_g_s_per_kwh(3.0, 287.0) == make_trace(
+            **kwargs
+        ).integral_g_s_per_kwh(3.0, 287.0)
+
+    def test_noise_generator_seeded_once_per_window(self, monkeypatch):
+        trace = make_trace(seed=4)
+        seeded = []
+        real = trace._noise_factor
+        monkeypatch.setattr(
+            trace, "_noise_factor", lambda w: seeded.append(w) or real(w)
+        )
+        for _ in range(3):
+            trace.integral_g_s_per_kwh(0.0, 42.0)
+            trace.next_low_start(0.0, 1.0, 42.0)
+        assert sorted(seeded) == list(range(9))  # windows 0..8, once each
+
+    def test_signal_parameters_are_read_only(self):
+        """What the memo depends on cannot change under it."""
+        trace = make_trace()
+        for name in (
+            "base_g_per_kwh", "amplitude", "period_s", "noise", "step_s",
+            "seed", "grid_events",
+        ):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(trace, name, getattr(trace, name))
+        trace.horizon_s = 10.0  # bounds events() only; not part of the signal
+        assert len(list(trace.events())) == 3
 
     def test_events_require_horizon(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from repro.cluster import (
     NodeConfig,
     ProvingCluster,
     SimIndexCache,
+    TIME_MODEL_PRESETS,
 )
 from repro.service.traffic import TrafficGenerator
 
@@ -50,6 +51,31 @@ class TestSimIndexCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             SimIndexCache(capacity=0)
+
+
+class TestFleetTimeModelPrice:
+    """A job shape is priced once as an ``(install_s, prove_s)`` pair;
+    the pair must be exactly what the two plan-cost models say."""
+
+    @pytest.mark.parametrize("preset", TIME_MODEL_PRESETS)
+    def test_price_is_the_two_shape_costs(self, preset):
+        time_model = FleetTimeModel.preset(preset)
+        _, jobs = stream(40, scenario="zipf-mixed")
+        shapes = set()
+        for job in jobs:
+            shape = (job.circuit.gate_type.name, job.circuit.num_vars)
+            shapes.add(shape)
+            install_s, prove_s = time_model.price(job)
+            assert install_s == time_model.install_model.shape_cost_s(*shape)
+            assert prove_s == time_model.prove_model.shape_cost_s(*shape)
+            assert time_model.cold_s(job) == install_s + prove_s
+            assert time_model.price(job) is time_model.price(job)
+        assert len(shapes) > 1
+
+    def test_models_cannot_be_swapped_under_the_prices(self):
+        time_model = FleetTimeModel.preset("functional")
+        with pytest.raises(AttributeError):
+            time_model.prove_model = time_model.install_model
 
 
 class TestClusterSimulation:

@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter, HashRing, stable_hash
 from repro.service.jobs import ProofJob
@@ -256,3 +258,29 @@ class TestClusterRouter:
         assert router.node_ids == ["node-1"]
         with pytest.raises(KeyError):
             router.release("node-0")
+
+
+class TestUpCount:
+    """Admission asks "how many nodes are up" twice per arrival; the
+    router answers from two set sizes instead of building the list."""
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("mark_down", "mark_up", "add_node", "remove_node")),
+                st.integers(min_value=0, max_value=7),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_up_count_is_len_up_node_ids(self, steps):
+        router = ClusterRouter("least_loaded", ["node-0", "node-1", "node-2"])
+        assert router.up_count() == 3
+        for op, index in steps:
+            try:
+                getattr(router, op)(f"node-{index}")
+            except (KeyError, ValueError):
+                pass  # an illegal step must leave the count right too
+            assert router.up_count() == len(router.up_node_ids)
+            assert set(router.down_node_ids) <= set(router.node_ids)

@@ -48,6 +48,25 @@ class TestImportsLoadOnlyTheirLayer:
         monkeypatch.setattr(cold_start, "NOT_FOR_A_PROOF", ("repro.fields",))
         assert "import repro.curves loads repro.fields" in cold_start.failures()
 
+    def test_cluster_loads_nothing_above_it(self):
+        """The simulated fleet is used by traffic, carbon and the real
+        fleet, never the reverse (through PR 20 it imported all three)."""
+        loaded = cold_start.fresh(cold_start.IMPORT, "repro.cluster")["modules"]
+        assert "repro.sim.events" in loaded
+        for name in loaded:
+            assert not name.startswith(
+                ("repro.traffic", "repro.carbon", "repro.fleet")
+            ), name
+
+    def test_a_layer_reaching_up_fails_the_check(self, monkeypatch):
+        layers = list(cold_start.LAYERS)
+        layers.remove("repro.sim")
+        layers.insert(layers.index("repro.cluster") + 1, "repro.sim")
+        monkeypatch.setattr(cold_start, "LAYERS", tuple(layers))
+        bad = cold_start.failures()
+        assert "import repro.cluster loads repro.sim" in bad
+        assert any(line.startswith("README.md module map") for line in bad)
+
 
 class TestOptionalBackendsLoadOnFirstRequest:
     def test_builtin_names_never_touch_numpy(self):

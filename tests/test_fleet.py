@@ -33,7 +33,6 @@ import pytest
 from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import NodeConfig
 from repro.cluster.routing import ROUTING_POLICIES
-from repro.fleet import EventLog
 from repro.fleet.core import (
     FleetConfig,
     FleetStalledError,
@@ -43,6 +42,7 @@ from repro.fleet.core import (
 from repro.fleet.validation import reference_proofs, significant_pairs
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.traffic import TrafficGenerator
+from repro.sim.events import EventLog
 
 SCENARIO = "zipf-mixed"
 SEED = 7

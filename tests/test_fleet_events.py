@@ -7,11 +7,13 @@ JSONL, line for line.  These tests lock that down, plus the schema's
 serialization round-trip and the emit-time validation.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
-from repro.fleet.events import EVENT_KINDS, EventLog, FleetEvent
 from repro.service.traffic import TrafficGenerator
+from repro.sim.events import EVENT_KINDS, EventLog, FleetEvent
 from repro.workloads import ChurnEvent
 
 CHURN = (
@@ -105,57 +107,60 @@ class TestSchema:
         assert [e.seq for e in log] == list(range(len(EVENT_KINDS)))
 
 
-class TestSpeedKnobs:
-    """ISSUE 8: disabled logs, streaming sinks, and dropped retention."""
-
-    def test_disabled_log_emits_nothing(self):
-        log = EventLog(enabled=False)
-        assert log.emit("job_accepted", job_id=0) is None
-        assert len(log.events) == 0
-        assert log.emitted == 0
-
-    def test_sink_streams_jsonl_without_keeping(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(sink=path, keep=False)
-        log.emit("job_accepted", job_id=0, tag="t")
-        log.emit("job_shed", job_id=1, tenant="tenant-2")
-        assert len(log.events) == 0  # retention dropped
-        assert log.emitted == 2
-        log.close()
-        first, second = EventLog.load(path)
-        assert first.kind == "job_accepted"
-        assert second.kind == "job_shed"
-        assert second.detail == {"tenant": "tenant-2"}
-        assert second.seq == 1
-
-    def test_sink_plus_keep_matches_memory(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(sink=path)
-        log.emit("node_down", node_id="node-0", reason="crash")
-        log.close()
-        assert EventLog.replay_identical(log, EventLog.load(path))
-
-    def test_close_is_idempotent_and_never_truncates(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(sink=path, keep=False)
-        log.emit("job_accepted", job_id=0)
-        log.close()
-        log.close()  # second close must not rewrite an empty file
-        (event,) = EventLog.load(path)
-        assert event.kind == "job_accepted"
-
-    def test_empty_sink_materializes_empty_file(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(sink=path, keep=False)
-        log.close()
-        assert path.exists() and path.read_text() == ""
-        assert EventLog.load(path) == []
-
-    def test_keep_false_without_sink_rejected(self):
-        with pytest.raises(ValueError, match="sink"):
-            EventLog(keep=False)
-
     def test_job_shed_is_a_valid_kind(self):
         assert "job_shed" in EVENT_KINDS
         event = EventLog().emit("job_shed", job_id=7, tenant="tenant-1")
         assert event.kind == "job_shed"
+
+
+class TestRecord:
+    """The event record is built without per-field ``object.__setattr__``
+    (one per emit on the sim hot path) and must still behave as the
+    frozen dataclass it declares itself to be."""
+
+    EVENT = FleetEvent(
+        seq=4,
+        at_s=1.25,
+        kind="job_completed",
+        job_id=9,
+        node_id="node-2",
+        attempt=1,
+        detail={"cache_hit": False},
+    )
+
+    def test_rejects_attribute_assignment(self):
+        for name in ("seq", "at_s", "kind", "job_id", "node_id", "detail", "new"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(self.EVENT, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.EVENT.kind
+
+    def test_fields_defaults_and_equality(self):
+        names = [f.name for f in dataclasses.fields(FleetEvent)]
+        assert names == [
+            "seq", "at_s", "kind", "job_id", "node_id", "attempt", "detail",
+        ]
+        bare = FleetEvent(0, 0.0, "node_up")
+        assert (bare.job_id, bare.node_id, bare.attempt) == (None, None, 0)
+        assert bare.detail == {} and bare.detail is not FleetEvent(0, 0.0, "node_up").detail
+        assert bare == FleetEvent(seq=0, at_s=0.0, kind="node_up", detail={})
+        assert bare != dataclasses.replace(bare, seq=1)
+        assert "kind='node_up'" in repr(bare)
+
+    def test_line_round_trip(self):
+        line = self.EVENT.to_line()
+        assert line == (
+            '{"at_s":1.25,"attempt":1,"detail":{"cache_hit":false},'
+            '"job_id":9,"kind":"job_completed","node_id":"node-2","seq":4}'
+        )
+        assert FleetEvent.from_line(line) == self.EVENT
+        assert FleetEvent.from_line(line).to_line() == line
+
+    def test_emit_builds_the_same_record(self):
+        log = EventLog(clock=lambda: 1.25)
+        for _ in range(4):
+            log.emit("node_up")
+        emitted = log.emit(
+            "job_completed", job_id=9, node_id="node-2", attempt=1, cache_hit=False
+        )
+        assert emitted == self.EVENT and log.events[-1] is emitted

@@ -9,6 +9,7 @@ cluster --open-loop`` flags validate with argparse's exit status 2.
 """
 
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,8 @@ from repro.traffic import (
     make_admission,
     traffic_summary,
 )
-from repro.workloads import ChurnEvent
+from repro.traffic.openloop import WeightedTable
+from repro.workloads import SCENARIOS, ChurnEvent
 
 SCENARIO = "zipf-mixed"
 #: ~6x the 4-node fleet's install-bound capacity (overload regime)
@@ -127,6 +129,26 @@ class TestOpenLoopTraffic:
         for t in (0.0, 1.7, 23.0, 60.0, 119.5):
             assert 0.0 < traffic.rate_at(t) <= traffic.peak_rate_rps
 
+    def test_thinning_loop_is_rate_at(self):
+        """The arrival loop inlines ``rate_at``; the public definition
+        must accept exactly the candidates the loop accepts."""
+        for kwargs in (
+            {},
+            {"diurnal_amplitude": 0.9, "burst_mult": 1.0},
+            {"burst_fraction": 1.0, "diurnal_period_s": 17.0},
+            {"diurnal_amplitude": 0.0, "burst_duration_s": 0.3},
+        ):
+            traffic = OpenLoopTraffic(
+                SCENARIO, seed=5, max_jobs=400, rate_rps=25.0, **kwargs
+            )
+            rng, peak, t, expected = random.Random(5), traffic.peak_rate_rps, 0.0, []
+            while len(expected) < 50:
+                t += rng.expovariate(peak)
+                if rng.random() * peak < traffic.rate_at(t):
+                    expected.append(t)
+            arrivals = traffic._arrivals(random.Random(5))
+            assert [next(arrivals) for _ in expected] == expected
+
     def test_horizon_bounds_the_stream(self):
         traffic = OpenLoopTraffic(SCENARIO, seed=0, horizon_s=5.0)
         jobs = list(traffic.jobs())
@@ -159,6 +181,43 @@ class TestOpenLoopTraffic:
             OpenLoopTraffic(SCENARIO)
         with pytest.raises(ValueError, match="rate_rps"):
             OpenLoopTraffic(SCENARIO, rate_rps=0.0, max_jobs=1)
+
+
+def weight_lists():
+    """Every weight list a committed record's stream draws from."""
+    for scenario in SCENARIOS.values():
+        yield f"{scenario.name}/gates", *zip(*scenario.gate_mix)
+        yield f"{scenario.name}/sizes", *zip(*scenario.size_weights)
+    for n in (1, 2, 3, 5, 8, 16):
+        tenants = default_tenants(n)
+        yield f"tenants/{n}", tenants, [t.weight for t in tenants]
+
+
+class TestWeightedTable:
+    """``OpenLoopTraffic.jobs`` draws from cumulative tables built once
+    per stream; the committed ``BENCH_*.json`` streams were drawn with
+    ``rng.choices(population, weights=w)[0]``.  Same generator state in,
+    same element and same generator state out — checked against the
+    interpreter's own ``choices``, so a stdlib that changes its draw
+    fails here rather than silently moving every seeded record."""
+
+    @pytest.mark.parametrize(
+        "population, weights",
+        [pytest.param(p, w, id=name) for name, p, w in weight_lists()],
+    )
+    def test_draw_is_random_choices(self, population, weights):
+        table = WeightedTable(population, weights)
+        ours, theirs = random.Random(2024), random.Random(2024)
+        for _ in range(500):
+            assert table.draw(ours) is theirs.choices(population, weights=weights)[0]
+        assert ours.getstate() == theirs.getstate()
+
+    def test_degenerate_weights_rejected_like_choices(self):
+        for population, weights in (("ab", [0.0, 0.0]), ("ab", [1.0]), ("a", [math.inf])):
+            with pytest.raises(ValueError):
+                random.Random(0).choices(population, weights=weights)
+            with pytest.raises(ValueError):
+                WeightedTable(population, weights)
 
 
 class TestTenants:

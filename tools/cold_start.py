@@ -25,8 +25,11 @@ In order:
 checkout (the parent commit) in alternation and prints its numbers
 beside ours, with whether the SRS points and the proof are identical.
 ``--check`` times nothing: it asserts the module-set facts (what an
-import must *not* load) and exits non-zero when one fails — DESIGN.md
-§13 "Cold start" records the table, CI runs the check.
+import must *not* load: numpy, and any layer above the one imported —
+so ``import repro.cluster`` brings no ``repro.traffic`` / ``.carbon`` /
+``.fleet``) and that README.md's module map lists the layers in
+:data:`LAYERS` order, and exits non-zero when one fails — DESIGN.md §13
+"Cold start" records the table, CI runs the check.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: bottom of the stack first; every layer only reaches down
+#: bottom of the stack first; every layer only reaches down (README.md's
+#: module map is this order, and ``--check`` holds both to it)
 LAYERS = (
     "repro", "repro.fields", "repro.curves", "repro.mle", "repro.gates",
     "repro.sumcheck", "repro.hyperplonk", "repro.plan", "repro.hw",
@@ -142,9 +147,18 @@ def fresh(snippet: str, *args, src: Path = REPO / "src") -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def readme_layers(readme: Path = REPO / "README.md") -> list[str]:
+    """The packages of README.md's module-map table, top row first."""
+    rows = re.findall(r"^\| (?:\d+|—) \| (`repro\.[^|]*) \|", readme.read_text(), re.M)
+    return [name for row in rows for name in re.findall(r"`(repro\.\w+)`", row)]
+
+
 def failures() -> list[str]:
     """The module-set facts, as a list of the ones that do not hold."""
     bad = []
+    documented = readme_layers()
+    if documented != list(LAYERS[1:]):
+        bad.append(f"README.md module map {documented} != LAYERS[1:]")
 
     def absent(what: str, report: dict, names) -> None:
         loaded = set(report["modules"]) | ({"numpy"} if report["numpy"] else set())
@@ -152,10 +166,12 @@ def failures() -> list[str]:
             if name in loaded:
                 bad.append(f"{what} loads {name}")
 
-    for layer in LAYERS:
+    for index, layer in enumerate(LAYERS):
         report = fresh(IMPORT, layer)
+        unwanted = NOT_FOR_A_PROOF if layer in FUNCTIONAL else ("numpy",)
+        # ...nor any layer above it: "every layer only reaches down"
         absent(f"import {layer}", report,
-               NOT_FOR_A_PROOF if layer in FUNCTIONAL else ("numpy",))
+               dict.fromkeys(unwanted + LAYERS[index + 1:]))
         if layer == "repro" and report["modules"] != ["repro"]:
             bad.append(f"import repro loads {report['modules'][1:]}")
     for cli in ("repro.service", "repro.cluster", "repro.fleet"):
