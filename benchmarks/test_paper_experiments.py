@@ -110,6 +110,30 @@ class TestFig10TableIV:
         assert rows[-1]["CPU speedup"] > 80
 
 
+class TestTableIIIGrid:
+    """The paper's own grid (``repro-experiments --full``): 1 296 SumCheck
+    x 120 MSM configurations per tier, not the reduced fast grids."""
+
+    def test_full_frontier_dominates_the_fast_grids(self, benchmark):
+        _, fast_front = fig10.compute(fast=True)
+        _, full_front = benchmark.pedantic(
+            fig10.compute, kwargs={"fast": False}, rounds=1, iterations=1)
+        # the fast grids are subsets of Table III, so the wider search
+        # can only match or beat every design the narrower one found
+        assert len(full_front) >= len(fast_front)
+        for p in fast_front:
+            assert any(q.runtime_s <= p.runtime_s and q.area_mm2 <= p.area_mm2
+                       for q in full_front), (p.runtime_s, p.area_mm2)
+
+    def test_fig06_full_grid_geomeans_monotone(self, benchmark, show):
+        result = benchmark.pedantic(
+            fig06.run, kwargs={"fast": False}, rounds=1, iterations=1)
+        show(result)
+        gms = [r["geomean speedup"] for r in result.rows]
+        assert gms == sorted(gms)
+        assert gms[0] > 30
+
+
 class TestFig11:
     def test_fig11_breakdowns(self, benchmark, show):
         result = benchmark.pedantic(fig11.run, rounds=1, iterations=1)

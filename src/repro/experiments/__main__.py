@@ -1,6 +1,6 @@
 """Run every experiment and print its table: ``python -m repro.experiments``.
 
-``--full`` disables the reduced fast grids (slower, finer DSE sweeps);
+``--full`` disables the reduced fast grids (the paper's Table III sweep);
 ``--backend NAME`` (or ``--backend=NAME``) selects the default
 field-vector backend for every functional prover the experiments run;
 ``--list`` prints the valid experiment names and exits.  Unknown
@@ -15,6 +15,10 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS
+
+#: experiments that read Fig 10's sweep, and the fig10 summary entry each
+#: takes as ``precomputed=`` when fig10 already ran in this invocation
+SWEEP_READERS = {"table04": "_global_front", "fig11": "_per_bw"}
 
 
 def _extract_backend(argv: list[str]) -> tuple[list[str], str | None, str]:
@@ -77,10 +81,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"valid names: {', '.join(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
     names = selected or ALL_EXPERIMENTS
+    sweep: dict = {}  # fig10's summary, once it has run
     for name in names:
         module = importlib.import_module(f"repro.experiments.{name}")
         t0 = time.time()
-        result = module.run(fast=fast)
+        if name in SWEEP_READERS and sweep:
+            result = module.run(fast=fast,
+                                precomputed=sweep[SWEEP_READERS[name]])
+        else:
+            result = module.run(fast=fast)
+        if name == "fig10":
+            sweep = result.summary
         result.print(max_rows=40)
         print(f"  [{name} ran in {time.time() - t0:.1f}s]\n")
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, geomean
 from repro.experiments import setups
+from repro.hw.area import standalone_sumcheck_area
 from repro.hw.cpu_baseline import CpuModel
 from repro.hw.dse import sumcheck_dse
 from repro.hw.memory import BANDWIDTH_TIERS
@@ -28,8 +29,7 @@ def run(fast: bool = True, bandwidths=BANDWIDTH_TIERS) -> ExperimentResult:
     if fast:
         configs = [
             c for c in setups.fast_sc_grid()
-            if __import__("repro.hw.area", fromlist=["x"])
-            .standalone_sumcheck_area(c, 0.0) <= setups.FIG6_AREA_BUDGET_MM2
+            if standalone_sumcheck_area(c, 0.0) <= setups.FIG6_AREA_BUDGET_MM2
         ]
 
     result = ExperimentResult(

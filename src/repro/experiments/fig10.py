@@ -10,21 +10,17 @@ from __future__ import annotations
 
 from repro.experiments import setups
 from repro.experiments.common import ExperimentResult
-from repro.hw.dse import accelerator_dse, pareto_frontier
-from repro.hw.memory import BANDWIDTH_TIERS
+from repro.hw.dse import global_pareto
 
 
 def compute(fast: bool = True):
-    sc_grid = setups.fast_sc_grid() if fast else None
-    msm_grid = setups.fast_msm_grid() if fast else None
-    per_bw = {}
-    everything = []
-    for bw in BANDWIDTH_TIERS:
-        points = accelerator_dse("jellyfish", setups.PARETO_NUM_VARS, bw,
-                                 sc_grid=sc_grid, msm_grid=msm_grid)
-        per_bw[bw] = pareto_frontier(points)
-        everything.extend(points)
-    return per_bw, pareto_frontier(everything)
+    """Per-bandwidth Pareto frontiers and the global one, over every
+    Table III bandwidth tier."""
+    return global_pareto(
+        "jellyfish", setups.PARETO_NUM_VARS,
+        sc_grid=setups.fast_sc_grid() if fast else None,
+        msm_grid=setups.fast_msm_grid() if fast else None,
+    )
 
 
 def run(fast: bool = True) -> ExperimentResult:

@@ -132,39 +132,62 @@ class ZkPhireModel:
 
         The plan supplies the inventory (MSM sizes/sparsity, SumCheck
         profiles, Forest pass shapes); this model supplies per-module
-        latencies and the overlap schedule.
+        latencies and the overlap schedule.  The ten phases fall into
+        three groups that share no configuration knob, which is what
+        lets a sweep price each unit once and compose
+        (:func:`repro.hw.dse.accelerator_dse`).
         """
-        mu = plan.num_vars
+        return ProtocolBreakdown(
+            **self.sumcheck_phases(plan),
+            **self.msm_phases(plan),
+            **self.bandwidth_phases(plan),
+            masked=self.config.mask_zerocheck,
+        )
 
-        def msm_latency(name: str) -> float:
-            return sum(self.msm.latency_s(t.points, sparse=t.sparse)
-                       for t in plan.phase(name).msms)
+    def sumcheck_phases(self, plan: ProofPlan) -> dict[str, float]:
+        """The phases ``config.sumcheck`` decides: its three SumChecks
+        and the two kernels of the Forest sized from it."""
+        mu = plan.num_vars
 
         def sumcheck_latency(name: str) -> float:
             phase = plan.phase(name)
             return self.sumcheck.run(phase.poly, mu,
                                      fuse_fr=phase.fuse_fr).latency_s
 
-        pq_phase = plan.phase("permquot")
-        return ProtocolBreakdown(
-            witness_msm=msm_latency("witness_msm"),
-            zerocheck=sumcheck_latency("zerocheck"),
-            permquot=self.permquot.run(pq_phase.rows,
-                                       pq_phase.columns).latency_s,
-            prod_tree=self.forest.product_tree(
+        return {
+            "zerocheck": sumcheck_latency("zerocheck"),
+            "prod_tree": self.forest.product_tree(
                 plan.phase("prod_tree").rows).latency_s,
-            wiring_msm=msm_latency("wiring_msm"),
-            permcheck=sumcheck_latency("permcheck"),
-            batch_evals=self.forest.batch_eval(
+            "permcheck": sumcheck_latency("permcheck"),
+            "batch_evals": self.forest.batch_eval(
                 plan.phase("batch_evals").streams,
                 plan.phase("batch_evals").rows).latency_s,
-            mle_combine=self.mle_combine.run(
+            "opencheck": sumcheck_latency("opencheck"),
+        }
+
+    def msm_phases(self, plan: ProofPlan) -> dict[str, float]:
+        """The phases ``config.msm`` decides: every MSM the plan lists."""
+        def msm_latency(name: str) -> float:
+            return sum(self.msm.latency_s(t.points, sparse=t.sparse)
+                       for t in plan.phase(name).msms)
+
+        return {
+            "witness_msm": msm_latency("witness_msm"),
+            "wiring_msm": msm_latency("wiring_msm"),
+            "opening_msm": msm_latency("opening_msm"),
+        }
+
+    def bandwidth_phases(self, plan: ProofPlan) -> dict[str, float]:
+        """The phases neither swept unit touches (bandwidth, clock and
+        the fixed PermQuot configuration only)."""
+        pq_phase = plan.phase("permquot")
+        return {
+            "permquot": self.permquot.run(pq_phase.rows,
+                                          pq_phase.columns).latency_s,
+            "mle_combine": self.mle_combine.run(
                 plan.phase("mle_combine").rows,
                 streams=plan.phase("mle_combine").streams).latency_s,
-            opencheck=sumcheck_latency("opencheck"),
-            opening_msm=msm_latency("opening_msm"),
-            masked=self.config.mask_zerocheck,
-        )
+        }
 
     def breakdown(self, gate_type_name: str, num_vars: int,
                   custom_zerocheck: PolyProfile | None = None) -> ProtocolBreakdown:

@@ -103,6 +103,25 @@ def accelerator_area(config: AcceleratorConfig) -> AreaBreakdown:
                          sram=sram, interconnect=interconnect, hbm_phy=phy)
 
 
+def sumcheck_side_area(sumcheck_config, forest_config) -> float:
+    """What a SumCheck configuration adds to :func:`accelerator_area`'s
+    total: the unit and the Forest sized from it, their interconnect
+    share, and the unit's scratchpads.  With :func:`msm_side_area` and a
+    per-bandwidth remainder (Other, fixed SRAM, PHYs) it sums to that
+    total up to rounding — the additivity a sweep prunes on."""
+    compute = sumcheck_area(sumcheck_config) + forest_area(forest_config)
+    return ((1.0 + tech.INTERCONNECT_FRAC) * compute
+            + memory.sram_mm2(sumcheck_config.sram_bytes))
+
+
+def msm_side_area(msm_config) -> float:
+    """What an MSM configuration adds to :func:`accelerator_area`'s
+    total: PEs with their interconnect share, bucket and point SRAM."""
+    return ((1.0 + tech.INTERCONNECT_FRAC) * msm_area(msm_config)
+            + memory.sram_mm2(msm_config.bucket_sram_bytes
+                              + msm_config.point_sram_bytes))
+
+
 def standalone_sumcheck_area(sc_config, bandwidth_gbps: float,
                              include_lane_muls: bool = True) -> float:
     """Area of a standalone SumCheck accelerator (Fig 6/7/8/9 setting):

@@ -7,22 +7,35 @@ Two DSE entry points:
   (1-λ)·geomean-slowdown + λ·(1-mean-utilization) over a polynomial
   training set (λ = 0.8 in the paper).
 * :func:`accelerator_dse` — the full-system sweep of Table III for
-  Fig 10/Table IV.  The sweep is factored: SumCheck-side and MSM-side
-  configurations are pruned to their own latency/area Pareto sets first,
-  then crossed — this preserves the global Pareto frontier because the
-  two groups contribute additively (and the masking max() only ever
-  shrinks with faster components).
+  Fig 10/Table IV, factored: each SumCheck and each MSM configuration is
+  priced once (the phases it alone decides, its true share of the
+  area), dominated side configurations are dropped, and the survivors
+  are crossed by composing a
+  :class:`~repro.hw.accelerator.ProtocolBreakdown` from the parts.
+
+The prune keeps the grid's whole (runtime, area) frontier because a side
+configuration goes only when another is no worse in *every* phase
+latency it contributes and in side area (unit + Forest with their
+interconnect share, plus its SRAM): ``total`` never falls when a phase
+latency rises (beyond an ulp or two of rounding where the ZeroCheck is
+masked), and total area is additive over the two sides plus a
+per-bandwidth constant.  One scalar latency per side cannot do that —
+``total`` takes three ``max``es across phases of different units, so
+summing a side's latencies mis-orders it, and an area without the SRAM
+hides what ``sram_bank_words`` / ``points_per_pe`` pay for (DESIGN.md §3
+"Cost and soundness of a sweep").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import exp, log
+from operator import le
 from typing import Iterable, Sequence
 
 from repro.hw import area as area_model
-from repro.hw.accelerator import ZkPhireModel
+from repro.hw.accelerator import ProtocolBreakdown, ZkPhireModel
 from repro.hw.config import (
     AcceleratorConfig,
     MSMUnitConfig,
@@ -49,14 +62,13 @@ def geomean(values: Sequence[float]) -> float:
     return exp(sum(log(max(v, 1e-300)) for v in values) / len(values))
 
 
-@dataclass
+@dataclass(slots=True)
 class DesignPoint:
     """One evaluated design: a config plus its metrics."""
 
     config: AcceleratorConfig
     runtime_s: float
     area_mm2: float
-    extras: dict = field(default_factory=dict)
 
 
 def pareto_frontier(points: Iterable[DesignPoint]) -> list[DesignPoint]:
@@ -152,16 +164,17 @@ def sumcheck_dse(
 
 # -- Fig 10 / Table IV: full-accelerator DSE -------------------------------------
 
-def _module_pareto(points: list[tuple[float, float, object]]) -> list[tuple[float, float, object]]:
-    """Pareto-minimal (latency, area, payload) triples."""
-    pts = sorted(points, key=lambda t: (t[0], t[1]))
-    out: list[tuple[float, float, object]] = []
-    best_area = float("inf")
-    for lat, a, payload in pts:
-        if a < best_area - 1e-12:
-            out.append((lat, a, payload))
-            best_area = a
-    return out
+def _undominated(costs: Sequence[tuple[float, ...]]) -> list[int]:
+    """Indices of the cost vectors no other vector is ≤ in every
+    component (of equal vectors the first stays), in input order."""
+    # a dominating vector sorts before the one it dominates, so each
+    # candidate only has to be checked against the survivors so far
+    kept: list[int] = []
+    for i in sorted(range(len(costs)), key=costs.__getitem__):
+        candidate = costs[i]
+        if not any(all(map(le, costs[k], candidate)) for k in kept):
+            kept.append(i)
+    return sorted(kept)
 
 
 def accelerator_dse(
@@ -172,8 +185,11 @@ def accelerator_dse(
     msm_grid: Iterable[MSMUnitConfig] | None = None,
     mask_zerocheck: bool = True,
 ) -> list[DesignPoint]:
-    """Evaluate the Table III grid at one bandwidth; returns all points
-    after factored pruning (see module docstring)."""
+    """Evaluate the Table III grid at one bandwidth; returns the cross of
+    the side configurations that survive the dominance prune (see the
+    module docstring) — a superset of the grid's Pareto frontier, each
+    point exactly what :meth:`ZkPhireModel.price` and
+    :func:`~repro.hw.area.accelerator_area` give for its config."""
     if sc_grid is None:
         sc_grid = [
             SumCheckUnitConfig(pes=p, ees_per_pe=e, pls_per_pe=l,
@@ -190,46 +206,43 @@ def accelerator_dse(
     # every design point prices the same plan
     plan = hyperplonk_plan(gate_type_name, num_vars)
 
-    # -- prune the SumCheck side: latency proxy = sum of its 3 SumChecks ---
-    sc_points = []
+    def design(**units) -> AcceleratorConfig:
+        return AcceleratorConfig(bandwidth_gbps=bandwidth_gbps,
+                                 mask_zerocheck=mask_zerocheck, **units)
+
+    # -- price each unit once: (its units, its phases, its side area) --------
+    shared_phases = ZkPhireModel(design()).bandwidth_phases(plan)
+    sc_side = []
     for cfg in sc_grid:
-        acc = AcceleratorConfig(sumcheck=cfg, bandwidth_gbps=bandwidth_gbps,
-                                mask_zerocheck=mask_zerocheck)
-        model = ZkPhireModel(acc)
-        bd = model.price(plan)
-        sc_lat = bd.zerocheck + bd.permcheck + bd.opencheck
-        sc_area = (area_model.sumcheck_area(cfg)
-                   + area_model.forest_area(acc.forest))
-        sc_points.append((sc_lat, sc_area, cfg))
-    sc_pruned = _module_pareto(sc_points)
+        acc = design(sumcheck=cfg)
+        sc_side.append((
+            # the Forest sized from cfg, so every crossed pair shares it
+            {"sumcheck": cfg, "forest": acc.forest},
+            ZkPhireModel(acc).sumcheck_phases(plan),
+            area_model.sumcheck_side_area(cfg, acc.forest),
+        ))
+    msm_side = [
+        ({"msm": cfg}, ZkPhireModel(design(msm=cfg)).msm_phases(plan),
+         area_model.msm_side_area(cfg))
+        for cfg in msm_grid
+    ]
 
-    # -- prune the MSM side -------------------------------------------------
-    msm_points = []
-    # the plan's MSM inventory: k sparse witness columns, plus the wiring
-    # and opening phases (each one N-point and one 2N-point dense MSM)
-    gate_type_k = len(plan.phase("witness_msm").msms)
-    n = 1 << num_vars
-    from repro.hw.msm_unit import MSMUnitModel
-
-    for cfg in msm_grid:
-        m = MSMUnitModel(cfg, bandwidth_gbps)
-        lat = (gate_type_k * m.latency_s(n, sparse=True)
-               + 2 * (m.latency_s(n) + m.latency_s(2 * n)))
-        msm_points.append((lat, area_model.msm_area(cfg), cfg))
-    msm_pruned = _module_pareto(msm_points)
+    def survivors(side):
+        return [side[i] for i in _undominated(
+            [(area, *phases.values()) for _, phases, area in side])]
 
     # -- cross the survivors --------------------------------------------------
     out: list[DesignPoint] = []
-    for _, _, sc_cfg in sc_pruned:
-        for _, _, msm_cfg in msm_pruned:
-            acc = AcceleratorConfig(sumcheck=sc_cfg, msm=msm_cfg,
-                                    bandwidth_gbps=bandwidth_gbps,
-                                    mask_zerocheck=mask_zerocheck)
-            model = ZkPhireModel(acc)
-            runtime = model.price(plan).total
-            breakdown = area_model.accelerator_area(acc)
-            out.append(DesignPoint(config=acc, runtime_s=runtime,
-                                   area_mm2=breakdown.total))
+    msm_survivors = survivors(msm_side)
+    for sc_units, sc_phases, _ in survivors(sc_side):
+        for msm_units, msm_phases, _ in msm_survivors:
+            acc = design(**sc_units, **msm_units)
+            breakdown = ProtocolBreakdown(
+                **sc_phases, **msm_phases, **shared_phases,
+                masked=mask_zerocheck)
+            out.append(DesignPoint(
+                config=acc, runtime_s=breakdown.total,
+                area_mm2=area_model.accelerator_area(acc).total))
     return out
 
 

@@ -20,6 +20,7 @@ initiation interval ceil(K / P), queueing the overflow in delay buffers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import ceil
 
 # The profile vocabulary moved to the plan layer (repro.plan.profiles) so
@@ -50,23 +51,26 @@ class ScheduleNode:
     writes_tmp: bool           # leaves a partial product for the next node
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolynomialSchedule:
-    """The full schedule of a polynomial on an (E, P) SumCheck PE."""
+    """The full schedule of a polynomial's terms on an (E, P) SumCheck
+    PE.  It is a function of exactly (terms, E, P) — a profile's name and
+    storage classes play no part — and immutable, so equal requests share
+    one object (see :func:`schedule_polynomial`)."""
 
-    poly: PolyProfile
+    terms: tuple[TermProfile, ...]
     ees: int
     pls: int
-    nodes: list[ScheduleNode]
+    nodes: tuple[ScheduleNode, ...]
 
     @property
     def num_steps(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def extensions(self) -> int:
         """K: evaluation points 0..d needed per SumCheck round."""
-        return self.poly.degree + 1
+        return max(t.degree for t in self.terms) + 1
 
     def initiation_interval(self, lanes_available: int | None = None) -> int:
         """Cycles between successive pairs on one node (§III-D)."""
@@ -101,46 +105,43 @@ def schedule_polynomial(poly: PolyProfile, ees: int, pls: int) -> PolynomialSche
     Distinct-MLE bookkeeping: an MLE already brought on-chip for an
     earlier term/node in the same round is not re-fetched (``new_names``
     excludes it), matching the banked scratchpad reuse of §III-B.
+
+    A sweep asks for the same few dozen (terms, E, P) thousands of times
+    (once per SumCheck run), so the most recent schedules are kept.
     """
+    return _schedule(poly.terms, ees, pls)
+
+
+@lru_cache(maxsize=1024)
+def _schedule(terms: tuple[TermProfile, ...], ees: int, pls: int) -> PolynomialSchedule:
     if ees < 2:
         raise ValueError("the datapath needs at least 2 extension engines")
     nodes: list[ScheduleNode] = []
     on_chip: set[str] = set()
-    for t_idx, term in enumerate(poly.terms):
+    for t_idx, term in enumerate(terms):
         # expand factor slots with multiplicity, keeping name order
         slots: list[str] = []
         for name, power in term.factors:
             slots.extend([name] * power)
-        first = True
         node_idx = 0
         remaining = slots
         while remaining:
+            first = node_idx == 0
             capacity = ees if first else ees - 1
             chunk, remaining = remaining[:capacity], remaining[capacity:]
             new_names = tuple(
                 dict.fromkeys(n for n in chunk if n not in on_chip)
             )
             on_chip.update(chunk)
+            # a multi-node term leaves its product in Tmp until consumed:
+            # every node but the term's last is a writer
             nodes.append(ScheduleNode(
                 term_index=t_idx,
                 node_index=node_idx,
                 factor_slots=len(chunk),
                 new_names=new_names,
                 uses_tmp=not first,
-                writes_tmp=bool(remaining) or (not first and bool(remaining)),
+                writes_tmp=bool(remaining),
             ))
-            first = False
             node_idx += 1
-        # a multi-node term leaves its product in Tmp until consumed; mark
-        # all but the last node as writers
-        if node_idx > 1:
-            for k in range(len(nodes) - node_idx, len(nodes) - 1):
-                nodes[k] = ScheduleNode(
-                    term_index=nodes[k].term_index,
-                    node_index=nodes[k].node_index,
-                    factor_slots=nodes[k].factor_slots,
-                    new_names=nodes[k].new_names,
-                    uses_tmp=nodes[k].uses_tmp,
-                    writes_tmp=True,
-                )
-    return PolynomialSchedule(poly=poly, ees=ees, pls=pls, nodes=nodes)
+    return PolynomialSchedule(terms=terms, ees=ees, pls=pls, nodes=tuple(nodes))

@@ -83,12 +83,6 @@ class SumCheckUnitModel:
         return schedule_polynomial(poly, self.config.ees_per_pe,
                                    self.config.pls_per_pe)
 
-    def fits_on_chip(self, entries_per_mle: int, num_mles: int) -> bool:
-        cfg = self.config
-        if num_mles > 16:  # 16 scratchpad buffers per PE (§III-B)
-            return False
-        return entries_per_mle <= cfg.sram_bank_words * cfg.pes
-
     # -- the model ----------------------------------------------------------
     def run(self, poly: PolyProfile, num_vars: int,
             fuse_fr: bool | None = None) -> SumCheckRun:
@@ -101,55 +95,64 @@ class SumCheckUnitModel:
         sched = self.schedule(poly)
         if fuse_fr is None:
             fuse_fr = poly.has_fr
-        degree = poly.degree
         uniq = poly.unique_mles
         num_uniq = len(uniq)
         # per-term product multiplies per evaluation point
         prod_muls_per_point = sum(t.degree - 1 for t in poly.terms)
-        extensions = degree + 1
+        extensions = poly.degree + 1
 
         run = SumCheckRun(poly_name=poly.name, num_vars=num_vars)
-        update_capacity = cfg.pes * cfg.ees_per_pe
-        lane_capacity = cfg.pes * cfg.pls_per_pe * (cfg.ees_per_pe - 1)
+        pes = cfg.pes
+        # update multipliers + product-lane multipliers
+        mul_capacity = (pes * cfg.ees_per_pe
+                        + pes * cfg.pls_per_pe * (cfg.ees_per_pe - 1))
+
+        # everything below is the same in every round (round 1 differs
+        # only in its lane count and read set), so it is derived once
+        steps = sched.num_steps
+        later_cycles_per_pair = steps * sched.initiation_interval()
+        # round 1 gives one lane to the Build-MLE fusion
+        first_cycles_per_pair = steps * sched.initiation_interval(
+            cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None)
+        fixed_cycles = STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES
+        overhead_s = ROUND_OVERHEAD_CYCLES / self.freq_hz
+        dense_bytes = memory.entry_bytes("dense")
+        first_read_bytes = [
+            memory.entry_bytes(poly.mle_classes.get(name, "dense"))
+            for name in uniq if not (name == "fr" and fuse_fr)
+        ]
+        # largest per-MLE table the banked scratchpads retain; with more
+        # MLEs than the 16 buffers per PE (§III-B) nothing ever fits
+        on_chip_words = cfg.sram_bank_words * pes if num_uniq <= 16 else 0
 
         # whether the *next* round's input was retained on chip
         prev_written_on_chip = False
         for rnd in range(1, num_vars + 1):
             entries = 1 << (num_vars - rnd + 1)
             pairs = entries // 2
-            pairs_per_pe = ceil(pairs / cfg.pes)
-
-            lanes = cfg.pls_per_pe
-            if rnd == 1 and fuse_fr and lanes > 1:
-                lanes -= 1  # one lane dedicated to Build-MLE fusion
-            ii = sched.initiation_interval(lanes)
-            steps = sched.num_steps
-            compute = (pairs_per_pe * steps * ii
-                       + STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES)
+            compute = (ceil(pairs / pes)
+                       * (first_cycles_per_pair if rnd == 1
+                          else later_cycles_per_pair)
+                       + fixed_cycles)
 
             # ---- traffic ----------------------------------------------------
             on_chip_now = prev_written_on_chip
             reads = 0.0
             if not on_chip_now:
                 if rnd == 1:
-                    for name in uniq:
-                        if name == "fr" and fuse_fr:
-                            continue
-                        reads += entries * memory.entry_bytes(
-                            poly.mle_classes.get(name, "dense"))
+                    for per_entry in first_read_bytes:
+                        reads += entries * per_entry
                 else:
-                    reads = entries * memory.entry_bytes("dense") * num_uniq
+                    reads = entries * dense_bytes * num_uniq
 
-            next_entries = pairs  # halved table
-            fits_next = self.fits_on_chip(next_entries, num_uniq)
+            fits_next = pairs <= on_chip_words  # the halved table
             writes = 0.0
             if rnd < num_vars and not fits_next:
-                writes = next_entries * memory.entry_bytes("dense") * num_uniq
+                writes = pairs * dense_bytes * num_uniq
             prev_written_on_chip = fits_next and rnd < num_vars
 
             mem_s = memory.transfer_seconds(reads + writes, self.bandwidth_gbps)
-            compute_s = compute / self.freq_hz
-            latency = max(compute_s, mem_s) + ROUND_OVERHEAD_CYCLES / self.freq_hz
+            latency = max(compute / self.freq_hz, mem_s) + overhead_s
 
             run.rounds.append(RoundStat(
                 round_index=rnd, pairs=pairs, compute_cycles=compute,
@@ -162,7 +165,7 @@ class SumCheckUnitModel:
             upd_muls = 0 if rnd == 1 else 2 * num_uniq * pairs
             fr_muls = 2 * pairs if (rnd == 1 and fuse_fr) else 0
             run.useful_muls += pl_muls + upd_muls + fr_muls
-            run.capacity_mul_cycles += (update_capacity + lane_capacity) * compute
+            run.capacity_mul_cycles += mul_capacity * compute
 
         return run
 

@@ -13,6 +13,7 @@ proof's work never requires importing a hardware model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.gates.compiler import CompiledGate
@@ -28,7 +29,7 @@ class TermProfile:
 
     factors: tuple[tuple[str, int], ...]
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Total degree of the term (sum of factor powers)."""
         return sum(p for _, p in self.factors)
@@ -44,39 +45,45 @@ class TermProfile:
         return tuple(n for n, _ in self.factors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyProfile:
     """The scheduler's view of a composite polynomial.
 
     ``mle_classes`` maps each constituent MLE to a storage class used by
     the round-1 traffic model: ``selector`` (0/1 bitstream), ``sparse``
     (~90% zero/one witness data, offset-buffer encoded), or ``dense``.
+
+    A profile is immutable: ``terms`` is stored as a tuple (a list is
+    accepted) and no field can be reassigned, which is what lets
+    ``degree`` / ``unique_mles`` / ``has_fr`` be computed once per
+    object — a sweep reads them once per SumCheck round otherwise.
     """
 
     name: str
-    terms: list[TermProfile]
+    terms: tuple[TermProfile, ...]
     mle_classes: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             for n, _ in t.factors:
                 self.mle_classes.setdefault(n, "dense")
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Degree of the composite: the largest term degree."""
         return max(t.degree for t in self.terms)
 
-    @property
-    def unique_mles(self) -> list[str]:
+    @cached_property
+    def unique_mles(self) -> tuple[str, ...]:
         """Distinct constituent MLE names, first-seen order."""
         seen: dict[str, None] = {}
         for t in self.terms:
             for n, _ in t.factors:
                 seen.setdefault(n)
-        return list(seen)
+        return tuple(seen)
 
-    @property
+    @cached_property
     def has_fr(self) -> bool:
         """True when the ZeroCheck randomizer participates."""
         return FR_NAME in self.unique_mles

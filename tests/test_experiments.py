@@ -11,6 +11,7 @@ from repro.experiments import table01, fig08, fig12, fig13, fig14
 from repro.experiments import table05, table06, table07, table08, table09
 from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.common import ExperimentResult, geomean
+from repro.hw import dse
 
 
 class TestCLI:
@@ -29,6 +30,33 @@ class TestCLI:
     def test_known_name_still_runs(self, capsys):
         assert experiments_cli(["table01"]) == 0
         assert "Table I" in capsys.readouterr().out
+
+    def test_fig10_sweep_is_handed_to_table04_and_fig11(self, capsys,
+                                                        monkeypatch):
+        """One invocation sweeps the seven tiers once, and prints what
+        each experiment prints when it sweeps for itself."""
+        tiers_swept = []
+        real = dse.accelerator_dse
+
+        def counted(gate, num_vars, bw, **kwargs):
+            tiers_swept.append(bw)
+            return real(gate, num_vars, bw, **kwargs)
+
+        monkeypatch.setattr(dse, "accelerator_dse", counted)
+
+        def tables(*names):
+            assert experiments_cli(list(names)) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if " ran in " not in line]
+
+        together = tables("fig10", "table04", "fig11")
+        assert tiers_swept == list(dse.BANDWIDTHS)
+        alone = tables("fig10") + tables("table04") + tables("fig11")
+        assert len(tiers_swept) == 4 * len(dse.BANDWIDTHS)
+        assert together == alone
+        # a reader named before fig10 has nothing to take
+        tables("table04", "fig10")
+        assert len(tiers_swept) == 6 * len(dse.BANDWIDTHS)
 
 
 class TestCommon:

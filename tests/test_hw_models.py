@@ -1,5 +1,7 @@
 """Tests for the per-module hardware models and full-system rollups."""
 
+import dataclasses
+
 import pytest
 
 from repro.gates import gate_by_id
@@ -140,6 +142,66 @@ class TestSumCheckUnit:
             SumCheckUnitConfig(pls_per_pe=0)
         with pytest.raises(ValueError):
             SumCheckUnitConfig(pes=0)
+
+
+class TestSumCheckRoundsPinned:
+    """``RoundStat`` lists recorded before the round loop's constants
+    were hoisted: (round, pairs, compute cycles, bytes read, bytes
+    written, latency, on chip), bit for bit."""
+
+    def _rounds(self, gid, cfg, bw, mu, fuse_fr=None):
+        run = SumCheckUnitModel(cfg, bw).run(poly(gid), mu, fuse_fr=fuse_fr)
+        return run, [dataclasses.astuple(r) for r in run.rounds]
+
+    def test_streaming_then_on_chip(self):
+        """Vanilla gate (9 MLEs), 4 PEs x 1024 words: three streamed
+        rounds, the fourth keeps its output, the rest never leave."""
+        cfg = SumCheckUnitConfig(pes=4, ees_per_pe=4, pls_per_pe=5,
+                                 sram_bank_words=1024)
+        run, rounds = self._rounds(20, cfg, 64, 16)
+        assert rounds == [
+            (1, 32768, 82440, 734003.2000000001, 9437184.0, 0.0001591248, False),
+            (2, 16384, 21000, 9437184.0, 4718592.0, 0.000221384, False),
+            (3, 8192, 10760, 4718592.0, 2359296.0, 0.000110792, False),
+            (4, 4096, 5640, 2359296.0, 0.0, 3.7063999999999996e-05, False),
+            (5, 2048, 3080, 0.0, 0.0, 3.28e-06, True),
+            (6, 1024, 1800, 0.0, 0.0, 2e-06, True),
+            (7, 512, 1160, 0.0, 0.0, 1.36e-06, True),
+            (8, 256, 840, 0.0, 0.0, 1.04e-06, True),
+            (9, 128, 680, 0.0, 0.0, 8.799999999999999e-07, True),
+            (10, 64, 600, 0.0, 0.0, 8e-07, True),
+            (11, 32, 560, 0.0, 0.0, 7.6e-07, True),
+            (12, 16, 540, 0.0, 0.0, 7.4e-07, True),
+            (13, 8, 530, 0.0, 0.0, 7.3e-07, True),
+            (14, 4, 525, 0.0, 0.0, 7.249999999999999e-07, True),
+            (15, 2, 525, 0.0, 0.0, 7.249999999999999e-07, True),
+            (16, 1, 525, 0.0, 0.0, 7.249999999999999e-07, True),
+        ]
+        assert run.useful_muls == 3932092.0
+        assert run.capacity_mul_cycles == 9971580.0
+        assert run.latency_s == 0.0005421298000000002
+        assert run.utilization == 0.39432988553468956
+
+    def test_fused_fr_with_a_single_lane(self):
+        """One product lane cannot be given away to the Build-MLE fusion:
+        round 1 runs at the same initiation interval as the others."""
+        cfg = SumCheckUnitConfig(pes=2, ees_per_pe=3, pls_per_pe=1,
+                                 sram_bank_words=1024)
+        run, rounds = self._rounds(20, cfg, 64, 8, fuse_fr=True)
+        assert rounds == [
+            (1, 128, 2504, 2867.2000000000003, 0.0, 2.704e-06, False),
+            (2, 64, 1544, 0.0, 0.0, 1.744e-06, True),
+            (3, 32, 1064, 0.0, 0.0, 1.264e-06, True),
+            (4, 16, 824, 0.0, 0.0, 1.0239999999999999e-06, True),
+            (5, 8, 704, 0.0, 0.0, 9.039999999999999e-07, True),
+            (6, 4, 644, 0.0, 0.0, 8.44e-07, True),
+            (7, 2, 614, 0.0, 0.0, 8.14e-07, True),
+            (8, 1, 614, 0.0, 0.0, 8.14e-07, True),
+        ]
+        assert run.useful_muls == 15292.0
+        assert run.capacity_mul_cycles == 85120.0
+        assert run.latency_s == 1.0111999999999999e-05
+        assert run.utilization == 0.17965225563909776
 
 
 class TestMSMUnit:

@@ -1,8 +1,11 @@
 """The proof-cost plan layer: structure, DAG validity, constructors,
 and the canonical HyperPlonk inventory (ISSUE 3 tentpole)."""
 
+import dataclasses
+
 import pytest
 
+from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.hyperplonk.preprocess import preprocess
 from repro.plan import (
     AcceleratorCostModel,
@@ -16,6 +19,7 @@ from repro.plan import (
     TermProfile,
     gate_type_by_name,
     hyperplonk_plan,
+    opencheck_profile,
     phase_modmuls,
     plan_modmuls,
 )
@@ -101,6 +105,66 @@ class TestPlanStructure:
                    PhaseCost("b", "product_tree", rows=4))
         with pytest.raises(ValueError, match="do not precede"):
             ProofPlan("vanilla", 4, forward)
+
+
+def _all_profiles():
+    profiles = [PolyProfile.from_gate(gate_by_id(gid)) for gid in range(25)]
+    for degree in (2, 5, 9, 16, 30):
+        for with_fr in (False, True):
+            profiles.append(PolyProfile.from_gate(
+                high_degree_sweep_gate(degree, with_fr)))
+    profiles.append(opencheck_profile())
+    return profiles
+
+
+class TestProfileFacts:
+    """``degree`` / ``unique_mles`` / ``has_fr`` are computed once per
+    profile, which is only sound while a profile cannot change."""
+
+    @pytest.mark.parametrize("profile", _all_profiles(),
+                             ids=lambda p: p.name)
+    def test_facts_equal_an_independent_recomputation(self, profile):
+        term_degrees = [sum(power for _, power in t.factors)
+                        for t in profile.terms]
+        names = []
+        for t in profile.terms:
+            names += [n for n, _ in t.factors if n not in names]
+        for _ in range(2):                      # first read, then the kept one
+            assert [t.degree for t in profile.terms] == term_degrees
+            assert profile.degree == max(term_degrees)
+            assert list(profile.unique_mles) == names
+            assert profile.has_fr is ("fr" in names)
+        assert set(profile.mle_classes) >= set(names)
+
+    def test_facts_are_evaluated_once_per_object(self):
+        profile = PolyProfile.from_gate(gate_by_id(22))
+        assert "degree" not in vars(profile)
+        assert profile.degree == 7
+        assert vars(profile)["degree"] == 7
+        assert profile.unique_mles is profile.unique_mles
+
+    def test_terms_cannot_go_stale(self):
+        a, b = TermProfile((("a", 2),)), TermProfile((("b", 5), ("fr", 1)))
+        given = [a]
+        profile = PolyProfile("p", given)
+        assert profile.terms == (a,) and profile.degree == 2
+        given.append(b)                         # the caller's list is not ours
+        assert profile.terms == (a,)
+        with pytest.raises(AttributeError):
+            profile.terms.append(b)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.terms = (a, b)
+        assert profile.degree == 2 and not profile.has_fr
+
+    def test_equality_and_classes_as_before(self):
+        t = TermProfile((("q1", 1), ("w1", 3)))
+        assert PolyProfile("p", [t]) == PolyProfile("p", (t,))
+        assert PolyProfile("p", [t]) != PolyProfile("q", [t])
+        assert (PolyProfile("p", [t], {"q1": "selector"}).mle_classes
+                == {"q1": "selector", "w1": "dense"})
+        read, unread = PolyProfile("p", [t]), PolyProfile("p", [t])
+        assert read.degree == 4                 # a kept fact is not a field
+        assert read == unread
 
 
 class TestPlanConstructors:

@@ -1,5 +1,7 @@
 """Hypothesis property tests on core invariants across the stack."""
 
+import dataclasses
+import math
 import random
 
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.fields import Fr
 from repro.gates.compiler import compile_expr
 from repro.gates.expr import Const, Var
+from repro.hw.accelerator import ProtocolBreakdown
 from repro.hw.config import SumCheckUnitConfig
 from repro.hw.cpu_baseline import sumcheck_modmuls
 from repro.hw.scheduler import (
@@ -121,6 +124,46 @@ class TestModelProperties:
     @settings(max_examples=30, deadline=None)
     def test_cpu_modmuls_positive_and_monotone_in_mu(self, poly, mu):
         assert sumcheck_modmuls(poly, mu) < sumcheck_modmuls(poly, mu + 1)
+
+
+PHASES = [f.name for f in dataclasses.fields(ProtocolBreakdown)
+          if f.name != "masked"]
+
+
+class TestOverlapScheduleMonotone:
+    """What the DSE's dominance prune rests on: a slower phase never makes
+    the proof faster, with the ZeroCheck masked or not."""
+
+    @given(ticks=st.lists(st.integers(min_value=0, max_value=10**9),
+                          min_size=len(PHASES), max_size=len(PHASES)),
+           phase=st.sampled_from(PHASES),
+           extra=st.integers(min_value=1, max_value=10**9),
+           masked=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_total_never_falls_when_a_phase_rises(self, ticks, phase, extra,
+                                                  masked):
+        # integer-valued latencies: every sum and max below is exact
+        latencies = dict(zip(PHASES, map(float, ticks)))
+        base = ProtocolBreakdown(**latencies, masked=masked).total
+        latencies[phase] += extra
+        raised = ProtocolBreakdown(**latencies, masked=masked).total
+        assert raised >= base
+
+    @given(seconds=st.lists(st.floats(min_value=1e-6, max_value=10.0),
+                            min_size=len(PHASES), max_size=len(PHASES)),
+           phase=st.sampled_from(PHASES),
+           extra=st.floats(min_value=0.0, max_value=10.0),
+           masked=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_in_floating_point_up_to_rounding(self, seconds, phase, extra,
+                                              masked):
+        """wire + max(0, zerocheck - wire) is rounded twice, so a masked
+        total may move by an ulp or two against the exact direction."""
+        latencies = dict(zip(PHASES, seconds))
+        base = ProtocolBreakdown(**latencies, masked=masked).total
+        latencies[phase] += extra
+        raised = ProtocolBreakdown(**latencies, masked=masked).total
+        assert raised >= base - 4 * math.ulp(base)
 
 
 # -- protocol-layer properties -------------------------------------------------------

@@ -3,15 +3,22 @@
 import pytest
 
 from repro.experiments import setups
-from repro.hw.config import MSMUnitConfig, SumCheckUnitConfig
+from repro.hw.accelerator import ProtocolBreakdown, ZkPhireModel
+from repro.hw.area import accelerator_area, msm_side_area, sumcheck_side_area
+from repro.hw.config import AcceleratorConfig, MSMUnitConfig, SumCheckUnitConfig
 from repro.hw.dse import (
     DesignPoint,
+    _undominated,
     accelerator_dse,
     enumerate_sumcheck_configs,
     geomean,
+    global_pareto,
     pareto_frontier,
     sumcheck_dse,
 )
+from repro.hw.msm_unit import MSMUnitModel
+from repro.hw.sumcheck_unit import SumCheckUnitModel
+from repro.plan import hyperplonk_plan
 from repro.workloads import WORKLOADS, workload_by_name
 
 
@@ -126,3 +133,140 @@ class TestAcceleratorDSE:
         unmasked = accelerator_dse("jellyfish", 18, 1024, sc_grid=sc_grid,
                                    msm_grid=msm_grid, mask_zerocheck=False)
         assert masked[0].runtime_s <= unmasked[0].runtime_s
+
+
+# -- the factored sweep against its oracles ------------------------------------
+
+SWEEP_TIERS = (256, 2048)
+
+
+def _rt_area(points):
+    return {(p.runtime_s, p.area_mm2) for p in points}
+
+
+def _exhaustive_cross(gate, num_vars, bw, sc_grid, msm_grid, mask=True):
+    """Price every pair of the grid with the one-design-point model."""
+    plan = hyperplonk_plan(gate, num_vars)
+    points = []
+    for sc in sc_grid:
+        for msm in msm_grid:
+            acc = AcceleratorConfig(sumcheck=sc, msm=msm, bandwidth_gbps=bw,
+                                    mask_zerocheck=mask)
+            points.append(DesignPoint(
+                acc, ZkPhireModel(acc).price(plan).total,
+                accelerator_area(acc).total))
+    return points
+
+
+class TestSweepAgainstOracles:
+    @pytest.mark.parametrize("mask", (True, False))
+    @pytest.mark.parametrize("bw", SWEEP_TIERS)
+    def test_every_point_is_what_price_and_area_give(self, bw, mask):
+        plan = hyperplonk_plan("jellyfish", 20)
+        points = accelerator_dse(
+            "jellyfish", 20, bw, sc_grid=setups.fast_sc_grid(),
+            msm_grid=setups.fast_msm_grid(), mask_zerocheck=mask)
+        assert points
+        for p in points:
+            assert p.config.bandwidth_gbps == bw
+            assert p.config.mask_zerocheck is mask
+            assert ZkPhireModel(p.config).price(plan).total == p.runtime_s
+            assert accelerator_area(p.config).total == p.area_mm2
+
+    @pytest.mark.parametrize("gate", ("jellyfish", "vanilla"))
+    @pytest.mark.parametrize("bw", SWEEP_TIERS)
+    def test_frontier_is_the_exhaustive_cross(self, gate, bw):
+        """The regression for the proxy prune: it kept about half of the
+        grid's true frontier."""
+        sc_grid, msm_grid = setups.fast_sc_grid(), setups.fast_msm_grid()
+        swept = accelerator_dse(gate, 20, bw, sc_grid=sc_grid,
+                                msm_grid=msm_grid)
+        assert len(swept) < len(sc_grid) * len(msm_grid)  # it does prune
+        exhaustive = _exhaustive_cross(gate, 20, bw, sc_grid, msm_grid)
+        assert (_rt_area(pareto_frontier(swept))
+                == _rt_area(pareto_frontier(exhaustive)))
+
+    def test_global_frontier_is_the_frontier_of_every_point(self):
+        sc_grid = setups.fast_sc_grid()[::5]
+        msm_grid = setups.fast_msm_grid()[::3]
+        per_bw, front = global_pareto("jellyfish", 18, SWEEP_TIERS,
+                                      sc_grid=sc_grid, msm_grid=msm_grid)
+        everything = [p for bw in SWEEP_TIERS for p in _exhaustive_cross(
+            "jellyfish", 18, bw, sc_grid, msm_grid)]
+        assert _rt_area(front) == _rt_area(pareto_frontier(everything))
+        assert list(per_bw) == list(SWEEP_TIERS)
+
+    def test_each_unit_is_priced_once(self, monkeypatch):
+        """3 SumCheck runs per SumCheck configuration, one model per MSM
+        configuration, and no model run while crossing."""
+        runs, msm_latencies, crossing = [], [], []
+        real_run, real_msm = SumCheckUnitModel.run, MSMUnitModel.latency_s
+        real_total = ProtocolBreakdown.total.fget
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(self.config)
+            return real_run(self, *args, **kwargs)
+
+        def counted_msm(self, *args, **kwargs):
+            msm_latencies.append(self.config)
+            return real_msm(self, *args, **kwargs)
+
+        def total(self):
+            crossing.append((len(runs), len(msm_latencies)))
+            return real_total(self)
+
+        monkeypatch.setattr(SumCheckUnitModel, "run", counted_run)
+        monkeypatch.setattr(MSMUnitModel, "latency_s", counted_msm)
+        monkeypatch.setattr(ProtocolBreakdown, "total", property(total))
+        sc_grid, msm_grid = setups.fast_sc_grid(), setups.fast_msm_grid()
+        points = accelerator_dse("jellyfish", 20, 1024, sc_grid=sc_grid,
+                                 msm_grid=msm_grid)
+        plan = hyperplonk_plan("jellyfish", 20)
+        assert len(runs) == 3 * len(sc_grid) == 216
+        assert len(msm_latencies) == len(plan.msm_tasks()) * len(msm_grid)
+        # every pair was composed after the last model run
+        assert len(crossing) == len(points)
+        assert set(crossing) == {(len(runs), len(msm_latencies))}
+
+    def test_schedules_are_built_once_per_terms_and_shape(self):
+        from repro.hw import scheduler
+
+        sc_grid = setups.fast_sc_grid()
+        shapes = {(c.ees_per_pe, c.pls_per_pe) for c in sc_grid}
+        scheduler._schedule.cache_clear()
+        accelerator_dse("jellyfish", 20, 1024, sc_grid=sc_grid,
+                        msm_grid=setups.fast_msm_grid())
+        info = scheduler._schedule.cache_info()
+        assert info.misses == 3 * len(shapes)     # three SumCheck profiles
+        assert info.hits == 3 * len(sc_grid) - info.misses
+
+    def test_side_areas_add_up_to_the_total(self):
+        """The additivity the prune rests on: total area = SumCheck side
+        + MSM side + a remainder that only the bandwidth moves."""
+        sc_grid, msm_grid = setups.fast_sc_grid(), setups.fast_msm_grid()
+        for bw in SWEEP_TIERS:
+            remainders = []
+            for sc, msm in zip(sc_grid, msm_grid * 3):
+                acc = AcceleratorConfig(sumcheck=sc, msm=msm,
+                                        bandwidth_gbps=bw)
+                remainders.append(
+                    accelerator_area(acc).total
+                    - sumcheck_side_area(sc, acc.forest)
+                    - msm_side_area(msm))
+            assert max(remainders) - min(remainders) < 1e-9
+
+
+class TestUndominated:
+    def test_keeps_only_vectors_nothing_else_is_no_worse_than(self):
+        costs = [(2.0, 2.0), (1.0, 3.0), (3.0, 1.0), (2.0, 3.0), (1.0, 3.0)]
+        # (2,3) loses to (2,2); the second (1,3) is a duplicate
+        assert _undominated(costs) == [0, 1, 2]
+
+    def test_a_vector_better_in_one_component_survives(self):
+        costs = [(1.0, 1.0, 9.0), (1.0, 1.0, 1.0), (0.5, 5.0, 5.0),
+                 (9.0, 9.0, 0.5)]
+        assert _undominated(costs) == [1, 2, 3]
+
+    def test_empty_and_single(self):
+        assert _undominated([]) == []
+        assert _undominated([(4.0,)]) == [0]
