@@ -7,12 +7,12 @@ measured trajectory into ``BENCH_sumcheck.json`` at the repo root so
 every future PR can see whether the fast path regressed.
 
 The acceptance row is the vanilla-PLONK gate at μ = 12, which must show
-at least a 2× speedup for ``fused`` (ISSUE 1; currently ~3×) and at
-least 1.5× for ``array`` (ISSUE 6's 10× target over fused is not
-reachable in pure Python — the 255-bit modmul floor dominates; the
-array backend lands ~2.4× over reference, i.e. roughly fused parity at
-μ = 12 and ~0.75× fused at μ = 16, recorded honestly here and discussed
-in DESIGN.md §9).
+at least a 2× speedup for ``fused`` (ISSUE 1; ~3.5× since the kernel
+runs on a degree-aware round schedule) and at least 1.5× for ``array``
+(ISSUE 6's 10× target over fused is not reachable in pure Python — the
+255-bit modmul floor dominates; the array backend lands ~1.9× over
+reference, i.e. about half of fused at μ = 12 and a third at μ = 16,
+recorded honestly here and discussed in DESIGN.md §9).
 """
 
 import json
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.fields import Fr, list_backends
-from repro.gates import gate_by_id
+from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.mle import DenseMLE, VirtualPolynomial
 from repro.sumcheck import FastSumCheckProver, Transcript, prove_sumcheck
 
@@ -34,12 +34,15 @@ ARRAY_SPEEDUP_FLOOR_MU12 = 1.5
 
 HAVE_ARRAY = "array" in list_backends()
 
-#: (row name, gate id, μ, whether the acceptance floors apply)
+#: (row name, gate id, μ, whether the acceptance floors apply); a
+#: negative id -d is the degree-sweep gate of degree d, the one row whose
+#: terms share no factor (the vanilla / Jellyfish rows all carry ``fr``)
 BENCH_MATRIX = [
     ("vanilla-mu8", 20, 8, False),
     ("vanilla-mu10", 20, 10, False),
     ("vanilla-mu12", 20, 12, True),
     ("jellyfish-mu12", 22, 12, False),
+    ("sweep-d16-mu12", -16, 12, False),
     ("vanilla-mu16", 20, 16, False),
 ]
 
@@ -48,7 +51,10 @@ def build_gate_vp(gate_id: int, num_vars: int, seed: int = 0xFA57):
     import random
 
     rng = random.Random(seed)
-    spec = gate_by_id(gate_id)
+    spec = (
+        gate_by_id(gate_id) if gate_id >= 0
+        else high_degree_sweep_gate(-gate_id)
+    )
     scalars = {s: rng.randrange(1, Fr.modulus) for s in spec.compiled.scalar_names}
     terms = spec.compiled.bind(Fr, scalars)
     mles = {

@@ -15,8 +15,8 @@ zkPHIRE operates over the BLS12-381 curve: the scalar field ``Fr``
   used to validate the hardware performance model against functional runs,
 * :mod:`~repro.fields.vector` — batched field-vector kernels
   (:class:`~repro.fields.vector.FieldVec`) behind a pluggable backend
-  registry (``reference`` / ``fused`` / numpy-limb ``array`` / optional
-  ``gmp``), the substrate of the fast-path SumCheck prover.
+  registry (``reference`` / ``fused`` / optional numpy-limb ``array``),
+  the substrate of the fast-path SumCheck prover.
 """
 
 from repro.fields.prime_field import Felt, PrimeField, batch_inverse

@@ -1,4 +1,4 @@
-"""numpy limb-plane field vectors: the ``array`` backend (plus ``gmp``).
+"""numpy limb-plane field vectors: the ``array`` backend.
 
 The ``fused`` backend hoists Python bytecode out of the hot loops but
 still pays CPython's per-element bigint dispatch.  This module stores a
@@ -42,10 +42,6 @@ when numpy is present — :mod:`repro.fields.vector` imports it the first
 time a caller asks for the backend (or lists the backends), never
 before, and reports :class:`~repro.fields.vector.BackendUnavailable`
 if that fails.
-
-The ``gmp`` variant at the bottom swaps CPython bigints for ``gmpy2``
-``mpz`` objects behind the exact same interface; it is registered only
-when gmpy2 imports.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.fields.prime_field import PrimeField
-from repro.fields.vector import FusedBackend, VectorBackend
+from repro.fields.vector import VectorBackend
 
 LIMB_BITS = 30
 LIMB_BASE = 1 << LIMB_BITS
@@ -589,8 +585,8 @@ class ArrayBackend(VectorBackend):
         half = len(tables[names[0]]) // 2
 
         # flat point-major extension planes per MLE: block x of the
-        # column axis holds every pair's line at X = x (the limb-plane
-        # analogue of FusedBackend._extend_flat).  When every table has
+        # column axis holds every pair's line at X = x (the layout the
+        # fused kernel's extension columns have).  When every table has
         # the same even length — always true inside the prover — the
         # adder chain runs once over all MLEs concatenated, then splits.
         flat: dict[str, np.ndarray] = {}
@@ -667,69 +663,3 @@ class ArrayBackend(VectorBackend):
             counter.count_mul(half * npts * sum_deg, kind="pl")
             counter.count_add(half * npts * len(terms))
         return evals
-
-
-class GmpBackend(FusedBackend):
-    """gmpy2 ``mpz`` variant of the fused kernels (optional).
-
-    Delegates every kernel to :class:`FusedBackend` after promoting the
-    operands to ``mpz`` — CPython then dispatches ``*``/``%`` straight
-    into GMP — and demotes the results back to plain ints so transcripts
-    and comparisons stay type-stable.  (A numpy object-array layout was
-    also measured; plain mpz-typed lists beat it, because object arrays
-    still pay per-element CPython dispatch plus ndarray overhead.)
-
-    Registered as ``"gmp"`` only when gmpy2 is importable; tallies and
-    results are bit-identical to the reference backend like every
-    backend.
-    """
-
-    name = "gmp"
-
-    @staticmethod
-    def _z(values):
-        from gmpy2 import mpz
-
-        return [mpz(v) for v in values]
-
-    @staticmethod
-    def _ints(values):
-        return [int(v) for v in values]
-
-    def add(self, field, a, b, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.add`."""
-        return self._ints(super().add(field, self._z(a), self._z(b), counter))
-
-    def sub(self, field, a, b, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.sub`."""
-        return self._ints(super().sub(field, self._z(a), self._z(b), counter))
-
-    def mul(self, field, a, b, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.mul`."""
-        return self._ints(super().mul(field, self._z(a), self._z(b), counter))
-
-    def scale(self, field, a, c, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.scale`."""
-        return self._ints(super().scale(field, self._z(a), c, counter))
-
-    def axpy(self, field, acc, c, x, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.axpy`."""
-        return self._ints(
-            super().axpy(field, self._z(acc), c, self._z(x), counter)
-        )
-
-    def fold(self, field, table, r, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.fold`."""
-        return self._ints(super().fold(field, self._z(table), r, counter))
-
-    def extend_columns(self, field, table, degree, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.extend_columns`."""
-        cols = super().extend_columns(field, self._z(table), degree, counter)
-        return [self._ints(col) for col in cols]
-
-    def round_evaluations(self, field, terms, tables, degree, counter=None):
-        """gmpy2 ``mpz`` :meth:`VectorBackend.round_evaluations`."""
-        ztables = {name: self._z(t) for name, t in tables.items()}
-        return self._ints(
-            super().round_evaluations(field, terms, ztables, degree, counter)
-        )

@@ -8,19 +8,18 @@ the same protocol code can run on interchangeable implementations:
 
 * ``reference`` — per-element loops that mirror the original scalar code
   path operation-for-operation.  This is the semantic oracle.
-* ``fused`` — the pure-Python fast path: modulus and table lookups are
-  hoisted out of the loops, extension columns are produced with
-  precomputed per-degree coefficients, and the SumCheck
-  extend→product→accumulate dataflow is fused into single passes with
-  local-variable binding and deferred modular reduction on accumulators.
+* ``fused`` — the pure-Python fast path: whole-column comprehensions
+  with the modulus and tables bound to locals, and a SumCheck round
+  kernel that runs on a degree-aware :class:`RoundSchedule` — every
+  sub-sum multiplied out at its own degree + 1 points and carried to the
+  rest by forward differences, the factor common to all terms multiplied
+  in once, modular reduction deferred to the per-point sums.
 * ``array`` — numpy uint64 limb planes with vectorized Montgomery REDC
   and Barrett reduction (:mod:`repro.fields.array_backend`); needs
   numpy, otherwise :func:`get_backend` raises :class:`BackendUnavailable`.
-* ``gmp`` — optional gmpy2 ``mpz`` variant of the fused kernels; needs
-  gmpy2 as well.
 
-The two optional backends are imported on the first request that could
-involve them — asking for one by name, :func:`list_backends`,
+The optional backend is imported on the first request that could involve
+it — asking for it by name, :func:`list_backends`,
 :func:`unavailable_backends` — so a process that only ever names the
 built-in ones never imports numpy.
 
@@ -39,7 +38,11 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from repro.fields.counters import OpCounter
 from repro.fields.prime_field import PrimeField
@@ -257,6 +260,163 @@ class ReferenceBackend(VectorBackend):
 
 
 # ---------------------------------------------------------------------------
+# the fused round kernel's schedule and column helpers
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RoundSchedule:
+    """Which points each part of a term structure is multiplied out at.
+
+    A SumCheck round needs s(0..d), but a sub-sum of degree m is fixed by
+    m + 1 of those values and the rest follow by forward differences —
+    adds only, the software shape of Fig. 1's extension engines.  The
+    schedule is derived from the *factors* of the terms alone (the
+    coefficients, e.g. PermCheck's α, are per-proof data):
+
+    * ``common`` — the MLE powers every term carries (``fr`` in the
+      ZeroCheck gates), multiplied in once per point instead of once per
+      term and point; empty for a single term, which has nothing to share;
+    * ``residuals[i]`` — term ``i``'s factors with the common ones removed;
+    * ``groups`` — ``(m, term indices)`` by residual degree ``m``,
+      ascending; a group is multiplied out at points ``0..min(m, d)``;
+    * ``points[(name, power)]`` — how many points that power column is
+      needed at, ``mle_points[name]`` — how far the MLE is extended.
+    """
+
+    degree: int
+    common: tuple[tuple[str, int], ...]
+    residuals: tuple[tuple[tuple[str, int], ...], ...]
+    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    points: Mapping[tuple[str, int], int]
+    mle_points: Mapping[str, int]
+
+
+@lru_cache(maxsize=256)
+def round_schedule(
+    factors: tuple[tuple[tuple[str, int], ...], ...], degree: int
+) -> RoundSchedule:
+    """The :class:`RoundSchedule` of a term structure (``term.factors``
+    per term) for a round polynomial of ``degree``; cached, bounded."""
+    shared: dict[str, int] = {}
+    if len(factors) > 1:
+        powers = [dict(term) for term in factors]
+        for name, _ in factors[0]:
+            low = min(term.get(name, 0) for term in powers)
+            if low:
+                shared[name] = low
+    residuals = tuple(
+        tuple(
+            (name, power - shared.get(name, 0))
+            for name, power in term
+            if power > shared.get(name, 0)
+        )
+        for term in factors
+    )
+    by_degree: dict[int, list[int]] = {}
+    for i, residual in enumerate(residuals):
+        by_degree.setdefault(sum(pw for _, pw in residual), []).append(i)
+    groups = tuple((m, tuple(by_degree[m])) for m in sorted(by_degree))
+
+    common = tuple(shared.items())
+    points = dict.fromkeys(common, degree + 1)
+    for m, members in groups:
+        for i in members:
+            for key in residuals[i]:
+                points[key] = max(points.get(key, 0), min(m, degree) + 1)
+    mle_points: dict[str, int] = {}
+    for (name, _), n in points.items():
+        mle_points[name] = max(mle_points.get(name, 0), n)
+    return RoundSchedule(
+        degree, common, residuals, groups,
+        MappingProxyType(points), MappingProxyType(mle_points),
+    )
+
+
+def _extend_points(table: Sequence[int], half: int, npts: int) -> list[int]:
+    """Flat column-major extension: ``flat[x * half + j]`` is pair ``j``'s
+    line at ``X = x``, for ``x < npts``.  An adder chain over whole
+    columns, left unreduced: from canonical input ``|lo + x·δ| < npts·p``,
+    which for every degree the gates reach is the same nine 30-bit digits
+    a reduced element takes."""
+    lo = table[:2 * half:2]
+    if npts == 1:
+        return lo
+    hi = table[1:2 * half:2]
+    flat = lo + hi
+    if npts > 2:
+        step = [h - l for h, l in zip(hi, lo)]
+        cur = hi
+        for _ in range(npts - 2):
+            cur = [c + s for c, s in zip(cur, step)]
+            flat += cur
+    return flat
+
+
+def _power_column(p: int, base: list[int], power: int) -> list[int]:
+    """``base ** power`` elementwise (``power >= 2``), reduced: binary
+    square-and-multiply from the top bit over whole columns, the multiply
+    of a set bit fused into its squaring as one three-lane product."""
+    acc = base
+    for bit in bin(power)[3:]:
+        if bit == "1":
+            acc = [a * a * v % p for a, v in zip(acc, base)]
+        else:
+            acc = [a * a % p for a in acc]
+    return acc
+
+
+def _lane_product(p: int, cols: list, n: int, lanes: int) -> list[int]:
+    """Elementwise product of one-lane columns over their first ``n``
+    rows, reduced only as often as keeps the result within ``lanes``
+    (1 to 3) lanes — a lane being one factor below ~p that has been
+    multiplied in without a reduction.  ``cols[1:]`` may be iterators."""
+    acc = cols[0] if len(cols[0]) == n else cols[0][:n]
+    rest = cols[1:]
+    while rest:
+        shed = 1 + len(rest) - lanes
+        if shed <= 0:
+            if len(rest) == 1:
+                return [a * u for a, u in zip(acc, rest[0])]
+            return [a * u * v for a, u, v in zip(acc, rest[0], rest[1])]
+        if shed == 1 or len(rest) == 1:
+            acc = [a * u % p for a, u in zip(acc, rest[0])]
+            rest = rest[1:]
+        else:
+            acc = [a * u * v % p for a, u, v in zip(acc, rest[0], rest[1])]
+            rest = rest[2:]
+    return acc
+
+
+def extend_by_differences(
+    flat: list[int], width: int, have: int, want: int
+) -> list[int]:
+    """Carry ``width`` polynomials of degree below ``have`` from their
+    values at ``0..have-1`` to ``0..want-1``, by forward differences.
+
+    ``flat`` is column-major (``flat[x * width + j]`` is row ``j`` at
+    ``X = x``).  Exact integer adds and subtracts only — no multiply, no
+    reduction — so rows may be unreduced or negative, and a row that
+    equals its polynomial mod p on the way in does so on the way out.
+    """
+    if want <= have:
+        return flat
+    diffs = [flat[x * width:(x + 1) * width] for x in range(have)]
+    # pass k turns diffs[i] into Δ^k f(i) for i < have - k; what it leaves
+    # behind, diffs[have-1-k], is the backward difference ∇^k f(have-1)
+    for k in range(1, have):
+        for i in range(have - k):
+            diffs[i] = [b - a for a, b in zip(diffs[i], diffs[i + 1])]
+    back = diffs[::-1]
+    out = list(flat)
+    for _ in range(want - have):
+        # ∇^k f(x+1) = ∇^k f(x) + ∇^(k+1) f(x+1), the top one constant
+        for k in range(have - 2, -1, -1):
+            back[k] = [a + b for a, b in zip(back[k], back[k + 1])]
+        out += back[0]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # fused backend — the fast path
 # ---------------------------------------------------------------------------
 
@@ -268,9 +428,13 @@ class FusedBackend(VectorBackend):
     * the modulus and every table are bound to locals once per call;
     * extension columns use the precomputed coefficient identity
       ``line(x) = lo + x * (hi - lo)`` instead of a per-point adder chain;
-    * the round kernel fuses extend → product → accumulate into one pass
-      over column vectors, deferring modular reduction on accumulators
-      (partial products stay ``< p**lanes``, sums reduce once at the end);
+    * the round kernel follows a :class:`RoundSchedule`: extension
+      columns are unreduced adder chains, only as long as some product
+      needs them; each group of terms is multiplied out at its own
+      degree + 1 points and carried further by forward differences; a
+      factor common to every term is multiplied in once per point;
+      products are reduced only where they would pass three lanes, sums
+      once per point;
     * counter tallies are computed in closed form and applied in bulk.
     """
 
@@ -348,131 +512,94 @@ class FusedBackend(VectorBackend):
             counter.count_add(max(degree - 1, 0) * len(lo))
         return cols[: degree + 1]
 
-    @staticmethod
-    def _extend_flat(p: int, table: Sequence[int], degree: int) -> list[int]:
-        """Flat column-major extension array: ``flat[x * half + j]`` is
-        pair ``j``'s line evaluated at ``X = x``.  One list per MLE for
-        *all* points, so downstream product passes run once per term
-        rather than once per (term, point).  Requires canonical ``[0, p)``
-        input (guaranteed by DenseMLE tables and fold outputs)."""
-        half = len(table) // 2
-        lo = table[:2 * half:2]
-        hi = table[1:2 * half:2]
-        flat = list(lo)
-        if degree >= 1:
-            flat += hi
-        if degree >= 2:
-            # incremental adder chain over whole columns: col[x] = col[x-1]
-            # + delta (deltas stay unreduced in (-p, p); sums normalize)
-            delta = [h - l for h, l in zip(hi, lo)]
-            cur = hi
-            for _ in range(degree - 1):
-                cur = [(c + d) % p for c, d in zip(cur, delta)]
-                flat += cur
-        return flat
-
     def round_evaluations(self, field, terms, tables, degree, counter=None):
-        """Fused-loop :meth:`VectorBackend.round_evaluations`."""
+        """Fused-loop :meth:`VectorBackend.round_evaluations`, on the
+        degree-aware :class:`RoundSchedule` of the term structure."""
         p = field.modulus
         npts = degree + 1
-        names = list(tables)
-        half = len(tables[names[0]]) // 2
-
-        # flat extension arrays, one slice-and-extend pass per MLE
-        flat = {name: self._extend_flat(p, tables[name], degree)
-                for name in names}
-
-        # elementwise power columns, cached per (name, power) so a factor
-        # like w1^5 shared by several terms is exponentiated once; whole
-        # columns are squared-and-multiplied (comprehensions beat per-
-        # element pow() calls)
-        pow_cache: dict[tuple[str, int], list[int]] = {}
-
-        def factor_col(name: str, power: int) -> list[int]:
-            if power == 1:
-                return flat[name]
-            col = pow_cache.get((name, power))
-            if col is None:
-                base = flat[name]
-                if power == 2:
-                    col = [v * v % p for v in base]
-                elif power == 3:
-                    col = [v * v * v % p for v in base]
-                elif power == 4:
-                    sq = [v * v % p for v in base]
-                    col = [s * s % p for s in sq]
-                elif power == 5:
-                    sq = [v * v % p for v in base]
-                    col = [s * s * v % p for s, v in zip(sq, base)]
-                else:
-                    result = None
-                    e = power
-                    while e:
-                        if e & 1:
-                            result = base if result is None else [
-                                u * v % p for u, v in zip(result, base)
-                            ]
-                        e >>= 1
-                        if e:
-                            base = [v * v % p for v in base]
-                    col = result
-                pow_cache[(name, power)] = col
-            return col
-
-        evals = [0] * npts
-        for term in terms:
-            coeff = term.coeff % p
-            factors = term.factors
-            k = len(factors)
-            if k == 0:
-                # constant term: contributes coeff once per pair
-                contrib = coeff * half % p
-                for x in range(npts):
-                    evals[x] = (evals[x] + contrib) % p
-                continue
-            # single product pass across all points; modular reduction is
-            # deferred to the per-point sums (partials stay < p**k)
-            if k == 1:
-                prods = factor_col(*factors[0])
-            elif k == 2:
-                a = factor_col(*factors[0])
-                b = factor_col(*factors[1])
-                prods = [u * v for u, v in zip(a, b)]
-            elif k == 3:
-                a = factor_col(*factors[0])
-                b = factor_col(*factors[1])
-                c3 = factor_col(*factors[2])
-                prods = [u * v * w for u, v, w in zip(a, b, c3)]
-            else:
-                # k >= 4: reduce three lanes at a time, reducing mod p
-                # between passes to bound intermediate growth
-                lane_cols = [factor_col(name, power) for name, power in factors]
-                acc = [u * v % p for u, v in zip(lane_cols[0], lane_cols[1])]
-                i = 2
-                while k - i >= 3:
-                    acc = [
-                        t * u * v % p
-                        for t, u, v in zip(acc, lane_cols[i], lane_cols[i + 1])
-                    ]
-                    i += 2
-                rest = lane_cols[i:]  # the loop bound leaves 1 or 2 lanes
-                if len(rest) == 1:
-                    prods = [u * v for u, v in zip(acc, rest[0])]
-                else:
-                    prods = [
-                        u * v * w for u, v, w in zip(acc, rest[0], rest[1])
-                    ]
-            for x in range(npts):
-                s = sum(prods[x * half:(x + 1) * half]) % p
-                evals[x] = (evals[x] + coeff * s) % p
-
+        half = len(next(iter(tables.values()))) // 2
         if counter is not None:
-            # closed-form tallies matching the reference loop exactly
-            counter.count_add(max(degree - 1, 0) * half * len(names))
+            # closed-form tallies matching the reference loop exactly:
+            # they model Fig. 1's dataflow, not this schedule's op count
+            counter.count_add(max(degree - 1, 0) * half * len(tables))
             sum_deg = sum(term.degree for term in terms)
             counter.count_mul(half * npts * sum_deg, kind="pl")
             counter.count_add(half * npts * len(terms))
-        return evals
+        if not terms:
+            return [0] * npts
+        plan = round_schedule(tuple(term.factors for term in terms), degree)
+
+        flat = {name: _extend_points(tables[name], half, n)
+                for name, n in plan.mle_points.items()}
+        columns: dict[tuple[str, int], list[int]] = {}
+
+        def column(key: tuple[str, int]) -> list[int]:
+            # power columns are raised once per (name, power), over the
+            # points that power is needed at, and shared between terms
+            name, power = key
+            if power == 1:
+                return flat[name]
+            col = columns.get(key)
+            if col is None:
+                base = flat[name][:plan.points[key] * half]
+                col = columns[key] = _power_column(p, base, power)
+            return col
+
+        # With a common factor the running sum is a column per point
+        # (`half` rows, two lanes wide at most, so that times the factor
+        # it stays within three); without one every group is summed over
+        # the table first and the running sum is one scalar per point.
+        width = half if plan.common else 1
+        running: list[int] = []
+        have = 0
+        for m, members in plan.groups:
+            want = min(m, degree) + 1
+            n = want * half
+            part = None
+            for i in members:
+                coeff = terms[i].coeff % p
+                cols = [column(key) for key in plan.residuals[i]]
+                sign = 1
+                if plan.common:
+                    if coeff > p >> 1:
+                        # centred, so that -1 is a subtraction and not a lane
+                        coeff, sign = p - coeff, -1
+                    if not cols:
+                        piece = [coeff] * n
+                    else:
+                        if coeff != 1:
+                            cols.append(repeat(coeff))
+                        piece = _lane_product(p, cols, n, 2)
+                elif not cols:
+                    piece = [coeff * half]
+                else:
+                    prods = _lane_product(p, cols, n, 3)
+                    piece = [
+                        coeff * (sum(prods[x * half:(x + 1) * half]) % p)
+                        for x in range(want)
+                    ]
+                if part is None:
+                    part = piece if sign > 0 else [-t for t in piece]
+                elif sign > 0:
+                    part = [a + t for a, t in zip(part, piece)]
+                else:
+                    part = [a - t for a, t in zip(part, piece)]
+            if have:
+                carried = extend_by_differences(running, width, have, want)
+                running = [a + t for a, t in zip(carried, part)]
+            else:
+                running = part
+            have = want
+        running = extend_by_differences(running, width, have, npts)
+
+        if plan.common:
+            factor = _lane_product(
+                p, [column(key) for key in plan.common], npts * half, 1
+            )
+            prods = [r * c for r, c in zip(running, factor)]
+            return [sum(prods[x * half:(x + 1) * half]) % p
+                    for x in range(npts)]
+        return [v % p for v in running]
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +615,19 @@ _UNAVAILABLE: dict[str, str] = {}
 
 DEFAULT_BACKEND = "reference"
 
-#: the optional backends have not been looked for yet
+#: the optional backend has not been looked for yet
 _optional_pending = True
 _optional_lock = threading.Lock()
 
 
 def _load_optional_backends() -> None:
-    """Register ``array`` (numpy limb planes) and ``gmp`` (gmpy2), once.
+    """Register ``array`` (numpy limb planes), once.
 
     An import failure files the name under ``_UNAVAILABLE`` with the
     install extra that fixes it, so :func:`list_backends` — and every
     CLI message built from it — shrinks instead of breaking and
     :func:`get_backend` raises a clear :class:`BackendUnavailable`.  A
-    backend someone registered under either name beforehand is kept.
+    backend someone registered under the name beforehand is kept.
     """
     global _optional_pending
     if not _optional_pending:
@@ -509,30 +636,14 @@ def _load_optional_backends() -> None:
         if not _optional_pending:
             return
         try:
-            from repro.fields.array_backend import ArrayBackend, GmpBackend
+            from repro.fields.array_backend import ArrayBackend
         except ImportError as exc:
-            found: dict[str, VectorBackend] = {}
-            missing = {
-                "array": f"requires numpy (pip install repro-zkphire[fast]): {exc}",
-                "gmp": "requires numpy + gmpy2 "
-                       f"(pip install repro-zkphire[fast,gmp]): {exc}",
-            }
-        else:
-            found = {"array": ArrayBackend()}
-            missing = {}
-            try:
-                import gmpy2  # noqa: F401  (availability probe only)
-            except ImportError as exc:
-                missing["gmp"] = (
-                    f"requires gmpy2 (pip install repro-zkphire[gmp]): {exc}"
+            if "array" not in _BACKENDS:
+                _UNAVAILABLE["array"] = (
+                    f"requires numpy (pip install repro-zkphire[fast]): {exc}"
                 )
-            else:
-                found["gmp"] = GmpBackend()
-        for name, backend in found.items():
-            _BACKENDS.setdefault(name, backend)
-        for name, reason in missing.items():
-            if name not in _BACKENDS:
-                _UNAVAILABLE[name] = reason
+        else:
+            _BACKENDS.setdefault("array", ArrayBackend())
         _optional_pending = False
 
 

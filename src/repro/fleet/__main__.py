@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fused",
         type=vector_backend,
         help="field-vector backend the workers prove with: reference, "
-        "fused, or an optional one (array, gmp) if installed",
+        "fused, or the optional array backend if installed",
     )
     parser.add_argument(
         "--max-retries",

@@ -11,6 +11,7 @@ which is exactly the data-reuse opportunity zkPHIRE's scheduler exploits).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -103,11 +104,35 @@ class VirtualPolynomial:
         return total
 
     def sum_over_hypercube(self) -> int:
+        """The claim: the composition summed over all 2^μ hypercube points.
+
+        Column-wise — each ``name ** power`` column is raised once, a term
+        is one product pass over its columns and its sum is reduced once;
+        :meth:`evaluate_at_index` is the per-point oracle for it.
+        """
         p = self.field.modulus
+        columns: dict[tuple[str, int], Sequence[int]] = {}
+
+        def column(name: str, power: int) -> Sequence[int]:
+            table = self.mles[name].table
+            if power == 1:
+                return table
+            col = columns.get((name, power))
+            if col is None:
+                col = columns[name, power] = [pow(v, power, p) for v in table]
+            return col
+
         total = 0
-        for idx in range(1 << self.num_vars):
-            total = (total + self.evaluate_at_index(idx)) % p
-        return total
+        for term in self.terms:
+            cols = [column(name, power) for name, power in term.factors]
+            if not cols:
+                term_sum = 1 << self.num_vars
+            elif len(cols) == 1:
+                term_sum = sum(cols[0])
+            else:
+                term_sum = sum(map(math.prod, zip(*cols)))
+            total += term.coeff * (term_sum % p)
+        return total % p
 
     def evaluate(self, point: Sequence[int]) -> int:
         """Evaluate the composition at an arbitrary field point.

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", default="fused",
                         type=vector_backend,
                         help="field-vector backend: reference, fused, or "
-                             "an optional one (array, gmp) if installed")
+                             "the optional array backend if installed")
     parser.add_argument("--cache-capacity", type=cache_capacity, default=None,
                         help="LRU index-cache entries (0 or omitted: "
                              "unbounded)")

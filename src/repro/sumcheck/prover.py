@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 
 from repro.fields.counters import OpCounter
 from repro.fields.vector import VectorBackend, get_backend
-from repro.mle.table import extend_pair
 from repro.mle.virtual import VirtualPolynomial
 from repro.sumcheck.transcript import Transcript
 
@@ -36,47 +35,6 @@ class SumCheckProof:
     challenges: list[int] = dc_field(default_factory=list)
 
 
-def _round_evaluations(
-    vp: VirtualPolynomial,
-    degree: int,
-    counter: OpCounter | None,
-) -> list[int]:
-    """Compute s(0..degree) for the current (partially-folded) tables.
-
-    Kept as an independent scalar implementation on purpose: it is the
-    oracle the differential suite pins every vector backend against, so
-    protocol changes here must be mirrored in
-    :meth:`repro.fields.vector.VectorBackend.round_evaluations`
-    implementations (and the tests will catch a missed one).
-    """
-    p = vp.field.modulus
-    half = len(next(iter(vp.mles.values()))) // 2
-    names = vp.unique_mle_names
-    evals = [0] * (degree + 1)
-    for j in range(half):
-        # extension engines: one pair per constituent MLE
-        exts = {}
-        for name in names:
-            t = vp.mles[name].table
-            exts[name] = extend_pair(vp.field, t[2 * j], t[2 * j + 1], degree, counter)
-        # product lanes: multiply extensions within each term, accumulate
-        for term in vp.terms:
-            coeff = term.coeff
-            for x in range(degree + 1):
-                prod = coeff
-                nmul = 0
-                for name, power in term.factors:
-                    e = exts[name][x]
-                    for _ in range(power):
-                        prod = prod * e % p
-                        nmul += 1
-                evals[x] = (evals[x] + prod) % p
-                if counter is not None:
-                    counter.count_mul(nmul, kind="pl")
-                    counter.count_add(1)
-    return evals
-
-
 def prove_sumcheck(
     vp: VirtualPolynomial,
     transcript: Transcript,
@@ -90,56 +48,30 @@ def prove_sumcheck(
     Returns the proof; the transcript is advanced identically to the
     verifier's so Fiat–Shamir challenges agree.
 
-    ``backend`` selects a batched field-vector backend (see
-    :mod:`repro.fields.vector`); ``None`` keeps the original scalar code
-    path.  Every backend produces a bit-identical proof and identical
-    ``counter`` tallies — ``"fused"`` is simply faster.
+    ``backend`` selects a field-vector backend (see
+    :mod:`repro.fields.vector`); ``None`` is ``"reference"``, the
+    per-pair scalar oracle.  Every backend produces a bit-identical proof
+    and identical ``counter`` tallies — ``"fused"`` is simply faster.
     """
-    if backend is not None:
-        return FastSumCheckProver(backend).prove(vp, transcript, claim, counter)
-    if claim is None:
-        claim = vp.sum_over_hypercube()
-    degree = vp.degree
-    proof = SumCheckProof(claim=claim, num_vars=vp.num_vars, degree=degree)
-
-    transcript.absorb_scalar(b"sumcheck/claim", claim)
-    transcript.absorb_scalar(b"sumcheck/num-vars", vp.num_vars)
-    transcript.absorb_scalar(b"sumcheck/degree", degree)
-
-    current = vp
-    for _ in range(vp.num_vars):
-        evals = _round_evaluations(current, degree, counter)
-        proof.round_evals.append(evals)
-        transcript.absorb_scalars(b"sumcheck/round", evals)
-        r = transcript.challenge(b"sumcheck/challenge")
-        proof.challenges.append(r)
-        folded = {
-            name: mle.fix_first_variable(r, counter)
-            for name, mle in current.mles.items()
-        }
-        current = VirtualPolynomial(current.field, current.terms, folded)
-
-    proof.final_evals = {name: mle.table[0] for name, mle in current.mles.items()}
-    transcript.absorb_scalars(b"sumcheck/final", proof.final_evals.values())
-    return proof
+    return FastSumCheckProver(backend or "reference").prove(
+        vp, transcript, claim, counter
+    )
 
 
 class FastSumCheckProver:
     """SumCheck prover running on a batched field-vector backend.
 
-    The protocol flow (claim absorption, per-round transcript traffic,
-    challenge derivation, final-evaluation ordering) is identical to
-    :func:`prove_sumcheck`; the difference is purely mechanical:
+    The one round loop (claim absorption, per-round transcript traffic,
+    challenge derivation, final-evaluation ordering); :func:`prove_sumcheck`
+    is a thin wrapper over it.  Round evaluations and folds go through
+    the backend's kernels, and tables are kept as raw ``[0, p)`` integer
+    lists between rounds, so no ``DenseMLE``/``VirtualPolynomial``
+    objects are rebuilt per fold.
 
-    * round evaluations go through the backend's fused
-      ``round_evaluations`` kernel instead of a per-pair Python loop;
-    * tables are kept as raw ``[0, p)`` integer lists between rounds, so
-      no ``DenseMLE``/``VirtualPolynomial`` objects are rebuilt per fold.
-
-    With ``backend="reference"`` the output and the ``OpCounter`` tallies
-    are bit-identical to the original prover by construction; with
-    ``backend="fused"`` they are bit-identical by the differential test
-    suite (``tests/test_fastpath_differential.py``).
+    ``backend="reference"`` is the oracle: a per-pair scalar loop that
+    mirrors Fig. 1 operation for operation, ``OpCounter`` calls included.
+    Every other backend is bit-identical to it — proof and tallies — by
+    the differential suite (``tests/test_fastpath_differential.py``).
     """
 
     def __init__(self, backend: str | VectorBackend = "fused"):

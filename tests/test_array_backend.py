@@ -5,7 +5,7 @@ The cross-backend *semantics* (bit-identical kernels, counter parity)
 live in ``test_fastpath_differential.py`` / ``test_vector_fuzz.py``;
 this file covers what those matrices cannot: the lazy list-like wrapper
 type, the limb-plan preconditions, how the registry degrades when numpy
-or gmpy2 is missing, and that every ``--backend`` CLI sources its
+is missing, and that every ``--backend`` CLI sources its
 choices from the live registry.
 """
 
@@ -146,15 +146,6 @@ class TestRegistryDegradation:
         finally:
             vector_mod._BACKENDS.pop("phantom", None)
             vector_mod._UNAVAILABLE.pop("phantom", None)
-
-    def test_gmp_reported_when_gmpy2_missing(self):
-        try:
-            import gmpy2  # noqa: F401
-        except ImportError:
-            assert "gmp" in unavailable_backends()
-            assert "gmp" not in list_backends()
-        else:
-            assert "gmp" in list_backends()
 
     def test_set_default_backend(self):
         previous = vector_mod.DEFAULT_BACKEND

@@ -105,7 +105,7 @@ except ValueError as exc:
 facts["fused"] = get_backend("fused").name
 """ + REPORT)
         assert facts["listed"] == ["fused", "reference"]
-        assert set(facts["reasons"]) == {"array", "gmp"}
+        assert set(facts["reasons"]) == {"array"}
         assert "pip install repro-zkphire[fast]" in facts["reasons"]["array"]
         assert "numpy" in facts["error"] and "[fast]" in facts["error"]
         assert "unknown vector backend 'turbo'" in facts["unknown"]

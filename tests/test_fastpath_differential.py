@@ -70,7 +70,19 @@ def random_virtual_polynomial(
     return VirtualPolynomial(Fr, terms, mles)
 
 
-def assert_equivalent(vp: VirtualPolynomial, backend: str) -> None:
+def gate_polynomial(spec, num_vars: int) -> VirtualPolynomial:
+    """``spec`` bound to random scalars over random dense MLEs (seeded)."""
+    rng = random.Random(f"{SEED}/{spec.name}/{num_vars}")
+    compiled = spec.compiled
+    scalars = {s: rng.randrange(1, P) for s in compiled.scalar_names}
+    mles = {
+        n: DenseMLE.random(Fr, num_vars, rng) for n in compiled.mle_names
+    }
+    return VirtualPolynomial(Fr, compiled.bind(Fr, scalars), mles)
+
+
+def assert_equivalent(vp: VirtualPolynomial, backend: str):
+    """``backend``'s proof and tallies equal the reference's; returns it."""
     ref_counter = OpCounter()
     ref = prove_sumcheck(vp, Transcript(Fr), counter=ref_counter)
 
@@ -84,6 +96,7 @@ def assert_equivalent(vp: VirtualPolynomial, backend: str) -> None:
     assert fast.challenges == ref.challenges
     assert fast.final_evals == ref.final_evals
     assert counter_tuple(fast_counter) == counter_tuple(ref_counter)
+    return fast
 
 
 class TestBackendDifferential:
@@ -104,29 +117,14 @@ class TestBackendDifferential:
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("gate_id", [0, 20, 22, 24])
-    def test_table1_gates(self, gate_id, backend, rng):
-        spec = gate_by_id(gate_id)
-        scalars = {
-            s: rng.randrange(1, P) for s in spec.compiled.scalar_names
-        }
-        terms = spec.compiled.bind(Fr, scalars)
-        mles = {
-            n: DenseMLE.random(Fr, 4, rng) for n in spec.compiled.mle_names
-        }
-        assert_equivalent(VirtualPolynomial(Fr, terms, mles), backend)
+    def test_table1_gates(self, gate_id, backend):
+        assert_equivalent(gate_polynomial(gate_by_id(gate_id), 4), backend)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("degree", [2, 4, 6, 9])
-    def test_high_degree_sweep_gates(self, degree, backend, rng):
-        spec = high_degree_sweep_gate(degree)
-        scalars = {
-            s: rng.randrange(1, P) for s in spec.compiled.scalar_names
-        }
-        terms = spec.compiled.bind(Fr, scalars)
-        mles = {
-            n: DenseMLE.random(Fr, 3, rng) for n in spec.compiled.mle_names
-        }
-        assert_equivalent(VirtualPolynomial(Fr, terms, mles), backend)
+    def test_high_degree_sweep_gates(self, degree, backend):
+        vp = gate_polynomial(high_degree_sweep_gate(degree), 3)
+        assert_equivalent(vp, backend)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_sparse_tables(self, backend, rng):
@@ -186,6 +184,37 @@ class TestBackendDifferential:
         names = available_backends()
         assert "reference" in names and "fused" in names
         assert names == list_backends()  # the alias stays in sync
+
+
+#: every gate the paper evaluates: Table I's 25 rows and the degree-sweep
+#: family with and without the ZeroCheck randomizer (a common factor)
+GATE_MATRIX = [pytest.param(gate_by_id(i), id=f"table1-{i}") for i in range(25)] + [
+    pytest.param(high_degree_sweep_gate(d, with_fr), id=f"sweep-d{d}-fr{int(with_fr)}")
+    for d in (2, 3, 7, 16)
+    for with_fr in (False, True)
+]
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 5])
+@pytest.mark.parametrize("spec", GATE_MATRIX)
+class TestGateMatrix:
+    """The round schedule differs per term structure (common factor or
+    not, which degree groups, how far each MLE is extended), so every
+    gate shape is pinned to the oracle, not a sample of them."""
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_proof_and_tallies_match_reference(self, spec, num_vars, backend):
+        vp = gate_polynomial(spec, num_vars)
+        fast = assert_equivalent(vp, backend)
+        verify_sumcheck(
+            Fr, vp.terms, fast, Transcript(Fr),
+            final_eval_oracle=lambda name, point: vp.mles[name].evaluate(point),
+        )
+
+    def test_hypercube_sum_matches_index_walk(self, spec, num_vars):
+        vp = gate_polynomial(spec, num_vars)
+        walk = sum(vp.evaluate_at_index(i) for i in range(1 << num_vars)) % P
+        assert vp.sum_over_hypercube() == walk
 
 
 class TestHyperPlonkBackendDifferential:

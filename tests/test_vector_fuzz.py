@@ -179,3 +179,37 @@ class TestRoundEvaluationsFuzz:
             got = fast.round_evaluations(Fr, terms, tables, degree, c2)
             assert list(got) == want, n
             assert counter_tuple(c1) == counter_tuple(c2)
+
+    @pytest.mark.parametrize("constant_term", [False, True])
+    def test_drawn_term_lists_with_a_shared_factor(self, backend, constant_term):
+        """Random term lists in which every MLE term carries ``s**k``:
+        alone they take the kernel's common-factor schedule; with a bare
+        constant drawn in, nothing is common and the same terms take the
+        summed-groups schedule.  Boundary coefficients (1, p-1) included."""
+        from repro.mle import Term
+
+        rng = random.Random(SEED * 13 + constant_term)
+        ref, fast = get_backend("reference"), get_backend(backend)
+        p = Fr.modulus
+        pool = ("a", "b", "c", "d")
+        for _ in range(12):
+            shared = ("s", rng.randrange(1, 3))
+            terms = []
+            for _ in range(rng.randrange(1, 6)):
+                names = rng.sample(pool, k=rng.randrange(0, 4))
+                factors = [(name, rng.randrange(1, 4)) for name in names]
+                factors.insert(rng.randrange(len(factors) + 1), shared)
+                coeff = rng.choice([1, p - 1, rng.randrange(p)])
+                terms.append(Term(coeff, tuple(factors)))
+            if constant_term:
+                terms.append(Term(rng.choice([1, p - 1, rng.randrange(p)]), ()))
+            degree = max(t.degree for t in terms)
+            n = rng.choice((2, 4, 16))
+            tables = {
+                name: fuzz_table(rng, p, n) for name in pool + ("s",)
+            }
+            c1, c2 = OpCounter(), OpCounter()
+            want = ref.round_evaluations(Fr, terms, tables, degree, c1)
+            got = fast.round_evaluations(Fr, terms, tables, degree, c2)
+            assert list(got) == want, terms
+            assert counter_tuple(c1) == counter_tuple(c2)

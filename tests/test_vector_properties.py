@@ -25,7 +25,7 @@ P = Fr.modulus
 SEED = 0x5EED
 N = 64
 
-# every registered backend — optional ones (array/gmp) join automatically
+# every registered backend — the optional one (array) joins automatically
 BACKENDS = list_backends()
 
 
