@@ -80,11 +80,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"valid names: {', '.join(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
-    names = selected or ALL_EXPERIMENTS
+    t0 = time.time()
+    for name, result in run_experiments(selected or ALL_EXPERIMENTS, fast):
+        result.print(max_rows=40)
+        print(f"  [{name} ran in {time.time() - t0:.1f}s]\n")
+        t0 = time.time()
+    return 0
+
+
+def run_experiments(names, fast: bool):
+    """Run ``names`` in order, yielding ``(name, result)``; a reader of
+    fig10's sweep named after fig10 is handed that sweep."""
     sweep: dict = {}  # fig10's summary, once it has run
     for name in names:
         module = importlib.import_module(f"repro.experiments.{name}")
-        t0 = time.time()
         if name in SWEEP_READERS and sweep:
             result = module.run(fast=fast,
                                 precomputed=sweep[SWEEP_READERS[name]])
@@ -92,9 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             result = module.run(fast=fast)
         if name == "fig10":
             sweep = result.summary
-        result.print(max_rows=40)
-        print(f"  [{name} ran in {time.time() - t0:.1f}s]\n")
-    return 0
+        yield name, result
 
 
 if __name__ == "__main__":

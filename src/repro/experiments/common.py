@@ -11,7 +11,12 @@ def geomean(values: Sequence[float]) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
         raise ValueError("geomean needs positive values")
-    return exp(sum(log(v) for v in vals) / len(vals))
+    # an in-order fold: sum() of floats is compensated from Python 3.12,
+    # and a headline must not depend on the interpreter
+    total = 0.0
+    for v in vals:
+        total += log(v)
+    return exp(total / len(vals))
 
 
 @dataclass

@@ -39,7 +39,9 @@ def run(fast: bool = True) -> ExperimentResult:
                                  mask_zerocheck=False)
     bd = ZkPhireModel(unmasked).price(plan)
     phases = bd.phase_groups()
-    total = sum(phases.values())
+    total = 0.0  # an in-order fold: sum() of floats is compensated from 3.12
+    for seconds in phases.values():
+        total += seconds
     for phase, seconds in phases.items():
         result.rows.append({"platform": "zkPHIRE", "phase": phase,
                             "time (ms)": seconds * 1e3,

@@ -80,17 +80,24 @@ def other_area(config: AcceleratorConfig) -> float:
     return permquot + mle_combine + fixed
 
 
+#: 6 MB each: PermQuot, MLE Combine, Forest (§IV-B6)
+FIXED_SRAM_BYTES = 3 * 6 * (1 << 20)
+
+
 def sram_area(config: AcceleratorConfig) -> float:
     total_bytes = (
         config.sumcheck.sram_bytes
         + config.msm.bucket_sram_bytes
         + config.msm.point_sram_bytes
-        + 3 * 6 * (1 << 20)  # 6 MB each: PermQuot, MLE Combine, Forest (§IV-B6)
+        + FIXED_SRAM_BYTES
     )
     return memory.sram_mm2(total_bytes)
 
 
 def accelerator_area(config: AcceleratorConfig) -> AreaBreakdown:
+    """Every module of ``config``.  A sweep composes the same ``total``
+    from per-unit terms it prices once (:func:`repro.hw.dse.accelerator_dse`),
+    so the expressions here and there must change together."""
     msm = msm_area(config.msm)
     forest = forest_area(config.forest)
     sc = sumcheck_area(config.sumcheck)

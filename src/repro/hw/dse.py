@@ -11,7 +11,9 @@ Two DSE entry points:
   priced once (the phases it alone decides, its true share of the
   area), dominated side configurations are dropped, and the survivors
   are crossed by composing a
-  :class:`~repro.hw.accelerator.ProtocolBreakdown` from the parts.
+  :class:`~repro.hw.accelerator.ProtocolBreakdown` from the parts and
+  the total area from each side's module areas and SRAM bytes, in
+  :func:`~repro.hw.area.accelerator_area`'s own order of operations.
 
 The prune keeps the grid's whole (runtime, area) frontier because a side
 configuration goes only when another is no worse in *every* phase
@@ -35,10 +37,12 @@ from operator import le
 from typing import Iterable, Sequence
 
 from repro.hw import area as area_model
+from repro.hw import memory, tech
 from repro.hw.accelerator import ProtocolBreakdown, ZkPhireModel
 from repro.hw.config import (
     AcceleratorConfig,
     MSMUnitConfig,
+    PermQuotConfig,
     SumCheckUnitConfig,
 )
 from repro.hw.scheduler import PolyProfile
@@ -59,7 +63,11 @@ BANDWIDTHS = (64, 128, 256, 512, 1024, 2048, 4096)
 def geomean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("geomean of empty sequence")
-    return exp(sum(log(max(v, 1e-300)) for v in values) / len(values))
+    # an in-order fold: sum() of floats is compensated from Python 3.12
+    total = 0.0
+    for v in values:
+        total += log(max(v, 1e-300))
+    return exp(total / len(values))
 
 
 @dataclass(slots=True)
@@ -96,8 +104,10 @@ class SumCheckDesign:
 
     @property
     def mean_utilization(self) -> float:
-        u = list(self.utilizations.values())
-        return sum(u) / len(u)
+        total = 0.0
+        for u in self.utilizations.values():
+            total += u
+        return total / len(self.utilizations)
 
 
 def enumerate_sumcheck_configs(
@@ -205,13 +215,19 @@ def accelerator_dse(
     # the shared plan fixes the phase inventory once for the whole sweep;
     # every design point prices the same plan
     plan = hyperplonk_plan(gate_type_name, num_vars)
+    # the PermQuot configuration is not swept: one (frozen) object serves
+    # every design point instead of one default per point
+    permquot = PermQuotConfig()
 
     def design(**units) -> AcceleratorConfig:
         return AcceleratorConfig(bandwidth_gbps=bandwidth_gbps,
-                                 mask_zerocheck=mask_zerocheck, **units)
+                                 mask_zerocheck=mask_zerocheck,
+                                 permquot=permquot, **units)
 
-    # -- price each unit once: (its units, its phases, its side area) --------
+    # -- price each unit once: its units, its phases, its side area, and
+    # its terms of accelerator_area (module areas, SRAM bytes) -------------
     shared_phases = ZkPhireModel(design()).bandwidth_phases(plan)
+    _, _, phy = memory.phy_plan(bandwidth_gbps)
     sc_side = []
     for cfg in sc_grid:
         acc = design(sumcheck=cfg)
@@ -220,29 +236,38 @@ def accelerator_dse(
             {"sumcheck": cfg, "forest": acc.forest},
             ZkPhireModel(acc).sumcheck_phases(plan),
             area_model.sumcheck_side_area(cfg, acc.forest),
+            (area_model.forest_area(acc.forest), area_model.sumcheck_area(cfg),
+             area_model.other_area(acc), cfg.sram_bytes),
         ))
     msm_side = [
         ({"msm": cfg}, ZkPhireModel(design(msm=cfg)).msm_phases(plan),
-         area_model.msm_side_area(cfg))
+         area_model.msm_side_area(cfg),
+         (area_model.msm_area(cfg),
+          cfg.bucket_sram_bytes + cfg.point_sram_bytes
+          + area_model.FIXED_SRAM_BYTES))
         for cfg in msm_grid
     ]
 
     def survivors(side):
         return [side[i] for i in _undominated(
-            [(area, *phases.values()) for _, phases, area in side])]
+            [(area, *phases.values()) for _, phases, area, _ in side])]
 
     # -- cross the survivors --------------------------------------------------
     out: list[DesignPoint] = []
     msm_survivors = survivors(msm_side)
-    for sc_units, sc_phases, _ in survivors(sc_side):
-        for msm_units, msm_phases, _ in msm_survivors:
-            acc = design(**sc_units, **msm_units)
+    for sc_units, sc_phases, _, sc_terms in survivors(sc_side):
+        forest, sc, other, sc_bytes = sc_terms
+        for msm_units, msm_phases, _, (msm, msm_bytes) in msm_survivors:
             breakdown = ProtocolBreakdown(
                 **sc_phases, **msm_phases, **shared_phases,
                 masked=mask_zerocheck)
+            # accelerator_area(...).total, term for term in its order
+            compute = msm + forest + sc + other
+            area = (compute + memory.sram_mm2(sc_bytes + msm_bytes)
+                    + tech.INTERCONNECT_FRAC * compute + phy)
             out.append(DesignPoint(
-                config=acc, runtime_s=breakdown.total,
-                area_mm2=area_model.accelerator_area(acc).total))
+                config=design(**sc_units, **msm_units),
+                runtime_s=breakdown.total, area_mm2=area))
     return out
 
 

@@ -55,9 +55,14 @@ def phy_plan(bandwidth_gbps: float) -> tuple[str, int, float]:
     return "HBM2", count, count * tech.HBM2_PHY_MM2
 
 
+def bytes_per_second(bandwidth_gbps: float) -> float:
+    """A bandwidth tier in bytes per second."""
+    return bandwidth_gbps * 1e9
+
+
 def transfer_seconds(num_bytes: float, bandwidth_gbps: float) -> float:
     """Time to move ``num_bytes`` at the given off-chip bandwidth."""
-    return num_bytes / (bandwidth_gbps * 1e9)
+    return num_bytes / bytes_per_second(bandwidth_gbps)
 
 
 def sram_mm2(num_bytes: float) -> float:

@@ -54,11 +54,11 @@ class ScheduleNode:
 @dataclass(frozen=True)
 class PolynomialSchedule:
     """The full schedule of a polynomial's terms on an (E, P) SumCheck
-    PE.  It is a function of exactly (terms, E, P) — a profile's name and
-    storage classes play no part — and immutable, so equal requests share
-    one object (see :func:`schedule_polynomial`)."""
+    PE.  It is a function of exactly (the terms' factors, E, P) — a
+    profile's name and storage classes play no part — and immutable, so
+    equal requests share one object (see :func:`schedule_polynomial`)."""
 
-    terms: tuple[TermProfile, ...]
+    term_factors: tuple[tuple[tuple[str, int], ...], ...]
     ees: int
     pls: int
     nodes: tuple[ScheduleNode, ...]
@@ -70,7 +70,8 @@ class PolynomialSchedule:
     @cached_property
     def extensions(self) -> int:
         """K: evaluation points 0..d needed per SumCheck round."""
-        return max(t.degree for t in self.terms) + 1
+        return max(sum(power for _, power in factors)
+                   for factors in self.term_factors) + 1
 
     def initiation_interval(self, lanes_available: int | None = None) -> int:
         """Cycles between successive pairs on one node (§III-D)."""
@@ -107,21 +108,24 @@ def schedule_polynomial(poly: PolyProfile, ees: int, pls: int) -> PolynomialSche
     excludes it), matching the banked scratchpad reuse of §III-B.
 
     A sweep asks for the same few dozen (terms, E, P) thousands of times
-    (once per SumCheck run), so the most recent schedules are kept.
+    (once per SumCheck run), so the most recent schedules are kept, keyed
+    by the profile's plain ``term_factors`` tuple: hashing and comparing
+    it costs no call per term.
     """
-    return _schedule(poly.terms, ees, pls)
+    return _schedule(poly.term_factors, ees, pls)
 
 
 @lru_cache(maxsize=1024)
-def _schedule(terms: tuple[TermProfile, ...], ees: int, pls: int) -> PolynomialSchedule:
+def _schedule(term_factors: tuple[tuple[tuple[str, int], ...], ...],
+              ees: int, pls: int) -> PolynomialSchedule:
     if ees < 2:
         raise ValueError("the datapath needs at least 2 extension engines")
     nodes: list[ScheduleNode] = []
     on_chip: set[str] = set()
-    for t_idx, term in enumerate(terms):
+    for t_idx, factors in enumerate(term_factors):
         # expand factor slots with multiplicity, keeping name order
         slots: list[str] = []
-        for name, power in term.factors:
+        for name, power in factors:
             slots.extend([name] * power)
         node_idx = 0
         remaining = slots
@@ -144,4 +148,5 @@ def _schedule(terms: tuple[TermProfile, ...], ees: int, pls: int) -> PolynomialS
                 writes_tmp=bool(remaining),
             ))
             node_idx += 1
-    return PolynomialSchedule(terms=terms, ees=ees, pls=pls, nodes=tuple(nodes))
+    return PolynomialSchedule(term_factors=term_factors, ees=ees, pls=pls,
+                              nodes=tuple(nodes))

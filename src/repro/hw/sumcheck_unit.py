@@ -19,11 +19,17 @@ cycles, the quantity Figure 6 plots (~0.4-0.5: update units idle in round
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil
 
 from repro.hw import memory
 from repro.hw.config import SumCheckUnitConfig
-from repro.hw.scheduler import PolyProfile, PolynomialSchedule, schedule_polynomial
+from repro.hw.scheduler import (
+    FR_NAME,
+    PolyProfile,
+    PolynomialSchedule,
+    schedule_polynomial,
+)
 
 #: pipeline fill/drain cycles charged per schedule step per round
 STEP_FILL_CYCLES = 64
@@ -44,23 +50,29 @@ class RoundStat:
 
 @dataclass
 class SumCheckRun:
+    """A modelled μ-round SumCheck: its totals, and one row per round.
+
+    ``round_rows`` holds ``(pairs, compute cycles, bytes read, bytes
+    written, latency, on chip)`` in round order; :attr:`rounds` turns them
+    into :class:`RoundStat` objects on first read.  The totals are folds
+    over those rows in round order (``total = 0; total += x``), which is
+    what ``sum()`` gave up to Python 3.11 — from 3.12 on ``sum()`` of
+    floats is compensated and would change the model's last bits.
+    """
+
     poly_name: str
     num_vars: int
-    rounds: list[RoundStat] = field(default_factory=list)
+    latency_s: float = 0.0
+    total_bytes: float = 0.0
+    compute_cycles: int = 0
     useful_muls: float = 0.0
     capacity_mul_cycles: float = 0.0
+    round_rows: tuple[tuple, ...] = field(default=(), repr=False)
 
-    @property
-    def latency_s(self) -> float:
-        return sum(r.latency_s for r in self.rounds)
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(r.bytes_read + r.bytes_written for r in self.rounds)
-
-    @property
-    def compute_cycles(self) -> float:
-        return sum(r.compute_cycles for r in self.rounds)
+    @cached_property
+    def rounds(self) -> list[RoundStat]:
+        return [RoundStat(index, *row)
+                for index, row in enumerate(self.round_rows, 1)]
 
     @property
     def utilization(self) -> float:
@@ -90,6 +102,13 @@ class SumCheckUnitModel:
 
         ``fuse_fr``: build the randomizer in-datapath during round 1
         (defaults to "poly contains fr").
+
+        The round loop is plain arithmetic on locals, and every value is
+        the one a round-by-round evaluation of the formulas gives, bit for
+        bit (DESIGN.md §3 "Cost and soundness of a sweep"): a table has a
+        power-of-two number of entries, so scaling a per-entry byte count
+        by it commutes with rounding, and the multiply counts are integer
+        sums far below 2⁵³.
         """
         cfg = self.config
         sched = self.schedule(poly)
@@ -97,11 +116,6 @@ class SumCheckUnitModel:
             fuse_fr = poly.has_fr
         uniq = poly.unique_mles
         num_uniq = len(uniq)
-        # per-term product multiplies per evaluation point
-        prod_muls_per_point = sum(t.degree - 1 for t in poly.terms)
-        extensions = poly.degree + 1
-
-        run = SumCheckRun(poly_name=poly.name, num_vars=num_vars)
         pes = cfg.pes
         # update multipliers + product-lane multipliers
         mul_capacity = (pes * cfg.ees_per_pe
@@ -115,59 +129,61 @@ class SumCheckUnitModel:
         first_cycles_per_pair = steps * sched.initiation_interval(
             cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None)
         fixed_cycles = STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES
-        overhead_s = ROUND_OVERHEAD_CYCLES / self.freq_hz
-        dense_bytes = memory.entry_bytes("dense")
-        first_read_bytes = [
-            memory.entry_bytes(poly.mle_classes.get(name, "dense"))
-            for name in uniq if not (name == "fr" and fuse_fr)
-        ]
+        freq_hz = self.freq_hz
+        overhead_s = ROUND_OVERHEAD_CYCLES / freq_hz
+        bytes_per_s = memory.bytes_per_second(self.bandwidth_gbps)
+        # bytes per entry of every table read or written dense
+        dense_bytes = memory.entry_bytes("dense") * num_uniq
+        # bytes per entry of the tables round 1 reads, in their encodings
+        first_bytes = 0.0
+        for name in uniq:
+            if not (fuse_fr and name == FR_NAME):
+                first_bytes += memory.entry_bytes(
+                    poly.mle_classes.get(name, "dense"))
         # largest per-MLE table the banked scratchpads retain; with more
         # MLEs than the 16 buffers per PE (§III-B) nothing ever fits
         on_chip_words = cfg.sram_bank_words * pes if num_uniq <= 16 else 0
 
-        # whether the *next* round's input was retained on chip
-        prev_written_on_chip = False
+        rows = []
+        latency_total = bytes_total = compute_total = 0
+        cycles_per_pair, read_bytes = first_cycles_per_pair, first_bytes
+        on_chip = False  # whether this round's input was retained on chip
         for rnd in range(1, num_vars + 1):
-            entries = 1 << (num_vars - rnd + 1)
-            pairs = entries // 2
-            compute = (ceil(pairs / pes)
-                       * (first_cycles_per_pair if rnd == 1
-                          else later_cycles_per_pair)
-                       + fixed_cycles)
+            pairs = 1 << (num_vars - rnd)
+            compute = ceil(pairs / pes) * cycles_per_pair + fixed_cycles
+            reads = 0.0 if on_chip else (pairs << 1) * read_bytes
+            # the halved table stays on chip if it fits; the last round
+            # leaves none
+            last = rnd == num_vars
+            fits = pairs <= on_chip_words
+            writes = 0.0 if last or fits else pairs * dense_bytes
+            moved = reads + writes
+            compute_s = compute / freq_hz
+            mem_s = moved / bytes_per_s
+            # max(compute_s, mem_s) + overhead, without the call
+            latency = (mem_s if mem_s > compute_s else compute_s) + overhead_s
+            rows.append((pairs, compute, reads, writes, latency, on_chip))
+            latency_total += latency
+            bytes_total += moved
+            compute_total += compute
+            cycles_per_pair, read_bytes = later_cycles_per_pair, dense_bytes
+            on_chip = fits and not last
 
-            # ---- traffic ----------------------------------------------------
-            on_chip_now = prev_written_on_chip
-            reads = 0.0
-            if not on_chip_now:
-                if rnd == 1:
-                    for per_entry in first_read_bytes:
-                        reads += entries * per_entry
-                else:
-                    reads = entries * dense_bytes * num_uniq
-
-            fits_next = pairs <= on_chip_words  # the halved table
-            writes = 0.0
-            if rnd < num_vars and not fits_next:
-                writes = pairs * dense_bytes * num_uniq
-            prev_written_on_chip = fits_next and rnd < num_vars
-
-            mem_s = memory.transfer_seconds(reads + writes, self.bandwidth_gbps)
-            latency = max(compute / self.freq_hz, mem_s) + overhead_s
-
-            run.rounds.append(RoundStat(
-                round_index=rnd, pairs=pairs, compute_cycles=compute,
-                bytes_read=reads, bytes_written=writes,
-                latency_s=latency, on_chip=on_chip_now,
-            ))
-
-            # ---- useful work for utilization ----------------------------------
-            pl_muls = pairs * extensions * prod_muls_per_point
-            upd_muls = 0 if rnd == 1 else 2 * num_uniq * pairs
-            fr_muls = 2 * pairs if (rnd == 1 and fuse_fr) else 0
-            run.useful_muls += pl_muls + upd_muls + fr_muls
-            run.capacity_mul_cycles += mul_capacity * compute
-
-        return run
+        # useful work: every pair's product lanes; the update multiplies
+        # from round 2 on; in round 1, fr built in-datapath (2 per pair)
+        pairs_total = (1 << num_vars) - 1
+        first_pairs = (1 << num_vars) >> 1
+        useful = (pairs_total * (poly.degree + 1) * poly.product_muls_per_point
+                  + 2 * num_uniq * (pairs_total - first_pairs)
+                  + (2 * first_pairs if fuse_fr else 0))
+        return SumCheckRun(
+            poly_name=poly.name, num_vars=num_vars,
+            latency_s=latency_total, total_bytes=bytes_total,
+            compute_cycles=compute_total,
+            useful_muls=float(useful),
+            capacity_mul_cycles=float(mul_capacity * compute_total),
+            round_rows=tuple(rows),
+        )
 
     def latency_s(self, poly: PolyProfile, num_vars: int) -> float:
         return self.run(poly, num_vars).latency_s

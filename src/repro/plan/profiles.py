@@ -55,8 +55,11 @@ class PolyProfile:
 
     A profile is immutable: ``terms`` is stored as a tuple (a list is
     accepted) and no field can be reassigned, which is what lets
-    ``degree`` / ``unique_mles`` / ``has_fr`` be computed once per
-    object — a sweep reads them once per SumCheck round otherwise.
+    ``degree`` / ``unique_mles`` / ``term_factors`` /
+    ``product_muls_per_point`` / ``has_fr`` be computed once per object —
+    a sweep reads them once per SumCheck run otherwise.  They live on the
+    object, so they go with it: nothing outside a profile holds a fact
+    about it.
     """
 
     name: str
@@ -82,6 +85,19 @@ class PolyProfile:
             for n, _ in t.factors:
                 seen.setdefault(n)
         return tuple(seen)
+
+    @cached_property
+    def term_factors(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Every term's factors as one plain tuple: a value that hashes
+        and compares without calling back into Python, which makes it
+        the key a cache of per-structure facts can look up cheaply."""
+        return tuple(t.factors for t in self.terms)
+
+    @cached_property
+    def product_muls_per_point(self) -> int:
+        """Multiplies that form every term's product at one evaluation
+        point: Σ_t (deg_t − 1)."""
+        return sum(t.degree - 1 for t in self.terms)
 
     @cached_property
     def has_fr(self) -> bool:

@@ -1,10 +1,14 @@
 """Tests for the per-module hardware models and full-system rollups."""
 
 import dataclasses
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gates import gate_by_id
+from repro.gates.library import TABLE1
 from repro.hw import memory, tech
 from repro.hw.accelerator import (
     ZkPhireModel,
@@ -20,13 +24,18 @@ from repro.hw.config import (
     SumCheckUnitConfig,
 )
 from repro.hw.cpu_baseline import CpuModel, sumcheck_modmuls
+from repro.hw.dse import SC_EES, SC_PES, SC_PLS, SC_SRAM
 from repro.hw.forest import ForestModel
 from repro.hw.mle_combine import MLECombineModel
 from repro.hw.msm_unit import MSMUnitModel
 from repro.hw.permquot import PermQuotModel, inverse_units_required
 from repro.hw.power import accelerator_power
 from repro.hw.scheduler import PolyProfile
-from repro.hw.sumcheck_unit import SumCheckUnitModel
+from repro.hw.sumcheck_unit import (
+    ROUND_OVERHEAD_CYCLES,
+    STEP_FILL_CYCLES,
+    SumCheckUnitModel,
+)
 from repro.hw.zkspeed import ZkSpeedSumCheckModel
 
 
@@ -202,6 +211,92 @@ class TestSumCheckRoundsPinned:
         assert run.capacity_mul_cycles == 85120.0
         assert run.latency_s == 1.0111999999999999e-05
         assert run.utilization == 0.17965225563909776
+
+
+def _reference_run(model, p, mu, fuse_fr):
+    """The round loop evaluated term by term, as the model stated it
+    before it became plain arithmetic: per-round ``RoundStat`` tuples,
+    useful multiplies and capacity, each folded round by round."""
+    cfg = model.config
+    sched = model.schedule(p)
+    uniq = p.unique_mles
+    steps = sched.num_steps
+    lanes = cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None
+    first_read = [memory.entry_bytes(p.mle_classes[n]) for n in uniq
+                  if not (n == "fr" and fuse_fr)]
+    dense = memory.entry_bytes("dense")
+    on_chip_words = cfg.sram_bank_words * cfg.pes if len(uniq) <= 16 else 0
+    capacity_per_cycle = (cfg.pes * cfg.ees_per_pe
+                          + cfg.pes * cfg.pls_per_pe * (cfg.ees_per_pe - 1))
+    prod = sum(t.degree - 1 for t in p.terms)
+    rounds, useful, capacity = [], 0.0, 0.0
+    on_chip = False
+    for rnd in range(1, mu + 1):
+        entries = 1 << (mu - rnd + 1)
+        pairs = entries // 2
+        ii = sched.initiation_interval(lanes if rnd == 1 else None)
+        compute = (ceil(pairs / cfg.pes) * (steps * ii)
+                   + STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES)
+        reads = 0.0
+        if not on_chip:
+            if rnd == 1:
+                for per_entry in first_read:
+                    reads += entries * per_entry
+            else:
+                reads = entries * dense * len(uniq)
+        fits = pairs <= on_chip_words
+        writes = pairs * dense * len(uniq) if rnd < mu and not fits else 0.0
+        latency = max(compute / model.freq_hz,
+                      memory.transfer_seconds(reads + writes,
+                                              model.bandwidth_gbps))
+        latency += ROUND_OVERHEAD_CYCLES / model.freq_hz
+        rounds.append((rnd, pairs, compute, reads, writes, latency, on_chip))
+        on_chip = fits and rnd < mu
+        useful += (pairs * (p.degree + 1) * prod
+                   + (0 if rnd == 1 else 2 * len(uniq) * pairs)
+                   + (2 * pairs if rnd == 1 and fuse_fr else 0))
+        capacity += capacity_per_cycle * compute
+    return rounds, useful, capacity
+
+
+class TestSumCheckRunIsItsRounds:
+    """The round loop on plain numbers gives, bit for bit, what evaluating
+    every round's formulas gives, and a run's totals are in-order folds
+    over its rounds — for drawn configurations, Table I gates, μ ≤ 24,
+    bandwidth tiers and fusion settings."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.sampled_from(SC_PES), st.sampled_from(SC_EES),
+                        st.sampled_from(SC_PLS), st.sampled_from(SC_SRAM)),
+        gid=st.integers(0, len(TABLE1) - 1),
+        mu=st.integers(0, 24),
+        bw=st.sampled_from(memory.BANDWIDTH_TIERS),
+        fuse_fr=st.sampled_from((None, True, False)),
+    )
+    def test_totals_are_in_order_folds(self, shape, gid, mu, bw, fuse_fr):
+        pes, ees, pls, sram = shape
+        model = SumCheckUnitModel(
+            SumCheckUnitConfig(pes=pes, ees_per_pe=ees, pls_per_pe=pls,
+                               sram_bank_words=sram), bw)
+        p = poly(gid)
+        run = model.run(p, mu, fuse_fr=fuse_fr)
+        fused = p.has_fr if fuse_fr is None else fuse_fr
+        rounds, useful, capacity = _reference_run(model, p, mu, fused)
+        assert [dataclasses.astuple(r) for r in run.rounds] == rounds
+
+        # the totals, folded the way sum() did up to Python 3.11
+        latency = total_bytes = compute = 0
+        for r in run.rounds:
+            latency += r.latency_s
+            total_bytes += r.bytes_read + r.bytes_written
+            compute += r.compute_cycles
+        for got, want in ((run.latency_s, latency),
+                          (run.total_bytes, total_bytes),
+                          (run.compute_cycles, compute),
+                          (run.useful_muls, useful),
+                          (run.capacity_mul_cycles, capacity)):
+            assert got == want and type(got) is type(want)
 
 
 class TestMSMUnit:

@@ -130,3 +130,25 @@ class TestPolyProfile:
         poly = PolyProfile(name="p", terms=[TermProfile((("Z", 1),))])
         assert poly.mle_classes["Z"] == "dense"
         assert not poly.has_fr
+
+    def test_product_muls_per_point(self):
+        poly = PolyProfile(name="p", terms=[
+            TermProfile((("a", 2), ("b", 1))),
+            TermProfile((("c", 1),)),
+        ])
+        assert poly.product_muls_per_point == (3 - 1) + (1 - 1)
+        assert profile_for(20).product_muls_per_point == sum(
+            t.degree - 1 for t in profile_for(20).terms)
+
+    def test_equal_terms_share_one_schedule(self):
+        """The schedule is keyed by the terms' factors alone: a profile
+        built afresh, or one differing only in name and storage classes,
+        gets the very same object."""
+        poly = profile_for(22)
+        renamed = PolyProfile(
+            name="other", terms=poly.terms,
+            mle_classes={k: "dense" for k in poly.mle_classes})
+        sched = schedule_polynomial(poly, ees=4, pls=5)
+        assert schedule_polynomial(profile_for(22), ees=4, pls=5) is sched
+        assert schedule_polynomial(renamed, ees=4, pls=5) is sched
+        assert sched.term_factors == tuple(t.factors for t in poly.terms)

@@ -7,6 +7,7 @@ from repro.hw.accelerator import ProtocolBreakdown, ZkPhireModel
 from repro.hw.area import accelerator_area, msm_side_area, sumcheck_side_area
 from repro.hw.config import AcceleratorConfig, MSMUnitConfig, SumCheckUnitConfig
 from repro.hw.dse import (
+    BANDWIDTHS,
     DesignPoint,
     _undominated,
     accelerator_dse,
@@ -160,11 +161,15 @@ def _exhaustive_cross(gate, num_vars, bw, sc_grid, msm_grid, mask=True):
 
 class TestSweepAgainstOracles:
     @pytest.mark.parametrize("mask", (True, False))
-    @pytest.mark.parametrize("bw", SWEEP_TIERS)
-    def test_every_point_is_what_price_and_area_give(self, bw, mask):
-        plan = hyperplonk_plan("jellyfish", 20)
+    @pytest.mark.parametrize("gate", ("jellyfish", "vanilla"))
+    @pytest.mark.parametrize("bw", BANDWIDTHS)
+    def test_every_point_is_what_price_and_area_give(self, bw, gate, mask):
+        """The oracle for the composed sweep: a point's runtime and area
+        are ``==`` what the one-design-point models give its config (the
+        area is composed from per-unit terms, not recomputed)."""
+        plan = hyperplonk_plan(gate, 20)
         points = accelerator_dse(
-            "jellyfish", 20, bw, sc_grid=setups.fast_sc_grid(),
+            gate, 20, bw, sc_grid=setups.fast_sc_grid(),
             msm_grid=setups.fast_msm_grid(), mask_zerocheck=mask)
         assert points
         for p in points:
