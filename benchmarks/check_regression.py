@@ -47,7 +47,6 @@ SPECS: dict[str, Spec] = {
             "unit",
             "backend",
             "speedup_floor_mu12",
-            "array_speedup_floor_mu12",
             "rows[*].name",
             "rows[*].gate_id",
             "rows[*].mu",
@@ -58,11 +57,6 @@ SPECS: dict[str, Spec] = {
         ],
         ratio=[
             "rows[*].speedup",
-            # array keys are emitted only when numpy is present; the
-            # bench job installs numpy, so a fresh record missing them
-            # (degraded environment) fails loudly as a missing key
-            "rows[*].array_speedup",
-            "rows[*].array_vs_fused",
         ],
     ),
     "BENCH_service.json": Spec(

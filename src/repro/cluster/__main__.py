@@ -203,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="fused",
         type=vector_backend,
-        help="field-vector backend for execute-mode proving: reference, "
-        "fused, or the optional array backend if installed",
+        help="field-vector backend for execute-mode proving: reference or fused",
     )
     parser.add_argument(
         "--open-loop",

@@ -59,12 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         print(err, file=sys.stderr)
         return 2
     if backend is not None:
-        from repro.fields.vector import BackendUnavailable, set_default_backend
+        from repro.fields.vector import set_default_backend
 
         try:
             set_default_backend(backend)
-        except (BackendUnavailable, ValueError) as exc:
-            print(exc, file=sys.stderr)  # names the choices / the extra
+        except ValueError as exc:
+            print(exc, file=sys.stderr)  # names the choices
             return 2
     known_flags = {"--full"}
     bad_flags = sorted({a for a in argv

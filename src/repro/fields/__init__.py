@@ -14,8 +14,8 @@ zkPHIRE operates over the BLS12-381 curve: the scalar field ``Fr``
 * :class:`~repro.fields.counters.OpCounter` — explicit operation counting
   used to validate the hardware performance model against functional runs,
 * :mod:`~repro.fields.vector` — batched field-vector kernels
-  (:class:`~repro.fields.vector.FieldVec`) behind a pluggable backend
-  registry (``reference`` / ``fused`` / optional numpy-limb ``array``),
+  (:class:`~repro.fields.vector.FieldVec`) behind a two-backend
+  registry (the ``reference`` oracle and the ``fused`` fast path),
   the substrate of the fast-path SumCheck prover.
 """
 
@@ -24,17 +24,13 @@ from repro.fields.bls12_381 import FQ_MODULUS, FR_MODULUS, Fq, Fr
 from repro.fields.montgomery import MontgomeryContext
 from repro.fields.counters import OpCounter
 from repro.fields.vector import (
-    BackendUnavailable,
     FieldVec,
     FusedBackend,
     ReferenceBackend,
     VectorBackend,
-    available_backends,
     get_backend,
     list_backends,
-    register_backend,
     set_default_backend,
-    unavailable_backends,
     window_decompose,
 )
 
@@ -52,12 +48,8 @@ __all__ = [
     "VectorBackend",
     "ReferenceBackend",
     "FusedBackend",
-    "BackendUnavailable",
-    "available_backends",
     "list_backends",
-    "unavailable_backends",
     "set_default_backend",
     "get_backend",
-    "register_backend",
     "window_decompose",
 ]

@@ -1,4 +1,4 @@
-"""Batched field-vector operations with a pluggable backend registry.
+"""Batched field-vector operations behind a two-backend registry.
 
 The functional stack's hot loops (MLE fold/extend, SumCheck round
 evaluations, OpenCheck batching, MSM windowing) all reduce to a small set
@@ -14,30 +14,21 @@ the same protocol code can run on interchangeable implementations:
   sub-sum multiplied out at its own degree + 1 points and carried to the
   rest by forward differences, the factor common to all terms multiplied
   in once, modular reduction deferred to the per-point sums.
-* ``array`` — numpy uint64 limb planes with vectorized Montgomery REDC
-  and Barrett reduction (:mod:`repro.fields.array_backend`); needs
-  numpy, otherwise :func:`get_backend` raises :class:`BackendUnavailable`.
 
-The optional backend is imported on the first request that could involve
-it — asking for it by name, :func:`list_backends`,
-:func:`unavailable_backends` — so a process that only ever names the
-built-in ones never imports numpy.
-
-All backends produce **bit-identical results** and report **identical
+Both backends produce **bit-identical results** and report **identical
 :class:`~repro.fields.counters.OpCounter` tallies** — the counter models
 the abstract dataflow of the paper's Figure 1, not the Python op count —
 so the hw-model cross-checks in ``tests/test_hw_validation.py`` hold on
 either path.  ``tests/test_fastpath_differential.py`` locks this down.
 
-Backends are registered by name via :func:`register_backend` and resolved
-with :func:`get_backend`; :class:`FieldVec` is a thin value wrapper that
-routes operator arithmetic through a chosen backend.
+Backends are resolved by name with :func:`get_backend`;
+:class:`FieldVec` is a thin value wrapper that routes operator arithmetic
+through a chosen backend.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -90,30 +81,6 @@ class VectorBackend:
              counter: OpCounter | None = None) -> list[int]:
         """MLE Update: ``out[i] = t[2i] + r * (t[2i+1] - t[2i])`` mod p."""
         raise NotImplementedError
-
-    def fold_tables(self, field: PrimeField, tables: dict, r: int,
-                    counter: OpCounter | None = None) -> dict:
-        """Fold every table by the same challenge ``r`` (one prover round).
-
-        Semantically identical to calling :meth:`fold` per table — which
-        is exactly what this default does — but array-style backends
-        override it to fold all tables in a single batched kernel pass.
-        Insertion order of ``tables`` is preserved.
-        """
-        return {
-            name: self.fold(field, t, r, counter)
-            for name, t in tables.items()
-        }
-
-    def wrap_table(self, field: PrimeField, table: Sequence[int]):
-        """Adopt a raw table into the backend's preferred representation.
-
-        Purely representational — no field operations, no counter
-        activity.  The default returns the table unchanged; the array
-        backend converts to limb planes once so every subsequent kernel
-        call hits its zero-copy fast path.
-        """
-        return table
 
     def extend_columns(self, field: PrimeField, table: Sequence[int],
                        degree: int,
@@ -606,62 +573,12 @@ class FusedBackend(VectorBackend):
 # backend registry
 # ---------------------------------------------------------------------------
 
-_BACKENDS: dict[str, VectorBackend] = {}
-
-#: backends that failed to register, mapped to a human-readable reason
-#: (typically a missing optional dependency); :func:`get_backend` turns
-#: these into :class:`BackendUnavailable` instead of "unknown backend"
-_UNAVAILABLE: dict[str, str] = {}
+_BACKENDS: Mapping[str, VectorBackend] = MappingProxyType({
+    "reference": ReferenceBackend(),
+    "fused": FusedBackend(),
+})
 
 DEFAULT_BACKEND = "reference"
-
-#: the optional backend has not been looked for yet
-_optional_pending = True
-_optional_lock = threading.Lock()
-
-
-def _load_optional_backends() -> None:
-    """Register ``array`` (numpy limb planes), once.
-
-    An import failure files the name under ``_UNAVAILABLE`` with the
-    install extra that fixes it, so :func:`list_backends` — and every
-    CLI message built from it — shrinks instead of breaking and
-    :func:`get_backend` raises a clear :class:`BackendUnavailable`.  A
-    backend someone registered under the name beforehand is kept.
-    """
-    global _optional_pending
-    if not _optional_pending:
-        return
-    with _optional_lock:
-        if not _optional_pending:
-            return
-        try:
-            from repro.fields.array_backend import ArrayBackend
-        except ImportError as exc:
-            if "array" not in _BACKENDS:
-                _UNAVAILABLE["array"] = (
-                    f"requires numpy (pip install repro-zkphire[fast]): {exc}"
-                )
-        else:
-            _BACKENDS.setdefault("array", ArrayBackend())
-        _optional_pending = False
-
-
-class BackendUnavailable(RuntimeError):
-    """A known backend cannot run here (missing optional dependency).
-
-    Distinct from the ``ValueError`` raised for truly unknown names so
-    callers (and CI's no-numpy leg) can tell a typo from a degraded
-    environment; the message names the install extra that fixes it.
-    """
-
-
-def register_backend(name: str, backend: VectorBackend) -> None:
-    """Register (or replace) a named backend implementation."""
-    if not isinstance(backend, VectorBackend):
-        raise TypeError("backend must be a VectorBackend instance")
-    _UNAVAILABLE.pop(name, None)
-    _BACKENDS[name] = backend
 
 
 def get_backend(backend: str | VectorBackend | None = None) -> VectorBackend:
@@ -675,52 +592,28 @@ def get_backend(backend: str | VectorBackend | None = None) -> VectorBackend:
         backend = DEFAULT_BACKEND
     if isinstance(backend, VectorBackend):
         return backend
-    if backend not in _BACKENDS:
-        _load_optional_backends()
     try:
         return _BACKENDS[backend]
     except KeyError:
-        if backend in _UNAVAILABLE:
-            raise BackendUnavailable(
-                f"vector backend {backend!r} is unavailable: "
-                f"{_UNAVAILABLE[backend]}"
-            ) from None
         raise ValueError(
             f"unknown vector backend {backend!r}; "
-            f"available: {available_backends()}"
+            f"available: {list_backends()}"
         ) from None
 
 
 def list_backends() -> list[str]:
-    """Sorted names of every backend that can actually run here.
-
-    This is the single source of truth for CLI ``--backend`` choices and
-    for the test parametrization matrix; backends whose optional
-    dependencies are missing are omitted (see :func:`unavailable_backends`).
-    """
-    _load_optional_backends()
+    """Sorted backend names: the single source of truth for CLI
+    ``--backend`` choices and for the test parametrization matrix."""
     return sorted(_BACKENDS)
-
-
-def available_backends() -> list[str]:
-    """Alias of :func:`list_backends` (kept for older call sites)."""
-    return list_backends()
-
-
-def unavailable_backends() -> dict[str, str]:
-    """Known-but-unregistered backends mapped to the reason (a copy)."""
-    _load_optional_backends()
-    return dict(_UNAVAILABLE)
 
 
 def set_default_backend(backend: str | VectorBackend | None) -> str:
     """Set the backend that ``None`` selections resolve to; returns its name.
 
     Validates like :func:`get_backend` (unknown names raise
-    ``ValueError``, unavailable ones :class:`BackendUnavailable`).  Used
-    by ``repro-experiments --backend`` to steer every functional kernel
-    an experiment touches without threading a parameter through each
-    experiment module.
+    ``ValueError``).  Used by ``repro-experiments --backend`` to steer
+    every functional kernel an experiment touches without threading a
+    parameter through each experiment module.
     """
     global DEFAULT_BACKEND
     DEFAULT_BACKEND = backend_name(backend)
@@ -739,10 +632,6 @@ def backend_name(backend: str | VectorBackend | None) -> str:
         get_backend(backend)  # validate
         return backend
     return get_backend(backend).name
-
-
-register_backend("reference", ReferenceBackend())
-register_backend("fused", FusedBackend())
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="fused",
         type=vector_backend,
-        help="field-vector backend the workers prove with: reference, "
-        "fused, or the optional array backend if installed",
+        help="field-vector backend the workers prove with: reference or fused",
     )
     parser.add_argument(
         "--max-retries",

@@ -43,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker count for thread/process executors")
     parser.add_argument("--backend", default="fused",
                         type=vector_backend,
-                        help="field-vector backend: reference, fused, or "
-                             "the optional array backend if installed")
+                        help="field-vector backend: reference or fused")
     parser.add_argument("--cache-capacity", type=cache_capacity, default=None,
                         help="LRU index-cache entries (0 or omitted: "
                              "unbounded)")

@@ -39,7 +39,7 @@ def _interp_sorted(xs: list[float], q: float) -> float:
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolation percentile (numpy-free), q in [0, 100]."""
+    """Linear-interpolation percentile, q in [0, 100]."""
     return _interp_sorted(sorted(values), q)
 
 

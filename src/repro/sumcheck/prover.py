@@ -95,13 +95,8 @@ class FastSumCheckProver:
         transcript.absorb_scalar(b"sumcheck/num-vars", vp.num_vars)
         transcript.absorb_scalar(b"sumcheck/degree", degree)
 
-        # raw tables, in vp.mles order (final_evals ordering depends on
-        # it), adopted into the backend's native representation once so
-        # round kernels skip per-round conversions
-        tables = {
-            name: be.wrap_table(field, mle.table)
-            for name, mle in vp.mles.items()
-        }
+        # raw tables, in vp.mles order (final_evals ordering depends on it)
+        tables = {name: mle.table for name, mle in vp.mles.items()}
         # extend only the MLEs that terms reference (counter parity with
         # the reference prover); an all-constant composition has none, so
         # fall back to the full table dict for the pair count
@@ -117,7 +112,10 @@ class FastSumCheckProver:
             transcript.absorb_scalars(b"sumcheck/round", evals)
             r = transcript.challenge(b"sumcheck/challenge")
             proof.challenges.append(r)
-            tables = be.fold_tables(field, tables, r, counter)
+            tables = {
+                name: be.fold(field, t, r, counter)
+                for name, t in tables.items()
+            }
         proof.final_evals = {name: t[0] for name, t in tables.items()}
         transcript.absorb_scalars(b"sumcheck/final", proof.final_evals.values())
         return proof

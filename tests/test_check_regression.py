@@ -23,7 +23,6 @@ SUMCHECK_RECORD = {
     "unit": "seconds",
     "backend": "fused",
     "speedup_floor_mu12": 2.0,
-    "array_speedup_floor_mu12": 1.5,
     "rows": [
         {
             "name": "vanilla-mu12",
@@ -36,9 +35,6 @@ SUMCHECK_RECORD = {
             "fused_s": 0.08,
             "speedup": 2.5,
             "acceptance_row": True,
-            "array_s": 0.1,
-            "array_speedup": 2.0,
-            "array_vs_fused": 0.8,
         },
     ],
 }

@@ -14,13 +14,15 @@ import random
 
 import pytest
 
+from repro.fields import vector as vector_mod
 from repro.fields import (
     Fq,
     Fr,
     MontgomeryContext,
     OpCounter,
-    available_backends,
+    get_backend,
     list_backends,
+    set_default_backend,
 )
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.mle import DenseMLE, Term, VirtualPolynomial
@@ -35,8 +37,7 @@ P = Fr.modulus
 
 SEED = 0xD1FF
 
-#: every registered backend inherits the full differential matrix —
-#: hardcoding reference/fused here would silently exempt new backends
+#: every registered backend inherits the full differential matrix
 BACKENDS = list_backends()
 FAST_BACKENDS = [b for b in BACKENDS if b != "reference"]
 
@@ -70,14 +71,30 @@ def random_virtual_polynomial(
     return VirtualPolynomial(Fr, terms, mles)
 
 
-def gate_polynomial(spec, num_vars: int) -> VirtualPolynomial:
-    """``spec`` bound to random scalars over random dense MLEs (seeded)."""
+#: table entries that sit on the edges of the field and of 64-bit words:
+#: runs of 0/1 and p-1 drive round sums to 0 and ±1, which a schedule
+#: that skips or reorders additions would get wrong
+BOUNDARY = (0, 1, 2, P - 2, P - 1, (1 << 64) - 1, (1 << 255) % P)
+
+
+def gate_polynomial(
+    spec, num_vars: int, tables: str = "random"
+) -> VirtualPolynomial:
+    """``spec`` bound to random scalars over seeded dense MLEs whose
+    entries are uniform (``tables="random"``) or drawn from
+    :data:`BOUNDARY` (``tables="boundary"``)."""
     rng = random.Random(f"{SEED}/{spec.name}/{num_vars}")
     compiled = spec.compiled
     scalars = {s: rng.randrange(1, P) for s in compiled.scalar_names}
-    mles = {
-        n: DenseMLE.random(Fr, num_vars, rng) for n in compiled.mle_names
-    }
+    if tables == "boundary":
+        mles = {
+            n: DenseMLE(Fr, [rng.choice(BOUNDARY) for _ in range(1 << num_vars)])
+            for n in compiled.mle_names
+        }
+    else:
+        mles = {
+            n: DenseMLE.random(Fr, num_vars, rng) for n in compiled.mle_names
+        }
     return VirtualPolynomial(Fr, compiled.bind(Fr, scalars), mles)
 
 
@@ -180,10 +197,80 @@ class TestBackendDifferential:
         with pytest.raises(ValueError, match="unknown vector backend"):
             FastSumCheckProver("turbo")
 
+
+class TestBackendRegistry:
+    """The fixed two-backend registry, and every ``--backend`` CLI that
+    validates through it when the value is parsed
+    (``repro.cli.vector_backend``)."""
+
+    PARSERS = ["repro.service", "repro.cluster", "repro.fleet"]
+
+    @staticmethod
+    def _main(module):
+        import importlib
+
+        return importlib.import_module(f"{module}.__main__")
+
     def test_registry_lists_both_backends(self):
-        names = available_backends()
-        assert "reference" in names and "fused" in names
-        assert names == list_backends()  # the alias stays in sync
+        assert list_backends() == ["fused", "reference"]
+        for name in list_backends():
+            assert get_backend(name).name == name
+
+    def test_unknown_backend_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown vector backend"):
+            get_backend("turbo")
+
+    def test_set_default_backend(self):
+        previous = vector_mod.DEFAULT_BACKEND
+        try:
+            assert set_default_backend("fused") == "fused"
+            assert vector_mod.DEFAULT_BACKEND == "fused"
+            assert get_backend(None).name == "fused"
+        finally:
+            set_default_backend(previous)
+
+    def test_helper_accepts_exactly_the_registry(self):
+        import argparse
+
+        from repro.cli import vector_backend
+
+        for name in list_backends():
+            assert vector_backend(name) == name
+        with pytest.raises(argparse.ArgumentTypeError):
+            vector_backend("nope")
+
+    @pytest.mark.parametrize("module", PARSERS)
+    def test_parsers_accept_every_live_backend(self, module):
+        parser = self._main(module).build_parser()
+        assert parser.parse_args([]).backend == "fused"
+        for name in list_backends():
+            assert parser.parse_args(["--backend", name]).backend == name
+
+    @pytest.mark.parametrize("module", PARSERS)
+    def test_bad_backend_exits_2(self, module, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._main(module).main(["--backend", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown vector backend 'nope'" in err
+        assert all(name in err for name in list_backends())
+
+    def test_experiments_bad_backend_exits_2(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["--backend", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown vector backend 'nope'" in err
+        assert all(name in err for name in list_backends())
+        assert main(["--backend"]) == 2  # missing value
+
+    def test_experiments_backend_sets_default(self):
+        from repro.experiments.__main__ import _extract_backend
+
+        rest, backend, err = _extract_backend(["--backend", "fused", "x"])
+        assert (rest, backend, err) == (["x"], "fused", "")
+        rest, backend, err = _extract_backend(["--backend=fused"])
+        assert (rest, backend, err) == ([], "fused", "")
 
 
 #: every gate the paper evaluates: Table I's 25 rows and the degree-sweep
@@ -197,22 +284,26 @@ GATE_MATRIX = [pytest.param(gate_by_id(i), id=f"table1-{i}") for i in range(25)]
 
 @pytest.mark.parametrize("num_vars", [1, 2, 3, 5])
 @pytest.mark.parametrize("spec", GATE_MATRIX)
+@pytest.mark.parametrize("tables", ["random", "boundary"])
 class TestGateMatrix:
     """The round schedule differs per term structure (common factor or
     not, which degree groups, how far each MLE is extended), so every
-    gate shape is pinned to the oracle, not a sample of them."""
+    gate shape is pinned to the oracle, not a sample of them — on
+    uniform tables and on tables built from field-edge values."""
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_proof_and_tallies_match_reference(self, spec, num_vars, backend):
-        vp = gate_polynomial(spec, num_vars)
+    def test_proof_and_tallies_match_reference(
+        self, spec, num_vars, tables, backend
+    ):
+        vp = gate_polynomial(spec, num_vars, tables)
         fast = assert_equivalent(vp, backend)
         verify_sumcheck(
             Fr, vp.terms, fast, Transcript(Fr),
             final_eval_oracle=lambda name, point: vp.mles[name].evaluate(point),
         )
 
-    def test_hypercube_sum_matches_index_walk(self, spec, num_vars):
-        vp = gate_polynomial(spec, num_vars)
+    def test_hypercube_sum_matches_index_walk(self, spec, num_vars, tables):
+        vp = gate_polynomial(spec, num_vars, tables)
         walk = sum(vp.evaluate_at_index(i) for i in range(1 << num_vars)) % P
         assert vp.sum_over_hypercube() == walk
 
@@ -268,69 +359,6 @@ class TestHyperPlonkBackendDifferential:
         assert counter_tuple(ref_counter) == counter_tuple(fused_counter)
 
         HyperPlonkVerifier(Fr, vidx, kzg).verify(fused)
-
-
-class TestArrayLimbDifferential:
-    """The numpy limb-plane reduction kernels vs native field arithmetic.
-
-    Exercises the ``array`` backend's two reduction paths directly —
-    pre-scaled Montgomery REDC (scalar products) and digit-level Barrett
-    (vector products) — against ``field.mul`` on random and edge values,
-    independently of any prover plumbing.
-    """
-
-    @pytest.mark.parametrize("field", [Fr, Fq], ids=["Fr", "Fq"])
-    def test_limb_reductions_agree_with_field_mul(self, field):
-        pytest.importorskip("numpy")
-        from repro.fields.array_backend import (
-            from_planes,
-            get_plan,
-            mont_mul_scalar,
-            mul_mod,
-            to_planes,
-        )
-
-        plan = get_plan(field)
-        p = field.modulus
-        rng = random.Random(SEED ^ p)
-        edge = [0, 1, p - 1, plan.r % p, plan.r2]
-        xs = edge + [rng.randrange(p) for _ in range(64)]
-        ys = edge[::-1] + [rng.randrange(p) for _ in range(64)]
-        a = to_planes(plan, xs)
-        b = to_planes(plan, ys)
-        barrett = from_planes(plan, mul_mod(plan, a, b))
-        assert barrett == [field.mul(x, y) for x, y in zip(xs, ys)]
-        for c in edge:
-            redc = from_planes(
-                plan, mont_mul_scalar(plan, a, plan.mont_scalar(c))
-            )
-            assert redc == [field.mul(x, c) for x in xs]
-
-    def test_plan_rejects_even_and_oversized_moduli(self):
-        pytest.importorskip("numpy")
-        from types import SimpleNamespace
-
-        from repro.fields.array_backend import LimbPlan
-
-        # LimbPlan only reads .modulus, so a stand-in reaches the guards
-        # that PrimeField's own constructor checks would otherwise shadow
-        with pytest.raises(ValueError, match="odd modulus"):
-            LimbPlan(SimpleNamespace(modulus=(1 << 61) - 2))
-        with pytest.raises(ValueError, match="too wide"):
-            LimbPlan(SimpleNamespace(modulus=(1 << 500) | 1))
-
-    def test_roundtrip_planes(self):
-        pytest.importorskip("numpy")
-        from repro.fields.array_backend import (
-            from_planes,
-            get_plan,
-            to_planes,
-        )
-
-        plan = get_plan(Fr)
-        rng = random.Random(SEED)
-        vals = [0, 1, P - 1] + [rng.randrange(P) for _ in range(33)]
-        assert from_planes(plan, to_planes(plan, vals)) == vals
 
 
 class TestMontgomeryDifferential:

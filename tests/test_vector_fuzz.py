@@ -2,7 +2,7 @@
 
 Random tables are mixed with adversarial boundary values — 0, 1, p-1,
 the Montgomery radix R and R² mod p (values whose limb patterns stress
-REDC's carry chain), and all-ones 64-bit words (worst-case limb planes)
+REDC's carry chain), and all-ones 64-bit words (worst-case limb patterns)
 — across empty, length-1, odd-length, and power-of-two tables, and
 extension degrees 0/1/max.  Per the :class:`VectorBackend` contract,
 elementwise kernels receive canonical ``[0, p)`` inputs (boundary
@@ -29,11 +29,10 @@ TABLE_SIZES = [0, 1, 2, 3, 7, 16, 33, 64]
 
 
 def limb_radix(p: int) -> int:
-    """The array backend's Montgomery radix R = 2^(30L) for modulus p.
-
-    Recomputed here in pure Python (mirroring ``LimbPlan``'s padding
-    rule) so the fuzz corpus stresses REDC carry chains even when numpy
-    is absent and the plan itself cannot be imported.
+    """A Montgomery radix R = 2^(30L) for modulus p: the smallest run of
+    30-bit limbs (at least two) with 4p < R, a limb layout a hardware
+    REDC datapath would use.  Its residues R and R² mod p are kept in
+    the corpus as boundary values whose bit patterns stress carry chains.
     """
     limbs = max(2, -(-(p.bit_length() + 2) // 30))
     while 4 * p >= 1 << (30 * limbs):
@@ -154,16 +153,17 @@ class TestFoldExtendFuzz:
             assert all(0 <= v < p for col in got for v in col)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("backend", FAST_BACKENDS)
 class TestRoundEvaluationsFuzz:
     """The fused round kernel on boundary-heavy tables, every backend."""
 
-    def test_round_evaluations_agree(self, backend):
+    def test_round_evaluations_agree(self, backend, field):
         from repro.mle import Term
 
-        rng = random.Random(SEED * 11)
+        rng = random.Random(SEED * 11 ^ field.modulus)
         ref, fast = get_backend("reference"), get_backend(backend)
-        p = Fr.modulus
+        p = field.modulus
         for n in (2, 8, 32):
             tables = {
                 name: fuzz_table(rng, p, n) for name in ("a", "b", "c")
@@ -175,22 +175,24 @@ class TestRoundEvaluationsFuzz:
             ]
             degree = MAX_DEGREE
             c1, c2 = OpCounter(), OpCounter()
-            want = ref.round_evaluations(Fr, terms, tables, degree, c1)
-            got = fast.round_evaluations(Fr, terms, tables, degree, c2)
-            assert list(got) == want, n
+            want = ref.round_evaluations(field, terms, tables, degree, c1)
+            got = fast.round_evaluations(field, terms, tables, degree, c2)
+            assert list(got) == want, (field.name, n)
             assert counter_tuple(c1) == counter_tuple(c2)
 
     @pytest.mark.parametrize("constant_term", [False, True])
-    def test_drawn_term_lists_with_a_shared_factor(self, backend, constant_term):
+    def test_drawn_term_lists_with_a_shared_factor(
+        self, backend, field, constant_term
+    ):
         """Random term lists in which every MLE term carries ``s**k``:
         alone they take the kernel's common-factor schedule; with a bare
         constant drawn in, nothing is common and the same terms take the
         summed-groups schedule.  Boundary coefficients (1, p-1) included."""
         from repro.mle import Term
 
-        rng = random.Random(SEED * 13 + constant_term)
+        rng = random.Random((SEED * 13 + constant_term) ^ field.modulus)
         ref, fast = get_backend("reference"), get_backend(backend)
-        p = Fr.modulus
+        p = field.modulus
         pool = ("a", "b", "c", "d")
         for _ in range(12):
             shared = ("s", rng.randrange(1, 3))
@@ -209,7 +211,7 @@ class TestRoundEvaluationsFuzz:
                 name: fuzz_table(rng, p, n) for name in pool + ("s",)
             }
             c1, c2 = OpCounter(), OpCounter()
-            want = ref.round_evaluations(Fr, terms, tables, degree, c1)
-            got = fast.round_evaluations(Fr, terms, tables, degree, c2)
-            assert list(got) == want, terms
+            want = ref.round_evaluations(field, terms, tables, degree, c1)
+            got = fast.round_evaluations(field, terms, tables, degree, c2)
+            assert list(got) == want, (field.name, terms)
             assert counter_tuple(c1) == counter_tuple(c2)

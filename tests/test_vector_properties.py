@@ -3,7 +3,8 @@
 Checks the field axioms on :class:`~repro.fields.vector.FieldVec`
 operations and the structural identities of the SumCheck primitives
 (fold selects convex combinations of the even/odd halves; extension
-columns 0/1 reproduce the table pairs) on every registered backend.
+columns 0/1 reproduce the table pairs) on every registered backend,
+over the scalar field, the base field and a 61-bit prime.
 Plain ``random`` with fixed seeds — no extra dependencies.
 """
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro.fields import (
     FieldVec,
+    Fq,
     Fr,
     OpCounter,
     PrimeField,
@@ -25,11 +27,13 @@ P = Fr.modulus
 SEED = 0x5EED
 N = 64
 
-# every registered backend — the optional one (array) joins automatically
+# every registered backend
 BACKENDS = list_backends()
+# the scalar field, the base field and a one-word prime
+FIELDS = [Fr, Fq, PrimeField((1 << 61) - 1, "F61")]
 
 
-def rand_vec(rng, backend, n=N, field=Fr):
+def rand_vec(rng, backend, field, n=N):
     return FieldVec.random(field, n, rng, backend)
 
 
@@ -38,75 +42,77 @@ def rng():
     return random.Random(SEED)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestFieldAxioms:
-    def test_add_associative_commutative(self, backend, rng):
-        a, b, c = (rand_vec(rng, backend) for _ in range(3))
+    def test_add_associative_commutative(self, backend, field, rng):
+        a, b, c = (rand_vec(rng, backend, field) for _ in range(3))
         assert ((a + b) + c).values == (a + (b + c)).values
         assert (a + b).values == (b + a).values
 
-    def test_mul_associative_commutative(self, backend, rng):
-        a, b, c = (rand_vec(rng, backend) for _ in range(3))
+    def test_mul_associative_commutative(self, backend, field, rng):
+        a, b, c = (rand_vec(rng, backend, field) for _ in range(3))
         assert ((a * b) * c).values == (a * (b * c)).values
         assert (a * b).values == (b * a).values
 
-    def test_mul_distributes_over_add(self, backend, rng):
-        a, b, c = (rand_vec(rng, backend) for _ in range(3))
+    def test_mul_distributes_over_add(self, backend, field, rng):
+        a, b, c = (rand_vec(rng, backend, field) for _ in range(3))
         assert (a * (b + c)).values == (a * b + a * c).values
 
-    def test_sub_is_add_inverse(self, backend, rng):
-        a, b = (rand_vec(rng, backend) for _ in range(2))
+    def test_sub_is_add_inverse(self, backend, field, rng):
+        a, b = (rand_vec(rng, backend, field) for _ in range(2))
         assert ((a - b) + b).values == a.values
         assert (a - a).values == [0] * N
 
-    def test_identities(self, backend, rng):
-        a = rand_vec(rng, backend)
-        zeros = FieldVec.zeros(Fr, N, backend)
-        ones = FieldVec(Fr, [1] * N, backend)
+    def test_identities(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
+        zeros = FieldVec.zeros(field, N, backend)
+        ones = FieldVec(field, [1] * N, backend)
         assert (a + zeros).values == a.values
         assert (a * ones).values == a.values
         assert (a * zeros).values == [0] * N
 
-    def test_scale_matches_elementwise(self, backend, rng):
-        a = rand_vec(rng, backend)
-        c = rng.randrange(P)
-        assert (c * a).values == [c * v % P for v in a.values]
+    def test_scale_matches_elementwise(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
+        c = rng.randrange(field.modulus)
+        assert (c * a).values == [c * v % field.modulus for v in a.values]
         assert a.scale(c).values == (a * c).values
 
-    def test_axpy_matches_scale_add(self, backend, rng):
-        a, x = (rand_vec(rng, backend) for _ in range(2))
-        c = rng.randrange(P)
+    def test_axpy_matches_scale_add(self, backend, field, rng):
+        a, x = (rand_vec(rng, backend, field) for _ in range(2))
+        c = rng.randrange(field.modulus)
         assert a.axpy(c, x).values == (a + x.scale(c)).values
 
-    def test_scalars_agree_with_scalar_field_ops(self, backend, rng):
-        a, b = (rand_vec(rng, backend) for _ in range(2))
-        assert (a + b).values == [Fr.add(x, y) for x, y in zip(a, b)]
-        assert (a - b).values == [Fr.sub(x, y) for x, y in zip(a, b)]
-        assert (a * b).values == [Fr.mul(x, y) for x, y in zip(a, b)]
+    def test_scalars_agree_with_scalar_field_ops(self, backend, field, rng):
+        a, b = (rand_vec(rng, backend, field) for _ in range(2))
+        assert (a + b).values == [field.add(x, y) for x, y in zip(a, b)]
+        assert (a - b).values == [field.sub(x, y) for x, y in zip(a, b)]
+        assert (a * b).values == [field.mul(x, y) for x, y in zip(a, b)]
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestFoldProperties:
-    def test_fold_at_zero_selects_even_half(self, backend, rng):
-        a = rand_vec(rng, backend)
+    def test_fold_at_zero_selects_even_half(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
         assert a.fold(0).values == a.values[::2]
 
-    def test_fold_at_one_selects_odd_half(self, backend, rng):
-        a = rand_vec(rng, backend)
+    def test_fold_at_one_selects_odd_half(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
         assert a.fold(1).values == a.values[1::2]
 
-    def test_fold_is_affine_in_r(self, backend, rng):
-        a = rand_vec(rng, backend)
-        r = rng.randrange(P)
+    def test_fold_is_affine_in_r(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
+        r = rng.randrange(field.modulus)
         lo, hi = a.values[::2], a.values[1::2]
-        expected = [(l + r * (h - l)) % P for l, h in zip(lo, hi)]
+        expected = [(l + r * (h - l)) % field.modulus for l, h in zip(lo, hi)]
         assert a.fold(r).values == expected
 
-    def test_fold_matches_dense_mle_update(self, backend, rng):
-        table = [rng.randrange(P) for _ in range(N)]
-        r = rng.randrange(P)
-        vec = FieldVec(Fr, table, backend)
-        mle = DenseMLE(Fr, table)
+    def test_fold_matches_dense_mle_update(self, backend, field, rng):
+        table = [rng.randrange(field.modulus) for _ in range(N)]
+        r = rng.randrange(field.modulus)
+        vec = FieldVec(field, table, backend)
+        mle = DenseMLE(field, table)
         assert vec.fold(r).values == mle.fix_first_variable(r).table
         assert (
             mle.fix_first_variable(r, backend=backend).table
@@ -114,36 +120,37 @@ class TestFoldProperties:
         )
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestExtendProperties:
-    def test_extend_columns_0_and_1_are_the_table_pairs(self, backend, rng):
-        a = rand_vec(rng, backend)
+    def test_extend_columns_0_and_1_are_the_table_pairs(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
         cols = a.extend(3)
         assert cols[0].values == a.values[::2]
         assert cols[1].values == a.values[1::2]
 
-    def test_extend_matches_extend_pair(self, backend, rng):
-        table = [rng.randrange(P) for _ in range(N)]
+    def test_extend_matches_extend_pair(self, backend, field, rng):
+        table = [rng.randrange(field.modulus) for _ in range(N)]
         degree = 5
-        cols = extend_table(Fr, table, degree, backend=backend)
+        cols = extend_table(field, table, degree, backend=backend)
         for j in range(N // 2):
-            expected = extend_pair(Fr, table[2 * j], table[2 * j + 1], degree)
+            expected = extend_pair(field, table[2 * j], table[2 * j + 1], degree)
             assert [cols[x][j] for x in range(degree + 1)] == expected
 
-    def test_extend_degree_zero(self, backend, rng):
-        a = rand_vec(rng, backend)
+    def test_extend_degree_zero(self, backend, field, rng):
+        a = rand_vec(rng, backend, field)
         cols = a.extend(0)
         assert len(cols) == 1
         assert cols[0].values == a.values[::2]
 
-    def test_extension_is_affine(self, backend, rng):
+    def test_extension_is_affine(self, backend, field, rng):
         """Column x must equal lo + x * (hi - lo) elementwise."""
-        a = rand_vec(rng, backend)
+        a = rand_vec(rng, backend, field)
         cols = a.extend(4)
         lo, hi = a.values[::2], a.values[1::2]
         for x, col in enumerate(cols):
             assert col.values == [
-                (l + x * (h - l)) % P for l, h in zip(lo, hi)
+                (l + x * (h - l)) % field.modulus for l, h in zip(lo, hi)
             ]
 
 

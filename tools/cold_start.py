@@ -10,9 +10,8 @@ source tree on ``PYTHONPATH``), fastest of ``--repeats``::
 
 In order:
 
-* per top-level layer: seconds to import it, how many ``repro`` modules
-  that loads, and whether numpy came with them (it must not: the
-  optional field-vector backends load on first request);
+* per top-level layer: seconds to import it and how many ``repro``
+  modules that loads;
 * the SRS at μ ∈ {6, 8, 10}: every arity 0..μ asked bottom-first (the
   benchmark's set-up loop: each one built from the generator) and
   top-first (a prover: the top arity built, the rest pair sums of the
@@ -25,8 +24,8 @@ In order:
 checkout (the parent commit) in alternation and prints its numbers
 beside ours, with whether the SRS points and the proof are identical.
 ``--check`` times nothing: it asserts the module-set facts (what an
-import must *not* load: numpy, and any layer above the one imported —
-so ``import repro.cluster`` brings no ``repro.traffic`` / ``.carbon`` /
+import must *not* load: any layer above the one imported — so
+``import repro.cluster`` brings no ``repro.traffic`` / ``.carbon`` /
 ``.fleet``) and that README.md's module map lists the layers in
 :data:`LAYERS` order, and exits non-zero when one fails — DESIGN.md §13
 "Cold start" records the table, CI runs the check.
@@ -56,7 +55,7 @@ LAYERS = (
 #: the functional ZKP stack, and what importing any of it must not load
 FUNCTIONAL = LAYERS[1:7]
 NOT_FOR_A_PROOF = (
-    "numpy", "repro.service", "repro.sim", "repro.cluster", "repro.traffic",
+    "repro.service", "repro.sim", "repro.cluster", "repro.traffic",
     "repro.carbon", "repro.fleet", "repro.experiments", "repro.hw",
 )
 
@@ -69,7 +68,6 @@ print(json.dumps({
     "seconds": seconds,
     "modules": sorted(m for m in sys.modules
                       if m == "repro" or m.startswith("repro.")),
-    "numpy": "numpy" in sys.modules,
     **extra,
 }))
 """
@@ -79,12 +77,6 @@ import importlib, sys, time
 started = time.perf_counter()
 importlib.import_module(sys.argv[1])
 seconds, extra = time.perf_counter() - started, {}
-""" + LOADED
-
-PARSER = """
-import importlib, sys
-main = importlib.import_module(sys.argv[1] + ".__main__")
-seconds, extra = 0.0, {"backend": main.build_parser().parse_args([]).backend}
 """ + LOADED
 
 SRS = """
@@ -161,23 +153,19 @@ def failures() -> list[str]:
         bad.append(f"README.md module map {documented} != LAYERS[1:]")
 
     def absent(what: str, report: dict, names) -> None:
-        loaded = set(report["modules"]) | ({"numpy"} if report["numpy"] else set())
+        loaded = set(report["modules"])
         for name in names:
             if name in loaded:
                 bad.append(f"{what} loads {name}")
 
     for index, layer in enumerate(LAYERS):
         report = fresh(IMPORT, layer)
-        unwanted = NOT_FOR_A_PROOF if layer in FUNCTIONAL else ("numpy",)
+        unwanted = NOT_FOR_A_PROOF if layer in FUNCTIONAL else ()
         # ...nor any layer above it: "every layer only reaches down"
         absent(f"import {layer}", report,
                dict.fromkeys(unwanted + LAYERS[index + 1:]))
         if layer == "repro" and report["modules"] != ["repro"]:
             bad.append(f"import repro loads {report['modules'][1:]}")
-    for cli in ("repro.service", "repro.cluster", "repro.fleet"):
-        absent(f"{cli} parser with the default backend", fresh(PARSER, cli),
-               ("numpy",))
-    absent("a fused proof", fresh(PROVE, 4), ("numpy",))
     return bad
 
 
@@ -199,12 +187,11 @@ def table(sources: list[Path], repeats: int) -> None:
         return "  ".join(f"{r[key]:8.3f}" for r in reports)
 
     other = "  against" if len(sources) > 1 else ""
-    print(f"{'import':26s}    ours{other}   repro modules   numpy")
+    print(f"{'import':26s}    ours{other}   repro modules")
     for layer in LAYERS:
         reports = fastest(IMPORT, layer, "seconds", sources, repeats)
         counts = " / ".join(str(len(r["modules"])) for r in reports)
-        numpy = " / ".join("y" if r["numpy"] else "n" for r in reports)
-        print(f"{layer:26s}{seconds(reports, 'seconds')}   {counts:^13s}   {numpy}")
+        print(f"{layer:26s}{seconds(reports, 'seconds')}   {counts:^13s}")
     print(f"\n{'SRS, all arities 0..μ':26s}    ours{other}")
     for mu in SRS_SIZES:
         reports = fastest(SRS, mu, "prover", sources, repeats)
@@ -223,8 +210,7 @@ def table(sources: list[Path], repeats: int) -> None:
                        ("first_proof", "first proof"),
                        ("warm_proof", "warm proof")):
         print(f"{label:26s}{seconds(reports, key)}")
-    print(f"{'':26s}proofs identical: {len({r['proof'] for r in reports}) == 1}"
-          f"; numpy loaded: {' / '.join(str(r['numpy']) for r in reports)}")
+    print(f"{'':26s}proofs identical: {len({r['proof'] for r in reports}) == 1}")
 
 
 def main(argv: list[str] | None = None) -> int:
