@@ -12,13 +12,19 @@ a seeded crash/recovery trace targeting the requested node-downtime
 fraction, deterministic crash retries, and optional plan-cost-driven
 autoscaling — the printout then adds deadline-miss, retry, and churn
 columns.
+
+``--events PATH`` writes the structured JSONL event log
+(:mod:`repro.sim.events`) of a single cell — one ``--nodes`` value and
+one policy, closed batch or ``--open-loop``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 from repro.carbon import (
     CARBON_POLICIES,
@@ -293,6 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the raw summary rows as JSON",
     )
+    parser.add_argument(
+        "--events",
+        metavar="PATH",
+        default=None,
+        help="write the JSONL event log of the run to PATH "
+        "(a single cell: one --nodes value and one policy)",
+    )
     return parser
 
 
@@ -388,6 +401,8 @@ def run_cell(args, num_nodes: int, policy: str) -> dict:
             cluster.run_scenario(jobs, churn=churn)
         else:
             cluster.run(jobs)
+        if args.events:
+            cluster.events.write(args.events)
         return cluster.summary()
 
 
@@ -444,6 +459,8 @@ def run_open_loop_cell(args, num_nodes: int, policy: str) -> dict:
                 seed=args.churn_seed,
             )
         engine.run_open_loop(churn=churn)
+        if args.events:
+            engine.events.write(args.events)
         summary = traffic_summary(engine)
         summary["nodes"] = num_nodes
         summary["policy"] = policy
@@ -518,6 +535,18 @@ def main(argv: list[str] | None = None) -> int:
                 f"node ({busy_w:g} W) for --time-model {args.time_model}; "
                 "no job could ever start"
             )
+    if args.events:
+        if len(args.nodes) != 1 or len(args.policies) != 1:
+            parser.error(
+                "--events writes one run's log: give one --nodes value "
+                "and one --policies name"
+            )
+        # fail before the run, without creating the file
+        events = Path(args.events)
+        if events.is_dir() or not os.access(
+            events if events.exists() else events.parent, os.W_OK
+        ):
+            parser.error(f"--events {args.events}: cannot write there")
     if args.open_loop:
         rows = [
             run_open_loop_cell(args, num_nodes, policy)

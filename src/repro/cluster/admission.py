@@ -72,10 +72,10 @@ class AdmissionPolicy:
 class AdmissionController:
     """Budgeted admission + per-tenant quotas; see the module docstring.
 
-    ``cost_of`` prices one job in predicted prove seconds (the engine
-    passes the router's shape-cost model, so admission and routing
-    agree on what a job weighs); ``up_nodes`` reports current serving
-    capacity so the budget tracks churn and autoscaling.
+    :meth:`offer` takes each job's price from the caller (the open-loop
+    engine charges the time model's install + prove seconds); ``up_nodes``
+    reports current serving capacity so the budget tracks churn and
+    autoscaling.
     """
 
     def __init__(
@@ -83,7 +83,6 @@ class AdmissionController:
         policy: AdmissionPolicy,
         tenants: list[TenantSpec],
         *,
-        cost_of: Callable[["ProofJob"], float],
         up_nodes: Callable[[], int],
     ):
         if not tenants:
@@ -92,7 +91,6 @@ class AdmissionController:
         self.tenants = {t.name: t for t in tenants}
         if len(self.tenants) != len(tenants):
             raise ValueError("tenant names must be unique")
-        self._cost_of = cost_of
         self._up_nodes = up_nodes
         #: admitted-but-unfinished predicted seconds, fleet-wide
         self.outstanding_s = 0.0
@@ -109,32 +107,30 @@ class AdmissionController:
             1, self._up_nodes()
         )
 
-    def _tenant_of(self, job: "ProofJob") -> TenantSpec:
+    # -- decisions -----------------------------------------------------------
+    def offer(self, job: "ProofJob", cost_s: float) -> tuple[bool, bool]:
+        """Admit or shed ``job`` at ``cost_s`` (admitted jobs charge the
+        ledgers), then say if the fleet is :meth:`overloaded`:
+        ``(admitted, overloaded)`` on one budget."""
         tenant = self.tenants.get(job.tenant or "")
         if tenant is None:
             raise KeyError(f"job {job.job_id} has unknown tenant {job.tenant!r}")
-        return tenant
-
-    # -- decisions -----------------------------------------------------------
-    def admit(self, job: "ProofJob") -> bool:
-        """Admit or shed ``job``; admitted jobs charge the ledgers."""
-        tenant = self._tenant_of(job)
-        cost = self._cost_of(job)
         budget = self.budget_s()
-        tier_cap = budget * tenant.tier.admission_factor
-        quota_cap = budget * tenant.quota_fraction
-        if (
-            self.outstanding_s + cost > tier_cap
-            or self._by_tenant_s[tenant.name] + cost > quota_cap
-        ):
+        name = tenant.name
+        admitted = not (
+            self.outstanding_s + cost_s > budget * tenant.tier.admission_factor
+            or self._by_tenant_s[name] + cost_s > budget * tenant.quota_fraction
+        )
+        if admitted:
+            self.admitted += 1
+            self.outstanding_s += cost_s
+            self._by_tenant_s[name] += cost_s
+            self._cost_by_job[job.job_id] = cost_s
+        else:
             self.shed += 1
-            self.shed_by_tenant[tenant.name] += 1
-            return False
-        self.admitted += 1
-        self.outstanding_s += cost
-        self._by_tenant_s[tenant.name] += cost
-        self._cost_by_job[job.job_id] = cost
-        return True
+            self.shed_by_tenant[name] += 1
+        overloaded = self.outstanding_s > self.policy.backpressure_high * budget
+        return admitted, overloaded
 
     def settle(self, job: "ProofJob") -> None:
         """Release ``job``'s charge after it completed or failed.

@@ -119,12 +119,7 @@ class ProvingCluster:
         return node_id
 
     def _make_node(self, node_id: str) -> ProverNode:
-        return ProverNode(
-            node_id,
-            self.config.node,
-            self.time_model,
-            execute=self.config.execute,
-        )
+        return ProverNode(node_id, self.config.node, execute=self.config.execute)
 
     # -- membership ---------------------------------------------------------
     def add_node(self) -> str:

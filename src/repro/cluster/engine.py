@@ -39,11 +39,16 @@ what the gate optimises and consults it at three points only:
 * ``gate.capacity_changed()`` — a flight finished or a node went down:
   waiting nodes may be worth a :meth:`~ClusterEngine.kick`.
 
-``engine.on_segment_end(flight, end_s, lost)`` is the one observer: a
-busy segment of ``flight`` ended at ``end_s``, finished or ``lost`` to a
-crash.  A run with only the observer installed schedules exactly as a
-run with nothing installed.  :mod:`repro.carbon.runtime` is the one
-customer of both (DESIGN.md §12).
+Two observers: ``engine.on_segment_end(flight, end_s, lost)`` — a busy
+segment of ``flight`` ended, finished or ``lost`` to a crash (the carbon
+runtime's, DESIGN.md §12) — and ``engine.on_resolved(job)``, called
+last, once per completed or failed job (open-loop admission's).  A run
+with only observers installed schedules exactly as one with none.
+
+A job's ``(install_s, prove_s)`` comes from one dict hit on
+:meth:`~repro.cluster.timemodel.FleetTimeModel.price`: the arrival's
+``prove_s`` is what the router charges, a finish releases the flight's
+``prove_s``, and the node times what the same memo gives at its start.
 """
 
 from __future__ import annotations
@@ -135,16 +140,16 @@ class ClusterEngine:
         self._tick_handle: EventHandle | None = None
         self._total_jobs = 0
         self._scenario = False
-        self.max_retries = cluster.config.max_retries
         #: shared crash-retry contract (same object family the fleet uses)
         self.retry_policy = RetryPolicy(cluster.config.max_retries)
         #: structured JSONL event log on the model clock (shared schema
         #: with the real fleet — see :mod:`repro.sim.events`)
         self.events = EventLog(clock=lambda: self.sim.now)
-        #: the start gate and the busy-segment observer (module
-        #: docstring); both None unless ``config.carbon`` installs them
+        #: the start gate and the observers (module docstring); all None
+        #: unless ``config.carbon`` or the open-loop engine sets them
         self.gate = None
         self.on_segment_end = None
+        self.on_resolved = None
         #: what ``config.carbon`` attached to this run (None = nothing);
         #: it reports through :meth:`ProvingCluster.summary`
         carbon = cluster.config.carbon
@@ -189,9 +194,13 @@ class ClusterEngine:
         """Start ``job`` (any queued job of ``node``) now."""
         if job is None:
             return
-        self.finish_at(
-            node, node.begin(job, self.sim.now, respect_arrivals=self.respect)
+        flight = node.begin(
+            job,
+            self.sim.now,
+            self.cluster.time_model.price(job),
+            respect_arrivals=self.respect,
         )
+        self.finish_at(node, flight)
 
     def finish_at(self, node: ProverNode, flight: InFlightJob) -> None:
         """Arm the finish event of the segment ``flight`` just started."""
@@ -208,7 +217,6 @@ class ClusterEngine:
     def _finish(self, node: ProverNode) -> None:
         self._finish_handles.pop(node.node_id, None)
         flight = node.in_flight
-        job = flight.job
         record = node.complete()
         self.records.append(record)
         self.events.emit(
@@ -221,17 +229,18 @@ class ClusterEngine:
         if self.on_segment_end is not None:
             self.on_segment_end(flight, record.finish_s, False)
         if self._scenario:
-            self.cluster.router.release(
-                node.node_id, self.cluster.router.job_cost_s(job)
-            )
+            self.cluster.router.release(node.node_id, flight.prove_s)
             self._check_done()
         self.kick(node)
         if self.gate is not None:
             self.gate.capacity_changed()
+        if self.on_resolved is not None:
+            self.on_resolved(flight.job)
 
     # -- scenario-side routing ----------------------------------------------
-    def _route(self, job: ProofJob) -> str | None:
-        """Route one job, parking it when nothing is routable.
+    def _route(self, job: ProofJob, cost_s: float | None = None) -> str | None:
+        """Route one job at ``cost_s`` predicted prove seconds (default:
+        its time-model price), parking it when nothing is routable.
 
         Node exclusion is best-effort: when the exclusion set would
         leave a job with no home while other nodes are up, the
@@ -240,15 +249,17 @@ class ClusterEngine:
         park only when the whole fleet is down.
         """
         router = self.cluster.router
+        if cost_s is None:
+            cost_s = self.cluster.time_model.price(job)[1]
         try:
-            node_id = router.assign(job, exclude=job.excluded_node_ids)
+            node_id = router.assign(job, exclude=job.excluded_node_ids, cost_s=cost_s)
         except NoRoutableNodeError:
             if not router.up_count():
                 self.stats.parked += 1
                 self._parked.append(job)
                 return None
             self.stats.exclusion_waivers += 1
-            node_id = router.assign(job)
+            node_id = router.assign(job, cost_s=cost_s)
         node = self.cluster.nodes[node_id]
         node.submit(job)
         self.events.emit(
@@ -278,6 +289,8 @@ class ClusterEngine:
         self.failed_jobs.append(job)
         self.events.emit("job_failed", job_id=job.job_id, attempt=job.attempt)
         self._check_done()
+        if self.on_resolved is not None:
+            self.on_resolved(job)
 
     def _check_done(self) -> None:
         """Stop churn/autoscale event streams once every job resolved."""
@@ -361,7 +374,8 @@ class ClusterEngine:
         if not up:
             return None
         outstanding = router.outstanding
-        parked = sum(router.job_cost_s(job) for job in self._parked)
+        price = self.cluster.time_model.price
+        parked = sum(price(job)[1] for job in self._parked)
         return (sum(outstanding.node_s(n) for n in up) + parked) / len(up)
 
     def _tick(self) -> None:
@@ -519,8 +533,6 @@ class ClusterEngine:
         churn trace addresses nodes by *initial* index; events for
         nodes the autoscaler has retired are skipped.
         """
-        self._scenario = True
-        self.respect = True
         self._total_jobs = len(jobs)
         for job in jobs:
             self.sim.schedule(
@@ -528,6 +540,14 @@ class ClusterEngine:
                 (lambda j=job: self._submit(j)),
                 priority=PRIO_ARRIVAL,
             )
+        self._start_streams(churn)
+        self.sim.run()
+        return self._finalize()
+
+    def _start_streams(self, churn: Iterable[ChurnEvent]) -> None:
+        """Enter scenario mode: install the churn trace, arm the ticks."""
+        self._scenario = True
+        self.respect = True
         self._cancellable.extend(
             install(
                 self.sim,
@@ -542,5 +562,3 @@ class ClusterEngine:
                 self._tick,
                 priority=PRIO_TICK,
             )
-        self.sim.run()
-        return self._finalize()

@@ -30,7 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cluster.records import JobRecord
-from repro.cluster.timemodel import FleetTimeModel
 from repro.service.cache import CacheStats
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.jobs import ProofJob, ProofResult
@@ -152,13 +151,11 @@ class ProverNode:
         self,
         node_id: str,
         config: NodeConfig,
-        time_model: FleetTimeModel,
         *,
         execute: bool = False,
     ):
         self.node_id = node_id
         self.config = config
-        self.time_model = time_model
         self.execute = execute
         self.sim_cache = SimIndexCache(config.cache_capacity)
         self.clock_s = 0.0
@@ -279,14 +276,21 @@ class ProverNode:
         return jobs
 
     def begin(
-        self, job: ProofJob, now_s: float, *, respect_arrivals: bool = False
+        self,
+        job: ProofJob,
+        now_s: float,
+        price: tuple[float, float],
+        *,
+        respect_arrivals: bool = False,
     ) -> InFlightJob:
         """Start proving ``job``: cache lookup, install-or-hit, timing.
 
         ``start = max(node clock, arrival)`` (arrival counts as 0 when
         arrivals are not respected); a sim-cache miss charges the
-        install cost before the prove cost.  The caller schedules the
-        finish event at ``in_flight.finish_s``.
+        install of ``price`` — the job's ``(install_s, prove_s)`` from
+        :meth:`~repro.cluster.timemodel.FleetTimeModel.price` — before
+        its prove.  The caller schedules the finish event at
+        ``in_flight.finish_s``.
         """
         if self.down:
             raise RuntimeError(f"node {self.node_id} is down")
@@ -297,7 +301,7 @@ class ProverNode:
         del self._pending[job.job_id]
         arrival = job.arrival_s if respect_arrivals else 0.0
         start = max(self.clock_s, arrival, now_s if respect_arrivals else 0.0)
-        install, prove = self.time_model.price(job)
+        install, prove = price
         hit = self.sim_cache.lookup(job.circuit_key)
         if hit:
             install = 0.0

@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.plan.cost import FunctionalProverCostModel, OutstandingCost, ShapeCostModel
 from repro.service.jobs import ProofJob
@@ -183,6 +183,7 @@ class ClusterRouter:
         self.outstanding = OutstandingCost(self.cost_model)
         for node_id in self._node_ids:
             self.outstanding.track(node_id)
+        self._costs = self.outstanding.node_costs
         self._down: set[str] = set()
         self._rr_next = 0
         # least_loaded argmin index: (cost, node_id) entries with lazy
@@ -211,16 +212,16 @@ class ClusterRouter:
         return sorted(self._down)
 
     @property
-    def outstanding_s(self) -> dict[str, float]:
-        """Predicted outstanding prove seconds per member node."""
-        return self.outstanding.per_node_s
+    def outstanding_s(self) -> Mapping[str, float]:
+        """Predicted outstanding prove seconds per member node (live view)."""
+        return self._costs
 
     # -- least_loaded index --------------------------------------------------
     def _rebuild_load_index(self) -> None:
         """Re-seed the argmin heap with one current entry per up node."""
-        node_s = self.outstanding.node_s
+        costs = self._costs
         self._load_heap = [
-            (node_s(n), n) for n in self._node_ids if n not in self._down
+            (costs[n], n) for n in self._node_ids if n not in self._down
         ]
         heapq.heapify(self._load_heap)
 
@@ -235,28 +236,28 @@ class ClusterRouter:
         if len(heap) > max(64, 8 * len(self._node_ids)):
             self._rebuild_load_index()
             return
-        heapq.heappush(heap, (self.outstanding.node_s(node_id), node_id))
+        heapq.heappush(heap, (self._costs[node_id], node_id))
 
     def _select_least_loaded(self, exclude: Iterable[str]) -> str:
         """Heap argmin over predicted outstanding cost.
 
-        An entry is *current* iff its node is a live up member and its
-        cost equals the node's outstanding cost right now; anything
-        else is stale garbage and is popped.  Current entries for
-        excluded nodes are held aside and re-pushed, so the result is
-        exactly the ``min((cost, node_id))`` of the old O(N) scan —
-        including the node-id tie-break — at O(log n) amortized.
+        Every entry names a member (:meth:`remove_node` re-seeds the
+        heap); it is *current* iff its node is up and its cost equals
+        the node's outstanding cost right now; anything else is stale
+        garbage and is popped.  Current entries for excluded nodes are
+        held aside and re-pushed, so the result is exactly the
+        ``min((cost, node_id))`` of the old O(N) scan — including the
+        node-id tie-break — at O(log n) amortized.
         """
         excluded = set(exclude)
         heap = self._load_heap
-        outstanding = self.outstanding
-        node_s = outstanding.node_s
+        costs = self._costs
         down = self._down
         held: list[tuple[float, str]] = []
         chosen: str | None = None
         while heap:
             cost, node = heap[0]
-            if node not in outstanding or node in down or cost != node_s(node):
+            if node in down or cost != costs[node]:
                 heapq.heappop(heap)
                 continue
             if node in excluded:
@@ -272,7 +273,7 @@ class ClusterRouter:
             # (an index bug) re-seed and fall back to the exact scan
             candidates = self._candidates(exclude)
             self._rebuild_load_index()
-            return min(candidates, key=lambda n: (node_s(n), n))
+            return min(candidates, key=lambda n: (costs[n], n))
         return chosen
 
     def add_node(self, node_id: str) -> None:
@@ -296,6 +297,7 @@ class ClusterRouter:
         self._down.discard(node_id)
         self._node_ids = [n for n in self._node_ids if n != node_id]
         self.outstanding.drop(node_id)
+        self._rebuild_load_index()
         self._rr_next = 0
 
     # -- churn ---------------------------------------------------------------
@@ -364,12 +366,18 @@ class ClusterRouter:
             return candidates[self._rr_next % len(candidates)]
         return self.ring.node_for(job.circuit_key, exclude=exclude)
 
-    def assign(self, job: ProofJob, *, exclude: Iterable[str] = ()) -> str:
-        """Route ``job``: pick a node and record its predicted cost."""
+    def assign(
+        self,
+        job: ProofJob,
+        *,
+        exclude: Iterable[str] = (),
+        cost_s: float | None = None,
+    ) -> str:
+        """Route ``job``: pick a node, charge ``cost_s`` (or :meth:`job_cost_s`)."""
         node_id = self.select(job, exclude=exclude)
         if self.policy == "round_robin":
             self._rr_next = (self._rr_next + 1) % len(self._candidates(exclude))
-        self.outstanding.add(node_id, job)
+        self.outstanding.add(node_id, job, cost_s)
         if self.policy == "least_loaded":
             self._reindex_load(node_id)
         return node_id

@@ -50,7 +50,7 @@ TIME_MODEL_PRESETS = ("accelerator", "functional")
 class FleetTimeModel:
     """Pluggable (prove, install) pricing for node model time.
 
-    Frozen: :meth:`price` remembers each shape's pair, which is sound
+    Frozen: :meth:`price` remembers each circuit's pair, which is sound
     only while the two models cannot be swapped underneath it.
     """
 
@@ -58,8 +58,8 @@ class FleetTimeModel:
     install_model: ShapeCostModel
     #: preset name (or "custom") carried into summaries
     name: str = "custom"
-    #: shape -> (install_s, prove_s), filled by :meth:`price`
-    _prices: dict[tuple[str, int], tuple[float, float]] = dc_field(
+    #: circuit_key -> (install_s, prove_s), filled by :meth:`price`
+    _prices: dict[str, tuple[float, float]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -97,19 +97,18 @@ class FleetTimeModel:
         )
 
     def price(self, job: ProofJob) -> tuple[float, float]:
-        """``(install_s, prove_s)`` model seconds for ``job``'s shape.
+        """``(install_s, prove_s)`` model seconds for ``job``'s circuit.
 
         Install seconds are what a node pays to build + install the
         job's index on a cache miss, prove seconds what it pays on a
-        warm node.  A run sees a handful of ``(gate, μ)`` shapes and
-        both models are pure functions of the shape, so each is asked
-        once per shape, not once per job.
+        warm node.  Both models are pure functions of the ``(gate, μ)``
+        shape, which the circuit fingerprint fixes, so the pair is
+        remembered per ``circuit_key``.
         """
-        circuit = job.circuit
-        shape = (circuit.gate_type.name, circuit.num_vars)
-        pair = self._prices.get(shape)
+        pair = self._prices.get(job.circuit_key)
         if pair is None:
-            pair = self._prices[shape] = (
+            shape = (job.circuit.gate_type.name, job.circuit.num_vars)
+            pair = self._prices[job.circuit_key] = (
                 self.install_model.shape_cost_s(*shape),
                 self.prove_model.shape_cost_s(*shape),
             )

@@ -23,6 +23,7 @@ bit-exact latency path is ``ZkPhireModel.price`` / ``CpuModel.price``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 
 from repro.plan.profiles import PolyProfile
 from repro.plan.proof_plan import PhaseCost, ProofPlan, hyperplonk_plan
@@ -143,6 +144,8 @@ class OutstandingCost:
     def __init__(self, model: ShapeCostModel):
         self.model = model
         self._per_node: dict[str, float] = {}
+        #: live read-only view of the outstanding seconds per tracked node
+        self.node_costs = MappingProxyType(self._per_node)
 
     def track(self, node_id: str) -> None:
         """Start tracking ``node_id`` (idempotent)."""
@@ -160,11 +163,11 @@ class OutstandingCost:
         circuit = job.circuit
         return self.model.shape_cost_s(circuit.gate_type.name, circuit.num_vars)
 
-    def add(self, node_id: str, job) -> float:
-        """Charge ``job``'s predicted cost to ``node_id``; returns it."""
+    def add(self, node_id: str, job, cost_s: float | None = None) -> float:
+        """Charge ``cost_s`` (default: ``job``'s cost) to ``node_id``; returns it."""
         if node_id not in self._per_node:
             raise KeyError(f"node {node_id!r} is not tracked")
-        cost = self.job_cost_s(job)
+        cost = self.job_cost_s(job) if cost_s is None else cost_s
         self._per_node[node_id] += cost
         return cost
 
@@ -181,11 +184,6 @@ class OutstandingCost:
     def node_s(self, node_id: str) -> float:
         """Outstanding predicted seconds charged to ``node_id``."""
         return self._per_node[node_id]
-
-    @property
-    def per_node_s(self) -> dict[str, float]:
-        """Outstanding predicted seconds per tracked node (a copy)."""
-        return dict(self._per_node)
 
     @property
     def total_s(self) -> float:

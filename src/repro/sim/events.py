@@ -82,8 +82,8 @@ class FleetEvent:
         detail: dict | None = None,
     ):
         # a frozen dataclass's generated __init__ pays one
-        # object.__setattr__ per field; the engine builds an event per
-        # emit, so the record is filled with a single dict update
+        # object.__setattr__ per field; a read builds one record per
+        # row, so the record is filled with a single dict update
         self.__dict__.update(
             seq=seq,
             at_s=at_s,
@@ -111,17 +111,30 @@ class EventLog:
     sim engine passes its model clock, the fleet a run-relative
     ``time.monotonic`` delta.  Events carry a per-log sequence number,
     so logs are totally ordered even when many events share a stamp.
+
+    :meth:`emit` appends one row tuple; :class:`FleetEvent` records are
+    built from the rows on the first read (and only the new rows on a
+    later one), so a run nothing reads builds none.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self.clock = clock if clock is not None else (lambda: 0.0)
-        self.events: list[FleetEvent] = []
+        self._rows: list[tuple] = []
+        self._built: list[FleetEvent] = []
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[FleetEvent]:
         return iter(self.events)
+
+    @property
+    def events(self) -> list[FleetEvent]:
+        """Every event as a record, in emission order (built on read)."""
+        built = self._built
+        for seq in range(len(built), len(self._rows)):
+            built.append(FleetEvent(seq, *self._rows[seq]))
+        return built
 
     def emit(
         self,
@@ -132,22 +145,12 @@ class EventLog:
         attempt: int = 0,
         at_s: float | None = None,
         **detail,
-    ) -> FleetEvent:
+    ) -> None:
         """Record one event (stamped from the clock unless ``at_s`` given)."""
         if kind not in _EVENT_KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}; see EVENT_KINDS")
-        events = self.events
-        event = FleetEvent(
-            len(events),
-            self.clock() if at_s is None else at_s,
-            kind,
-            job_id,
-            node_id,
-            attempt,
-            detail,
-        )
-        events.append(event)
-        return event
+        stamp = self.clock() if at_s is None else at_s
+        self._rows.append((stamp, kind, job_id, node_id, attempt, detail))
 
     def kinds(self) -> dict[str, int]:
         """Event count per kind (absent kinds omitted)."""

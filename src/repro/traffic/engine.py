@@ -16,10 +16,11 @@ On top of the pump:
   :class:`~repro.cluster.admission.AdmissionController` is attached,
   every arrival is admitted or *shed* before routing; shed jobs emit
   ``job_shed`` events and never touch a queue.
-* **backpressure** — when the controller reports
+* **backpressure** — when an arrival leaves the fleet
   :meth:`~repro.cluster.admission.AdmissionController.overloaded`, the
-  pump pauses; job completions that bring outstanding cost back under
-  the low-water mark resume it.  Pause time becomes *lag*: subsequent
+  pump pauses; the ``on_resolved`` observer settles each resolved job
+  and resumes the pump once outstanding cost is back under the
+  low-water mark.  Pause time becomes *lag*: subsequent
   arrivals (and their deadlines) shift forward by the accumulated
   delay, modelling a source that retries later rather than vanishing.
 * **tenancy accounting** — per-tenant offered/shed/completed counters
@@ -27,8 +28,9 @@ On top of the pump:
   :func:`~repro.traffic.metrics.traffic_summary` joins against the
   run's records.
 
-Everything else — routing, node churn, retries, autoscaling, the event
-log — is inherited unchanged from the closed-loop engine.
+Everything else — one price per job, routing, node churn, retries,
+autoscaling, the event log — is inherited unchanged from the
+closed-loop engine.
 """
 
 from __future__ import annotations
@@ -36,15 +38,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.cluster.admission import AdmissionController, AdmissionPolicy
-from repro.cluster.engine import (
-    PRIO_ARRIVAL,
-    PRIO_CHURN,
-    PRIO_TICK,
-    ClusterEngine,
-)
-from repro.cluster.nodes import JobRecord, ProverNode
+from repro.cluster.engine import PRIO_ARRIVAL, ClusterEngine
+from repro.cluster.nodes import JobRecord
 from repro.service.jobs import ProofJob
-from repro.sim import TraceSource, install
 from repro.traffic.openloop import OpenLoopTraffic
 from repro.workloads.churn import ChurnEvent
 
@@ -60,20 +56,18 @@ def make_admission(
     policy: AdmissionPolicy,
     tenants,
 ) -> AdmissionController:
-    """An admission controller wired to ``cluster``'s time model.
+    """An admission controller sized by ``cluster``'s up-node count.
 
-    Jobs are priced at their *cold* cost — index install plus prove
-    from the fleet time model — because admission cannot know whether
-    the target node's cache will hit; under shape churn installs
-    dominate node time, so a prove-only price would admit far past
-    capacity.  The budget tracks the router's up-node count, so
-    admission and autoscaling reason about the same fleet size.
+    The budget tracks the router's up-node count, so admission and
+    autoscaling reason about the same fleet size.
+    :class:`OpenLoopEngine` offers each job at its *cold* cost — index
+    install plus prove from the fleet time model — because admission
+    cannot know whether the target node's cache will hit; under shape
+    churn installs dominate node time, so a prove-only price would
+    admit far past capacity.
     """
     return AdmissionController(
-        policy,
-        list(tenants),
-        cost_of=cluster.time_model.cold_s,
-        up_nodes=cluster.router.up_count,
+        policy, list(tenants), up_nodes=cluster.router.up_count
     )
 
 
@@ -90,6 +84,8 @@ class OpenLoopEngine(ClusterEngine):
         super().__init__(cluster, respect_arrivals=True)
         self.traffic = traffic
         self.admission = admission
+        if admission is not None:
+            self.on_resolved = self._settle
         self._job_iter: Iterator[ProofJob] | None = None
         self._next_job: ProofJob | None = None
         self._source_done = False
@@ -140,37 +136,31 @@ class OpenLoopEngine(ClusterEngine):
             self.offered_by_tenant[job.tenant] = (
                 self.offered_by_tenant.get(job.tenant, 0) + 1
             )
-        if self.admission is not None and not self.admission.admit(job):
+        install_s, prove_s = self.cluster.time_model.price(job)
+        admitted, overloaded = (
+            (True, False)
+            if self.admission is None
+            else self.admission.offer(job, install_s + prove_s)
+        )
+        if admitted:
+            self.admitted += 1
+            self.events.emit("job_accepted", job_id=job.job_id, tag=job.tag)
+            self._route(job, prove_s)
+        else:
             self.events.emit(
                 "job_shed",
                 job_id=job.job_id,
                 attempt=job.attempt,
                 tenant=job.tenant,
             )
-        else:
-            self.admitted += 1
-            self.events.emit("job_accepted", job_id=job.job_id, tag=job.tag)
-            self._route(job)
-        if self.admission is not None and self.admission.overloaded():
+        if overloaded:
             self._paused = True
             self.pauses += 1
             return
         self._pump()
 
-    # -- resolution hooks ----------------------------------------------------
-    def _finish(self, node: ProverNode) -> None:
-        job = node.in_flight.job
-        super()._finish(node)
-        self._settle(job)
-
-    def _fail(self, job: ProofJob) -> None:
-        super()._fail(job)
-        self._settle(job)
-
     def _settle(self, job: ProofJob) -> None:
-        """Release admission debt; resume a paused pump when relieved."""
-        if self.admission is None:
-            return
+        """``on_resolved``: release admission debt; resume a relieved pump."""
         self.admission.settle(job)
         if self._paused and not self._draining and self.admission.relieved():
             self._paused = False
@@ -181,26 +171,9 @@ class OpenLoopEngine(ClusterEngine):
         self, *, churn: Iterable[ChurnEvent] = ()
     ) -> list[JobRecord]:
         """Pump the whole stream through the cluster; returns the records."""
-        self._scenario = True
-        self.respect = True
         self._total_jobs = _UNBOUNDED
         self._job_iter = self.traffic.jobs()
-        churn_events = [(event.at_s, event) for event in churn]
-        if churn_events:
-            self._cancellable.extend(
-                install(
-                    self.sim,
-                    TraceSource(churn_events),
-                    self._on_churn,
-                    priority=PRIO_CHURN,
-                )
-            )
-        if self.cluster.config.autoscale is not None:
-            self._tick_handle = self.sim.schedule(
-                self.cluster.config.autoscale.interval_s,
-                self._tick,
-                priority=PRIO_TICK,
-            )
+        self._start_streams(churn)
         self._pump()
         self.sim.run()
         if not self._source_done:

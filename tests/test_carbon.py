@@ -267,10 +267,8 @@ class TestCarbonConfig:
             CarbonRuntime(config, FleetTimeModel.preset("functional"))
 
 
-def _node(time_model: str = "functional") -> ProverNode:
-    return ProverNode(
-        "node-0", NodeConfig(max_vars=6), FleetTimeModel.preset(time_model)
-    )
+def _node() -> ProverNode:
+    return ProverNode("node-0", NodeConfig(max_vars=6))
 
 
 def _queued_jobs(node: ProverNode, count: int = 6) -> list:

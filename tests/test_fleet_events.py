@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
+from repro.cluster.__main__ import main as cluster_main
 from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EVENT_KINDS, EventLog, FleetEvent
 from repro.workloads import ChurnEvent
@@ -109,8 +110,9 @@ class TestSchema:
 
     def test_job_shed_is_a_valid_kind(self):
         assert "job_shed" in EVENT_KINDS
-        event = EventLog().emit("job_shed", job_id=7, tenant="tenant-1")
-        assert event.kind == "job_shed"
+        log = EventLog()
+        log.emit("job_shed", job_id=7, tenant="tenant-1")
+        assert log.events[-1].kind == "job_shed"
 
 
 class TestRecord:
@@ -160,7 +162,153 @@ class TestRecord:
         log = EventLog(clock=lambda: 1.25)
         for _ in range(4):
             log.emit("node_up")
-        emitted = log.emit(
+        log.emit(
             "job_completed", job_id=9, node_id="node-2", attempt=1, cache_hit=False
         )
-        assert emitted == self.EVENT and log.events[-1] is emitted
+        assert log.events[-1] == self.EVENT and log.events[-1] is log.events[-1]
+
+
+def eager_records(log: EventLog) -> list[FleetEvent]:
+    """The records of ``log`` built one by one from its emitted rows."""
+    return [FleetEvent(seq, *row) for seq, row in enumerate(log._rows)]
+
+
+class TestRowStore:
+    """``emit`` appends a row; records are built when the log is read."""
+
+    def test_records_built_on_read_equal_eager_ones(self):
+        log = scenario_log(seed=11)
+        eager = eager_records(log)
+        built = log.events
+        assert len(built) == len(eager) == len(log)
+        for lazy, early in zip(built, eager):
+            assert lazy == early
+            assert dataclasses.asdict(lazy) == dataclasses.asdict(early)
+            assert lazy.to_line() == early.to_line()
+
+    def test_emit_after_read_extends_the_built_list(self):
+        log = EventLog(clock=lambda: 0.5)
+        log.emit("node_up", node_id="node-0")
+        first = log.events
+        assert [e.seq for e in first] == [0]
+        log.emit("job_accepted", job_id=0, tag="t")
+        log.emit("job_assigned", job_id=0, node_id="node-0")
+        again = log.events
+        assert again is first
+        assert [e.seq for e in again] == [0, 1, 2]
+        assert again[1:] == eager_records(log)[1:]
+        assert [e.kind for e in log] == ["node_up", "job_accepted", "job_assigned"]
+
+    def test_len_builds_no_records(self, monkeypatch):
+        built = []
+        original = FleetEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        log = EventLog()
+        for _ in range(5):
+            log.emit("node_up")
+        monkeypatch.setattr(FleetEvent, "__init__", counting_init)
+        assert len(log) == 5
+        assert built == []
+        assert log.kinds() == {"node_up": 5}
+        assert len(built) == 5
+        log.to_jsonl()
+        assert len(built) == 5  # read once, built once
+
+    def test_emit_returns_none_and_unknown_kind_raises_at_emit(self):
+        log = EventLog()
+        assert log.emit("node_up") is None
+        with pytest.raises(ValueError, match="unknown event kind"):
+            log.emit("job_teleported", job_id=1)
+        assert len(log) == 1
+
+    def test_wall_clock_log_round_trips(self, tmp_path):
+        stamps = iter([0.0125, 0.5, 1.75])
+        log = EventLog(clock=lambda: next(stamps))
+        log.emit("node_up", node_id="node-0", pid=4242)
+        log.emit("job_accepted", job_id=0, tag="zipf/vanilla-mu4")
+        log.emit("job_completed", job_id=0, node_id="node-0", cache_hit=False)
+        path = tmp_path / "fleet.jsonl"
+        log.write(path)
+        assert path.read_text() == log.to_jsonl()
+        loaded = EventLog.load(path)
+        assert EventLog.replay_identical(log, loaded)
+        assert [e.at_s for e in loaded] == [0.0125, 0.5, 1.75]
+        assert loaded == log.events
+
+
+class TestClusterCliEvents:
+    """``repro-cluster --events PATH`` writes one cell's log."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """Every log the CLI writes, as its ``to_jsonl()`` at write time."""
+        logs: list[str] = []
+        write = EventLog.write
+
+        def recording_write(self, path):
+            logs.append(self.to_jsonl())
+            write(self, path)
+
+        monkeypatch.setattr(EventLog, "write", recording_write)
+        return logs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nodes", "2", "--policies", "affinity", "--jobs", "16"],
+            ["--nodes", "2", "--policies", "affinity", "--jobs", "16"]
+            + ["--churn-rate", "0.2", "--max-retries", "3"],
+            ["--open-loop", "--admission", "--nodes", "2"]
+            + ["--policies", "least_loaded", "--jobs", "60"],
+        ],
+        ids=["closed", "scenario", "open-loop"],
+    )
+    def test_file_is_the_engine_log(self, argv, tmp_path, written, capsys):
+        path = tmp_path / "events.jsonl"
+        assert cluster_main([*argv, "--json", "--events", str(path)]) == 0
+        text = path.read_text()
+        assert written == [text]
+        events = EventLog.loads(text)
+        assert len(events) == len(text.splitlines()) > 0
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert "job_completed" in {e.kind for e in events}
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--nodes", "1,2", "--policies", "affinity"],
+            ["--nodes", "2"],
+            ["--nodes", "2", "--policies", "affinity,round_robin"],
+        ],
+    )
+    def test_more_than_one_cell_exits_2(self, extra, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            cluster_main([*extra, "--jobs", "8", "--events", str(path)])
+        assert exc.value.code == 2
+        assert "one --nodes value" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_later_argument_error_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            cluster_main(
+                ["--nodes", "2", "--policies", "affinity", "--events", str(path)]
+                + ["--carbon-trace", "diurnal", "--power-cap", "1"]
+            )
+        assert exc.value.code == 2
+        assert "--power-cap" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_unwritable_path_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path / "missing" / "events.jsonl", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                cluster_main(
+                    ["--nodes", "2", "--policies", "affinity", "--events", str(path)]
+                )
+            assert exc.value.code == 2
+            assert "cannot write" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from repro.traffic import (
     traffic_summary,
 )
 from repro.traffic.openloop import WeightedTable
-from repro.workloads import SCENARIOS, ChurnEvent
+from repro.workloads import SCENARIOS, ChurnEvent, trace_for_downtime
 
 SCENARIO = "zipf-mixed"
 #: ~6x the 4-node fleet's install-bound capacity (overload regime)
@@ -80,14 +80,15 @@ def make_controller(
     window_s: float = 10.0,
     tenants=None,
 ):
-    """A controller with constant job cost and a mutable node count."""
+    """A controller with a mutable node count whose ``admit(job)`` offers
+    every job at the constant ``cost``."""
     nodes = [up_nodes]
     controller = AdmissionController(
         AdmissionPolicy(window_s=window_s),
         tenants if tenants is not None else default_tenants(3),
-        cost_of=lambda job: cost,
         up_nodes=lambda: nodes[0],
     )
+    controller.admit = lambda job: controller.offer(job, cost)[0]
     return controller, nodes
 
 
@@ -426,6 +427,128 @@ class TestOpenLoopEngine:
         assert set(engine.tenant_of.values()) <= {
             t.name for t in engine.traffic.tenants
         }
+
+
+def observed_run(
+    *,
+    jobs: int,
+    nodes: int,
+    churn: tuple,
+    window_s: float = 10.0,
+    max_retries: int = 2,
+):
+    """An admitted open-loop run that counts every ledger settlement and
+    notes each resolution that resumed a paused pump as
+    ``(events fired, job id)``; returns ``(engine, settled, resumes)``."""
+    traffic = OpenLoopTraffic(SCENARIO, seed=0, max_jobs=jobs, rate_rps=OVERLOAD_RPS)
+    cluster = ProvingCluster(
+        ClusterConfig(
+            num_nodes=nodes,
+            policy="least_loaded",
+            max_retries=max_retries,
+            node=NodeConfig(max_vars=traffic.max_vars()),
+        )
+    )
+    admission = make_admission(
+        cluster, AdmissionPolicy(window_s=window_s), traffic.tenants
+    )
+    engine = OpenLoopEngine(cluster, traffic, admission=admission)
+    settled: list[int] = []
+    resumes: list[tuple[int, int]] = []
+    settle, observer = admission.settle, engine.on_resolved
+
+    def counting_settle(job):
+        settled.append(job.job_id)
+        settle(job)
+
+    def watching_observer(job):
+        paused = engine._paused
+        observer(job)
+        if paused and not engine._paused:
+            resumes.append((engine.sim.fired, job.job_id))
+
+    admission.settle = counting_settle
+    engine.on_resolved = watching_observer
+    engine.run_open_loop(churn=churn)
+    return engine, settled, resumes
+
+
+def assert_settled_once_per_resolved_job(engine, settled):
+    resolved = [r.job_id for r in engine.records]
+    resolved += [job.job_id for job in engine.failed_jobs]
+    assert sorted(settled) == sorted(resolved)
+    assert len(set(settled)) == len(settled)
+    assert engine.admission.outstanding_s == pytest.approx(0.0, abs=1e-9)
+
+
+class TestAdmissionObserver:
+    """Admission settles on the cluster engine's ``on_resolved`` hook,
+    not on overrides of the engine's finish / fail steps."""
+
+    def test_open_loop_engine_overrides_no_resolution_step(self):
+        assert "_finish" not in OpenLoopEngine.__dict__
+        assert "_fail" not in OpenLoopEngine.__dict__
+        assert run_open_loop(with_admission=False, jobs=10).on_resolved is None
+
+    def test_completed_jobs_settle_once(self):
+        engine, settled, _ = observed_run(jobs=300, nodes=2, churn=())
+        assert engine.records and not engine.failed_jobs
+        assert_settled_once_per_resolved_job(engine, settled)
+
+    def test_job_failed_after_max_retries_settles_once(self):
+        churn = (
+            ChurnEvent(1.0, 0, "crash"),
+            ChurnEvent(1.5, 0, "recover"),
+            ChurnEvent(2.0, 1, "crash"),
+            ChurnEvent(2.6, 1, "recover"),
+        )
+        engine, settled, _ = observed_run(jobs=300, nodes=2, churn=churn, max_retries=0)
+        crashed = {e.job_id for e in engine.events if e.kind == "job_crashed"}
+        failed = {job.job_id for job in engine.failed_jobs}
+        assert failed and failed <= crashed
+        assert_settled_once_per_resolved_job(engine, settled)
+
+    def test_job_stranded_at_finalize_settles_once(self):
+        # the only node crashes for good: parked jobs fail at finalize
+        churn = (ChurnEvent(1.0, 0, "crash"),)
+        engine, settled, _ = observed_run(jobs=300, nodes=1, churn=churn)
+        assert engine.stats.parked > 0
+        assert len(engine.failed_jobs) == engine.stats.parked
+        assert_settled_once_per_resolved_job(engine, settled)
+
+    def test_job_parked_then_routed_settles_once(self):
+        churn = (ChurnEvent(1.0, 0, "crash"), ChurnEvent(3.0, 0, "recover"))
+        engine, settled, _ = observed_run(jobs=300, nodes=1, churn=churn)
+        assert engine.stats.parked > 0 and not engine.failed_jobs
+        # the recovery routes every parked job at once
+        parked = {
+            e.job_id
+            for e in engine.events
+            if e.kind == "job_assigned" and e.at_s == 3.0
+        }
+        assert len(parked) == engine.stats.parked
+        assert parked <= {r.job_id for r in engine.records}
+        assert_settled_once_per_resolved_job(engine, settled)
+
+    def test_paused_pump_resumes_on_the_same_events(self):
+        # recorded when admission settled through finish / fail
+        # overrides: the observer must resume the pump at the same
+        # resolution, after the same number of fired events
+        churn = trace_for_downtime(2, 1_500 / 40.0, downtime_fraction=0.2, seed=0)
+        engine, settled, resumes = observed_run(
+            jobs=1_500, nodes=2, churn=tuple(churn), window_s=4.0
+        )
+        assert engine.pauses == 6
+        assert resumes == [
+            (411, 238),
+            (636, 325),
+            (1453, 940),
+            (1460, 946),
+            (1791, 1172),
+            (1921, 1265),
+        ]
+        assert engine.sim.fired == 2241
+        assert_settled_once_per_resolved_job(engine, settled)
 
 
 class TestTrafficMetrics:

@@ -136,14 +136,14 @@ class TestSuspendResumeProperty:
         job_b = TrafficGenerator(SCENARIO, seed=4).jobs(8)[job_index]
         job_a.job_id = job_b.job_id = 0
 
-        baseline_node = ProverNode("node-0", config, time_model)
+        baseline_node = ProverNode("node-0", config)
         baseline_node.submit(job_a)
-        baseline_node.begin(job_a, 0.0)
+        baseline_node.begin(job_a, 0.0, time_model.price(job_a))
         baseline = baseline_node.complete()
 
-        node = ProverNode("node-0", config, time_model)
+        node = ProverNode("node-0", config)
         node.submit(job_b)
-        live = node.begin(job_b, 0.0)
+        live = node.begin(job_b, 0.0, time_model.price(job_b))
         total = live.install_s + live.prove_s
         parks = 0
         for fraction, gap in zip(sorted(fractions), gaps):

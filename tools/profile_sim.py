@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile harness for the discrete-event sim core's hot loop.
+"""cProfile harness for the discrete-event sim core and the open-loop cell.
 
 Drives :func:`churn_heavy` — the canonical cancellation-heavy workload
 shared with ``benchmarks/test_traffic_openloop.py`` — under cProfile
@@ -8,11 +8,22 @@ and prints the top functions, so a change to
 
     PYTHONPATH=src python tools/profile_sim.py --events 1000000
     PYTHONPATH=src python tools/profile_sim.py --legacy --events 200000
+    PYTHONPATH=src python tools/profile_sim.py --open-loop --jobs 5000 --seed 0
 
 ``--legacy`` profiles the vendored pre-fast-path engine
 (``benchmarks/legacy_sim.py``) for before/after comparison, and
 ``--no-profile`` times the run without profiler overhead (what the
 benchmark measures).
+
+``--open-loop`` runs the ``sim_openloop_5e3`` benchmark cell instead
+(:func:`open_loop_run`: 4 ``least_loaded`` nodes on the accelerator
+time model, admission window 10 s, 10% churn downtime, passive carbon
+pricing, ``max_retries=64``) and prints the per-job counts that name
+its hot path: µs per host event, Python calls per offered job, shape
+pricing calls, ``emit`` calls, :class:`~repro.sim.FleetEvent`
+constructions, admission budgets, and the top functions grouped by
+layer.  Point ``PYTHONPATH`` at another checkout's ``src`` to get that
+tree's table from the same harness.
 
 The workload models what a 10⁶-event open-loop cluster run does to the
 engine: a handful of periodic "server" chains that each reschedule
@@ -28,8 +39,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import re
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -45,6 +58,28 @@ LEN_POLL_EVERY = 256
 
 #: watchdog horizon: rearmed this far ahead on every server event
 WATCHDOG_S = 10.0
+
+#: the ``sim_openloop_5e3`` cell (benchmarks/e2e/e2ebench/wl_sim.py)
+OPEN_LOOP_SCENARIO = "zipf-mixed"
+OPEN_LOOP_RATE_RPS = 40.0
+OPEN_LOOP_NODES = 4
+OPEN_LOOP_WINDOW_S = 10.0
+OPEN_LOOP_DOWNTIME = 0.1
+OPEN_LOOP_MAX_RETRIES = 64
+
+#: unprofiled open-loop runs timed (the fastest is reported)
+OPEN_LOOP_REPEATS = 5
+
+#: functions listed under each layer of the open-loop profile
+TOP_PER_LAYER = 3
+
+#: (file suffix, function) pairs counted as one shape-pricing call each
+SHAPE_PRICING = (
+    ("cluster/timemodel.py", "price"),
+    ("plan/cost.py", "job_cost_s"),
+)
+
+_LAYER = re.compile(r"[\\/]repro[\\/](\w+)[\\/]")
 
 
 def churn_heavy(sim, num_events: int, *, fast: bool = False) -> tuple:
@@ -105,6 +140,124 @@ def make_sim(legacy: bool):
     return Simulator(), True
 
 
+def open_loop_churn(jobs: int, seed: int) -> list:
+    """The cell's churn trace (built once, outside the timed run)."""
+    from repro.workloads import trace_for_downtime
+
+    return trace_for_downtime(
+        OPEN_LOOP_NODES,
+        jobs / OPEN_LOOP_RATE_RPS,
+        downtime_fraction=OPEN_LOOP_DOWNTIME,
+        seed=seed,
+    )
+
+
+def open_loop_run(jobs: int, seed: int, churn: list):
+    """One whole open-loop cell run on fresh objects; returns the engine."""
+    from repro.carbon import CarbonConfig, CarbonIntensityTrace
+    from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
+    from repro.cluster.admission import AdmissionPolicy
+    from repro.traffic import OpenLoopEngine, OpenLoopTraffic, make_admission
+
+    traffic = OpenLoopTraffic(
+        OPEN_LOOP_SCENARIO, seed=seed, max_jobs=jobs, rate_rps=OPEN_LOOP_RATE_RPS
+    )
+    config = ClusterConfig(
+        num_nodes=OPEN_LOOP_NODES,
+        policy="least_loaded",
+        time_model="accelerator",
+        node=NodeConfig(max_vars=traffic.max_vars()),
+        max_retries=OPEN_LOOP_MAX_RETRIES,
+        carbon=CarbonConfig(CarbonIntensityTrace(seed=seed), policy="none"),
+    )
+    with ProvingCluster(config) as cluster:
+        policy = AdmissionPolicy(window_s=OPEN_LOOP_WINDOW_S)
+        admission = make_admission(cluster, policy, traffic.tenants)
+        engine = OpenLoopEngine(cluster, traffic, admission=admission)
+        engine.run_open_loop(churn=churn)
+    return engine
+
+
+def _layer_of(filename: str) -> str:
+    """``repro`` subpackage of a profiled function, else builtin/stdlib."""
+    if filename == "~":
+        return "builtins"
+    match = _LAYER.search(filename)
+    return match.group(1) if match else "stdlib"
+
+
+def open_loop_report(stats: pstats.Stats, offered: int) -> None:
+    """Print the per-job counts and the top functions grouped by layer."""
+    from repro.sim.events import FleetEvent
+
+    record_line = FleetEvent.__init__.__code__.co_firstlineno
+
+    def calls_of(suffix: str, name: str, line: int | None = None) -> int:
+        return sum(
+            entry[1]
+            for (filename, at, func), entry in stats.stats.items()
+            if func == name
+            and line in (None, at)
+            and filename.replace("\\", "/").endswith(suffix)
+        )
+
+    total = sum(entry[1] for entry in stats.stats.values())
+    pricing = sum(calls_of(suffix, name) for suffix, name in SHAPE_PRICING)
+    counts = [
+        ("Python calls per offered job", total / offered),
+        ("shape-pricing calls", pricing),
+        ("shape-pricing calls per offered job", pricing / offered),
+        ("EventLog.emit calls", calls_of("sim/events.py", "emit")),
+        (
+            "FleetEvent constructions",
+            calls_of("sim/events.py", "__init__", record_line),
+        ),
+        ("admission budgets", calls_of("cluster/admission.py", "budget_s")),
+    ]
+    for label, value in counts:
+        shown = f"{value:,.2f}" if isinstance(value, float) else f"{value:,}"
+        print(f"  {label:<38} {shown:>12}")
+    layers: dict[str, list] = defaultdict(list)
+    for (filename, line, func), entry in stats.stats.items():
+        layers[_layer_of(filename)].append((entry[2], entry[1], f"  {func}:{line}"))
+    grand = sum(entry[2] for entry in stats.stats.values()) or 1.0
+
+    def row(name: str, calls: int, self_s: float) -> None:
+        print(f"  {name:<44} {calls:>9,} {self_s:>8.3f} {self_s / grand:>7.1%}")
+
+    print(f"\n  {'layer / function':<44} {'calls':>9} {'self s':>8} {'share':>7}")
+    ranked = sorted(layers.items(), key=lambda kv: -sum(f[0] for f in kv[1]))
+    for layer, funcs in ranked:
+        row(layer, sum(f[1] for f in funcs), sum(f[0] for f in funcs))
+        for self_s, calls, name in sorted(funcs, reverse=True)[:TOP_PER_LAYER]:
+            row(name, calls, self_s)
+
+
+def open_loop_main(args: argparse.Namespace) -> int:
+    """``--open-loop``: time (and unless ``--no-profile``, count) the cell."""
+    churn = open_loop_churn(args.jobs, args.seed)
+    open_loop_run(args.jobs, args.seed, churn)  # warm imports and memos
+    walls = []
+    for _ in range(OPEN_LOOP_REPEATS):
+        started = time.perf_counter()
+        engine = open_loop_run(args.jobs, args.seed, churn)
+        walls.append(time.perf_counter() - started)
+    wall = min(walls)
+    fired = engine.sim.fired
+    print(
+        f"open-loop cell: jobs={args.jobs} seed={args.seed} "
+        f"offered={engine.offered} events={fired} "
+        f"wall={wall:.4f}s (best of {OPEN_LOOP_REPEATS}) "
+        f"{1e6 * wall / fired:.2f} us/host event"
+    )
+    if args.no_profile:
+        return 0
+    profiler = cProfile.Profile()
+    engine = profiler.runcall(open_loop_run, args.jobs, args.seed, churn)
+    open_loop_report(pstats.Stats(profiler), engine.offered)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -127,9 +280,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--top", type=int, default=20, help="rows of stats to print"
     )
+    parser.add_argument(
+        "--open-loop",
+        action="store_true",
+        help="profile the sim_openloop_5e3 cell instead of the bare core",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=5_000, help="open-loop jobs offered"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="open-loop seed")
     args = parser.parse_args(argv)
     if args.events < 1:
         parser.error(f"--events must be >= 1; got {args.events}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1; got {args.jobs}")
+    if args.open_loop:
+        return open_loop_main(args)
 
     sim, fast = make_sim(args.legacy)
     label = "legacy" if args.legacy else "fast-path"
