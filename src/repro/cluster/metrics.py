@@ -3,10 +3,11 @@
 :func:`cluster_summary` renders one dict per cluster run:
 
 * ``model`` — model-time results: makespan (latest node finish),
-  throughput, fleet p50/p95/max latency, per-node busy seconds and
-  utilization, load imbalance (max/mean busy), and the install share —
-  the fraction of fleet busy time spent (re)building circuit indexes,
-  which is exactly what affinity routing exists to shrink;
+  throughput and the fleet latency tail (:func:`records_summary`),
+  per-node busy seconds and utilization, load imbalance (max/mean
+  busy), and the install share (:func:`install_split`) — the fraction
+  of fleet busy time spent (re)building circuit indexes, which is
+  exactly what affinity routing exists to shrink;
 * ``cache`` — aggregate hit/miss/eviction stats over every node's
   simulated cache, plus the real per-node ``IndexCache`` stats when the
   cluster executed proofs;
@@ -20,13 +21,16 @@
 * ``retries`` / ``resilience`` (scenario runs) — :func:`retry_stats`
   latency accounting for crash-retried jobs, plus the engine's
   crash/recovery/requeue/autoscale counters.
+
+The open-loop traffic summary and the real fleet's summary build the
+same blocks from :func:`records_summary` and :func:`install_split`.
 """
 
 from __future__ import annotations
 
 from repro.cluster.nodes import JobRecord, ProverNode
 from repro.service.cache import CacheStats
-from repro.service.metrics import percentile, percentiles
+from repro.service.metrics import FULL_TAIL, latency_tail, percentile
 
 
 def _aggregate_stats(stats: list[CacheStats]) -> dict:
@@ -55,6 +59,35 @@ def shape_spread(nodes: list[ProverNode]) -> float:
         return 0.0
     placements = sum(len(node.shapes_seen) for node in nodes)
     return placements / len(shapes)
+
+
+def records_summary(
+    records: list[JobRecord], tail: tuple[str, ...] = FULL_TAIL
+) -> dict:
+    """Makespan, throughput and the ``tail`` latency keys over any
+    record list (sim or fleet)."""
+    makespan = max((r.finish_s for r in records), default=0.0)
+    return {
+        "makespan_s": round(makespan, 6),
+        "throughput_jobs_per_s": (
+            round(len(records) / makespan, 3) if makespan > 0 else 0.0
+        ),
+        "latency_s": latency_tail([r.latency_s for r in records], tail),
+    }
+
+
+def install_split(records: list[JobRecord]) -> dict:
+    """Install vs prove seconds over a record list, and the install share."""
+    install_s = sum(r.install_model_s for r in records)
+    prove_s = sum(r.prove_model_s for r in records)
+    total_busy = install_s + prove_s
+    return {
+        "install_s": round(install_s, 6),
+        "prove_s": round(prove_s, 6),
+        "install_share": (
+            round(install_s / total_busy, 4) if total_busy > 0 else 0.0
+        ),
+    }
 
 
 def deadline_stats(records: list[JobRecord], failed_jobs: list) -> dict:
@@ -123,32 +156,16 @@ def cluster_summary(
     carbon: dict | None = None,
 ) -> dict:
     """One summary dict over a finished cluster run."""
+    # utilization divides by the unrounded makespan
     makespan = max((r.finish_s for r in records), default=0.0)
     busy = [node.busy_s for node in nodes]
-    latencies = [r.latency_s for r in records]
-    lat_p50, lat_p95, lat_p99, lat_p99_9 = percentiles(
-        latencies, (50, 95, 99, 99.9)
-    )
-    install_s = sum(r.install_model_s for r in records)
-    prove_s = sum(r.prove_model_s for r in records)
-    total_busy = install_s + prove_s
     doc = {
         "policy": policy,
         "time_model": time_model,
         "nodes": len(nodes),
         "jobs": len(records),
         "model": {
-            "makespan_s": round(makespan, 6),
-            "throughput_jobs_per_s": (
-                round(len(records) / makespan, 3) if makespan > 0 else 0.0
-            ),
-            "latency_s": {
-                "p50": round(lat_p50, 6),
-                "p95": round(lat_p95, 6),
-                "p99": round(lat_p99, 6),
-                "p99_9": round(lat_p99_9, 6),
-                "max": round(max(latencies), 6) if latencies else 0.0,
-            },
+            **records_summary(records),
             "busy_s": {n.node_id: round(n.busy_s, 6) for n in nodes},
             "utilization": {
                 node.node_id: (
@@ -157,11 +174,7 @@ def cluster_summary(
                 for node in nodes
             },
             "load_imbalance": round(load_imbalance(busy), 4),
-            "install_s": round(install_s, 6),
-            "prove_s": round(prove_s, 6),
-            "install_share": (
-                round(install_s / total_busy, 4) if total_busy > 0 else 0.0
-            ),
+            **install_split(records),
         },
         "cache": {
             "sim": _aggregate_stats([node.sim_cache.stats for node in nodes]),

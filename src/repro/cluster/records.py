@@ -4,10 +4,9 @@
 produce — the simulated cluster fills it with *model* seconds
 (:mod:`repro.cluster.engine`), the real fleet with *measured* wall
 seconds relative to its run start (:mod:`repro.fleet.core`) — so one
-metrics layer (:mod:`repro.cluster.metrics`,
-:mod:`repro.fleet.metrics`) and one validation harness
-(:mod:`repro.fleet.validation`) can consume either side without
-translation.
+metrics layer (:mod:`repro.cluster.metrics`) and one validation
+harness (:mod:`repro.fleet.validation`) can consume either side
+without translation.
 
 :class:`RetryPolicy` is the matching crash-retry contract: attempt
 counters, loser exclusion, and the ``max_retries`` → failure rule.  The

@@ -21,8 +21,8 @@ Modules:
   SRS, prove/probe/freeze/stop commands, heartbeats);
 * :mod:`repro.fleet.heartbeat` — miss-threshold failure detection;
 * :mod:`repro.fleet.core` — :class:`FleetConfig` / :class:`ProvingFleet`,
-  the asyncio control plane;
-* :mod:`repro.fleet.metrics` — measured-side summary;
+  the asyncio control plane and its measured-side summary (built from
+  the sim's own :mod:`repro.cluster.metrics` helpers);
 * :mod:`repro.fleet.validation` — the predicted-vs-measured harness.
 
 Demo CLI: ``python -m repro.fleet --scenario zipf-mixed --nodes 3``
@@ -38,7 +38,6 @@ __all__ = [
     "FleetConfig",
     "HeartbeatMonitor",
     "ProvingFleet",
-    "fleet_summary",
     "run_validation",
 ]
 
@@ -46,7 +45,6 @@ _LAZY = {
     "FleetConfig": ("repro.fleet.core", "FleetConfig"),
     "ProvingFleet": ("repro.fleet.core", "ProvingFleet"),
     "HeartbeatMonitor": ("repro.fleet.heartbeat", "HeartbeatMonitor"),
-    "fleet_summary": ("repro.fleet.metrics", "fleet_summary"),
     "run_validation": ("repro.fleet.validation", "run_validation"),
 }
 

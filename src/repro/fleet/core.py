@@ -43,6 +43,7 @@ import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable
 
+from repro.cluster import metrics
 from repro.cluster.nodes import NodeConfig
 from repro.cluster.records import JobRecord, RetryPolicy
 from repro.cluster.routing import (
@@ -644,7 +645,45 @@ class ProvingFleet:
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict:
-        """Measured-side metrics; see :mod:`repro.fleet.metrics`."""
-        from repro.fleet.metrics import fleet_summary
-
-        return fleet_summary(self)
+        """Measured-side metrics in wall seconds: ``measured`` is built
+        like the sim's ``model`` block, from the same
+        :mod:`repro.cluster.metrics` helpers, so the two compare directly."""
+        records = self.records
+        busy = dict.fromkeys(self.node_ids, 0.0)
+        jobs = dict.fromkeys(self.node_ids, 0)
+        hits = 0
+        for record in records:
+            busy[record.node_id] += record.install_model_s + record.prove_model_s
+            jobs[record.node_id] += 1
+            hits += record.cache_hit
+        doc = {
+            "policy": self.config.policy,
+            "nodes": self.config.num_nodes,
+            "jobs": len(records),
+            "measured": {
+                **metrics.records_summary(records, ("p50", "p95", "max")),
+                **metrics.install_split(records),
+                "busy_s": {node_id: round(s, 6) for node_id, s in sorted(busy.items())},
+                "load_imbalance": round(metrics.load_imbalance(list(busy.values())), 4),
+            },
+            "cache": {
+                "hits": hits,
+                "misses": len(records) - hits,
+                "hit_rate": round(hits / len(records), 4) if records else 0.0,
+            },
+            "routing": {"jobs_per_node": dict(sorted(jobs.items()))},
+            "resilience": {
+                "crashes": self.crashes,
+                "retries": self.retries,
+                "requeues": self.requeues,
+                "parked": self.parked_count,
+                "exclusion_waivers": self.exclusion_waivers,
+                "failed_jobs": len(self.failed_jobs),
+                "lost_wall_s": round(self.lost_wall_s, 6),
+            },
+        }
+        if self.config.respect_arrivals:
+            doc["deadlines"] = metrics.deadline_stats(records, self.failed_jobs)
+        if self.crashes:
+            doc["retries"] = metrics.retry_stats(records)
+        return doc

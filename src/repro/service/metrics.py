@@ -1,10 +1,11 @@
 """Service-side measurement: throughput, latency tails, utilization.
 
 :class:`ServiceMetrics` accumulates :class:`~repro.service.jobs.ProofResult`
-records and renders one summary dict per run: proofs/sec, p50/p95 latency,
-cache hit rate (both per-lookup, from the cache's own stats, and per-job,
-from result records — the two differ because a batch of *n* jobs performs
-one lookup), per-worker utilization, and aggregate
+records and renders one summary dict per run: proofs/sec, the latency
+tail (:func:`latency_tail`, p50 through max), cache hit rate (both
+per-lookup, from the cache's own stats, and per-job, from result
+records — the two differ because a batch of *n* jobs performs one
+lookup), per-worker utilization, and aggregate
 :class:`~repro.fields.counters.OpCounter` tallies when collection is on.
 
 When the service runs with a cost model, results carry a
@@ -43,15 +44,27 @@ def percentile(values: list[float], q: float) -> float:
     return _interp_sorted(sorted(values), q)
 
 
-def percentiles(values: list[float], qs: tuple[float, ...]) -> list[float]:
-    """Many percentiles of one sample, sorting ``values`` exactly once.
+#: every latency key a summary can report, in report order
+FULL_TAIL = ("p50", "p95", "p99", "p99_9", "max")
 
-    Tail-heavy snapshots ask for p50/p95/p99/p99.9 of the same latency
-    list; calling :func:`percentile` per quantile re-sorts each time,
-    which dominates summary cost at 10⁵+ samples.
+_QUANTILE = {"p50": 50, "p95": 95, "p99": 99, "p99_9": 99.9}
+
+
+def latency_tail(values: list[float], keys: tuple[str, ...] = FULL_TAIL) -> dict:
+    """The ``latency_s`` block of a summary: each of ``keys``, rounded
+    to 6 places, from one sort of ``values``.
+
+    ``max`` is the sample maximum (0.0 for an empty sample); the other
+    keys are :func:`percentile` at 50, 95, 99 and 99.9.  Sorting once
+    matters: at 10⁵+ samples a sort per quantile dominates the
+    summary's cost.
     """
     xs = sorted(values)
-    return [_interp_sorted(xs, q) for q in qs]
+    top = xs[-1] if xs else 0.0
+    return {
+        key: round(top if key == "max" else _interp_sorted(xs, _QUANTILE[key]), 6)
+        for key in keys
+    }
 
 
 @dataclass
@@ -131,10 +144,6 @@ class ServiceMetrics:
     def summary(self, wall_s: float,
                 cache_stats: CacheStats | None = None,
                 num_workers: int = 1) -> dict:
-        lat = self.latencies()
-        lat_p50, lat_p95, lat_p99, lat_p99_9 = percentiles(
-            lat, (50, 95, 99, 99.9)
-        )
         queue = [r.queue_s for r in self.results]
         prove = [r.prove_s for r in self.results]
         by_class = {
@@ -150,13 +159,7 @@ class ServiceMetrics:
             "throughput_proofs_per_s": (
                 round(self.jobs_done / wall_s, 3) if wall_s > 0 else 0.0
             ),
-            "latency_s": {
-                "p50": round(lat_p50, 6),
-                "p95": round(lat_p95, 6),
-                "p99": round(lat_p99, 6),
-                "p99_9": round(lat_p99_9, 6),
-                "max": round(max(lat), 6) if lat else 0.0,
-            },
+            "latency_s": latency_tail(self.latencies()),
             "queue_s_p50": round(percentile(queue, 50), 6),
             "prove_s_p50": round(percentile(prove, 50), 6),
             "job_cache_hit_rate": round(self.job_cache_hit_rate(), 4),

@@ -15,8 +15,11 @@ traffic re-proving one circuit over many inputs.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable
+from bisect import bisect
+from itertools import accumulate
+from typing import Sequence
 
 from repro.fields import Fr
 from repro.fields.prime_field import PrimeField
@@ -70,6 +73,35 @@ def synthesize_circuit(gate_type: GateType, log2_gates: int, *,
     return b.build(min_gates=target)
 
 
+class WeightedTable:
+    """``rng.choices(population, weights=w)[0]``, weights accumulated once.
+
+    :meth:`draw` is the draw :func:`random.choices` makes for ``k=1`` —
+    a ``bisect`` of ``rng.random() * total`` into the cumulative
+    weights — so it consumes the same one uniform and returns the same
+    element from the same generator state (``tests/test_traffic.py``
+    holds the equality for every committed weight list).  Both job
+    sources draw through it: :class:`TrafficGenerator` here and
+    :class:`~repro.traffic.openloop.OpenLoopTraffic` above.
+    """
+
+    def __init__(self, population: Sequence, weights: Sequence[float]):
+        self.population = list(population)
+        self.cum_weights = list(accumulate(weights))
+        if len(self.cum_weights) != len(self.population):
+            raise ValueError("the number of weights does not match the population")
+        self.total = self.cum_weights[-1] + 0.0
+        if not 0.0 < self.total < math.inf:
+            raise ValueError(f"total weight must be finite and > 0; got {self.total}")
+        self._hi = len(self.population) - 1
+
+    def draw(self, rng: random.Random):
+        """One weighted draw from ``rng`` (advances it by one uniform)."""
+        return self.population[
+            bisect(self.cum_weights, rng.random() * self.total, 0, self._hi)
+        ]
+
+
 class TrafficGenerator:
     """Deterministic (seeded) job-stream generator for one scenario."""
 
@@ -89,6 +121,8 @@ class TrafficGenerator:
         self.seed = seed
         self.field = field
         self._rng = random.Random(seed)
+        self._gates = WeightedTable(*zip(*scenario.gate_mix))
+        self._sizes = WeightedTable(*zip(*scenario.size_weights))
         self._next_arrival = 0.0
         self._burst_slot = 0
 
@@ -106,10 +140,6 @@ class TrafficGenerator:
                 self._next_arrival = t + BURST_SIZE / s.rate_rps
         return t
 
-    def _weighted(self, pairs: Iterable[tuple]) -> object:
-        population, weights = zip(*pairs)
-        return self._rng.choices(population, weights=weights, k=1)[0]
-
     # -- API ---------------------------------------------------------------
     def jobs(self, n: int, *, start_id: int = 0,
              backend: str | None = None) -> list[ProofJob]:
@@ -118,8 +148,8 @@ class TrafficGenerator:
         out = []
         for i in range(n):
             arrival = self._draw_arrival()
-            gate_name = self._weighted(s.gate_mix)
-            log2 = self._weighted(s.size_weights)
+            gate_name = self._gates.draw(self._rng)
+            log2 = self._sizes.draw(self._rng)
             realtime = self._rng.random() < s.realtime_fraction
             circuit = synthesize_circuit(
                 GATE_TYPES[gate_name], log2,

@@ -10,7 +10,7 @@ admission control needs different headlines:
 * **shed rate** — offered jobs rejected at admission, overall and per
   tenant (who pays for overload);
 * **tail latency** — p50/p95/p99/p99.9 via the sort-once
-  :func:`~repro.service.metrics.percentiles` (at 10⁵ samples the p99.9
+  :func:`~repro.service.metrics.latency_tail` (at 10⁵ samples the p99.9
   is finally a statistic, not noise);
 * **Jain fairness** — :func:`jain_fairness` over weight-normalized
   per-tenant SLO-met completions: 1.0 means every tenant got goodput
@@ -19,7 +19,7 @@ admission control needs different headlines:
 
 from __future__ import annotations
 
-from repro.service.metrics import percentiles
+from repro.cluster.metrics import records_summary
 from repro.traffic.engine import OpenLoopEngine
 
 
@@ -41,9 +41,11 @@ def traffic_summary(engine: OpenLoopEngine) -> dict:
     """One summary dict over a finished open-loop run."""
     records = engine.records
     traffic = engine.traffic
+    # goodput divides by the unrounded makespan
     makespan = max((r.finish_s for r in records), default=0.0)
-    latencies = [r.latency_s for r in records]
-    p50, p95, p99, p99_9 = percentiles(latencies, (50, 95, 99, 99.9))
+    model = records_summary(records, ("p50", "p95", "p99", "p99_9"))
+    # the tail closes the model block, after the SLO counts
+    tail = model.pop("latency_s")
     slo_met = sum(1 for r in records if not r.missed_deadline)
 
     tenants = {t.name: t for t in traffic.tenants}
@@ -80,10 +82,7 @@ def traffic_summary(engine: OpenLoopEngine) -> dict:
         "pauses": engine.pauses,
         "lag_s": round(engine.lag_s, 6),
         "model": {
-            "makespan_s": round(makespan, 6),
-            "throughput_jobs_per_s": (
-                round(len(records) / makespan, 3) if makespan > 0 else 0.0
-            ),
+            **model,
             "goodput_jobs_per_s": (
                 round(slo_met / makespan, 3) if makespan > 0 else 0.0
             ),
@@ -91,12 +90,7 @@ def traffic_summary(engine: OpenLoopEngine) -> dict:
             "slo_attainment": (
                 round(slo_met / len(records), 4) if records else 0.0
             ),
-            "latency_s": {
-                "p50": round(p50, 6),
-                "p95": round(p95, 6),
-                "p99": round(p99, 6),
-                "p99_9": round(p99_9, 6),
-            },
+            "latency_s": tail,
         },
         "jain_fairness": round(jain_fairness(normalized), 4),
         "tenants": [

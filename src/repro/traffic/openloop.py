@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.preprocess import circuit_fingerprint
 from repro.service.jobs import ProofJob
-from repro.service.traffic import GATE_TYPES, synthesize_circuit
+from repro.service.traffic import GATE_TYPES, WeightedTable, synthesize_circuit
 from repro.traffic.tenants import TenantSpec, default_tenants
 from repro.workloads import TrafficScenario, scenario_by_name
 
@@ -47,33 +45,6 @@ DEFAULT_BURST_DURATION_S = 5.0
 
 #: ... covering this fraction of model time
 DEFAULT_BURST_FRACTION = 0.1
-
-
-class WeightedTable:
-    """``rng.choices(population, weights=w)[0]``, weights accumulated once.
-
-    :meth:`draw` is the draw :func:`random.choices` makes for ``k=1`` —
-    a ``bisect`` of ``rng.random() * total`` into the cumulative
-    weights — so it consumes the same one uniform and returns the same
-    element from the same generator state (``tests/test_traffic.py``
-    holds the equality for every committed weight list).
-    """
-
-    def __init__(self, population: Sequence, weights: Sequence[float]):
-        self.population = list(population)
-        self.cum_weights = list(accumulate(weights))
-        if len(self.cum_weights) != len(self.population):
-            raise ValueError("the number of weights does not match the population")
-        self.total = self.cum_weights[-1] + 0.0
-        if not 0.0 < self.total < math.inf:
-            raise ValueError(f"total weight must be finite and > 0; got {self.total}")
-        self._hi = len(self.population) - 1
-
-    def draw(self, rng: random.Random):
-        """One weighted draw from ``rng`` (advances it by one uniform)."""
-        return self.population[
-            bisect(self.cum_weights, rng.random() * self.total, 0, self._hi)
-        ]
 
 
 class CircuitShapeCache:

@@ -25,13 +25,16 @@ is injected through the fleet's deterministic action hooks.
 """
 
 import asyncio
+import json
 import sys
 import time
+from argparse import Namespace
 
 import pytest
 
 from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import NodeConfig
+from repro.cluster.records import JobRecord
 from repro.cluster.routing import ROUTING_POLICIES
 from repro.fleet.core import (
     FleetConfig,
@@ -39,8 +42,10 @@ from repro.fleet.core import (
     ProvingFleet,
     WorkerStartupError,
 )
+from repro.fleet.__main__ import print_run
 from repro.fleet.validation import reference_proofs, significant_pairs
 from repro.service.core import ProvingService, ServiceConfig
+from repro.service.jobs import ProofJob
 from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EventLog
 
@@ -286,3 +291,96 @@ class TestWorkerState:
         # the log round-trips through JSONL
         replayed = EventLog.loads(fleet.events.to_jsonl())
         assert EventLog.replay_identical(fleet.events, replayed)
+
+
+def summary_fixture() -> ProvingFleet:
+    """A two-node fleet with five hand-built records, one of them a
+    crash retry, and one failed deadline job; ``run`` is never called,
+    so no worker process starts."""
+    fleet = ProvingFleet(FleetConfig(num_nodes=2, respect_arrivals=True))
+    rows = [
+        # job, node, arrival, start, finish, prove, install, hit, deadline, attempt
+        (0, "node-0", 0.0, 0.0, 1.0, 0.75, 0.25, False, 2.0, 0),
+        (1, "node-1", 0.0, 0.0, 1.5, 1.0, 0.5, False, None, 0),
+        (2, "node-0", 0.5, 1.0, 2.0, 1.0, 0.0, True, 1.5, 0),
+        (3, "node-1", 1.0, 1.5, 3.5, 2.0, 0.0, True, None, 1),
+        (4, "node-0", 2.0, 2.0, 4.0, 1.5, 0.5, False, 3.0, 0),
+    ]
+    fleet.records = [
+        JobRecord(
+            job_id=job_id, tag=f"t{job_id}", circuit_key="k",
+            node_id=node_id, arrival_s=arrival, start_s=start,
+            finish_s=finish, prove_model_s=prove, install_model_s=install,
+            cache_hit=hit, deadline_s=deadline, attempt=attempt,
+        )
+        for (job_id, node_id, arrival, start, finish, prove, install, hit,
+             deadline, attempt) in rows
+    ]
+    fleet.failed_jobs = [
+        ProofJob(job_id=5, circuit=None, circuit_key="k", deadline_s=5.0)
+    ]
+    fleet.crashes, fleet.retries, fleet.requeues = 1, 1, 2
+    fleet.exclusion_waivers, fleet.lost_wall_s = 1, 0.3
+    return fleet
+
+
+class TestSummary:
+    def test_summary_values_and_key_order(self):
+        expected = {
+            "policy": "affinity",
+            "nodes": 2,
+            "jobs": 5,
+            "measured": {
+                "makespan_s": 4.0,
+                "throughput_jobs_per_s": 1.25,
+                # sorted latencies 1.0, 1.5, 1.5, 2.0, 2.5
+                "latency_s": {"p50": 1.5, "p95": 2.4, "max": 2.5},
+                "install_s": 1.25,
+                "prove_s": 6.25,
+                "install_share": 0.1667,
+                "busy_s": {"node-0": 4.0, "node-1": 3.5},
+                "load_imbalance": 1.0667,
+            },
+            "cache": {"hits": 2, "misses": 3, "hit_rate": 0.4},
+            "routing": {"jobs_per_node": {"node-0": 3, "node-1": 2}},
+            "resilience": {
+                "crashes": 1,
+                "retries": 1,
+                "requeues": 2,
+                "parked": 0,
+                "exclusion_waivers": 1,
+                "failed_jobs": 1,
+                "lost_wall_s": 0.3,
+            },
+            # jobs 0, 2, 4 and the failed job carry deadlines; 2 and 4
+            # finish 0.5 s and 1.0 s late
+            "deadlines": {
+                "jobs": 4,
+                "met": 1,
+                "missed": 3,
+                "missed_by_failure": 1,
+                "miss_rate": 0.75,
+                "max_lateness_s": 1.0,
+                "mean_lateness_s": 0.75,
+            },
+            "retries": {
+                "jobs_retried": 1,
+                "attempts": 1,
+                "max_attempt": 1,
+                "mean_latency_first_try_s": 1.5,
+                "mean_latency_retried_s": 2.5,
+                "p95_latency_retried_s": 2.5,
+            },
+        }
+        summary = summary_fixture().summary()
+        assert summary == expected
+        # the JSON a run prints, key order included
+        assert json.dumps(summary) == json.dumps(expected)
+
+    def test_print_run_renders_the_summary(self, capsys):
+        args = Namespace(scenario=SCENARIO, backend="fused", seed=0)
+        print_run(args, summary_fixture().summary())
+        out = capsys.readouterr().out
+        assert "makespan 4.000s" in out
+        assert "install share 16.7%" in out
+        assert "failed 1" in out

@@ -8,6 +8,7 @@ backpressure when the budget collapses under it; and the ``repro-
 cluster --open-loop`` flags validate with argparse's exit status 2.
 """
 
+import hashlib
 import math
 import random
 from types import SimpleNamespace
@@ -18,7 +19,8 @@ from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.admission import AdmissionController, AdmissionPolicy
 from repro.cluster.__main__ import build_parser, main as cluster_main
 from repro.service.jobs import RequestClass
-from repro.service.metrics import percentile, percentiles
+from repro.service.metrics import latency_tail, percentile
+from repro.service.traffic import TrafficGenerator
 from repro.traffic import (
     SLO_TIERS,
     OpenLoopEngine,
@@ -219,6 +221,24 @@ class TestWeightedTable:
                 random.Random(0).choices(population, weights=weights)
             with pytest.raises(ValueError):
                 WeightedTable(population, weights)
+
+
+class TestClosedBatchStream:
+    """The closed-batch ``TrafficGenerator`` stream feeds every service,
+    cluster and fleet run; its draws go through the same
+    :class:`WeightedTable` as the open-loop stream.  The digest was
+    recorded when the generator still drew with ``rng.choices``."""
+
+    def test_zipf_mixed_stream_digest(self):
+        jobs = TrafficGenerator("zipf-mixed", seed=0).jobs(64)
+        rows = [
+            (repr(j.arrival_s), j.tag, j.request_class.value,
+             repr(j.deadline_s), j.circuit_key)
+            for j in jobs
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "b5e76ea70e0d405886f608020f6ac0de251a3349c0135bc1a7059d4faaf04c74"
+        )
 
 
 class TestTenants:
@@ -559,14 +579,14 @@ class TestTrafficMetrics:
         assert jain_fairness([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
         assert 0.0 < jain_fairness([3.0, 1.0]) < 1.0
 
-    def test_percentiles_sort_once_matches_percentile(self):
+    def test_latency_tail_sorts_once_matches_percentile(self):
         values = [5.0, 1.0, 9.0, 3.0, 7.0]
-        qs = (50, 95, 99, 99.9)
-        assert percentiles(values, qs) == [
-            percentile(values, q) for q in qs
-        ]
-        assert percentiles([], qs) == [0.0] * len(qs)
-        assert percentiles([2.5], qs) == [2.5] * len(qs)
+        qs = {"p50": 50, "p95": 95, "p99": 99, "p99_9": 99.9, "max": 100}
+        assert latency_tail(values) == {
+            key: round(percentile(values, q), 6) for key, q in qs.items()
+        }
+        assert latency_tail([]) == dict.fromkeys(qs, 0.0)
+        assert latency_tail([2.5]) == dict.fromkeys(qs, 2.5)
         assert percentile(values, 0) == 1.0
         assert percentile(values, 100) == 9.0
 
