@@ -41,7 +41,6 @@ def run_policy(policy: str) -> dict:
     gen = TrafficGenerator(SCENARIO, seed=SEED)
     config = ServiceConfig(
         max_vars=gen.max_vars(),
-        default_backend="fused",
         drain_policy=policy,
         predict_costs=True,
     )
@@ -70,8 +69,7 @@ class TestSchedulerPolicies:
     def test_smoke_sjf_small(self):
         """Fast sanity: a cost-aware drain completes and predicts."""
         gen = TrafficGenerator("uniform-small", seed=1)
-        config = ServiceConfig(max_vars=gen.max_vars(),
-                               default_backend="fused", drain_policy="sjf")
+        config = ServiceConfig(max_vars=gen.max_vars(), drain_policy="sjf")
         with ProvingService(config) as service:
             results = service.run(gen.jobs(3))
         assert len(results) == 3

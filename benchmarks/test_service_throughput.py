@@ -56,7 +56,6 @@ def run_scenario_row(name: str, jobs: int, wave_s: float) -> dict:
         max_vars=gen.max_vars(),
         executor="thread",
         num_workers=2,
-        default_backend="fused",
     )
     with ProvingService(config) as service:
         service.run(gen.jobs(jobs), wave_s=wave_s)
@@ -91,12 +90,12 @@ def run_same_circuit_acceptance(jobs: int = ACCEPTANCE_JOBS) -> dict:
         kzg = MultilinearKZG(srs)
         pidx, vidx = preprocess(circuit, kzg)
         naive_proofs.append(
-            HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+            HyperPlonkProver(circuit, pidx, kzg).prove()
         )
     naive_s = time.perf_counter() - t0
 
     config = ServiceConfig(max_vars=ACCEPTANCE_MU, executor="sync",
-                           default_backend="fused", srs_seed=SRS_SEED)
+                           srs_seed=SRS_SEED)
     t0 = time.perf_counter()
     with ProvingService(config) as service:
         # two drain waves: the second wave's batch hits the index cache

@@ -27,7 +27,7 @@ def main() -> None:
     # 1. A named traffic mix: circuit sizes, gate families, arrivals,
     #    and real-time/deferrable request classes (repro.workloads).
     generator = TrafficGenerator("zipf-mixed", seed=2024)
-    jobs = generator.jobs(8, backend="fused")
+    jobs = generator.jobs(8)
     print(f"scenario: {generator.scenario.name} — "
           f"{generator.scenario.description}")
 
@@ -69,8 +69,7 @@ def main() -> None:
     srs = TrapdoorSRS(config.max_vars, random.Random(config.srs_seed))
     kzg = MultilinearKZG(srs)
     prover_index, _ = preprocess(circuit, kzg)
-    direct = HyperPlonkProver(circuit, prover_index, kzg,
-                              backend="fused").prove()
+    direct = HyperPlonkProver(circuit, prover_index, kzg).prove()
     assert direct == job.proof
     print("service proof is bit-identical to the direct prover ✔")
 

@@ -36,9 +36,9 @@ coupled layers:
   calibrated baselines, and the design-space exploration that regenerates
   every table and figure in the paper's evaluation.
 
-See DESIGN.md for the system inventory (including the pluggable
-field-vector backend layer behind the fast-path SumCheck prover) and
-BENCH_sumcheck.json for the recorded fast-path perf trajectory.
+See DESIGN.md for the system inventory (including the field-vector
+kernel behind the SumCheck prover) and BENCH_sumcheck.json for the
+recorded fast-path perf trajectory.
 """
 
 import importlib

@@ -11,21 +11,6 @@ import argparse
 import math
 
 
-def vector_backend(text: str) -> str:
-    """A field-vector backend name (``--backend``).
-
-    Resolved through the registry when the value is parsed: an unknown
-    name exits 2 listing what ``list_backends()`` offers.
-    """
-    from repro.fields.vector import get_backend
-
-    try:
-        get_backend(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
-
-
 def positive_int(text: str) -> int:
     try:
         value = int(text)

@@ -42,7 +42,6 @@ from repro.cli import (
     positive_float,
     positive_int,
     rate_fraction,
-    vector_backend,
 )
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.core import ClusterConfig, ProvingCluster
@@ -204,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execute",
         action="store_true",
         help="really prove on every node (slow; adds measured stats)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="fused",
-        type=vector_backend,
-        help="field-vector backend for execute-mode proving: reference or fused",
     )
     parser.add_argument(
         "--open-loop",
@@ -383,7 +376,6 @@ def run_cell(args, num_nodes: int, policy: str) -> dict:
         node=NodeConfig(
             cache_capacity=args.cache_capacity,
             max_vars=generator.max_vars(),
-            default_backend=args.backend,
             wave_s=args.wave_s or None,
         ),
     )

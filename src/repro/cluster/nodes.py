@@ -98,8 +98,6 @@ class NodeConfig:
     max_vars: int = 6
     #: one seed for every node: identical SRS, bit-identical proofs
     srs_seed: int = 0x5EED
-    #: field-vector backend for execute-mode proving
-    default_backend: str | None = "fused"
     #: execute-mode executor / workers per node
     executor: str = "sync"
     num_workers: int = 1
@@ -189,7 +187,6 @@ class ProverNode:
                     executor=config.executor,
                     num_workers=config.num_workers,
                     cache_capacity=config.cache_capacity,
-                    default_backend=config.default_backend,
                     verify_proofs=config.verify_proofs,
                 )
             )

@@ -6,7 +6,7 @@ clock on one laptop cannot show 4 nodes proving concurrently, so each
 node keeps a model-time clock advanced by a :class:`FleetTimeModel`:
 
 * **prove seconds** — the plan-priced cost of proving one job on the
-  node's backend.  The ``accelerator`` preset prices the paper's zkPHIRE
+  node.  The ``accelerator`` preset prices the paper's zkPHIRE
   exemplar (:class:`~repro.plan.AcceleratorCostModel`); ``functional``
   prices the pure-Python prover the repo actually runs
   (:class:`~repro.plan.FunctionalProverCostModel`, fitted to measured

@@ -1,11 +1,9 @@
 """Run every experiment and print its table: ``python -m repro.experiments``.
 
 ``--full`` disables the reduced fast grids (the paper's Table III sweep);
-``--backend NAME`` (or ``--backend=NAME``) selects the default
-field-vector backend for every functional prover the experiments run;
-``--list`` prints the valid experiment names and exits.  Unknown
-experiment names and unknown backends fail fast with the valid list
-(exit code 2) instead of surfacing importlib internals.
+``--list`` prints the valid experiment names and exits.  Unknown flags
+and experiment names fail fast with the valid list (exit code 2) instead
+of surfacing importlib internals.
 """
 
 from __future__ import annotations
@@ -21,32 +19,6 @@ from repro.experiments import ALL_EXPERIMENTS
 SWEEP_READERS = {"table04": "_global_front", "fig11": "_per_bw"}
 
 
-def _extract_backend(argv: list[str]) -> tuple[list[str], str | None, str]:
-    """Pull ``--backend NAME`` / ``--backend=NAME`` out of ``argv``.
-
-    Returns the remaining argv, the backend name (None when absent),
-    and an error message (empty when parsing succeeded).
-    """
-    rest: list[str] = []
-    backend: str | None = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--backend":
-            if i + 1 >= len(argv):
-                return rest, None, "--backend needs a value"
-            backend = argv[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(arg)
-        i += 1
-    return rest, backend, ""
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:  # console-script entry point (pyproject repro-experiments)
         argv = sys.argv[1:]
@@ -54,24 +26,12 @@ def main(argv: list[str] | None = None) -> int:
         for name in ALL_EXPERIMENTS:
             print(name)
         return 0
-    argv, backend, err = _extract_backend(list(argv))
-    if err:
-        print(err, file=sys.stderr)
-        return 2
-    if backend is not None:
-        from repro.fields.vector import set_default_backend
-
-        try:
-            set_default_backend(backend)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)  # names the choices
-            return 2
     known_flags = {"--full"}
     bad_flags = sorted({a for a in argv
                         if a.startswith("-") and a not in known_flags})
     if bad_flags:
         print(f"unknown flag(s): {', '.join(bad_flags)}", file=sys.stderr)
-        print("valid flags: --full, --backend NAME, --list", file=sys.stderr)
+        print("valid flags: --full, --list", file=sys.stderr)
         return 2
     fast = "--full" not in argv
     selected = [a for a in argv if not a.startswith("-")]

@@ -13,10 +13,10 @@ zkPHIRE operates over the BLS12-381 curve: the scalar field ``Fr``
   mirroring the hardware modular multipliers zkPHIRE synthesizes,
 * :class:`~repro.fields.counters.OpCounter` — explicit operation counting
   used to validate the hardware performance model against functional runs,
-* :mod:`~repro.fields.vector` — batched field-vector kernels
-  (:class:`~repro.fields.vector.FieldVec`) behind a two-backend
-  registry (the ``reference`` oracle and the ``fused`` fast path),
-  the substrate of the fast-path SumCheck prover.
+* :mod:`~repro.fields.vector` — the one batched field-vector kernel,
+  :data:`~repro.fields.vector.KERNEL`, that MLE folds, SumCheck rounds
+  and OpenCheck batching run on, beside its per-element differential
+  oracle :class:`~repro.fields.vector.ReferenceBackend`.
 """
 
 from repro.fields.prime_field import Felt, PrimeField, batch_inverse
@@ -24,13 +24,11 @@ from repro.fields.bls12_381 import FQ_MODULUS, FR_MODULUS, Fq, Fr
 from repro.fields.montgomery import MontgomeryContext
 from repro.fields.counters import OpCounter
 from repro.fields.vector import (
-    FieldVec,
+    KERNEL,
     FusedBackend,
     ReferenceBackend,
     VectorBackend,
     get_backend,
-    list_backends,
-    set_default_backend,
     window_decompose,
 )
 
@@ -44,12 +42,10 @@ __all__ = [
     "Fr",
     "MontgomeryContext",
     "OpCounter",
-    "FieldVec",
+    "KERNEL",
     "VectorBackend",
-    "ReferenceBackend",
     "FusedBackend",
-    "list_backends",
-    "set_default_backend",
+    "ReferenceBackend",
     "get_backend",
     "window_decompose",
 ]

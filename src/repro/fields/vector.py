@@ -1,34 +1,30 @@
-"""Batched field-vector operations behind a two-backend registry.
+"""The field-vector kernel: batched operations over flat ``[0, p)`` lists.
 
 The functional stack's hot loops (MLE fold/extend, SumCheck round
 evaluations, OpenCheck batching, MSM windowing) all reduce to a small set
 of *vector* primitives over flat ``[0, p)`` integer arrays.  This module
-centralises those primitives behind a :class:`VectorBackend` interface so
-the same protocol code can run on interchangeable implementations:
+holds them as one kernel, :data:`KERNEL` (a :class:`FusedBackend`), which
+every layer calls directly: whole-column comprehensions with the modulus
+and tables bound to locals, and a SumCheck round kernel that runs on a
+degree-aware :class:`RoundSchedule` — every sub-sum multiplied out at its
+own degree + 1 points and carried to the rest by forward differences,
+the factor common to all terms multiplied in once, modular reduction
+deferred to the per-point sums.
 
-* ``reference`` — per-element loops that mirror the original scalar code
-  path operation-for-operation.  This is the semantic oracle.
-* ``fused`` — the pure-Python fast path: whole-column comprehensions
-  with the modulus and tables bound to locals, and a SumCheck round
-  kernel that runs on a degree-aware :class:`RoundSchedule` — every
-  sub-sum multiplied out at its own degree + 1 points and carried to the
-  rest by forward differences, the factor common to all terms multiplied
-  in once, modular reduction deferred to the per-point sums.
-
-Both backends produce **bit-identical results** and report **identical
+:class:`ReferenceBackend` is its differential oracle, as ``msm_naive`` is
+the MSM kernel's: per-element loops that mirror the original scalar code
+path operation for operation.  Both implement :class:`VectorBackend`.
+Nothing in ``src`` selects the oracle; the tests run it beside
+:data:`KERNEL` (``FastSumCheckProver(kernel=...)`` is the seam) and
+require **bit-identical results** and **identical
 :class:`~repro.fields.counters.OpCounter` tallies** — the counter models
 the abstract dataflow of the paper's Figure 1, not the Python op count —
-so the hw-model cross-checks in ``tests/test_hw_validation.py`` hold on
-either path.  ``tests/test_fastpath_differential.py`` locks this down.
-
-Backends are resolved by name with :func:`get_backend`;
-:class:`FieldVec` is a thin value wrapper that routes operator arithmetic
-through a chosen backend.
+so the hw-model cross-checks in ``tests/test_hw_validation.py`` hold.
+``tests/test_fastpath_differential.py`` locks this down.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -40,15 +36,14 @@ from repro.fields.prime_field import PrimeField
 
 
 class VectorBackend:
-    """Interface for batched field-vector kernels.
+    """What the kernel and its oracle both implement.
 
     All methods take and return flat lists of canonical integers in
     ``[0, p)``.  ``counter`` tallies follow the hardware grouping
-    (extension-engine vs product-lane) and must be identical across
-    backends for identical inputs.
+    (extension-engine vs product-lane) and must be identical between
+    :class:`FusedBackend` and :class:`ReferenceBackend` for identical
+    inputs.
     """
-
-    name = "abstract"
 
     # -- elementwise -------------------------------------------------------
     def add(self, field: PrimeField, a: Sequence[int], b: Sequence[int],
@@ -100,13 +95,13 @@ class VectorBackend:
 
 
 # ---------------------------------------------------------------------------
-# reference backend — the semantic oracle
+# the reference oracle
 # ---------------------------------------------------------------------------
 
 class ReferenceBackend(VectorBackend):
-    """Per-element loops mirroring the original scalar code paths."""
-
-    name = "reference"
+    """Per-element loops mirroring the original scalar code paths: the
+    differential oracle for :class:`FusedBackend`, which nothing in
+    ``src`` selects."""
 
     def add(self, field, a, b, counter=None):
         """Oracle loop for :meth:`VectorBackend.add`."""
@@ -384,7 +379,7 @@ def extend_by_differences(
 
 
 # ---------------------------------------------------------------------------
-# fused backend — the fast path
+# the kernel
 # ---------------------------------------------------------------------------
 
 class FusedBackend(VectorBackend):
@@ -404,8 +399,6 @@ class FusedBackend(VectorBackend):
       once per point;
     * counter tallies are computed in closed form and applied in bulk.
     """
-
-    name = "fused"
 
     def add(self, field, a, b, counter=None):
         """Fused-loop :meth:`VectorBackend.add`."""
@@ -466,7 +459,7 @@ class FusedBackend(VectorBackend):
         """Fused-loop :meth:`VectorBackend.extend_columns`."""
         p = field.modulus
         # normalize the pair slices so non-canonical input stays
-        # bit-identical to the reference backend; an odd table's unpaired
+        # bit-identical to the reference oracle; an odd table's unpaired
         # trailing element is dropped, exactly like the reference loop
         half = len(table) // 2
         lo = [v % p for v in table[:2 * half:2]]
@@ -569,209 +562,23 @@ class FusedBackend(VectorBackend):
         return [v % p for v in running]
 
 
-# ---------------------------------------------------------------------------
-# backend registry
-# ---------------------------------------------------------------------------
-
-_BACKENDS: Mapping[str, VectorBackend] = MappingProxyType({
-    "reference": ReferenceBackend(),
-    "fused": FusedBackend(),
-})
-
-DEFAULT_BACKEND = "reference"
+#: the one field-vector kernel every layer calls
+KERNEL = FusedBackend()
 
 
-def get_backend(backend: str | VectorBackend | None = None) -> VectorBackend:
-    """Resolve a backend name (or pass through an instance).
-
-    ``None`` resolves to the session default (``reference`` unless
-    :func:`set_default_backend` changed it), preserving the
-    pre-fast-path semantics everywhere a caller doesn't opt in.
-    """
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if isinstance(backend, VectorBackend):
-        return backend
-    try:
-        return _BACKENDS[backend]
-    except KeyError:
+def require_fused(backend: str | None) -> None:
+    """Accept the retired ``backend=`` spellings (``None`` or ``"fused"``)
+    that callers outside ``src`` still pass; anything else is an error."""
+    if backend not in (None, "fused"):
         raise ValueError(
-            f"unknown vector backend {backend!r}; "
-            f"available: {list_backends()}"
-        ) from None
+            f"unknown vector backend {backend!r}; the one kernel is 'fused'"
+        )
 
 
-def list_backends() -> list[str]:
-    """Sorted backend names: the single source of truth for CLI
-    ``--backend`` choices and for the test parametrization matrix."""
-    return sorted(_BACKENDS)
-
-
-def set_default_backend(backend: str | VectorBackend | None) -> str:
-    """Set the backend that ``None`` selections resolve to; returns its name.
-
-    Validates like :func:`get_backend` (unknown names raise
-    ``ValueError``).  Used by ``repro-experiments --backend`` to steer
-    every functional kernel an experiment touches without threading a
-    parameter through each experiment module.
-    """
-    global DEFAULT_BACKEND
-    DEFAULT_BACKEND = backend_name(backend)
-    return DEFAULT_BACKEND
-
-
-def backend_name(backend: str | VectorBackend | None) -> str:
-    """Normalize a backend selection to its registry name.
-
-    Validates the selection (unknown names raise, like :func:`get_backend`)
-    and returns a plain string, which is what crosses process boundaries
-    in :mod:`repro.service` worker pools — backend instances are never
-    pickled, workers re-resolve the name against their own registry.
-    """
-    if isinstance(backend, str):
-        get_backend(backend)  # validate
-        return backend
-    return get_backend(backend).name
-
-
-# ---------------------------------------------------------------------------
-# FieldVec — a value wrapper over the backend kernels
-# ---------------------------------------------------------------------------
-
-class FieldVec:
-    """A flat vector of canonical field elements bound to a backend.
-
-    Arithmetic between two ``FieldVec``s requires equal length and the
-    same field; the left operand's backend carries out the operation.
-    ``int`` operands broadcast as scalars.
-    """
-
-    __slots__ = ("field", "values", "backend")
-
-    def __init__(self, field: PrimeField, values: Sequence[int],
-                 backend: str | VectorBackend | None = None):
-        p = field.modulus
-        self.field = field
-        self.values = [v % p for v in values]
-        self.backend = get_backend(backend)
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zeros(cls, field: PrimeField, n: int,
-              backend: str | VectorBackend | None = None) -> "FieldVec":
-        """An all-zero vector of length ``n``."""
-        return cls(field, [0] * n, backend)
-
-    @classmethod
-    def random(cls, field: PrimeField, n: int,
-               rng: random.Random | None = None,
-               backend: str | VectorBackend | None = None) -> "FieldVec":
-        """A vector of ``n`` uniform elements from ``rng``."""
-        rng = rng or random.Random()
-        return cls(field, [rng.randrange(field.modulus) for _ in range(n)],
-                   backend)
-
-    # -- arithmetic --------------------------------------------------------
-    def _coerce(self, other) -> list[int]:
-        if isinstance(other, FieldVec):
-            if other.field != self.field:
-                raise ValueError("FieldVec field mismatch")
-            if len(other.values) != len(self.values):
-                raise ValueError("FieldVec length mismatch")
-            return other.values
-        raise TypeError(f"cannot combine FieldVec with {type(other).__name__}")
-
-    def add(self, other, counter: OpCounter | None = None) -> "FieldVec":
-        """Elementwise sum with ``other``."""
-        out = self.backend.add(self.field, self.values, self._coerce(other),
-                               counter)
-        return self._wrap(out)
-
-    def sub(self, other, counter: OpCounter | None = None) -> "FieldVec":
-        """Elementwise difference with ``other``."""
-        out = self.backend.sub(self.field, self.values, self._coerce(other),
-                               counter)
-        return self._wrap(out)
-
-    def mul(self, other, counter: OpCounter | None = None) -> "FieldVec":
-        """Elementwise (Hadamard) product with ``other``."""
-        out = self.backend.mul(self.field, self.values, self._coerce(other),
-                               counter)
-        return self._wrap(out)
-
-    def scale(self, c: int, counter: OpCounter | None = None) -> "FieldVec":
-        """Every element multiplied by a scalar."""
-        return self._wrap(self.backend.scale(self.field, self.values, c,
-                                             counter))
-
-    def axpy(self, c: int, x: "FieldVec",
-             counter: OpCounter | None = None) -> "FieldVec":
-        """``self + c * x`` elementwise."""
-        return self._wrap(self.backend.axpy(self.field, self.values, c,
-                                            self._coerce(x), counter))
-
-    def fold(self, r: int, counter: OpCounter | None = None) -> "FieldVec":
-        """Fold adjacent pairs by challenge ``r`` (MLE Update)."""
-        if len(self.values) < 2:
-            raise ValueError("fold needs at least one pair")
-        return self._wrap(self.backend.fold(self.field, self.values, r,
-                                            counter))
-
-    def extend(self, degree: int,
-               counter: OpCounter | None = None) -> list["FieldVec"]:
-        """Extension columns at X = 0..degree, each of length ``n // 2``."""
-        cols = self.backend.extend_columns(self.field, self.values, degree,
-                                           counter)
-        return [self._wrap(c) for c in cols]
-
-    def _wrap(self, values: list[int]) -> "FieldVec":
-        out = object.__new__(FieldVec)
-        out.field = self.field
-        out.values = values
-        out.backend = self.backend
-        return out
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.mul(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    # -- misc --------------------------------------------------------------
-    def to_list(self) -> list[int]:
-        """A plain ``list[int]`` copy of the values."""
-        return list(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldVec):
-            return self.field == other.field and self.values == other.values
-        if isinstance(other, (list, tuple)):
-            return self.values == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return (f"FieldVec(n={len(self.values)}, {self.field.name}, "
-                f"backend={self.backend.name})")
-
+def get_backend(backend: str | None = None) -> FusedBackend:
+    """:data:`KERNEL`, under its retired by-name spelling."""
+    require_fused(backend)
+    return KERNEL
 
 # ---------------------------------------------------------------------------
 # batched scalar windowing (MSM support)

@@ -30,7 +30,6 @@ from repro.cli import (
     positive_float,
     positive_int,
     rate_fraction,
-    vector_backend,
 )
 from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
 from repro.cluster.routing import DEFAULT_REPLICAS, ROUTING_POLICIES
@@ -102,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         help="traffic-generator seed (same seed = same job stream)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="fused",
-        type=vector_backend,
-        help="field-vector backend the workers prove with: reference or fused",
     )
     parser.add_argument(
         "--max-retries",
@@ -218,7 +211,6 @@ def run_fleet(args) -> tuple[ProvingFleet, dict]:
         node=NodeConfig(
             cache_capacity=args.cache_capacity,
             max_vars=generator.max_vars(),
-            default_backend=args.backend,
         ),
     )
     jobs = generator.jobs(args.jobs)
@@ -244,7 +236,7 @@ def print_run(args, summary: dict) -> None:
     print(
         f"scenario  : {args.scenario} ({SCENARIOS[args.scenario].description})\n"
         f"fleet     : {summary['nodes']} nodes, policy {summary['policy']}, "
-        f"backend {args.backend}, seed {args.seed}\n"
+        f"seed {args.seed}\n"
         f"jobs      : {summary['jobs']} proved"
     )
     print(
@@ -323,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             time_model=args.time_model,
             cache_capacity=args.cache_capacity,
-            backend=args.backend,
             significance=args.significance,
             check_proofs=not args.skip_proof_check,
         )

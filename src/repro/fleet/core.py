@@ -94,13 +94,13 @@ class FleetConfig:
 
     ``node`` reuses the cluster's :class:`NodeConfig` so one object
     describes both the simulated node and the real worker built from it
-    (cache bound, SRS seed/size, backend).
+    (cache bound, SRS seed/size).
     """
 
     num_nodes: int = 3
     #: ``round_robin`` | ``least_loaded`` | ``affinity``
     policy: str = "affinity"
-    #: per-node knobs shared with the sim (cache bound, seed, backend)
+    #: per-node knobs shared with the sim (cache bound, seed)
     node: NodeConfig = dc_field(default_factory=NodeConfig)
     #: router cost-model preset — match the sim run being validated
     time_model: str = "functional"
@@ -343,7 +343,6 @@ class ProvingFleet:
         task = ProveTask(
             job_id=job.job_id,
             circuit=job.circuit,
-            backend=job.backend or self.config.node.default_backend,
             circuit_key=job.circuit_key,
         )
         flight = _Flight(job=job, start_s=self._now())

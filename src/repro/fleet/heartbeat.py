@@ -63,11 +63,6 @@ class HeartbeatMonitor:
         """Stop watching ``node_id`` (dead or deliberately stopped)."""
         self._last.pop(node_id, None)
 
-    def silence_s(self, node_id: str) -> float:
-        """Seconds since the last beat (0.0 for unwatched nodes)."""
-        last = self._last.get(node_id)
-        return 0.0 if last is None else self.clock() - last
-
     def overdue(self) -> list[str]:
         """Watched nodes whose silence exceeds the budget (sorted)."""
         deadline = self.deadline_s

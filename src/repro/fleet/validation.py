@@ -88,11 +88,9 @@ def effective_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _node_config(generator: TrafficGenerator, cache_capacity, backend):
+def _node_config(generator: TrafficGenerator, cache_capacity):
     return NodeConfig(
-        cache_capacity=cache_capacity,
-        max_vars=generator.max_vars(),
-        default_backend=backend,
+        cache_capacity=cache_capacity, max_vars=generator.max_vars()
     )
 
 
@@ -112,7 +110,6 @@ def sim_prediction(
     seed: int = 7,
     time_model: str = "functional",
     cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    backend: str | None = "fused",
     cores: int | None = None,
 ) -> dict:
     """Sim-predicted timing for one policy cell.
@@ -126,7 +123,7 @@ def sim_prediction(
         num_nodes=nodes,
         policy=policy,
         time_model=time_model,
-        node=_node_config(generator, cache_capacity, backend),
+        node=_node_config(generator, cache_capacity),
     )
     with ProvingCluster(config) as cluster:
         records = cluster.run(generator.jobs(jobs))
@@ -149,7 +146,6 @@ def measured_fleet_run(
     seed: int = 7,
     time_model: str = "functional",
     cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    backend: str | None = "fused",
     run_timeout_s: float | None = 300.0,
 ) -> ProvingFleet:
     """Run one policy cell on the real fleet; returns the finished fleet."""
@@ -158,7 +154,7 @@ def measured_fleet_run(
         num_nodes=nodes,
         policy=policy,
         time_model=time_model,
-        node=_node_config(generator, cache_capacity, backend),
+        node=_node_config(generator, cache_capacity),
         run_timeout_s=run_timeout_s,
     )
     fleet = ProvingFleet(config)
@@ -172,7 +168,6 @@ def reference_proofs(
     *,
     seed: int = 7,
     cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    backend: str | None = "fused",
     srs_seed: int = NodeConfig.srs_seed,
 ) -> dict[int, object]:
     """Single-service proofs of the same job stream, by job id.
@@ -188,7 +183,6 @@ def reference_proofs(
             srs_seed=srs_seed,
             executor="sync",
             cache_capacity=cache_capacity,
-            default_backend=backend,
         )
     )
     try:
@@ -225,7 +219,6 @@ def run_validation(
     seed: int = 7,
     time_model: str = "functional",
     cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    backend: str | None = "fused",
     significance: float = DEFAULT_SIGNIFICANCE,
     measured_tolerance: float = DEFAULT_MEASURED_TOLERANCE,
     check_proofs: bool = True,
@@ -250,7 +243,6 @@ def run_validation(
             seed=seed,
             time_model=time_model,
             cache_capacity=cache_capacity,
-            backend=backend,
             cores=cores,
         )
         fleet = measured_fleet_run(
@@ -261,7 +253,6 @@ def run_validation(
             seed=seed,
             time_model=time_model,
             cache_capacity=cache_capacity,
-            backend=backend,
         )
         measured[policy] = max(r.finish_s for r in fleet.records)
         if fleet_proofs is None:
@@ -281,7 +272,6 @@ def run_validation(
             jobs,
             seed=seed,
             cache_capacity=cache_capacity,
-            backend=backend,
         )
         proofs_identical = fleet_proofs == oracle
     doc = {

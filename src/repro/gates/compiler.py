@@ -145,10 +145,6 @@ class CompiledGate:
             raise ValueError(f"gate {self.name!r} bound to the zero polynomial")
         return terms
 
-    def term_shapes(self) -> list[tuple[int, int]]:
-        """Per-term (#distinct MLEs, total degree) — the scheduler's input."""
-        return [(len(m.factors), m.degree) for m in self.monomials]
-
 
 def compile_expr(name: str, expr: Expr) -> CompiledGate:
     """Expand ``expr`` into canonical sum-of-products form."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.fields.prime_field import PrimeField
-from repro.fields.vector import get_backend
+from repro.fields.vector import KERNEL
 from repro.hyperplonk.commitment import Commitment, MultilinearKZG, Opening
 from repro.mle.eq import build_eq_mle, eq_eval
 from repro.mle.table import DenseMLE
@@ -84,13 +84,8 @@ def prove_opencheck(
     kzg: MultilinearKZG,
     transcript: Transcript,
     counter: OpCounter | None = None,
-    backend=None,
 ) -> OpenCheckProof:
-    """Batch-prove the claims (see module docstring).
-
-    ``backend`` selects the field-vector backend for the batching
-    SumCheck and the combined-polynomial random linear combination.
-    """
+    """Batch-prove the claims (see module docstring)."""
     if not claims:
         raise ValueError("opencheck needs at least one claim")
     num_vars = len(claims[0].point)
@@ -106,20 +101,17 @@ def prove_opencheck(
         mles[claim.poly_name] = polys[claim.poly_name]
         mles[f"eq{i}"] = build_eq_mle(field, claim.point, counter)
     vp = VirtualPolynomial(field, terms, mles)
-    sc_proof = prove_sumcheck(
-        vp, transcript, claim=claimed_sum, counter=counter, backend=backend
-    )
+    sc_proof = prove_sumcheck(vp, transcript, claim=claimed_sum, counter=counter)
     rho = sc_proof.challenges
 
     beta = transcript.challenge(b"opencheck/beta")
     unique = sorted({c.poly_name for c in claims})
     p = field.modulus
-    be = get_backend(backend)
     combined = [0] * (1 << num_vars)
     w = 1
     for name in unique:
         w = w * beta % p
-        combined = be.axpy(field, combined, w, polys[name].table)
+        combined = KERNEL.axpy(field, combined, w, polys[name].table)
     opening = kzg.open(DenseMLE(field, combined), rho)
     return OpenCheckProof(sumcheck=sc_proof, combined_opening=opening)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from repro.fields.counters import OpCounter
-from repro.fields.vector import get_backend
+from repro.fields.vector import KERNEL, require_fused
 from repro.gates.library import gate_by_id
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.commitment import Commitment, MultilinearKZG, Opening
@@ -92,18 +92,17 @@ class HyperPlonkProver:
         circuit: Circuit,
         index: ProverIndex,
         kzg: MultilinearKZG,
-        backend=None,
+        backend: str | None = None,
     ):
-        """``backend`` selects the field-vector backend used by every
-        inner SumCheck (see :mod:`repro.fields.vector`).  ``None`` keeps
-        the original scalar path; ``"fused"`` is the fast path and emits
-        a bit-identical proof."""
+        """Every inner SumCheck and vector step runs on the
+        :mod:`repro.fields.vector` kernel; ``backend`` accepts only the
+        retired spellings ``None`` and ``"fused"``."""
+        require_fused(backend)
         if index.num_vars != circuit.num_vars:
             raise ValueError("index/circuit size mismatch")
         self.circuit = circuit
         self.index = index
         self.kzg = kzg
-        self.backend = backend
 
     def prove(self, counter: OpCounter | None = None) -> HyperPlonkProof:
         field = self.circuit.field
@@ -125,10 +124,7 @@ class HyperPlonkProver:
         gate_terms = gate_identity_terms(gate_type.zerocheck_gate_id)
         gate_mles = dict(self.index.selectors)
         gate_mles.update(witness)
-        gate_zc = prove_zerocheck(
-            field, gate_terms, gate_mles, transcript, counter,
-            backend=self.backend,
-        )
+        gate_zc = prove_zerocheck(field, gate_terms, gate_mles, transcript, counter)
         rho_g = gate_zc.challenges
 
         # -- 3. wire identity (PermCheck) -----------------------------------
@@ -151,10 +147,7 @@ class HyperPlonkProver:
         perm_mles = {"pi": pi, "p1": perm.p1, "p2": perm.p2, "phi": perm.phi}
         perm_mles.update(perm.numerators)
         perm_mles.update(perm.denominators)
-        perm_zc = prove_zerocheck(
-            field, perm_terms, perm_mles, transcript, counter,
-            backend=self.backend,
-        )
+        perm_zc = prove_zerocheck(field, perm_terms, perm_mles, transcript, counter)
         rho_p = perm_zc.challenges
 
         # auxiliary evaluations the verifier needs to reconstruct N_i/D_i
@@ -178,16 +171,14 @@ class HyperPlonkProver:
         polys.update(witness)
         polys["phi"] = perm.phi
         opencheck = prove_opencheck(
-            field, claims, polys, self.kzg, transcript, counter,
-            backend=self.backend,
+            field, claims, polys, self.kzg, transcript, counter
         )
 
         # the tree's four claims, two polynomials of μ variables: each
         # open_many shares the quotient of the empty point prefix
         rho_rest, rho_last = list(rho_p[:-1]), rho_p[-1]
-        be = get_backend(self.backend)
-        blend = DenseMLE(field, be.axpy(
-            field, be.scale(field, perm.phi.table, 1 - rho_last, counter),
+        blend = DenseMLE(field, KERNEL.axpy(
+            field, KERNEL.scale(field, perm.phi.table, 1 - rho_last, counter),
             rho_last, pi.table, counter,
         ))
         root_point = [0] + [1] * (self.circuit.num_vars - 1)

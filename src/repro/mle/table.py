@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from repro.fields.counters import OpCounter
 from repro.fields.prime_field import PrimeField
-from repro.fields.vector import VectorBackend, get_backend
+from repro.fields.vector import KERNEL
 
 
 class DenseMLE:
@@ -63,21 +63,17 @@ class DenseMLE:
 
     # -- hardware primitive 1: MLE Update (fix X_1 := r) -------------------
     def fix_first_variable(
-        self,
-        r: int,
-        counter: OpCounter | None = None,
-        backend: str | VectorBackend | None = None,
+        self, r: int, counter: OpCounter | None = None
     ) -> "DenseMLE":
         """Return f(r, X_2..X_μ): fold adjacent pairs by the challenge r.
 
         f(r, x) = f(0, x) + r * (f(1, x) - f(0, x)) — one modular multiply
-        and two adds per output entry, exactly the Update unit's datapath.
-        The fold is carried out by a :mod:`repro.fields.vector` backend
-        (``None`` → ``reference``, preserving the original semantics).
+        and two adds per output entry, exactly the Update unit's datapath,
+        carried out by the :mod:`repro.fields.vector` kernel.
         """
         if self.num_vars == 0:
             raise ValueError("cannot fix a variable of a 0-variable MLE")
-        out = get_backend(backend).fold(self.field, self.table, r, counter)
+        out = KERNEL.fold(self.field, self.table, r, counter)
         return DenseMLE(self.field, out)
 
     def fix_variables(self, rs: Iterable[int]) -> "DenseMLE":
@@ -130,16 +126,6 @@ class DenseMLE:
             self.field, [(a + b) % p for a, b in zip(self.table, other.table)]
         )
 
-    def pointwise_mul(self, other: "DenseMLE") -> "DenseMLE":
-        """Entry-wise product.  NOTE: the result table is *not* the MLE of
-        the product polynomial (which has degree 2); it is the table of
-        hypercube values, which is what SumCheck dataflows consume."""
-        self._check_compatible(other)
-        p = self.field.modulus
-        return DenseMLE(
-            self.field, [a * b % p for a, b in zip(self.table, other.table)]
-        )
-
     def _check_compatible(self, other: "DenseMLE") -> None:
         if self.field != other.field or self.num_vars != other.num_vars:
             raise ValueError("MLE shape/field mismatch")
@@ -176,15 +162,14 @@ def extend_table(
     table: Sequence[int],
     degree: int,
     counter: OpCounter | None = None,
-    backend: str | VectorBackend | None = None,
 ) -> list[list[int]]:
     """Batched :func:`extend_pair` over a whole table.
 
     Returns extension *columns*: ``cols[x][j]`` is the value at ``X = x``
     of the line through pair ``j`` — i.e. ``extend_pair`` applied to every
-    adjacent pair at once, transposed.  Routed through a
-    :mod:`repro.fields.vector` backend (``None`` → ``reference``).
+    adjacent pair at once, transposed, on the :mod:`repro.fields.vector`
+    kernel.
     """
     if len(table) < 2 or len(table) % 2:
         raise ValueError("extend_table needs an even-length table")
-    return get_backend(backend).extend_columns(field, table, degree, counter)
+    return KERNEL.extend_columns(field, table, degree, counter)

@@ -155,15 +155,10 @@ class VirtualPolynomial:
             total = (total + prod) % p
         return total
 
-    def fix_first_variable(
-        self, r: int, counter=None, backend=None
-    ) -> "VirtualPolynomial":
-        """Fold every constituent MLE by the challenge r (MLE Update).
-
-        ``backend`` selects the :mod:`repro.fields.vector` fold kernel.
-        """
+    def fix_first_variable(self, r: int, counter=None) -> "VirtualPolynomial":
+        """Fold every constituent MLE by the challenge r (MLE Update)."""
         folded = {
-            name: mle.fix_first_variable(r, counter, backend)
+            name: mle.fix_first_variable(r, counter)
             for name, mle in self.mles.items()
         }
         return VirtualPolynomial(self.field, self.terms, folded)

@@ -209,7 +209,7 @@ class FunctionalProverCostModel(ShapeCostModel):
     Total plan modmuls × an effective per-modmul cost.  The default
     constant folds in everything that rides along with a multiply in the
     functional stack (Python interpreter overhead, EC arithmetic per MSM
-    bucket op, hashing); it is fitted to service-measured fused-backend
+    bucket op, hashing); it is fitted to service-measured fused-kernel
     prove times at μ = 3..6 (~25% mean absolute error, monotone in size
     within and across gate families), which is what a shortest-job-first
     ranking and a capacity estimate need.  The service reports

@@ -10,12 +10,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import (
-    cache_capacity,
-    nonnegative_float,
-    positive_int,
-    vector_backend,
-)
+from repro.cli import cache_capacity, nonnegative_float, positive_int
 from repro.plan import FunctionalProverCostModel
 from repro.service.batching import DRAIN_POLICIES
 from repro.service.core import ProvingService, ServiceConfig
@@ -41,9 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "deadline-aware (cost model: repro.plan)")
     parser.add_argument("--workers", type=positive_int, default=2,
                         help="worker count for thread/process executors")
-    parser.add_argument("--backend", default="fused",
-                        type=vector_backend,
-                        help="field-vector backend: reference or fused")
     parser.add_argument("--cache-capacity", type=cache_capacity, default=None,
                         help="LRU index-cache entries (0 or omitted: "
                              "unbounded)")
@@ -68,7 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         executor=args.executor,
         num_workers=args.workers,
         cache_capacity=args.cache_capacity,
-        default_backend=args.backend,
         verify_proofs=not args.no_verify,
         collect_counters=args.counters,
         drain_policy=args.policy,
@@ -89,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{scenario.expected_job_cost_s(FunctionalProverCostModel()):.3f} "
           f"s/job (plan model)")
     print(f"executor        : {summary['executor']} "
-          f"x{summary['num_workers']}, backend={args.backend}, "
+          f"x{summary['num_workers']}, "
           f"policy={summary['drain_policy']}")
     print(f"jobs            : {summary['jobs']} "
           f"({summary['by_class']}) in {summary['batches']} batches / "

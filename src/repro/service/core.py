@@ -4,7 +4,7 @@
 :meth:`submit_job`), deduplicates circuit preprocessing through a
 content-addressed :class:`~repro.service.cache.IndexCache`, groups
 same-circuit requests into batches, and drains them through a
-configurable worker pool with per-job field-vector backend selection.
+configurable worker pool.
 Drain order is policy-driven (``fifo`` / ``sjf`` / ``deadline``): the
 cost-aware policies price every job with a :mod:`repro.plan` cost model,
 and :class:`~repro.service.metrics.ServiceMetrics` reports the
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from repro.fields import Fr
-from repro.fields.vector import backend_name
+from repro.fields.vector import require_fused
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.commitment import MultilinearKZG, TrapdoorSRS
 from repro.hyperplonk.verifier import HyperPlonkError, HyperPlonkVerifier
@@ -49,9 +49,6 @@ class ServiceConfig:
     num_workers: int = 1
     #: LRU entries in the index cache (None = unbounded)
     cache_capacity: int | None = None
-    #: backend for jobs that don't pick one (None = the original scalar
-    #: prover path, reported as ``"scalar"`` in results)
-    default_backend: str | None = None
     #: split same-circuit groups larger than this (None = unbounded)
     max_batch_size: int | None = None
     #: drain order: ``fifo`` | ``sjf`` | ``deadline``
@@ -72,6 +69,12 @@ class ServiceConfig:
     #: precompute fixed-base MSM tables on the service KZG (bit-identical
     #: proofs, much cheaper small commitments; see repro.curves.msm)
     fixed_base_msm: bool = True
+    #: retired: every proof runs the one field-vector kernel; accepts
+    #: only ``None`` or ``"fused"`` and is not stored
+    default_backend: InitVar[str | None] = None
+
+    def __post_init__(self, default_backend: str | None) -> None:
+        require_fused(default_backend)
 
 
 class ProvingService:
@@ -96,8 +99,6 @@ class ProvingService:
                 f"unknown drain policy {config.drain_policy!r}; "
                 f"choose from {DRAIN_POLICIES}"
             )
-        if config.default_backend is not None:
-            backend_name(config.default_backend)  # validate early
         self.cost_model: JobCostModel | None = None
         if (config.cost_model is not None or config.predict_costs
                 or config.drain_policy != "fifo"):
@@ -125,13 +126,13 @@ class ProvingService:
         self._t_end: float = 0.0
 
     # -- submission --------------------------------------------------------
-    def submit(self, circuit: Circuit, *, backend: str | None = None,
+    def submit(self, circuit: Circuit, *,
                request_class: RequestClass = RequestClass.REALTIME,
                priority: int = 0, arrival_s: float = 0.0,
                tag: str = "") -> ProofJob:
         """Enqueue one proof request; returns the pending job."""
         job = ProofJob(
-            job_id=self._next_id, circuit=circuit, backend=backend,
+            job_id=self._next_id, circuit=circuit,
             request_class=request_class, priority=priority,
             arrival_s=arrival_s, tag=tag,
         )
@@ -147,8 +148,6 @@ class ProvingService:
                 f"circuit μ={job.circuit.num_vars} exceeds the service "
                 f"SRS (max μ={self.kzg.srs.max_vars})"
             )
-        if job.backend is not None:
-            backend_name(job.backend)  # validate before queueing
         job.job_id = self._next_id
         self._next_id += 1
         # time.time(), not perf_counter: worker stamps must be comparable
@@ -191,15 +190,13 @@ class ProvingService:
                     batch.jobs[0].circuit, batch.circuit_key
                 )
             for job in batch.jobs:
-                backend = (job.backend if job.backend is not None
-                           else cfg.default_backend)
                 tasks.append(ProveTask(
-                    job_id=job.job_id, circuit=job.circuit, backend=backend,
+                    job_id=job.job_id, circuit=job.circuit,
                     circuit_key=batch.circuit_key,
                     collect_counter=cfg.collect_counters,
                     index=pidx, cache_hit=hit, batch_size=len(batch),
                 ))
-                meta.append((job, vidx, len(batch), backend))
+                meta.append((job, vidx, len(batch)))
 
         try:
             outcomes = self.pool.run_tasks(tasks, self.kzg)
@@ -211,12 +208,10 @@ class ProvingService:
         self.metrics.record_drain(len(batches))
 
         results = []
-        for (job, vidx, batch_size, backend), outcome in zip(meta, outcomes):
+        for (job, vidx, batch_size), outcome in zip(meta, outcomes):
             result = ProofResult(
                 job_id=job.job_id, tag=job.tag, circuit_key=job.circuit_key,
                 proof=outcome.proof,
-                backend=backend_name(backend) if backend is not None
-                else "scalar",
                 request_class=job.request_class,
                 worker_id=outcome.worker_id, cache_hit=outcome.cache_hit,
                 batch_size=batch_size, submitted_s=job.submitted_s,
@@ -233,7 +228,7 @@ class ProvingService:
             # doesn't discard the rest of the wave's (already computed)
             # work; then fail loudly
             bad = []
-            for (job, vidx, _, _), result in zip(meta, results):
+            for (job, vidx, _), result in zip(meta, results):
                 try:
                     HyperPlonkVerifier(Fr, vidx, self.kzg).verify(result.proof)
                     result.verified = True

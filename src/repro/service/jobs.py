@@ -1,8 +1,7 @@
 """Request/response model for the proving service.
 
-A :class:`ProofJob` is one proof request: a circuit (structure + witness),
-a field-vector backend selection, and scheduling attributes (request
-class, priority, model-time arrival).  A :class:`ProofResult` is the
+A :class:`ProofJob` is one proof request: a circuit (structure + witness)
+and scheduling attributes (request class, priority, model-time arrival).  A :class:`ProofResult` is the
 matching response: the proof itself plus the bookkeeping the
 :class:`~repro.service.metrics.ServiceMetrics` collector consumes.
 
@@ -42,9 +41,6 @@ class ProofJob:
 
     job_id: int
     circuit: Circuit
-    #: field-vector backend name (:mod:`repro.fields.vector`); ``None``
-    #: defers to the service default
-    backend: str | None = None
     request_class: RequestClass = RequestClass.REALTIME
     #: larger drains earlier within a request class
     priority: int = 0
@@ -91,8 +87,6 @@ class ProofResult:
     tag: str
     circuit_key: str
     proof: HyperPlonkProof
-    #: resolved backend name the proof was produced with
-    backend: str
     request_class: RequestClass
     worker_id: str
     #: whether the index lookup for this job's batch hit the cache

@@ -141,8 +141,7 @@ class TrafficGenerator:
         return t
 
     # -- API ---------------------------------------------------------------
-    def jobs(self, n: int, *, start_id: int = 0,
-             backend: str | None = None) -> list[ProofJob]:
+    def jobs(self, n: int, *, start_id: int = 0) -> list[ProofJob]:
         """The next ``n`` requests (arrival offsets continue across calls)."""
         s = self.scenario
         out = []
@@ -162,7 +161,6 @@ class TrafficGenerator:
             out.append(ProofJob(
                 job_id=start_id + i,
                 circuit=circuit,
-                backend=backend,
                 request_class=(RequestClass.REALTIME if realtime
                                else RequestClass.DEFERRABLE),
                 arrival_s=arrival,

@@ -6,7 +6,7 @@ Three executors share one interface (:class:`WorkerPool.run_tasks`):
   determinism baseline.
 * :class:`ThreadExecutor` — a thread pool.  Pure-Python proving is
   GIL-bound, so threads overlap little compute, but the executor
-  exercises the same task-plumbing a native backend would saturate, and
+  exercises the same task-plumbing a native prover would saturate, and
   the shared :class:`~repro.service.cache.IndexCache` stays coherent.
 * :class:`ProcessExecutor` — a process pool.  Each worker rebuilds an
   *identical* KZG/SRS from the service's seed in its initializer (the
@@ -14,8 +14,8 @@ Three executors share one interface (:class:`WorkerPool.run_tasks`):
   index cache, so no multi-megabyte SRS or index ever crosses the pipe
   and proofs stay bit-identical to the in-process path.
 
-Tasks carry the field-vector *backend name*, never a backend instance
-(:func:`repro.fields.vector.backend_name`), so they pickle cleanly.
+Every worker proves on the one :mod:`repro.fields.vector` kernel, so a
+task carries no kernel choice across the pipe.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import random
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 
 from repro.fields import Fq, Fr
 from repro.fields.counters import OpCounter
+from repro.fields.vector import require_fused
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.commitment import MultilinearKZG, TrapdoorSRS
 from repro.hyperplonk.preprocess import ProverIndex
@@ -47,12 +48,17 @@ class ProveTask:
 
     job_id: int
     circuit: Circuit
-    backend: str | None
     circuit_key: str
     collect_counter: bool = False
     index: ProverIndex | None = dc_field(default=None, repr=False)
     cache_hit: bool = False
     batch_size: int = 1
+    #: retired: accepts only ``None`` or ``"fused"`` and is not stored,
+    #: so a pickled task carries no kernel name
+    backend: InitVar[str | None] = None
+
+    def __post_init__(self, backend: str | None) -> None:
+        require_fused(backend)
 
 
 @dataclass
@@ -81,9 +87,7 @@ def _prove(task: ProveTask, index: ProverIndex, kzg: MultilinearKZG,
     started = time.time()
     t0 = time.perf_counter()
     counter = OpCounter() if task.collect_counter else None
-    proof = HyperPlonkProver(
-        task.circuit, index, kzg, backend=task.backend
-    ).prove(counter)
+    proof = HyperPlonkProver(task.circuit, index, kzg).prove(counter)
     prove_s = time.perf_counter() - t0
     return TaskOutcome(
         job_id=task.job_id,

@@ -8,9 +8,9 @@ protocol over virtual (composite multilinear) polynomials:
 * :class:`~repro.sumcheck.transcript.Transcript` — SHA3-based Fiat–Shamir,
 * :func:`~repro.sumcheck.prover.prove_sumcheck` — the prover, following
   the extension/product/update dataflow of the paper's Figure 1,
-* :class:`~repro.sumcheck.prover.FastSumCheckProver` — the same protocol
-  on a batched :mod:`repro.fields.vector` backend (``backend="fused"``
-  is the fast path; proofs are bit-identical to the reference),
+* :class:`~repro.sumcheck.prover.FastSumCheckProver` — its one round
+  loop, on the batched :mod:`repro.fields.vector` kernel (the
+  differential suite runs the per-pair oracle through the same loop),
 * :func:`~repro.sumcheck.verifier.verify_sumcheck` — round checks
   s_i(0) + s_i(1) = prior claim plus the final composition check,
 * :mod:`~repro.sumcheck.zerocheck` — the ZeroCheck wrapper that

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from repro.fields.counters import OpCounter
-from repro.fields.vector import VectorBackend, get_backend
+from repro.fields.vector import KERNEL, VectorBackend, require_fused
 from repro.mle.virtual import VirtualPolynomial
 from repro.sumcheck.transcript import Transcript
 
@@ -40,42 +40,39 @@ def prove_sumcheck(
     transcript: Transcript,
     claim: int | None = None,
     counter: OpCounter | None = None,
-    backend: str | VectorBackend | None = None,
 ) -> SumCheckProof:
     """Run the full μ-round SumCheck prover.
 
     If ``claim`` is None the true hypercube sum is computed and used.
     Returns the proof; the transcript is advanced identically to the
     verifier's so Fiat–Shamir challenges agree.
-
-    ``backend`` selects a field-vector backend (see
-    :mod:`repro.fields.vector`); ``None`` is ``"reference"``, the
-    per-pair scalar oracle.  Every backend produces a bit-identical proof
-    and identical ``counter`` tallies — ``"fused"`` is simply faster.
     """
-    return FastSumCheckProver(backend or "reference").prove(
-        vp, transcript, claim, counter
-    )
+    return FastSumCheckProver().prove(vp, transcript, claim, counter)
 
 
 class FastSumCheckProver:
-    """SumCheck prover running on a batched field-vector backend.
+    """SumCheck prover running on the batched field-vector kernel.
 
     The one round loop (claim absorption, per-round transcript traffic,
     challenge derivation, final-evaluation ordering); :func:`prove_sumcheck`
     is a thin wrapper over it.  Round evaluations and folds go through
-    the backend's kernels, and tables are kept as raw ``[0, p)`` integer
-    lists between rounds, so no ``DenseMLE``/``VirtualPolynomial``
-    objects are rebuilt per fold.
+    ``kernel``, and tables are kept as raw ``[0, p)`` integer lists
+    between rounds, so no ``DenseMLE``/``VirtualPolynomial`` objects are
+    rebuilt per fold.
 
-    ``backend="reference"`` is the oracle: a per-pair scalar loop that
-    mirrors Fig. 1 operation for operation, ``OpCounter`` calls included.
-    Every other backend is bit-identical to it — proof and tallies — by
-    the differential suite (``tests/test_fastpath_differential.py``).
+    ``kernel`` is :data:`~repro.fields.vector.KERNEL`; the differential
+    suite (``tests/test_fastpath_differential.py``) passes a
+    :class:`~repro.fields.vector.ReferenceBackend` — a per-pair scalar
+    loop that mirrors Fig. 1 operation for operation, ``OpCounter`` calls
+    included — and requires the kernel's proof and tallies to be
+    bit-identical to it.  The positional ``backend`` accepts only the
+    retired spellings ``None`` and ``"fused"``.
     """
 
-    def __init__(self, backend: str | VectorBackend = "fused"):
-        self.backend = get_backend(backend)
+    def __init__(self, backend: str | None = None, *,
+                 kernel: VectorBackend = KERNEL):
+        require_fused(backend)
+        self.kernel = kernel
 
     def prove(
         self,
@@ -84,7 +81,7 @@ class FastSumCheckProver:
         claim: int | None = None,
         counter: OpCounter | None = None,
     ) -> SumCheckProof:
-        be = self.backend
+        kernel = self.kernel
         field = vp.field
         if claim is None:
             claim = vp.sum_over_hypercube()
@@ -105,7 +102,7 @@ class FastSumCheckProver:
             round_tables = (
                 {n: tables[n] for n in active} if active else tables
             )
-            evals = be.round_evaluations(
+            evals = kernel.round_evaluations(
                 field, vp.terms, round_tables, degree, counter
             )
             proof.round_evals.append(evals)
@@ -113,7 +110,7 @@ class FastSumCheckProver:
             r = transcript.challenge(b"sumcheck/challenge")
             proof.challenges.append(r)
             tables = {
-                name: be.fold(field, t, r, counter)
+                name: kernel.fold(field, t, r, counter)
                 for name, t in tables.items()
             }
         proof.final_evals = {name: t[0] for name, t in tables.items()}

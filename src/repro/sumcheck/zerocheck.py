@@ -43,14 +43,11 @@ def prove_zerocheck(
     mles: dict[str, DenseMLE],
     transcript: Transcript,
     counter: OpCounter | None = None,
-    backend=None,
 ) -> SumCheckProof:
     """Prove that the composition given by ``terms`` is 0 everywhere.
 
     ``mles`` must not contain the reserved name ``fr``; the randomizer is
-    derived from the transcript and added internally.  ``backend`` selects
-    the field-vector backend for the inner SumCheck (``None`` keeps the
-    original scalar path; any backend is bit-identical).
+    derived from the transcript and added internally.
     """
     if FR_NAME in mles:
         raise ValueError(f"MLE name {FR_NAME!r} is reserved for the randomizer")
@@ -60,7 +57,7 @@ def prove_zerocheck(
     full_mles = dict(mles)
     full_mles[FR_NAME] = fr
     vp = VirtualPolynomial(field, randomized_terms(terms), full_mles)
-    return prove_sumcheck(vp, transcript, claim=0, counter=counter, backend=backend)
+    return prove_sumcheck(vp, transcript, claim=0, counter=counter)
 
 
 def verify_zerocheck(

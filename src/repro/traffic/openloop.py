@@ -103,7 +103,6 @@ class OpenLoopTraffic:
         max_jobs: int | None = None,
         horizon_s: float | None = None,
         arrival_trace: Sequence[float] | None = None,
-        backend: str | None = None,
     ):
         if isinstance(scenario, str):
             scenario = scenario_by_name(scenario)
@@ -139,7 +138,6 @@ class OpenLoopTraffic:
         self.arrival_trace = (
             sorted(arrival_trace) if arrival_trace is not None else None
         )
-        self.backend = backend
         self.shapes = CircuitShapeCache()
 
     # -- arrival process -----------------------------------------------------
@@ -198,7 +196,7 @@ class OpenLoopTraffic:
         gates = WeightedTable(*zip(*scenario.gate_mix))
         sizes = WeightedTable(*zip(*scenario.size_weights))
         max_jobs, horizon_s = self.max_jobs, self.horizon_s
-        shape_of, backend = self.shapes.get, self.backend
+        shape_of = self.shapes.get
         prefix = scenario.name
         produced = 0
         for arrival in self._arrivals(rng):
@@ -220,7 +218,6 @@ class OpenLoopTraffic:
             yield ProofJob(
                 job_id=0,
                 circuit=circuit,
-                backend=backend,
                 request_class=tier.request_class,
                 arrival_s=arrival,
                 deadline_s=deadline,

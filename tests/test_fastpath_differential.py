@@ -1,28 +1,28 @@
-"""Differential tests: fast-path backends vs the reference scalar prover.
+"""Differential tests: the field-vector kernel vs the reference oracle.
 
-The ``fused`` field-vector backend reorders arithmetic aggressively
-(deferred modular reduction, column-level power chains, flat extension
-layouts), so these tests pin down the only contract that matters: on the
-same inputs, every backend must produce **bit-identical** round
-evaluations, Fiat–Shamir challenges, final evaluations, and
-:class:`~repro.fields.counters.OpCounter` tallies.  A second family
-cross-checks the Montgomery REDC model against native field
-multiplication.
+The kernel (:data:`repro.fields.vector.KERNEL`) reorders arithmetic
+aggressively (deferred modular reduction, column-level power chains,
+flat extension layouts), so these tests pin down the only contract that
+matters: on the same inputs, the one round loop run on the kernel and on
+:class:`~repro.fields.vector.ReferenceBackend` must produce
+**bit-identical** round evaluations, Fiat–Shamir challenges, final
+evaluations, and :class:`~repro.fields.counters.OpCounter` tallies.  A
+second family cross-checks the Montgomery REDC model against native
+field multiplication.
 """
 
 import random
 
 import pytest
 
-from repro.fields import vector as vector_mod
 from repro.fields import (
+    KERNEL,
     Fq,
     Fr,
     MontgomeryContext,
     OpCounter,
+    ReferenceBackend,
     get_backend,
-    list_backends,
-    set_default_backend,
 )
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.mle import DenseMLE, Term, VirtualPolynomial
@@ -37,9 +37,14 @@ P = Fr.modulus
 
 SEED = 0xD1FF
 
-#: every registered backend inherits the full differential matrix
-BACKENDS = list_backends()
-FAST_BACKENDS = [b for b in BACKENDS if b != "reference"]
+REFERENCE = ReferenceBackend()
+
+#: the oracle (a self-check of the harness) and the kernel; the ids are
+#: the names the two once had in a by-name registry
+ORACLE_AND_KERNEL = pytest.mark.parametrize(
+    "kernel", [REFERENCE, KERNEL], ids=["reference", "fused"]
+)
+KERNEL_ONLY = pytest.mark.parametrize("kernel", [KERNEL], ids=["fused"])
 
 
 def counter_tuple(c: OpCounter) -> tuple:
@@ -98,13 +103,15 @@ def gate_polynomial(
     return VirtualPolynomial(Fr, compiled.bind(Fr, scalars), mles)
 
 
-def assert_equivalent(vp: VirtualPolynomial, backend: str):
-    """``backend``'s proof and tallies equal the reference's; returns it."""
+def assert_equivalent(vp: VirtualPolynomial, kernel):
+    """``kernel``'s proof and tallies equal the oracle's; returns it."""
     ref_counter = OpCounter()
-    ref = prove_sumcheck(vp, Transcript(Fr), counter=ref_counter)
+    ref = FastSumCheckProver(kernel=REFERENCE).prove(
+        vp, Transcript(Fr), counter=ref_counter
+    )
 
     fast_counter = OpCounter()
-    fast = FastSumCheckProver(backend).prove(
+    fast = FastSumCheckProver(kernel=kernel).prove(
         vp, Transcript(Fr), counter=fast_counter
     )
 
@@ -117,34 +124,34 @@ def assert_equivalent(vp: VirtualPolynomial, backend: str):
 
 
 class TestBackendDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ORACLE_AND_KERNEL
     @pytest.mark.parametrize("num_vars", range(2, 9))
-    def test_random_compositions_sweep_num_vars(self, backend, num_vars):
+    def test_random_compositions_sweep_num_vars(self, kernel, num_vars):
         rng = random.Random(SEED + num_vars)
         degree = rng.randrange(1, 6)
         vp = random_virtual_polynomial(rng, num_vars, degree)
-        assert_equivalent(vp, backend)
+        assert_equivalent(vp, kernel)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ORACLE_AND_KERNEL
     @pytest.mark.parametrize("degree", range(1, 6))
-    def test_random_compositions_sweep_degree(self, backend, degree):
+    def test_random_compositions_sweep_degree(self, kernel, degree):
         rng = random.Random(SEED * 31 + degree)
         vp = random_virtual_polynomial(rng, 4, degree)
-        assert_equivalent(vp, backend)
+        assert_equivalent(vp, kernel)
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @KERNEL_ONLY
     @pytest.mark.parametrize("gate_id", [0, 20, 22, 24])
-    def test_table1_gates(self, gate_id, backend):
-        assert_equivalent(gate_polynomial(gate_by_id(gate_id), 4), backend)
+    def test_table1_gates(self, gate_id, kernel):
+        assert_equivalent(gate_polynomial(gate_by_id(gate_id), 4), kernel)
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @KERNEL_ONLY
     @pytest.mark.parametrize("degree", [2, 4, 6, 9])
-    def test_high_degree_sweep_gates(self, degree, backend):
+    def test_high_degree_sweep_gates(self, degree, kernel):
         vp = gate_polynomial(high_degree_sweep_gate(degree), 3)
-        assert_equivalent(vp, backend)
+        assert_equivalent(vp, kernel)
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_sparse_tables(self, backend, rng):
+    @KERNEL_ONLY
+    def test_sparse_tables(self, kernel, rng):
         terms = [
             Term(rng.randrange(1, P), (("a", 2), ("b", 1))),
             Term(rng.randrange(1, P), (("c", 1),)),
@@ -152,10 +159,10 @@ class TestBackendDifferential:
         mles = {
             n: DenseMLE.random(Fr, 5, rng, sparsity=0.9) for n in "abc"
         }
-        assert_equivalent(VirtualPolynomial(Fr, terms, mles), backend)
+        assert_equivalent(VirtualPolynomial(Fr, terms, mles), kernel)
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_unused_mles_still_folded_and_reported(self, backend, rng):
+    @KERNEL_ONLY
+    def test_unused_mles_still_folded_and_reported(self, kernel, rng):
         """Tables not referenced by any term must appear in final_evals
         (and their fold ops in the counter) exactly as in the reference."""
         terms = [Term(3, (("a", 1),))]
@@ -163,24 +170,27 @@ class TestBackendDifferential:
             "a": DenseMLE.random(Fr, 3, rng),
             "zz_unused": DenseMLE.random(Fr, 3, rng),
         }
-        assert_equivalent(VirtualPolynomial(Fr, terms, mles), backend)
+        assert_equivalent(VirtualPolynomial(Fr, terms, mles), kernel)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_constant_terms(self, backend, rng):
+    @ORACLE_AND_KERNEL
+    def test_all_constant_terms(self, kernel, rng):
         """Degenerate composition with no MLE factors at all (degree 0)."""
         terms = [Term(rng.randrange(1, P), ()), Term(rng.randrange(P), ())]
         mles = {"a": DenseMLE.random(Fr, 3, rng)}
-        assert_equivalent(VirtualPolynomial(Fr, terms, mles), backend)
+        assert_equivalent(VirtualPolynomial(Fr, terms, mles), kernel)
 
     def test_explicit_claim_and_backend_kwarg(self, rng):
         vp = random_virtual_polynomial(rng, 3, 3)
         claim = vp.sum_over_hypercube()
-        ref = prove_sumcheck(vp, Transcript(Fr), claim=claim)
-        via_kwarg = prove_sumcheck(
-            vp, Transcript(Fr), claim=claim, backend="fused"
+        ref = FastSumCheckProver(kernel=REFERENCE).prove(
+            vp, Transcript(Fr), claim=claim
+        )
+        via_kwarg = FastSumCheckProver(backend="fused").prove(
+            vp, Transcript(Fr), claim=claim
         )
         assert via_kwarg.round_evals == ref.round_evals
         assert via_kwarg.final_evals == ref.final_evals
+        assert prove_sumcheck(vp, Transcript(Fr), claim=claim) == via_kwarg
 
     def test_fused_proof_verifies(self, rng):
         vp = random_virtual_polynomial(rng, 4, 3)
@@ -194,83 +204,66 @@ class TestBackendDifferential:
         assert challenges == proof.challenges
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown vector backend"):
-            FastSumCheckProver("turbo")
+        for name in ("turbo", "reference"):
+            with pytest.raises(ValueError, match="unknown vector backend.*'fused'"):
+                FastSumCheckProver(name)
 
 
 class TestBackendRegistry:
-    """The fixed two-backend registry, and every ``--backend`` CLI that
-    validates through it when the value is parsed
-    (``repro.cli.vector_backend``)."""
+    """What is left of the retired by-name registry: the spellings a
+    caller outside ``src`` may still pass accept only ``None`` and
+    ``"fused"`` and store nothing, and no CLI takes ``--backend``."""
 
     PARSERS = ["repro.service", "repro.cluster", "repro.fleet"]
 
-    @staticmethod
-    def _main(module):
-        import importlib
-
-        return importlib.import_module(f"{module}.__main__")
-
-    def test_registry_lists_both_backends(self):
-        assert list_backends() == ["fused", "reference"]
-        for name in list_backends():
-            assert get_backend(name).name == name
-
     def test_unknown_backend_is_a_value_error(self):
-        with pytest.raises(ValueError, match="unknown vector backend"):
-            get_backend("turbo")
+        assert get_backend() is get_backend("fused") is KERNEL
+        for name in ("turbo", "reference"):
+            with pytest.raises(ValueError, match="unknown vector backend.*'fused'"):
+                get_backend(name)
 
-    def test_set_default_backend(self):
-        previous = vector_mod.DEFAULT_BACKEND
-        try:
-            assert set_default_backend("fused") == "fused"
-            assert vector_mod.DEFAULT_BACKEND == "fused"
-            assert get_backend(None).name == "fused"
-        finally:
-            set_default_backend(previous)
+    def test_retired_spellings_store_nothing(self):
+        import pickle
 
-    def test_helper_accepts_exactly_the_registry(self):
-        import argparse
+        from repro.hyperplonk import HyperPlonkProver
+        from repro.service import ServiceConfig
+        from repro.service.traffic import GATE_TYPES, synthesize_circuit
+        from repro.service.workers import ProveTask
 
-        from repro.cli import vector_backend
-
-        for name in list_backends():
-            assert vector_backend(name) == name
-        with pytest.raises(argparse.ArgumentTypeError):
-            vector_backend("nope")
-
-    @pytest.mark.parametrize("module", PARSERS)
-    def test_parsers_accept_every_live_backend(self, module):
-        parser = self._main(module).build_parser()
-        assert parser.parse_args([]).backend == "fused"
-        for name in list_backends():
-            assert parser.parse_args(["--backend", name]).backend == name
+        circuit = synthesize_circuit(GATE_TYPES["vanilla"], 2)
+        task = ProveTask(job_id=0, circuit=circuit, backend="fused",
+                         circuit_key="k")
+        assert "backend" not in vars(task)
+        assert "backend" not in vars(pickle.loads(pickle.dumps(task)))
+        assert "default_backend" not in vars(
+            ServiceConfig(default_backend="fused")
+        )
+        with pytest.raises(ValueError, match="'fused'"):
+            ProveTask(job_id=0, circuit=circuit, backend="reference",
+                      circuit_key="k")
+        with pytest.raises(ValueError, match="'fused'"):
+            ServiceConfig(default_backend="reference")
+        with pytest.raises(ValueError, match="'fused'"):
+            HyperPlonkProver(circuit, None, None, backend="reference")
 
     @pytest.mark.parametrize("module", PARSERS)
     def test_bad_backend_exits_2(self, module, capsys):
-        with pytest.raises(SystemExit) as exc:
-            self._main(module).main(["--backend", "nope"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown vector backend 'nope'" in err
-        assert all(name in err for name in list_backends())
+        import importlib
+
+        cli = importlib.import_module(f"{module}.__main__")
+        for value in ("nope", "fused"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--backend", value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_experiments_bad_backend_exits_2(self, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["--backend", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown vector backend 'nope'" in err
-        assert all(name in err for name in list_backends())
-        assert main(["--backend"]) == 2  # missing value
-
-    def test_experiments_backend_sets_default(self):
-        from repro.experiments.__main__ import _extract_backend
-
-        rest, backend, err = _extract_backend(["--backend", "fused", "x"])
-        assert (rest, backend, err) == (["x"], "fused", "")
-        rest, backend, err = _extract_backend(["--backend=fused"])
-        assert (rest, backend, err) == ([], "fused", "")
+        for argv in (["--backend", "nope"], ["--backend", "fused"],
+                     ["--backend=fused"]):
+            assert main(argv) == 2
+            assert "unknown flag(s): --backend" in capsys.readouterr().err
 
 
 #: every gate the paper evaluates: Table I's 25 rows and the degree-sweep
@@ -291,12 +284,12 @@ class TestGateMatrix:
     gate shape is pinned to the oracle, not a sample of them — on
     uniform tables and on tables built from field-edge values."""
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @KERNEL_ONLY
     def test_proof_and_tallies_match_reference(
-        self, spec, num_vars, tables, backend
+        self, spec, num_vars, tables, kernel
     ):
         vp = gate_polynomial(spec, num_vars, tables)
-        fast = assert_equivalent(vp, backend)
+        fast = assert_equivalent(vp, kernel)
         verify_sumcheck(
             Fr, vp.terms, fast, Transcript(Fr),
             final_eval_oracle=lambda name, point: vp.mles[name].evaluate(point),
@@ -309,11 +302,12 @@ class TestGateMatrix:
 
 
 class TestHyperPlonkBackendDifferential:
-    """Every fast backend threaded through the full HyperPlonk prover
-    must emit a byte-identical proof (and verify)."""
+    """The full HyperPlonk prover on the kernel must emit a byte-identical
+    proof to the same prover with every kernel method swapped for the
+    oracle's (and verify)."""
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_end_to_end_proof_identical_and_verifies(self, backend):
+    @KERNEL_ONLY
+    def test_end_to_end_proof_identical_and_verifies(self, kernel, on_kernel):
         from repro.hyperplonk import (
             JELLYFISH,
             CircuitBuilder,
@@ -337,10 +331,9 @@ class TestHyperPlonkBackendDifferential:
         pidx, vidx = preprocess(circuit, kzg)
 
         ref_counter, fused_counter = OpCounter(), OpCounter()
+        fused = HyperPlonkProver(circuit, pidx, kzg).prove(fused_counter)
+        on_kernel(REFERENCE)
         ref = HyperPlonkProver(circuit, pidx, kzg).prove(ref_counter)
-        fused = HyperPlonkProver(circuit, pidx, kzg, backend=backend).prove(
-            fused_counter
-        )
 
         for sc_name in ("gate_zerocheck", "perm_zerocheck"):
             a, b2 = getattr(ref, sc_name), getattr(fused, sc_name)

@@ -264,7 +264,6 @@ class TestWorkerState:
         (record,) = fleet.run([job])
         with ProvingService(ServiceConfig(
             max_vars=4, srs_seed=fleet.config.node.srs_seed,
-            default_backend="fused",
         )) as service:
             assert service.kzg.srs.max_vars == 4
             (expected,) = service.run(stream(1))
@@ -378,7 +377,7 @@ class TestSummary:
         assert json.dumps(summary) == json.dumps(expected)
 
     def test_print_run_renders_the_summary(self, capsys):
-        args = Namespace(scenario=SCENARIO, backend="fused", seed=0)
+        args = Namespace(scenario=SCENARIO, seed=0)
         print_run(args, summary_fixture().summary())
         out = capsys.readouterr().out
         assert "makespan 4.000s" in out

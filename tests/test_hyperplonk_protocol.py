@@ -133,7 +133,7 @@ class TestCompleteness:
         root point is (0,); μ=2: ρ′ is one coordinate."""
         circuit = synthesize_circuit(gate_type, mu, witness_seed=mu)
         kzg, pidx, vidx = setup(circuit)
-        proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+        proof = HyperPlonkProver(circuit, pidx, kzg).prove()
         assert proof.tree_openings["root"].point == (0,) + (1,) * (mu - 1)
         assert all(len(op.point) == mu for op in proof.tree_openings.values())
         HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
@@ -273,7 +273,7 @@ class TestSoundness:
         monkeypatch.setattr(prover_module, "build_permutation_data",
                             all_ones_tree)
         kzg, pidx, vidx = setup(honest)
-        proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+        proof = HyperPlonkProver(circuit, pidx, kzg).prove()
         with pytest.raises(HyperPlonkError, match="tree opening 'p1' value"):
             HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
 

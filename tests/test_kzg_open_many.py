@@ -185,7 +185,7 @@ def test_prover_opens_the_tree_through_open_many():
     plain = MultilinearKZG(srs)
     pidx, vidx = preprocess(circuit, plain)
     counting = CountingKZG(srs)
-    proof = HyperPlonkProver(circuit, pidx, counting, backend="fused").prove()
+    proof = HyperPlonkProver(circuit, pidx, counting).prove()
     assert counting.open_calls == 5
     combined, pi, pi_again, blend, blend_again = counting.opened
     assert [mle.num_vars for mle in counting.opened] == [MU] * 5
@@ -199,7 +199,7 @@ def test_prover_opens_the_tree_through_open_many():
     # prover whose open_many opens point by point
     unshared = CountingKZG(srs)
     unshared.open_many = lambda mle, points: [unshared.open(mle, p) for p in points]
-    assert HyperPlonkProver(circuit, pidx, unshared, backend="fused").prove() == proof
+    assert HyperPlonkProver(circuit, pidx, unshared).prove() == proof
     # one top quotient saved per open_many, nothing below it: π's two
     # points part at the first coordinate and so do h's (0 / 1)
     saved = unshared.commit_sizes - counting.commit_sizes

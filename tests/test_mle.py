@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fields import Fr, OpCounter
+from repro.fields import Fr, OpCounter, PrimeField
 from repro.mle import (
     DenseMLE,
     Term,
@@ -89,12 +89,16 @@ class TestDenseMLE:
         a = DenseMLE(Fr, [1, 2])
         b = DenseMLE(Fr, [3, 4])
         assert a.pointwise_add(b).table == [4, 6]
-        assert a.pointwise_mul(b).table == [3, 8]
         assert a.scaled(10).table == [10, 20]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DenseMLE(Fr, [1, 2]).pointwise_add(DenseMLE(Fr, [1, 2, 3, 4]))
+
+    def test_field_mismatch_rejected(self):
+        f61 = PrimeField((1 << 61) - 1, "F61")
+        with pytest.raises(ValueError, match="field"):
+            DenseMLE(Fr, [1, 2]).pointwise_add(DenseMLE(f61, [1, 2]))
 
     def test_update_counts_ee_muls(self):
         c = OpCounter()
@@ -104,6 +108,10 @@ class TestDenseMLE:
     def test_constructor_reduces_mod_p(self):
         f = DenseMLE(Fr, [P + 1, -1])
         assert f.table == [1, P - 1]
+
+    def test_fold_requires_a_variable(self):
+        with pytest.raises(ValueError, match="0-variable"):
+            DenseMLE(Fr, [7]).fix_first_variable(3)
 
 
 class TestExtendPair:

@@ -713,7 +713,7 @@ def test_jellyfish_proof_is_the_same_with_and_without_tables():
         srs = TrapdoorSRS(5, random.Random(0xE2E))
         kzg = MultilinearKZG(srs, fixed_base=fixed_base)
         pidx, vidx = preprocess(circuit, kzg)
-        proofs.append(HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove())
+        proofs.append(HyperPlonkProver(circuit, pidx, kzg).prove())
         HyperPlonkVerifier(Fr, vidx, kzg).verify(proofs[-1])
         # the commits went through the resident tables, except where the
         # comb (arity ≤ 4 with ``fixed_base``) took them; the SRS stops at

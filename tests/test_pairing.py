@@ -217,7 +217,7 @@ class TestPublicKZGVerification:
 
         circuit = synthesize_circuit(VANILLA, 2, witness_seed=19)
         pidx, _ = preprocess(circuit, kzg)
-        proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+        proof = HyperPlonkProver(circuit, pidx, kzg).prove()
         rho_last = proof.perm_zerocheck.challenges[-1]
         blend = Commitment.combine(
             [1 - rho_last, rho_last],

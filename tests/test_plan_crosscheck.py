@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.fields import OpCounter, list_backends
+from repro.fields import KERNEL, OpCounter, ReferenceBackend
 from repro.hyperplonk import (
     HyperPlonkProver,
     MultilinearKZG,
@@ -34,11 +34,11 @@ def kzg():
     return MultilinearKZG(TrapdoorSRS(4, random.Random(0xC0)))
 
 
-def prove_with_counter(gate: str, mu: int, kzg, backend=None) -> OpCounter:
+def prove_with_counter(gate: str, mu: int, kzg) -> OpCounter:
     circuit = synthesize_circuit(GATE_TYPES[gate], mu, witness_seed=11)
     pidx, _ = preprocess(circuit, kzg)
     counter = OpCounter()
-    HyperPlonkProver(circuit, pidx, kzg, backend=backend).prove(counter)
+    HyperPlonkProver(circuit, pidx, kzg).prove(counter)
     return counter
 
 
@@ -54,12 +54,13 @@ class TestPlanVsProver:
         assert actual.labels == predicted.msm_counts
 
     @pytest.mark.parametrize(
-        "backend", [b for b in list_backends() if b != "reference"]
+        "kernel", [ReferenceBackend(), KERNEL], ids=["reference", "fused"]
     )
-    def test_fast_backends_count_identically(self, backend, kzg):
-        """Every fast backend keeps tally parity, so one plan predicts
-        them all — prediction is backend-invariant by construction."""
-        actual = prove_with_counter("vanilla", 3, kzg, backend=backend)
+    def test_fast_backends_count_identically(self, kernel, kzg, on_kernel):
+        """The kernel keeps tally parity with its oracle, so one plan
+        predicts both — prediction is kernel-invariant by construction."""
+        on_kernel(kernel)
+        actual = prove_with_counter("vanilla", 3, kzg)
         predicted = ProofPlan.for_shape("vanilla", 3).predicted_prover_ops()
         assert actual.mul == predicted.total_mul
         assert actual.ee_mul == predicted.ee_mul

@@ -2,7 +2,7 @@
 executors, traffic, scheduling order, metrics, and the demo CLI.
 
 The core contract (ISSUE 2): every proof produced through the service —
-any executor, any backend, batched or sequential — is bit-identical to a
+any executor, batched or sequential — is bit-identical to a
 direct ``HyperPlonkProver.prove()`` call against the same SRS, and
 verifies with the stock verifier.
 """
@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.fields import Fr
+from repro.fields import Fr, ReferenceBackend
 from repro.hyperplonk import (
     HyperPlonkProver,
     HyperPlonkVerifier,
@@ -39,12 +39,12 @@ MAX_VARS = 3
 SRS_SEED = 0x5EED  # ServiceConfig default; direct provers must match
 
 
-def direct_prove(circuit, backend=None):
+def direct_prove(circuit):
     """The one-shot path the service must match bit-for-bit."""
     srs = TrapdoorSRS(MAX_VARS, random.Random(SRS_SEED))
     kzg = MultilinearKZG(srs)
     pidx, vidx = preprocess(circuit, kzg)
-    proof = HyperPlonkProver(circuit, pidx, kzg, backend=backend).prove()
+    proof = HyperPlonkProver(circuit, pidx, kzg).prove()
     return proof, vidx, kzg
 
 
@@ -58,24 +58,22 @@ def circuits():
 
 
 class TestDifferential:
-    def test_sync_service_matches_direct_both_backends(self, circuits):
-        """reference + fused jobs through one service == direct proofs,
-        with the fixed-base MSM path enabled (the service default)."""
-        backends = [None, "fused", "fused"]
+    def test_sync_service_matches_direct_both_backends(self, circuits, on_kernel):
+        """Jobs through one service on the field-vector kernel == direct
+        proofs on its reference oracle, with the fixed-base MSM path
+        enabled (the service default)."""
         with ProvingService(ServiceConfig(max_vars=MAX_VARS)) as svc:
-            for circuit, backend in zip(circuits, backends):
-                svc.submit(circuit, backend=backend)
+            for circuit in circuits:
+                svc.submit(circuit)
             results = {r.job_id: r for r in svc.drain()}
-        for i, (circuit, backend) in enumerate(zip(circuits, backends)):
-            expected, vidx, kzg = direct_prove(circuit, backend)
-            assert results[i].proof == expected, (
-                f"service proof {i} (backend={backend}) diverged"
-            )
+        on_kernel(ReferenceBackend())
+        for i, circuit in enumerate(circuits):
+            expected, vidx, kzg = direct_prove(circuit)
+            assert results[i].proof == expected, f"service proof {i} diverged"
             HyperPlonkVerifier(Fr, vidx, kzg).verify(results[i].proof)
 
     def test_batched_vs_sequential_runs(self, circuits):
-        cfg = dict(max_vars=MAX_VARS, default_backend="fused",
-                   fixed_base_msm=False)
+        cfg = dict(max_vars=MAX_VARS, fixed_base_msm=False)
         with ProvingService(ServiceConfig(**cfg)) as batched:
             for c in circuits:
                 batched.submit(c)
@@ -93,21 +91,19 @@ class TestDifferential:
             assert proof in seq_proofs
 
     def test_thread_executor_matches_sync(self, circuits):
-        cfg = dict(max_vars=MAX_VARS, default_backend="fused",
-                   fixed_base_msm=False)
+        cfg = dict(max_vars=MAX_VARS, fixed_base_msm=False)
         with ProvingService(ServiceConfig(executor="thread", num_workers=2,
                                           **cfg)) as threaded:
             for c in circuits[:2]:
                 threaded.submit(c)
             thread_results = {r.job_id: r.proof for r in threaded.drain()}
         for i, c in enumerate(circuits[:2]):
-            expected, _, _ = direct_prove(c, "fused")
+            expected, _, _ = direct_prove(c)
             assert thread_results[i] == expected
 
     def test_process_executor_matches_direct(self, circuits):
         cfg = ServiceConfig(max_vars=MAX_VARS, executor="process",
-                            num_workers=2, default_backend="fused",
-                            fixed_base_msm=False)
+                            num_workers=2, fixed_base_msm=False)
         try:
             service = ProvingService(cfg)
         except (OSError, PermissionError) as exc:  # pragma: no cover
@@ -117,7 +113,7 @@ class TestDifferential:
                 service.submit(c)
             results = {r.job_id: r for r in service.drain()}
         for i, c in enumerate(circuits[:2]):
-            expected, vidx, kzg = direct_prove(c, "fused")
+            expected, vidx, kzg = direct_prove(c)
             assert results[i].proof == expected
             HyperPlonkVerifier(Fr, vidx, kzg).verify(results[i].proof)
         assert all(r.worker_id.startswith("pid-") for r in results.values())
@@ -171,8 +167,7 @@ class TestSchedulingAndBatching:
             plan_batches([], max_batch_size="4")
 
     def test_drain_runs_realtime_first(self):
-        cfg = ServiceConfig(max_vars=MAX_VARS, default_backend="fused",
-                            fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=MAX_VARS, fixed_base_msm=False)
         shapes = [
             synthesize_circuit(GATE_TYPES["vanilla"], 2, witness_seed=1),
             synthesize_circuit(GATE_TYPES["jellyfish"], 2, witness_seed=1),
@@ -274,8 +269,7 @@ class TestCostAwareScheduling:
 
     def test_service_sjf_end_to_end_with_prediction_metrics(self):
         shapes = self._shapes()
-        cfg = ServiceConfig(max_vars=4, default_backend="fused",
-                            drain_policy="sjf", fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=4, drain_policy="sjf", fixed_base_msm=False)
         with ProvingService(cfg) as svc:
             big = svc.submit(shapes[4])
             small = svc.submit(shapes[2])
@@ -367,8 +361,7 @@ class TestTrafficGenerator:
 class TestServiceOperations:
     def test_wave_run_hits_cache_and_reports_metrics(self):
         gen = TrafficGenerator("uniform-small", seed=3)
-        cfg = ServiceConfig(max_vars=gen.max_vars(),
-                            default_backend="fused")
+        cfg = ServiceConfig(max_vars=gen.max_vars())
         with ProvingService(cfg) as svc:
             results = svc.run(gen.jobs(5), wave_s=0.3)
             summary = svc.summary()
@@ -381,8 +374,7 @@ class TestServiceOperations:
         assert summary["workers"][0]["jobs"] == 5
 
     def test_verify_proofs_flag(self):
-        cfg = ServiceConfig(max_vars=2, default_backend="fused",
-                            verify_proofs=True, collect_counters=True,
+        cfg = ServiceConfig(max_vars=2, verify_proofs=True, collect_counters=True,
                             fixed_base_msm=False)
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
         with ProvingService(cfg) as svc:
@@ -410,8 +402,6 @@ class TestServiceOperations:
                 svc.submit(too_big)
             with pytest.raises(ValueError, match="over Fr only"):
                 svc.submit(foreign)
-            with pytest.raises(ValueError, match="unknown vector backend"):
-                svc.submit(ok_circuit, backend="no-such-backend")
             assert svc.pending == 0
             svc.submit(ok_circuit)  # μ = max_vars proves on that SRS
             (result,) = svc.drain()
@@ -430,20 +420,6 @@ class TestServiceOperations:
     def test_empty_drain(self):
         with ProvingService(ServiceConfig(max_vars=2)) as svc:
             assert svc.drain() == []
-
-    def test_scalar_path_labelled_scalar(self):
-        """backend=None runs the original scalar prover, not the
-        'reference' vector backend — results must say so."""
-        c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
-        with ProvingService(ServiceConfig(max_vars=2,
-                                          fixed_base_msm=False)) as svc:
-            svc.submit(c)
-            (scalar_result,) = svc.drain()
-            svc.submit(c, backend="reference")
-            (reference_result,) = svc.drain()
-        assert scalar_result.backend == "scalar"
-        assert reference_result.backend == "reference"
-        assert scalar_result.proof == reference_result.proof
 
     def test_summary_before_drain_has_zero_wall(self):
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
@@ -490,7 +466,7 @@ class TestCLI:
 
     def test_cli_human_output(self, capsys):
         rc = service_cli(["--scenario", "uniform-small", "--jobs", "2",
-                          "--backend", "fused", "--seed", "4"])
+                          "--seed", "4"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "index cache" in out and "all proofs verified" in out

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.fields import Fr, get_backend
+from repro.fields import KERNEL, Fr, ReferenceBackend
 from repro.fields.vector import extend_by_differences, round_schedule
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.mle import Term
@@ -141,12 +141,8 @@ class TestScheduleShapes:
         rng = random.Random(degree)
         names = {name for t in terms for name, _ in t.factors}
         tables = {n: [rng.randrange(P) for _ in range(8)] for n in sorted(names)}
-        want = get_backend("reference").round_evaluations(
-            Fr, terms, tables, degree
-        )
-        assert get_backend("fused").round_evaluations(
-            Fr, terms, tables, degree
-        ) == want
+        want = ReferenceBackend().round_evaluations(Fr, terms, tables, degree)
+        assert KERNEL.round_evaluations(Fr, terms, tables, degree) == want
 
 
 class TestExtendByDifferences:

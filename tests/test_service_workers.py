@@ -23,7 +23,6 @@ def tasks(n: int, start_id: int = 0) -> list[ProveTask]:
         ProveTask(
             job_id=start_id + i,
             circuit=job.circuit,
-            backend="fused",
             circuit_key=job.circuit_key,
         )
         for i, job in enumerate(jobs)
@@ -70,7 +69,7 @@ class TestWorkerState:
         worker's SRS is as large as its largest job and no larger."""
         def task(mu: int) -> ProveTask:
             circuit = synthesize_circuit(GATE_TYPES["jellyfish"], mu)
-            return ProveTask(job_id=mu, circuit=circuit, backend="fused",
+            return ProveTask(job_id=mu, circuit=circuit,
                              circuit_key=circuit_fingerprint(circuit))
 
         state = WorkerState(0x5EED, 3, fixed_base=False)
@@ -87,7 +86,6 @@ class TestProcessExecutor:
             executor="process",
             num_workers=1,
             cache_capacity=3,
-            default_backend="fused",
         )
         with ProvingService(config) as svc:
             yield svc

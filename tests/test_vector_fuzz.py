@@ -1,30 +1,31 @@
-"""Seeded cross-backend fuzz: every backend vs the reference oracle.
+"""Seeded fuzz: the field-vector kernel vs the reference oracle.
 
 Random tables are mixed with adversarial boundary values — 0, 1, p-1,
 the Montgomery radix R and R² mod p (values whose limb patterns stress
 REDC's carry chain), and all-ones 64-bit words (worst-case limb patterns)
 — across empty, length-1, odd-length, and power-of-two tables, and
-extension degrees 0/1/max.  Per the :class:`VectorBackend` contract,
+extension degrees 0/1/max.  Per the :class:`FusedBackend` contract,
 elementwise kernels receive canonical ``[0, p)`` inputs (boundary
 values are reduced mod p first) while ``fold``/``extend_columns`` are
 also fuzzed with raw out-of-range integers, which they must normalize
-bit-identically to the reference backend.  OpCounter tallies must match
-everywhere too.
+bit-identically to :class:`ReferenceBackend`.  OpCounter tallies must
+match everywhere too.
 """
 
 import random
 
 import pytest
 
-from repro.fields import Fq, Fr, OpCounter, PrimeField, get_backend, list_backends
+from repro.fields import KERNEL, Fq, Fr, OpCounter, PrimeField, ReferenceBackend
 
 SEED = 0xF055
 MAX_DEGREE = 9
 
 F61 = PrimeField((1 << 61) - 1, "F61")
 FIELDS = [Fr, Fq, F61]
-BACKENDS = list_backends()
-FAST_BACKENDS = [b for b in BACKENDS if b != "reference"]
+REFERENCE = ReferenceBackend()
+#: the kernel under test, under the id it had in the by-name registry
+KERNEL_ONLY = pytest.mark.parametrize("kernel", [KERNEL], ids=["fused"])
 TABLE_SIZES = [0, 1, 2, 3, 7, 16, 33, 64]
 
 
@@ -83,11 +84,11 @@ def counter_tuple(c: OpCounter) -> tuple:
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@KERNEL_ONLY
 class TestElementwiseFuzz:
-    def test_binary_ops_agree_with_reference(self, backend, field):
+    def test_binary_ops_agree_with_reference(self, kernel, field):
         rng = random.Random(SEED ^ field.modulus)
-        ref, fast = get_backend("reference"), get_backend(backend)
+        ref, fast = REFERENCE, kernel
         p = field.modulus
         for n in TABLE_SIZES:
             a = fuzz_table(rng, p, n)
@@ -99,9 +100,9 @@ class TestElementwiseFuzz:
                 assert list(got) == want, (field.name, op, n)
                 assert counter_tuple(c1) == counter_tuple(c2), (op, n)
 
-    def test_scalar_ops_agree_with_reference(self, backend, field):
+    def test_scalar_ops_agree_with_reference(self, kernel, field):
         rng = random.Random(SEED * 3 ^ field.modulus)
-        ref, fast = get_backend("reference"), get_backend(backend)
+        ref, fast = REFERENCE, kernel
         p = field.modulus
         scalars = boundary_values(p) + [rng.randrange(p)]
         for n in (0, 1, 5, 32):
@@ -121,11 +122,11 @@ class TestElementwiseFuzz:
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@KERNEL_ONLY
 class TestFoldExtendFuzz:
-    def test_fold_agrees_on_raw_tables(self, backend, field):
+    def test_fold_agrees_on_raw_tables(self, kernel, field):
         rng = random.Random(SEED * 5 ^ field.modulus)
-        ref, fast = get_backend("reference"), get_backend(backend)
+        ref, fast = REFERENCE, kernel
         p = field.modulus
         challenges = boundary_values(p)
         for n in (2, 3, 7, 16, 33, 64):
@@ -139,9 +140,9 @@ class TestFoldExtendFuzz:
                 assert all(0 <= v < p for v in got)
 
     @pytest.mark.parametrize("degree", [0, 1, MAX_DEGREE])
-    def test_extend_agrees_on_raw_tables(self, backend, field, degree):
+    def test_extend_agrees_on_raw_tables(self, kernel, field, degree):
         rng = random.Random(SEED * 7 ^ field.modulus ^ degree)
-        ref, fast = get_backend("reference"), get_backend(backend)
+        ref, fast = REFERENCE, kernel
         p = field.modulus
         for n in (2, 3, 7, 16, 64):
             t = raw_fuzz_table(rng, p, n)
@@ -154,15 +155,15 @@ class TestFoldExtendFuzz:
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@KERNEL_ONLY
 class TestRoundEvaluationsFuzz:
-    """The fused round kernel on boundary-heavy tables, every backend."""
+    """The fused round kernel on boundary-heavy tables."""
 
-    def test_round_evaluations_agree(self, backend, field):
+    def test_round_evaluations_agree(self, kernel, field):
         from repro.mle import Term
 
         rng = random.Random(SEED * 11 ^ field.modulus)
-        ref, fast = get_backend("reference"), get_backend(backend)
+        ref, fast = REFERENCE, kernel
         p = field.modulus
         for n in (2, 8, 32):
             tables = {
@@ -182,7 +183,7 @@ class TestRoundEvaluationsFuzz:
 
     @pytest.mark.parametrize("constant_term", [False, True])
     def test_drawn_term_lists_with_a_shared_factor(
-        self, backend, field, constant_term
+        self, kernel, field, constant_term
     ):
         """Random term lists in which every MLE term carries ``s**k``:
         alone they take the kernel's common-factor schedule; with a bare
@@ -191,7 +192,7 @@ class TestRoundEvaluationsFuzz:
         from repro.mle import Term
 
         rng = random.Random((SEED * 13 + constant_term) ^ field.modulus)
-        ref, fast = get_backend("reference"), get_backend(backend)
+        ref, fast = REFERENCE, kernel
         p = field.modulus
         pool = ("a", "b", "c", "d")
         for _ in range(12):

@@ -118,7 +118,7 @@ pidx, vidx = preprocess(circuit, kzg)
 extra["preprocess"] = clock() - started
 for name in ("first_proof", "warm_proof"):
     started = clock()
-    proof = HyperPlonkProver(circuit, pidx, kzg, backend="fused").prove()
+    proof = HyperPlonkProver(circuit, pidx, kzg).prove()
     extra[name] = clock() - started
 HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
 extra["proof"] = hashlib.sha256(pickle.dumps(proof)).hexdigest()

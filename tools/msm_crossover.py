@@ -291,7 +291,7 @@ def proof_lines(seed: int, repeats: int, check: Checker) -> None:
 
         def prove(srs):
             return HyperPlonkProver(
-                circuit, pidx, MultilinearKZG(srs), backend="fused").prove()
+                circuit, pidx, MultilinearKZG(srs)).prove()
 
         def first_proof():
             cold.forget()
@@ -300,7 +300,7 @@ def proof_lines(seed: int, repeats: int, check: Checker) -> None:
         timed = fastest({"plain": lambda: prove(plain), "cold": first_proof,
                          "warm": lambda: prove(cold)}, repeats)
         counting = PointCountingKZG(cold)
-        counted = HyperPlonkProver(circuit, pidx, counting, backend="fused").prove()
+        counted = HyperPlonkProver(circuit, pidx, counting).prove()
         timed["counted"] = (0.0, counted)
         check(f"mu={mu} proof", timed, lambda: timed["plain"][1])
         print(f"Jellyfish mu={mu} proof, ms: plain-list bases "

@@ -35,7 +35,7 @@ import sys
 from collections import Counter
 
 from repro.fields import Fr
-from repro.fields.vector import RoundSchedule, get_backend, round_schedule
+from repro.fields.vector import KERNEL, RoundSchedule, round_schedule
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.gates.library import TABLE1, GateSpec
 
@@ -80,7 +80,6 @@ class Counted(int):
 def counted_per_pair(terms, names, degree: int) -> tuple[int, int]:
     """(multiplies, reductions) one more pair costs the fused kernel."""
     rng = random.Random(0)
-    fused = get_backend("fused")
     seen = []
     for pairs in (1, 2):
         tables = {
@@ -89,7 +88,7 @@ def counted_per_pair(terms, names, degree: int) -> tuple[int, int]:
             for name in names
         }
         Counted.tally = Counter()
-        fused.round_evaluations(Fr, terms, tables, degree)
+        KERNEL.round_evaluations(Fr, terms, tables, degree)
         seen.append(Counted.tally)
     return (seen[1]["muls"] - seen[0]["muls"],
             seen[1]["reductions"] - seen[0]["reductions"])
