@@ -42,7 +42,7 @@ from repro.cluster import (
     ProvingCluster,
 )
 from repro.service.traffic import TrafficGenerator
-from repro.workloads import trace_for_downtime
+from repro.workloads import CHURN_HORIZON_SLACK_S, trace_for_downtime
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_resilience.json"
 
@@ -54,8 +54,6 @@ TRAFFIC_SEEDS = (0, 1, 2, 3, 4)
 CHURN_SEED_OFFSET = 100
 DOWNTIME_FRACTION = 0.2
 MTTR_S = 2.0
-#: model seconds of churn horizon granted past the last arrival
-HORIZON_SLACK_S = 8.0
 MISS_RATIO_FLOOR = 2.0
 
 AUTOSCALE_SCENARIO = "jellyfish-heavy"
@@ -68,7 +66,7 @@ def run_churn_cell(policy: str, max_retries: int, seed: int) -> dict:
     """One (policy, retry budget, seed) replication under 20% churn."""
     generator = TrafficGenerator(SCENARIO, seed=seed)
     jobs = generator.jobs(JOBS)
-    horizon = max(j.arrival_s for j in jobs) + HORIZON_SLACK_S
+    horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
     churn = trace_for_downtime(
         NODES,
         horizon,

@@ -24,7 +24,7 @@ Run:  python examples/failure_injection.py
 
 from repro.cluster import AutoscalePolicy, ClusterConfig, NodeConfig, ProvingCluster
 from repro.service.traffic import TrafficGenerator
-from repro.workloads import trace_for_downtime
+from repro.workloads import CHURN_HORIZON_SLACK_S, trace_for_downtime
 
 SCENARIO = "zipf-mixed"
 NODES = 4
@@ -41,7 +41,7 @@ def run_variant(*, churn: bool, max_retries: int, autoscale: bool) -> dict:
     jobs = generator.jobs(JOBS)
     trace = ()
     if churn:
-        horizon = max(j.arrival_s for j in jobs) + 8.0
+        horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
         trace = trace_for_downtime(
             NODES,
             horizon,

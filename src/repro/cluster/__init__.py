@@ -33,7 +33,7 @@ failure-aware path); see ``benchmarks/test_cluster_scaling.py``
 
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.core import ClusterConfig, ProvingCluster
-from repro.cluster.engine import ClusterEngine, ResilienceStats
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.metrics import (
     cluster_summary,
     deadline_stats,
@@ -48,7 +48,7 @@ from repro.cluster.nodes import (
     ProverNode,
     SimIndexCache,
 )
-from repro.cluster.records import JobRecord, RetryPolicy
+from repro.cluster.records import Dispatcher, JobRecord, ResilienceStats, RetryPolicy
 from repro.cluster.routing import (
     DEFAULT_REPLICAS,
     NoRoutableNodeError,
@@ -66,6 +66,7 @@ __all__ = [
     "ClusterRouter",
     "DEFAULT_NODE_CACHE_CAPACITY",
     "DEFAULT_REPLICAS",
+    "Dispatcher",
     "FleetTimeModel",
     "HashRing",
     "InFlightJob",

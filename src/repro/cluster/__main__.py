@@ -49,10 +49,7 @@ from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
 from repro.cluster.routing import DEFAULT_REPLICAS, ROUTING_POLICIES
 from repro.cluster.timemodel import TIME_MODEL_PRESETS
 from repro.service.traffic import TrafficGenerator
-from repro.workloads import SCENARIOS, trace_for_downtime
-
-#: model seconds of churn horizon granted past the last job arrival
-CHURN_HORIZON_SLACK_S = 8.0
+from repro.workloads import CHURN_HORIZON_SLACK_S, SCENARIOS, trace_for_downtime
 
 
 def policy_list(text: str) -> list[str]:

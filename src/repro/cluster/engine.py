@@ -18,14 +18,12 @@ interleave on a single deterministic model-time axis:
 
 Failure semantics: a crash loses the node's *in-flight* job (the lost
 model seconds are accounted), cold-starts its index cache, and takes
-its ring points away so only ~K/N fingerprints remap.  The lost job's
-``attempt`` is bumped and it is requeued through the router with the
-failed node excluded — deterministically, so the same seed and trace
-give identical retry counts (and, in execute mode, identical proof
-bytes).  Queued-but-unstarted jobs requeue without a retry penalty
-(queue state is coordinator-side).  Jobs that exhaust ``max_retries``
-or strand with the whole fleet down are *failed* and count as deadline
-misses.
+its ring points away so only ~K/N fingerprints remap.  Routing, parking,
+requeues, retries and failures are the inherited
+:class:`~repro.cluster.records.Dispatcher` — the code the real fleet
+runs — so the same seed and trace give identical retry counts (and, in
+execute mode, identical proof bytes).  Jobs stranded with the whole
+fleet down at the end are *failed*, like retry-exhausted ones.
 
 Start gate.  By default an idle node starts the head of its queue as
 soon as the head is ready.  A layer above may decide *which* job starts
@@ -53,12 +51,10 @@ A job's ``(install_s, prove_s)`` comes from one dict hit on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cluster.nodes import InFlightJob, JobRecord, ProverNode
-from repro.cluster.records import RetryPolicy
-from repro.cluster.routing import NoRoutableNodeError
+from repro.cluster.records import Dispatcher, arrival_order
 from repro.service.jobs import ProofJob
 from repro.sim import EventHandle, EventLog, Simulator, TraceSource, install
 from repro.workloads.churn import ChurnEvent
@@ -76,75 +72,28 @@ PRIO_CHURN = 3
 PRIO_TICK = 4
 
 
-@dataclass
-class ResilienceStats:
-    """Failure/retry/autoscale accounting for one scenario run.
-
-    Counters cover the *serving window*: once the last job resolves,
-    the remaining churn trace is cancelled, so two cells replaying one
-    trace can legitimately report slightly different crash/recovery
-    counts when their jobs finish at different times.
-    """
-
-    crashes: int = 0
-    recoveries: int = 0
-    #: in-flight jobs lost to a crash and requeued (attempt bumped)
-    retries: int = 0
-    #: queued jobs moved off a crashed node (no retry penalty)
-    requeues: int = 0
-    #: times a job had to park because the whole fleet was down
-    parked: int = 0
-    #: retry exclusions waived because only excluded nodes were up
-    exclusion_waivers: int = 0
-    #: jobs dropped: retries exhausted or stranded with the fleet down
-    failed: int = 0
-    #: model seconds of in-flight work destroyed by crashes
-    lost_model_s: float = 0.0
-    scale_outs: int = 0
-    scale_ins: int = 0
-    autoscale_actions: list[dict] = dc_field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        """The ``resilience`` section of the cluster summary."""
-        return {
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "retries": self.retries,
-            "requeues": self.requeues,
-            "parked": self.parked,
-            "exclusion_waivers": self.exclusion_waivers,
-            "failed_jobs": self.failed,
-            "lost_model_s": round(self.lost_model_s, 6),
-            "autoscale": {
-                "scale_outs": self.scale_outs,
-                "scale_ins": self.scale_ins,
-                "actions": self.autoscale_actions,
-            },
-        }
-
-
-class ClusterEngine:
+class ClusterEngine(Dispatcher):
     """One event-driven cluster run; see the module docstring."""
 
     def __init__(self, cluster: "ProvingCluster", *, respect_arrivals: bool = False):
+        self.sim = Simulator()
+        # the structured JSONL event log runs on the model clock (shared
+        # schema with the real fleet — see :mod:`repro.sim.events`)
+        super().__init__(
+            cluster.router,
+            cluster.time_model,
+            EventLog(clock=lambda: self.sim.now),
+            cluster.config.max_retries,
+        )
         self.cluster = cluster
         self.respect = respect_arrivals
-        self.sim = Simulator()
-        self.stats = ResilienceStats()
         self.records: list[JobRecord] = []
-        self.failed_jobs: list[ProofJob] = []
         self._start_handles: dict[str, EventHandle] = {}
         self._finish_handles: dict[str, EventHandle] = {}
-        self._parked: list[ProofJob] = []
         self._cancellable: list[EventHandle] = []
         self._tick_handle: EventHandle | None = None
         self._total_jobs = 0
         self._scenario = False
-        #: shared crash-retry contract (same object family the fleet uses)
-        self.retry_policy = RetryPolicy(cluster.config.max_retries)
-        #: structured JSONL event log on the model clock (shared schema
-        #: with the real fleet — see :mod:`repro.sim.events`)
-        self.events = EventLog(clock=lambda: self.sim.now)
         #: the start gate and the observers (module docstring); all None
         #: unless ``config.carbon`` or the open-loop engine sets them
         self.gate = None
@@ -197,7 +146,7 @@ class ClusterEngine:
         flight = node.begin(
             job,
             self.sim.now,
-            self.cluster.time_model.price(job),
+            self.time_model.price(job),
             respect_arrivals=self.respect,
         )
         self.finish_at(node, flight)
@@ -229,7 +178,7 @@ class ClusterEngine:
         if self.on_segment_end is not None:
             self.on_segment_end(flight, record.finish_s, False)
         if self._scenario:
-            self.cluster.router.release(node.node_id, flight.prove_s)
+            self.router.release(node.node_id, flight.prove_s)
             self._check_done()
         self.kick(node)
         if self.gate is not None:
@@ -237,60 +186,21 @@ class ClusterEngine:
         if self.on_resolved is not None:
             self.on_resolved(flight.job)
 
-    # -- scenario-side routing ----------------------------------------------
-    def _route(self, job: ProofJob, cost_s: float | None = None) -> str | None:
-        """Route one job at ``cost_s`` predicted prove seconds (default:
-        its time-model price), parking it when nothing is routable.
-
-        Node exclusion is best-effort: when the exclusion set would
-        leave a job with no home while other nodes are up, the
-        exclusion is waived (and counted) rather than starving the job
-        — a recovered loser is still a better home than no home.  Jobs
-        park only when the whole fleet is down.
-        """
-        router = self.cluster.router
-        if cost_s is None:
-            cost_s = self.cluster.time_model.price(job)[1]
-        try:
-            node_id = router.assign(job, exclude=job.excluded_node_ids, cost_s=cost_s)
-        except NoRoutableNodeError:
-            if not router.up_count():
-                self.stats.parked += 1
-                self._parked.append(job)
-                return None
-            self.stats.exclusion_waivers += 1
-            node_id = router.assign(job, cost_s=cost_s)
+    # -- dispatcher hooks ----------------------------------------------------
+    def _enqueue(self, node_id: str, job: ProofJob) -> ProverNode:
         node = self.cluster.nodes[node_id]
         node.submit(job)
-        self.events.emit(
-            "job_assigned",
-            job_id=job.job_id,
-            node_id=node_id,
-            attempt=job.attempt,
-        )
-        self.kick(node)
-        return node_id
+        return node
 
-    def _unpark(self) -> None:
-        """Retry every parked job after a node became routable."""
-        parked, self._parked = self._parked, []
-        for job in sorted(parked, key=lambda j: (j.arrival_s, j.job_id)):
-            self._route(job)
+    def _resolved(self, job: ProofJob) -> None:
+        self._check_done()
+        if self.on_resolved is not None:
+            self.on_resolved(job)
 
     def _submit(self, job: ProofJob) -> None:
         """Arrival event: id-stamp and route one job."""
         self.cluster.check_fits(job)
-        job.job_id = self.cluster.next_job_id()
-        self.events.emit("job_accepted", job_id=job.job_id, tag=job.tag)
-        self._route(job)
-
-    def _fail(self, job: ProofJob) -> None:
-        self.stats.failed += 1
-        self.failed_jobs.append(job)
-        self.events.emit("job_failed", job_id=job.job_id, attempt=job.attempt)
-        self._check_done()
-        if self.on_resolved is not None:
-            self.on_resolved(job)
+        self._accept(job, self.cluster.next_job_id())
 
     def _check_done(self) -> None:
         """Stop churn/autoscale event streams once every job resolved."""
@@ -329,35 +239,18 @@ class ClusterEngine:
             retry_job, lost = node.abort(self.sim.now)
             self.stats.lost_model_s += lost
         requeued = node.crash(self.sim.now)
-        self.cluster.router.mark_down(node.node_id)
+        self.router.mark_down(node.node_id)
         self.events.emit("node_down", node_id=node.node_id, reason="crash")
-        for job in sorted(requeued, key=lambda j: (j.arrival_s, j.job_id)):
-            self.stats.requeues += 1
-            self._route(job)
+        self._requeue(requeued)
         if retry_job is not None:
-            self.events.emit(
-                "job_crashed",
-                job_id=retry_job.job_id,
-                node_id=node.node_id,
-                attempt=retry_job.attempt,
-            )
-            if self.retry_policy.register_loss(retry_job, node.node_id):
-                self.stats.retries += 1
-                self.events.emit(
-                    "job_retried",
-                    job_id=retry_job.job_id,
-                    attempt=retry_job.attempt,
-                )
-                self._route(retry_job)
-            else:
-                self._fail(retry_job)
+            self._lose(retry_job, node.node_id)
         if self.gate is not None:
             self.gate.capacity_changed()
 
     def _recover(self, node: ProverNode) -> None:
         self.stats.recoveries += 1
         node.recover(self.sim.now)
-        self.cluster.router.mark_up(node.node_id)
+        self.router.mark_up(node.node_id)
         self.events.emit("node_up", node_id=node.node_id, reason="recover")
         self._unpark()
         self.kick(node)
@@ -369,12 +262,12 @@ class ClusterEngine:
         Parked jobs count toward the backlog — they are exactly the
         work the fleet currently has no capacity for.
         """
-        router = self.cluster.router
+        router = self.router
         up = router.up_node_ids
         if not up:
             return None
         outstanding = router.outstanding
-        price = self.cluster.time_model.price
+        price = self.time_model.price
         parked = sum(price(job)[1] for job in self._parked)
         return (sum(outstanding.node_s(n) for n in up) + parked) / len(up)
 
@@ -407,49 +300,32 @@ class ClusterEngine:
         node_id = self.cluster.add_node()
         node = self.cluster.nodes[node_id]
         self.stats.scale_outs += 1
-        self.stats.autoscale_actions.append(
-            {
-                "at_s": round(self.sim.now, 6),
-                "action": "scale_out",
-                "node_id": node_id,
-                "signal_s": round(signal, 6),
-                "nodes": len(self.cluster.nodes),
-            }
-        )
-        self.events.emit(
-            "autoscale_decision",
-            node_id=node_id,
-            action="scale_out",
-            signal_s=round(signal, 6),
-            nodes=len(self.cluster.nodes),
-        )
+        self._autoscaled("scale_out", node_id, signal)
         if policy.provision_s > 0:
             # not routable until provisioned: down-marked, then revived
             node.down = True
-            self.cluster.router.mark_down(node_id)
+            self.router.mark_down(node_id)
             self.sim.schedule_after(
                 policy.provision_s,
                 lambda: self._provisioned(node),
                 priority=PRIO_CHURN,
             )
         else:
-            self.events.emit(
-                "node_up", node_id=node_id, reason="scale_out"
-            )
+            self.events.emit("node_up", node_id=node_id, reason="scale_out")
             self._unpark()
 
     def _provisioned(self, node: ProverNode) -> None:
         if self.cluster.nodes.get(node.node_id) is not node:
             return  # retired before provisioning finished
         node.recover(self.sim.now)
-        self.cluster.router.mark_up(node.node_id)
+        self.router.mark_up(node.node_id)
         self.events.emit("node_up", node_id=node.node_id, reason="scale_out")
         self._unpark()
         self.kick(node)
 
     def _scale_in(self, signal: float) -> None:
         policy = self.cluster.config.autoscale
-        router = self.cluster.router
+        router = self.router
         if len(router.up_node_ids) <= policy.min_nodes:
             return
         idle = [
@@ -466,27 +342,33 @@ class ClusterEngine:
         self.cluster.remove_node(node_id)
         self.events.emit("node_down", node_id=node_id, reason="scale_in")
         self.stats.scale_ins += 1
+        self._autoscaled("scale_in", node_id, signal)
+
+    def _autoscaled(self, action: str, node_id: str, signal: float) -> None:
+        """Record one autoscaler ``action`` and log its decision event."""
+        nodes = len(self.cluster.nodes)
+        signal_s = round(signal, 6)
         self.stats.autoscale_actions.append(
             {
                 "at_s": round(self.sim.now, 6),
-                "action": "scale_in",
+                "action": action,
                 "node_id": node_id,
-                "signal_s": round(signal, 6),
-                "nodes": len(self.cluster.nodes),
+                "signal_s": signal_s,
+                "nodes": nodes,
             }
         )
         self.events.emit(
             "autoscale_decision",
             node_id=node_id,
-            action="scale_in",
-            signal_s=round(signal, 6),
-            nodes=len(self.cluster.nodes),
+            action=action,
+            signal_s=signal_s,
+            nodes=nodes,
         )
 
     # -- entry points --------------------------------------------------------
     def _finalize(self) -> list[JobRecord]:
         """Sort, record, and really prove (execute mode) this run's work."""
-        for job in sorted(self._parked, key=lambda j: (j.arrival_s, j.job_id)):
+        for job in sorted(self._parked, key=arrival_order):
             self._fail(job)  # stranded: fleet was down to the end
         self._parked = []
         # jobs still parked at a phase boundary when the run drained out
@@ -517,7 +399,7 @@ class ClusterEngine:
         self.sim.run()
         records = self._finalize()
         for node_id in sorted(self.cluster.nodes):
-            self.cluster.router.release(node_id)
+            self.router.release(node_id)
         return records
 
     def run_scenario(

@@ -8,19 +8,21 @@ metrics layer (:mod:`repro.cluster.metrics`) and one validation
 harness (:mod:`repro.fleet.validation`) can consume either side
 without translation.
 
-:class:`RetryPolicy` is the matching crash-retry contract: attempt
-counters, loser exclusion, and the ``max_retries`` → failure rule.  The
-discrete-event engine and the asyncio fleet both call
-:meth:`RetryPolicy.register_loss` at the one place a node loss is
-accounted, so a job's retry history is identical whether the crash was
-simulated or a real killed process.
+:class:`Dispatcher` is the job lifecycle both runtimes inherit — accept,
+route, park, requeue, retry, fail — counted in :class:`ResilienceStats`
+under the :class:`RetryPolicy` crash-retry contract, so a job's history
+is the same code whether its crash was simulated or a killed process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from typing import Iterable
 
+from repro.cluster.routing import ClusterRouter, NoRoutableNodeError
+from repro.cluster.timemodel import FleetTimeModel
 from repro.service.jobs import ProofJob
+from repro.sim.events import EventLog
 
 
 @dataclass
@@ -86,12 +88,152 @@ class RetryPolicy:
 
         Bumps ``job.attempt``, appends ``node_id`` to the job's
         exclusion set (deduplicated, order-preserving), and applies the
-        retry budget.  Both runtimes call this exactly once per lost
-        in-flight job, so attempt histories match between simulation
-        and real execution.
+        retry budget.  :meth:`Dispatcher._lose` calls this exactly once
+        per lost in-flight job, in either runtime.
         """
         job.attempt += 1
         job.excluded_node_ids = tuple(
             dict.fromkeys((*job.excluded_node_ids, node_id))
         )
         return job.attempt <= self.max_retries
+
+
+def arrival_order(job: ProofJob) -> tuple[float, int]:
+    """The ``(arrival_s, job_id)`` key every queue and requeue drains in."""
+    return job.arrival_s, job.job_id
+
+
+@dataclass
+class ResilienceStats:
+    """Failure/retry/autoscale accounting for one run.
+
+    Counters cover the *serving window*: once the last job resolves,
+    the remaining churn trace is cancelled, so two cells replaying one
+    trace can legitimately report slightly different crash/recovery
+    counts when their jobs finish at different times.
+    """
+
+    crashes: int = 0
+    recoveries: int = 0
+    #: in-flight jobs lost to a crash and requeued (attempt bumped)
+    retries: int = 0
+    #: queued jobs moved off a crashed node (no retry penalty)
+    requeues: int = 0
+    #: times a job had to park because the whole fleet was down
+    parked: int = 0
+    #: retry exclusions waived because only excluded nodes were up
+    exclusion_waivers: int = 0
+    #: jobs dropped: retries exhausted or stranded with the fleet down
+    failed: int = 0
+    #: seconds of in-flight work destroyed by crashes (model seconds in
+    #: the sim, wall seconds in the real fleet)
+    lost_model_s: float = 0.0
+    scale_outs: int = 0
+    scale_ins: int = 0
+    autoscale_actions: list[dict] = dc_field(default_factory=list)
+
+    def as_dict(self) -> dict:
+        """The ``resilience`` section of the cluster summary."""
+        return {
+            "crashes": self.crashes,
+            "recoveries": self.recoveries,
+            "retries": self.retries,
+            "requeues": self.requeues,
+            "parked": self.parked,
+            "exclusion_waivers": self.exclusion_waivers,
+            "failed_jobs": self.failed,
+            "lost_model_s": round(self.lost_model_s, 6),
+            "autoscale": {
+                "scale_outs": self.scale_outs,
+                "scale_ins": self.scale_ins,
+                "actions": self.autoscale_actions,
+            },
+        }
+
+
+class Dispatcher:
+    """The job lifecycle shared by the sim engine and the real fleet.
+
+    A runtime (model or wall time) inherits it and supplies three hooks:
+    ``_enqueue(node_id, job)`` queues a routed job and returns the
+    runtime's node, ``kick(node)`` starts that node's next job if it is
+    up and idle, and ``_resolved(job)`` hears of each failed job.
+    """
+
+    def __init__(
+        self,
+        router: ClusterRouter,
+        time_model: FleetTimeModel,
+        events: EventLog,
+        max_retries: int,
+    ):
+        self.router = router
+        self.time_model = time_model
+        self.events = events
+        self.retry_policy = RetryPolicy(max_retries)
+        self.stats = ResilienceStats()
+        self.failed_jobs: list[ProofJob] = []
+        self._parked: list[ProofJob] = []
+
+    def _accept(self, job: ProofJob, job_id: int, cost_s: float | None = None) -> None:
+        """Arrival: stamp ``job_id``, log the acceptance, route."""
+        job.job_id = job_id
+        self.events.emit("job_accepted", job_id=job_id, tag=job.tag)
+        self._route(job, cost_s)
+
+    def _route(self, job: ProofJob, cost_s: float | None = None) -> None:
+        """Route one job at ``cost_s`` predicted prove seconds (default:
+        its time-model price); park it only when the whole fleet is down.
+
+        Node exclusion is best-effort: when only excluded nodes are up the
+        exclusion is waived (and counted) — a recovered loser is still a
+        better home than no home.
+        """
+        router = self.router
+        if cost_s is None:
+            cost_s = self.time_model.price(job)[1]
+        try:
+            node_id = router.assign(job, exclude=job.excluded_node_ids, cost_s=cost_s)
+        except NoRoutableNodeError:
+            if not router.up_count():
+                self.stats.parked += 1
+                self._parked.append(job)
+                return
+            self.stats.exclusion_waivers += 1
+            node_id = router.assign(job, cost_s=cost_s)
+        node = self._enqueue(node_id, job)
+        self.events.emit(
+            "job_assigned", job_id=job.job_id, node_id=node_id, attempt=job.attempt
+        )
+        self.kick(node)
+
+    def _unpark(self) -> None:
+        """Route every parked job again after a node became routable."""
+        parked, self._parked = self._parked, []
+        for job in sorted(parked, key=arrival_order):
+            self._route(job)
+
+    def _requeue(self, jobs: Iterable[ProofJob]) -> None:
+        """Re-route the queued jobs of a lost node (no retry penalty)."""
+        for job in sorted(jobs, key=arrival_order):
+            self.stats.requeues += 1
+            self._route(job)
+
+    def _lose(self, job: ProofJob, node_id: str) -> None:
+        """``node_id`` went down with ``job`` in flight: retry or fail it."""
+        self.events.emit(
+            "job_crashed", job_id=job.job_id, node_id=node_id, attempt=job.attempt
+        )
+        if self.retry_policy.register_loss(job, node_id):
+            self.stats.retries += 1
+            self.events.emit("job_retried", job_id=job.job_id, attempt=job.attempt)
+            self._route(job)
+        else:
+            self._fail(job)
+
+    def _fail(self, job: ProofJob) -> None:
+        """Drop ``job`` for good (it counts as a deadline miss)."""
+        self.stats.failed += 1
+        self.failed_jobs.append(job)
+        self.events.emit("job_failed", job_id=job.job_id, attempt=job.attempt)
+        self._resolved(job)

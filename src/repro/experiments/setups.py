@@ -30,15 +30,6 @@ def training_set(num_vars: int = SUMCHECK_NUM_VARS):
     return out
 
 
-def hyperplonk_set(num_vars: int = SUMCHECK_NUM_VARS):
-    """HyperPlonk polynomials 20-24."""
-    out = []
-    for gid in range(20, 25):
-        spec = gate_by_id(gid)
-        out.append((f"Poly {gid}", PolyProfile.from_gate(spec), num_vars))
-    return out
-
-
 def sweep_profile(degree: int, with_fr: bool = False) -> PolyProfile:
     return PolyProfile.from_gate(high_degree_sweep_gate(degree, with_fr))
 

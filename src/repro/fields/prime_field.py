@@ -163,11 +163,6 @@ class PrimeField:
         rng = rng or random
         return Felt(self, rng.randrange(self.modulus))
 
-    def rand_int(self, rng: random.Random | None = None) -> int:
-        """A uniform random integer in ``[0, p)``."""
-        rng = rng or random
-        return rng.randrange(self.modulus)
-
     def elements(self, values: Iterable[int]) -> list[Felt]:
         """Wrap each integer as a :class:`Felt`."""
         return [Felt(self, v) for v in values]

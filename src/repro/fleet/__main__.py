@@ -37,10 +37,7 @@ from repro.cluster.timemodel import TIME_MODEL_PRESETS
 from repro.fleet.core import FleetConfig, ProvingFleet
 from repro.fleet.validation import DEFAULT_SIGNIFICANCE, run_validation
 from repro.service.traffic import TrafficGenerator
-from repro.workloads import SCENARIOS, trace_for_downtime
-
-#: model seconds of churn horizon granted past the last job arrival
-CHURN_HORIZON_SLACK_S = 8.0
+from repro.workloads import CHURN_HORIZON_SLACK_S, SCENARIOS, trace_for_downtime
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,22 +3,21 @@
 :class:`ProvingFleet` runs what :class:`~repro.cluster.core.\
 ProvingCluster` simulates: N persistent worker processes
 (:mod:`repro.fleet.worker`), one per node, driven by a single-threaded
-asyncio coordinator.  The design mirrors the sim deliberately, piece by
-piece, so measured behavior is comparable to predicted behavior:
+asyncio coordinator, so measured behavior is comparable to predicted
+behavior:
 
-* **Routing** — the same :class:`~repro.cluster.routing.ClusterRouter`
-  object the sim uses, fed in the same submission order with the same
-  cost model, so failure-free placements are *identical* to the sim's
-  (``tests/test_fleet.py`` locks this).  Exclusion waivers and parking
-  follow :meth:`ClusterEngine._route` exactly.
+* **Job lifecycle** — like the sim engine, the fleet *is* a
+  :class:`~repro.cluster.records.Dispatcher`: one router charged through
+  ``time_model.price``, one parking / waiver / requeue / retry / failure
+  path, one :class:`~repro.cluster.records.ResilienceStats` — so
+  failure-free placements are *identical* to the sim's
+  (``tests/test_fleet.py`` locks this).  The fleet adds only wall-time
+  hooks: a node's queue, its dispatch, and run completion.
 * **Node discipline** — one in-flight job per node, queue drained in
   ``(arrival, job_id)`` order like
   :meth:`~repro.cluster.nodes.ProverNode.peek_next`.
-* **Failure semantics** — a dead node (churn kill, heartbeat miss, or
-  job timeout) loses its in-flight job to the shared
-  :class:`~repro.cluster.records.RetryPolicy`: attempt bump, loser
-  exclusion, ``max_retries`` → failed.  Queued jobs requeue without
-  penalty.  Jobs park when the whole fleet is down.
+* **Failure detection** — a churn kill, heartbeat miss, or job timeout
+  declares a node dead; from there the shared lifecycle applies.
 * **Events** — the same :class:`~repro.sim.events.EventLog` schema
   the sim engine emits, stamped with run-relative wall seconds.
 
@@ -38,6 +37,7 @@ corrupt at most the dead worker's pipe.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import multiprocessing as mp
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -45,13 +45,8 @@ from typing import Callable, Iterable
 
 from repro.cluster import metrics
 from repro.cluster.nodes import NodeConfig
-from repro.cluster.records import JobRecord, RetryPolicy
-from repro.cluster.routing import (
-    DEFAULT_REPLICAS,
-    NoRoutableNodeError,
-    ROUTING_POLICIES,
-    ClusterRouter,
-)
+from repro.cluster.records import Dispatcher, JobRecord, arrival_order
+from repro.cluster.routing import DEFAULT_REPLICAS, ClusterRouter
 from repro.cluster.timemodel import FleetTimeModel
 from repro.sim.events import EventLog
 from repro.fleet.heartbeat import HeartbeatMonitor
@@ -150,12 +145,9 @@ class _Handle:
         self.stopped = asyncio.Event()
         self.in_flight: _Flight | None = None
         self.pending: list = []
-        self.jobs_done = 0
-        self.crashes = 0
-        self.probes: list[WorkerProbe] = []
 
 
-class ProvingFleet:
+class ProvingFleet(Dispatcher):
     """N real worker processes behind the sim's router; see module doc.
 
     Synchronous surface: build one, call :meth:`run` (it owns an
@@ -166,47 +158,32 @@ class ProvingFleet:
 
     def __init__(self, config: FleetConfig | None = None):
         self.config = config = config or FleetConfig()
-        if config.num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
-        if config.policy not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown policy {config.policy!r}; "
-                f"choose from {ROUTING_POLICIES}"
-            )
-        self.time_model = FleetTimeModel.preset(config.time_model)
+        time_model = FleetTimeModel.preset(config.time_model)
         self.node_ids = [f"node-{i}" for i in range(config.num_nodes)]
-        self.router = ClusterRouter(
+        router = ClusterRouter(
             config.policy,
             self.node_ids,
-            cost_model=self.time_model.prove_model,
+            cost_model=time_model.prove_model,
             replicas=config.replicas,
         )
-        self.retry_policy = RetryPolicy(config.max_retries)
+        super().__init__(
+            router, time_model, EventLog(clock=self._now), config.max_retries
+        )
         self.monitor = HeartbeatMonitor(
             config.heartbeat_s, config.heartbeat_misses
         )
-        self.events = EventLog(clock=self._now)
         self.records: list[JobRecord] = []
-        self.failed_jobs: list = []
         #: completed :class:`TaskOutcome` per cluster job id
         self.outcomes: dict[int, TaskOutcome] = {}
         #: every :class:`WorkerProbe` collected (probe replies + final
         #: stop snapshots) — the build-once SRS evidence
         self.worker_probes: list[WorkerProbe] = []
-        #: counters mirroring :class:`~repro.cluster.engine.ResilienceStats`
-        self.crashes = 0
-        self.retries = 0
-        self.requeues = 0
-        self.parked_count = 0
-        self.exclusion_waivers = 0
-        self.lost_wall_s = 0.0
         self._handles: dict[str, _Handle] = {}
-        self._parked: list = []
         self._ctx = _mp_context()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
         self._total = 0
-        self._next_id = 0
+        self._job_ids = itertools.count()
         self._done: asyncio.Event | None = None
         #: churn recovery events not yet applied: each will spawn a node
         self._recoveries_due = 0
@@ -282,7 +259,7 @@ class ProvingFleet:
                 self.router.mark_up(node_id)
             self.events.emit("node_up", node_id=node_id, pid=payload)
             self._unpark()
-            self._kick(handle)
+            self.kick(handle)
         elif kind == "heartbeat":
             if current and handle.up:
                 self.monitor.beat(node_id)
@@ -292,53 +269,26 @@ class ProvingFleet:
             self._complete(handle, payload)
         elif kind == "probe":
             self.worker_probes.append(payload)
-            handle.probes.append(payload)
         elif kind == "stopped":
             self.worker_probes.append(payload)
-            handle.probes.append(payload)
             handle.stopped.set()
 
-    # -- submission / routing (mirrors ClusterEngine) ------------------------
+    # -- dispatcher hooks ----------------------------------------------------
     def _submit(self, job) -> None:
-        job.job_id = self._next_id
-        self._next_id += 1
-        self.events.emit("job_accepted", job_id=job.job_id, tag=job.tag)
-        self._route(job)
+        self._accept(job, next(self._job_ids))
 
-    def _route(self, job) -> str | None:
-        """Route one job, parking it when nothing is routable."""
-        try:
-            node_id = self.router.assign(job, exclude=job.excluded_node_ids)
-        except NoRoutableNodeError:
-            if not self.router.up_node_ids:
-                self.parked_count += 1
-                self._parked.append(job)
-                return None
-            self.exclusion_waivers += 1
-            node_id = self.router.assign(job)
+    def _enqueue(self, node_id: str, job) -> _Handle:
         handle = self._handles[node_id]
         handle.pending.append(job)
-        self.events.emit(
-            "job_assigned",
-            job_id=job.job_id,
-            node_id=node_id,
-            attempt=job.attempt,
-        )
-        self._kick(handle)
-        return node_id
+        return handle
 
-    def _unpark(self) -> None:
-        parked, self._parked = self._parked, []
-        for job in sorted(parked, key=lambda j: (j.arrival_s, j.job_id)):
-            self._route(job)
-
-    def _kick(self, handle: _Handle) -> None:
+    def kick(self, handle: _Handle) -> None:
         """Dispatch the node's next queued job if it is idle and up."""
         if not handle.up or handle.in_flight is not None:
             return
         if not handle.pending:
             return
-        job = min(handle.pending, key=lambda j: (j.arrival_s, j.job_id))
+        job = min(handle.pending, key=arrival_order)
         handle.pending.remove(job)
         task = ProveTask(
             job_id=job.job_id,
@@ -381,8 +331,7 @@ class ProvingFleet:
         )
         self.records.append(record)
         self.outcomes[job.job_id] = outcome
-        handle.jobs_done += 1
-        self.router.release(handle.node_id, self.router.job_cost_s(job))
+        self.router.release(handle.node_id, self.time_model.price(job)[1])
         self.events.emit(
             "job_completed",
             job_id=job.job_id,
@@ -390,15 +339,10 @@ class ProvingFleet:
             attempt=job.attempt,
             cache_hit=outcome.cache_hit,
         )
-        self._check_done()
-        self._kick(handle)
+        self._resolved(job)
+        self.kick(handle)
 
-    def _fail_job(self, job) -> None:
-        self.failed_jobs.append(job)
-        self.events.emit("job_failed", job_id=job.job_id, attempt=job.attempt)
-        self._check_done()
-
-    def _check_done(self) -> None:
+    def _resolved(self, job) -> None:
         if len(self.records) + len(self.failed_jobs) >= self._total:
             self._done.set()
 
@@ -419,8 +363,7 @@ class ProvingFleet:
         if not handle.up:
             return
         handle.up = False
-        handle.crashes += 1
-        self.crashes += 1
+        self.stats.crashes += 1
         self.monitor.forget(node_id)
         if handle.process.is_alive():
             handle.process.kill()
@@ -432,26 +375,10 @@ class ProvingFleet:
         if flight is not None and flight.timeout is not None:
             flight.timeout.cancel()
         requeued, handle.pending = handle.pending, []
-        for job in sorted(requeued, key=lambda j: (j.arrival_s, j.job_id)):
-            self.requeues += 1
-            self._route(job)
+        self._requeue(requeued)
         if flight is not None:
-            job = flight.job
-            self.lost_wall_s += max(0.0, self._now() - flight.start_s)
-            self.events.emit(
-                "job_crashed",
-                job_id=job.job_id,
-                node_id=node_id,
-                attempt=job.attempt,
-            )
-            if self.retry_policy.register_loss(job, node_id):
-                self.retries += 1
-                self.events.emit(
-                    "job_retried", job_id=job.job_id, attempt=job.attempt
-                )
-                self._route(job)
-            else:
-                self._fail_job(job)
+            self.stats.lost_model_s += max(0.0, self._now() - flight.start_s)
+            self._lose(flight.job, node_id)
         if respawn and not self._shutting_down:
             self._spawn(node_id)
         else:
@@ -647,7 +574,7 @@ class ProvingFleet:
         """Measured-side metrics in wall seconds: ``measured`` is built
         like the sim's ``model`` block, from the same
         :mod:`repro.cluster.metrics` helpers, so the two compare directly."""
-        records = self.records
+        records, stats = self.records, self.stats
         busy = dict.fromkeys(self.node_ids, 0.0)
         jobs = dict.fromkeys(self.node_ids, 0)
         hits = 0
@@ -672,17 +599,17 @@ class ProvingFleet:
             },
             "routing": {"jobs_per_node": dict(sorted(jobs.items()))},
             "resilience": {
-                "crashes": self.crashes,
-                "retries": self.retries,
-                "requeues": self.requeues,
-                "parked": self.parked_count,
-                "exclusion_waivers": self.exclusion_waivers,
+                "crashes": stats.crashes,
+                "retries": stats.retries,
+                "requeues": stats.requeues,
+                "parked": stats.parked,
+                "exclusion_waivers": stats.exclusion_waivers,
                 "failed_jobs": len(self.failed_jobs),
-                "lost_wall_s": round(self.lost_wall_s, 6),
+                "lost_wall_s": round(stats.lost_model_s, 6),
             },
         }
         if self.config.respect_arrivals:
             doc["deadlines"] = metrics.deadline_stats(records, self.failed_jobs)
-        if self.crashes:
+        if stats.crashes:
             doc["retries"] = metrics.retry_stats(records)
         return doc

@@ -41,11 +41,6 @@ class HeartbeatMonitor:
         """Silence budget: seconds without a beat before a node is dead."""
         return self.interval_s * self.miss_threshold
 
-    @property
-    def watched(self) -> list[str]:
-        """Node ids currently under watch (sorted)."""
-        return sorted(self._last)
-
     def expect(self, node_id: str) -> None:
         """Start watching ``node_id`` (its silence budget starts now)."""
         self._last[node_id] = self.clock()

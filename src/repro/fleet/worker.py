@@ -53,7 +53,6 @@ class WorkerSpec:
     srs_max_vars: int
     srs_seed: int = 0x5EED
     cache_capacity: int | None = None
-    fixed_base: bool = True
     #: seconds between heartbeats while healthy
     heartbeat_s: float = 0.05
 
@@ -67,10 +66,7 @@ def worker_main(spec: WorkerSpec, inbox, outbox) -> None:
     the ``srs_builds`` counter that proves it stayed that way.
     """
     state = WorkerState(
-        spec.srs_seed,
-        spec.srs_max_vars,
-        spec.fixed_base,
-        spec.cache_capacity,
+        spec.srs_seed, spec.srs_max_vars, cache_capacity=spec.cache_capacity
     )
     stop_beats = threading.Event()
     frozen = threading.Event()

@@ -28,9 +28,10 @@ On top of the pump:
   :func:`~repro.traffic.metrics.traffic_summary` joins against the
   run's records.
 
-Everything else — one price per job, routing, node churn, retries,
-autoscaling, the event log — is inherited unchanged from the
-closed-loop engine.
+Everything else — one price per job, the shared job lifecycle
+(:class:`~repro.cluster.records.Dispatcher`: routing, parking, retries),
+node churn, autoscaling, the event log — is inherited unchanged from
+the closed-loop engine.
 """
 
 from __future__ import annotations
@@ -144,8 +145,7 @@ class OpenLoopEngine(ClusterEngine):
         )
         if admitted:
             self.admitted += 1
-            self.events.emit("job_accepted", job_id=job.job_id, tag=job.tag)
-            self._route(job, prove_s)
+            self._accept(job, job.job_id, prove_s)
         else:
             self.events.emit(
                 "job_shed",

@@ -14,6 +14,7 @@ from repro.workloads.catalog import (
     workload_by_name,
 )
 from repro.workloads.churn import (
+    CHURN_HORIZON_SLACK_S,
     CHURN_SCENARIOS,
     ChurnEvent,
     ChurnScenario,
@@ -23,6 +24,7 @@ from repro.workloads.churn import (
 )
 
 __all__ = [
+    "CHURN_HORIZON_SLACK_S",
     "CHURN_SCENARIOS",
     "ChurnEvent",
     "ChurnScenario",

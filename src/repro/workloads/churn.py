@@ -24,6 +24,9 @@ from dataclasses import dataclass
 #: event kinds carried by a churn trace
 CHURN_KINDS = ("crash", "recover")
 
+#: model seconds of churn horizon granted past a stream's last arrival
+CHURN_HORIZON_SLACK_S = 8.0
+
 
 @dataclass(frozen=True)
 class ChurnEvent:

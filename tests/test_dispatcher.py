@@ -1,0 +1,134 @@
+"""The shared job lifecycle, driven directly.
+
+:class:`~repro.cluster.records.Dispatcher` is the one copy of accept /
+route / park / unpark / requeue / retry / fail that both the simulated
+cluster (:class:`~repro.cluster.engine.ClusterEngine`, model time) and
+the real fleet (:class:`~repro.fleet.core.ProvingFleet`, wall time)
+inherit.  These tests run it under a fake runtime that only records its
+three hooks, over a real :class:`~repro.cluster.routing.ClusterRouter`,
+so the parking, waiver, retry-budget and requeue rules are checked
+without a simulator or a worker process — and, because neither runtime
+overrides a lifecycle method, for both runtimes at once.
+"""
+
+import pytest
+
+from repro.cluster import ClusterEngine, ClusterRouter, Dispatcher, FleetTimeModel
+from repro.fleet import ProvingFleet
+from repro.service.traffic import TrafficGenerator
+from repro.sim.events import EventLog
+from repro.traffic import OpenLoopEngine
+
+NODES = ("node-0", "node-1")
+LIFECYCLE = ("_accept", "_route", "_unpark", "_requeue", "_lose", "_fail")
+
+
+class FakeRuntime(Dispatcher):
+    """A runtime that records every hook call instead of running jobs."""
+
+    def __init__(self, *, policy: str = "round_robin", max_retries: int = 2):
+        time_model = FleetTimeModel.functional()
+        router = ClusterRouter(policy, NODES, cost_model=time_model.prove_model)
+        super().__init__(router, time_model, EventLog(), max_retries)
+        self.calls: list[tuple] = []
+
+    def _enqueue(self, node_id, job):
+        self.calls.append(("enqueue", node_id, job.job_id))
+        return node_id
+
+    def kick(self, node):
+        self.calls.append(("kick", node))
+
+    def _resolved(self, job):
+        self.calls.append(("resolved", job.job_id))
+
+    def enqueued(self) -> list[tuple[str, int]]:
+        return [call[1:] for call in self.calls if call[0] == "enqueue"]
+
+
+def make_jobs(arrivals: list[float]) -> list:
+    jobs = TrafficGenerator("uniform-small", seed=3).jobs(len(arrivals))
+    for job, arrival in zip(jobs, arrivals):
+        job.arrival_s = arrival
+    return jobs
+
+
+def kinds(runtime: FakeRuntime) -> list[str]:
+    return [event.kind for event in runtime.events]
+
+
+class TestLifecycle:
+    def test_whole_fleet_down_parks_then_unparks_in_arrival_order(self):
+        runtime = FakeRuntime()
+        for node_id in NODES:
+            runtime.router.mark_down(node_id)
+        jobs = make_jobs([2.0, 1.0, 1.0])
+        for job_id, job in enumerate(jobs):
+            runtime._accept(job, job_id)
+        assert runtime.stats.parked == 3
+        assert runtime.calls == []
+        assert kinds(runtime) == ["job_accepted"] * 3
+        runtime.router.mark_up("node-1")
+        runtime._unpark()
+        assert runtime._parked == []
+        # (arrival, job_id): the two 1.0 s arrivals by id, then the 2.0 s one
+        assert runtime.enqueued() == [("node-1", 1), ("node-1", 2), ("node-1", 0)]
+        assert runtime.calls[:2] == [("enqueue", "node-1", 1), ("kick", "node-1")]
+        assert runtime.stats.exclusion_waivers == 0
+
+    def test_waiver_counted_when_only_the_loser_is_up(self):
+        runtime = FakeRuntime()
+        (job,) = make_jobs([0.0])
+        runtime._accept(job, 0)
+        assert runtime.enqueued() == [("node-0", 0)]
+        runtime.router.mark_down("node-1")
+        runtime._lose(job, "node-0")
+        assert job.excluded_node_ids == ("node-0",)
+        assert runtime.stats.exclusion_waivers == 1
+        assert runtime.stats.parked == 0
+        # the waived exclusion sends the retry back to the only up node
+        assert runtime.enqueued() == [("node-0", 0), ("node-0", 0)]
+        assert runtime.stats.retries == 1
+
+    def test_loss_after_last_retry_fails_once(self):
+        runtime = FakeRuntime(max_retries=1)
+        (job,) = make_jobs([0.0])
+        runtime._accept(job, 0)
+        runtime._lose(job, "node-0")
+        assert job.attempt == 1
+        runtime._lose(job, "node-1")
+        assert job.attempt == 2
+        assert runtime.stats.retries == 1
+        assert runtime.stats.failed == 1
+        assert runtime.failed_jobs == [job]
+        assert [c for c in runtime.calls if c[0] == "resolved"] == [("resolved", 0)]
+        assert kinds(runtime) == [
+            "job_accepted",
+            "job_assigned",
+            "job_crashed",
+            "job_retried",
+            "job_assigned",
+            "job_crashed",
+            "job_failed",
+        ]
+
+    def test_requeue_never_bumps_attempt(self):
+        runtime = FakeRuntime(policy="least_loaded")
+        jobs = make_jobs([0.5, 0.25, 0.75])
+        for job_id, job in enumerate(jobs):
+            runtime._accept(job, job_id)
+        runtime.calls.clear()
+        runtime.router.mark_down("node-0")
+        runtime._requeue(jobs)
+        assert runtime.stats.requeues == 3
+        assert [job.attempt for job in jobs] == [0, 0, 0]
+        assert [job.excluded_node_ids for job in jobs] == [(), (), ()]
+        assert runtime.enqueued() == [("node-1", 1), ("node-1", 0), ("node-1", 2)]
+        assert "job_retried" not in kinds(runtime)
+
+
+@pytest.mark.parametrize("runtime", [ClusterEngine, OpenLoopEngine, ProvingFleet])
+def test_runtimes_inherit_the_lifecycle_unchanged(runtime):
+    assert issubclass(runtime, Dispatcher)
+    for name in LIFECYCLE:
+        assert getattr(runtime, name) is getattr(Dispatcher, name), name

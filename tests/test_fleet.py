@@ -128,7 +128,7 @@ class TestFailurePaths:
         kinds = fleet.events.kinds()
         assert kinds["job_crashed"] >= 1
         assert kinds["job_retried"] >= 1
-        assert fleet.crashes == kinds["node_down"] >= 1
+        assert fleet.stats.crashes == kinds["node_down"] >= 1
         downs = [e for e in fleet.events if e.kind == "node_down"]
         assert downs[0].node_id == "node-0"
         assert {e.detail["reason"] for e in downs} == {"heartbeat"}
@@ -152,7 +152,7 @@ class TestFailurePaths:
         # from the kill to the end of the run: a few heartbeats, not the
         # timeout (run-relative clock, so worker start-up is not in it)
         assert ended and ended[0] < 2.0
-        assert fleet.crashes == 1
+        assert fleet.stats.crashes == 1
         assert len(fleet.records) + len(fleet.failed_jobs) < 4
         assert not any(h.process.is_alive() for h in fleet._handles.values())
 
@@ -164,14 +164,14 @@ class TestFailurePaths:
         records = fleet.run(stream(4), actions=actions)
         assert len(records) == 4
         assert not fleet.failed_jobs
-        assert fleet.crashes == 1
+        assert fleet.stats.crashes == 1
         # round_robin sent job 0 to node-0; the kill caught it in flight
         crashed = [e for e in fleet.events if e.kind == "job_crashed"]
         assert [e.job_id for e in crashed] == [0]
         record = {r.job_id: r for r in records}[0]
         assert record.attempt == 1
         assert record.node_id == "node-1"
-        assert fleet.lost_wall_s > 0.0
+        assert fleet.stats.lost_model_s > 0.0
 
     def test_double_crash_of_same_node(self):
         fleet = make_fleet(
@@ -192,7 +192,7 @@ class TestFailurePaths:
         records = fleet.run(stream(10), actions=actions)
         assert len(records) == 10
         assert not fleet.failed_jobs
-        assert fleet.crashes == 2
+        assert fleet.stats.crashes == 2
         downs = [e for e in fleet.events if e.kind == "node_down"]
         assert [e.node_id for e in downs] == ["node-0", "node-0"]
         # two generations of node-0 came up: initial + one respawn
@@ -213,7 +213,7 @@ class TestFailurePaths:
         # cut off early: work remained, but the stop was a drain, not a
         # crash — worker exited cleanly and reported its final snapshot
         assert len(fleet.records) < 16
-        assert fleet.crashes == 0
+        assert fleet.stats.crashes == 0
         assert all(
             not h.process.is_alive() for h in fleet._handles.values()
         )
@@ -318,8 +318,8 @@ def summary_fixture() -> ProvingFleet:
     fleet.failed_jobs = [
         ProofJob(job_id=5, circuit=None, circuit_key="k", deadline_s=5.0)
     ]
-    fleet.crashes, fleet.retries, fleet.requeues = 1, 1, 2
-    fleet.exclusion_waivers, fleet.lost_wall_s = 1, 0.3
+    fleet.stats.crashes, fleet.stats.retries, fleet.stats.requeues = 1, 1, 2
+    fleet.stats.exclusion_waivers, fleet.stats.lost_model_s = 1, 0.3
     return fleet
 
 

@@ -24,7 +24,12 @@ from repro.cluster import (
 )
 from repro.plan import FunctionalProverCostModel, OutstandingCost
 from repro.service.traffic import TrafficGenerator
-from repro.workloads import ChurnEvent, churn_trace, trace_for_downtime
+from repro.workloads import (
+    CHURN_HORIZON_SLACK_S,
+    ChurnEvent,
+    churn_trace,
+    trace_for_downtime,
+)
 
 #: crash both nodes mid-stream, recover them staggered: exercises
 #: in-flight loss (retry), whole-fleet-down parking, and recovery
@@ -234,7 +239,7 @@ class TestAutoscaler:
         provisions a replacement, and ticks stop on a frozen heap)."""
         generator = TrafficGenerator("zipf-mixed", seed=1)
         jobs = generator.jobs(48)
-        horizon = max(j.arrival_s for j in jobs) + 8.0
+        horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
         churn = trace_for_downtime(
             4, horizon, downtime_fraction=0.2, mttr_s=2.0, seed=101
         )
