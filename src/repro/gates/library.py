@@ -13,7 +13,8 @@ f = q1*w1 + q2*w2 + q3*w1^(d-1)*w2 + qc used by the degree sweeps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.gates.compiler import CompiledGate, compile_expr
 from repro.gates.expr import Expr, Scalar, Var
@@ -21,7 +22,12 @@ from repro.gates.expr import Expr, Scalar, Var
 
 @dataclass
 class GateSpec:
-    """One row of Table I."""
+    """One row of Table I.
+
+    The sum-of-products form is compiled on first use of
+    :attr:`compiled` (or of a property read from it), not when the spec
+    is built, so importing Table I compiles nothing.
+    """
 
     gate_id: int
     name: str
@@ -30,10 +36,10 @@ class GateSpec:
     selector_names: tuple[str, ...] = ()
     #: names of symbolic scalars that must be bound
     scalar_names: tuple[str, ...] = ()
-    compiled: CompiledGate = dc_field(init=False)
 
-    def __post_init__(self):
-        self.compiled = compile_expr(self.name, self.expr)
+    @cached_property
+    def compiled(self) -> CompiledGate:
+        return compile_expr(self.name, self.expr)
 
     @property
     def degree(self) -> int:

@@ -92,10 +92,10 @@ class Opening:
         return 32 + 48 * len(self.quotients)
 
 
-#: Serialises SRS base builds (they are expensive, and one call fills
-#: several arities) so concurrent thread-pool workers meeting a new
-#: arity share one list and one set of resident tables.  Module-wide
-#: rather than per instance: a :class:`TrapdoorSRS` pickles.
+#: Serialises the SRS's one-time builds (the G1 bases of every arity,
+#: the G2 verifying key) so concurrent thread-pool workers share one
+#: list per arity and one set of resident tables.  Module-wide rather
+#: than per instance: a :class:`TrapdoorSRS` pickles.
 _BASES_LOCK = threading.Lock()
 
 
@@ -116,6 +116,11 @@ class TrapdoorSRS:
     arity both support, and a verifier may hold a larger one than the
     prover did.
 
+    Set-up work happens once per instance and only when asked for: the
+    first :meth:`bases` call of any arity builds every arity (2^max_vars
+    generator multiplications), the first :meth:`g2_elements` call the
+    G2 key of every arity (max_vars G2 multiplications).
+
     The secret ``s`` is retained for exponent-space verification (see
     module docstring).  A production system would run a ceremony and
     discard it.
@@ -126,6 +131,7 @@ class TrapdoorSRS:
         self.max_vars = max_vars
         self.secret = [rng.randrange(1, FR_MODULUS) for _ in range(max_vars)][::-1]
         self._bases_cache: dict[int, ResidentBases] = {}
+        self._g2_key: list | None = None
 
     def secrets_for(self, num_vars: int) -> list[int]:
         """The suffix secrets an arity-``num_vars`` polynomial is bound to."""
@@ -138,37 +144,38 @@ class TrapdoorSRS:
     def bases(self, num_vars: int) -> ResidentBases:
         """G1 bases g^{eq_x(suffix secrets)} for all 2^ν hypercube points.
 
-        The list is the same object on every call, and the MSM kernel
-        keeps its odd-multiple tables of these bases on it (built by the
-        first commitment of this arity that runs the Straus path), so
-        every later MSM over ``srs.bases(ν)`` is a fixed-base one.
+        The first call of any arity builds them all (:meth:`_build_bases`),
+        so the order a caller asks in costs nothing.  The list is the same
+        object on every call, and the MSM kernel keeps its odd-multiple
+        tables of these bases on it (built by the first commitment of this
+        arity that runs the Straus path), so every later MSM over
+        ``srs.bases(ν)`` is a fixed-base one.
         """
         bases = self._bases_cache.get(num_vars)
         if bases is None:
+            self.secrets_for(num_vars)  # range check, before any build
             with _BASES_LOCK:
-                bases = self._bases_cache.get(num_vars)
-                if bases is None:
-                    bases = self._build_bases(num_vars)
+                if not self._bases_cache:
+                    self._build_bases()
+            bases = self._bases_cache[num_vars]
         return bases
 
-    def _build_bases(self, num_vars: int) -> ResidentBases:
-        """One generator multiplication per base for arity ``num_vars``,
-        then every arity below it that is not resident yet by pair sums:
-        eq sums to 1 over its first variable and a lower arity is bound
-        to the shorter suffix of the same secrets, so
+    def _build_bases(self) -> None:
+        """Every arity 0..max_vars: one generator multiplication per base
+        of the top arity, then each arity below by pair sums of the one
+        above.  eq sums to 1 over its first variable and a lower arity is
+        bound to the shorter suffix of the same secrets, so
         ``bases(ν-1)[j] = bases(ν)[2j] + bases(ν)[2j+1]`` — one batched
-        addition (~4 µs) where a multiplication costs ~0.4 ms.  A caller
-        that commits at its top arity first therefore pays 2^ν
-        multiplications for the whole SRS, not 2^(ν+1) - 1."""
+        addition (~4 µs) where a multiplication costs ~0.4 ms.  The whole
+        SRS costs 2^max_vars multiplications, whatever arity is asked
+        first."""
         table = generator_table()
-        built = level = ResidentBases(batch_normalize(
+        level = ResidentBases(batch_normalize(
             [table.mul(v)
-             for v in build_eq_mle(Fr, self.secrets_for(num_vars)).table]
+             for v in build_eq_mle(Fr, self.secrets_for(self.max_vars)).table]
         ))
-        cache = self._bases_cache
-        for arity in range(num_vars - 1, -1, -1):
-            if arity in cache:
-                break  # and with it every arity below
+        cache = {self.max_vars: level}
+        for arity in range(self.max_vars - 1, -1, -1):
             rows = [
                 [(pt.x, pt.y) for pt in level[j:j + 2] if not pt.inf]
                 for j in range(0, len(level), 2)
@@ -177,17 +184,23 @@ class TrapdoorSRS:
             level = cache[arity] = ResidentBases(
                 AffinePoint(G1, *row[0]) if row else G1.infinity for row in rows
             )
-        cache[num_vars] = built
-        return built
+        self._bases_cache.update(cache)
 
     def g2_elements(self, num_vars: int):
         """The *public* G2 verifying key for arity ν: (h, [s_i·h]) over
         the suffix secrets.  With these, opening verification needs no
-        trapdoor — see :meth:`MultilinearKZG.verify_pairing`."""
+        trapdoor — see :meth:`MultilinearKZG.verify_pairing`.  The key
+        of every arity is one list, [s·h for each secret], built on the
+        first call; arity ν is its suffix, as in :meth:`secrets_for`."""
         from repro.curves.pairing import G2Point
 
+        self.secrets_for(num_vars)  # range check
         h = G2Point.generator()
-        return h, [h.scalar_mul(s) for s in self.secrets_for(num_vars)]
+        if self._g2_key is None:
+            with _BASES_LOCK:
+                if self._g2_key is None:
+                    self._g2_key = [h.scalar_mul(s) for s in self.secret]
+        return h, self._g2_key[self.max_vars - num_vars:]
 
 
 class MultilinearKZG:

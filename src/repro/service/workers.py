@@ -24,7 +24,7 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field as dc_field
 
 from repro.fields import Fq, Fr
@@ -283,11 +283,21 @@ class ThreadExecutor(WorkerPool):
 
 
 class ProcessExecutor(WorkerPool):
+    """A process pool whose workers each rebuild the service's SRS.
+
+    ``concurrent.futures.process`` (and with it :mod:`multiprocessing`)
+    is imported when the first pool is built, so a process that never
+    asks for one — every sync or thread service, every CLI that does not
+    prove — does not load it.
+    """
+
     kind = "process"
 
     def __init__(self, num_workers: int, srs_seed: int, srs_max_vars: int,
                  fixed_base: bool = True,
                  cache_capacity: int | None = None):
+        from concurrent.futures import ProcessPoolExecutor
+
         super().__init__(num_workers)
         self._pool = ProcessPoolExecutor(
             max_workers=num_workers,

@@ -1,5 +1,6 @@
 """Tests for the multilinear KZG commitment scheme."""
 
+import hashlib
 import random
 import sys
 import threading
@@ -67,8 +68,8 @@ class TestCommit:
         out-of-band checkers may size theirs differently)."""
         small = MultilinearKZG(TrapdoorSRS(2, random.Random(0xABCD)))
         large = MultilinearKZG(TrapdoorSRS(4, random.Random(0xABCD)))
-        large.srs.bases(4)  # top first: 3..0 are pair sums of it
-        for arity in range(3):  # bottom first: each built directly
+        # each derives arities 0..2 from its own top arity: 2 and 4
+        for arity in range(3):
             assert small.srs.bases(arity) == large.srs.bases(arity)
         f = DenseMLE.random(Fr, 2, rng)
         point = [rng.randrange(P) for _ in range(2)]
@@ -85,10 +86,41 @@ def request_orders(max_vars):
     return [ascending, ascending[::-1], middle_out, shuffled]
 
 
+#: sha256 of every arity's points (:func:`srs_digest`) of
+#: ``TrapdoorSRS(7, random.Random(seed))``, recorded while a bottom-first
+#: caller still had each arity built from the generator on its own (the
+#: same digests asked bottom-first and top-first)
+SRS_DIGESTS = {
+    0: "c2dfa846bf3cf5991c1c29c331978fe8d4e93adebf7ae730579b279d64445600",
+    1: "dd4fe682cb208819132b116437822ac0fd08aa4747c2422f7b9ce88715b8e0df",
+    7: "5737135d10813cf214f3862ce66a11dca2afd72e3358496c71680a30aef10955",
+}
+
+
+def srs_digest(srs):
+    digest = hashlib.sha256()
+    for arity in range(srs.max_vars + 1):
+        for pt in srs.bases(arity):
+            digest.update(repr((arity, pt.x, pt.y, pt.inf)).encode())
+    return digest.hexdigest()
+
+
+class CountingTable:
+    """The generator comb, counting its multiplications."""
+
+    def __init__(self):
+        self.table, self.muls = generator_table(), 0
+
+    def mul(self, k):
+        self.muls += 1
+        return self.table.mul(k)
+
+
 class TestSRSBases:
-    """Only the first arity a caller asks for (and any above what is
-    resident) costs a generator multiplication per base; the rest are
-    pair sums of the arity above — the same points either way."""
+    """Whatever arity a caller asks for first, the SRS builds its top
+    arity from the generator — one multiplication per base, 2^max_vars
+    in all — and every lower arity as pair sums of the one above, once;
+    the same points as a direct build of each arity."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -125,22 +157,51 @@ class TestSRSBases:
 
     def test_an_arity_is_built_once_and_keeps_its_tables(self, builds):
         srs = TrapdoorSRS(5, random.Random(3))
-        low = srs.bases(2)
-        assert builds == [2] and sorted(srs._bases_cache) == [0, 1, 2]
+        low = srs.bases(2)  # builds 5 from the generator, derives 4..0
+        assert builds == [5] and sorted(srs._bases_cache) == list(range(6))
         scalars = list(range(1, 5))
         expected = msm_pippenger(scalars, low)
         tables = low._tables
         assert tables is not None
-        top = srs.bases(5)  # fills 4 and 3, stops at the resident 2
-        assert builds == [2, 5] and sorted(srs._bases_cache) == list(range(6))
+        top = srs.bases(5)
         for arity in (4, 3, 1, 0):
             assert isinstance(srs.bases(arity), ResidentBases)
-        assert builds == [2, 5]
+        assert builds == [5]
         assert srs.bases(2) is low and low._tables is tables
         assert srs.bases(5) is top
         assert msm_pippenger(scalars, srs.bases(2)) == expected
         with pytest.raises(ValueError):
             srs.bases(6)
+
+    @pytest.mark.parametrize("max_vars", [1, 4, 7])
+    def test_every_order_makes_one_top_arity_build(self, max_vars, builds,
+                                                    monkeypatch):
+        """2^max_vars generator multiplications whatever the order: the
+        yardstick's set-up (arities 0..7 ascending) went from 255 to 128."""
+        table = CountingTable()
+        monkeypatch.setattr(commitment_module, "generator_table", lambda: table)
+        for order in request_orders(max_vars):
+            builds.clear()
+            table.muls = 0
+            srs = TrapdoorSRS(max_vars, random.Random(max_vars))
+            for arity in order:
+                srs.bases(arity)
+            assert builds == [max_vars], order
+            assert table.muls == 1 << max_vars, order
+
+    def test_an_arity_above_the_srs_builds_nothing(self, builds):
+        srs = TrapdoorSRS(4, random.Random(2))
+        with pytest.raises(ValueError):
+            srs.bases(5)
+        assert builds == [] and srs._bases_cache == {}
+
+    @pytest.mark.parametrize("seed", sorted(SRS_DIGESTS))
+    @pytest.mark.parametrize("top_first", [False, True])
+    def test_points_are_bit_identical_to_the_recorded_digest(self, seed,
+                                                             top_first):
+        srs = TrapdoorSRS(7, random.Random(seed))
+        srs.bases(7 if top_first else 0)
+        assert srs_digest(srs) == SRS_DIGESTS[seed]
 
     def test_infinity_bases_survive_the_pair_sums(self):
         """A secret equal to 1 (never drawn in practice) zeroes half of

@@ -1,6 +1,8 @@
 """Tests for the Fp12 tower, the ate pairing, and public KZG verification."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -172,6 +174,65 @@ class TestPublicKZGVerification:
         commitment = kzg.commit(f)
         assert kzg.verify(commitment, opening)          # trapdoor path
         assert kzg.verify_pairing(commitment, opening)  # public path
+
+    @pytest.fixture
+    def g2_scalars(self, monkeypatch):
+        """Every scalar a G2 point is multiplied by, in order."""
+        scalars = []
+        real = G2Point.scalar_mul
+
+        def scalar_mul(point, k):
+            scalars.append(k)
+            return real(point, k)
+
+        monkeypatch.setattr(G2Point, "scalar_mul", scalar_mul)
+        return scalars
+
+    def test_the_verifying_key_is_built_once_for_every_arity(self, rng,
+                                                              g2_scalars):
+        """Two arities, one key: max_vars G2 multiplications by a secret
+        in all, and arity ν gets the suffix ``secrets_for(ν)`` binds."""
+        srs = TrapdoorSRS(2, random.Random(5))
+        kzg = MultilinearKZG(srs)
+        for arity in (2, 1):
+            f = DenseMLE.random(Fr, arity, rng)
+            point = [rng.randrange(Fr.modulus) for _ in range(arity)]
+            opening, commitment = kzg.open(f, point), kzg.commit(f)
+            assert kzg.verify_pairing(commitment, opening)
+            bad = Opening(opening.point, (opening.value + 1) % Fr.modulus,
+                          opening.quotients)
+            assert not kzg.verify_pairing(commitment, bad)
+        assert [k for k in g2_scalars if k in srs.secret] == srs.secret
+        h = G2Point.generator()
+        for arity in range(3):
+            assert srs.g2_elements(arity) == (
+                h, [h.scalar_mul(s) for s in srs.secrets_for(arity)])
+        with pytest.raises(ValueError):
+            srs.g2_elements(3)
+
+    def test_threads_asking_for_the_key_share_one_build(self, g2_scalars):
+        srs = TrapdoorSRS(2, random.Random(6))
+        workers = 4  # more than the reference host has cores
+        start = threading.Barrier(workers, timeout=60)
+        keys = []
+
+        def ask():
+            start.wait()
+            keys.append(srs.g2_elements(2)[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert g2_scalars == srs.secret and len(keys) == workers
+        assert all(key == keys[0] for key in keys)
 
     def test_forged_value_pairing_rejected(self, kzg, rng):
         f = DenseMLE.random(Fr, 2, rng)

@@ -13,9 +13,10 @@ In order:
 * per top-level layer: seconds to import it and how many ``repro``
   modules that loads;
 * the SRS at μ ∈ {6, 8, 10}: every arity 0..μ asked bottom-first (the
-  benchmark's set-up loop: each one built from the generator) and
-  top-first (a prover: the top arity built, the rest pair sums of the
-  arity above), after the generator comb, which is timed on its own;
+  benchmark's set-up loop) and top-first (a prover), after the generator
+  comb, which is timed on its own.  Either order builds the top arity
+  from the generator and the rest as pair sums of the arity above, so
+  the two rows agree;
 * a Jellyfish μ=6 process step by step: import, SRS top-first,
   preprocess, the first proof (which builds the resident odd-multiple
   tables) and a warm one.
@@ -26,9 +27,13 @@ beside ours, with whether the SRS points and the proof are identical.
 ``--check`` times nothing: it asserts the module-set facts (what an
 import must *not* load: any layer above the one imported — so
 ``import repro.cluster`` brings no ``repro.traffic`` / ``.carbon`` /
-``.fleet``) and that README.md's module map lists the layers in
-:data:`LAYERS` order, and exits non-zero when one fails — DESIGN.md §13
-"Cold start" records the table, CI runs the check.
+``.fleet`` — nor :mod:`multiprocessing` below ``repro.fleet``, and no
+import compiles a Table I gate), that README.md's module map lists the
+layers in :data:`LAYERS` order, and that a fresh ``TrapdoorSRS(μ)``
+makes exactly 2^μ generator multiplications whichever order its arities
+are asked in (μ ∈ :data:`COUNTED_SRS_SIZES`), and exits non-zero when
+one fails — DESIGN.md §13 "Cold start" records the table, CI runs the
+check.
 """
 
 from __future__ import annotations
@@ -62,6 +67,13 @@ NOT_FOR_A_PROOF = (
 #: SRS sizes μ the table builds
 SRS_SIZES = (6, 8, 10)
 
+#: SRS sizes μ whose generator multiplications ``--check`` counts
+COUNTED_SRS_SIZES = (6, 8)
+
+#: the one layer whose import may load :mod:`multiprocessing`: every
+#: other layer builds its process pool, if any, on first use
+NEEDS_MULTIPROCESSING = "repro.fleet"
+
 LOADED = """
 import json, sys
 print(json.dumps({
@@ -76,7 +88,13 @@ IMPORT = """
 import importlib, sys, time
 started = time.perf_counter()
 importlib.import_module(sys.argv[1])
-seconds, extra = time.perf_counter() - started, {}
+seconds = time.perf_counter() - started
+library = sys.modules.get("repro.gates.library")
+extra = {
+    "multiprocessing": "multiprocessing" in sys.modules,
+    "compiled_gates": sum("compiled" in vars(spec) for spec in library.TABLE1)
+                      if library else 0,
+}
 """ + LOADED
 
 SRS = """
@@ -96,6 +114,27 @@ for name, order in (("ascending", range(mu + 1)), ("prover", range(mu, -1, -1)))
     points = [(pt.x, pt.y, pt.inf) for a in range(mu + 1) for pt in srs.bases(a)]
     extra[name + "_points"] = hashlib.sha256(repr(points).encode()).hexdigest()
 seconds = extra["prover"]
+""" + LOADED
+
+SRS_MULS = """
+import random, sys
+import repro.hyperplonk.commitment as commitment
+mu, comb, muls = int(sys.argv[1]), commitment.generator_table(), []
+
+class Counting:
+    def mul(self, k):
+        muls.append(k)
+        return comb.mul(k)
+
+commitment.generator_table = Counting
+extra = {}
+for name, order in (("ascending", range(mu + 1)), ("prover", range(mu, -1, -1))):
+    muls.clear()
+    srs = commitment.TrapdoorSRS(mu, random.Random(mu))
+    for arity in order:
+        srs.bases(arity)
+    extra[name] = len(muls)
+seconds = 0.0
 """ + LOADED
 
 PROVE = """
@@ -166,6 +205,18 @@ def failures() -> list[str]:
                dict.fromkeys(unwanted + LAYERS[index + 1:]))
         if layer == "repro" and report["modules"] != ["repro"]:
             bad.append(f"import repro loads {report['modules'][1:]}")
+        if report["multiprocessing"] and layer != NEEDS_MULTIPROCESSING:
+            bad.append(f"import {layer} loads multiprocessing")
+        if report["compiled_gates"]:
+            bad.append(f"import {layer} compiles "
+                       f"{report['compiled_gates']} gates")
+    for mu in COUNTED_SRS_SIZES:
+        report = fresh(SRS_MULS, mu)
+        for order in ("ascending", "prover"):
+            if report[order] != 1 << mu:
+                bad.append(f"TrapdoorSRS({mu}) asked in {order} order makes "
+                           f"{report[order]} generator multiplications, "
+                           f"not {1 << mu}")
     return bad
 
 
@@ -223,7 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.check:
         bad = failures()
-        print("\n".join(bad) if bad else "cold start: module sets OK")
+        print("\n".join(bad) if bad else
+              "cold start: module sets and SRS build counts OK")
         return 1 if bad else 0
     sources = [REPO / "src"]
     if args.against is not None:
