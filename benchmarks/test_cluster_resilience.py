@@ -35,14 +35,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.cluster import (
-    AutoscalePolicy,
-    ClusterConfig,
-    NodeConfig,
-    ProvingCluster,
-)
-from repro.service.traffic import TrafficGenerator
-from repro.workloads import CHURN_HORIZON_SLACK_S, trace_for_downtime
+from repro.cluster import AutoscalePolicy
+from repro.fleet.scenario import Scenario, run
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_resilience.json"
 
@@ -64,31 +58,24 @@ AUTOSCALE_P50_FLOOR = 1.2
 
 def run_churn_cell(policy: str, max_retries: int, seed: int) -> dict:
     """One (policy, retry budget, seed) replication under 20% churn."""
-    generator = TrafficGenerator(SCENARIO, seed=seed)
-    jobs = generator.jobs(JOBS)
-    horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
-    churn = trace_for_downtime(
-        NODES,
-        horizon,
-        downtime_fraction=DOWNTIME_FRACTION,
-        mttr_s=MTTR_S,
-        seed=seed + CHURN_SEED_OFFSET,
-    )
-    config = ClusterConfig(
-        num_nodes=NODES,
+    cell = Scenario(
+        SCENARIO,
+        JOBS,
+        seed,
+        nodes=NODES,
         policy=policy,
         time_model=TIME_MODEL,
         max_retries=max_retries,
-        node=NodeConfig(max_vars=generator.max_vars()),
+        churn_rate=DOWNTIME_FRACTION,
+        churn_mttr=MTTR_S,
+        churn_seed=seed + CHURN_SEED_OFFSET,
     )
-    with ProvingCluster(config) as cluster:
-        cluster.run_scenario(jobs, churn=churn)
-        return cluster.summary()
+    return run(cell).summary
 
 
 def run_autoscale_cell(autoscale: bool) -> dict:
-    """Bursty traffic on 1 starting node, autoscaled or fixed."""
-    generator = TrafficGenerator(AUTOSCALE_SCENARIO, seed=AUTOSCALE_SEED)
+    """Bursty traffic on 1 starting node, autoscaled or fixed; the fixed
+    node replays arrivals in model time like the autoscaled run."""
     policy = None
     if autoscale:
         policy = AutoscalePolicy(
@@ -99,17 +86,17 @@ def run_autoscale_cell(autoscale: bool) -> dict:
             max_nodes=6,
             provision_s=0.25,
         )
-    config = ClusterConfig(
-        num_nodes=1,
+    cell = Scenario(
+        AUTOSCALE_SCENARIO,
+        AUTOSCALE_JOBS,
+        AUTOSCALE_SEED,
+        nodes=1,
         policy="least_loaded",
         time_model="functional",
-        max_retries=2,
+        respect_arrivals=True,
         autoscale=policy,
-        node=NodeConfig(max_vars=generator.max_vars()),
     )
-    with ProvingCluster(config) as cluster:
-        cluster.run_scenario(generator.jobs(AUTOSCALE_JOBS), churn=())
-        return cluster.summary()
+    return run(cell).summary
 
 
 def pooled(cells: list[dict]) -> dict:

@@ -22,9 +22,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.routing import ROUTING_POLICIES
-from repro.service.traffic import TrafficGenerator
+from repro.fleet.scenario import Scenario, run
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_cluster.json"
 
@@ -39,16 +38,9 @@ SWEEP_NODES = (1, 2, 4, 8)
 
 
 def run_cell(policy: str, num_nodes: int, *, execute: bool) -> dict:
-    generator = TrafficGenerator(SCENARIO, seed=SEED)
-    config = ClusterConfig(
-        num_nodes=num_nodes,
-        policy=policy,
-        execute=execute,
-        node=NodeConfig(max_vars=generator.max_vars(), wave_s=1.0),
-    )
-    with ProvingCluster(config) as cluster:
-        cluster.run(generator.jobs(JOBS))
-        return cluster.summary()
+    return run(
+        Scenario(SCENARIO, JOBS, SEED, nodes=num_nodes, policy=policy, execute=execute)
+    ).summary
 
 
 def acceptance_row(summary: dict) -> dict:
@@ -84,16 +76,9 @@ def sweep_row(summary: dict) -> dict:
 class TestClusterScaling:
     def test_smoke_sim_small(self):
         """Fast sanity: a small simulated sweep completes and reports."""
-        generator = TrafficGenerator(SCENARIO, seed=1)
-        config = ClusterConfig(
-            num_nodes=2,
-            policy="affinity",
-            node=NodeConfig(max_vars=generator.max_vars()),
-        )
-        with ProvingCluster(config) as cluster:
-            records = cluster.run(generator.jobs(6))
-            summary = cluster.summary()
-        assert len(records) == 6
+        result = run(Scenario(SCENARIO, 6, 1, nodes=2, policy="affinity"))
+        summary = result.summary
+        assert len(result.records) == 6
         assert summary["model"]["throughput_jobs_per_s"] > 0
         assert summary["routing"]["shape_spread"] == 1.0
 

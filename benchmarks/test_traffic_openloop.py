@@ -32,15 +32,9 @@ from pathlib import Path
 
 from legacy_sim import LegacySimulator
 
-from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.admission import AdmissionPolicy
+from repro.fleet.scenario import Scenario, run
 from repro.sim import Simulator
-from repro.traffic import (
-    OpenLoopEngine,
-    OpenLoopTraffic,
-    make_admission,
-    traffic_summary,
-)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from profile_sim import churn_heavy  # noqa: E402
@@ -67,25 +61,19 @@ GOODPUT_FLOOR = 2.0
 
 def run_open_loop_cell(with_admission: bool, jobs: int = OPEN_LOOP_JOBS) -> dict:
     """One seeded open-loop run; returns its traffic summary."""
-    traffic = OpenLoopTraffic(
-        SCENARIO, seed=SEED, max_jobs=jobs, rate_rps=RATE_RPS
-    )
-    config = ClusterConfig(
-        num_nodes=NODES,
+    admission = AdmissionPolicy(window_s=ADMISSION_WINDOW_S) if with_admission else None
+    cell = Scenario(
+        SCENARIO,
+        jobs,
+        SEED,
+        nodes=NODES,
         policy=POLICY,
-        node=NodeConfig(max_vars=traffic.max_vars()),
+        open_loop=True,
+        rate_rps=RATE_RPS,
+        tenants=TENANTS,
+        admission=admission,
     )
-    with ProvingCluster(config) as cluster:
-        admission = None
-        if with_admission:
-            admission = make_admission(
-                cluster,
-                AdmissionPolicy(window_s=ADMISSION_WINDOW_S),
-                traffic.tenants,
-            )
-        engine = OpenLoopEngine(cluster, traffic, admission=admission)
-        engine.run_open_loop()
-        return traffic_summary(engine)
+    return run(cell).summary
 
 
 def openloop_section(summary: dict) -> dict:

@@ -15,13 +15,8 @@ Run:  python examples/cluster_simulation.py
 DESIGN.md §7.)
 """
 
-from repro.cluster import (
-    ClusterConfig,
-    NodeConfig,
-    ProvingCluster,
-    ROUTING_POLICIES,
-)
-from repro.service.traffic import TrafficGenerator
+from repro.cluster import ROUTING_POLICIES
+from repro.fleet.scenario import Scenario, run
 
 SCENARIO = "zipf-mixed"
 NODES = 4
@@ -30,16 +25,8 @@ JOBS = 96
 
 def run_policy(policy: str) -> dict:
     # same seed => identical job stream for every policy
-    generator = TrafficGenerator(SCENARIO, seed=0)
-    config = ClusterConfig(
-        num_nodes=NODES,
-        policy=policy,
-        time_model="accelerator",
-        node=NodeConfig(max_vars=generator.max_vars()),
-    )
-    with ProvingCluster(config) as cluster:
-        cluster.run(generator.jobs(JOBS))
-        return cluster.summary()
+    cell = Scenario(SCENARIO, JOBS, seed=0, nodes=NODES, policy=policy)
+    return run(cell).summary
 
 
 def main() -> None:

@@ -22,9 +22,8 @@ Run:  python examples/failure_injection.py
 --max-retries 3 --autoscale``; see DESIGN.md §8.)
 """
 
-from repro.cluster import AutoscalePolicy, ClusterConfig, NodeConfig, ProvingCluster
-from repro.service.traffic import TrafficGenerator
-from repro.workloads import CHURN_HORIZON_SLACK_S, trace_for_downtime
+from repro.cluster import AutoscalePolicy
+from repro.fleet.scenario import Scenario, run
 
 SCENARIO = "zipf-mixed"
 NODES = 4
@@ -37,18 +36,6 @@ MTTR_S = 2.0
 
 def run_variant(*, churn: bool, max_retries: int, autoscale: bool) -> dict:
     # same seed => identical job stream (and churn trace) for every variant
-    generator = TrafficGenerator(SCENARIO, seed=SEED)
-    jobs = generator.jobs(JOBS)
-    trace = ()
-    if churn:
-        horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
-        trace = trace_for_downtime(
-            NODES,
-            horizon,
-            downtime_fraction=DOWNTIME_FRACTION,
-            mttr_s=MTTR_S,
-            seed=CHURN_SEED,
-        )
     policy = None
     if autoscale:
         policy = AutoscalePolicy(
@@ -59,17 +46,20 @@ def run_variant(*, churn: bool, max_retries: int, autoscale: bool) -> dict:
             max_nodes=8,
             provision_s=0.25,
         )
-    config = ClusterConfig(
-        num_nodes=NODES,
-        policy="affinity",
+    cell = Scenario(
+        SCENARIO,
+        JOBS,
+        SEED,
+        nodes=NODES,
         time_model="accelerator",
         max_retries=max_retries,
+        respect_arrivals=True,  # every variant replays arrival times
+        churn_rate=DOWNTIME_FRACTION if churn else 0.0,
+        churn_mttr=MTTR_S,
+        churn_seed=CHURN_SEED,
         autoscale=policy,
-        node=NodeConfig(max_vars=generator.max_vars()),
     )
-    with ProvingCluster(config) as cluster:
-        cluster.run_scenario(jobs, churn=trace)
-        return cluster.summary()
+    return run(cell).summary
 
 
 def main() -> None:

@@ -64,10 +64,6 @@ class NodePowerModel:
         active node (a cap must hold at either phase's draw)."""
         return max(self.prove_w, self.install_w)
 
-    def job_energy_j(self, install_s: float, prove_s: float) -> float:
-        """Joules one job burns given its busy-second split."""
-        return install_s * self.install_w + prove_s * self.prove_w
-
     @classmethod
     def accelerator(cls) -> "NodePowerModel":
         """The zkPHIRE exemplar node: Table V total + host installs."""

@@ -2,13 +2,33 @@
 
 Bad values must exit with argparse's status 2 and a one-line message,
 never a traceback — CI's entry-point smoke step locks this down for
-``repro-serve`` and ``repro-cluster`` alike.
+``repro-serve``, ``repro-cluster`` and ``repro-fleet`` alike.
+:func:`add_run_flags` is the one table of the flags ``repro-cluster``
+and ``repro-fleet`` share; :func:`run_fields` reads them back as
+:class:`repro.fleet.scenario.Scenario` fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+from pathlib import Path
+
+#: the shared flags whose dests are Scenario fields of the same name
+RUN_FIELDS = (
+    "scenario",
+    "jobs",
+    "seed",
+    "time_model",
+    "cache_capacity",
+    "replicas",
+    "max_retries",
+    "churn_rate",
+    "churn_mttr",
+    "churn_seed",
+    "respect_arrivals",
+)
 
 
 def positive_int(text: str) -> int:
@@ -153,3 +173,90 @@ def int_list(text: str) -> list[int]:
     if not out:
         raise argparse.ArgumentTypeError(f"{text!r} names no counts")
     return out
+
+
+def add_run_flags(
+    parser: argparse.ArgumentParser, *, jobs: int, seed: int, time_model: str
+) -> None:
+    """Add the flags ``repro-cluster`` and ``repro-fleet`` share, with
+    each CLI's own ``--jobs`` / ``--seed`` / ``--time-model`` defaults."""
+    # imported here so `repro-serve`, which shares this module, loads no
+    # cluster layer
+    from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY
+    from repro.cluster.routing import DEFAULT_REPLICAS
+    from repro.cluster.timemodel import TIME_MODEL_PRESETS
+    from repro.workloads import SCENARIOS
+
+    add = parser.add_argument
+    add(
+        "--scenario",
+        default="zipf-mixed",
+        choices=sorted(SCENARIOS),
+        help="named traffic mix (repro.workloads)",
+    )
+    add("--jobs", type=positive_int, default=jobs, help="proof requests to generate")
+    add("--seed", type=int, default=seed, help="traffic seed (same seed, same jobs)")
+    add(
+        "--time-model",
+        default=time_model,
+        choices=TIME_MODEL_PRESETS,
+        help="router and node cost model: accelerator-resident proving "
+        "with host-side index installs, or all-functional CPU replay "
+        "(what fleet workers execute)",
+    )
+    add(
+        "--cache-capacity",
+        type=cache_capacity,
+        default=DEFAULT_NODE_CACHE_CAPACITY,
+        help="LRU entries in each node's index cache (0 = unbounded)",
+    )
+    add(
+        "--replicas",
+        type=positive_int,
+        default=DEFAULT_REPLICAS,
+        help="virtual points per node on the affinity hash ring",
+    )
+    add("--max-retries", type=nonnegative_int, default=2, help="crash retries per job")
+    add(
+        "--churn-rate",
+        type=rate_fraction,
+        default=0.0,
+        help="target fraction of node-time spent down (0 disables churn; "
+        "must be in [0, 1))",
+    )
+    add(
+        "--churn-mttr",
+        type=positive_float,
+        default=2.0,
+        help="mean model seconds a crashed node stays down",
+    )
+    add(
+        "--churn-seed",
+        type=int,
+        default=0,
+        help="churn-trace seed (same seed = same crash/recovery trace)",
+    )
+    add(
+        "--respect-arrivals",
+        action="store_true",
+        help="wait for each job's arrival time instead of running saturated",
+    )
+    add("--events", metavar="PATH", help="write the run's JSONL event log to PATH")
+    add("--json", action="store_true", help="emit the raw summary as JSON")
+
+
+def run_fields(args: argparse.Namespace) -> dict:
+    """The shared flags' values, keyed by Scenario field name."""
+    return {name: getattr(args, name) for name in RUN_FIELDS}
+
+
+def check_writable(parser: argparse.ArgumentParser, path: str | None) -> None:
+    """Exit 2 before a run, creating nothing, if ``--events PATH`` cannot
+    be written."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir() or not os.access(
+        target if target.exists() else target.parent, os.W_OK
+    ):
+        parser.error(f"--events {path}: cannot write there")

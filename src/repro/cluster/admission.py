@@ -156,10 +156,6 @@ class AdmissionController:
         return self.outstanding_s < self.policy.backpressure_low * self.budget_s()
 
     # -- reporting -----------------------------------------------------------
-    def tenant_outstanding_s(self, name: str) -> float:
-        """Admitted-but-unfinished predicted seconds for one tenant."""
-        return self._by_tenant_s[name]
-
     def as_dict(self) -> dict:
         """The ``admission`` section of a traffic summary."""
         offered = self.admitted + self.shed

@@ -7,13 +7,19 @@ Two modes:
   proofs, real wall clock) and print the measured summary: makespan,
   throughput, latency p95, cache hit rate, per-node placement, and —
   when churn is injected — the resilience counters.  ``--events PATH``
-  additionally writes the structured JSONL event log.
+  additionally writes the structured JSONL event log.  The flags parse
+  into one :class:`~repro.fleet.scenario.Scenario`, run by
+  :func:`~repro.fleet.scenario.run` with ``runtime="fleet"``; the
+  heartbeat, timeout and time-scale flags are the fleet-only
+  :class:`~repro.fleet.core.FleetConfig` fields it passes through.
 * **Validate** (``--validate``) — run the predicted-vs-measured loop of
   :mod:`repro.fleet.validation` across every routing policy and print
   the per-policy comparison, the rankings, and the verdict
-  (rank agreement, calibration spread, proof byte-identity).
+  (rank agreement, calibration spread, proof byte-identity).  It runs
+  one fleet per policy and writes no event log, so ``--events`` exits 2.
 
-Bad argument values exit with argparse's status 2, never a traceback —
+Bad argument values exit with argparse's status 2, never a traceback,
+and an unwritable ``--events`` path exits 2 before any worker starts —
 CI's entry-point smoke step locks this down.
 """
 
@@ -24,20 +30,17 @@ import json
 import sys
 
 from repro.cli import (
-    cache_capacity,
+    add_run_flags,
+    check_writable,
     nonnegative_float,
-    nonnegative_int,
     positive_float,
     positive_int,
-    rate_fraction,
+    run_fields,
 )
-from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
-from repro.cluster.routing import DEFAULT_REPLICAS, ROUTING_POLICIES
-from repro.cluster.timemodel import TIME_MODEL_PRESETS
-from repro.fleet.core import FleetConfig, ProvingFleet
+from repro.cluster.routing import ROUTING_POLICIES
+from repro.fleet.scenario import Scenario, run
 from repro.fleet.validation import DEFAULT_SIGNIFICANCE, run_validation
-from repro.service.traffic import TrafficGenerator
-from repro.workloads import CHURN_HORIZON_SLACK_S, SCENARIOS, trace_for_downtime
+from repro.workloads import SCENARIOS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,180 +53,68 @@ def build_parser() -> argparse.ArgumentParser:
             "against it."
         ),
     )
-    parser.add_argument(
-        "--scenario",
-        default="zipf-mixed",
-        choices=sorted(SCENARIOS),
-        help="named traffic mix (repro.workloads)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=12,
-        help="number of proof requests to generate",
-    )
-    parser.add_argument(
+    add_run_flags(parser, jobs=12, seed=7, time_model="functional")
+    add = parser.add_argument
+    add(
         "--nodes",
         type=positive_int,
         default=3,
         help="worker processes to spawn (one per simulated node)",
     )
-    parser.add_argument(
+    add(
         "--policy",
         default="affinity",
         choices=ROUTING_POLICIES,
         help="routing policy for run mode (--validate compares all)",
     )
-    parser.add_argument(
-        "--time-model",
-        default="functional",
-        choices=TIME_MODEL_PRESETS,
-        help="router cost-model preset (functional matches what the "
-        "workers actually execute)",
-    )
-    parser.add_argument(
-        "--cache-capacity",
-        type=cache_capacity,
-        default=DEFAULT_NODE_CACHE_CAPACITY,
-        help="LRU entries in each worker's index cache (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=positive_int,
-        default=DEFAULT_REPLICAS,
-        help="virtual points per node on the affinity hash ring",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="traffic-generator seed (same seed = same job stream)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=nonnegative_int,
-        default=2,
-        help="crash-retry budget per job",
-    )
-    parser.add_argument(
+    add(
         "--heartbeat-s",
         type=positive_float,
         default=0.05,
         help="worker heartbeat period in wall seconds",
     )
-    parser.add_argument(
+    add(
         "--heartbeat-misses",
         type=positive_float,
         default=6.0,
         help="missed beats in a row before a node is declared dead",
     )
-    parser.add_argument(
+    add(
         "--timeout-s",
         type=positive_float,
         default=None,
         help="per-job wall-second timeout (kills + retries; default none)",
     )
-    parser.add_argument(
+    add(
         "--run-timeout-s",
         type=positive_float,
         default=300.0,
         help="hard wall-second cap on the whole run",
     )
-    parser.add_argument(
+    add(
         "--time-scale",
         type=positive_float,
         default=1.0,
         help="model-seconds to wall-seconds factor for arrivals and churn",
     )
-    parser.add_argument(
-        "--respect-arrivals",
-        action="store_true",
-        help="submit jobs at their scaled arrival times instead of at once",
-    )
-    parser.add_argument(
-        "--churn-rate",
-        type=rate_fraction,
-        default=0.0,
-        help="target fraction of node-time spent down (0 disables churn; "
-        "must be in [0, 1))",
-    )
-    parser.add_argument(
-        "--churn-mttr",
-        type=positive_float,
-        default=2.0,
-        help="mean model seconds a crashed node stays down",
-    )
-    parser.add_argument(
-        "--churn-seed",
-        type=int,
-        default=0,
-        help="churn-trace seed (same seed = same kill/respawn schedule)",
-    )
-    parser.add_argument(
-        "--events",
-        metavar="PATH",
-        default=None,
-        help="write the structured JSONL event log to PATH",
-    )
-    parser.add_argument(
+    add(
         "--validate",
         action="store_true",
         help="predicted-vs-measured validation across all routing policies",
     )
-    parser.add_argument(
+    add(
         "--significance",
         type=nonnegative_float,
         default=DEFAULT_SIGNIFICANCE,
         help="predicted-makespan gap below which a policy pair is a "
         "modeled tie (validate mode)",
     )
-    parser.add_argument(
+    add(
         "--skip-proof-check",
         action="store_true",
         help="skip the byte-identity oracle run in validate mode",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the raw summary as JSON",
-    )
     return parser
-
-
-def run_fleet(args) -> tuple[ProvingFleet, dict]:
-    """Run-mode body: one fleet run, returns (fleet, summary)."""
-    generator = TrafficGenerator(args.scenario, seed=args.seed)
-    config = FleetConfig(
-        num_nodes=args.nodes,
-        policy=args.policy,
-        time_model=args.time_model,
-        replicas=args.replicas,
-        max_retries=args.max_retries,
-        heartbeat_s=args.heartbeat_s,
-        heartbeat_misses=args.heartbeat_misses,
-        job_timeout_s=args.timeout_s,
-        time_scale=args.time_scale,
-        respect_arrivals=args.respect_arrivals,
-        run_timeout_s=args.run_timeout_s,
-        node=NodeConfig(
-            cache_capacity=args.cache_capacity,
-            max_vars=generator.max_vars(),
-        ),
-    )
-    jobs = generator.jobs(args.jobs)
-    churn = ()
-    if args.churn_rate > 0:
-        horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
-        churn = trace_for_downtime(
-            args.nodes,
-            horizon,
-            downtime_fraction=args.churn_rate,
-            mttr_s=args.churn_mttr,
-            seed=args.churn_seed,
-        )
-    fleet = ProvingFleet(config)
-    fleet.run(jobs, churn=churn)
-    return fleet, fleet.summary()
 
 
 def print_run(args, summary: dict) -> None:
@@ -301,9 +192,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.validate and args.churn_rate > 0:
+        parser.error("--validate assumes a failure-free run; drop --churn-rate")
+    if args.validate and args.events:
         parser.error(
-            "--validate assumes a failure-free run; drop --churn-rate"
+            "--validate runs one fleet per policy and writes no event "
+            "log; drop --events"
         )
+    check_writable(parser, args.events)
     if args.validate:
         doc = run_validation(
             args.scenario,
@@ -320,13 +215,21 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print_validation(doc)
         return 0
-    fleet, summary = run_fleet(args)
+    result = run(
+        Scenario(**run_fields(args), nodes=args.nodes, policy=args.policy),
+        runtime="fleet",
+        heartbeat_s=args.heartbeat_s,
+        heartbeat_misses=args.heartbeat_misses,
+        job_timeout_s=args.timeout_s,
+        time_scale=args.time_scale,
+        run_timeout_s=args.run_timeout_s,
+    )
     if args.events:
-        fleet.events.write(args.events)
+        result.events.write(args.events)
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(json.dumps(result.summary, indent=2))
     else:
-        print_run(args, summary)
+        print_run(args, result.summary)
     return 0
 
 

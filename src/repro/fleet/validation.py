@@ -51,6 +51,11 @@ submission order, so in a failure-free run every job lands on the same
 node in sim and fleet and the only difference left is *time*
 (``tests/test_fleet.py`` locks placement parity down).
 
+Each policy cell is one :class:`~repro.fleet.scenario.Scenario`, run
+once on each runtime by :func:`~repro.fleet.scenario.run`: the sim's
+records give the modeled makespan and busy seconds, the fleet's records
+the measured makespan and its proofs the byte-identity check.
+
 ``benchmarks/test_fleet_validation.py`` runs this and emits
 ``BENCH_fleet.json``; byte-identity of fleet proofs against a
 single-service run rides along as the end-to-end correctness check.
@@ -59,12 +64,12 @@ single-service run rides along as the end-to-end correctness check.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from itertools import combinations
 
-from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
 from repro.cluster.routing import ROUTING_POLICIES
-from repro.fleet.core import FleetConfig, ProvingFleet
+from repro.fleet.scenario import Scenario, run
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.traffic import TrafficGenerator
 
@@ -88,78 +93,11 @@ def effective_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _node_config(generator: TrafficGenerator, cache_capacity):
-    return NodeConfig(
-        cache_capacity=cache_capacity, max_vars=generator.max_vars()
-    )
-
-
 def predicted_wall_s(
     model_makespan_s: float, modeled_busy_s: float, cores: int
 ) -> float:
     """Greedy-scheduling wall-clock bound for a core-limited host."""
     return max(model_makespan_s, modeled_busy_s / max(cores, 1))
-
-
-def sim_prediction(
-    scenario: str,
-    jobs: int,
-    nodes: int,
-    policy: str,
-    *,
-    seed: int = 7,
-    time_model: str = "functional",
-    cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    cores: int | None = None,
-) -> dict:
-    """Sim-predicted timing for one policy cell.
-
-    Returns ``model_makespan_s`` (parallel critical path in model
-    seconds), ``modeled_busy_s`` (total prove+install work), and
-    ``predicted_makespan_s`` (the core-aware wall-clock prediction).
-    """
-    generator = TrafficGenerator(scenario, seed=seed)
-    config = ClusterConfig(
-        num_nodes=nodes,
-        policy=policy,
-        time_model=time_model,
-        node=_node_config(generator, cache_capacity),
-    )
-    with ProvingCluster(config) as cluster:
-        records = cluster.run(generator.jobs(jobs))
-    makespan = max(r.finish_s for r in records)
-    busy = sum(r.install_model_s + r.prove_model_s for r in records)
-    cores = effective_cores() if cores is None else cores
-    return {
-        "model_makespan_s": makespan,
-        "modeled_busy_s": busy,
-        "predicted_makespan_s": predicted_wall_s(makespan, busy, cores),
-    }
-
-
-def measured_fleet_run(
-    scenario: str,
-    jobs: int,
-    nodes: int,
-    policy: str,
-    *,
-    seed: int = 7,
-    time_model: str = "functional",
-    cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    run_timeout_s: float | None = 300.0,
-) -> ProvingFleet:
-    """Run one policy cell on the real fleet; returns the finished fleet."""
-    generator = TrafficGenerator(scenario, seed=seed)
-    config = FleetConfig(
-        num_nodes=nodes,
-        policy=policy,
-        time_model=time_model,
-        node=_node_config(generator, cache_capacity),
-        run_timeout_s=run_timeout_s,
-    )
-    fleet = ProvingFleet(config)
-    fleet.run(generator.jobs(jobs))
-    return fleet
 
 
 def reference_proofs(
@@ -231,33 +169,28 @@ def run_validation(
     spread, and the proof byte-identity verdict.
     """
     cores = effective_cores()
-    predicted: dict[str, dict] = {}
+    base = Scenario(
+        scenario,
+        jobs,
+        seed,
+        nodes=nodes,
+        time_model=time_model,
+        cache_capacity=cache_capacity,
+    )
+    model: dict[str, float] = {}
+    busy: dict[str, float] = {}
     measured: dict[str, float] = {}
     fleet_proofs: dict[int, object] | None = None
     for policy in policies:
-        predicted[policy] = sim_prediction(
-            scenario,
-            jobs,
-            nodes,
-            policy,
-            seed=seed,
-            time_model=time_model,
-            cache_capacity=cache_capacity,
-            cores=cores,
-        )
-        fleet = measured_fleet_run(
-            scenario,
-            jobs,
-            nodes,
-            policy,
-            seed=seed,
-            time_model=time_model,
-            cache_capacity=cache_capacity,
-        )
+        cell = replace(base, policy=policy)
+        records = run(cell).records
+        model[policy] = max(r.finish_s for r in records)
+        busy[policy] = sum(r.install_model_s + r.prove_model_s for r in records)
+        fleet = run(cell, runtime="fleet", run_timeout_s=300.0)
         measured[policy] = max(r.finish_s for r in fleet.records)
         if fleet_proofs is None:
             fleet_proofs = fleet.proofs
-    wall = {p: predicted[p]["predicted_makespan_s"] for p in policies}
+    wall = {p: predicted_wall_s(model[p], busy[p], cores) for p in policies}
     pairs = significant_pairs(wall, significance)
     agreement = all(
         measured[low] < measured[high] * (1.0 + measured_tolerance)
@@ -287,12 +220,8 @@ def run_validation(
         "effective_cores": cores,
         "policies": {
             policy: {
-                "model_makespan_s": round(
-                    predicted[policy]["model_makespan_s"], 6
-                ),
-                "modeled_busy_s": round(
-                    predicted[policy]["modeled_busy_s"], 6
-                ),
+                "model_makespan_s": round(model[policy], 6),
+                "modeled_busy_s": round(busy[policy], 6),
                 "predicted_makespan_s": round(wall[policy], 6),
                 "measured_makespan_s": round(measured[policy], 6),
                 "measured_over_predicted": round(ratios[policy], 4),

@@ -62,12 +62,3 @@ class PermQuotModel:
             bytes_moved=bytes_moved, latency_s=latency,
             inversions=num_gates / cfg.batch,
         )
-
-
-def inverse_units_required(batch: int = tech.PERMQUOT_BATCH,
-                           inversion_latency_cycles: int = 531) -> int:
-    """How many inverse units sustain one initiation every ``batch``
-    cycles without backpressure.  With zkSpeed's ~531-cycle inversion
-    latency and batch-2 initiation, 266 units suffice — the paper's
-    number (§IV-B5)."""
-    return ceil(inversion_latency_cycles / batch)

@@ -10,7 +10,7 @@ tiles from HBM (§III-B).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.fields.counters import OpCounter
 from repro.fields.prime_field import PrimeField
@@ -76,12 +76,6 @@ class DenseMLE:
         out = KERNEL.fold(self.field, self.table, r, counter)
         return DenseMLE(self.field, out)
 
-    def fix_variables(self, rs: Iterable[int]) -> "DenseMLE":
-        cur = self
-        for r in rs:
-            cur = cur.fix_first_variable(r)
-        return cur
-
     # -- hardware primitive 3: point evaluation -----------------------------
     def evaluate(self, point: Sequence[int]) -> int:
         """Evaluate the MLE at an arbitrary field point (length-μ vector)."""
@@ -110,9 +104,6 @@ class DenseMLE:
 
     def __repr__(self):
         return f"DenseMLE(μ={self.num_vars}, {self.field.name})"
-
-    def nonzero_fraction(self) -> float:
-        return sum(1 for v in self.table if v) / len(self.table)
 
     def scaled(self, c: int) -> "DenseMLE":
         p = self.field.modulus

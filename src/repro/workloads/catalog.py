@@ -33,12 +33,6 @@ class Workload:
     def jellyfish_gates(self) -> int | None:
         return None if self.jellyfish_log2 is None else 1 << self.jellyfish_log2
 
-    @property
-    def jellyfish_reduction(self) -> float | None:
-        if self.vanilla_log2 is None or self.jellyfish_log2 is None:
-            return None
-        return 2.0 ** (self.vanilla_log2 - self.jellyfish_log2)
-
 
 WORKLOADS: list[Workload] = [
     Workload("ZCash", 17, 15, cpu_vanilla_s=1.429, cpu_jellyfish_s=0.701),

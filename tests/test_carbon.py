@@ -206,9 +206,8 @@ class TestNodePowerModel:
         assert power.idle_w == pytest.approx(42.0)
         assert power.busy_w == 350.0
 
-    def test_job_energy_splits_install_and_prove(self):
+    def test_busy_rail_is_the_larger_phase_draw(self):
         power = NodePowerModel(prove_w=100.0, install_w=200.0, idle_w=10.0)
-        assert power.job_energy_j(2.0, 3.0) == pytest.approx(700.0)
         assert power.busy_w == 200.0
 
     def test_node_watts_resolves_presets(self):

@@ -8,9 +8,11 @@ serialization round-trip and the emit-time validation.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
+import repro.fleet.__main__ as fleet_cli
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.__main__ import main as cluster_main
 from repro.service.traffic import TrafficGenerator
@@ -312,3 +314,49 @@ class TestClusterCliEvents:
                 )
             assert exc.value.code == 2
             assert "cannot write" in capsys.readouterr().err
+
+
+class TestFleetCliEvents:
+    """``repro-fleet --events PATH``: checked before any worker starts,
+    written after the run."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every ``run`` the CLI makes; none spawns a worker."""
+        calls = []
+
+        def fake_run(scenario, **kwargs):
+            calls.append((scenario, kwargs))
+            return SimpleNamespace(summary={"jobs": 16}, events=scenario_log())
+
+        def no_validation(*args, **kwargs):
+            raise AssertionError("--validate must exit 2 before running")
+
+        monkeypatch.setattr(fleet_cli, "run", fake_run)
+        monkeypatch.setattr(fleet_cli, "run_validation", no_validation)
+        return calls
+
+    def test_unwritable_path_exits_2_before_the_run(self, runs, tmp_path, capsys):
+        for path in (tmp_path / "missing" / "events.jsonl", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                fleet_cli.main(["--jobs", "1", "--nodes", "1", "--events", str(path)])
+            assert exc.value.code == 2
+            assert "cannot write" in capsys.readouterr().err
+        assert runs == []
+
+    def test_validate_with_events_exits_2(self, runs, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            fleet_cli.main(["--validate", "--events", str(path)])
+        assert exc.value.code == 2
+        assert "drop --events" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_run_mode_writes_the_fleet_log(self, runs, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        argv = ["--nodes", "2", "--policy", "round_robin", "--timeout-s", "9"]
+        assert fleet_cli.main([*argv, "--json", "--events", str(path)]) == 0
+        assert path.read_text() == scenario_log().to_jsonl()
+        [(scenario, kwargs)] = runs
+        assert (scenario.nodes, scenario.policy, scenario.seed) == (2, "round_robin", 7)
+        assert kwargs["runtime"] == "fleet" and kwargs["job_timeout_s"] == 9.0

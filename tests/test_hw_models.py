@@ -28,7 +28,7 @@ from repro.hw.dse import SC_EES, SC_PES, SC_PLS, SC_SRAM
 from repro.hw.forest import ForestModel
 from repro.hw.mle_combine import MLECombineModel
 from repro.hw.msm_unit import MSMUnitModel
-from repro.hw.permquot import PermQuotModel, inverse_units_required
+from repro.hw.permquot import PermQuotModel
 from repro.hw.power import accelerator_power
 from repro.hw.scheduler import PolyProfile
 from repro.hw.sumcheck_unit import (
@@ -342,10 +342,6 @@ class TestForestAndOthers:
         m = ForestModel(ForestConfig(80, 8), 2048)
         assert (m.batch_eval(10, 1 << 20).latency_s
                 > m.batch_eval(2, 1 << 20).latency_s)
-
-    def test_permquot_inverse_units_published_value(self):
-        """§IV-B5: 266 inverse units sustain full throughput."""
-        assert inverse_units_required() == 266
 
     def test_permquot_latency_scales_with_columns(self):
         m = PermQuotModel(PermQuotConfig(), 2048)

@@ -327,7 +327,6 @@ class TestAdmissionController:
         # small's quota is 2.0s; the fleet budget still has 8s of room
         assert not controller.admit(stub_job(2, "small"))
         assert controller.admit(stub_job(3, "big"))
-        assert controller.tenant_outstanding_s("small") == 2.0
 
     def test_settle_releases_and_is_idempotent(self):
         controller, _ = make_controller(cost=2.0, up_nodes=4)

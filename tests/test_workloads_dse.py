@@ -39,12 +39,10 @@ class TestCatalog:
         w = workload_by_name("Rollup 25 Pvt Tx")
         assert w.vanilla_gates == 1 << 24
         assert w.jellyfish_gates == 1 << 19
-        assert w.jellyfish_reduction == 32.0
 
     def test_zkevm_has_no_vanilla_count(self):
         w = workload_by_name("zkEVM")
         assert w.vanilla_gates is None
-        assert w.jellyfish_reduction is None
 
     def test_cpu_baselines_scale_with_size(self):
         """Bigger circuits take longer on CPU (Table VI sanity)."""

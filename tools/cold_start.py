@@ -27,13 +27,14 @@ beside ours, with whether the SRS points and the proof are identical.
 ``--check`` times nothing: it asserts the module-set facts (what an
 import must *not* load: any layer above the one imported — so
 ``import repro.cluster`` brings no ``repro.traffic`` / ``.carbon`` /
-``.fleet`` — nor :mod:`multiprocessing` below ``repro.fleet``, and no
-import compiles a Table I gate), that README.md's module map lists the
-layers in :data:`LAYERS` order, and that a fresh ``TrapdoorSRS(μ)``
-makes exactly 2^μ generator multiplications whichever order its arities
-are asked in (μ ∈ :data:`COUNTED_SRS_SIZES`), and exits non-zero when
-one fails — DESIGN.md §13 "Cold start" records the table, CI runs the
-check.
+``.fleet`` — nor :mod:`multiprocessing` below ``repro.fleet`` or in the
+scenario runner and the cluster CLI, ``repro`` and ``repro.fleet``
+nothing but themselves, and no import compiles a Table I gate), that
+README.md's module map lists the layers in :data:`LAYERS` order, and
+that a fresh ``TrapdoorSRS(μ)`` makes exactly 2^μ generator
+multiplications whichever order its arities are asked in (μ ∈
+:data:`COUNTED_SRS_SIZES`), and exits non-zero when one fails —
+DESIGN.md §13 "Cold start" records the table, CI runs the check.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ COUNTED_SRS_SIZES = (6, 8)
 #: the one layer whose import may load :mod:`multiprocessing`: every
 #: other layer builds its process pool, if any, on first use
 NEEDS_MULTIPROCESSING = "repro.fleet"
+
+#: the scenario runner and the cluster CLI that parses into it: both sit
+#: beside the fleet runtime and neither may load :mod:`multiprocessing`
+NO_MULTIPROCESSING = ("repro.fleet.scenario", "repro.cluster.__main__")
+
+#: layers whose import loads exactly these modules: ``repro`` and
+#: ``repro.fleet`` resolve their exports (runtime, runner) lazily
+LOADS_ONLY = {"repro": ["repro"], "repro.fleet": ["repro", "repro.fleet"]}
 
 LOADED = """
 import json, sys
@@ -203,13 +212,18 @@ def failures() -> list[str]:
         # ...nor any layer above it: "every layer only reaches down"
         absent(f"import {layer}", report,
                dict.fromkeys(unwanted + LAYERS[index + 1:]))
-        if layer == "repro" and report["modules"] != ["repro"]:
-            bad.append(f"import repro loads {report['modules'][1:]}")
+        only = LOADS_ONLY.get(layer)
+        if only is not None and report["modules"] != only:
+            extra = sorted(set(report["modules"]) - set(only))
+            bad.append(f"import {layer} loads {extra}")
         if report["multiprocessing"] and layer != NEEDS_MULTIPROCESSING:
             bad.append(f"import {layer} loads multiprocessing")
         if report["compiled_gates"]:
             bad.append(f"import {layer} compiles "
                        f"{report['compiled_gates']} gates")
+    for module in NO_MULTIPROCESSING:
+        if fresh(IMPORT, module)["multiprocessing"]:
+            bad.append(f"import {module} loads multiprocessing")
     for mu in COUNTED_SRS_SIZES:
         report = fresh(SRS_MULS, mu)
         for order in ("ascending", "prover"):
