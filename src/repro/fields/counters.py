@@ -58,8 +58,3 @@ class OpCounter:
         for k, v in other.labels.items():
             out.labels[k] = out.labels.get(k, 0) + v
         return out
-
-    def reset(self) -> None:
-        """Zero every tally and clear the labels."""
-        self.mul = self.add = self.inv = self.ee_mul = self.pl_mul = 0
-        self.labels.clear()

@@ -12,7 +12,6 @@ Two API levels are provided:
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Sequence
 
 
@@ -157,11 +156,6 @@ class PrimeField:
     def one(self) -> Felt:
         """The multiplicative identity as a :class:`Felt`."""
         return self._one
-
-    def rand(self, rng: random.Random | None = None) -> Felt:
-        """A uniform random :class:`Felt` from ``rng``."""
-        rng = rng or random
-        return Felt(self, rng.randrange(self.modulus))
 
     def elements(self, values: Iterable[int]) -> list[Felt]:
         """Wrap each integer as a :class:`Felt`."""

@@ -13,29 +13,21 @@ bit-identically through JSONL.
 
 :class:`TestOpenLoopGolden` pins the open-loop path the e2e benchmark's
 ``sim_openloop_5e3`` workload drives (admission, churn, retries, passive
-pricing) to digests **recorded on the commit before the per-event
-tabulations and the start gate landed** (PR 21): a change to the
-simulator's speed must not move one of them.
+pricing) to digests (``openloop/`` in ``tests/goldens.json``)
+**recorded on the commit before the per-event tabulations and the start
+gate landed** (PR 21): a change to the simulator's speed must not move
+one of them.
 """
 
-import hashlib
-import json
-
 import pytest
+from goldens import OPEN_LOOP, pinned, run_open_loop, sha256, summary_text
 
 from repro.carbon import CarbonConfig, CarbonIntensityTrace
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
-from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.service.jobs import RequestClass
 from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EVENT_KINDS, EventLog
-from repro.traffic import (
-    OpenLoopEngine,
-    OpenLoopTraffic,
-    make_admission,
-    traffic_summary,
-)
 from repro.workloads import trace_for_downtime
 
 SCENARIO = "zipf-mixed"
@@ -114,73 +106,27 @@ class TestCaplessParity:
         assert EventLog.replay_identical(events, free_events)
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def run_open_loop(seed: int, *, carbon: bool, jobs: int = 2_000) -> dict:
-    """``benchmarks/e2e``'s ``sim_openloop_5e3`` configuration, smaller."""
-    rate_rps, nodes = 40.0, 4
-    traffic = OpenLoopTraffic(
-        SCENARIO, seed=seed, max_jobs=jobs, rate_rps=rate_rps
-    )
-    config = ClusterConfig(
-        num_nodes=nodes,
-        policy="least_loaded",
-        node=NodeConfig(max_vars=traffic.max_vars()),
-        max_retries=64,
-        carbon=(
-            CarbonConfig(CarbonIntensityTrace(seed=seed), policy="none")
-            if carbon
-            else None
-        ),
-    )
-    churn = trace_for_downtime(
-        nodes, jobs / rate_rps, downtime_fraction=0.1, seed=seed
-    )
-    with ProvingCluster(config) as cluster:
-        admission = make_admission(
-            cluster, AdmissionPolicy(window_s=10.0), traffic.tenants
-        )
-        engine = OpenLoopEngine(cluster, traffic, admission=admission)
-        records = engine.run_open_loop(churn=churn)
-        return {
-            "records": records,
-            "events": engine.events,
-            "summary": traffic_summary(engine),
-            "resilience": engine.stats.as_dict(),
-        }
-
-
-#: seed -> what the parent commit of PR 21 produced for run_open_loop
-OPEN_LOOP_GOLDEN = {
+#: seed -> the resilience counters of the recorded priced run
+OPEN_LOOP_RESILIENCE = {
     0: {
-        "summary": "f2d7141b6014fa9a1727528e28935b25592adc391c9bac0b5a2f517f37dd4029",
-        "events": "6ab8db61850fbdb3c6f16fcd59890f4ac8b33b02518009afe53d905e20eb76b3",
-        "resilience": {
-            "crashes": 7,
-            "recoveries": 7,
-            "retries": 6,
-            "requeues": 138,
-            "parked": 0,
-            "exclusion_waivers": 0,
-            "failed_jobs": 0,
-            "lost_model_s": 1.562255,
-        },
+        "crashes": 7,
+        "recoveries": 7,
+        "retries": 6,
+        "requeues": 138,
+        "parked": 0,
+        "exclusion_waivers": 0,
+        "failed_jobs": 0,
+        "lost_model_s": 1.562255,
     },
     7: {
-        "summary": "20490c7980a3a1f7eaabfc4819c3b8a0ca8ef47394809c1307908955955a46a1",
-        "events": "d7fac26e37d2594547e8443ab3aab7526b4c01f769d009f8ad1e78731b6cdfbc",
-        "resilience": {
-            "crashes": 5,
-            "recoveries": 5,
-            "retries": 5,
-            "requeues": 180,
-            "parked": 0,
-            "exclusion_waivers": 0,
-            "failed_jobs": 0,
-            "lost_model_s": 1.218798,
-        },
+        "crashes": 5,
+        "recoveries": 5,
+        "retries": 5,
+        "requeues": 180,
+        "parked": 0,
+        "exclusion_waivers": 0,
+        "failed_jobs": 0,
+        "lost_model_s": 1.218798,
     },
 }
 
@@ -188,23 +134,22 @@ NO_AUTOSCALE = {"scale_outs": 0, "scale_ins": 0, "actions": []}
 
 
 class TestOpenLoopGolden:
-    @pytest.mark.parametrize("seed", sorted(OPEN_LOOP_GOLDEN))
+    @pytest.mark.parametrize("seed", sorted(OPEN_LOOP))
     def test_priced_run_reproduces_the_recorded_digests(self, seed):
-        golden = OPEN_LOOP_GOLDEN[seed]
         priced = run_open_loop(seed, carbon=True)
         assert priced["resilience"] == {
-            **golden["resilience"], "autoscale": NO_AUTOSCALE,
+            **OPEN_LOOP_RESILIENCE[seed],
+            "autoscale": NO_AUTOSCALE,
         }
-        assert sha256(priced["events"].to_jsonl()) == golden["events"]
-        assert (
-            sha256(json.dumps(priced["summary"], sort_keys=True))
-            == golden["summary"]
+        assert sha256(priced["events"]) == pinned(f"{OPEN_LOOP[seed]}/events")
+        assert sha256(summary_text(priced["summary"])) == pinned(
+            f"{OPEN_LOOP[seed]}/summary"
         )
         # ...and pricing is invisible on this path too: the carbon-free
         # run has the same records and the same log, line for line
         free = run_open_loop(seed, carbon=False)
         assert free["records"] == priced["records"]
-        assert free["events"].to_jsonl() == priced["events"].to_jsonl()
+        assert free["events"] == priced["events"]
         summary = dict(priced["summary"])
         assert summary.pop("carbon")["energy_j"] > 0.0
         assert summary == free["summary"]

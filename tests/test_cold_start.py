@@ -64,6 +64,21 @@ class TestImportsLoadOnlyTheirLayer:
         assert any(line.startswith("README.md module map") for line in bad)
 
 
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--repeats", "0"], "--repeats"), (["--against", "."], "--against")],
+    )
+    def test_exit_2_naming_the_flag_before_any_probe(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cold_start, "fresh", None)  # a probe would TypeError
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            cold_start.main(argv)
+        assert raised.value.code == 2 and flag in capsys.readouterr().err
+
+
 class TestLazyPackageExports:
     def test_every_exported_name_resolves(self):
         assert len(repro.__all__) == 15 and "__version__" in repro.__all__

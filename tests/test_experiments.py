@@ -4,11 +4,8 @@ The benchmarks in ``benchmarks/`` assert the headline claims; these
 tests cover harness mechanics (row schemas, formatting, reuse paths).
 """
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
+from goldens import RECORD, paper_text, paper_texts, pinned, read_record, sha256
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import table01, fig08, fig12, fig13, fig14
@@ -17,36 +14,24 @@ from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.common import ExperimentResult, geomean
 from repro.hw import dse
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "paper_digest.py"
-_spec = importlib.util.spec_from_file_location("paper_digest", _TOOL)
-paper_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(paper_digest)
-
-
-@pytest.fixture(scope="module")
-def fast_digests():
-    return paper_digest.digests(fast=True)
-
 
 class TestGoldenDigests:
     """Every experiment summary on the fast grid hashes to the digest
-    recorded under Python 3.11 (``tools/paper_digest_fast.json``), on
-    every interpreter: a model value that moves in its last bit, or that
-    depends on how ``sum()`` adds floats, fails here by name."""
-
-    RECORD = json.loads(paper_digest.FAST_RECORD.read_text())
+    recorded under Python 3.11 (``paper/fast/`` in ``tests/goldens.json``),
+    on every interpreter: a model value that moves in its last bit, or
+    that depends on how ``sum()`` adds floats, fails here by name."""
 
     def test_record_covers_every_experiment(self):
-        assert list(self.RECORD) == ALL_EXPERIMENTS
+        recorded = [n for n in read_record(RECORD) if n.startswith("paper/fast/")]
+        assert recorded == [f"paper/fast/{name}" for name in ALL_EXPERIMENTS]
 
     @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
-    def test_summary_digest_is_the_recorded_one(self, fast_digests, name):
-        assert fast_digests[name] == self.RECORD[name]
+    def test_summary_digest_is_the_recorded_one(self, name):
+        assert sha256(paper_texts(True)[name]) == pinned(f"paper/fast/{name}")
 
     def test_private_payloads_are_not_hashed(self):
         public = {"best speedup": 2.5}
-        assert (paper_digest.summary_digest({**public, "_front": object()})
-                == paper_digest.summary_digest(public))
+        assert paper_text({**public, "_front": object()}) == paper_text(public)
 
 
 class TestCLI:

@@ -1,7 +1,5 @@
 """Unit and property tests for repro.fields."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,11 +90,6 @@ class TestPrimeFieldBasics:
     def test_elements_factory(self):
         xs = Fr.elements([1, 2, 3])
         assert xs == [Fr(1), Fr(2), Fr(3)]
-
-    def test_rand_in_range(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            assert 0 <= Fr.rand(rng).value < FR_MODULUS
 
 
 class TestRawOps:
@@ -204,10 +197,3 @@ class TestOpCounter:
         m = a.merged(b)
         assert m.mul == 3
         assert m.labels == {"zerocheck": 3, "permcheck": 5}
-
-    def test_reset(self):
-        c = OpCounter()
-        c.count_mul(5, kind="ee")
-        c.bump("x")
-        c.reset()
-        assert c.mul == 0 and c.ee_mul == 0 and not c.labels

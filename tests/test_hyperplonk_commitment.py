@@ -1,11 +1,11 @@
 """Tests for the multilinear KZG commitment scheme."""
 
-import hashlib
 import random
 import sys
 import threading
 
 import pytest
+from goldens import SRS_SEEDS, pinned, sha256, srs_text
 
 import repro.hyperplonk.commitment as commitment_module
 from repro.curves import G1, G1_GENERATOR, AffinePoint, msm_naive, msm_pippenger
@@ -84,25 +84,6 @@ def request_orders(max_vars):
     middle_out = sorted(ascending, key=lambda a: (abs(a - max_vars // 2), a))
     shuffled = random.Random(max_vars).sample(ascending, len(ascending))
     return [ascending, ascending[::-1], middle_out, shuffled]
-
-
-#: sha256 of every arity's points (:func:`srs_digest`) of
-#: ``TrapdoorSRS(7, random.Random(seed))``, recorded while a bottom-first
-#: caller still had each arity built from the generator on its own (the
-#: same digests asked bottom-first and top-first)
-SRS_DIGESTS = {
-    0: "c2dfa846bf3cf5991c1c29c331978fe8d4e93adebf7ae730579b279d64445600",
-    1: "dd4fe682cb208819132b116437822ac0fd08aa4747c2422f7b9ce88715b8e0df",
-    7: "5737135d10813cf214f3862ce66a11dca2afd72e3358496c71680a30aef10955",
-}
-
-
-def srs_digest(srs):
-    digest = hashlib.sha256()
-    for arity in range(srs.max_vars + 1):
-        for pt in srs.bases(arity):
-            digest.update(repr((arity, pt.x, pt.y, pt.inf)).encode())
-    return digest.hexdigest()
 
 
 class CountingTable:
@@ -195,13 +176,15 @@ class TestSRSBases:
             srs.bases(5)
         assert builds == [] and srs._bases_cache == {}
 
-    @pytest.mark.parametrize("seed", sorted(SRS_DIGESTS))
+    @pytest.mark.parametrize("seed", SRS_SEEDS)
     @pytest.mark.parametrize("top_first", [False, True])
     def test_points_are_bit_identical_to_the_recorded_digest(self, seed,
                                                              top_first):
-        srs = TrapdoorSRS(7, random.Random(seed))
-        srs.bases(7 if top_first else 0)
-        assert srs_digest(srs) == SRS_DIGESTS[seed]
+        """``srs/`` in ``tests/goldens.json`` was recorded while a
+        bottom-first caller still had each arity built from the generator
+        on its own (the same digests asked bottom-first and top-first)."""
+        text = srs_text(seed, first=7 if top_first else 0)
+        assert sha256(text) == pinned(f"srs/seed{seed}")
 
     def test_infinity_bases_survive_the_pair_sums(self):
         """A secret equal to 1 (never drawn in practice) zeroes half of

@@ -3,89 +3,36 @@
 :class:`TestClusterCliOutput` pins the stdout of every ``repro-cluster``
 invocation in CI's "Cluster CLI smoke" steps, each as ``--json`` and as
 the printed tables, by sha256 recorded before the CLI became a shell
-over :mod:`repro.fleet.scenario` (identical on Python 3.10 to 3.13).
+over :mod:`repro.fleet.scenario` (``cli/`` in ``tests/goldens.json``).
 :class:`TestRecordedCells` builds the :class:`Scenario` equal to each
-cell of the lifecycle and open-loop golden tables and checks that
+recorded lifecycle and open-loop cell and checks that
 :func:`run` reproduces their digests.  The rest covers the cross-field
 rules ``Scenario`` owns and what each runtime rejects.
 """
 
-import contextlib
-import hashlib
-import io
-import json
 from dataclasses import replace
 
 import pytest
-from test_carbon_parity import OPEN_LOOP_GOLDEN
-from test_lifecycle_pin import SCENARIO_GOLDEN
+from goldens import CLI_ARGVS, LIFECYCLE, OPEN_LOOP, cli_stdout, pinned
+from goldens import sha256, summary_text
 
 from repro.carbon import CarbonConfig, CarbonIntensityTrace, NodePowerModel
-from repro.cluster.__main__ import main as cluster_main
 from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.fleet.scenario import SIM_ONLY, Scenario, run
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-#: CI's repro-cluster smoke argv -> sha256 of stdout (with --json, without)
-CLI_GOLDEN = {
-    "--scenario zipf-mixed --jobs 24 --nodes 1,2,4": (
-        "d28fc6f6dd795dc5e398e8dcf73463c00bd016f453aaf9d1e17e461893f1ff5e",
-        "d9bcd249edea5f937a1f13182e90fb67ee0e60dff2a9b167696dac7b013ab408",
-    ),
-    "--scenario zipf-mixed --jobs 24 --nodes 2,4 --churn-rate 0.2 --max-retries 3": (
-        "7f58d7be58845af83e4cf26584a46ada8def7eafee5ebf81cdfcc1e7a25fd6ee",
-        "890da84a96f965e7b206566e43d2e58cfd45bd5e87b75323d76d2b6eaea3673e",
-    ),
-    "--scenario jellyfish-heavy --time-model functional --jobs 24 --nodes 1 "
-    "--autoscale --scale-out-s 1.0 --scale-in-s 0.1": (
-        "2559ed7f53bd3bf7bddd67142a179b552ef7fe5678d579400c27cf4c492be081",
-        "d7c587a940ee34fc80cd0c1451d73f14106d8d23bdcf60ea01b03246d0d04771",
-    ),
-    "--open-loop --scenario zipf-mixed --jobs 400 --rate-rps 40 --tenants 3 "
-    "--nodes 2,4 --admission": (
-        "7ca219cd689576d8feaec1aa5b7cee251f5e0df8d66eb8d52d0112cf221222a1",
-        "527f361d06a15b582bcc4d775b0da9928c2ffad221ad4e03f27089974edd6402",
-    ),
-    "--open-loop --scenario zipf-mixed --jobs 200 --rate-rps 20 --nodes 2": (
-        "13792ffe66b65e3b4699846853d6eb397df9a88e2e5282845ed01d40bb7e99e1",
-        "d018844f3897c9d710fc0b67cc244b9859317563b7db70e7449457fea3660b72",
-    ),
-    "--open-loop --scenario uniform-small --jobs 200 --rate-rps 10 --nodes 2 "
-    "--time-model functional --carbon-trace diurnal:300:0.8:240 "
-    "--carbon-policy carbon_waiting --carbon-threshold 180 --power-cap 700": (
-        "b7ccfece4b5209ed30946042bab0713240aca8d9320a7197879faa6769dd8896",
-        "f2bed120239b13d0ca87741e20a0a940f95500e85bd07ba9ae764c82eb0f1bda",
-    ),
-    "--scenario uniform-small --jobs 24 --nodes 2 --carbon-trace diurnal": (
-        "a993024855e751ffc137bcc680131b724ab9355a178a410c0872cc0cc53bf74f",
-        "12359344e99373b7cc455fcbb9cb3307cc615d28931ce58ce87b30c8afd4f13d",
-    ),
-}
-
-
-def cli_stdout(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cluster_main(argv) == 0
-    return out.getvalue()
-
-
 class TestClusterCliOutput:
-    @pytest.mark.parametrize("argv", list(CLI_GOLDEN))
+    @pytest.mark.parametrize("argv", CLI_ARGVS)
     def test_stdout_digests(self, argv):
-        as_json, as_tables = CLI_GOLDEN[argv]
-        assert sha256(cli_stdout([*argv.split(), "--json"])) == as_json
-        assert sha256(cli_stdout(argv.split())) == as_tables
+        as_json = sha256(cli_stdout(f"{argv} --json"))
+        assert as_json == pinned(f"cli/{argv} --json")
+        assert sha256(cli_stdout(argv)) == pinned(f"cli/{argv}")
 
 
 class TestRecordedCells:
     @pytest.mark.parametrize(
-        "cell", sorted(SCENARIO_GOLDEN), ids=lambda cell: f"{cell[0]}-{cell[1]}"
+        "cell", sorted(LIFECYCLE), ids=lambda cell: f"{cell[0]}-{cell[1]}"
     )
     def test_lifecycle_golden(self, cell):
         policy, max_retries = cell
@@ -111,12 +58,12 @@ class TestRecordedCells:
                 ),
             )
         )
-        assert (
-            sha256(json.dumps(result.summary, sort_keys=True)),
-            sha256(result.events.to_jsonl()),
-        ) == SCENARIO_GOLDEN[cell]
+        assert sha256(summary_text(result.summary)) == pinned(
+            f"{LIFECYCLE[cell]}/summary"
+        )
+        assert sha256(result.events.to_jsonl()) == pinned(f"{LIFECYCLE[cell]}/events")
 
-    @pytest.mark.parametrize("seed", sorted(OPEN_LOOP_GOLDEN))
+    @pytest.mark.parametrize("seed", sorted(OPEN_LOOP))
     def test_open_loop_golden(self, seed):
         jobs, rate_rps = 2_000, 40.0
         result = run(
@@ -137,9 +84,10 @@ class TestRecordedCells:
                 admission=AdmissionPolicy(window_s=10.0),
             )
         )
-        golden = OPEN_LOOP_GOLDEN[seed]
-        assert sha256(result.events.to_jsonl()) == golden["events"]
-        assert sha256(json.dumps(result.summary, sort_keys=True)) == golden["summary"]
+        assert sha256(result.events.to_jsonl()) == pinned(f"{OPEN_LOOP[seed]}/events")
+        assert sha256(summary_text(result.summary)) == pinned(
+            f"{OPEN_LOOP[seed]}/summary"
+        )
 
 
 def carbon(**kwargs) -> CarbonConfig:

@@ -8,19 +8,18 @@ backpressure when the budget collapses under it; and the ``repro-
 cluster --open-loop`` flags validate with argparse's exit status 2.
 """
 
-import hashlib
 import math
 import random
 from types import SimpleNamespace
 
 import pytest
+from goldens import closed_stream_text, pinned, sha256
 
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.admission import AdmissionController, AdmissionPolicy
 from repro.cluster.__main__ import build_parser, main as cluster_main
 from repro.service.jobs import RequestClass
 from repro.service.metrics import latency_tail, percentile
-from repro.service.traffic import TrafficGenerator
 from repro.traffic import (
     SLO_TIERS,
     OpenLoopEngine,
@@ -226,19 +225,12 @@ class TestWeightedTable:
 class TestClosedBatchStream:
     """The closed-batch ``TrafficGenerator`` stream feeds every service,
     cluster and fleet run; its draws go through the same
-    :class:`WeightedTable` as the open-loop stream.  The digest was
-    recorded when the generator still drew with ``rng.choices``."""
+    :class:`WeightedTable` as the open-loop stream.  The digest
+    (``traffic/`` in ``tests/goldens.json``) was recorded when the
+    generator still drew with ``rng.choices``."""
 
     def test_zipf_mixed_stream_digest(self):
-        jobs = TrafficGenerator("zipf-mixed", seed=0).jobs(64)
-        rows = [
-            (repr(j.arrival_s), j.tag, j.request_class.value,
-             repr(j.deadline_s), j.circuit_key)
-            for j in jobs
-        ]
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "b5e76ea70e0d405886f608020f6ac0de251a3349c0135bc1a7059d4faaf04c74"
-        )
+        assert sha256(closed_stream_text()) == pinned("traffic/zipf-mixed")
 
 
 class TestTenants:

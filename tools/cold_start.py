@@ -286,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="another checkout to measure beside this one")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, not {args.repeats}")
+    if args.against is not None and not (args.against / "src" / "repro").is_dir():
+        parser.error(f"--against {args.against}: no src/repro in that checkout")
     if args.check:
         bad = failures()
         print("\n".join(bad) if bad else
