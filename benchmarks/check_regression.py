@@ -7,7 +7,12 @@ Every benchmark record mixes two kinds of values:
   acceptance floors, deterministic routing/model facts.  These must
   match the committed baseline *exactly*: a change means the benchmark
   now measures something else, which must be a deliberate, reviewed
-  baseline update.
+  baseline update.  A record whose cells are
+  :class:`repro.fleet.scenario.Scenario` runs (cluster, resilience,
+  traffic, fleet) keeps each cell as a ``scenario`` block
+  (``Scenario.as_dict()``) next to its numbers, and its spec names the
+  block once (``sweep[*].scenario.*``): the ``*`` wildcard gives every
+  field its own exact path and drift message.
 * **headline ratios** — speedups, throughput and hit-rate ratios.
   These are machine-sensitive where real time is involved, so they get
   a relative tolerance (default ±30%, ``--tolerance``).  Absolute
@@ -100,27 +105,13 @@ SPECS: dict[str, Spec] = {
         exact=[
             "benchmark",
             "unit",
-            "scenario",
-            "time_model",
-            "nodes",
-            "jobs_per_replication",
-            "traffic_seeds",
-            "churn.downtime_fraction",
-            "churn.mttr_s",
-            "churn.seed_offset",
             "miss_ratio_floor",
-            "retry.policy",
-            "retry.max_retries",
             "retry.failed_jobs",
-            "no_retry.policy",
-            "no_retry.max_retries",
-            "replications[*].traffic_seed",
-            "replications[*].churn_seed",
+            "replications[*].retry_scenario.*",
+            "replications[*].no_retry_scenario.*",
             "replications[*].crashes",
-            "autoscale.scenario",
-            "autoscale.seed",
-            "autoscale.jobs",
-            "autoscale.max_nodes",
+            "autoscale.fixed_scenario.*",
+            "autoscale.scaled_scenario.*",
             "autoscale.p50_floor",
         ],
         ratio=[
@@ -134,17 +125,11 @@ SPECS: dict[str, Spec] = {
         exact=[
             "benchmark",
             "unit",
-            "scenario",
-            "seed",
-            "jobs",
-            "nodes",
-            "time_model",
             "speedup_floor_affinity_vs_round_robin",
-            "acceptance[*].policy",
+            "acceptance[*].scenario.*",
             "acceptance[*].jobs",
             "acceptance[*].shape_spread",
-            "sweep[*].nodes",
-            "sweep[*].policy",
+            "sweep[*].scenario.*",
             "sweep[*].shape_spread",
         ],
         ratio=[
@@ -175,21 +160,15 @@ SPECS: dict[str, Spec] = {
             "sim_core.legacy_fired",
             "sim_core.legacy_final_clock_s",
             "sim_core.legacy_len_probe",
-            "open_loop.scenario",
-            "open_loop.seed",
-            "open_loop.jobs",
-            "open_loop.rate_rps",
-            "open_loop.nodes",
-            "open_loop.policy",
-            "open_loop.tenants",
-            "open_loop.admission_window_s",
             "open_loop.goodput_floor",
+            "open_loop.admission.scenario.*",
             "open_loop.admission.offered",
             "open_loop.admission.admitted",
             "open_loop.admission.shed",
             "open_loop.admission.completed",
             "open_loop.admission.failed",
             "open_loop.admission.shed_by_tenant.*",
+            "open_loop.no_admission.scenario.*",
             "open_loop.no_admission.offered",
             "open_loop.no_admission.shed",
             "open_loop.no_admission.completed",
@@ -211,7 +190,11 @@ SPECS: dict[str, Spec] = {
         # every value is deterministic model time (no wall clock): the
         # run configuration, trace parameters, and job/miss counts are
         # exact; the gram figures and the headline carbon ratio follow
-        # the standing rates-are-ratios tolerance policy
+        # the standing rates-are-ratios tolerance policy.  The run
+        # configuration is listed key by key, not as a `scenario`
+        # block: no Scenario field describes its gold/bronze tenant
+        # tiers and no flag sets its trace noise (DESIGN.md §14,
+        # "Still hand-built")
         exact=[
             "benchmark",
             "unit",
@@ -264,11 +247,7 @@ SPECS: dict[str, Spec] = {
         exact=[
             "benchmark",
             "unit",
-            "scenario",
-            "jobs",
-            "nodes",
-            "seed",
-            "time_model",
+            "policies.*.scenario.*",
             "significance",
             "measured_tolerance",
             "rank_agreement",

@@ -26,9 +26,13 @@ jellyfish-heavy traffic: scaling 1→6 nodes on the predicted-backlog
 signal must improve p50 latency ≥ ``AUTOSCALE_P50_FLOOR``× over the
 fixed single node while scaling back in during every lull.
 
-Like the other ``BENCH_*.json`` artifacts, the record is only
-(re)written when missing or ``BENCH_RESILIENCE_EMIT=1`` is set (as CI
-does), and ``benchmarks/check_regression.py`` gates it.
+Every replication row carries its two cells as ``retry_scenario`` /
+``no_retry_scenario`` blocks, and the autoscale section its two as
+``fixed_scenario`` / ``scaled_scenario``
+(:meth:`~repro.fleet.scenario.Scenario.as_dict`).  Like the other
+``BENCH_*.json`` artifacts, the record is only (re)written when missing
+or ``BENCH_RESILIENCE_EMIT=1`` is set (as CI does), and
+``benchmarks/check_regression.py`` gates it.
 """
 
 import json
@@ -49,6 +53,9 @@ CHURN_SEED_OFFSET = 100
 DOWNTIME_FRACTION = 0.2
 MTTR_S = 2.0
 MISS_RATIO_FLOOR = 2.0
+#: (policy, max_retries) of the defended cell and of its baseline
+RETRY = ("affinity", 3)
+NO_RETRY = ("round_robin", 0)
 
 AUTOSCALE_SCENARIO = "jellyfish-heavy"
 AUTOSCALE_SEED = 11
@@ -56,9 +63,9 @@ AUTOSCALE_JOBS = 48
 AUTOSCALE_P50_FLOOR = 1.2
 
 
-def run_churn_cell(policy: str, max_retries: int, seed: int) -> dict:
+def churn_cell(policy: str, max_retries: int, seed: int) -> Scenario:
     """One (policy, retry budget, seed) replication under 20% churn."""
-    cell = Scenario(
+    return Scenario(
         SCENARIO,
         JOBS,
         seed,
@@ -70,10 +77,9 @@ def run_churn_cell(policy: str, max_retries: int, seed: int) -> dict:
         churn_mttr=MTTR_S,
         churn_seed=seed + CHURN_SEED_OFFSET,
     )
-    return run(cell).summary
 
 
-def run_autoscale_cell(autoscale: bool) -> dict:
+def autoscale_cell(autoscale: bool) -> Scenario:
     """Bursty traffic on 1 starting node, autoscaled or fixed; the fixed
     node replays arrivals in model time like the autoscaled run."""
     policy = None
@@ -86,7 +92,7 @@ def run_autoscale_cell(autoscale: bool) -> dict:
             max_nodes=6,
             provision_s=0.25,
         )
-    cell = Scenario(
+    return Scenario(
         AUTOSCALE_SCENARIO,
         AUTOSCALE_JOBS,
         AUTOSCALE_SEED,
@@ -96,7 +102,19 @@ def run_autoscale_cell(autoscale: bool) -> dict:
         respect_arrivals=True,
         autoscale=policy,
     )
-    return run(cell).summary
+
+
+def replication_row(seed: int, retry: dict, no_retry: dict) -> dict:
+    """One replication's record row from its two cells' summaries."""
+    return {
+        "retry_scenario": churn_cell(*RETRY, seed).as_dict(),
+        "no_retry_scenario": churn_cell(*NO_RETRY, seed).as_dict(),
+        "retry_missed": retry["deadlines"]["missed"],
+        "retry_retries": retry["resilience"]["retries"],
+        "no_retry_missed": no_retry["deadlines"]["missed"],
+        "no_retry_failed": no_retry["resilience"]["failed_jobs"],
+        "crashes": no_retry["resilience"]["crashes"],
+    }
 
 
 def pooled(cells: list[dict]) -> dict:
@@ -118,19 +136,15 @@ class TestClusterResilience:
     def test_smoke_churn_scenario_small(self):
         """Fast sanity: one small churned replication completes and
         accounts for every job."""
-        summary = run_churn_cell("affinity", max_retries=3, seed=2)
+        summary = run(churn_cell(*RETRY, seed=2)).summary
         assert summary["jobs"] + summary["resilience"]["failed_jobs"] == JOBS
         assert summary["resilience"]["crashes"] > 0
         assert summary["deadlines"]["jobs"] > 0
 
     def test_retry_beats_no_retry_and_emit(self):
-        retry_cells = [
-            run_churn_cell("affinity", max_retries=3, seed=seed)
-            for seed in TRAFFIC_SEEDS
-        ]
+        retry_cells = [run(churn_cell(*RETRY, seed)).summary for seed in TRAFFIC_SEEDS]
         no_retry_cells = [
-            run_churn_cell("round_robin", max_retries=0, seed=seed)
-            for seed in TRAFFIC_SEEDS
+            run(churn_cell(*NO_RETRY, seed)).summary for seed in TRAFFIC_SEEDS
         ]
         retry = pooled(retry_cells)
         no_retry = pooled(no_retry_cells)
@@ -148,8 +162,9 @@ class TestClusterResilience:
             "this benchmark is not exercising the failure path"
         )
 
-        auto_fixed = run_autoscale_cell(autoscale=False)
-        auto_scaled = run_autoscale_cell(autoscale=True)
+        fixed_cell, scaled_cell = autoscale_cell(False), autoscale_cell(True)
+        auto_fixed = run(fixed_cell).summary
+        auto_scaled = run(scaled_cell).summary
         p50_improvement = (
             auto_fixed["model"]["latency_s"]["p50"]
             / auto_scaled["model"]["latency_s"]["p50"]
@@ -165,47 +180,17 @@ class TestClusterResilience:
         record = {
             "benchmark": "cluster_resilience",
             "unit": "deadline_miss_rate",
-            "scenario": SCENARIO,
-            "time_model": TIME_MODEL,
-            "nodes": NODES,
-            "jobs_per_replication": JOBS,
-            "traffic_seeds": list(TRAFFIC_SEEDS),
-            "churn": {
-                "downtime_fraction": DOWNTIME_FRACTION,
-                "mttr_s": MTTR_S,
-                "seed_offset": CHURN_SEED_OFFSET,
-            },
             "miss_ratio_floor": MISS_RATIO_FLOOR,
             "deadline_miss_ratio_smoothed": round(ratio, 3),
-            "retry": {
-                "policy": "affinity",
-                "max_retries": 3,
-                **retry,
-            },
-            "no_retry": {
-                "policy": "round_robin",
-                "max_retries": 0,
-                **no_retry,
-            },
+            "retry": retry,
+            "no_retry": no_retry,
             "replications": [
-                {
-                    "traffic_seed": seed,
-                    "churn_seed": seed + CHURN_SEED_OFFSET,
-                    "retry_missed": r["deadlines"]["missed"],
-                    "retry_retries": r["resilience"]["retries"],
-                    "no_retry_missed": n["deadlines"]["missed"],
-                    "no_retry_failed": n["resilience"]["failed_jobs"],
-                    "crashes": n["resilience"]["crashes"],
-                }
-                for seed, r, n in zip(
-                    TRAFFIC_SEEDS, retry_cells, no_retry_cells
-                )
+                replication_row(seed, r, n)
+                for seed, r, n in zip(TRAFFIC_SEEDS, retry_cells, no_retry_cells)
             ],
             "autoscale": {
-                "scenario": AUTOSCALE_SCENARIO,
-                "seed": AUTOSCALE_SEED,
-                "jobs": AUTOSCALE_JOBS,
-                "max_nodes": 6,
+                "fixed_scenario": fixed_cell.as_dict(),
+                "scaled_scenario": scaled_cell.as_dict(),
                 "p50_floor": AUTOSCALE_P50_FLOOR,
                 "p50_improvement_vs_fixed": round(p50_improvement, 3),
                 "scale_outs": scaling["scale_outs"],

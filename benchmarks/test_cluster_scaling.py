@@ -15,7 +15,8 @@ throughput gate rides on real cache behaviour.  The node-count sweep
 rows run in pure simulation (identical model-time arithmetic, locked by
 ``tests/test_cluster.py``).  Like the other ``BENCH_*.json`` artifacts,
 the record is only (re)written when missing or ``BENCH_CLUSTER_EMIT=1``
-is set (as CI does).
+is set (as CI does).  Each row carries its cell as a ``scenario`` block
+(:meth:`~repro.fleet.scenario.Scenario.as_dict`) next to its numbers.
 """
 
 import json
@@ -37,16 +38,17 @@ SPEEDUP_FLOOR = 1.2
 SWEEP_NODES = (1, 2, 4, 8)
 
 
-def run_cell(policy: str, num_nodes: int, *, execute: bool) -> dict:
-    return run(
-        Scenario(SCENARIO, JOBS, SEED, nodes=num_nodes, policy=policy, execute=execute)
-    ).summary
+def cell(policy: str, num_nodes: int, *, execute: bool) -> Scenario:
+    return Scenario(
+        SCENARIO, JOBS, SEED, nodes=num_nodes, policy=policy, execute=execute
+    )
 
 
-def acceptance_row(summary: dict) -> dict:
+def acceptance_row(scenario: Scenario) -> dict:
+    summary = run(scenario).summary
     model = summary["model"]
     return {
-        "policy": summary["policy"],
+        "scenario": scenario.as_dict(),
         "jobs": summary["jobs"],
         "model_jobs_per_s": model["throughput_jobs_per_s"],
         "model_makespan_s": model["makespan_s"],
@@ -60,11 +62,11 @@ def acceptance_row(summary: dict) -> dict:
     }
 
 
-def sweep_row(summary: dict) -> dict:
+def sweep_row(scenario: Scenario) -> dict:
+    summary = run(scenario).summary
     model = summary["model"]
     return {
-        "nodes": summary["nodes"],
-        "policy": summary["policy"],
+        "scenario": scenario.as_dict(),
         "model_jobs_per_s": model["throughput_jobs_per_s"],
         "load_imbalance": model["load_imbalance"],
         "install_share": model["install_share"],
@@ -83,11 +85,10 @@ class TestClusterScaling:
         assert summary["routing"]["shape_spread"] == 1.0
 
     def test_affinity_beats_round_robin_and_emit(self):
-        cells = {
-            policy: run_cell(policy, NODES, execute=True)
+        rows = {
+            policy: acceptance_row(cell(policy, NODES, execute=True))
             for policy in ("round_robin", "affinity")
         }
-        rows = {p: acceptance_row(s) for p, s in cells.items()}
         ratio = (
             rows["affinity"]["model_jobs_per_s"]
             / rows["round_robin"]["model_jobs_per_s"]
@@ -102,18 +103,13 @@ class TestClusterScaling:
         ), "affinity must improve the measured index-cache hit rate"
 
         sweep = [
-            sweep_row(run_cell(policy, num_nodes, execute=False))
+            sweep_row(cell(policy, num_nodes, execute=False))
             for num_nodes in SWEEP_NODES
             for policy in ROUTING_POLICIES
         ]
         record = {
             "benchmark": "cluster_scaling",
             "unit": "model_jobs_per_s",
-            "scenario": SCENARIO,
-            "seed": SEED,
-            "jobs": JOBS,
-            "nodes": NODES,
-            "time_model": "accelerator",
             "speedup_floor_affinity_vs_round_robin": SPEEDUP_FLOOR,
             "affinity_vs_round_robin": round(ratio, 3),
             "acceptance": [rows["round_robin"], rows["affinity"]],

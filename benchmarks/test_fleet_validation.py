@@ -17,7 +17,10 @@ Wall-clock numbers are machine-dependent by nature, so the bench gate
 (``benchmarks/check_regression.py``) pins only the machine-independent
 structure — the verdicts and the run configuration — and rate-limits
 ``calibration_spread``; rankings, pair lists, and absolute seconds are
-recorded for humans, not gated.  The prediction itself is core-aware
+recorded for humans, not gated.  Each ``policies.<p>`` entry carries
+its cell as a ``scenario`` block
+(:meth:`~repro.fleet.scenario.Scenario.as_dict`), which the gate
+compares field by field.  The prediction itself is core-aware
 (see :mod:`repro.fleet.validation`), so the record reproduces on
 1-core CI runners and many-core laptops alike.
 
@@ -30,6 +33,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.fleet.scenario import Scenario
 from repro.fleet.validation import run_validation
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
@@ -45,6 +49,11 @@ SEED = 7
 CALIBRATION_SPREAD_CEILING = 1.75
 
 
+def cell(jobs: int, nodes: int) -> Scenario:
+    """The validated cell; ``run_validation`` replaces its ``policy``."""
+    return Scenario(SCENARIO, jobs, SEED, nodes=nodes, time_model="functional")
+
+
 class TestFleetValidation:
     def test_smoke_cell_agrees_and_proves_identically(self, benchmark):
         """A small cell wired exactly like the record (fast CI lane).
@@ -55,7 +64,7 @@ class TestFleetValidation:
         decide tier-1 (``test_fleet_record`` asserts it when emitting).
         """
         doc = benchmark.pedantic(
-            lambda: run_validation(SCENARIO, 8, 2, seed=SEED),
+            lambda: run_validation(cell(8, 2)),
             rounds=1,
             iterations=1,
         )
@@ -69,7 +78,7 @@ class TestFleetValidation:
         (rank agreement, calibration spread) only when emitting the
         record, so a loaded box cannot decide tier-1."""
         doc = benchmark.pedantic(
-            lambda: run_validation(SCENARIO, JOBS, NODES, seed=SEED),
+            lambda: run_validation(cell(JOBS, NODES)),
             rounds=1,
             iterations=1,
         )

@@ -16,7 +16,9 @@ ISSUE 8 acceptance, two sections in one record:
   completions per model second) ≥ ``GOODPUT_FLOOR``× — unprotected
   queues grow without bound, so almost every deadline burns — while
   shedding bronze before silver before gold.  Every number is
-  deterministic model time.
+  deterministic model time, and each of the two sections carries its
+  cell as a ``scenario`` block
+  (:meth:`~repro.fleet.scenario.Scenario.as_dict`).
 
 Only the events/sec figures touch the wall clock, so the record is
 bit-stable everywhere else.  Like the other ``BENCH_*.json`` artifacts
@@ -59,10 +61,10 @@ ADMISSION_WINDOW_S = 10.0
 GOODPUT_FLOOR = 2.0
 
 
-def run_open_loop_cell(with_admission: bool, jobs: int = OPEN_LOOP_JOBS) -> dict:
-    """One seeded open-loop run; returns its traffic summary."""
+def open_loop_cell(with_admission: bool, jobs: int = OPEN_LOOP_JOBS) -> Scenario:
+    """One seeded open-loop run, admission-controlled or unprotected."""
     admission = AdmissionPolicy(window_s=ADMISSION_WINDOW_S) if with_admission else None
-    cell = Scenario(
+    return Scenario(
         SCENARIO,
         jobs,
         SEED,
@@ -73,13 +75,13 @@ def run_open_loop_cell(with_admission: bool, jobs: int = OPEN_LOOP_JOBS) -> dict
         tenants=TENANTS,
         admission=admission,
     )
-    return run(cell).summary
 
 
-def openloop_section(summary: dict) -> dict:
-    """The per-cell keys the record pins from one traffic summary."""
+def openloop_section(cell: Scenario, summary: dict) -> dict:
+    """The cell and the keys the record pins from its traffic summary."""
     model = summary["model"]
     return {
+        "scenario": cell.as_dict(),
         "offered": summary["offered"],
         "admitted": summary["admitted"],
         "shed": summary["shed"],
@@ -107,7 +109,7 @@ class TestTrafficOpenLoop:
         assert (fired, now, probe) == (fired2, now2, probe2)
         assert fired >= 20_000
 
-        summary = run_open_loop_cell(True, jobs=2_000)
+        summary = run(open_loop_cell(True, jobs=2_000)).summary
         assert summary["offered"] == 2_000
         assert (
             summary["offered"]
@@ -137,8 +139,9 @@ class TestTrafficOpenLoop:
             f"({events_per_s:,.0f} vs {legacy_events_per_s:,.0f} events/s)"
         )
 
-        admission = run_open_loop_cell(True)
-        no_admission = run_open_loop_cell(False)
+        admission_cell, no_admission_cell = open_loop_cell(True), open_loop_cell(False)
+        admission = run(admission_cell).summary
+        no_admission = run(no_admission_cell).summary
         for cell in (admission, no_admission):
             assert cell["offered"] == OPEN_LOOP_JOBS
             assert (
@@ -179,18 +182,10 @@ class TestTrafficOpenLoop:
                 "legacy_len_probe": legacy_probe,
             },
             "open_loop": {
-                "scenario": SCENARIO,
-                "seed": SEED,
-                "jobs": OPEN_LOOP_JOBS,
-                "rate_rps": RATE_RPS,
-                "nodes": NODES,
-                "policy": POLICY,
-                "tenants": TENANTS,
-                "admission_window_s": ADMISSION_WINDOW_S,
                 "goodput_floor": GOODPUT_FLOOR,
                 "goodput_improvement": round(improvement, 2),
-                "admission": openloop_section(admission),
-                "no_admission": openloop_section(no_admission),
+                "admission": openloop_section(admission_cell, admission),
+                "no_admission": openloop_section(no_admission_cell, no_admission),
             },
         }
         emit = os.environ.get("BENCH_TRAFFIC_EMIT") == "1"

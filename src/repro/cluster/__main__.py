@@ -14,7 +14,9 @@ A thin shell over :mod:`repro.fleet.scenario`: the flags parse into one
 printout adds deadline-miss, retry, and churn columns); ``--open-loop``
 runs the multi-tenant open-loop source (:mod:`repro.traffic`).
 ``--events PATH`` writes the JSONL event log (:mod:`repro.sim.events`)
-of a single cell — one ``--nodes`` value and one policy.
+of a single cell — one ``--nodes`` value and one policy.  The tables
+read their header from the parsed scenario and their columns from one
+``(title, width, cell)`` list each, printed by :func:`print_table`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 from repro.carbon import CARBON_POLICIES, CarbonConfig, CarbonIntensityTrace
@@ -248,6 +251,64 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
     )
 
 
+#: one table column: its title, its width, and the text of one row's
+#: cell; title and cell text are right-justified to the width
+Column = tuple[str, int, Callable[[dict], str]]
+
+CLOSED_COLUMNS: list[Column] = [
+    ("jobs/s", 9, lambda row: f"{row['model']['throughput_jobs_per_s']:.2f}"),
+    ("makespan", 9, lambda row: f"{row['model']['makespan_s']:.3f}s"),
+    ("imbalance", 9, lambda row: f"{row['model']['load_imbalance']:.2f}"),
+    ("install%", 8, lambda row: f"{row['model']['install_share'] * 100:.1f}%"),
+    ("hit-rate", 8, lambda row: f"{row['cache']['sim']['hit_rate']:.2f}"),
+    ("spread", 6, lambda row: f"{row['routing']['shape_spread']:.2f}"),
+    ("p95", 9, lambda row: f"{row['model']['latency_s']['p95']:.3f}s"),
+]
+
+RESILIENCE_COLUMNS: list[Column] = [
+    ("miss%", 6, lambda row: f"{row['deadlines']['miss_rate'] * 100:.1f}%"),
+    ("failed", 6, lambda row: f"{row['resilience']['failed_jobs']}"),
+    ("retries", 7, lambda row: f"{row['resilience']['retries']}"),
+    ("requeue", 7, lambda row: f"{row['resilience']['requeues']}"),
+    ("crashes", 7, lambda row: f"{row['resilience']['crashes']}"),
+    ("scale+", 6, lambda row: f"{row['resilience']['autoscale']['scale_outs']}"),
+    ("scale-", 6, lambda row: f"{row['resilience']['autoscale']['scale_ins']}"),
+]
+
+OPEN_LOOP_COLUMNS: list[Column] = [
+    ("offered", 8, lambda row: f"{row['offered']}"),
+    ("shed%", 6, lambda row: f"{row['shed_rate'] * 100:.1f}%"),
+    ("goodput", 8, lambda row: f"{row['model']['goodput_jobs_per_s']:.2f}"),
+    ("slo%", 6, lambda row: f"{row['model']['slo_attainment'] * 100:.1f}%"),
+    ("p99", 9, lambda row: f"{row['model']['latency_s']['p99']:.3f}s"),
+    ("jain", 5, lambda row: f"{row['jain_fairness']:.2f}"),
+    ("pauses", 6, lambda row: f"{row['pauses']}"),
+]
+
+CARBON_COLUMNS: list[Column] = [
+    # pads itself to ten characters under a nine-wide title, as the
+    # printed table always has
+    ("energy", 9, lambda row: f"{row['carbon']['energy_j'] / 1e3:>8.3f}kJ"),
+    ("carbon", 9, lambda row: f"{row['carbon']['carbon_g']:.4f}g"),
+    ("g/proof", 9, lambda row: f"{row['carbon']['carbon_per_proof_g']:.6f}"),
+    ("held", 5, lambda row: f"{row['carbon']['held_starts']}"),
+    ("susp", 5, lambda row: f"{row['carbon']['suspends']}"),
+    ("defer", 5, lambda row: f"{row['carbon']['cap_deferrals']}"),
+]
+
+
+def print_table(rows: list[dict], columns: list[Column]) -> None:
+    """One line per (nodes, policy) cell under a dashed header."""
+    header = f"{'nodes':>5}  {'policy':<12} " + " ".join(
+        title.rjust(width) for title, width, _ in columns
+    )
+    print(header)
+    print("-" * len(header))
+    for row in rows:
+        cells = " ".join(cell(row).rjust(width) for _, width, cell in columns)
+        print(f"{row['nodes']:>5}  {row['policy']:<12} {cells}")
+
+
 def print_carbon(rows: list[dict]) -> None:
     """The carbon table (only for runs that priced joules and grams)."""
     carbon_rows = [row for row in rows if "carbon" in row]
@@ -259,114 +320,44 @@ def print_carbon(rows: list[dict]) -> None:
         f"\ncarbon (policy {first['policy']}, power model "
         f"{first['power_model']}, cap {f'{cap:g} W' if cap else 'off'})"
     )
-    cheader = (
-        f"{'nodes':>5}  {'policy':<12} {'energy':>9} {'carbon':>9} "
-        f"{'g/proof':>9} {'held':>5} {'susp':>5} {'defer':>5}"
-    )
-    print(cheader)
-    print("-" * len(cheader))
-    for row in carbon_rows:
-        carbon = row["carbon"]
-        print(
-            f"{row['nodes']:>5}  {row['policy']:<12} "
-            f"{carbon['energy_j'] / 1e3:>8.3f}kJ "
-            f"{carbon['carbon_g']:>8.4f}g "
-            f"{carbon['carbon_per_proof_g']:>9.6f} "
-            f"{carbon['held_starts']:>5} "
-            f"{carbon['suspends']:>5} "
-            f"{carbon['cap_deferrals']:>5}"
-        )
+    print_table(carbon_rows, CARBON_COLUMNS)
 
 
-def print_open_loop(args, rows: list[dict]) -> None:
-    """The open-loop table: goodput, shedding, SLO, tail, fairness."""
-    scenario = SCENARIOS[args.scenario]
+def print_open_loop(base: Scenario, rows: list[dict]) -> None:
+    """The open-loop table (goodput, shedding, SLO, tail, fairness),
+    plus the carbon table when the run priced one."""
+    scenario = SCENARIOS[base.scenario]
     print(
-        f"scenario   : {args.scenario} ({scenario.description})\n"
-        f"open loop  : rate {args.rate_rps or scenario.rate_rps} rps   "
-        f"tenants: {args.tenants}   "
-        f"admission: {'on' if args.admission else 'off'}   "
-        f"seed: {args.seed}"
+        f"scenario   : {base.scenario} ({scenario.description})\n"
+        f"open loop  : rate {base.rate_rps or scenario.rate_rps} rps   "
+        f"tenants: {base.tenants}   "
+        f"admission: {'on' if base.admission else 'off'}   "
+        f"seed: {base.seed}"
     )
-    header = (
-        f"{'nodes':>5}  {'policy':<12} {'offered':>8} {'shed%':>6} "
-        f"{'goodput':>8} {'slo%':>6} {'p99':>9} {'jain':>5} {'pauses':>6}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        model = row["model"]
-        print(
-            f"{row['nodes']:>5}  {row['policy']:<12} "
-            f"{row['offered']:>8} "
-            f"{row['shed_rate'] * 100:>5.1f}% "
-            f"{model['goodput_jobs_per_s']:>8.2f} "
-            f"{model['slo_attainment'] * 100:>5.1f}% "
-            f"{model['latency_s']['p99']:>8.3f}s "
-            f"{row['jain_fairness']:>5.2f} "
-            f"{row['pauses']:>6}"
-        )
+    print_table(rows, OPEN_LOOP_COLUMNS)
+    print_carbon(rows)
 
 
-def print_closed(args, failure_aware: bool, rows: list[dict]) -> None:
+def print_closed(base: Scenario, rows: list[dict]) -> None:
     """The closed-batch table, plus the resilience and execute-mode
     tables when those paths ran."""
-    scenario = SCENARIOS[args.scenario]
+    scenario = SCENARIOS[base.scenario]
     print(
-        f"scenario   : {args.scenario} ({scenario.description})\n"
-        f"time model : {args.time_model}   jobs: {args.jobs}   "
-        f"seed: {args.seed}   node cache: "
-        f"{args.cache_capacity or 'unbounded'}"
+        f"scenario   : {base.scenario} ({scenario.description})\n"
+        f"time model : {base.time_model}   jobs: {base.jobs}   "
+        f"seed: {base.seed}   node cache: "
+        f"{base.cache_capacity or 'unbounded'}"
     )
-    header = (
-        f"{'nodes':>5}  {'policy':<12} {'jobs/s':>9} {'makespan':>9} "
-        f"{'imbalance':>9} {'install%':>8} {'hit-rate':>8} {'spread':>6} "
-        f"{'p95':>9}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        model = row["model"]
-        cache = row["cache"]["sim"]
+    print_table(rows, CLOSED_COLUMNS)
+    if base.failure_aware:
         print(
-            f"{row['nodes']:>5}  {row['policy']:<12} "
-            f"{model['throughput_jobs_per_s']:>9.2f} "
-            f"{model['makespan_s']:>8.3f}s "
-            f"{model['load_imbalance']:>9.2f} "
-            f"{model['install_share'] * 100:>7.1f}% "
-            f"{cache['hit_rate']:>8.2f} "
-            f"{row['routing']['shape_spread']:>6.2f} "
-            f"{model['latency_s']['p95']:>8.3f}s"
+            f"\nresilience (churn rate {base.churn_rate}, "
+            f"mttr {base.churn_mttr}s, max retries {base.max_retries}, "
+            f"autoscale {'on' if base.autoscale else 'off'})"
         )
-    if failure_aware:
-        print(
-            f"\nresilience (churn rate {args.churn_rate}, "
-            f"mttr {args.churn_mttr}s, max retries {args.max_retries}, "
-            f"autoscale {'on' if args.autoscale else 'off'})"
-        )
-        rheader = (
-            f"{'nodes':>5}  {'policy':<12} {'miss%':>6} {'failed':>6} "
-            f"{'retries':>7} {'requeue':>7} {'crashes':>7} {'scale+':>6} "
-            f"{'scale-':>6}"
-        )
-        print(rheader)
-        print("-" * len(rheader))
-        for row in rows:
-            deadlines = row.get("deadlines", {})
-            resilience = row.get("resilience", {})
-            autoscale = resilience.get("autoscale", {})
-            print(
-                f"{row['nodes']:>5}  {row['policy']:<12} "
-                f"{deadlines.get('miss_rate', 0.0) * 100:>5.1f}% "
-                f"{resilience.get('failed_jobs', 0):>6} "
-                f"{resilience.get('retries', 0):>7} "
-                f"{resilience.get('requeues', 0):>7} "
-                f"{resilience.get('crashes', 0):>7} "
-                f"{autoscale.get('scale_outs', 0):>6} "
-                f"{autoscale.get('scale_ins', 0):>6}"
-            )
+        print_table(rows, RESILIENCE_COLUMNS)
     print_carbon(rows)
-    if args.execute:
+    if base.execute:
         print("\nmeasured (execute mode): real per-node caches + prove times")
         for row in rows:
             real = row["cache"].get("real", {})
@@ -405,12 +396,11 @@ def main(argv: list[str] | None = None) -> int:
                 row = {**row, "nodes": num_nodes, "policy": policy}
             rows.append(row)
     if args.json:
-        print(json.dumps({"scenario": args.scenario, "rows": rows}, indent=2))
+        print(json.dumps({"scenario": base.scenario, "rows": rows}, indent=2))
     elif base.open_loop:
-        print_open_loop(args, rows)
-        print_carbon(rows)
+        print_open_loop(base, rows)
     else:
-        print_closed(args, base.failure_aware, rows)
+        print_closed(base, rows)
     return 0
 
 

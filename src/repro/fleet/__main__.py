@@ -2,21 +2,24 @@
 
 Two modes:
 
-* **Run** (default) — serve one seeded traffic scenario on a real
+In both modes the shared flags parse into one
+:class:`~repro.fleet.scenario.Scenario`.
+
+* **Run** (default) — serve that scenario on a real
   :class:`~repro.fleet.core.ProvingFleet` (N worker processes, real
   proofs, real wall clock) and print the measured summary: makespan,
   throughput, latency p95, cache hit rate, per-node placement, and —
   when churn is injected — the resilience counters.  ``--events PATH``
-  additionally writes the structured JSONL event log.  The flags parse
-  into one :class:`~repro.fleet.scenario.Scenario`, run by
-  :func:`~repro.fleet.scenario.run` with ``runtime="fleet"``; the
-  heartbeat, timeout and time-scale flags are the fleet-only
+  additionally writes the structured JSONL event log.  The scenario is
+  run by :func:`~repro.fleet.scenario.run` with ``runtime="fleet"``;
+  the heartbeat, timeout and time-scale flags are the fleet-only
   :class:`~repro.fleet.core.FleetConfig` fields it passes through.
-* **Validate** (``--validate``) — run the predicted-vs-measured loop of
-  :mod:`repro.fleet.validation` across every routing policy and print
-  the per-policy comparison, the rankings, and the verdict
-  (rank agreement, calibration spread, proof byte-identity).  It runs
-  one fleet per policy and writes no event log, so ``--events`` exits 2.
+* **Validate** (``--validate``) — hand the scenario to the
+  predicted-vs-measured loop of :mod:`repro.fleet.validation`, which
+  runs it under every routing policy, and print the per-policy
+  comparison, the rankings, and the verdict (rank agreement,
+  calibration spread, proof byte-identity).  It runs one fleet per
+  policy and writes no event log, so ``--events`` exits 2.
 
 Bad argument values exit with argparse's status 2, never a traceback,
 and an unwritable ``--events`` path exits 2 before any worker starts —
@@ -117,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def print_run(args, summary: dict) -> None:
+def print_run(base: Scenario, summary: dict) -> None:
     """Human-readable run-mode report."""
     measured = summary["measured"]
     cache = summary["cache"]
     print(
-        f"scenario  : {args.scenario} ({SCENARIOS[args.scenario].description})\n"
+        f"scenario  : {base.scenario} ({SCENARIOS[base.scenario].description})\n"
         f"fleet     : {summary['nodes']} nodes, policy {summary['policy']}, "
-        f"seed {args.seed}\n"
+        f"seed {base.seed}\n"
         f"jobs      : {summary['jobs']} proved"
     )
     print(
@@ -153,11 +156,11 @@ def print_run(args, summary: dict) -> None:
         )
 
 
-def print_validation(doc: dict) -> None:
+def print_validation(base: Scenario, doc: dict) -> None:
     """Human-readable validate-mode report."""
     print(
-        f"scenario  : {doc['scenario']}  jobs {doc['jobs']}  "
-        f"nodes {doc['nodes']}  seed {doc['seed']}  "
+        f"scenario  : {base.scenario}  jobs {base.jobs}  "
+        f"nodes {base.nodes}  seed {base.seed}  "
         f"cores {doc['effective_cores']}"
     )
     header = (
@@ -199,24 +202,20 @@ def main(argv: list[str] | None = None) -> int:
             "log; drop --events"
         )
     check_writable(parser, args.events)
+    base = Scenario(**run_fields(args), nodes=args.nodes, policy=args.policy)
     if args.validate:
         doc = run_validation(
-            args.scenario,
-            args.jobs,
-            args.nodes,
-            seed=args.seed,
-            time_model=args.time_model,
-            cache_capacity=args.cache_capacity,
+            base,
             significance=args.significance,
             check_proofs=not args.skip_proof_check,
         )
         if args.json:
             print(json.dumps(doc, indent=2))
         else:
-            print_validation(doc)
+            print_validation(base, doc)
         return 0
     result = run(
-        Scenario(**run_fields(args), nodes=args.nodes, policy=args.policy),
+        base,
         runtime="fleet",
         heartbeat_s=args.heartbeat_s,
         heartbeat_misses=args.heartbeat_misses,
@@ -229,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(result.summary, indent=2))
     else:
-        print_run(args, result.summary)
+        print_run(base, result.summary)
     return 0
 
 

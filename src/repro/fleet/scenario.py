@@ -22,6 +22,11 @@ set the :class:`~repro.carbon.CarbonConfig` fields.
   and takes the fleet-only :class:`~repro.fleet.core.FleetConfig`
   fields (heartbeats, timeouts, ``time_scale``) as keyword arguments.
 
+:meth:`Scenario.as_dict` is the cell as plain JSON types: the block
+each ``BENCH_*`` record keeps next to the numbers one cell produced, and
+that ``benchmarks/check_regression.py`` compares field by field.
+Nothing reads a scenario back in, so there is no ``from_dict``.
+
 The module sits in :mod:`repro.fleet`, the top runtime layer, so it
 reaches both runtimes downward.  It imports :mod:`repro.fleet.core`
 (and with it :mod:`multiprocessing`) only in the fleet branch, and
@@ -30,7 +35,7 @@ reaches both runtimes downward.  It imports :mod:`repro.fleet.core`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from repro.cluster.autoscale import AutoscalePolicy
@@ -55,6 +60,19 @@ SIM_ONLY = {
     "carbon": None,
     "open_loop": False,
 }
+
+#: what :meth:`Scenario.as_dict` keeps of a carbon trace: its signal
+#: parameters plus ``horizon_s``
+_TRACE_FIELDS = (
+    "base_g_per_kwh",
+    "amplitude",
+    "period_s",
+    "noise",
+    "step_s",
+    "seed",
+    "grid_events",
+    "horizon_s",
+)
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,24 @@ class Scenario:
                     f"busy node ({busy_w:g} W) for --time-model "
                     f"{self.time_model}; no job could ever start"
                 )
+
+    def as_dict(self) -> dict:
+        """Every field in field order, as plain JSON types; the nested
+        policies and the carbon config become dicts of their own fields."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("autoscale", "admission"):
+            if out[name] is not None:
+                out[name] = asdict(out[name])
+        carbon = self.carbon
+        if carbon is None:
+            return out
+        out["carbon"] = {f.name: getattr(carbon, f.name) for f in fields(carbon)}
+        if carbon.power is not None:
+            out["carbon"]["power"] = asdict(carbon.power)
+        trace = {name: getattr(carbon.trace, name) for name in _TRACE_FIELDS}
+        trace["grid_events"] = [list(event) for event in trace["grid_events"]]
+        out["carbon"]["trace"] = trace
+        return out
 
     @property
     def failure_aware(self) -> bool:

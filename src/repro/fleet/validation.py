@@ -51,10 +51,13 @@ submission order, so in a failure-free run every job lands on the same
 node in sim and fleet and the only difference left is *time*
 (``tests/test_fleet.py`` locks placement parity down).
 
-Each policy cell is one :class:`~repro.fleet.scenario.Scenario`, run
-once on each runtime by :func:`~repro.fleet.scenario.run`: the sim's
-records give the modeled makespan and busy seconds, the fleet's records
-the measured makespan and its proofs the byte-identity check.
+:func:`run_validation` takes the base
+:class:`~repro.fleet.scenario.Scenario`; each policy cell is that
+scenario with its ``policy`` replaced, run once on each runtime by
+:func:`~repro.fleet.scenario.run`: the sim's records give the modeled
+makespan and busy seconds, the fleet's records the measured makespan
+and its proofs the byte-identity check.  The record keeps each cell as
+its ``scenario`` block (:meth:`~repro.fleet.scenario.Scenario.as_dict`).
 
 ``benchmarks/test_fleet_validation.py`` runs this and emits
 ``BENCH_fleet.json``; byte-identity of fleet proofs against a
@@ -67,7 +70,7 @@ import os
 from dataclasses import replace
 from itertools import combinations
 
-from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
+from repro.cluster.nodes import NodeConfig
 from repro.cluster.routing import ROUTING_POLICIES
 from repro.fleet.scenario import Scenario, run
 from repro.service.core import ProvingService, ServiceConfig
@@ -101,12 +104,7 @@ def predicted_wall_s(
 
 
 def reference_proofs(
-    scenario: str,
-    jobs: int,
-    *,
-    seed: int = 7,
-    cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
-    srs_seed: int = NodeConfig.srs_seed,
+    base: Scenario, *, srs_seed: int = NodeConfig.srs_seed
 ) -> dict[int, object]:
     """Single-service proofs of the same job stream, by job id.
 
@@ -114,17 +112,17 @@ def reference_proofs(
     same seeded SRS must produce exactly the proofs the fleet's N
     worker processes produced.
     """
-    generator = TrafficGenerator(scenario, seed=seed)
+    generator = TrafficGenerator(base.scenario, seed=base.seed)
     service = ProvingService(
         ServiceConfig(
             max_vars=generator.max_vars(),
             srs_seed=srs_seed,
             executor="sync",
-            cache_capacity=cache_capacity,
+            cache_capacity=base.cache_capacity,
         )
     )
     try:
-        results = service.run(generator.jobs(jobs))
+        results = service.run(generator.jobs(base.jobs))
     finally:
         service.close()
     return {r.job_id: r.proof for r in results}
@@ -149,40 +147,30 @@ def significant_pairs(
 
 
 def run_validation(
-    scenario: str = "zipf-mixed",
-    jobs: int = 24,
-    nodes: int = 3,
+    base: Scenario,
     *,
     policies: tuple[str, ...] = ROUTING_POLICIES,
-    seed: int = 7,
-    time_model: str = "functional",
-    cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY,
     significance: float = DEFAULT_SIGNIFICANCE,
     measured_tolerance: float = DEFAULT_MEASURED_TOLERANCE,
     check_proofs: bool = True,
 ) -> dict:
-    """Run the full predicted-vs-measured loop; returns the record dict.
+    """Run ``base`` under every policy on both runtimes; returns the
+    record dict.
 
     The returned dict is exactly what ``BENCH_fleet.json`` holds:
-    per-policy predicted/measured makespans and ratios, the two
+    per-policy cells (``base`` with that ``policy``, as
+    :meth:`~repro.fleet.scenario.Scenario.as_dict`),
+    predicted/measured makespans and ratios, the two
     rankings, the significant-pair rank agreement, the calibration
     spread, and the proof byte-identity verdict.
     """
     cores = effective_cores()
-    base = Scenario(
-        scenario,
-        jobs,
-        seed,
-        nodes=nodes,
-        time_model=time_model,
-        cache_capacity=cache_capacity,
-    )
+    cells = {policy: replace(base, policy=policy) for policy in policies}
     model: dict[str, float] = {}
     busy: dict[str, float] = {}
     measured: dict[str, float] = {}
     fleet_proofs: dict[int, object] | None = None
-    for policy in policies:
-        cell = replace(base, policy=policy)
+    for policy, cell in cells.items():
         records = run(cell).records
         model[policy] = max(r.finish_s for r in records)
         busy[policy] = sum(r.install_model_s + r.prove_model_s for r in records)
@@ -200,26 +188,16 @@ def run_validation(
     spread = max(ratios.values()) / min(ratios.values())
     proofs_identical = None
     if check_proofs:
-        oracle = reference_proofs(
-            scenario,
-            jobs,
-            seed=seed,
-            cache_capacity=cache_capacity,
-        )
-        proofs_identical = fleet_proofs == oracle
+        proofs_identical = fleet_proofs == reference_proofs(base)
     doc = {
         "benchmark": "fleet_validation",
         "unit": "seconds (predicted = core-aware model, measured = wall)",
-        "scenario": scenario,
-        "jobs": jobs,
-        "nodes": nodes,
-        "seed": seed,
-        "time_model": time_model,
         "significance": significance,
         "measured_tolerance": measured_tolerance,
         "effective_cores": cores,
         "policies": {
             policy: {
+                "scenario": cells[policy].as_dict(),
                 "model_makespan_s": round(model[policy], 6),
                 "modeled_busy_s": round(busy[policy], 6),
                 "predicted_makespan_s": round(wall[policy], 6),

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.fleet.scenario import Scenario
+
 _MODULE_PATH = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "check_regression.py"
 )
@@ -35,6 +37,33 @@ SUMCHECK_RECORD = {
             "fused_s": 0.08,
             "speedup": 2.5,
             "acceptance_row": True,
+        },
+    ],
+}
+
+
+#: a cluster record whose rows carry their cells as ``scenario`` blocks
+CLUSTER_RECORD = {
+    "benchmark": "cluster_scaling",
+    "unit": "model_jobs_per_s",
+    "speedup_floor_affinity_vs_round_robin": 1.2,
+    "affinity_vs_round_robin": 1.6,
+    "acceptance": [
+        {
+            "scenario": Scenario(jobs=96, execute=True).as_dict(),
+            "jobs": 96,
+            "model_jobs_per_s": 51.4,
+            "shape_spread": 1.0,
+            "sim_cache_hit_rate": 0.92,
+            "real_cache_hit_rate": 0.88,
+        },
+    ],
+    "sweep": [
+        {
+            "scenario": Scenario(jobs=96, nodes=1).as_dict(),
+            "model_jobs_per_s": 8.2,
+            "cache_hit_rate": 0.62,
+            "shape_spread": 1.0,
         },
     ],
 }
@@ -134,6 +163,27 @@ class TestCompareRecords:
             "BENCH_sumcheck.json", SUMCHECK_RECORD, fresh
         )
         assert any("missing key" in p for p in problems)
+
+    def test_scenario_block_is_compared_field_by_field(self):
+        def problems(fresh):
+            return check_regression.compare_records(
+                "BENCH_cluster.json", CLUSTER_RECORD, fresh
+            )
+
+        assert problems(clone(CLUSTER_RECORD)) == []
+        fresh = clone(CLUSTER_RECORD)
+        fresh["sweep"][0]["scenario"]["replicas"] = 7
+        assert any(
+            p.startswith("structural drift at sweep[0].scenario.replicas")
+            for p in problems(fresh)
+        )
+        fresh = clone(CLUSTER_RECORD)
+        fresh["sweep"][0]["scenario"]["zones"] = 2
+        assert problems(fresh) == ["structural key appeared: sweep[0].scenario.zones"]
+        fresh = clone(CLUSTER_RECORD)
+        del fresh["sweep"][0]["scenario"]
+        vanished = "structural key vanished: sweep[0].scenario.replicas"
+        assert vanished in problems(fresh)
 
     def test_unknown_record_name_fails(self):
         problems = check_regression.compare_records("BENCH_new.json", {}, {})

@@ -19,8 +19,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks"))
 
-from test_cluster_resilience import run_churn_cell  # noqa: E402
-from test_cluster_scaling import run_cell, sweep_row  # noqa: E402
+from test_cluster_resilience import (  # noqa: E402
+    NO_RETRY,
+    RETRY,
+    churn_cell,
+    replication_row,
+)
+from test_cluster_scaling import cell, sweep_row  # noqa: E402
+
+from repro.fleet.scenario import run  # noqa: E402
 
 CLUSTER_RECORD = REPO / "BENCH_cluster.json"
 RESILIENCE_RECORD = REPO / "BENCH_resilience.json"
@@ -33,13 +40,12 @@ class TestClusterSweepParity:
     def test_sim_sweep_rows_match_committed_record(self):
         committed = json.loads(CLUSTER_RECORD.read_text())
         by_key = {
-            (row["nodes"], row["policy"]): row for row in committed["sweep"]
+            (row["scenario"]["nodes"], row["scenario"]["policy"]): row
+            for row in committed["sweep"]
         }
         for num_nodes in PARITY_NODES:
             for policy in ("round_robin", "least_loaded", "affinity"):
-                fresh = sweep_row(
-                    run_cell(policy, num_nodes, execute=False)
-                )
+                fresh = sweep_row(cell(policy, num_nodes, execute=False))
                 assert fresh == by_key[(num_nodes, policy)], (
                     f"model numbers drifted at nodes={num_nodes} "
                     f"policy={policy}: the engine rework must be "
@@ -51,20 +57,11 @@ class TestResilienceParity:
     def test_churn_replication_matches_committed_record(self):
         committed = json.loads(RESILIENCE_RECORD.read_text())
         baseline = committed["replications"][0]
-        seed = baseline["traffic_seed"]
+        seed = baseline["retry_scenario"]["seed"]
 
-        retry = run_churn_cell("affinity", max_retries=3, seed=seed)
-        no_retry = run_churn_cell("round_robin", max_retries=0, seed=seed)
-        fresh = {
-            "traffic_seed": seed,
-            "churn_seed": seed + committed["churn"]["seed_offset"],
-            "retry_missed": retry["deadlines"]["missed"],
-            "retry_retries": retry["resilience"]["retries"],
-            "no_retry_missed": no_retry["deadlines"]["missed"],
-            "no_retry_failed": no_retry["resilience"]["failed_jobs"],
-            "crashes": no_retry["resilience"]["crashes"],
-        }
-        assert fresh == baseline, (
+        retry = run(churn_cell(*RETRY, seed)).summary
+        no_retry = run(churn_cell(*NO_RETRY, seed)).summary
+        assert replication_row(seed, retry, no_retry) == baseline, (
             "churn-replication counters drifted: the fast-path rework "
             "changed a failure-path decision"
         )

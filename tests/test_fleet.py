@@ -28,7 +28,6 @@ import asyncio
 import json
 import sys
 import time
-from argparse import Namespace
 
 import pytest
 
@@ -43,6 +42,7 @@ from repro.fleet.core import (
     WorkerStartupError,
 )
 from repro.fleet.__main__ import print_run
+from repro.fleet.scenario import Scenario
 from repro.fleet.validation import reference_proofs, significant_pairs
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.jobs import ProofJob
@@ -101,7 +101,7 @@ class TestParity:
     def test_fleet_proofs_byte_identical_to_service(self):
         fleet = make_fleet(num_nodes=2, policy="affinity")
         fleet.run(stream(6))
-        assert fleet.proofs == reference_proofs(SCENARIO, 6, seed=SEED)
+        assert fleet.proofs == reference_proofs(Scenario(SCENARIO, 6, SEED))
 
     def test_significant_pairs_orders_and_filters(self):
         pairs = significant_pairs(
@@ -377,8 +377,7 @@ class TestSummary:
         assert json.dumps(summary) == json.dumps(expected)
 
     def test_print_run_renders_the_summary(self, capsys):
-        args = Namespace(scenario=SCENARIO, seed=0)
-        print_run(args, summary_fixture().summary())
+        print_run(Scenario(SCENARIO, seed=0), summary_fixture().summary())
         out = capsys.readouterr().out
         assert "makespan 4.000s" in out
         assert "install share 16.7%" in out

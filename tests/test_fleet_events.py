@@ -360,3 +360,19 @@ class TestFleetCliEvents:
         [(scenario, kwargs)] = runs
         assert (scenario.nodes, scenario.policy, scenario.seed) == (2, "round_robin", 7)
         assert kwargs["runtime"] == "fleet" and kwargs["job_timeout_s"] == 9.0
+
+    def test_validate_hands_every_shared_flag_to_the_scenario(
+        self, monkeypatch, capsys
+    ):
+        bases = []
+
+        def record_base(base, **kwargs):
+            bases.append(base)
+            return {"policies": {}}
+
+        monkeypatch.setattr(fleet_cli, "run_validation", record_base)
+        argv = ["--validate", "--replicas", "7", "--max-retries", "0"]
+        assert fleet_cli.main([*argv, "--respect-arrivals", "--json"]) == 0
+        [base] = bases
+        assert (base.replicas, base.max_retries, base.respect_arrivals) == (7, 0, True)
+        assert '"policies"' in capsys.readouterr().out
