@@ -23,9 +23,12 @@ The substrate is the ``functional`` time model (per-job prove seconds
 dominate node energy) over two full trace periods — under the
 ``accelerator`` model a proof is ~40 μs and fleet energy is all one-off
 installs, which no start-time policy can move.  Every number is
-deterministic model time; like the other ``BENCH_*.json`` artifacts the
-record is (re)written only when missing or ``BENCH_CARBON_EMIT=1`` is
-set (as CI does), and ``benchmarks/check_regression.py`` gates it.
+deterministic model time, so every value is ``exact`` except the
+gram-per-proof figures, the headline carbon ratio, blind's joules and
+aware's held starts, which are ``ratio`` values.  Like the other
+``BENCH_*.json`` artifacts the record is (re)written only when missing
+or ``BENCH_CARBON_EMIT=1`` is set (as CI does), and
+``benchmarks/check_regression.py`` gates it.
 """
 
 import json
@@ -114,6 +117,16 @@ CAPPED_COUNTERS = {
 }
 
 
+def cell_record(cell: dict, *ratio: str) -> dict:
+    """A cell's values in their sections: carbon per proof and the
+    ``ratio`` keys within tolerance, every other value exact."""
+    ratio = ("carbon_per_proof_g", *ratio)
+    return {
+        "exact": {k: v for k, v in cell.items() if k not in ratio},
+        "ratio": {k: v for k, v in cell.items() if k in ratio},
+    }
+
+
 class TestActiveGateGolden:
     """Moving the carbon / power-cap state machine out of the engine
     must not move a decision: same summary, same counters, same log."""
@@ -164,25 +177,31 @@ class TestCarbonPolicies:
         assert abs(edd["carbon_g"] - blind["carbon_g"]) < 1e-6
 
         record = {
-            "benchmark": "carbon_policies",
-            "unit": "carbon_per_proof_g ratio (blind / aware)",
-            "scenario": goldens.SCENARIO,
-            "traffic_seed": goldens.TRAFFIC_SEED,
-            "rate_rps": goldens.RATE_RPS,
-            "horizon_s": goldens.HORIZON_S,
-            "nodes": goldens.NODES,
-            "time_model": goldens.TIME_MODEL,
-            "batch_slack_s": goldens.BATCH_SLACK_S,
-            "trace": {
-                "base_g_per_kwh": goldens.TRACE_BASE,
-                "amplitude": goldens.TRACE_AMPLITUDE,
-                "period_s": goldens.TRACE_PERIOD_S,
-                "noise": goldens.TRACE_NOISE,
-                "seed": goldens.TRACE_SEED,
+            "exact": {
+                "benchmark": "carbon_policies",
+                "unit": "carbon_per_proof_g ratio (blind / aware)",
+                "scenario": goldens.SCENARIO,
+                "traffic_seed": goldens.TRAFFIC_SEED,
+                "rate_rps": goldens.RATE_RPS,
+                "horizon_s": goldens.HORIZON_S,
+                "nodes": goldens.NODES,
+                "time_model": goldens.TIME_MODEL,
+                "batch_slack_s": goldens.BATCH_SLACK_S,
+                "trace": {
+                    "base_g_per_kwh": goldens.TRACE_BASE,
+                    "amplitude": goldens.TRACE_AMPLITUDE,
+                    "period_s": goldens.TRACE_PERIOD_S,
+                    "noise": goldens.TRACE_NOISE,
+                    "seed": goldens.TRACE_SEED,
+                },
+                "carbon_ratio_floor": RATIO_FLOOR,
             },
-            "carbon_ratio_floor": RATIO_FLOOR,
-            "carbon_ratio": round(ratio, 4),
-            "cells": {"blind": blind, "aware": aware, "edd": edd},
+            "ratio": {"carbon_ratio": round(ratio, 4)},
+            "cells": {
+                "blind": cell_record(blind, "energy_j"),
+                "aware": cell_record(aware, "held_starts"),
+                "edd": cell_record(edd),
+            },
         }
         emit = os.environ.get("BENCH_CARBON_EMIT") == "1"
         if emit or not BENCH_PATH.exists():

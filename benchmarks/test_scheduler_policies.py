@@ -11,7 +11,9 @@ per policy; latencies are the service's own submit→finish stamps.  Like
 the other ``BENCH_*.json`` artifacts, the record is only (re)written
 when missing or ``BENCH_SCHEDULER_EMIT=1`` is set (as CI does), and the
 ranking of two measured p95s is asserted in that lane only: tier-1
-checks the record's structure and prints the ratio.
+checks the record's structure and prints the ratio.  The cell, job
+counts and plan predictions are ``exact``, the p95 improvement a
+``ratio``, and every measured latency ``info``.
 """
 
 import json
@@ -51,17 +53,25 @@ def run_policy(policy: str) -> dict:
     realtime = [r.latency_s for r in results
                 if r.request_class is RequestClass.REALTIME]
     alljobs = [r.latency_s for r in results]
+    capacity = summary["estimated_capacity_proofs_per_s"]
     return {
-        "policy": policy,
-        "jobs": len(results),
-        "realtime_jobs": len(realtime),
-        "realtime_p50_s": round(percentile(realtime, 50), 4),
-        "realtime_p95_s": round(percentile(realtime, 95), 4),
-        "realtime_mean_s": round(sum(realtime) / len(realtime), 4),
-        "overall_p95_s": round(percentile(alljobs, 95), 4),
-        "prediction_mape_pct": summary["prediction"]["mean_abs_error_pct"],
-        "estimated_capacity_proofs_per_s":
-            summary["estimated_capacity_proofs_per_s"],
+        "exact": {
+            "policy": policy,
+            "jobs": len(results),
+            "realtime_jobs": len(realtime),
+            "estimated_capacity_proofs_per_s": {
+                "predicted": capacity["predicted"],
+            },
+        },
+        # latencies are the service's wall-clock submit -> finish stamps
+        "info": {
+            "realtime_p50_s": round(percentile(realtime, 50), 4),
+            "realtime_p95_s": round(percentile(realtime, 95), 4),
+            "realtime_mean_s": round(sum(realtime) / len(realtime), 4),
+            "overall_p95_s": round(percentile(alljobs, 95), 4),
+            "prediction_mape_pct": summary["prediction"]["mean_abs_error_pct"],
+            "estimated_capacity_proofs_per_s": {"actual": capacity["actual"]},
+        },
     }
 
 
@@ -77,13 +87,15 @@ class TestSchedulerPolicies:
 
     def test_cost_aware_beats_fifo_and_emit(self):
         rows = [run_policy(p) for p in POLICIES]
-        by = {row["policy"]: row for row in rows}
+        by = {row["exact"]["policy"]: row for row in rows}
 
         assert set(by) == set(POLICIES)
         for row in rows:
-            assert row["jobs"] == JOBS and 0 < row["realtime_jobs"] <= JOBS
-            assert row["realtime_p95_s"] > 0
-        fifo, sjf = by["fifo"]["realtime_p95_s"], by["sjf"]["realtime_p95_s"]
+            exact = row["exact"]
+            assert exact["jobs"] == JOBS and 0 < exact["realtime_jobs"] <= JOBS
+            assert row["info"]["realtime_p95_s"] > 0
+        fifo = by["fifo"]["info"]["realtime_p95_s"]
+        sjf = by["sjf"]["info"]["realtime_p95_s"]
         print(f"realtime p95 fifo/sjf = {fifo / sjf:.3f} "
               "(sjf < fifo is asserted in the emit lane)")
         # a ranking of two wall clocks decides nothing in tier-1; the bench
@@ -96,15 +108,17 @@ class TestSchedulerPolicies:
             )
 
         record = {
-            "scenario": SCENARIO,
-            "seed": SEED,
-            "jobs": JOBS,
-            "policies": rows,
-            "realtime_p95_improvement_vs_fifo": round(fifo / sjf, 3),
-            "scenario_predicted_cost_s": {
-                name: round(cost, 4)
-                for name, cost in scenario_cost_annotations().items()
+            "exact": {
+                "scenario": SCENARIO,
+                "seed": SEED,
+                "jobs": JOBS,
+                "scenario_predicted_cost_s": {
+                    name: round(cost, 4)
+                    for name, cost in scenario_cost_annotations().items()
+                },
             },
+            "ratio": {"realtime_p95_improvement_vs_fifo": round(fifo / sjf, 3)},
+            "policies": rows,
         }
         if os.environ.get("BENCH_SCHEDULER_EMIT") == "1" or not BENCH_PATH.exists():
             BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")

@@ -161,7 +161,7 @@ def print_validation(base: Scenario, doc: dict) -> None:
     print(
         f"scenario  : {base.scenario}  jobs {base.jobs}  "
         f"nodes {base.nodes}  seed {base.seed}  "
-        f"cores {doc['effective_cores']}"
+        f"cores {doc['info']['effective_cores']}"
     )
     header = (
         f"{'policy':<13} {'model':>9} {'predicted':>10} {'measured':>9} "
@@ -170,24 +170,26 @@ def print_validation(base: Scenario, doc: dict) -> None:
     print(header)
     print("-" * len(header))
     for policy, row in doc["policies"].items():
+        model, info = row["exact"]["model_makespan_s"], row["info"]
         print(
-            f"{policy:<13} {row['model_makespan_s']:>8.3f}s "
-            f"{row['predicted_makespan_s']:>9.3f}s "
-            f"{row['measured_makespan_s']:>8.3f}s "
-            f"{row['measured_over_predicted']:>9.2f}"
+            f"{policy:<13} {model:>8.3f}s "
+            f"{info['predicted_makespan_s']:>9.3f}s "
+            f"{info['measured_makespan_s']:>8.3f}s "
+            f"{info['measured_over_predicted']:>9.2f}"
         )
+    exact, info = doc["exact"], doc["info"]
     print(
-        f"predicted : {' < '.join(doc['predicted_ranking'])}\n"
-        f"measured  : {' < '.join(doc['measured_ranking'])}"
+        f"predicted : {' < '.join(info['predicted_ranking'])}\n"
+        f"measured  : {' < '.join(info['measured_ranking'])}"
     )
-    pairs = ", ".join(f"{a}<{b}" for a, b in doc["significant_pairs"])
+    pairs = ", ".join(f"{a}<{b}" for a, b in info["significant_pairs"])
     print(
-        f"verdict   : rank agreement {doc['rank_agreement']} "
+        f"verdict   : rank agreement {exact['rank_agreement']} "
         f"(significant pairs: {pairs or 'none'})  "
-        f"calibration spread {doc['calibration_spread']:.3f}"
+        f"calibration spread {doc['ratio']['calibration_spread']:.3f}"
     )
-    if "proofs_identical" in doc:
-        print(f"proofs    : byte-identical to service = {doc['proofs_identical']}")
+    if "proofs_identical" in exact:
+        print(f"proofs    : byte-identical to service = {exact['proofs_identical']}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -58,6 +58,11 @@ scenario with its ``policy`` replaced, run once on each runtime by
 makespan and busy seconds, the fleet's records the measured makespan
 and its proofs the byte-identity check.  The record keeps each cell as
 its ``scenario`` block (:meth:`~repro.fleet.scenario.Scenario.as_dict`).
+Every value sits in the section that says how the bench gate compares
+it: the configuration, the model-time figures and the two verdicts
+``exact``, the calibration spread a ``ratio``, and whatever reads the
+host — wall-clock seconds, the core count and the core-aware
+predictions and rankings built on it — ``info``.
 
 ``benchmarks/test_fleet_validation.py`` runs this and emits
 ``BENCH_fleet.json``; byte-identity of fleet proofs against a
@@ -157,12 +162,13 @@ def run_validation(
     """Run ``base`` under every policy on both runtimes; returns the
     record dict.
 
-    The returned dict is exactly what ``BENCH_fleet.json`` holds:
-    per-policy cells (``base`` with that ``policy``, as
-    :meth:`~repro.fleet.scenario.Scenario.as_dict`),
-    predicted/measured makespans and ratios, the two
-    rankings, the significant-pair rank agreement, the calibration
-    spread, and the proof byte-identity verdict.
+    The returned dict is exactly what ``BENCH_fleet.json`` holds, in
+    ``exact`` / ``ratio`` / ``info`` sections: per-policy cells
+    (``base`` with that ``policy``, as
+    :meth:`~repro.fleet.scenario.Scenario.as_dict`), model, predicted
+    and measured makespans and their ratios, the two rankings, the
+    significant-pair rank agreement, the calibration spread, and the
+    proof byte-identity verdict.
     """
     cores = effective_cores()
     cells = {policy: replace(base, policy=policy) for policy in policies}
@@ -186,32 +192,37 @@ def run_validation(
     )
     ratios = {p: measured[p] / wall[p] for p in policies}
     spread = max(ratios.values()) / min(ratios.values())
-    proofs_identical = None
-    if check_proofs:
-        proofs_identical = fleet_proofs == reference_proofs(base)
-    doc = {
+    exact = {
         "benchmark": "fleet_validation",
         "unit": "seconds (predicted = core-aware model, measured = wall)",
         "significance": significance,
         "measured_tolerance": measured_tolerance,
-        "effective_cores": cores,
+        "rank_agreement": agreement,
+    }
+    if check_proofs:
+        exact["proofs_identical"] = fleet_proofs == reference_proofs(base)
+    return {
+        "exact": exact,
+        "ratio": {"calibration_spread": round(spread, 4)},
+        "info": {
+            "effective_cores": cores,
+            "predicted_ranking": sorted(policies, key=lambda p: wall[p]),
+            "measured_ranking": sorted(policies, key=lambda p: measured[p]),
+            "significant_pairs": [list(pair) for pair in pairs],
+        },
         "policies": {
             policy: {
-                "scenario": cells[policy].as_dict(),
-                "model_makespan_s": round(model[policy], 6),
-                "modeled_busy_s": round(busy[policy], 6),
-                "predicted_makespan_s": round(wall[policy], 6),
-                "measured_makespan_s": round(measured[policy], 6),
-                "measured_over_predicted": round(ratios[policy], 4),
+                "exact": {
+                    "scenario": cells[policy].as_dict(),
+                    "model_makespan_s": round(model[policy], 6),
+                    "modeled_busy_s": round(busy[policy], 6),
+                },
+                "info": {
+                    "predicted_makespan_s": round(wall[policy], 6),
+                    "measured_makespan_s": round(measured[policy], 6),
+                    "measured_over_predicted": round(ratios[policy], 4),
+                },
             }
             for policy in sorted(policies)
         },
-        "predicted_ranking": sorted(policies, key=lambda p: wall[p]),
-        "measured_ranking": sorted(policies, key=lambda p: measured[p]),
-        "significant_pairs": [list(pair) for pair in pairs],
-        "rank_agreement": agreement,
-        "calibration_spread": round(spread, 4),
     }
-    if proofs_identical is not None:
-        doc["proofs_identical"] = proofs_identical
-    return doc

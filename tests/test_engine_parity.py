@@ -39,10 +39,10 @@ PARITY_NODES = (1, 4)
 class TestClusterSweepParity:
     def test_sim_sweep_rows_match_committed_record(self):
         committed = json.loads(CLUSTER_RECORD.read_text())
-        by_key = {
-            (row["scenario"]["nodes"], row["scenario"]["policy"]): row
-            for row in committed["sweep"]
-        }
+        by_key = {}
+        for row in committed["sweep"]:
+            block = row["exact"]["scenario"]
+            by_key[block["nodes"], block["policy"]] = row
         for num_nodes in PARITY_NODES:
             for policy in ("round_robin", "least_loaded", "affinity"):
                 fresh = sweep_row(cell(policy, num_nodes, execute=False))
@@ -57,7 +57,7 @@ class TestResilienceParity:
     def test_churn_replication_matches_committed_record(self):
         committed = json.loads(RESILIENCE_RECORD.read_text())
         baseline = committed["replications"][0]
-        seed = baseline["retry_scenario"]["seed"]
+        seed = baseline["exact"]["retry_scenario"]["seed"]
 
         retry = run(churn_cell(*RETRY, seed)).summary
         no_retry = run(churn_cell(*NO_RETRY, seed)).summary

@@ -294,9 +294,7 @@ class TestMillionEventSmoke:
         from profile_sim import churn_heavy
 
         sim = Simulator()
-        fired, final_clock, len_probe = churn_heavy(
-            sim, 1_000_000, fast=True
-        )
+        fired, final_clock, len_probe = churn_heavy(sim, 1_000_000)
         assert fired == 1_000_007
         assert round(final_clock, 6) == 163.7826
         assert len_probe == 58_590

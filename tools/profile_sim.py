@@ -7,22 +7,20 @@ and prints the top functions, so a change to
 :mod:`repro.sim.engine` can be profiled in one command::
 
     PYTHONPATH=src python tools/profile_sim.py --events 1000000
-    PYTHONPATH=src python tools/profile_sim.py --legacy --events 200000
     PYTHONPATH=src python tools/profile_sim.py --open-loop --jobs 5000 --seed 0
 
-``--legacy`` profiles the vendored pre-fast-path engine
-(``benchmarks/legacy_sim.py``) for before/after comparison, and
-``--no-profile`` times the run without profiler overhead (what the
-benchmark measures).
+``--no-profile`` times the run without profiler overhead (the
+events/sec ``BENCH_traffic.json`` records as ``info``).
 
 ``--open-loop`` runs the ``sim_openloop_5e3`` benchmark cell instead
 (:func:`open_loop_run`: 4 ``least_loaded`` nodes on the accelerator
 time model, admission window 10 s, 10% churn downtime, passive carbon
-pricing, ``max_retries=64``) and prints the per-job counts that name
-its hot path: µs per host event, Python calls per offered job, shape
-pricing calls, ``emit`` calls, :class:`~repro.sim.FleetEvent`
-constructions, admission budgets, and the top functions grouped by
-layer.  Point ``PYTHONPATH`` at another checkout's ``src`` to get that
+pricing, ``max_retries=64``) and prints µs per host event, the counts
+:func:`open_loop_profile` reads off one profiled run (shape-pricing
+calls, ``emit`` calls, :class:`~repro.sim.FleetEvent` constructions,
+admission budgets, Python calls per offered job), and the top
+functions grouped by layer.  ``BENCH_traffic.json`` records the same
+counts.  Point ``PYTHONPATH`` at another checkout's ``src`` to get that
 tree's table from the same harness.
 
 The workload models what a 10⁶-event open-loop cluster run does to the
@@ -43,9 +41,6 @@ import re
 import sys
 import time
 from collections import defaultdict
-from pathlib import Path
-
-REPO = Path(__file__).resolve().parents[1]
 
 #: periodic server chains (self-rescheduling event sources)
 SERVERS = 8
@@ -82,15 +77,14 @@ SHAPE_PRICING = (
 _LAYER = re.compile(r"[\\/]repro[\\/](\w+)[\\/]")
 
 
-def churn_heavy(sim, num_events: int, *, fast: bool = False) -> tuple:
+def churn_heavy(sim, num_events: int) -> tuple:
     """Run the cancellation-heavy workload; returns ``(fired, now, probe)``.
 
-    ``sim`` is anything with the ``Simulator`` scheduling surface
-    (``schedule`` / ``cancel`` / ``run`` / ``__len__``); ``fast=True``
-    additionally routes the never-cancelled server chains through
-    ``schedule_fast``.  The returned tuple is pure model time and
-    therefore bit-deterministic: ``fired`` counts server events,
-    ``now`` is the final clock, ``probe`` sums the ``len(sim)`` polls.
+    ``sim`` is a fresh :class:`~repro.sim.Simulator`; the never-cancelled
+    server chains go through ``schedule_fast``.  The returned tuple is
+    pure model time and therefore bit-deterministic: ``fired`` counts
+    server events, ``now`` is the final clock, ``probe`` sums the
+    ``len(sim)`` polls.
     """
     fired = [0]
     len_probe = [0]
@@ -111,33 +105,14 @@ def churn_heavy(sim, num_events: int, *, fast: bool = False) -> tuple:
             watchdog[0] = sim.schedule(sim.now + WATCHDOG_S, lambda: None)
             if fired[0] % LEN_POLL_EVERY == 0:
                 len_probe[0] += len(sim)
-            if fast:
-                sim.schedule_fast(sim.now + period, work)
-            else:
-                sim.schedule(sim.now + period, work)
+            sim.schedule_fast(sim.now + period, work)
 
         return work
 
     for idx in range(SERVERS):
-        start = 0.001 * (idx + 1)
-        if fast:
-            sim.schedule_fast(start, make_server(idx))
-        else:
-            sim.schedule(start, make_server(idx))
+        sim.schedule_fast(0.001 * (idx + 1), make_server(idx))
     sim.run()
     return fired[0], sim.now, len_probe[0]
-
-
-def make_sim(legacy: bool):
-    """The current engine, or the vendored pre-fast-path baseline."""
-    if legacy:
-        sys.path.insert(0, str(REPO / "benchmarks"))
-        from legacy_sim import LegacySimulator
-
-        return LegacySimulator(), False
-    from repro.sim.engine import Simulator
-
-    return Simulator(), True
 
 
 def open_loop_churn(jobs: int, seed: int) -> list:
@@ -186,10 +161,22 @@ def _layer_of(filename: str) -> str:
     return match.group(1) if match else "stdlib"
 
 
-def open_loop_report(stats: pstats.Stats, offered: int) -> None:
-    """Print the per-job counts and the top functions grouped by layer."""
+def open_loop_profile(jobs: int, seed: int) -> tuple[dict, pstats.Stats]:
+    """Profile one warm run of the open-loop cell; returns its counts
+    and the profile.
+
+    The counts are exact for a given tree: shape-pricing calls,
+    ``EventLog.emit`` calls, :class:`~repro.sim.FleetEvent`
+    constructions and admission budgets.  Python calls per offered job
+    also counts stdlib functions, so it moves with the interpreter.
+    """
     from repro.sim.events import FleetEvent
 
+    churn = open_loop_churn(jobs, seed)
+    open_loop_run(jobs, seed, churn)  # warm imports and memos
+    profiler = cProfile.Profile()
+    engine = profiler.runcall(open_loop_run, jobs, seed, churn)
+    stats = pstats.Stats(profiler)
     record_line = FleetEvent.__init__.__code__.co_firstlineno
 
     def calls_of(suffix: str, name: str, line: int | None = None) -> int:
@@ -202,21 +189,18 @@ def open_loop_report(stats: pstats.Stats, offered: int) -> None:
         )
 
     total = sum(entry[1] for entry in stats.stats.values())
-    pricing = sum(calls_of(suffix, name) for suffix, name in SHAPE_PRICING)
-    counts = [
-        ("Python calls per offered job", total / offered),
-        ("shape-pricing calls", pricing),
-        ("shape-pricing calls per offered job", pricing / offered),
-        ("EventLog.emit calls", calls_of("sim/events.py", "emit")),
-        (
-            "FleetEvent constructions",
-            calls_of("sim/events.py", "__init__", record_line),
-        ),
-        ("admission budgets", calls_of("cluster/admission.py", "budget_s")),
-    ]
-    for label, value in counts:
-        shown = f"{value:,.2f}" if isinstance(value, float) else f"{value:,}"
-        print(f"  {label:<38} {shown:>12}")
+    counts = {
+        "shape_pricing_calls": sum(calls_of(*where) for where in SHAPE_PRICING),
+        "emit_calls": calls_of("sim/events.py", "emit"),
+        "fleet_event_constructions": calls_of("sim/events.py", "__init__", record_line),
+        "admission_budgets": calls_of("cluster/admission.py", "budget_s"),
+        "python_calls_per_offered_job": round(total / engine.offered, 2),
+    }
+    return counts, stats
+
+
+def open_loop_report(stats: pstats.Stats) -> None:
+    """Print the top functions of a profile grouped by layer."""
     layers: dict[str, list] = defaultdict(list)
     for (filename, line, func), entry in stats.stats.items():
         layers[_layer_of(filename)].append((entry[2], entry[1], f"  {func}:{line}"))
@@ -252,9 +236,11 @@ def open_loop_main(args: argparse.Namespace) -> int:
     )
     if args.no_profile:
         return 0
-    profiler = cProfile.Profile()
-    engine = profiler.runcall(open_loop_run, args.jobs, args.seed, churn)
-    open_loop_report(pstats.Stats(profiler), engine.offered)
+    counts, stats = open_loop_profile(args.jobs, args.seed)
+    for name, value in counts.items():
+        shown = f"{value:,.2f}" if isinstance(value, float) else f"{value:,}"
+        print(f"  {name:<38} {shown:>12}")
+    open_loop_report(stats)
     return 0
 
 
@@ -263,11 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--events", type=int, default=1_000_000, help="server events to fire"
-    )
-    parser.add_argument(
-        "--legacy",
-        action="store_true",
-        help="profile benchmarks/legacy_sim.py instead of repro.sim",
     )
     parser.add_argument(
         "--no-profile",
@@ -297,23 +278,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.open_loop:
         return open_loop_main(args)
 
-    sim, fast = make_sim(args.legacy)
-    label = "legacy" if args.legacy else "fast-path"
+    from repro.sim import Simulator
+
     if args.no_profile:
         started = time.perf_counter()
-        fired, now, probe = churn_heavy(sim, args.events, fast=fast)
+        fired, now, probe = churn_heavy(Simulator(), args.events)
         elapsed = time.perf_counter() - started
     else:
         profiler = cProfile.Profile()
         started = time.perf_counter()
-        fired, now, probe = profiler.runcall(
-            churn_heavy, sim, args.events, fast=fast
-        )
+        fired, now, probe = profiler.runcall(churn_heavy, Simulator(), args.events)
         elapsed = time.perf_counter() - started
         stats = pstats.Stats(profiler)
         stats.sort_stats(args.sort).print_stats(args.top)
     print(
-        f"{label}: fired={fired} final_clock_s={now:.6f} len_probe={probe} "
+        f"churn-heavy: fired={fired} final_clock_s={now:.6f} len_probe={probe} "
         f"wall={elapsed:.3f}s ({fired / elapsed:,.0f} events/s)"
     )
     return 0
