@@ -3,7 +3,7 @@
 Two measurements (ISSUE 2 acceptance):
 
 * **Traffic scenarios** — at least two named scenarios run through the
-  service (multi-worker, batched, cached, fixed-base MSM), recording
+  service (batched, cached, fixed-base MSM), recording
   throughput (proofs/sec), cache hit rate, and latency tails.
 * **Same-circuit acceptance** — a same-circuit workload served two ways:
   the *naive one-job-at-a-time loop* (the stateless pattern
@@ -54,11 +54,7 @@ SRS_SEED = 0x5EED
 
 def run_scenario_row(name: str, jobs: int, wave_s: float) -> dict:
     gen = TrafficGenerator(name, seed=1)
-    config = ServiceConfig(
-        max_vars=gen.max_vars(),
-        executor="thread",
-        num_workers=2,
-    )
+    config = ServiceConfig(max_vars=gen.max_vars(), executor="sync")
     with ProvingService(config) as service:
         service.run(gen.jobs(jobs), wave_s=wave_s)
         summary = service.summary()

@@ -37,7 +37,7 @@ def main() -> None:
     #    the shared repro.plan layer).
     config = ServiceConfig(
         max_vars=generator.max_vars(),
-        executor="thread",
+        executor="process",
         num_workers=2,
         verify_proofs=True,
         drain_policy="sjf",

@@ -5,9 +5,9 @@ always runs the *simulated* layer — an LRU fingerprint cache
 (:class:`SimIndexCache`) plus a model-time clock advanced by the
 cluster's :class:`~repro.cluster.timemodel.FleetTimeModel` — and, when
 the cluster runs in ``execute`` mode, additionally proves its completed
-jobs through a private :class:`~repro.service.ProvingService` (own SRS,
-own :class:`~repro.service.cache.IndexCache`, own worker pool) so the
-proofs, cache hits, and preprocess seconds it reports are real.
+jobs through a private sync :class:`~repro.service.ProvingService` (own
+SRS, own :class:`~repro.service.cache.IndexCache`) so the proofs, cache
+hits, and preprocess seconds it reports are real.
 
 Nodes expose event-granular primitives — :meth:`begin` /
 :meth:`complete` / :meth:`abort` / :meth:`crash` / :meth:`recover` —
@@ -98,13 +98,8 @@ class NodeConfig:
     max_vars: int = 6
     #: one seed for every node: identical SRS, bit-identical proofs
     srs_seed: int = 0x5EED
-    #: execute-mode executor / workers per node
-    executor: str = "sync"
-    num_workers: int = 1
     #: execute-mode drain-wave window in model seconds (None = one wave)
     wave_s: float | None = 1.0
-    #: verify every execute-mode proof in-service
-    verify_proofs: bool = False
 
 
 @dataclass
@@ -184,10 +179,7 @@ class ProverNode:
                 ServiceConfig(
                     max_vars=config.max_vars,
                     srs_seed=config.srs_seed,
-                    executor=config.executor,
-                    num_workers=config.num_workers,
                     cache_capacity=config.cache_capacity,
-                    verify_proofs=config.verify_proofs,
                 )
             )
 

@@ -271,10 +271,6 @@ class JacobianPoint:
         self.y = y
         self.z = z
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.z == 0
-
     def to_affine(self) -> AffinePoint:
         if self.z == 0:
             return self.curve.infinity

@@ -47,7 +47,6 @@ coordinates) as any other MSM algorithm;
 from __future__ import annotations
 
 import math
-import threading
 from typing import Sequence
 
 from repro.curves.curve import (
@@ -299,21 +298,17 @@ class ResidentBases(list):
     def __init__(self, points=()):
         super().__init__(points)
         self._tables: list[list] | None = None
-        # the build is expensive; concurrent first MSMs must share one
-        self._lock = threading.Lock()
 
     def odd_multiples(self) -> list[list]:
         """``tables[i][j]`` = (2j+1)·self[i] as (x, y), or ``None`` for
         infinity; built on first use."""
         if self._tables is None:
-            with self._lock:
-                if self._tables is None:
-                    curve = self[0].curve
-                    self._tables = _odd_multiples(
-                        curve.field, curve.a,
-                        [None if pt.inf else (pt.x, pt.y) for pt in self],
-                        RESIDENT_WIDTH,
-                    )
+            curve = self[0].curve
+            self._tables = _odd_multiples(
+                curve.field, curve.a,
+                [None if pt.inf else (pt.x, pt.y) for pt in self],
+                RESIDENT_WIDTH,
+            )
         return self._tables
 
     def __reduce__(self):
@@ -434,29 +429,21 @@ class FixedBaseTable:
     is that one row; ``rows`` stays a list of rows for entry counts.)
 
     On a curve with an endomorphism the comb covers one GLV half and
-    serves the other through φ, which halves ``columns``; an explicit
-    ``num_bits`` (a table for short scalars) skips the split.  The
-    base must lie in the subgroup of order ``curve.order``.
+    serves the other through φ, which halves ``columns``.  The base must
+    lie in the subgroup of order ``curve.order``.
     """
 
-    def __init__(self, point: AffinePoint, window_bits: int = 8,
-                 num_bits: int | None = None):
+    def __init__(self, point: AffinePoint, window_bits: int = 8):
         if window_bits < 1:
             raise ValueError("window_bits must be >= 1")
-        if num_bits is not None and num_bits < 1:
-            raise ValueError("num_bits must be >= 1")
         curve = point.curve
         self.curve = curve
         self.point = point
         self.window_bits = window_bits
-        self.num_bits = num_bits or curve.order.bit_length()
         # (β, λ) when scalars are split; (1, order) leaves k₁ = k, k₂ = 0
-        self._split = (
-            curve.endomorphism if num_bits is None and curve.endomorphism
-            else (1, curve.order)
-        )
+        self._split = curve.endomorphism or (1, curve.order)
         lam = self._split[1]
-        half_bits = min(self.num_bits, max(lam, curve.order // lam).bit_length())
+        half_bits = max(lam, curve.order // lam).bit_length()
         self.columns = -(-half_bits // window_bits)
         self.rows = [self._comb()]
 
@@ -488,11 +475,6 @@ class FixedBaseTable:
         """Append the affine summands of ``k * P`` to ``schedule``, one
         list per column: k·P = Σ_j 2^j · Σ schedule[j]."""
         k %= self.curve.order
-        if k >> self.num_bits:
-            raise ValueError(
-                f"scalar needs {k.bit_length()} bits but this table only "
-                f"covers {self.num_bits}"
-            )
         comb, columns = self.rows[0], self.columns
         p = self.curve.field.modulus
         beta, lam = self._split

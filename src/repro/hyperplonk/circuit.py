@@ -74,6 +74,9 @@ JELLYFISH = GateType(
     permcheck_gate_id=23,
 )
 
+#: every gate family the prover runs, by name
+GATE_TYPES: dict[str, GateType] = {g.name: g for g in (VANILLA, JELLYFISH)}
+
 
 @dataclass(frozen=True)
 class Wire:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import random
-import threading
 
 from repro.curves import (
     AffinePoint,
@@ -92,11 +91,9 @@ class Opening:
         return 32 + 48 * len(self.quotients)
 
 
-#: Serialises the SRS's one-time builds (the G1 bases of every arity,
-#: the G2 verifying key) so concurrent thread-pool workers share one
-#: list per arity and one set of resident tables.  Module-wide rather
-#: than per instance: a :class:`TrapdoorSRS` pickles.
-_BASES_LOCK = threading.Lock()
+#: Largest arity a ``fixed_base=True`` KZG commits through
+#: :class:`FixedBaseTable` combs; larger ones read resident tables.
+FIXED_BASE_MAX_VARS = 4
 
 
 class TrapdoorSRS:
@@ -154,9 +151,7 @@ class TrapdoorSRS:
         bases = self._bases_cache.get(num_vars)
         if bases is None:
             self.secrets_for(num_vars)  # range check, before any build
-            with _BASES_LOCK:
-                if not self._bases_cache:
-                    self._build_bases()
+            self._build_bases()
             bases = self._bases_cache[num_vars]
         return bases
 
@@ -197,9 +192,7 @@ class TrapdoorSRS:
         self.secrets_for(num_vars)  # range check
         h = G2Point.generator()
         if self._g2_key is None:
-            with _BASES_LOCK:
-                if self._g2_key is None:
-                    self._g2_key = [h.scalar_mul(s) for s in self.secret]
+            self._g2_key = [h.scalar_mul(s) for s in self.secret]
         return h, self._g2_key[self.max_vars - num_vars:]
 
 
@@ -210,7 +203,7 @@ class MultilinearKZG:
     odd-multiple tables (:class:`~repro.curves.msm.ResidentBases`) make
     it a fixed-base one in either mode.  ``fixed_base=True`` further
     precomputes a :class:`FixedBaseTable` comb for every SRS base of
-    arity ≤ ``fixed_base_max_vars`` (lazily, per arity, ~2 ms per base)
+    arity ≤ :data:`FIXED_BASE_MAX_VARS` (lazily, per arity, ~2 ms per base)
     and commits through them, in 0.4–0.75× the resident-table time on
     the prover's many small (≤ 16-point) commitments — the opening
     quotients.
@@ -219,30 +212,26 @@ class MultilinearKZG:
     which is why :mod:`repro.service` enables them and one-shot callers
     don't.  Multiples of the generator go through the process-wide
     :func:`generator_table` in both modes.
+
+    A KZG, its SRS and an :class:`~repro.service.cache.IndexCache` on
+    them are not thread-safe, so the serving layer runs one prover per
+    process.
     """
 
-    def __init__(self, srs: TrapdoorSRS, fixed_base: bool = False,
-                 fixed_base_max_vars: int = 4):
+    def __init__(self, srs: TrapdoorSRS, fixed_base: bool = False):
         self.srs = srs
         self.fixed_base = fixed_base
-        self.fixed_base_max_vars = fixed_base_max_vars
         self._fb_tables: dict[int, list[FixedBaseTable]] = {}
-        # table precompute is expensive; serialize it so concurrent
-        # thread-pool workers hitting a new arity don't build it twice
-        self._fb_lock = threading.Lock()
-        # open_many's per-thread (polynomial, prefix memo) for open()
-        self._sharing = threading.local()
+        # open_many's (polynomial, prefix memo) for open()
+        self._memo: tuple[DenseMLE, dict] | None = None
 
     # -- fixed-base tables ---------------------------------------------------
     def _tables(self, num_vars: int) -> list[FixedBaseTable]:
         tables = self._fb_tables.get(num_vars)
         if tables is None:
-            with self._fb_lock:
-                tables = self._fb_tables.get(num_vars)
-                if tables is None:
-                    tables = [FixedBaseTable(pt)
-                              for pt in self.srs.bases(num_vars)]
-                    self._fb_tables[num_vars] = tables
+            tables = self._fb_tables[num_vars] = [
+                FixedBaseTable(pt) for pt in self.srs.bases(num_vars)
+            ]
         return tables
 
     def _generator_mul(self, k: int) -> AffinePoint:
@@ -257,7 +246,7 @@ class MultilinearKZG:
             )
         if all(v == 0 for v in mle.table):
             return Commitment(G1.infinity, mle.num_vars)
-        if self.fixed_base and mle.num_vars <= self.fixed_base_max_vars:
+        if self.fixed_base and mle.num_vars <= FIXED_BASE_MAX_VARS:
             point = msm_fixed_base(mle.table, self._tables(mle.num_vars))
         else:
             point = msm_pippenger(mle.table, self.srs.bases(mle.num_vars))
@@ -279,7 +268,7 @@ class MultilinearKZG:
             raise ValueError("opening point arity mismatch")
         p = Fr.modulus
         point = tuple(v % p for v in point)
-        shared_mle, memo = getattr(self._sharing, "memo", (None, None))
+        shared_mle, memo = self._memo or (None, None)
         if shared_mle is not mle:
             memo = None
         # memo[z_1..z_{i-1}] = (f_i, commitment to q_i)
@@ -316,15 +305,14 @@ class MultilinearKZG:
         commitments and folded tables of every shared point prefix
         computed once (the points are walked as a prefix trie).
 
-        The memo is per thread, so concurrent provers sharing this KZG
-        never see each other's, and keyed to ``mle`` by identity, so an
-        ``open`` of another polynomial inside the walk ignores it.
+        The memo is keyed to ``mle`` by identity, so an ``open`` of
+        another polynomial inside the walk ignores it.
         """
-        self._sharing.memo = (mle, {})
+        self._memo = (mle, {})
         try:
             return [self.open(mle, point) for point in points]
         finally:
-            del self._sharing.memo
+            self._memo = None
 
     # -- verify -------------------------------------------------------------
     @staticmethod

@@ -110,17 +110,6 @@ class DenseMLE:
         c %= p
         return DenseMLE(self.field, [v * c % p for v in self.table])
 
-    def pointwise_add(self, other: "DenseMLE") -> "DenseMLE":
-        self._check_compatible(other)
-        p = self.field.modulus
-        return DenseMLE(
-            self.field, [(a + b) % p for a, b in zip(self.table, other.table)]
-        )
-
-    def _check_compatible(self, other: "DenseMLE") -> None:
-        if self.field != other.field or self.num_vars != other.num_vars:
-            raise ValueError("MLE shape/field mismatch")
-
 
 def extend_pair(
     field: PrimeField,

@@ -28,24 +28,18 @@ closed form, exactly which operation tallies an instrumented
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
 
 from repro.gates.library import gate_by_id
-from repro.hyperplonk.circuit import GateType, JELLYFISH, VANILLA
+from repro.hyperplonk.circuit import GATE_TYPES, GateType
 from repro.plan.profiles import PolyProfile, TermProfile
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.hyperplonk.circuit import Circuit
-    from repro.hyperplonk.preprocess import ProverIndex
 
 
 def gate_type_by_name(name: str) -> GateType:
     """Resolve a gate-family name to its :class:`GateType`."""
-    if name == "vanilla":
-        return VANILLA
-    if name == "jellyfish":
-        return JELLYFISH
-    raise ValueError(f"unknown gate type {name!r}")
+    try:
+        return GATE_TYPES[name]
+    except KeyError:
+        raise ValueError(f"unknown gate type {name!r}") from None
 
 
 #: distinct opening points in the protocol (Table I row 24 has six
@@ -228,11 +222,6 @@ class ProofPlan:
             raise ValueError(f"phase {name!r} is not a sumcheck phase")
         return phase.poly
 
-    def msm_tasks(self) -> list[MSMTask]:
-        """Every MSM in the proof, in schedule order (the §IV-B3
-        inventory: k sparse witness, φ + π̃ dense, opening dense)."""
-        return [t for phase in self.phases for t in phase.msms]
-
     # -- exact functional-prover op model -----------------------------------
     def predicted_prover_ops(self) -> PlanOps:
         """Closed-form prediction of ``HyperPlonkProver.prove()``'s
@@ -285,25 +274,6 @@ class ProofPlan:
                 "opening_msm": 1 + 4,      # combined + 4 tree claims
             },
         )
-
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def for_shape(cls, gate_type_name: str, num_vars: int,
-                  custom_zerocheck: PolyProfile | None = None) -> "ProofPlan":
-        """The canonical plan for a (gate type, μ) shape; see
-        :func:`hyperplonk_plan`."""
-        return hyperplonk_plan(gate_type_name, num_vars,
-                               custom_zerocheck=custom_zerocheck)
-
-    @classmethod
-    def from_circuit(cls, circuit: "Circuit") -> "ProofPlan":
-        """The plan for a built circuit (shape only; witness ignored)."""
-        return hyperplonk_plan(circuit.gate_type.name, circuit.num_vars)
-
-    @classmethod
-    def from_index(cls, index: "ProverIndex") -> "ProofPlan":
-        """The plan for a preprocessed prover index."""
-        return hyperplonk_plan(index.gate_type.name, index.num_vars)
 
 
 def claims_for_gate_type(gate_type: GateType) -> int:

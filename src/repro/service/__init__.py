@@ -13,7 +13,7 @@ the software serving substrate above the functional HyperPlonk stack
   policy-driven drain order (``fifo`` / ``sjf`` / ``deadline``);
 * :mod:`repro.service.costing` — :class:`JobCostModel`, per-job cost
   prediction over the shared :mod:`repro.plan` layer;
-* :mod:`repro.service.workers` — sync / thread / process executors;
+* :mod:`repro.service.workers` — sync / process executors;
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` (throughput,
   p50/p95 latency, cache hit rate, per-worker utilization, op tallies);
 * :mod:`repro.service.traffic` — :class:`TrafficGenerator` driving the
@@ -41,7 +41,6 @@ from repro.service.workers import (
     EXECUTOR_KINDS,
     ProcessExecutor,
     SyncExecutor,
-    ThreadExecutor,
     WorkerPool,
     WorkerProbe,
     WorkerState,
@@ -64,7 +63,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "SyncExecutor",
-    "ThreadExecutor",
     "TrafficGenerator",
     "WorkerPool",
     "WorkerProbe",

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drain order: fifo, shortest-job-first, or "
                              "deadline-aware (cost model: repro.plan)")
     parser.add_argument("--workers", type=positive_int, default=2,
-                        help="worker count for thread/process executors")
+                        help="worker count (process executor only)")
     parser.add_argument("--cache-capacity", type=cache_capacity, default=None,
                         help="LRU index-cache entries (0 or omitted: "
                              "unbounded)")

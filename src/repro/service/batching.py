@@ -91,32 +91,14 @@ def order_jobs(jobs: list[ProofJob], policy: str = "fifo",
 
 
 def plan_batches(
-    jobs: list[ProofJob], max_batch_size: int | None = None, *,
+    jobs: list[ProofJob], *,
     policy: str = "fifo", cost_fn: CostFn | None = None,
 ) -> list[Batch]:
-    """Deterministically partition ``jobs`` into same-circuit batches.
-
-    ``max_batch_size`` splits oversized groups (None = unbounded); splits
-    preserve the sorted drain order.  ``policy`` / ``cost_fn`` select the
-    drain order (see :func:`order_jobs`).
-    """
-    if max_batch_size is not None:
-        if isinstance(max_batch_size, bool) or not isinstance(max_batch_size, int):
-            raise TypeError(
-                f"max_batch_size must be an int or None, "
-                f"got {type(max_batch_size).__name__}"
-            )
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1 (or None)")
-    ordered = order_jobs(jobs, policy, cost_fn)
+    """Deterministically partition ``jobs`` into same-circuit batches;
+    ``policy`` / ``cost_fn`` select the drain order (see
+    :func:`order_jobs`)."""
     groups: dict[str, list[ProofJob]] = {}
-    for job in ordered:  # dict preserves first-appearance (i.e. rank) order
+    for job in order_jobs(jobs, policy, cost_fn):
+        # dict preserves first-appearance (i.e. rank) order
         groups.setdefault(job.circuit_key, []).append(job)
-    batches = []
-    for key, members in groups.items():
-        if max_batch_size is None:
-            batches.append(Batch(key, members))
-        else:
-            for i in range(0, len(members), max_batch_size):
-                batches.append(Batch(key, members[i:i + max_batch_size]))
-    return batches
+    return [Batch(key, members) for key, members in groups.items()]

@@ -15,7 +15,6 @@ circuit and the SRS — which ``tests/test_service_cache.py`` locks down.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -59,10 +58,7 @@ class CacheStats:
 class IndexCache:
     """LRU cache of preprocessed circuit indexes, bound to one KZG/SRS.
 
-    ``capacity=None`` means unbounded.  Thread-safe: the lock is held
-    across the miss-path ``preprocess()`` call, so concurrent workers
-    asking for the same circuit never duplicate an MSM-heavy
-    preprocessing run.
+    ``capacity=None`` means unbounded.
     """
 
     def __init__(self, kzg: MultilinearKZG, capacity: int | None = None):
@@ -74,7 +70,6 @@ class IndexCache:
         self._entries: OrderedDict[str, tuple[ProverIndex, VerifierIndex]] = (
             OrderedDict()
         )
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -89,22 +84,21 @@ class IndexCache:
         preprocessing on a miss.  ``key`` skips re-fingerprinting when the
         caller already holds one (jobs do)."""
         key = key or circuit_fingerprint(circuit)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry[0], entry[1], True
-            self.stats.misses += 1
-            t0 = time.perf_counter()
-            pidx, vidx = preprocess(circuit, self.kzg)
-            self.stats.preprocess_s += time.perf_counter() - t0
-            self._entries[key] = (pidx, vidx)
-            if self.capacity is not None:
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-            return pidx, vidx, False
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return entry[0], entry[1], True
+        self.stats.misses += 1
+        t0 = time.perf_counter()
+        pidx, vidx = preprocess(circuit, self.kzg)
+        self.stats.preprocess_s += time.perf_counter() - t0
+        self._entries[key] = (pidx, vidx)
+        if self.capacity is not None:
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+        return pidx, vidx, False
 
     def warm(self, circuit: Circuit) -> str:
         """Preprocess ``circuit`` ahead of traffic; returns its key."""
@@ -113,5 +107,4 @@ class IndexCache:
         return key
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()

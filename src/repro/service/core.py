@@ -44,13 +44,11 @@ class ServiceConfig:
     max_vars: int = 6
     #: seed for the service-owned deterministic trapdoor SRS
     srs_seed: int = 0x5EED
-    #: ``sync`` | ``thread`` | ``process``
+    #: ``sync`` | ``process``
     executor: str = "sync"
     num_workers: int = 1
     #: LRU entries in the index cache (None = unbounded)
     cache_capacity: int | None = None
-    #: split same-circuit groups larger than this (None = unbounded)
-    max_batch_size: int | None = None
     #: drain order: ``fifo`` | ``sjf`` | ``deadline``
     #: (:mod:`repro.service.batching`); the cost-aware policies price
     #: every job through the cost model
@@ -66,15 +64,22 @@ class ServiceConfig:
     verify_proofs: bool = False
     #: attach an OpCounter to every job and aggregate tallies in metrics
     collect_counters: bool = False
-    #: precompute fixed-base MSM tables on the service KZG (bit-identical
-    #: proofs, much cheaper small commitments; see repro.curves.msm)
-    fixed_base_msm: bool = True
     #: retired: every proof runs the one field-vector kernel; accepts
     #: only ``None`` or ``"fused"`` and is not stored
     default_backend: InitVar[str | None] = None
 
     def __post_init__(self, default_backend: str | None) -> None:
         require_fused(default_backend)
+        if self.executor not in EXECUTOR_KINDS:
+            raise ValueError(
+                f"unknown executor {self.executor!r}; "
+                f"choose from {EXECUTOR_KINDS}"
+            )
+        if self.drain_policy not in DRAIN_POLICIES:
+            raise ValueError(
+                f"unknown drain policy {self.drain_policy!r}; "
+                f"choose from {DRAIN_POLICIES}"
+            )
 
 
 class ProvingService:
@@ -89,23 +94,13 @@ class ProvingService:
     def __init__(self, config: ServiceConfig | None = None, *,
                  kzg: MultilinearKZG | None = None):
         self.config = config = config or ServiceConfig()
-        if config.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {config.executor!r}; "
-                f"choose from {EXECUTOR_KINDS}"
-            )
-        if config.drain_policy not in DRAIN_POLICIES:
-            raise ValueError(
-                f"unknown drain policy {config.drain_policy!r}; "
-                f"choose from {DRAIN_POLICIES}"
-            )
         self.cost_model: JobCostModel | None = None
         if (config.cost_model is not None or config.predict_costs
                 or config.drain_policy != "fifo"):
             self.cost_model = JobCostModel(config.cost_model)
         if kzg is None:
             srs = TrapdoorSRS(config.max_vars, random.Random(config.srs_seed))
-            kzg = MultilinearKZG(srs, fixed_base=config.fixed_base_msm)
+            kzg = MultilinearKZG(srs, fixed_base=True)
         elif config.executor == "process":
             raise ValueError(
                 "the process executor requires a service-owned SRS "
@@ -117,7 +112,6 @@ class ProvingService:
         self.pool = make_executor(
             config.executor, config.num_workers,
             srs_seed=config.srs_seed, srs_max_vars=kzg.srs.max_vars,
-            fixed_base=config.fixed_base_msm,
             cache_capacity=config.cache_capacity,
         )
         self._pending: list[ProofJob] = []
@@ -174,8 +168,7 @@ class ProvingService:
             for job in jobs:  # stamp predictions for policies + metrics
                 self.cost_model.job_cost_s(job)
         batches = plan_batches(
-            jobs, cfg.max_batch_size,
-            policy=cfg.drain_policy, cost_fn=self.cost_model,
+            jobs, policy=cfg.drain_policy, cost_fn=self.cost_model,
         )
 
         # process workers resolve indexes against their own caches; the

@@ -26,14 +26,11 @@ from repro.fields.prime_field import PrimeField
 from repro.hyperplonk.circuit import (
     Circuit,
     CircuitBuilder,
+    GATE_TYPES,
     GateType,
-    JELLYFISH,
-    VANILLA,
 )
 from repro.service.jobs import ProofJob, RequestClass
 from repro.workloads import TrafficScenario, scenario_by_name
-
-GATE_TYPES: dict[str, GateType] = {"vanilla": VANILLA, "jellyfish": JELLYFISH}
 
 ARRIVAL_PATTERNS = ("uniform", "poisson", "burst")
 

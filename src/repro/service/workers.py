@@ -1,18 +1,18 @@
 """Worker pools that drain proving batches.
 
-Three executors share one interface (:class:`WorkerPool.run_tasks`):
+Two executors share one interface (:class:`WorkerPool.run_tasks`):
 
 * :class:`SyncExecutor` — inline, single worker; the default and the
   determinism baseline.
-* :class:`ThreadExecutor` — a thread pool.  Pure-Python proving is
-  GIL-bound, so threads overlap little compute, but the executor
-  exercises the same task-plumbing a native prover would saturate, and
-  the shared :class:`~repro.service.cache.IndexCache` stays coherent.
 * :class:`ProcessExecutor` — a process pool.  Each worker rebuilds an
   *identical* KZG/SRS from the service's seed in its initializer (the
   trapdoor SRS is deterministic in the seed) and keeps a worker-local
   index cache, so no multi-megabyte SRS or index ever crosses the pipe
   and proofs stay bit-identical to the in-process path.
+
+A :class:`~repro.hyperplonk.commitment.MultilinearKZG`, its SRS and an
+:class:`~repro.service.cache.IndexCache` are not thread-safe, so the
+service runs one prover per process.
 
 Every worker proves on the one :mod:`repro.fields.vector` kernel, so a
 task carries no kernel choice across the pipe.
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field as dc_field
 
 from repro.fields import Fq, Fr
@@ -41,9 +39,9 @@ from repro.service.cache import IndexCache
 class ProveTask:
     """One unit of worker work: prove ``circuit`` with ``index``.
 
-    For in-process pools the coordinator resolves ``index`` through the
-    shared cache; for the process pool ``index`` stays ``None`` and the
-    worker resolves it against its local cache.
+    For the sync pool the coordinator resolves ``index`` through the
+    service's cache; for the process pool ``index`` stays ``None`` and
+    the worker resolves it against its local cache.
     """
 
     job_id: int
@@ -102,12 +100,11 @@ def _prove(task: ProveTask, index: ProverIndex, kzg: MultilinearKZG,
 
 
 def inline_prove(task: ProveTask, kzg: MultilinearKZG,
-                 worker_id: str | None = None) -> TaskOutcome:
-    """Prove a coordinator-resolved task in the current thread."""
+                 worker_id: str) -> TaskOutcome:
+    """Prove a coordinator-resolved task in the calling process."""
     if task.index is None:
         raise ValueError("inline_prove needs a coordinator-resolved index")
-    wid = worker_id or threading.current_thread().name
-    return _prove(task, task.index, kzg, wid, task.cache_hit)
+    return _prove(task, task.index, kzg, worker_id, task.cache_hit)
 
 
 # -- process-worker side ----------------------------------------------------
@@ -147,11 +144,10 @@ class WorkerState:
     """
 
     def __init__(self, srs_seed: int, srs_max_vars: int,
-                 fixed_base: bool = True,
                  cache_capacity: int | None = None):
-        self.params = (srs_seed, srs_max_vars, fixed_base, cache_capacity)
+        self.params = (srs_seed, srs_max_vars, cache_capacity)
         srs = TrapdoorSRS(srs_max_vars, random.Random(srs_seed))
-        self.kzg = MultilinearKZG(srs, fixed_base=fixed_base)
+        self.kzg = MultilinearKZG(srs, fixed_base=True)
         self.cache = IndexCache(self.kzg, capacity=cache_capacity)
         self.srs_builds = 1
         self.jobs_proved = 0
@@ -186,7 +182,7 @@ class WorkerState:
 _WORKER_STATE: WorkerState | None = None
 
 
-def worker_state(srs_seed: int, srs_max_vars: int, fixed_base: bool = True,
+def worker_state(srs_seed: int, srs_max_vars: int,
                  cache_capacity: int | None = None) -> WorkerState:
     """This process's persistent :class:`WorkerState`, built on first use.
 
@@ -195,19 +191,16 @@ def worker_state(srs_seed: int, srs_max_vars: int, fixed_base: bool = True,
     re-runs its initializer.
     """
     global _WORKER_STATE
-    params = (srs_seed, srs_max_vars, fixed_base, cache_capacity)
+    params = (srs_seed, srs_max_vars, cache_capacity)
     if _WORKER_STATE is None or _WORKER_STATE.params != params:
-        _WORKER_STATE = WorkerState(
-            srs_seed, srs_max_vars, fixed_base, cache_capacity
-        )
+        _WORKER_STATE = WorkerState(srs_seed, srs_max_vars, cache_capacity)
     return _WORKER_STATE
 
 
 def _init_process_worker(srs_seed: int, srs_max_vars: int,
-                         fixed_base: bool = True,
                          cache_capacity: int | None = None) -> None:
     """Rebuild the coordinator's KZG deterministically in this worker."""
-    worker_state(srs_seed, srs_max_vars, fixed_base, cache_capacity)
+    worker_state(srs_seed, srs_max_vars, cache_capacity)
 
 
 def _canonicalize_field(circuit: Circuit) -> None:
@@ -266,35 +259,18 @@ class SyncExecutor(WorkerPool):
         return [inline_prove(t, kzg, worker_id="sync-0") for t in tasks]
 
 
-class ThreadExecutor(WorkerPool):
-    kind = "thread"
-
-    def __init__(self, num_workers: int):
-        super().__init__(num_workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="prover"
-        )
-
-    def run_tasks(self, tasks, kzg):
-        return list(self._pool.map(lambda t: inline_prove(t, kzg), tasks))
-
-    def close(self):
-        self._pool.shutdown(wait=True)
-
-
 class ProcessExecutor(WorkerPool):
     """A process pool whose workers each rebuild the service's SRS.
 
     ``concurrent.futures.process`` (and with it :mod:`multiprocessing`)
     is imported when the first pool is built, so a process that never
-    asks for one — every sync or thread service, every CLI that does not
-    prove — does not load it.
+    asks for one — every sync service, every CLI that does not prove —
+    does not load it.
     """
 
     kind = "process"
 
     def __init__(self, num_workers: int, srs_seed: int, srs_max_vars: int,
-                 fixed_base: bool = True,
                  cache_capacity: int | None = None):
         from concurrent.futures import ProcessPoolExecutor
 
@@ -302,7 +278,7 @@ class ProcessExecutor(WorkerPool):
         self._pool = ProcessPoolExecutor(
             max_workers=num_workers,
             initializer=_init_process_worker,
-            initargs=(srs_seed, srs_max_vars, fixed_base, cache_capacity),
+            initargs=(srs_seed, srs_max_vars, cache_capacity),
         )
 
     def run_tasks(self, tasks, kzg):
@@ -328,17 +304,14 @@ class ProcessExecutor(WorkerPool):
         self._pool.shutdown(wait=True)
 
 
-EXECUTOR_KINDS = ("sync", "thread", "process")
+EXECUTOR_KINDS = ("sync", "process")
 
 
 def make_executor(kind: str, num_workers: int, *, srs_seed: int | None = None,
                   srs_max_vars: int | None = None,
-                  fixed_base: bool = True,
                   cache_capacity: int | None = None) -> WorkerPool:
     if kind == "sync":
         return SyncExecutor()
-    if kind == "thread":
-        return ThreadExecutor(num_workers)
     if kind == "process":
         if srs_seed is None or srs_max_vars is None:
             raise ValueError(
@@ -346,6 +319,6 @@ def make_executor(kind: str, num_workers: int, *, srs_seed: int | None = None,
                 "(srs_seed + srs_max_vars) so workers can rebuild it"
             )
         return ProcessExecutor(
-            num_workers, srs_seed, srs_max_vars, fixed_base, cache_capacity
+            num_workers, srs_seed, srs_max_vars, cache_capacity
         )
     raise ValueError(f"unknown executor {kind!r}; choose from {EXECUTOR_KINDS}")

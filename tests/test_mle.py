@@ -82,18 +82,7 @@ class TestDenseMLE:
 
     def test_pointwise_ops(self):
         a = DenseMLE(Fr, [1, 2])
-        b = DenseMLE(Fr, [3, 4])
-        assert a.pointwise_add(b).table == [4, 6]
         assert a.scaled(10).table == [10, 20]
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DenseMLE(Fr, [1, 2]).pointwise_add(DenseMLE(Fr, [1, 2, 3, 4]))
-
-    def test_field_mismatch_rejected(self):
-        f61 = PrimeField((1 << 61) - 1, "F61")
-        with pytest.raises(ValueError, match="field"):
-            DenseMLE(Fr, [1, 2]).pointwise_add(DenseMLE(f61, [1, 2]))
 
     def test_update_counts_ee_muls(self):
         c = OpCounter()
@@ -244,6 +233,15 @@ class TestVirtualPolynomial:
                 Fr,
                 [Term(1, (("w", 1),))],
                 {"w": w, "v": DenseMLE.random(Fr, 3, rng)},
+            )
+
+    def test_field_mismatch_rejected(self, rng):
+        f61 = PrimeField((1 << 61) - 1, "F61")
+        with pytest.raises(ValueError, match="'v' is over the wrong field"):
+            VirtualPolynomial(
+                Fr,
+                [Term(1, (("w", 1),))],
+                {"w": DenseMLE.random(Fr, 2, rng), "v": DenseMLE(f61, [1] * 4)},
             )
 
     def test_combine_matches_evaluate(self, rng):

@@ -14,6 +14,7 @@ from repro.curves import (
     G1,
     G1_GENERATOR,
     FixedBaseTable,
+    ShortWeierstrassCurve,
     batch_normalize,
     msm_fixed_base,
     msm_naive,
@@ -21,6 +22,7 @@ from repro.curves import (
 )
 from repro.fields import Fr
 from repro.hyperplonk import MultilinearKZG, TrapdoorSRS
+from repro.hyperplonk.commitment import FIXED_BASE_MAX_VARS
 from repro.mle import DenseMLE
 
 R = Fr.modulus
@@ -54,13 +56,16 @@ class TestFixedBaseTable:
         table = FixedBaseTable(G1.infinity)
         assert table.scalar_mul(12345) == G1.infinity
 
-    def test_narrow_table_rejects_wide_scalar(self, points):
-        narrow = FixedBaseTable(points[0], num_bits=64)
-        assert narrow.scalar_mul(1 << 63) == points[0].scalar_mul(1 << 63)
-        with pytest.raises(ValueError, match="only covers 64"):
-            narrow.mul(1 << 65)
-        with pytest.raises(ValueError, match="num_bits"):
-            FixedBaseTable(points[0], num_bits=0)
+    def test_columns_cover_one_glv_half(self):
+        """With the endomorphism a comb covers a 128-bit half; a curve
+        without one gets no split and twice the columns."""
+        assert FixedBaseTable(G1_GENERATOR).columns == 16
+        plain = ShortWeierstrassCurve(G1.field, G1.a, G1.b, G1.order, "no GLV")
+        base = plain.affine(G1_GENERATOR.x, G1_GENERATOR.y)
+        table = FixedBaseTable(base)
+        assert table.columns == 32
+        for k in (1, R - 1, 0xDEADBEEF << 200):
+            assert table.scalar_mul(k) == base.scalar_mul(k)
 
     def test_generator_table(self):
         table = FixedBaseTable(G1_GENERATOR)
@@ -120,6 +125,16 @@ class TestFixedBaseKZG:
             assert o_plain == o_fb  # covers quotient + generator paths
             assert fb.verify(c_fb, o_fb)
             assert plain.verify(c_plain, o_fb)
+
+    def test_combs_built_once_per_arity_up_to_the_constant(self):
+        rng = random.Random(0xC0B)
+        kzg = MultilinearKZG(TrapdoorSRS(FIXED_BASE_MAX_VARS + 1,
+                                         random.Random(12)), fixed_base=True)
+        for num_vars in (2, 2, FIXED_BASE_MAX_VARS, FIXED_BASE_MAX_VARS + 1):
+            kzg.commit(DenseMLE.random(Fr, num_vars, rng))
+        assert sorted(kzg._fb_tables) == [2, FIXED_BASE_MAX_VARS]
+        tables = kzg._fb_tables[2]
+        assert len(tables) == 4 and kzg._tables(2) is tables
 
     def test_oversized_mle_rejected_even_when_zero(self):
         """commit() must reject an over-arity MLE at the call site,

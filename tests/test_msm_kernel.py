@@ -20,7 +20,6 @@ import pickle
 import random
 import subprocess
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -176,7 +175,7 @@ class TestDifferential:
         assert jac.z != 1
         k = R - 12345
         assert jac.scalar_mul(k).to_affine() == jac.to_affine().scalar_mul(k)
-        assert jac.scalar_mul(0).is_infinity
+        assert jac.scalar_mul(0).z == 0
 
 
 class TestWnaf:
@@ -227,14 +226,6 @@ class TestCombTable:
         for k in EDGE_SCALARS + [R - 0xABCDEF]:
             assert table.scalar_mul(k) == msm_naive([k], [points[2]])
 
-    def test_short_scalar_table_skips_the_split(self, points):
-        table = FixedBaseTable(points[3], window_bits=5, num_bits=70)
-        assert table.columns == 14
-        for k in (1, (1 << 70) - 1, 0x1234567890ABCDEF01):
-            assert table.scalar_mul(k) == msm_naive([k], [points[3]])
-        with pytest.raises(ValueError, match="only covers 70"):
-            table.mul(1 << 70)
-
     def test_mixed_widths_share_one_doubling_chain(self, points):
         rng = random.Random(5)
         tables = [
@@ -247,13 +238,15 @@ class TestCombTable:
         assert msm_fixed_base(scalars, tables) == expected
 
     def test_small_order_base_reaches_tangent_and_inverse_entries(self):
-        """An explicit ``num_bits`` uses no endomorphism, so any curve
+        """A curve without an endomorphism gets no split, so any curve
         point is a legal base; on one of order 3 the comb is made of
-        P + P, P - P and infinity teeth."""
-        table = FixedBaseTable(TORSION, window_bits=4, num_bits=12)
+        P + P and P - P entries."""
+        plain = ShortWeierstrassCurve(G1.field, G1.a, G1.b, G1.order, "G1, no GLV")
+        torsion = plain.affine(TORSION.x, TORSION.y)
+        table = FixedBaseTable(torsion, window_bits=4)
         assert None in table.rows[0]
         for k in range(40):
-            assert table.scalar_mul(k) == msm_naive([k], [TORSION])
+            assert table.scalar_mul(k) == msm_naive([k], [torsion])
 
 
 def _row_sum(curve, row):
@@ -577,31 +570,6 @@ class TestResidentBases:
     def test_shipped_bounds_order(self):
         assert RESIDENT_WIDTH > WNAF_WIDTH >= 3
         assert RESIDENT_STRAUS_MAX_TERMS > STRAUS_MAX_TERMS
-
-    def test_two_threads_build_one_table_and_agree(self, points, paths):
-        bases = ResidentBases(points[:16])
-        rng = random.Random(16)
-        scalars = [rng.randrange(R) for _ in bases]
-        start = threading.Barrier(2, timeout=60)
-        results = []
-
-        def first_msm():
-            start.wait()
-            results.append(msm_pippenger(scalars, bases))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=first_msm) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert paths["builds"] == [RESIDENT_WIDTH]
-        assert results == [msm_naive(scalars, bases)] * 2
 
     def test_pickle_carries_the_points_only(self):
         srs = TrapdoorSRS(3, random.Random(9))

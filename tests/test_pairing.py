@@ -1,8 +1,6 @@
 """Tests for the Fp12 tower, the ate pairing, and public KZG verification."""
 
 import random
-import sys
-import threading
 
 import pytest
 
@@ -209,30 +207,6 @@ class TestPublicKZGVerification:
                 h, [h.scalar_mul(s) for s in srs.secrets_for(arity)])
         with pytest.raises(ValueError):
             srs.g2_elements(3)
-
-    def test_threads_asking_for_the_key_share_one_build(self, g2_scalars):
-        srs = TrapdoorSRS(2, random.Random(6))
-        workers = 4  # more than the reference host has cores
-        start = threading.Barrier(workers, timeout=60)
-        keys = []
-
-        def ask():
-            start.wait()
-            keys.append(srs.g2_elements(2)[1])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=ask) for _ in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert g2_scalars == srs.secret and len(keys) == workers
-        assert all(key == keys[0] for key in keys)
 
     def test_forged_value_pairing_rejected(self, kzg, rng):
         f = DenseMLE.random(Fr, 2, rng)

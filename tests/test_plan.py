@@ -2,11 +2,13 @@
 and the canonical HyperPlonk inventory (ISSUE 3 tentpole)."""
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.gates import gate_by_id, high_degree_sweep_gate
-from repro.hyperplonk.preprocess import preprocess
+from repro.hyperplonk import MultilinearKZG, TrapdoorSRS, preprocess
+from repro.hyperplonk.circuit import GATE_TYPES
 from repro.plan import (
     AcceleratorCostModel,
     CpuCostModel,
@@ -23,7 +25,8 @@ from repro.plan import (
     phase_modmuls,
     plan_modmuls,
 )
-from repro.service.traffic import GATE_TYPES, synthesize_circuit
+from repro.service.traffic import GATE_TYPES as traffic_gate_types
+from repro.service.traffic import synthesize_circuit
 
 
 class TestPlanStructure:
@@ -48,7 +51,7 @@ class TestPlanStructure:
         assert witness == tuple(MSMTask(n, sparse=True) for _ in range(k))
         for name in ("wiring_msm", "opening_msm"):
             assert plan.phase(name).msms == (MSMTask(n), MSMTask(2 * n))
-        assert len(plan.msm_tasks()) == k + 4
+        assert len([t for phase in plan.phases for t in phase.msms]) == k + 4
 
     def test_dag_edges_reference_earlier_phases(self):
         plan = hyperplonk_plan("vanilla", 6)
@@ -167,26 +170,27 @@ class TestProfileFacts:
         assert read == unread
 
 
-class TestPlanConstructors:
-    def test_from_circuit_and_index_agree(self):
-        import random
-        from repro.hyperplonk.commitment import MultilinearKZG, TrapdoorSRS
-
+class TestPlanFromShape:
+    def test_circuit_and_index_give_one_plan(self):
+        """A plan is a function of (gate type, μ) alone, and a prover
+        index carries its circuit's shape."""
         circuit = synthesize_circuit(GATE_TYPES["vanilla"], 3, witness_seed=2)
         kzg = MultilinearKZG(TrapdoorSRS(4, random.Random(3)))
         pidx, _ = preprocess(circuit, kzg)
-        a = ProofPlan.from_circuit(circuit)
-        b = ProofPlan.from_index(pidx)
-        c = ProofPlan.for_shape("vanilla", 3)
-        assert a.shape_key == b.shape_key == c.shape_key
-        assert a.phases == b.phases == c.phases
+        a = hyperplonk_plan(circuit.gate_type.name, circuit.num_vars)
+        b = hyperplonk_plan(pidx.gate_type.name, pidx.num_vars)
+        assert a == b == hyperplonk_plan("vanilla", 3)
+        other = synthesize_circuit(GATE_TYPES["vanilla"], 3, witness_seed=9)
+        assert hyperplonk_plan(other.gate_type.name, other.num_vars) == a
 
-    def test_same_field_circuit_other_witness_same_plan(self):
-        a = ProofPlan.from_circuit(
-            synthesize_circuit(GATE_TYPES["jellyfish"], 4, witness_seed=1))
-        b = ProofPlan.from_circuit(
-            synthesize_circuit(GATE_TYPES["jellyfish"], 4, witness_seed=9))
-        assert a == b
+    def test_gate_type_by_name_reads_the_one_table(self):
+        assert traffic_gate_types is GATE_TYPES
+        assert sorted(GATE_TYPES) == ["jellyfish", "vanilla"]
+        for name, gate_type in GATE_TYPES.items():
+            assert gate_type.name == name
+            assert gate_type_by_name(name) is gate_type
+        with pytest.raises(ValueError, match="unknown gate type 'plonkish'"):
+            gate_type_by_name("plonkish")
 
 
 class TestCostModels:

@@ -18,7 +18,7 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
-from repro.plan import ProofPlan
+from repro.plan import hyperplonk_plan
 from repro.service.traffic import GATE_TYPES, synthesize_circuit
 
 SHAPES = [
@@ -46,7 +46,7 @@ class TestPlanVsProver:
     @pytest.mark.parametrize("gate,mu", SHAPES)
     def test_predicted_ops_match_actual(self, gate, mu, kzg):
         actual = prove_with_counter(gate, mu, kzg)
-        predicted = ProofPlan.for_shape(gate, mu).predicted_prover_ops()
+        predicted = hyperplonk_plan(gate, mu).predicted_prover_ops()
         assert actual.ee_mul == predicted.ee_mul
         assert actual.pl_mul == predicted.pl_mul
         assert actual.mul == predicted.total_mul
@@ -61,7 +61,7 @@ class TestPlanVsProver:
         predicts both — prediction is kernel-invariant by construction."""
         on_kernel(kernel)
         actual = prove_with_counter("vanilla", 3, kzg)
-        predicted = ProofPlan.for_shape("vanilla", 3).predicted_prover_ops()
+        predicted = hyperplonk_plan("vanilla", 3).predicted_prover_ops()
         assert actual.mul == predicted.total_mul
         assert actual.ee_mul == predicted.ee_mul
         assert actual.pl_mul == predicted.pl_mul
@@ -70,7 +70,7 @@ class TestPlanVsProver:
     def test_predictions_scale_with_size(self):
         """Tallies roughly double per extra variable (sanity on the
         closed forms, not the prover)."""
-        small = ProofPlan.for_shape("vanilla", 3).predicted_prover_ops()
-        big = ProofPlan.for_shape("vanilla", 4).predicted_prover_ops()
+        small = hyperplonk_plan("vanilla", 3).predicted_prover_ops()
+        big = hyperplonk_plan("vanilla", 4).predicted_prover_ops()
         assert 1.9 < big.total_mul / small.total_mul < 2.4
         assert big.msm_counts == small.msm_counts  # counts, not sizes

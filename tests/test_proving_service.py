@@ -8,6 +8,7 @@ verifies with the stock verifier.
 """
 
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,9 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
+from repro.hyperplonk.commitment import FIXED_BASE_MAX_VARS
 from repro.service import (
+    DRAIN_POLICIES,
     JobCostModel,
     ProofJob,
     ProvingService,
@@ -73,7 +76,7 @@ class TestDifferential:
             HyperPlonkVerifier(Fr, vidx, kzg).verify(results[i].proof)
 
     def test_batched_vs_sequential_runs(self, circuits):
-        cfg = dict(max_vars=MAX_VARS, fixed_base_msm=False)
+        cfg = dict(max_vars=MAX_VARS)
         with ProvingService(ServiceConfig(**cfg)) as batched:
             for c in circuits:
                 batched.submit(c)
@@ -90,20 +93,9 @@ class TestDifferential:
         for proof in batch_proofs:
             assert proof in seq_proofs
 
-    def test_thread_executor_matches_sync(self, circuits):
-        cfg = dict(max_vars=MAX_VARS, fixed_base_msm=False)
-        with ProvingService(ServiceConfig(executor="thread", num_workers=2,
-                                          **cfg)) as threaded:
-            for c in circuits[:2]:
-                threaded.submit(c)
-            thread_results = {r.job_id: r.proof for r in threaded.drain()}
-        for i, c in enumerate(circuits[:2]):
-            expected, _, _ = direct_prove(c)
-            assert thread_results[i] == expected
-
     def test_process_executor_matches_direct(self, circuits):
         cfg = ServiceConfig(max_vars=MAX_VARS, executor="process",
-                            num_workers=2, fixed_base_msm=False)
+                            num_workers=2)
         try:
             service = ProvingService(cfg)
         except (OSError, PermissionError) as exc:  # pragma: no cover
@@ -144,30 +136,33 @@ class TestSchedulingAndBatching:
         ]
         assert [j.job_id for j in batches[1].jobs] == [2, 0]
 
-    def test_max_batch_size_splits(self):
-        c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
-        jobs = [self._job(i, c, RequestClass.REALTIME) for i in range(5)]
-        batches = plan_batches(jobs, max_batch_size=2)
-        assert [len(b) for b in batches] == [2, 2, 1]
+    def test_plan_batches_keeps_a_same_circuit_group_whole(self):
+        """No size cap: every job of one circuit rides in one batch, in
+        drain order."""
+        rt = RequestClass.REALTIME
+        df = RequestClass.DEFERRABLE
+        circuit = synthesize_circuit(GATE_TYPES["vanilla"], 2, witness_seed=1)
+        jobs = [
+            self._job(i, circuit, rt if i % 2 else df, arrival=float(i))
+            for i in range(6)
+        ]
+        (batch,) = plan_batches(jobs, policy="fifo")
+        assert batch.circuit_key == jobs[0].circuit_key
+        assert [j.job_id for j in batch.jobs] == [1, 3, 5, 0, 2, 4]
 
-    def test_max_batch_size_rejects_non_positive(self):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            plan_batches([], max_batch_size=0)
-        with pytest.raises(ValueError, match="must be >= 1"):
-            plan_batches([], max_batch_size=-3)
-
-    def test_max_batch_size_rejects_non_int(self):
-        """Floats used to slip through and silently misbehave in range
-        slicing; the type is now validated (ISSUE 3 satellite)."""
-        with pytest.raises(TypeError, match="must be an int or None"):
-            plan_batches([], max_batch_size=2.0)
-        with pytest.raises(TypeError, match="must be an int or None"):
-            plan_batches([], max_batch_size=True)
-        with pytest.raises(TypeError, match="must be an int or None"):
-            plan_batches([], max_batch_size="4")
+    def test_drain_proves_a_same_circuit_wave_as_one_batch(self):
+        circuit = synthesize_circuit(GATE_TYPES["vanilla"], 2, witness_seed=1)
+        with ProvingService(ServiceConfig(max_vars=2)) as svc:
+            for _ in range(3):
+                svc.submit(circuit)
+            results = svc.drain()
+            stats = svc.cache.stats
+        assert [r.batch_size for r in results] == [3, 3, 3]
+        assert all(r.proof == results[0].proof for r in results)
+        assert (stats.misses, stats.hits) == (1, 0)  # one lookup a batch
 
     def test_drain_runs_realtime_first(self):
-        cfg = ServiceConfig(max_vars=MAX_VARS, fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=MAX_VARS)
         shapes = [
             synthesize_circuit(GATE_TYPES["vanilla"], 2, witness_seed=1),
             synthesize_circuit(GATE_TYPES["jellyfish"], 2, witness_seed=1),
@@ -269,7 +264,7 @@ class TestCostAwareScheduling:
 
     def test_service_sjf_end_to_end_with_prediction_metrics(self):
         shapes = self._shapes()
-        cfg = ServiceConfig(max_vars=4, drain_policy="sjf", fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=4, drain_policy="sjf")
         with ProvingService(cfg) as svc:
             big = svc.submit(shapes[4])
             small = svc.submit(shapes[2])
@@ -286,8 +281,7 @@ class TestCostAwareScheduling:
 
     def test_fifo_without_cost_model_has_no_prediction(self):
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
-        with ProvingService(ServiceConfig(max_vars=2,
-                                          fixed_base_msm=False)) as svc:
+        with ProvingService(ServiceConfig(max_vars=2)) as svc:
             svc.submit(c)
             (result,) = svc.drain()
             summary = svc.summary()
@@ -296,8 +290,7 @@ class TestCostAwareScheduling:
 
     def test_predict_costs_flag_without_reordering(self):
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
-        cfg = ServiceConfig(max_vars=2, predict_costs=True,
-                            fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=2, predict_costs=True)
         with ProvingService(cfg) as svc:
             svc.submit(c)
             (result,) = svc.drain()
@@ -309,6 +302,10 @@ class TestCostAwareScheduling:
     def test_config_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown drain policy"):
             ProvingService(ServiceConfig(drain_policy="edf2"))
+
+    def test_config_checks_the_policy_when_built(self):
+        with pytest.raises(ValueError, match=re.escape(str(DRAIN_POLICIES))):
+            ServiceConfig(drain_policy="edf2")
 
     def test_traffic_generator_stamps_deadlines(self):
         jobs = TrafficGenerator("zipf-mixed", seed=3).jobs(12)
@@ -374,8 +371,7 @@ class TestServiceOperations:
         assert summary["workers"][0]["jobs"] == 5
 
     def test_verify_proofs_flag(self):
-        cfg = ServiceConfig(max_vars=2, verify_proofs=True, collect_counters=True,
-                            fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=2, verify_proofs=True, collect_counters=True)
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
         with ProvingService(cfg) as svc:
             svc.submit(c)
@@ -388,7 +384,7 @@ class TestServiceOperations:
     def test_submit_validation(self):
         from repro.fields import PrimeField
 
-        cfg = ServiceConfig(max_vars=2, fixed_base_msm=False)
+        cfg = ServiceConfig(max_vars=2)
         ok_circuit = synthesize_circuit(GATE_TYPES["vanilla"], 2,
                                         witness_seed=1)
         too_big = synthesize_circuit(GATE_TYPES["vanilla"], 3)
@@ -417,14 +413,30 @@ class TestServiceOperations:
         with pytest.raises(ValueError, match="unknown vector backend"):
             ProvingService(ServiceConfig(default_backend="bogus"))
 
+    def test_thread_executor_is_rejected(self):
+        """One prover per process: a thread pool is not an executor."""
+        with pytest.raises(ValueError, match=re.escape("('sync', 'process')")):
+            ServiceConfig(executor="thread")
+
+    def test_service_commits_small_arities_through_combs(self):
+        """The service KZG is a fixed-base one: every comb it builds is
+        for an arity the constant admits."""
+        c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
+        with ProvingService(ServiceConfig(max_vars=2)) as svc:
+            assert svc.kzg.fixed_base
+            svc.submit(c)
+            (result,) = svc.drain()
+            built = set(svc.kzg._fb_tables)
+        assert built and max(built) <= FIXED_BASE_MAX_VARS
+        assert result.proof == direct_prove(c)[0]
+
     def test_empty_drain(self):
         with ProvingService(ServiceConfig(max_vars=2)) as svc:
             assert svc.drain() == []
 
     def test_summary_before_drain_has_zero_wall(self):
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
-        with ProvingService(ServiceConfig(max_vars=2,
-                                          fixed_base_msm=False)) as svc:
+        with ProvingService(ServiceConfig(max_vars=2)) as svc:
             svc.submit(c)
             summary = svc.summary()
         assert summary["wall_s"] == 0.0
@@ -432,8 +444,7 @@ class TestServiceOperations:
 
     def test_pool_failure_requeues_jobs(self, monkeypatch):
         c = synthesize_circuit(GATE_TYPES["vanilla"], 2)
-        with ProvingService(ServiceConfig(max_vars=2,
-                                          fixed_base_msm=False)) as svc:
+        with ProvingService(ServiceConfig(max_vars=2)) as svc:
             svc.submit(c)
 
             def boom(tasks, kzg):
@@ -463,6 +474,12 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert '"throughput_proofs_per_s"' in out
+
+    def test_cli_rejects_thread_executor(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            service_cli(["--executor", "thread", "--jobs", "1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_cli_human_output(self, capsys):
         rc = service_cli(["--scenario", "uniform-small", "--jobs", "2",

@@ -7,12 +7,21 @@ the worker-local index cache honours the service's configured bound
 ``cache_capacity`` to its process workers, leaving them unbounded).
 """
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.hyperplonk.preprocess import circuit_fingerprint
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.traffic import GATE_TYPES, TrafficGenerator, synthesize_circuit
-from repro.service.workers import ProveTask, WorkerState, worker_state
+from repro.service.workers import (
+    ProveTask,
+    WorkerState,
+    inline_prove,
+    worker_state,
+)
 
 MAX_VARS = 4
 
@@ -72,10 +81,47 @@ class TestWorkerState:
             return ProveTask(job_id=mu, circuit=circuit,
                              circuit_key=circuit_fingerprint(circuit))
 
-        state = WorkerState(0x5EED, 3, fixed_base=False)
+        state = WorkerState(0x5EED, 3)
         assert state.prove(task(3)).proof.num_vars == state.kzg.srs.max_vars == 3
         with pytest.raises(ValueError, match="SRS supports up to 3 vars"):
             state.prove(task(4))
+
+
+    def test_worker_kzg_is_fixed_base(self):
+        state = WorkerState(0x5EED, MAX_VARS, cache_capacity=2)
+        assert state.params == (0x5EED, MAX_VARS, 2)
+        assert state.kzg.fixed_base
+        assert state.cache.capacity == 2
+
+    def test_inline_prove_reports_the_given_worker(self):
+        state = WorkerState(0x5EED, MAX_VARS)
+        task = tasks(1)[0]
+        with pytest.raises(ValueError, match="coordinator-resolved index"):
+            inline_prove(task, state.kzg, "sync-0")
+        task.index, _, task.cache_hit = state.cache.get(task.circuit)
+        outcome = inline_prove(task, state.kzg, "sync-0")
+        assert outcome.worker_id == "sync-0"
+        assert outcome.proof == state.prove(tasks(1)[0]).proof
+
+
+@pytest.mark.parametrize("package", ["curves", "hyperplonk", "service"])
+def test_proving_layers_import_no_threads(package):
+    """One prover per process: nothing that builds an SRS, a KZG or an
+    index cache imports a thread or lock primitive."""
+    root = pathlib.Path(repro.__file__).parent / package
+    modules = sorted(root.rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("threading", "_thread"), path
+                assert name != "concurrent.futures.thread", path
 
 
 class TestProcessExecutor:

@@ -226,7 +226,8 @@ class TestSweepAgainstOracles:
                                  msm_grid=msm_grid)
         plan = hyperplonk_plan("jellyfish", 20)
         assert len(runs) == 3 * len(sc_grid) == 216
-        assert len(msm_latencies) == len(plan.msm_tasks()) * len(msm_grid)
+        msms = [t for phase in plan.phases for t in phase.msms]
+        assert len(msm_latencies) == len(msms) * len(msm_grid)
         # every pair was composed after the last model run
         assert len(crossing) == len(points)
         assert set(crossing) == {(len(runs), len(msm_latencies))}
