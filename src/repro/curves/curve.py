@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.fields import counters
 from repro.fields.prime_field import PrimeField, batch_inverse
 
 #: Jacobian coordinates of the point at infinity (any z == 0 triple is).
@@ -140,7 +141,10 @@ def affine_sum_rows(
     """
     p = field.modulus
     pairs = sum(len(row) >> 1 for row in rows)
+    rounds = added = 0
     while pairs and pairs >= min_pairs:
+        rounds += 1
+        added += pairs
         # x₂ - x₁ for a chord and y₁ + y₂ = 2y for a tangent; a pair that
         # cancels (inverse points, or a doubled 2-torsion point) has
         # neither and holds its place in the batch with a 1
@@ -170,6 +174,9 @@ def affine_sum_rows(
                 out.append(row[-1])
             rows[r] = out
             pairs += len(out) >> 1
+    if (tally := counters.g1_sink) is not None:
+        tally.rounds += rounds
+        tally.pairs += added
 
 
 class ShortWeierstrassCurve:

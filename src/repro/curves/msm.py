@@ -42,6 +42,9 @@ KZG; multiples of the generator go through one process-wide comb
 result is the same group element (hence bit-identical affine
 coordinates) as any other MSM algorithm;
 ``tests/test_msm_fixed_base.py`` locks the equivalence.
+
+Each kernel call counts its group operations, in closed form, into the
+recorder's G1 tally (:mod:`repro.fields.counters`, DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from repro.curves.curve import (
     jacobian_double,
     jacobian_normalize,
 )
+from repro.fields import counters
 from repro.fields.vector import window_decompose
 
 #: Width of the interleaved wNAF for a term that builds its table in the
@@ -357,6 +361,9 @@ def _horner(curve, schedule) -> tuple[int, int, int]:
     rows are summed batch-affine, the walk over their sums is Jacobian."""
     p, a = curve.field.modulus, curve.a
     affine_sum_rows(curve.field, a, schedule)
+    if (tally := counters.g1_sink) is not None:
+        tally.doubling += len(schedule)
+        tally.mixed += sum(map(len, schedule))
     x, y, z = INFINITY
     for row in reversed(schedule):
         x, y, z = jacobian_double(x, y, z, p, a)
@@ -401,6 +408,10 @@ def _signed_buckets(curve, split, beta: int, c: int) -> tuple[int, int, int]:
             elif d < 0:
                 buckets[first - d].append((x2, y2 and p - y2))
     affine_sum_rows(curve.field, a, buckets)
+    if (tally := counters.g1_sink) is not None:
+        tally.mixed += sum(map(len, buckets))
+        tally.jacobian += num_windows * (half + 1)
+        tally.doubling += num_windows * c
 
     x, y, z = INFINITY
     for w in range(num_windows - 1, -1, -1):
@@ -461,6 +472,8 @@ class FixedBaseTable:
             for _ in range(self.columns):
                 cur = jacobian_double(*cur, p, a)
             teeth.append(cur)
+        if (tally := counters.g1_sink) is not None:
+            tally.doubling += (self.window_bits - 1) * self.columns
         comb: list[tuple[int, int] | None] = []
         for tooth in jacobian_normalize(field, teeth):
             if tooth is None:  # adding infinity repeats the table so far

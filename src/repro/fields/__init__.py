@@ -11,8 +11,10 @@ zkPHIRE operates over the BLS12-381 curve: the scalar field ``Fr``
 * :mod:`~repro.fields.bls12_381` — the two concrete fields,
 * :mod:`~repro.fields.montgomery` — a Montgomery-domain arithmetic model
   mirroring the hardware modular multipliers zkPHIRE synthesizes,
-* :class:`~repro.fields.counters.OpCounter` — explicit operation counting
-  used to validate the hardware performance model against functional runs,
+* :mod:`~repro.fields.counters` — the one recorder of work (field and G1
+  counts, phase seconds) the kernels report into; its
+  :class:`~repro.fields.counters.OpCounter` records validate the hardware
+  performance model against functional runs,
 * :mod:`~repro.fields.vector` — the one batched field-vector kernel,
   :data:`~repro.fields.vector.KERNEL`, that MLE folds, SumCheck rounds
   and OpenCheck batching run on, beside its per-element differential

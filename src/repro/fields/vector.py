@@ -17,7 +17,7 @@ path operation for operation.  Both implement :class:`VectorBackend`.
 Nothing in ``src`` selects the oracle; the tests run it beside
 :data:`KERNEL` (``FastSumCheckProver(kernel=...)`` is the seam) and
 require **bit-identical results** and **identical
-:class:`~repro.fields.counters.OpCounter` tallies** — the counter models
+:class:`~repro.fields.counters.OpCounter` tallies** — the counts model
 the abstract dataflow of the paper's Figure 1, not the Python op count —
 so the hw-model cross-checks in ``tests/test_hw_validation.py`` hold.
 ``tests/test_fastpath_differential.py`` locks this down.
@@ -31,7 +31,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from repro.fields.counters import OpCounter
+from repro.fields import counters
 from repro.fields.prime_field import PrimeField
 
 
@@ -39,47 +39,42 @@ class VectorBackend:
     """What the kernel and its oracle both implement.
 
     All methods take and return flat lists of canonical integers in
-    ``[0, p)``.  ``counter`` tallies follow the hardware grouping
+    ``[0, p)``.  Each call counts into :mod:`repro.fields.counters` in
+    closed form; the tallies follow the hardware grouping
     (extension-engine vs product-lane) and must be identical between
     :class:`FusedBackend` and :class:`ReferenceBackend` for identical
     inputs.
     """
 
     # -- elementwise -------------------------------------------------------
-    def add(self, field: PrimeField, a: Sequence[int], b: Sequence[int],
-            counter: OpCounter | None = None) -> list[int]:
+    def add(self, field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Elementwise ``(a[i] + b[i]) mod p``."""
         raise NotImplementedError
 
-    def sub(self, field: PrimeField, a: Sequence[int], b: Sequence[int],
-            counter: OpCounter | None = None) -> list[int]:
+    def sub(self, field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Elementwise ``(a[i] - b[i]) mod p``."""
         raise NotImplementedError
 
-    def mul(self, field: PrimeField, a: Sequence[int], b: Sequence[int],
-            counter: OpCounter | None = None) -> list[int]:
+    def mul(self, field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Elementwise ``(a[i] * b[i]) mod p``."""
         raise NotImplementedError
 
-    def scale(self, field: PrimeField, a: Sequence[int], c: int,
-              counter: OpCounter | None = None) -> list[int]:
+    def scale(self, field: PrimeField, a: Sequence[int], c: int) -> list[int]:
         """Elementwise ``(c * a[i]) mod p``, scalar ``c``."""
         raise NotImplementedError
 
     def axpy(self, field: PrimeField, acc: Sequence[int], c: int,
-             x: Sequence[int], counter: OpCounter | None = None) -> list[int]:
+             x: Sequence[int]) -> list[int]:
         """``acc + c * x`` elementwise — the OpenCheck batching kernel."""
         raise NotImplementedError
 
     # -- SumCheck primitives ----------------------------------------------
-    def fold(self, field: PrimeField, table: Sequence[int], r: int,
-             counter: OpCounter | None = None) -> list[int]:
+    def fold(self, field: PrimeField, table: Sequence[int], r: int) -> list[int]:
         """MLE Update: ``out[i] = t[2i] + r * (t[2i+1] - t[2i])`` mod p."""
         raise NotImplementedError
 
     def extend_columns(self, field: PrimeField, table: Sequence[int],
-                       degree: int,
-                       counter: OpCounter | None = None) -> list[list[int]]:
+                       degree: int) -> list[list[int]]:
         """Extension Engine over a whole table: column ``x`` holds the
         value of every adjacent pair's line at the point ``X = x``, for
         ``x = 0..degree``.  Column 0 is the even half, column 1 the odd
@@ -87,8 +82,7 @@ class VectorBackend:
         raise NotImplementedError
 
     def round_evaluations(self, field: PrimeField, terms, tables: dict,
-                          degree: int,
-                          counter: OpCounter | None = None) -> list[int]:
+                          degree: int) -> list[int]:
         """One SumCheck round: s(0..degree) for the given term structure
         over the current (partially folded) raw tables."""
         raise NotImplementedError
@@ -103,50 +97,50 @@ class ReferenceBackend(VectorBackend):
     differential oracle for :class:`FusedBackend`, which nothing in
     ``src`` selects."""
 
-    def add(self, field, a, b, counter=None):
+    def add(self, field, a, b):
         """Oracle loop for :meth:`VectorBackend.add`."""
         fadd = field.add
         out = [fadd(x, y) for x, y in zip(a, b)]
-        if counter is not None:
-            counter.count_add(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_add(len(out))
         return out
 
-    def sub(self, field, a, b, counter=None):
+    def sub(self, field, a, b):
         """Oracle loop for :meth:`VectorBackend.sub`."""
         fsub = field.sub
         out = [fsub(x, y) for x, y in zip(a, b)]
-        if counter is not None:
-            counter.count_add(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_add(len(out))
         return out
 
-    def mul(self, field, a, b, counter=None):
+    def mul(self, field, a, b):
         """Oracle loop for :meth:`VectorBackend.mul`."""
         fmul = field.mul
         out = [fmul(x, y) for x, y in zip(a, b)]
-        if counter is not None:
-            counter.count_mul(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out))
         return out
 
-    def scale(self, field, a, c, counter=None):
+    def scale(self, field, a, c):
         """Oracle loop for :meth:`VectorBackend.scale`."""
         fmul = field.mul
         c %= field.modulus
         out = [fmul(x, c) for x in a]
-        if counter is not None:
-            counter.count_mul(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out))
         return out
 
-    def axpy(self, field, acc, c, x, counter=None):
+    def axpy(self, field, acc, c, x):
         """Oracle loop for :meth:`VectorBackend.axpy`."""
         p = field.modulus
         c %= p
         out = [(u + c * v) % p for u, v in zip(acc, x)]
-        if counter is not None:
-            counter.count_mul(len(out))
-            counter.count_add(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out))
+            sink.count_add(len(out))
         return out
 
-    def fold(self, field, table, r, counter=None):
+    def fold(self, field, table, r):
         """Oracle loop for :meth:`VectorBackend.fold`."""
         p = field.modulus
         r %= p
@@ -155,12 +149,12 @@ class ReferenceBackend(VectorBackend):
             lo = table[2 * i]
             hi = table[2 * i + 1]
             out[i] = (lo + r * (hi - lo)) % p
-        if counter is not None:
-            counter.count_mul(len(out), kind="ee")
-            counter.count_add(2 * len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out), kind="ee")
+            sink.count_add(2 * len(out))
         return out
 
-    def extend_columns(self, field, table, degree, counter=None):
+    def extend_columns(self, field, table, degree):
         """Oracle loop for :meth:`VectorBackend.extend_columns`."""
         p = field.modulus
         half = len(table) // 2
@@ -176,15 +170,16 @@ class ReferenceBackend(VectorBackend):
             for x in range(2, degree + 1):
                 cur = (cur + delta) % p
                 cols[x][j] = cur
-        if counter is not None:
-            counter.count_add(max(degree - 1, 0) * half)
+        if (sink := counters.field_sink) is not None:
+            sink.count_add(max(degree - 1, 0) * half)
         return cols
 
-    def round_evaluations(self, field, terms, tables, degree, counter=None):
+    def round_evaluations(self, field, terms, tables, degree):
         # Deliberately mirrors the original per-pair scalar loop
-        # (including its counter call pattern) so it can serve as the
+        # (including its count call pattern) so it can serve as the
         # differential oracle for the fused kernel.
         """Oracle loop for :meth:`VectorBackend.round_evaluations`."""
+        sink = counters.field_sink
         p = field.modulus
         names = list(tables)
         half = len(tables[names[0]]) // 2
@@ -201,8 +196,8 @@ class ReferenceBackend(VectorBackend):
                 for _ in range(degree - 1):
                     cur = (cur + delta) % p
                     ext.append(cur)
-                if counter is not None:
-                    counter.count_add(max(degree - 1, 0))
+                if sink is not None:
+                    sink.count_add(max(degree - 1, 0))
                 exts[name] = ext[: degree + 1]
             for term in terms:
                 coeff = term.coeff
@@ -215,9 +210,9 @@ class ReferenceBackend(VectorBackend):
                             prod = prod * e % p
                             nmul += 1
                     evals[x] = (evals[x] + prod) % p
-                    if counter is not None:
-                        counter.count_mul(nmul, kind="pl")
-                        counter.count_add(1)
+                    if sink is not None:
+                        sink.count_mul(nmul, kind="pl")
+                        sink.count_add(1)
         return evals
 
 
@@ -397,65 +392,65 @@ class FusedBackend(VectorBackend):
       factor common to every term is multiplied in once per point;
       products are reduced only where they would pass three lanes, sums
       once per point;
-    * counter tallies are computed in closed form and applied in bulk.
+    * tallies are computed in closed form and applied in bulk.
     """
 
-    def add(self, field, a, b, counter=None):
+    def add(self, field, a, b):
         """Fused-loop :meth:`VectorBackend.add`."""
         p = field.modulus
         out = [(x + y) % p for x, y in zip(a, b)]
-        if counter is not None:
-            counter.count_add(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_add(len(out))
         return out
 
-    def sub(self, field, a, b, counter=None):
+    def sub(self, field, a, b):
         """Fused-loop :meth:`VectorBackend.sub`."""
         p = field.modulus
         out = [(x - y) % p for x, y in zip(a, b)]
-        if counter is not None:
-            counter.count_add(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_add(len(out))
         return out
 
-    def mul(self, field, a, b, counter=None):
+    def mul(self, field, a, b):
         """Fused-loop :meth:`VectorBackend.mul`."""
         p = field.modulus
         out = [x * y % p for x, y in zip(a, b)]
-        if counter is not None:
-            counter.count_mul(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out))
         return out
 
-    def scale(self, field, a, c, counter=None):
+    def scale(self, field, a, c):
         """Fused-loop :meth:`VectorBackend.scale`."""
         p = field.modulus
         c %= p
         out = [x * c % p for x in a]
-        if counter is not None:
-            counter.count_mul(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out))
         return out
 
-    def axpy(self, field, acc, c, x, counter=None):
+    def axpy(self, field, acc, c, x):
         """Fused-loop :meth:`VectorBackend.axpy`."""
         p = field.modulus
         c %= p
         out = [(u + c * v) % p for u, v in zip(acc, x)]
-        if counter is not None:
-            counter.count_mul(len(out))
-            counter.count_add(len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out))
+            sink.count_add(len(out))
         return out
 
-    def fold(self, field, table, r, counter=None):
+    def fold(self, field, table, r):
         """Fused-loop :meth:`VectorBackend.fold`."""
         p = field.modulus
         r %= p
         lo = table[::2]
         hi = table[1::2]
         out = [(l + r * (h - l)) % p for l, h in zip(lo, hi)]
-        if counter is not None:
-            counter.count_mul(len(out), kind="ee")
-            counter.count_add(2 * len(out))
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(len(out), kind="ee")
+            sink.count_add(2 * len(out))
         return out
 
-    def extend_columns(self, field, table, degree, counter=None):
+    def extend_columns(self, field, table, degree):
         """Fused-loop :meth:`VectorBackend.extend_columns`."""
         p = field.modulus
         # normalize the pair slices so non-canonical input stays
@@ -468,23 +463,23 @@ class FusedBackend(VectorBackend):
         # precomputed extension coefficient: line(x) = lo + x * (hi - lo)
         for x in range(2, degree + 1):
             cols.append([(l + x * (h - l)) % p for l, h in zip(lo, hi)])
-        if counter is not None:
-            counter.count_add(max(degree - 1, 0) * len(lo))
+        if (sink := counters.field_sink) is not None:
+            sink.count_add(max(degree - 1, 0) * len(lo))
         return cols[: degree + 1]
 
-    def round_evaluations(self, field, terms, tables, degree, counter=None):
+    def round_evaluations(self, field, terms, tables, degree):
         """Fused-loop :meth:`VectorBackend.round_evaluations`, on the
         degree-aware :class:`RoundSchedule` of the term structure."""
         p = field.modulus
         npts = degree + 1
         half = len(next(iter(tables.values()))) // 2
-        if counter is not None:
+        if (sink := counters.field_sink) is not None:
             # closed-form tallies matching the reference loop exactly:
             # they model Fig. 1's dataflow, not this schedule's op count
-            counter.count_add(max(degree - 1, 0) * half * len(tables))
+            sink.count_add(max(degree - 1, 0) * half * len(tables))
             sum_deg = sum(term.degree for term in terms)
-            counter.count_mul(half * npts * sum_deg, kind="pl")
-            counter.count_add(half * npts * len(terms))
+            sink.count_mul(half * npts * sum_deg, kind="pl")
+            sink.count_add(half * npts * len(terms))
         if not terms:
             return [0] * npts
         plan = round_schedule(tuple(term.factors for term in terms), degree)

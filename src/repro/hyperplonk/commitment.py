@@ -37,6 +37,7 @@ from repro.curves.msm import (
     msm_jacobian,
 )
 from repro.fields import FR_MODULUS, Fr
+from repro.fields.counters import phase, uncounted
 from repro.mle import DenseMLE
 from repro.mle.eq import build_eq_mle
 
@@ -155,6 +156,8 @@ class TrapdoorSRS:
             bases = self._bases_cache[num_vars]
         return bases
 
+    @phase("srs_bases")
+    @uncounted()  # the eq table (DESIGN.md §4)
     def _build_bases(self) -> None:
         """Every arity 0..max_vars: one generator multiplication per base
         of the top arity, then each arity below by pair sums of the one
@@ -253,6 +256,7 @@ class MultilinearKZG:
         return Commitment(point, mle.num_vars)
 
     # -- open -----------------------------------------------------------------
+    @uncounted()  # its folds (DESIGN.md §4)
     def open(self, mle: DenseMLE, point: Sequence[int]) -> Opening:
         """Open ``mle`` at ``point``: value + one quotient commitment per var.
 

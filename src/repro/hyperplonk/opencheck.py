@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.fields.counters import phase, uncounted
 from repro.fields.prime_field import PrimeField
 from repro.fields.vector import KERNEL
 from repro.hyperplonk.commitment import Commitment, MultilinearKZG, Opening
@@ -31,7 +32,6 @@ from repro.mle.virtual import Term, VirtualPolynomial
 from repro.sumcheck.prover import SumCheckProof, prove_sumcheck
 from repro.sumcheck.transcript import Transcript
 from repro.sumcheck.verifier import SumCheckError, verify_sumcheck
-from repro.fields.counters import OpCounter
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ def prove_opencheck(
     polys: Mapping[str, DenseMLE],
     kzg: MultilinearKZG,
     transcript: Transcript,
-    counter: OpCounter | None = None,
 ) -> OpenCheckProof:
     """Batch-prove the claims (see module docstring)."""
     if not claims:
@@ -96,12 +95,13 @@ def prove_opencheck(
     alpha = transcript.challenge(b"opencheck/alpha")
     terms, claimed_sum = _batched_terms_and_claim(field, claims, alpha)
 
-    mles: dict[str, DenseMLE] = {}
-    for i, claim in enumerate(claims):
-        mles[claim.poly_name] = polys[claim.poly_name]
-        mles[f"eq{i}"] = build_eq_mle(field, claim.point, counter)
-    vp = VirtualPolynomial(field, terms, mles)
-    sc_proof = prove_sumcheck(vp, transcript, claim=claimed_sum, counter=counter)
+    with phase("opencheck"):
+        mles: dict[str, DenseMLE] = {}
+        for i, claim in enumerate(claims):
+            mles[claim.poly_name] = polys[claim.poly_name]
+            mles[f"eq{i}"] = build_eq_mle(field, claim.point)
+        vp = VirtualPolynomial(field, terms, mles)
+        sc_proof = prove_sumcheck(vp, transcript, claim=claimed_sum)
     rho = sc_proof.challenges
 
     beta = transcript.challenge(b"opencheck/beta")
@@ -109,10 +109,13 @@ def prove_opencheck(
     p = field.modulus
     combined = [0] * (1 << num_vars)
     w = 1
-    for name in unique:
-        w = w * beta % p
-        combined = KERNEL.axpy(field, combined, w, polys[name].table)
-    opening = kzg.open(DenseMLE(field, combined), rho)
+    # the combine is not counted (DESIGN.md §4)
+    with phase("mle_combine"), uncounted():
+        for name in unique:
+            w = w * beta % p
+            combined = KERNEL.axpy(field, combined, w, polys[name].table)
+    with phase("opening_msm"):
+        opening = kzg.open(DenseMLE(field, combined), rho)
     return OpenCheckProof(sumcheck=sc_proof, combined_opening=opening)
 
 

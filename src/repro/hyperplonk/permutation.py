@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fields.counters import OpCounter
+from repro.fields import counters
 from repro.fields.prime_field import PrimeField, batch_inverse
 from repro.mle.table import DenseMLE
 from repro.mle.virtual import Term
@@ -72,12 +72,12 @@ class PermutationData:
     @property
     def p1(self) -> DenseMLE:
         """p1(t) = T(0, t): even entries."""
-        return self.prod_tree.fix_first_variable(0)
+        return DenseMLE(self.prod_tree.field, self.prod_tree.table[0::2])
 
     @property
     def p2(self) -> DenseMLE:
         """p2(t) = T(1, t): odd entries."""
-        return self.prod_tree.fix_first_variable(1)
+        return DenseMLE(self.prod_tree.field, self.prod_tree.table[1::2])
 
     @property
     def root(self) -> int:
@@ -92,10 +92,9 @@ def build_permutation_data(
     sigmas: dict[str, DenseMLE],
     beta: int,
     gamma: int,
-    counter: OpCounter | None = None,
 ) -> PermutationData:
     """Construct N/D/φ and the product tree (the Permutation Quotient
-    Generator's outputs)."""
+    Generator's outputs); the tree is the phase ``prod_tree``."""
     p = field.modulus
     beta %= p
     gamma %= p
@@ -118,24 +117,22 @@ def build_permutation_data(
         for i in range(size):
             num_prod[i] = num_prod[i] * n_t[i] % p
             den_prod[i] = den_prod[i] * d_t[i] % p
-        if counter is not None:
-            counter.count_mul(2 * size)          # β·id, β·σ
-            counter.count_mul(2 * size)          # fold into running products
-            counter.count_add(4 * size)
 
     den_inv = batch_inverse(field, den_prod)
-    if counter is not None:
-        counter.count_inv(size)
     phi_t = [num_prod[i] * den_inv[i] % p for i in range(size)]
-    if counter is not None:
-        counter.count_mul(size)
+    if (sink := counters.field_sink) is not None:
+        # per column β·id, β·σ and the two running products; then φ
+        sink.count_mul(4 * k * size + size)
+        sink.count_add(4 * k * size)
+        sink.count_inv(size)
 
-    tree = phi_t + [0] * size
-    for t in range(size - 1):
-        tree[size + t] = tree[2 * t] * tree[2 * t + 1] % p
-    tree[2 * size - 1] = 1
-    if counter is not None:
-        counter.count_mul(size - 1)
+    with counters.phase("prod_tree"):
+        tree = phi_t + [0] * size
+        for t in range(size - 1):
+            tree[size + t] = tree[2 * t] * tree[2 * t + 1] % p
+        tree[2 * size - 1] = 1
+        if (sink := counters.field_sink) is not None:
+            sink.count_mul(size - 1)
 
     return PermutationData(
         numerators=numerators,

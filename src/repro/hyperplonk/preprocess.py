@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.fields.counters import phase
 from repro.fields.prime_field import PrimeField
 from repro.hyperplonk.circuit import Circuit, GateType
 from repro.hyperplonk.commitment import Commitment, MultilinearKZG
@@ -71,6 +72,7 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return h.hexdigest()
 
 
+@phase("preprocess")
 def preprocess(circuit: Circuit, kzg: MultilinearKZG) -> tuple[ProverIndex, VerifierIndex]:
     """Commit to selectors and permutation tables; build both indices."""
     selectors = circuit.selector_tables()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from repro.fields.counters import OpCounter
+from repro.fields.counters import OpCounter, adding_to, bump, phase
 from repro.fields.vector import KERNEL, require_fused
 from repro.gates.library import gate_by_id
 from repro.hyperplonk.circuit import Circuit
@@ -105,6 +105,12 @@ class HyperPlonkProver:
         self.kzg = kzg
 
     def prove(self, counter: OpCounter | None = None) -> HyperPlonkProof:
+        """The proof, its steps recorded under the names of
+        ``repro.plan.HYPERPLONK_PHASES``; see :func:`adding_to` for ``counter``."""
+        with adding_to(counter):
+            return self._prove()
+
+    def _prove(self) -> HyperPlonkProof:
         field = self.circuit.field
         gate_type = self.circuit.gate_type
         transcript = Transcript(field, domain=b"hyperplonk")
@@ -112,52 +118,59 @@ class HyperPlonkProver:
         transcript.absorb_bytes(b"hp/gate-type", gate_type.name.encode())
 
         # -- 1. witness commitments ---------------------------------------
-        witness = self.circuit.witness_tables()
-        witness_commitments = {}
-        for name in gate_type.witness_names:
-            witness_commitments[name] = self.kzg.commit(witness[name])
-            transcript.absorb_point(b"hp/witness-commit", witness_commitments[name].point)
-        if counter is not None:
-            counter.bump("witness_msm", len(witness_commitments))
+        with phase("witness_msm"):
+            witness = self.circuit.witness_tables()
+            witness_commitments = {}
+            for name in gate_type.witness_names:
+                witness_commitments[name] = self.kzg.commit(witness[name])
+                transcript.absorb_point(
+                    b"hp/witness-commit", witness_commitments[name].point
+                )
+            bump("witness_msm", len(witness_commitments))
 
         # -- 2. gate identity (ZeroCheck) -----------------------------------
         gate_terms = gate_identity_terms(gate_type.zerocheck_gate_id)
         gate_mles = dict(self.index.selectors)
         gate_mles.update(witness)
-        gate_zc = prove_zerocheck(field, gate_terms, gate_mles, transcript, counter)
+        with phase("zerocheck"):
+            gate_zc = prove_zerocheck(field, gate_terms, gate_mles, transcript)
         rho_g = gate_zc.challenges
 
         # -- 3. wire identity (PermCheck) -----------------------------------
         beta = transcript.challenge(b"hp/beta")
         gamma = transcript.challenge(b"hp/gamma")
-        perm = build_permutation_data(
-            field, witness, self.index.identities, self.index.sigmas,
-            beta, gamma, counter,
-        )
+        with phase("permquot"):
+            perm = build_permutation_data(
+                field, witness, self.index.identities, self.index.sigmas,
+                beta, gamma,
+            )
         pi = perm.pi
-        phi_commitment = self.kzg.commit(perm.phi)
-        prod_commitment = self.kzg.commit(pi)
+        with phase("wiring_msm"):
+            phi_commitment = self.kzg.commit(perm.phi)
+            prod_commitment = self.kzg.commit(pi)
+            bump("permcheck_msm", 2)
         transcript.absorb_point(b"hp/phi-commit", phi_commitment.point)
         transcript.absorb_point(b"hp/tree-commit", prod_commitment.point)
-        if counter is not None:
-            counter.bump("permcheck_msm", 2)
 
         alpha = transcript.challenge(b"hp/alpha")
         perm_terms = permcheck_terms(field, gate_type.num_witnesses, alpha)
         perm_mles = {"pi": pi, "p1": perm.p1, "p2": perm.p2, "phi": perm.phi}
         perm_mles.update(perm.numerators)
         perm_mles.update(perm.denominators)
-        perm_zc = prove_zerocheck(field, perm_terms, perm_mles, transcript, counter)
+        with phase("permcheck"):
+            perm_zc = prove_zerocheck(field, perm_terms, perm_mles, transcript)
         rho_p = perm_zc.challenges
 
         # auxiliary evaluations the verifier needs to reconstruct N_i/D_i
-        perm_witness_evals = {
-            name: witness[name].evaluate(rho_p) for name in gate_type.witness_names
-        }
-        perm_sigma_evals = {
-            name: self.index.sigmas[name].evaluate(rho_p)
-            for name in sorted(self.index.sigmas)
-        }
+        with phase("batch_evals"):
+            perm_witness_evals = {
+                name: witness[name].evaluate(rho_p)
+                for name in gate_type.witness_names
+            }
+            perm_sigma_evals = {
+                name: self.index.sigmas[name].evaluate(rho_p)
+                for name in sorted(self.index.sigmas)
+            }
         transcript.absorb_scalars(b"hp/perm-w-evals", perm_witness_evals.values())
         transcript.absorb_scalars(b"hp/perm-s-evals", perm_sigma_evals.values())
 
@@ -170,25 +183,23 @@ class HyperPlonkProver:
         polys.update(self.index.sigmas)
         polys.update(witness)
         polys["phi"] = perm.phi
-        opencheck = prove_opencheck(
-            field, claims, polys, self.kzg, transcript, counter
-        )
+        opencheck = prove_opencheck(field, claims, polys, self.kzg, transcript)
 
         # the tree's four claims, two polynomials of μ variables: each
         # open_many shares the quotient of the empty point prefix
         rho_rest, rho_last = list(rho_p[:-1]), rho_p[-1]
-        blend = DenseMLE(field, KERNEL.axpy(
-            field, KERNEL.scale(field, perm.phi.table, 1 - rho_last, counter),
-            rho_last, pi.table, counter,
-        ))
-        root_point = [0] + [1] * (self.circuit.num_vars - 1)
-        tree_openings = dict(zip(
-            ("pi", "root", "p1", "p2"),
-            self.kzg.open_many(pi, [rho_p, root_point])
-            + self.kzg.open_many(blend, [[0] + rho_rest, [1] + rho_rest]),
-        ))
-        if counter is not None:
-            counter.bump("opening_msm", 1 + len(tree_openings))
+        with phase("opening_msm"):
+            blend = DenseMLE(field, KERNEL.axpy(
+                field, KERNEL.scale(field, perm.phi.table, 1 - rho_last),
+                rho_last, pi.table,
+            ))
+            root_point = [0] + [1] * (self.circuit.num_vars - 1)
+            tree_openings = dict(zip(
+                ("pi", "root", "p1", "p2"),
+                self.kzg.open_many(pi, [rho_p, root_point])
+                + self.kzg.open_many(blend, [[0] + rho_rest, [1] + rho_rest]),
+            ))
+            bump("opening_msm", 1 + len(tree_openings))
 
         return HyperPlonkProof(
             num_vars=self.circuit.num_vars,

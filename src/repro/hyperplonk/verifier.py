@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.fields.counters import phase
 from repro.fields.prime_field import PrimeField
 from repro.hyperplonk.commitment import Commitment, MultilinearKZG
 from repro.hyperplonk.opencheck import EvalClaim, verify_opencheck
@@ -32,6 +33,7 @@ class HyperPlonkVerifier:
         self.index = index
         self.kzg = kzg
 
+    @phase("verify")
     def verify(self, proof: HyperPlonkProof) -> None:
         """Raises :class:`HyperPlonkError` unless the proof is valid."""
         try:

@@ -12,16 +12,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.fields.counters import OpCounter
+from repro.fields import counters
 from repro.fields.prime_field import PrimeField
 from repro.mle.table import DenseMLE
 
 
-def build_eq_mle(
-    field: PrimeField,
-    challenges: Sequence[int],
-    counter: OpCounter | None = None,
-) -> DenseMLE:
+def build_eq_mle(field: PrimeField, challenges: Sequence[int]) -> DenseMLE:
     """Build the 2^μ table of eq(x, r) for r = ``challenges``.
 
     Doubling construction: start from [1]; processing r_i doubles the
@@ -41,9 +37,9 @@ def build_eq_mle(
         for j, e in enumerate(table):
             nxt[j] = e * one_minus_r % p
             nxt[j + half] = e * r % p
-        if counter is not None:
-            counter.count_mul(2 * half, kind="ee")
         table = nxt
+    if (sink := counters.field_sink) is not None:
+        sink.count_mul(2 * len(table) - 2, kind="ee")
     return DenseMLE(field, table)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.fields.counters import OpCounter
+from repro.fields import counters
 from repro.fields.prime_field import PrimeField
 from repro.fields.vector import KERNEL
 
@@ -62,9 +62,7 @@ class DenseMLE:
         return cls(field, table)
 
     # -- hardware primitive 1: MLE Update (fix X_1 := r) -------------------
-    def fix_first_variable(
-        self, r: int, counter: OpCounter | None = None
-    ) -> "DenseMLE":
+    def fix_first_variable(self, r: int) -> "DenseMLE":
         """Return f(r, X_2..X_μ): fold adjacent pairs by the challenge r.
 
         f(r, x) = f(0, x) + r * (f(1, x) - f(0, x)) — one modular multiply
@@ -73,10 +71,11 @@ class DenseMLE:
         """
         if self.num_vars == 0:
             raise ValueError("cannot fix a variable of a 0-variable MLE")
-        out = KERNEL.fold(self.field, self.table, r, counter)
+        out = KERNEL.fold(self.field, self.table, r)
         return DenseMLE(self.field, out)
 
     # -- hardware primitive 3: point evaluation -----------------------------
+    @counters.uncounted()  # DESIGN.md §4
     def evaluate(self, point: Sequence[int]) -> int:
         """Evaluate the MLE at an arbitrary field point (length-μ vector)."""
         if len(point) != self.num_vars:
@@ -111,13 +110,7 @@ class DenseMLE:
         return DenseMLE(self.field, [v * c % p for v in self.table])
 
 
-def extend_pair(
-    field: PrimeField,
-    lo: int,
-    hi: int,
-    degree: int,
-    counter: OpCounter | None = None,
-) -> list[int]:
+def extend_pair(field: PrimeField, lo: int, hi: int, degree: int) -> list[int]:
     """Hardware primitive 2: extend an evaluation pair to X = 0..degree.
 
     The pair (f at X=0, f at X=1) defines a line; the Extension Engine
@@ -132,16 +125,13 @@ def extend_pair(
     for _ in range(degree - 1):
         cur = (cur + delta) % p
         out.append(cur)
-    if counter is not None:
-        counter.count_add(max(degree - 1, 0))
+    if (sink := counters.field_sink) is not None:
+        sink.count_add(max(degree - 1, 0))
     return out[: degree + 1]
 
 
 def extend_table(
-    field: PrimeField,
-    table: Sequence[int],
-    degree: int,
-    counter: OpCounter | None = None,
+    field: PrimeField, table: Sequence[int], degree: int
 ) -> list[list[int]]:
     """Batched :func:`extend_pair` over a whole table.
 
@@ -152,4 +142,4 @@ def extend_table(
     """
     if len(table) < 2 or len(table) % 2:
         raise ValueError("extend_table needs an even-length table")
-    return KERNEL.extend_columns(field, table, degree, counter)
+    return KERNEL.extend_columns(field, table, degree)

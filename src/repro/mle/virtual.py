@@ -155,11 +155,10 @@ class VirtualPolynomial:
             total = (total + prod) % p
         return total
 
-    def fix_first_variable(self, r: int, counter=None) -> "VirtualPolynomial":
+    def fix_first_variable(self, r: int) -> "VirtualPolynomial":
         """Fold every constituent MLE by the challenge r (MLE Update)."""
         folded = {
-            name: mle.fix_first_variable(r, counter)
-            for name, mle in self.mles.items()
+            name: mle.fix_first_variable(r) for name, mle in self.mles.items()
         }
         return VirtualPolynomial(self.field, self.terms, folded)
 

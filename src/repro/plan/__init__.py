@@ -18,7 +18,6 @@ circuit shape — priced by every consumer instead of re-derived by each:
 
 from repro.plan.cost import (
     AcceleratorCostModel,
-    CpuCostModel,
     FunctionalProverCostModel,
     HostIndexInstallModel,
     OutstandingCost,
@@ -45,7 +44,6 @@ from repro.plan.proof_plan import (
 
 __all__ = [
     "AcceleratorCostModel",
-    "CpuCostModel",
     "FR_NAME",
     "FunctionalProverCostModel",
     "HYPERPLONK_PHASES",

@@ -10,9 +10,9 @@ Two layers live here:
   ``shape_cost_s(gate_type_name, num_vars) -> float``, that the
   cost-aware service scheduler and the workload annotations consume.
   :class:`FunctionalProverCostModel` prices the pure-Python prover the
-  service actually runs; :class:`AcceleratorCostModel` and
-  :class:`CpuCostModel` wrap the ``repro.hw`` models so the same
-  scheduler can plan for accelerator- or CPU-backed fleets.
+  service actually runs; :class:`AcceleratorCostModel` wraps the
+  ``repro.hw`` model so the same scheduler can plan for
+  accelerator-backed fleets.
 
 Per-phase modmul estimates for non-SumCheck phases are deliberately
 coarse (MSMs especially: a constant per point).  They exist to *rank*
@@ -283,18 +283,3 @@ class AcceleratorCostModel(ShapeCostModel):
     def plan_cost_s(self, plan: ProofPlan) -> float:
         """Accelerator latency with the masked overlap schedule."""
         return self.model.price(plan).total
-
-
-class CpuCostModel(ShapeCostModel):
-    """Plan cost in calibrated CPU-baseline seconds."""
-
-    def __init__(self, model=None):
-        super().__init__()
-        if model is None:
-            from repro.hw.cpu_baseline import CpuModel
-            model = CpuModel(threads=32)
-        self.model = model
-
-    def plan_cost_s(self, plan: ProofPlan) -> float:
-        """Analytic CPU seconds, summed over phases."""
-        return self.model.price(plan).total_s

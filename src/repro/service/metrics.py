@@ -89,7 +89,7 @@ class ServiceMetrics:
         w.jobs += 1
         w.busy_s += result.prove_s
         if result.counter is not None:
-            self.ops = self.ops.merged(result.counter)
+            self.ops += result.counter
 
     def record_drain(self, num_batches: int) -> None:
         self.drains += 1

@@ -23,10 +23,11 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field as dc_field
 
 from repro.fields import Fq, Fr
-from repro.fields.counters import OpCounter
+from repro.fields.counters import OpCounter, recording
 from repro.fields.vector import require_fused
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.commitment import MultilinearKZG, TrapdoorSRS
@@ -84,8 +85,8 @@ def _prove(task: ProveTask, index: ProverIndex, kzg: MultilinearKZG,
     # keeps the high-resolution clock
     started = time.time()
     t0 = time.perf_counter()
-    counter = OpCounter() if task.collect_counter else None
-    proof = HyperPlonkProver(task.circuit, index, kzg).prove(counter)
+    with recording() if task.collect_counter else nullcontext() as counter:
+        proof = HyperPlonkProver(task.circuit, index, kzg).prove()
     prove_s = time.perf_counter() - t0
     return TaskOutcome(
         job_id=task.job_id,

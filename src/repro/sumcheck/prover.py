@@ -7,8 +7,8 @@ accumulated down the table into the round evaluations, the evaluations
 are hashed into the transcript to obtain the round challenge, and every
 table is *updated* (folded) by that challenge.
 
-An optional :class:`~repro.fields.counters.OpCounter` tallies multiplies
-in the same categories as the hardware (extension-engine vs product-lane),
+The kernel counts multiplies into :mod:`repro.fields.counters` in the
+same categories as the hardware (extension-engine vs product-lane),
 which the tests cross-check against ``repro.hw``'s predictions.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from repro.fields.counters import OpCounter
+from repro.fields.counters import OpCounter, adding_to
 from repro.fields.vector import KERNEL, VectorBackend, require_fused
 from repro.mle.virtual import VirtualPolynomial
 from repro.sumcheck.transcript import Transcript
@@ -39,7 +39,6 @@ def prove_sumcheck(
     vp: VirtualPolynomial,
     transcript: Transcript,
     claim: int | None = None,
-    counter: OpCounter | None = None,
 ) -> SumCheckProof:
     """Run the full μ-round SumCheck prover.
 
@@ -47,7 +46,7 @@ def prove_sumcheck(
     Returns the proof; the transcript is advanced identically to the
     verifier's so Fiat–Shamir challenges agree.
     """
-    return FastSumCheckProver().prove(vp, transcript, claim, counter)
+    return FastSumCheckProver().prove(vp, transcript, claim)
 
 
 class FastSumCheckProver:
@@ -63,10 +62,15 @@ class FastSumCheckProver:
     ``kernel`` is :data:`~repro.fields.vector.KERNEL`; the differential
     suite (``tests/test_fastpath_differential.py``) passes a
     :class:`~repro.fields.vector.ReferenceBackend` — a per-pair scalar
-    loop that mirrors Fig. 1 operation for operation, ``OpCounter`` calls
+    loop that mirrors Fig. 1 operation for operation, count calls
     included — and requires the kernel's proof and tallies to be
     bit-identical to it.  The positional ``backend`` accepts only the
     retired spellings ``None`` and ``"fused"``.
+
+    :meth:`prove` keeps a positional ``counter`` for callers outside
+    ``src``: given one, the call is recorded and the record added into it
+    (:func:`~repro.fields.counters.adding_to`), so one counter passed to
+    several proofs holds their sum.
     """
 
     def __init__(self, backend: str | None = None, *,
@@ -81,6 +85,11 @@ class FastSumCheckProver:
         claim: int | None = None,
         counter: OpCounter | None = None,
     ) -> SumCheckProof:
+        with adding_to(counter):
+            return self._prove(vp, transcript, claim)
+
+    def _prove(self, vp: VirtualPolynomial, transcript: Transcript,
+               claim: int | None) -> SumCheckProof:
         kernel = self.kernel
         field = vp.field
         if claim is None:
@@ -94,7 +103,7 @@ class FastSumCheckProver:
 
         # raw tables, in vp.mles order (final_evals ordering depends on it)
         tables = {name: mle.table for name, mle in vp.mles.items()}
-        # extend only the MLEs that terms reference (counter parity with
+        # extend only the MLEs that terms reference (count parity with
         # the reference prover); an all-constant composition has none, so
         # fall back to the full table dict for the pair count
         active = vp.unique_mle_names
@@ -103,14 +112,14 @@ class FastSumCheckProver:
                 {n: tables[n] for n in active} if active else tables
             )
             evals = kernel.round_evaluations(
-                field, vp.terms, round_tables, degree, counter
+                field, vp.terms, round_tables, degree
             )
             proof.round_evals.append(evals)
             transcript.absorb_scalars(b"sumcheck/round", evals)
             r = transcript.challenge(b"sumcheck/challenge")
             proof.challenges.append(r)
             tables = {
-                name: kernel.fold(field, t, r, counter)
+                name: kernel.fold(field, t, r)
                 for name, t in tables.items()
             }
         proof.final_evals = {name: t[0] for name, t in tables.items()}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.fields.counters import OpCounter
 from repro.fields.prime_field import PrimeField
 from repro.mle.eq import build_eq_mle, eq_eval
 from repro.mle.table import DenseMLE
@@ -42,7 +41,6 @@ def prove_zerocheck(
     terms: Sequence[Term],
     mles: dict[str, DenseMLE],
     transcript: Transcript,
-    counter: OpCounter | None = None,
 ) -> SumCheckProof:
     """Prove that the composition given by ``terms`` is 0 everywhere.
 
@@ -53,11 +51,11 @@ def prove_zerocheck(
         raise ValueError(f"MLE name {FR_NAME!r} is reserved for the randomizer")
     num_vars = next(iter(mles.values())).num_vars
     r = transcript.challenges(b"zerocheck/r", num_vars)
-    fr = build_eq_mle(field, r, counter)
+    fr = build_eq_mle(field, r)
     full_mles = dict(mles)
     full_mles[FR_NAME] = fr
     vp = VirtualPolynomial(field, randomized_terms(terms), full_mles)
-    return prove_sumcheck(vp, transcript, claim=0, counter=counter)
+    return prove_sumcheck(vp, transcript, claim=0)
 
 
 def verify_zerocheck(

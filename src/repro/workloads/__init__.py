@@ -18,7 +18,6 @@ from repro.workloads.churn import (
     CHURN_SCENARIOS,
     ChurnEvent,
     ChurnScenario,
-    churn_scenario_by_name,
     churn_trace,
     trace_for_downtime,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "TrafficScenario",
     "WORKLOADS",
     "Workload",
-    "churn_scenario_by_name",
     "churn_trace",
     "scenario_by_name",
     "scenario_cost_annotations",

@@ -106,16 +106,6 @@ CHURN_SCENARIOS: dict[str, ChurnScenario] = {
 }
 
 
-def churn_scenario_by_name(name: str) -> ChurnScenario:
-    """Look up a named churn regime (case-insensitive)."""
-    try:
-        return CHURN_SCENARIOS[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown churn scenario {name!r}; available: {sorted(CHURN_SCENARIOS)}"
-        ) from None
-
-
 def churn_trace(
     num_nodes: int,
     horizon_s: float,

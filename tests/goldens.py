@@ -1,8 +1,9 @@
 """Every pinned artefact: one builder per name, one record, one hash.
 
-A pin is the sha256 of an exact text: a proof or ``OpCounter`` tally as
-``repr(canonical(...))``, a summary as :func:`summary_text`, a JSONL event
-log, a CLI's stdout, SRS points, a traffic stream, a paper-model summary.
+A pin is the sha256 of an exact text: a proof, an ``OpCounter`` tally or
+its phase × G1-count table as ``repr(canonical(...))``, a summary as
+:func:`summary_text`, a JSONL event log, a CLI's stdout, SRS points, a
+traffic stream, a paper-model summary.
 :data:`BUILDERS` maps each pin's name to the function that builds its
 text; ``tests/goldens.json`` maps the same names to the recorded digests.
 Pin tests run their own cells and compare ``sha256(text) == pinned(name)``;
@@ -399,10 +400,12 @@ def paper_texts(fast: bool) -> dict[str, str]:
 
 
 @functools.cache
-def proof_texts(gate: str) -> tuple[str, str]:
+def proof_texts(gate: str) -> tuple[str, str, str]:
+    """The proof, its field tally, and its phase × G1-count table."""
     counter = OpCounter()
     proof, _ = prove(gate, make_kzg(), counter)
-    return canonical_text(proof), canonical_text(counter)
+    g1 = {name: row.g1 for name, row in counter.phases.items()}
+    return canonical_text(proof), canonical_text(counter), canonical_text(g1)
 
 
 @functools.cache
@@ -414,9 +417,9 @@ def run_texts(run, *args) -> tuple[str, str]:
 
 def _builders() -> dict:
     table = {}
-    for index, kind in enumerate(("proof", "tally")):
+    for index, kind in enumerate(("proof/", "tally/", "tally/g1-")):
         for gate in GATES:
-            table[f"{kind}/{gate}"] = lambda g=gate, i=index: proof_texts(g)[i]
+            table[f"{kind}{gate}"] = lambda g=gate, i=index: proof_texts(g)[i]
     table["service/uniform-small"] = lambda: canonical_text(service_batch())
     for seed in SRS_SEEDS:
         table[f"srs/seed{seed}"] = functools.partial(srs_text, seed)

@@ -44,6 +44,20 @@ class TestImportsLoadOnlyTheirLayer:
         monkeypatch.setattr(cold_start, "NOT_FOR_A_PROOF", ("repro.fields",))
         assert "import repro.curves loads repro.fields" in cold_start.failures()
 
+    def test_a_double_srs_build_fails_the_check(self, monkeypatch):
+        """The SRS count is read off the recorder's ``srs_bases`` G1
+        tally; a build that runs twice doubles it."""
+        twice = (
+            "import repro.hyperplonk.commitment as c\n"
+            "once = c.TrapdoorSRS._build_bases\n"
+            "c.TrapdoorSRS._build_bases = lambda self: (once(self), once(self))\n"
+        )
+        monkeypatch.setattr(cold_start, "SRS_MULS", twice + cold_start.SRS_MULS)
+        bad = cold_start.failures()
+        for mu in cold_start.COUNTED_SRS_SIZES:
+            assert (f"TrapdoorSRS({mu}) asked in prover order makes "
+                    f"{2 << mu} generator multiplications, not {1 << mu}") in bad
+
     def test_cluster_loads_nothing_above_it(self):
         """The simulated fleet is used by traffic, carbon and the real
         fleet, never the reverse (through PR 20 it imported all three)."""

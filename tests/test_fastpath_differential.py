@@ -6,7 +6,7 @@ flat extension layouts), so these tests pin down the only contract that
 matters: on the same inputs, the one round loop run on the kernel and on
 :class:`~repro.fields.vector.ReferenceBackend` must produce
 **bit-identical** round evaluations, Fiat–Shamir challenges, final
-evaluations, and :class:`~repro.fields.counters.OpCounter` tallies.  A
+evaluations, and :mod:`~repro.fields.counters` records.  A
 second family cross-checks the Montgomery REDC model against native
 field multiplication.
 """
@@ -24,6 +24,7 @@ from repro.fields import (
     ReferenceBackend,
     get_backend,
 )
+from repro.fields.counters import recording
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.mle import DenseMLE, Term, VirtualPolynomial
 from repro.sumcheck import (
@@ -48,7 +49,9 @@ KERNEL_ONLY = pytest.mark.parametrize("kernel", [KERNEL], ids=["fused"])
 
 
 def counter_tuple(c: OpCounter) -> tuple:
-    return (c.mul, c.add, c.inv, c.ee_mul, c.pl_mul, dict(c.labels))
+    """A record's field counts, in total and per phase."""
+    return (c.mul, c.add, c.inv, c.ee_mul, c.pl_mul, dict(c.labels),
+            [(name, counter_tuple(row)) for name, row in c.phases.items()])
 
 
 def random_virtual_polynomial(
@@ -105,15 +108,11 @@ def gate_polynomial(
 
 def assert_equivalent(vp: VirtualPolynomial, kernel):
     """``kernel``'s proof and tallies equal the oracle's; returns it."""
-    ref_counter = OpCounter()
-    ref = FastSumCheckProver(kernel=REFERENCE).prove(
-        vp, Transcript(Fr), counter=ref_counter
-    )
+    with recording() as ref_counter:
+        ref = FastSumCheckProver(kernel=REFERENCE).prove(vp, Transcript(Fr))
 
-    fast_counter = OpCounter()
-    fast = FastSumCheckProver(kernel=kernel).prove(
-        vp, Transcript(Fr), counter=fast_counter
-    )
+    with recording() as fast_counter:
+        fast = FastSumCheckProver(kernel=kernel).prove(vp, Transcript(Fr))
 
     assert fast.claim == ref.claim
     assert fast.round_evals == ref.round_evals
@@ -164,7 +163,7 @@ class TestBackendDifferential:
     @KERNEL_ONLY
     def test_unused_mles_still_folded_and_reported(self, kernel, rng):
         """Tables not referenced by any term must appear in final_evals
-        (and their fold ops in the counter) exactly as in the reference."""
+        (and their fold ops in the tally) exactly as in the reference."""
         terms = [Term(3, (("a", 1),))]
         mles = {
             "a": DenseMLE.random(Fr, 3, rng),
@@ -330,10 +329,11 @@ class TestHyperPlonkBackendDifferential:
         kzg = MultilinearKZG(srs)
         pidx, vidx = preprocess(circuit, kzg)
 
-        ref_counter, fused_counter = OpCounter(), OpCounter()
-        fused = HyperPlonkProver(circuit, pidx, kzg).prove(fused_counter)
+        with recording() as fused_counter:
+            fused = HyperPlonkProver(circuit, pidx, kzg).prove()
         on_kernel(REFERENCE)
-        ref = HyperPlonkProver(circuit, pidx, kzg).prove(ref_counter)
+        with recording() as ref_counter:
+            ref = HyperPlonkProver(circuit, pidx, kzg).prove()
 
         for sc_name in ("gate_zerocheck", "perm_zerocheck"):
             a, b2 = getattr(ref, sc_name), getattr(fused, sc_name)

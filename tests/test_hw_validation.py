@@ -21,6 +21,7 @@ These offsets are exact, so the identities below pin both bookkeepings.
 import pytest
 
 from repro.fields import Fr, OpCounter
+from repro.fields.counters import recording
 from repro.gates import gate_by_id
 from repro.hw.config import SumCheckUnitConfig
 from repro.hw.scheduler import PolyProfile
@@ -39,8 +40,8 @@ def functional_counts(gate_id: int, rng) -> tuple[OpCounter, VirtualPolynomial]:
     mles = {n: DenseMLE.random(Fr, NUM_VARS, rng)
             for n in spec.compiled.mle_names}
     vp = VirtualPolynomial(Fr, terms, mles)
-    counter = OpCounter()
-    prove_sumcheck(vp, Transcript(Fr), counter=counter)
+    with recording() as counter:
+        prove_sumcheck(vp, Transcript(Fr))
     return counter, vp
 
 

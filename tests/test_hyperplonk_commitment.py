@@ -10,6 +10,7 @@ from repro.curves import G1, G1_GENERATOR, AffinePoint, msm_naive, msm_pippenger
 from repro.curves.bls12_381_g1 import generator_table
 from repro.curves.msm import ResidentBases
 from repro.fields import Fr
+from repro.fields.counters import recording
 from repro.hyperplonk.commitment import (
     Commitment,
     MultilinearKZG,
@@ -84,17 +85,6 @@ def request_orders(max_vars):
     return [ascending, ascending[::-1], middle_out, shuffled]
 
 
-class CountingTable:
-    """The generator comb, counting its multiplications."""
-
-    def __init__(self):
-        self.table, self.muls = generator_table(), 0
-
-    def mul(self, k):
-        self.muls += 1
-        return self.table.mul(k)
-
-
 class TestSRSBases:
     """Whatever arity a caller asks for first, the SRS builds its top
     arity from the generator — one multiplication per base, 2^max_vars
@@ -153,20 +143,19 @@ class TestSRSBases:
             srs.bases(6)
 
     @pytest.mark.parametrize("max_vars", [1, 4, 7])
-    def test_every_order_makes_one_top_arity_build(self, max_vars, builds,
-                                                    monkeypatch):
+    def test_every_order_makes_one_top_arity_build(self, max_vars, builds):
         """2^max_vars generator multiplications whatever the order: the
-        yardstick's set-up (arities 0..7 ascending) went from 255 to 128."""
-        table = CountingTable()
-        monkeypatch.setattr(commitment_module, "generator_table", lambda: table)
+        yardstick's set-up (arities 0..7 ascending) went from 255 to 128.
+        Each is one comb walk of ``columns`` doublings in ``srs_bases``."""
+        comb = generator_table()
         for order in request_orders(max_vars):
             builds.clear()
-            table.muls = 0
             srs = TrapdoorSRS(max_vars, random.Random(max_vars))
-            for arity in order:
-                srs.bases(arity)
+            with recording() as rec:
+                for arity in order:
+                    srs.bases(arity)
             assert builds == [max_vars], order
-            assert table.muls == 1 << max_vars, order
+            assert rec.row("srs_bases").g1.doubling == comb.columns << max_vars
 
     def test_an_arity_above_the_srs_builds_nothing(self, builds):
         srs = TrapdoorSRS(4, random.Random(2))

@@ -13,7 +13,7 @@ differential suite only, and no path in ``src`` may reach it.
 
 import pytest
 from goldens import GATES, canonical_text, make_kzg, pinned, prove
-from goldens import service_batch, sha256
+from goldens import proof_texts, service_batch, sha256
 
 from repro.fields import Fr, OpCounter
 from repro.fields.vector import ReferenceBackend
@@ -39,6 +39,11 @@ class TestPinnedDigests:
             assert digest(proof) == pinned(f"proof/{gate}"), label
             counted[label] = digest(counter)
         assert counted["default"] == counted["fused"] == pinned(f"tally/{gate}")
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_phase_g1_table(self, gate):
+        """The phase × G1-count table of the pinned proof, on a fresh SRS."""
+        assert sha256(proof_texts(gate)[2]) == pinned(f"tally/g1-{gate}")
 
     def test_sync_service_batch(self):
         assert digest(service_batch()) == pinned("service/uniform-small")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fields import Fr, OpCounter, PrimeField
+from repro.fields import Fr, PrimeField
+from repro.fields.counters import recording
 from repro.mle import (
     DenseMLE,
     Term,
@@ -85,8 +86,8 @@ class TestDenseMLE:
         assert a.scaled(10).table == [10, 20]
 
     def test_update_counts_ee_muls(self):
-        c = OpCounter()
-        DenseMLE(Fr, list(range(8))).fix_first_variable(3, c)
+        with recording() as c:
+            DenseMLE(Fr, list(range(8))).fix_first_variable(3)
         assert c.ee_mul == 4  # one mul per output entry
 
     def test_constructor_reduces_mod_p(self):
@@ -115,8 +116,8 @@ class TestExtendPair:
             assert ext[k] == f.fix_first_variable(k).table[0]
 
     def test_counts_adds_only(self):
-        c = OpCounter()
-        extend_pair(Fr, 1, 2, 4, c)
+        with recording() as c:
+            extend_pair(Fr, 1, 2, 4)
         assert c.mul == 0 and c.add == 3
 
     @given(lo=small, hi=small, k=st.integers(min_value=0, max_value=30))
@@ -159,8 +160,8 @@ class TestEq:
             eq_eval(Fr, [1], [1, 2])
 
     def test_build_counts_muls(self):
-        c = OpCounter()
-        build_eq_mle(Fr, [3, 5, 7], c)
+        with recording() as c:
+            build_eq_mle(Fr, [3, 5, 7])
         assert c.mul == 2 + 4 + 8  # doubling construction
 
 

@@ -11,7 +11,6 @@ from repro.hyperplonk import MultilinearKZG, TrapdoorSRS, preprocess
 from repro.hyperplonk.circuit import GATE_TYPES
 from repro.plan import (
     AcceleratorCostModel,
-    CpuCostModel,
     FunctionalProverCostModel,
     HYPERPLONK_PHASES,
     MSMTask,
@@ -227,11 +226,10 @@ class TestCostModels:
                 == hw.prove_latency_s("jellyfish", 20))
 
     def test_cpu_cost_model_price_is_phase_sum(self):
-        model = CpuCostModel()
-        plan = hyperplonk_plan("vanilla", 12)
-        price = model.model.price(plan)
+        from repro.hw.cpu_baseline import CpuModel
+
+        price = CpuModel(threads=32).price(hyperplonk_plan("vanilla", 12))
         assert price.total_s == pytest.approx(sum(price.seconds.values()))
-        assert model.shape_cost_s("vanilla", 12) == price.total_s
 
 
 class TestWorkloadAnnotations:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fields import Fr, OpCounter
+from repro.fields import Fr
+from repro.fields.counters import recording
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.mle import DenseMLE, Term, VirtualPolynomial
 from repro.sumcheck import (
@@ -308,15 +309,15 @@ class TestOpCounting:
     def test_update_mul_count(self, rng):
         """Per round after the first fold: one EE mul per output entry per MLE."""
         vp = make_vp(rng, num_vars=3, gate_id=2)  # 2 MLEs
-        counter = OpCounter()
-        prove_sumcheck(vp, Transcript(Fr), counter=counter)
+        with recording() as counter:
+            prove_sumcheck(vp, Transcript(Fr))
         # folds at sizes 8->4, 4->2, 2->1 for each of 2 MLEs
         assert counter.ee_mul == 2 * (4 + 2 + 1)
 
     def test_pl_mul_count_simple_product(self, rng):
         """Gate 2 (SumABC * Z): degree 2, 3 evals, 2 muls per eval-pair."""
         vp = make_vp(rng, num_vars=3, gate_id=2)
-        counter = OpCounter()
-        prove_sumcheck(vp, Transcript(Fr), counter=counter)
+        with recording() as counter:
+            prove_sumcheck(vp, Transcript(Fr))
         # pairs per round: 4+2+1 = 7; per pair: 3 evals × 2 factor-muls
         assert counter.pl_mul == 7 * 3 * 2

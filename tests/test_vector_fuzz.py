@@ -8,15 +8,16 @@ extension degrees 0/1/max.  Per the :class:`FusedBackend` contract,
 elementwise kernels receive canonical ``[0, p)`` inputs (boundary
 values are reduced mod p first) while ``fold``/``extend_columns`` are
 also fuzzed with raw out-of-range integers, which they must normalize
-bit-identically to :class:`ReferenceBackend`.  OpCounter tallies must
-match everywhere too.
+bit-identically to :class:`ReferenceBackend`.  The field counts each
+call records must match everywhere too.
 """
 
 import random
 
 import pytest
 
-from repro.fields import KERNEL, Fq, Fr, OpCounter, PrimeField, ReferenceBackend
+from repro.fields import KERNEL, Fq, Fr, PrimeField, ReferenceBackend
+from repro.fields.counters import recording
 
 SEED = 0xF055
 MAX_DEGREE = 9
@@ -79,8 +80,11 @@ def raw_fuzz_table(rng: random.Random, p: int, n: int) -> list[int]:
     return out
 
 
-def counter_tuple(c: OpCounter) -> tuple:
-    return (c.mul, c.add, c.inv, c.ee_mul, c.pl_mul)
+def counted(call, *args) -> tuple:
+    """``call(*args)`` and the field counts it recorded."""
+    with recording() as c:
+        out = call(*args)
+    return out, (c.mul, c.add, c.inv, c.ee_mul, c.pl_mul)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -94,11 +98,10 @@ class TestElementwiseFuzz:
             a = fuzz_table(rng, p, n)
             b = fuzz_table(rng, p, n)
             for op in ("add", "sub", "mul"):
-                c1, c2 = OpCounter(), OpCounter()
-                want = getattr(ref, op)(field, a, b, c1)
-                got = getattr(fast, op)(field, a, b, c2)
+                want, c1 = counted(getattr(ref, op), field, a, b)
+                got, c2 = counted(getattr(fast, op), field, a, b)
                 assert list(got) == want, (field.name, op, n)
-                assert counter_tuple(c1) == counter_tuple(c2), (op, n)
+                assert c1 == c2, (op, n)
 
     def test_scalar_ops_agree_with_reference(self, kernel, field):
         rng = random.Random(SEED * 3 ^ field.modulus)
@@ -109,16 +112,14 @@ class TestElementwiseFuzz:
             a = fuzz_table(rng, p, n)
             x = fuzz_table(rng, p, n)
             for c in scalars:
-                c1, c2 = OpCounter(), OpCounter()
-                assert list(fast.scale(field, a, c, c2)) == ref.scale(
-                    field, a, c, c1
-                ), (field.name, "scale", n, c)
-                assert counter_tuple(c1) == counter_tuple(c2)
-                c1, c2 = OpCounter(), OpCounter()
-                assert list(fast.axpy(field, a, c, x, c2)) == ref.axpy(
-                    field, a, c, x, c1
-                ), (field.name, "axpy", n, c)
-                assert counter_tuple(c1) == counter_tuple(c2)
+                got, c2 = counted(fast.scale, field, a, c)
+                want, c1 = counted(ref.scale, field, a, c)
+                assert list(got) == want, (field.name, "scale", n, c)
+                assert c1 == c2
+                got, c2 = counted(fast.axpy, field, a, c, x)
+                want, c1 = counted(ref.axpy, field, a, c, x)
+                assert list(got) == want, (field.name, "axpy", n, c)
+                assert c1 == c2
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -132,11 +133,10 @@ class TestFoldExtendFuzz:
         for n in (2, 3, 7, 16, 33, 64):
             t = raw_fuzz_table(rng, p, n)
             for r in challenges + [rng.randrange(p)]:
-                c1, c2 = OpCounter(), OpCounter()
-                want = ref.fold(field, t, r, c1)
-                got = fast.fold(field, t, r, c2)
+                want, c1 = counted(ref.fold, field, t, r)
+                got, c2 = counted(fast.fold, field, t, r)
                 assert list(got) == want, (field.name, n, r)
-                assert counter_tuple(c1) == counter_tuple(c2)
+                assert c1 == c2
                 assert all(0 <= v < p for v in got)
 
     @pytest.mark.parametrize("degree", [0, 1, MAX_DEGREE])
@@ -146,11 +146,10 @@ class TestFoldExtendFuzz:
         p = field.modulus
         for n in (2, 3, 7, 16, 64):
             t = raw_fuzz_table(rng, p, n)
-            c1, c2 = OpCounter(), OpCounter()
-            want = ref.extend_columns(field, t, degree, c1)
-            got = fast.extend_columns(field, t, degree, c2)
+            want, c1 = counted(ref.extend_columns, field, t, degree)
+            got, c2 = counted(fast.extend_columns, field, t, degree)
             assert [list(col) for col in got] == want, (field.name, n)
-            assert counter_tuple(c1) == counter_tuple(c2)
+            assert c1 == c2
             assert all(0 <= v < p for col in got for v in col)
 
 
@@ -175,11 +174,10 @@ class TestRoundEvaluationsFuzz:
                 Term(rng.randrange(p), ()),
             ]
             degree = MAX_DEGREE
-            c1, c2 = OpCounter(), OpCounter()
-            want = ref.round_evaluations(field, terms, tables, degree, c1)
-            got = fast.round_evaluations(field, terms, tables, degree, c2)
+            want, c1 = counted(ref.round_evaluations, field, terms, tables, degree)
+            got, c2 = counted(fast.round_evaluations, field, terms, tables, degree)
             assert list(got) == want, (field.name, n)
-            assert counter_tuple(c1) == counter_tuple(c2)
+            assert c1 == c2
 
     @pytest.mark.parametrize("constant_term", [False, True])
     def test_drawn_term_lists_with_a_shared_factor(
@@ -211,8 +209,7 @@ class TestRoundEvaluationsFuzz:
             tables = {
                 name: fuzz_table(rng, p, n) for name in pool + ("s",)
             }
-            c1, c2 = OpCounter(), OpCounter()
-            want = ref.round_evaluations(field, terms, tables, degree, c1)
-            got = fast.round_evaluations(field, terms, tables, degree, c2)
+            want, c1 = counted(ref.round_evaluations, field, terms, tables, degree)
+            got, c2 = counted(fast.round_evaluations, field, terms, tables, degree)
             assert list(got) == want, (field.name, terms)
-            assert counter_tuple(c1) == counter_tuple(c2)
+            assert c1 == c2

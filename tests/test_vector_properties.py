@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from repro.fields import KERNEL, Fq, Fr, OpCounter, PrimeField, ReferenceBackend
+from repro.fields import KERNEL, Fq, Fr, PrimeField, ReferenceBackend
+from repro.fields.counters import recording
 from repro.mle import DenseMLE, extend_pair, extend_table
 
 P = Fr.modulus
@@ -176,7 +177,7 @@ class TestExtendProperties:
 
 
 class TestBackendParity:
-    """Identical values *and* identical OpCounter tallies, kernel and oracle."""
+    """Identical values *and* identical recorded counts, kernel and oracle."""
 
     OPS = ("add", "sub", "mul")
 
@@ -187,8 +188,8 @@ class TestBackendParity:
         for op in self.OPS:
             results, counts = [], []
             for kernel in KERNELS:
-                c = OpCounter()
-                results.append(getattr(kernel, op)(Fr, a, b, c))
+                with recording() as c:
+                    results.append(getattr(kernel, op)(Fr, a, b))
                 counts.append((c.mul, c.add, c.inv, c.ee_mul, c.pl_mul))
             assert all(r == results[0] for r in results), op
             assert all(k == counts[0] for k in counts), op
@@ -199,9 +200,9 @@ class TestBackendParity:
         r = rng.randrange(P)
         folds, exts, counts = [], [], []
         for kernel in KERNELS:
-            c = OpCounter()
-            folds.append(kernel.fold(Fr, table, r, c))
-            exts.append(kernel.extend_columns(Fr, table, 4, c))
+            with recording() as c:
+                folds.append(kernel.fold(Fr, table, r))
+                exts.append(kernel.extend_columns(Fr, table, 4))
             counts.append((c.mul, c.add, c.ee_mul))
         assert all(f == folds[0] for f in folds)
         assert all(e == exts[0] for e in exts)

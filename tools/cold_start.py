@@ -127,22 +127,17 @@ seconds = extra["prover"]
 
 SRS_MULS = """
 import random, sys
-import repro.hyperplonk.commitment as commitment
-mu, comb, muls = int(sys.argv[1]), commitment.generator_table(), []
-
-class Counting:
-    def mul(self, k):
-        muls.append(k)
-        return comb.mul(k)
-
-commitment.generator_table = Counting
-extra = {}
+from repro.curves.bls12_381_g1 import generator_table
+from repro.fields.counters import recording
+from repro.hyperplonk import TrapdoorSRS
+# each generator multiplication is one comb walk of `columns` doublings
+mu, comb, extra = int(sys.argv[1]), generator_table(), {}
 for name, order in (("ascending", range(mu + 1)), ("prover", range(mu, -1, -1))):
-    muls.clear()
-    srs = commitment.TrapdoorSRS(mu, random.Random(mu))
-    for arity in order:
-        srs.bases(arity)
-    extra[name] = len(muls)
+    srs = TrapdoorSRS(mu, random.Random(mu))
+    with recording() as rec:
+        for arity in order:
+            srs.bases(arity)
+    extra[name] = rec.row("srs_bases").g1.doubling // comb.columns
 seconds = 0.0
 """ + LOADED
 
