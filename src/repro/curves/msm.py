@@ -82,7 +82,8 @@ WNAF_WIDTH = 4
 #: 18.0 / 15.7 / 14.1 ms (25.1 with per-call width-4 tables), one-time
 #: build 0.06 / 0.12 / 0.24 / 0.53 ms a base, repaid after 1.4 / 2.2 /
 #: 3.2 / 6.2 reads of a base's table (a dense MSM reads it twice).
-#: Width 8 buys 10% for twice the build and 13 kB a base instead of 6.7.
+#: Width 8 buys 10% for twice the build and twice the memory (9.4 kB a
+#: base at width 7, its entries carrying β·x).
 RESIDENT_WIDTH = 7
 
 #: Largest term count (after equal scalars are merged and the GLV split
@@ -246,24 +247,45 @@ def msm_jacobian(
     return JacobianPoint(curve, *xyz)
 
 
-def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
-    """Nonzero width-``width`` NAF digits of ``k > 0`` as (bit position,
-    odd digit in (-2^(w-1), 2^(w-1))), LSB first; any two are at least
-    ``w`` positions apart."""
+def _place_wnaf(schedule, k: int, table: list, width: int, coord: int,
+                p: int) -> None:
+    """Append the summands of ``k·P`` to ``schedule`` (row j holds those
+    of 2^j): ``k ≥ 0`` recoded LSB first into width-``width`` NAF digits
+    — odd, in (-2^(w-1), 2^(w-1)), any two at least ``w`` positions apart
+    — and digit d at position j puts ``table[|d| >> 1]``, the entry for
+    |d|·P, into row j as (``entry[coord]``, ±y).  ``coord`` 2 reads the
+    entry's β·x (:func:`_with_phi_x`), which makes it an entry of φ(P).
+    A ``None`` entry (infinity) adds nothing."""
     full = 1 << width
-    out = []
+    half = full >> 1
     pos = 0
     while k:
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         pos += zeros
         d = k & (full - 1)
-        if d > full >> 1:
-            d -= full
-        out.append((pos, d))
-        k = (k - d) >> width
+        k >>= width
+        if d > half:  # the digit d - 2^w borrows one from the rest
+            k += 1
+            entry = table[(full - d) >> 1]
+            if entry is not None:
+                y = entry[1]
+                schedule[pos].append((entry[coord], y and p - y))
+        else:
+            entry = table[d >> 1]
+            if entry is not None:
+                schedule[pos].append((entry[coord], entry[1]))
         pos += width
-    return out
+
+
+def _with_phi_x(curve, entries: list) -> list:
+    """(x, y) entries as (x, y, β·x): beside each point the x-coordinate
+    of its image under φ(x, y) = (βx, y), so the k₂ half of a GLV split
+    reads φ's multiples instead of multiplying per digit placed (β = 1
+    on a curve without an endomorphism).  ``None`` stays ``None``."""
+    p = curve.field.modulus
+    beta = curve.endomorphism[0] if curve.endomorphism else 1
+    return [e and (e[0], e[1], e[0] * beta % p) for e in entries]
 
 
 def _odd_multiples(field, a: int, points, width: int) -> list[list]:
@@ -289,9 +311,11 @@ class ResidentBases(list):
     multiples B, 3B, …, (2^(w-1) - 1)·B of every base B at
     w = :data:`RESIDENT_WIDTH`.
 
-    The tables are built on the first Straus MSM that reads one (all
-    bases at once, so each of the 2^(w-2) - 1 rounds shares one
-    inversion across the list; ~0.24 ms and ~7 kB a base) and kept for
+    Each entry also carries φ's x-coordinate β·x (:func:`_with_phi_x`),
+    which the k₂ half of a GLV split reads.  The tables are built on the
+    first Straus MSM that reads one (all bases at once, so each of the
+    2^(w-2) - 1 rounds shares one inversion across the list; ~0.24 ms
+    and ~10 kB a base) and kept for
     the life of the list, which must not change after that.  A list
     too long for a dense MSM over it to take the Straus path never gets
     them, which bounds their memory; neither does a copy or a slice,
@@ -304,15 +328,15 @@ class ResidentBases(list):
         self._tables: list[list] | None = None
 
     def odd_multiples(self) -> list[list]:
-        """``tables[i][j]`` = (2j+1)·self[i] as (x, y), or ``None`` for
-        infinity; built on first use."""
+        """``tables[i][j]`` = (2j+1)·self[i] as (x, y, β·x), or ``None``
+        for infinity; built on first use."""
         if self._tables is None:
             curve = self[0].curve
-            self._tables = _odd_multiples(
+            self._tables = [_with_phi_x(curve, row) for row in _odd_multiples(
                 curve.field, curve.a,
                 [None if pt.inf else (pt.x, pt.y) for pt in self],
                 RESIDENT_WIDTH,
-            )
+            )]
         return self._tables
 
     def __reduce__(self):
@@ -321,7 +345,10 @@ class ResidentBases(list):
 
 def _straus(curve, split, beta: int, resident) -> tuple[int, int, int]:
     """Interleaved wNAF over per-point tables of odd multiples:
-    ``resident[base]`` for a term that has one, built here otherwise."""
+    ``resident[base]`` for a term that has one, built here otherwise.
+    k₂ runs on φ(P), whose odd multiples are φ of P's: a resident entry
+    carries their x-coordinate β·x, a table built here gets it for its
+    4 entries when k₂ needs it (``beta`` is 1 when nothing is split)."""
     field = curve.field
     p = field.modulus
     built = iter(_odd_multiples(
@@ -330,29 +357,17 @@ def _straus(curve, split, beta: int, resident) -> tuple[int, int, int]:
     ))
     top = max(max(k1, k2) for _, _, k1, k2, _ in split).bit_length()
     schedule: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-
-    def place(k: int, table: list, width: int, twist: int) -> None:
-        for pos, d in _wnaf(k, width):
-            entry = table[abs(d) >> 1]
-            if entry is not None:
-                ex, ey = entry
-                if twist != 1:
-                    ex = ex * twist % p
-                schedule[pos].append((ex, ey if d > 0 else ey and p - ey))
-
-    # k₂ runs on φ(P), whose odd multiples are φ of P's: β times each x
     for _, _, k1, k2, base in split:
         if base is not None:
-            # 32 entries, ~16 digits a half: φ per digit placed
-            place(k1, resident[base], RESIDENT_WIDTH, 1)
-            place(k2, resident[base], RESIDENT_WIDTH, beta)
+            table = resident[base]
+            _place_wnaf(schedule, k1, table, RESIDENT_WIDTH, 0, p)
+            _place_wnaf(schedule, k2, table, RESIDENT_WIDTH, 2, p)
             continue
         table = next(built)
-        place(k1, table, WNAF_WIDTH, 1)
-        if k2:  # 4 entries, ~26 digits: φ per entry
-            place(k2, [e and (e[0] * beta % p, e[1]) for e in table],
-                  WNAF_WIDTH, 1)
-
+        _place_wnaf(schedule, k1, table, WNAF_WIDTH, 0, p)
+        if k2:
+            twisted = [e and (e[0] * beta % p, e[1]) for e in table]
+            _place_wnaf(schedule, k2, twisted, WNAF_WIDTH, 0, p)
     return _horner(curve, schedule)
 
 
@@ -432,7 +447,7 @@ class FixedBaseTable:
 
     A scalar of ``columns · window_bits`` bits is cut into
     ``window_bits`` blocks of ``columns`` bits, and ``rows[0][m - 1]``
-    holds Σ_{t ∈ bits of m} 2^(t·columns)·P in affine form.  Gathering
+    holds Σ_{t ∈ bits of m} 2^(t·columns)·P as affine (x, y, β·x).  Gathering
     bit j of every block into an index m_j gives
     k·P = Σ_j 2^j · rows[0][m_j - 1]: ``columns`` doublings and one
     addition per column, against a table of 2^window_bits - 1
@@ -440,8 +455,11 @@ class FixedBaseTable:
     is that one row; ``rows`` stays a list of rows for entry counts.)
 
     On a curve with an endomorphism the comb covers one GLV half and
-    serves the other through φ, which halves ``columns``.  The base must
-    lie in the subgroup of order ``curve.order``.
+    serves the other through φ, which halves ``columns``: every entry
+    carries φ's x-coordinate β·x as well (:func:`_with_phi_x`).  The
+    base must lie in the subgroup of order ``curve.order``, and
+    ``window_bits`` must stay below ``columns`` (:meth:`place` gathers a
+    column's index with one multiplication that needs the room).
     """
 
     def __init__(self, point: AffinePoint, window_bits: int = 8):
@@ -451,12 +469,23 @@ class FixedBaseTable:
         self.curve = curve
         self.point = point
         self.window_bits = window_bits
-        # (β, λ) when scalars are split; (1, order) leaves k₁ = k, k₂ = 0
-        self._split = curve.endomorphism or (1, curve.order)
-        lam = self._split[1]
+        # λ splits k into k₁ + k₂·λ; the order leaves k₁ = k, k₂ = 0
+        lam = self._lam = (curve.endomorphism or (1, curve.order))[1]
         half_bits = max(lam, curve.order // lam).bit_length()
-        self.columns = -(-half_bits // window_bits)
-        self.rows = [self._comb()]
+        columns = self.columns = -(-half_bits // window_bits)
+        if window_bits >= columns:
+            raise ValueError(
+                f"window_bits must be below the {columns} columns it makes")
+        # bit j of block t sits at t·columns + j; ``lanes`` keeps bit j
+        # of every block, ``spread`` moves block t's to bit
+        # (window_bits - 1)·(columns - 1) + t — every product bit lands
+        # on its own position, so nothing carries
+        self._gather = (
+            sum(1 << (t * columns) for t in range(window_bits)),
+            sum(1 << (t * (columns - 1)) for t in range(window_bits)),
+            (window_bits - 1) * (columns - 1),
+        )
+        self.rows = [_with_phi_x(curve, self._comb())]
 
     def _comb(self) -> "list[tuple[int, int] | None]":
         """Block t doubles the table: 2^(t·columns)·P, then every entry
@@ -487,24 +516,18 @@ class FixedBaseTable:
     def place(self, k: int, schedule: "list[list[tuple[int, int]]]") -> None:
         """Append the affine summands of ``k * P`` to ``schedule``, one
         list per column: k·P = Σ_j 2^j · Σ schedule[j]."""
-        k %= self.curve.order
-        comb, columns = self.rows[0], self.columns
-        p = self.curve.field.modulus
-        beta, lam = self._split
-        k2, k1 = divmod(k, lam)
-        for half, twist in ((k1, 1), (k2, beta)):
+        k2, k1 = divmod(k % self.curve.order, self._lam)
+        comb = self.rows[0]
+        lanes, spread, shift = self._gather
+        top = (1 << self.window_bits) - 1
+        for half, coord in ((k1, 0), (k2, 2)):  # k₂ reads φ's x, β·x
             if not half:
                 continue
-            # MSB first, so every ``columns``-th character from the
-            # right spot is one column's index, top block first
-            bits = format(half, f"0{columns * self.window_bits}b")
-            for j in range(columns):
-                m = int(bits[columns - 1 - j::columns], 2)
-                entry = comb[m - 1] if m else None
-                if entry is not None:
-                    schedule[j].append(
-                        entry if twist == 1 else (entry[0] * twist % p, entry[1])
-                    )
+            for j in range(self.columns):
+                # bit j of every block, block t at bit t: the column's index
+                m = ((half >> j) & lanes) * spread >> shift & top
+                if m and (entry := comb[m - 1]) is not None:
+                    schedule[j].append((entry[coord], entry[1]))
 
     def mul(self, k: int) -> JacobianPoint:
         """``k * P`` as a Jacobian point."""

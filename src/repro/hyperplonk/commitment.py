@@ -307,7 +307,11 @@ class MultilinearKZG:
                   points: Sequence[Sequence[int]]) -> list[Opening]:
         """``[self.open(mle, pt) for pt in points]`` with the quotient
         commitments and folded tables of every shared point prefix
-        computed once (the points are walked as a prefix trie).
+        computed once (the points are walked as a prefix trie).  Two
+        points that differ only in the last coordinate share all μ
+        quotients — the prover's openings of the tree's blend at (ρ′, 0)
+        and (ρ′, 1) — and two that differ in the first share q₁ alone
+        (π at ρ_p and at the root point).
 
         The memo is keyed to ``mle`` by identity, so an ``open`` of
         another polynomial inside the walk ignores it.

@@ -8,37 +8,50 @@ labels σ_i and challenges β, γ it builds
 * per-column Denominators D_i(x) = w_i(x) + β·σ_i(x) + γ,
 * the Fraction MLE        φ(x) = Π_i N_i(x) / Π_i D_i(x)
   (batched modular inversion — the paper's batch-2 Montgomery scheme),
-* the Product MLE          π(t), the upper half of the product tree
+* the Product MLE          π(t), the inner nodes of the product tree
   (built by the Multifunction Forest in hardware).
 
-Product-tree layout (Quarks-style).  The tree over μ+1 variables is
-*virtual*:
+Product-tree layout.  The tree is the product-check relation of Quarks
+and HyperPlonk (Chen–Bünz–Boneh–Zhang), v(0, x) = f(x),
+v(1, x) = v(x, 0)·v(x, 1), written in this repo's first-variable-first
+order.  It is a *virtual* polynomial over μ+1 variables, b the first:
 
-    T(x, b) = (1 - b)·φ(x) + b·π(x),      x ∈ {0,1}^μ, b = X_{μ+1},
+    T(b, x) = (1 - b)·φ(x) + b·π(x),      x ∈ {0,1}^μ,
 
-so its lower half *is* φ — by definition, not by a check — and only the
-upper half π is a polynomial of its own.  π[t] = T[2t]·T[2t+1] packs the
-reduction levels contiguously; the final slot π[2^μ - 1] is fixed to 1,
-which makes the single constraint
+so its leaves (b = 0, the even slots of the table) *are* φ — by
+definition, not by a check — and only π (the odd slots) is a
+polynomial of its own.  π(t) = T(t, 0)·T(t, 1), i.e. with N = 2^μ,
+π[t] = T[t]·T[t + N]: the two halves of the table, p1 = T(·, 0) and
+p2 = T(·, 1), multiplied slot by slot.  A node's level is one more than
+its count of low-order one bits (level 1 reads two leaves, level ℓ two
+nodes of level ℓ - 1), so π is built level by level; the root is
+π(1, …, 1, 0), slot N/2 - 1, the one node of level μ, and the slot
+π(1^μ) = π[N - 1] is fixed to 1, which makes the single constraint
 
-    π(t) - p1(t)·p2(t) = 0   for all t in {0,1}^μ,
+    π(t) - p1(t)·p2(t) = 0   for all t in {0,1}^μ
 
-with π = T(·, 1), p1 = T(X_1=0, ·), p2 = T(X_1=1, ·), *also* consistent
-at t = 2^μ - 1 (it reads 1 = root · 1 there).  The permutation argument
-is sound iff Π φ = 1, i.e. Π_i,x N_i = Π_i,x D_i under the β, γ
-randomization; the root is π(0, 1, …, 1).
+*also* hold at t = 1^μ (it reads 1 = root · 1 there).
+
+Soundness.  The ZeroCheck makes π[t] = T[t]·T[t + N] on the whole cube.
+By induction over the levels, a node of level ℓ is the product of 2^ℓ
+leaves, and the 2^μ leaves under the root are distinct, so
+root = Π_x φ(x).  The root is opened and must be 1, and Π_x φ(x) = 1
+iff Π_i,x N_i = Π_i,x D_i, which under the β, γ randomization holds
+only for a wiring that respects σ.
 
 What is committed: φ and π, 2^μ points each.  The prover keeps the whole
 tree in memory (:attr:`PermutationData.prod_tree`) because the ZeroCheck
-sums over its p1/p2 slices, but no (μ+1)-variable polynomial is ever
-committed or opened: at the ZeroCheck point ρ,
+sums over its p1/p2 halves, but no (μ+1)-variable polynomial is ever
+committed or opened: at the ZeroCheck point ρ = (ρ_1, ρ′),
 
-    p1(ρ) = T(0, ρ_1..ρ_μ) = h(0, ρ′),   p2(ρ) = h(1, ρ′),
-    h = (1 - ρ_μ)·φ + ρ_μ·π,             ρ′ = ρ_1..ρ_{μ-1},
+    p1(ρ) = T(ρ_1, ρ′, 0) = h(ρ′, 0),   p2(ρ) = h(ρ′, 1),
+    h = (1 - ρ_1)·φ + ρ_1·π,
 
 and h's commitment is the same combination of the two the proof
-carries.  A tree whose leaves are anything but the committed φ cannot
-even be expressed.
+carries.  The two points differ only in the last coordinate, the one a
+PST opening folds last, so their openings share all μ quotients.  A
+tree whose leaves are anything but the committed φ cannot even be
+expressed.
 
 The full PermCheck ZeroCheck polynomial is then exactly Table I rows
 21/23:  (π - p1·p2 + α·(φ·D_1..D_k - N_1..N_k)) · fr.
@@ -61,28 +74,29 @@ class PermutationData:
     numerators: dict[str, DenseMLE]    # N1..Nk
     denominators: dict[str, DenseMLE]  # D1..Dk
     phi: DenseMLE                      # fraction MLE (μ vars)
-    prod_tree: DenseMLE                # T = φ ‖ π, in memory only (μ+1 vars)
+    prod_tree: DenseMLE                # T: φ in the even slots, π in the odd
 
     @property
     def pi(self) -> DenseMLE:
-        """π(t) = T(t, 1): the top half of the tree table — the committed half."""
+        """π(x) = T(1, x): the odd slots of the tree — the committed half."""
+        return DenseMLE(self.prod_tree.field, self.prod_tree.table[1::2])
+
+    @property
+    def p1(self) -> DenseMLE:
+        """p1(t) = T(t, 0): the lower half of the tree table."""
+        half = len(self.prod_tree.table) // 2
+        return DenseMLE(self.prod_tree.field, self.prod_tree.table[:half])
+
+    @property
+    def p2(self) -> DenseMLE:
+        """p2(t) = T(t, 1): the upper half of the tree table."""
         half = len(self.prod_tree.table) // 2
         return DenseMLE(self.prod_tree.field, self.prod_tree.table[half:])
 
     @property
-    def p1(self) -> DenseMLE:
-        """p1(t) = T(0, t): even entries."""
-        return DenseMLE(self.prod_tree.field, self.prod_tree.table[0::2])
-
-    @property
-    def p2(self) -> DenseMLE:
-        """p2(t) = T(1, t): odd entries."""
-        return DenseMLE(self.prod_tree.field, self.prod_tree.table[1::2])
-
-    @property
     def root(self) -> int:
-        """The grand product Π_x φ(x) — must be 1 for a valid wiring."""
-        return self.prod_tree.table[-2]
+        """π(1, …, 1, 0) = Π_x φ(x) — must be 1 for a valid wiring."""
+        return self.prod_tree.table[len(self.prod_tree.table) // 2 - 1]
 
 
 def build_permutation_data(
@@ -127,10 +141,13 @@ def build_permutation_data(
         sink.count_inv(size)
 
     with counters.phase("prod_tree"):
-        tree = phi_t + [0] * size
-        for t in range(size - 1):
-            tree[size + t] = tree[2 * t] * tree[2 * t + 1] % p
-        tree[2 * size - 1] = 1
+        tree = [0] * (2 * size)
+        tree[0::2] = phi_t
+        # level ℓ: the slots t with ℓ - 1 low-order one bits
+        for level in range(1, size.bit_length()):
+            for t in range((1 << (level - 1)) - 1, size, 1 << level):
+                tree[2 * t + 1] = tree[t] * tree[t + size] % p
+        tree[-1] = 1
         if (sink := counters.field_sink) is not None:
             sink.count_mul(size - 1)
 

@@ -16,10 +16,13 @@ Protocol steps (§IV-A) and what each produces:
    24).
 5. **Polynomial Opening** — one combined KZG opening at the OpenCheck
    point, plus the four claims about the virtual product tree
-   T = (1 - b)·φ + b·π as openings of μ-variable polynomials: π at ρ_p
-   and at the root point (0, 1, …, 1), and the blend
-   h = (1 - ρ_μ)·φ + ρ_μ·π at (0, ρ′) and (1, ρ′), which are p1(ρ_p) and
-   p2(ρ_p).  The verifier forms h's commitment from φ's and π's.
+   T(b, x) = (1 - b)·φ(x) + b·π(x) as openings of μ-variable
+   polynomials: π at ρ_p and at the root point (1, …, 1, 0), and the
+   blend h = (1 - ρ_1)·φ + ρ_1·π at (ρ′, 0) and (ρ′, 1) with
+   ρ′ = ρ_2..ρ_μ, which are p1(ρ_p) and p2(ρ_p).  The verifier forms
+   h's commitment from φ's and π's.  h's two points differ only in the
+   last coordinate, so :meth:`~MultilinearKZG.open_many` commits their
+   μ quotients once; π's share the first.
 
 The prover mirrors the verifier's transcript exactly, so the proof is
 non-interactive via Fiat–Shamir.
@@ -55,6 +58,16 @@ def gate_identity_terms(gate_id: int) -> list[Term]:
             raise ValueError(f"gate {gate_id} monomial lacks the fr factor")
         terms.append(Term(m.coeff, factors))
     return terms
+
+
+def absorb_index(transcript: Transcript,
+                 commitments: dict[str, Commitment]) -> None:
+    """Bind the transcript to the statement: the repo has no public
+    inputs, so the index commitments (selectors and σ), in name order,
+    are what a proof is about.  The SRS size is not absorbed: a verifier
+    may hold a larger SRS than the prover (:class:`TrapdoorSRS`)."""
+    for name in sorted(commitments):
+        transcript.absorb_point(b"hp/index-commit", commitments[name].point)
 
 
 @dataclass
@@ -116,6 +129,7 @@ class HyperPlonkProver:
         transcript = Transcript(field, domain=b"hyperplonk")
         transcript.absorb_scalar(b"hp/num-vars", self.circuit.num_vars)
         transcript.absorb_bytes(b"hp/gate-type", gate_type.name.encode())
+        absorb_index(transcript, self.index.commitments)
 
         # -- 1. witness commitments ---------------------------------------
         with phase("witness_msm"):
@@ -185,19 +199,19 @@ class HyperPlonkProver:
         polys["phi"] = perm.phi
         opencheck = prove_opencheck(field, claims, polys, self.kzg, transcript)
 
-        # the tree's four claims, two polynomials of μ variables: each
-        # open_many shares the quotient of the empty point prefix
-        rho_rest, rho_last = list(rho_p[:-1]), rho_p[-1]
+        # the tree's four claims, two polynomials of μ variables: π's
+        # points share the empty prefix, h's every prefix but the whole
+        rho_first, rho_rest = rho_p[0], list(rho_p[1:])
         with phase("opening_msm"):
             blend = DenseMLE(field, KERNEL.axpy(
-                field, KERNEL.scale(field, perm.phi.table, 1 - rho_last),
-                rho_last, pi.table,
+                field, KERNEL.scale(field, perm.phi.table, 1 - rho_first),
+                rho_first, pi.table,
             ))
-            root_point = [0] + [1] * (self.circuit.num_vars - 1)
+            root_point = [1] * (self.circuit.num_vars - 1) + [0]
             tree_openings = dict(zip(
                 ("pi", "root", "p1", "p2"),
                 self.kzg.open_many(pi, [rho_p, root_point])
-                + self.kzg.open_many(blend, [[0] + rho_rest, [1] + rho_rest]),
+                + self.kzg.open_many(blend, [rho_rest + [0], rho_rest + [1]]),
             ))
             bump("opening_msm", 1 + len(tree_openings))
 

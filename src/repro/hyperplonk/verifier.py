@@ -16,7 +16,11 @@ from repro.hyperplonk.commitment import Commitment, MultilinearKZG
 from repro.hyperplonk.opencheck import EvalClaim, verify_opencheck
 from repro.hyperplonk.permutation import permcheck_terms
 from repro.hyperplonk.preprocess import VerifierIndex
-from repro.hyperplonk.prover import HyperPlonkProof, gate_identity_terms
+from repro.hyperplonk.prover import (
+    HyperPlonkProof,
+    absorb_index,
+    gate_identity_terms,
+)
 from repro.sumcheck.transcript import Transcript
 from repro.sumcheck.verifier import SumCheckError
 from repro.sumcheck.zerocheck import verify_zerocheck
@@ -53,6 +57,7 @@ class HyperPlonkVerifier:
         transcript = Transcript(field, domain=b"hyperplonk")
         transcript.absorb_scalar(b"hp/num-vars", proof.num_vars)
         transcript.absorb_bytes(b"hp/gate-type", gate_type.name.encode())
+        absorb_index(transcript, self.index.commitments)
 
         # the proof's commitments are combined homomorphically below,
         # which needs them all to be of one arity
@@ -139,32 +144,30 @@ class HyperPlonkVerifier:
     def _check_tree_openings(self, proof: HyperPlonkProof,
                              rho_p: Sequence[int]) -> None:
         """Certify the π/p1/p2 final evals as evaluations of the virtual
-        product tree T(x, b) = (1 - b)·φ(x) + b·π(x), and check that the
+        product tree T(b, x) = (1 - b)·φ(x) + b·π(x), and check that the
         grand-product root equals 1.
 
-        π(ρ_p) and the root π(0, 1, …, 1) are openings of the committed
-        π.  p1(ρ_p) = T(0, ρ_1..ρ_μ) and p2(ρ_p) = T(1, ρ_1..ρ_μ) are
-        openings at (0, ρ′) and (1, ρ′) of h = (1 - ρ_μ)·φ + ρ_μ·π, whose
-        commitment is formed here from the two the transcript absorbed
-        before ρ_μ was drawn — the tree's leaves are the committed φ
-        because no other leaves can be named.
+        π(ρ_p) and the root π(1, …, 1, 0) are openings of the committed
+        π.  p1(ρ_p) = T(ρ_p, 0) and p2(ρ_p) = T(ρ_p, 1) are openings at
+        (ρ′, 0) and (ρ′, 1), ρ′ = ρ_2..ρ_μ, of h = (1 - ρ_1)·φ + ρ_1·π,
+        whose commitment is formed here from the two the transcript
+        absorbed before ρ_1 was drawn — the tree's leaves are the
+        committed φ because no other leaves can be named.
         """
         p = self.field.modulus
         finals = proof.perm_zerocheck.final_evals
-        rho_rest = tuple(v % p for v in rho_p[:-1])
-        rho_last = rho_p[-1] % p
+        rho = tuple(v % p for v in rho_p)
         blend_commitment = Commitment.combine(
-            [1 - rho_last, rho_last],
+            [1 - rho[0], rho[0]],
             [proof.phi_commitment, proof.prod_commitment],
         )
         # name -> (commitment, point, value)
         expected = {
-            "pi": (proof.prod_commitment, (*rho_rest, rho_last),
-                   finals.get("pi")),
-            "root": (proof.prod_commitment, (0,) + (1,) * (proof.num_vars - 1),
+            "pi": (proof.prod_commitment, rho, finals.get("pi")),
+            "root": (proof.prod_commitment, (1,) * (proof.num_vars - 1) + (0,),
                      1),
-            "p1": (blend_commitment, (0, *rho_rest), finals.get("p1")),
-            "p2": (blend_commitment, (1, *rho_rest), finals.get("p2")),
+            "p1": (blend_commitment, (*rho[1:], 0), finals.get("p1")),
+            "p2": (blend_commitment, (*rho[1:], 1), finals.get("p2")),
         }
         for name, (commitment, point, value) in expected.items():
             opening = proof.tree_openings.get(name)

@@ -262,7 +262,7 @@ class ProofPlan:
 
         pl = sumcheck_pl(gate_poly) + sumcheck_pl(perm_poly) + oc_pl
         permquot_mul = 4 * n * k + n + (n - 1)
-        blend_mul = 2 * n                  # (1 - ρ_μ)·φ + ρ_μ·π
+        blend_mul = 2 * n                  # (1 - ρ_1)·φ + ρ_1·π
         return PlanOps(
             ee_mul=ee,
             pl_mul=pl,
@@ -309,12 +309,14 @@ def hyperplonk_plan(gate_type_name: str, num_vars: int,
         PhaseCost("permquot", "permquot", after=("witness_msm",),
                   rows=n, columns=k),
         PhaseCost("prod_tree", "product_tree", after=("permquot",), rows=n),
-        # wiring_msm and opening_msm keep the paper's sizes (φ and the
-        # 2n-point π̃; an n- and a 2n-point opening).  The functional
-        # prover commits n + n (φ and the tree's product half π) and opens
-        # five n-point polynomials (the combined one, π twice, the φ/π
-        # blend twice); the cost model's refit (ROADMAP item 1) is where
-        # the two meet.
+        # wiring_msm and opening_msm price the paper's inventory on
+        # purpose (φ and the 2n-point π̃; an n- and a 2n-point opening),
+        # which is what the hw model and the paper's Fig. 12 share.  The
+        # functional prover commits n + n (φ and the tree's product half
+        # π) and opens five n-point polynomials (the combined one, π
+        # twice, the φ/π blend twice), whose openings share quotients:
+        # 19 quotient MSMs at μ = 6.  The cost model's refit (ROADMAP
+        # item 7) is where the two meet.
         PhaseCost("wiring_msm", "msm", after=("permquot", "prod_tree"),
                   msms=(MSMTask(n), MSMTask(2 * n))),
         PhaseCost("permcheck", "sumcheck", after=("wiring_msm",),

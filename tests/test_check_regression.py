@@ -213,7 +213,7 @@ class TestCompareRecords:
 
     def test_every_committed_leaf_is_in_exactly_one_section(self):
         committed = sorted(REPO.glob("BENCH_*.json"))
-        assert len(committed) == 8
+        assert len(committed) == 9
         for path in committed:
             doc = json.loads(path.read_text())
             problems = []
@@ -232,7 +232,7 @@ class TestCli:
         assert self.run(REPO, REPO) == 0
         out = capsys.readouterr().out
         assert "DRIFT" not in out
-        assert out.count("OK") == 8
+        assert out.count("OK") == 9
 
     def test_missing_baseline_fails(self, tmp_path):
         assert self.run(tmp_path, REPO, "--only", "BENCH_sumcheck.json") == 1

@@ -24,7 +24,7 @@ from repro.hyperplonk.opencheck import (
     prove_opencheck,
     verify_opencheck,
 )
-from repro.hyperplonk.permutation import build_permutation_data
+from repro.hyperplonk.permutation import PermutationData, build_permutation_data
 from repro.mle import DenseMLE
 from repro.service.traffic import synthesize_circuit
 from repro.sumcheck import SumCheckError, Transcript
@@ -130,12 +130,18 @@ class TestCompleteness:
     @pytest.mark.parametrize("mu", [1, 2])
     def test_smallest_sizes_roundtrip(self, gate_type, mu):
         """μ=1: ρ′ is empty, the blend is opened at (0,) and (1,) and the
-        root point is (0,); μ=2: ρ′ is one coordinate."""
+        root point is (0,); μ=2: ρ′ is one coordinate and the root point
+        is (1, 0)."""
         circuit = synthesize_circuit(gate_type, mu, witness_seed=mu)
         kzg, pidx, vidx = setup(circuit)
         proof = HyperPlonkProver(circuit, pidx, kzg).prove()
-        assert proof.tree_openings["root"].point == (0,) + (1,) * (mu - 1)
-        assert all(len(op.point) == mu for op in proof.tree_openings.values())
+        openings = proof.tree_openings
+        rho_rest = tuple(proof.perm_zerocheck.challenges[1:])
+        assert openings["root"].point == (1,) * (mu - 1) + (0,)
+        assert openings["p1"].point == (*rho_rest, 0)
+        assert openings["p2"].point == (*rho_rest, 1)
+        assert openings["p1"].quotients == openings["p2"].quotients
+        assert all(len(op.point) == mu for op in openings.values())
         HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
 
 
@@ -236,14 +242,10 @@ class TestSoundness:
         with pytest.raises(HyperPlonkError):
             verifier.verify(proof)
 
-    @pytest.mark.parametrize("gate_type", [VANILLA, JELLYFISH],
-                             ids=lambda g: g.name)
-    def test_tree_with_leaves_other_than_phi_rejected(self, gate_type,
-                                                      monkeypatch):
-        """Every gate holds, the copy constraints do not, and the prover
-        sums over a product tree that is consistent in itself but whose
-        leaves are not φ.  Accepted while the tree was a commitment of
-        its own that nothing tied to φ's."""
+    @staticmethod
+    def miswired(gate_type):
+        """An honest μ=4 circuit and a witness for its index in which
+        every gate holds and the copy constraints do not."""
         honest = synthesize_circuit(gate_type, 4, witness_seed=3)
         output = gate_type.witness_names[-1]
 
@@ -263,6 +265,17 @@ class TestSoundness:
             values = [witness[name].table[i] for name in gate_type.witness_names]
             assert gate_type.constraint_value(Fr, row.selectors, values) == 0
         assert witness != honest.witness_tables()
+        return honest, circuit
+
+    @pytest.mark.parametrize("gate_type", [VANILLA, JELLYFISH],
+                             ids=lambda g: g.name)
+    def test_tree_with_leaves_other_than_phi_rejected(self, gate_type,
+                                                      monkeypatch):
+        """Every gate holds, the copy constraints do not, and the prover
+        sums over a product tree that is consistent in itself but whose
+        leaves are not φ.  Accepted while the tree was a commitment of
+        its own that nothing tied to φ's."""
+        honest, circuit = self.miswired(gate_type)
 
         def all_ones_tree(*args):
             perm = build_permutation_data(*args)
@@ -276,6 +289,55 @@ class TestSoundness:
         proof = HyperPlonkProver(circuit, pidx, kzg).prove()
         with pytest.raises(HyperPlonkError, match="tree opening 'p1' value"):
             HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
+
+    @pytest.mark.parametrize("gate_type", [VANILLA, JELLYFISH],
+                             ids=lambda g: g.name)
+    def test_tree_with_root_other_than_one_rejected(self, gate_type,
+                                                     monkeypatch):
+        """The tree over φ is honest but for its filler slot: 0 there
+        makes π(1^μ) = root·π(1^μ) hold for any root, so the ZeroCheck
+        and the blend openings pass and only the root opening, carrying
+        Π φ ≠ 1, is left to refuse the broken wiring.  (With the filler
+        at 1 the ZeroCheck itself fails at t = 1^μ.)"""
+        honest, circuit = self.miswired(gate_type)
+
+        def zero_filler(*args):
+            perm = build_permutation_data(*args)
+            perm.prod_tree.table[-1] = 0
+            return perm
+
+        monkeypatch.setattr(prover_module, "build_permutation_data",
+                            zero_filler)
+        kzg, pidx, vidx = setup(honest)
+        proof = HyperPlonkProver(circuit, pidx, kzg).prove()
+        assert proof.tree_openings["root"].value not in (0, 1)
+        with pytest.raises(HyperPlonkError, match="tree opening 'root' value"):
+            HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
+
+    def test_swapped_tree_halves_rejected(self, monkeypatch):
+        """π = p1·p2 is symmetric, so a ZeroCheck over the halves in the
+        wrong order holds; their final evaluations then disagree with the
+        blend openings at (ρ′, 0) and (ρ′, 1)."""
+        _, circuit = vanilla_circuit()
+
+        class Swapped(PermutationData):
+            p1 = PermutationData.p2
+            p2 = PermutationData.p1
+
+        monkeypatch.setattr(
+            prover_module, "build_permutation_data",
+            lambda *args: Swapped(**vars(build_permutation_data(*args))))
+        kzg, pidx, vidx = setup(circuit)
+        proof = HyperPlonkProver(circuit, pidx, kzg).prove()
+        with pytest.raises(HyperPlonkError, match="tree opening 'p1' value"):
+            HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
+
+    def test_swapped_blend_openings_rejected(self, proven):
+        proof, verifier = proven
+        openings = proof.tree_openings
+        openings["p1"], openings["p2"] = openings["p2"], openings["p1"]
+        with pytest.raises(HyperPlonkError, match="'p1' at wrong point"):
+            verifier.verify(proof)
 
     @pytest.mark.parametrize("name", ["pi", "root", "p1", "p2"])
     def test_each_tree_opening_is_checked_by_name(self, proven, name):
@@ -302,14 +364,14 @@ class TestSoundness:
             verifier.verify(proof)
 
     def test_blend_openings_bind_the_blended_commitment(self, proven):
-        """p1/p2 are openings of h = (1 - ρ_μ)·φ + ρ_μ·π: they verify
+        """p1/p2 are openings of h = (1 - ρ_1)·φ + ρ_1·π: they verify
         against that combination of the two commitments and against
         neither of them alone — a verifier that checked them against
         C_π would turn this honest proof down."""
         proof, verifier = proven
-        rho_last = proof.perm_zerocheck.challenges[-1]
+        rho_first = proof.perm_zerocheck.challenges[0]
         blend = Commitment.combine(
-            [1 - rho_last, rho_last],
+            [1 - rho_first, rho_first],
             [proof.phi_commitment, proof.prod_commitment],
         )
         for name in ("p1", "p2"):
@@ -329,6 +391,48 @@ class TestSoundness:
                                           proof.num_vars - 1)
         with pytest.raises(HyperPlonkError, match="arity"):
             verifier.verify(proof)
+
+    @staticmethod
+    def two_wirings():
+        """Two circuits of one shape, one set of selectors and one
+        witness that differ only in the wiring: the second gate reads
+        the first gate's output, or a fresh wire of the same value."""
+        circuits = []
+        for reuse in (True, False):
+            b = CircuitBuilder(VANILLA, Fr)
+            x = b.new_wire(3)
+            y = b.new_wire(5)
+            s = b.add(x, y)
+            m = b.mul(s if reuse else b.new_wire(8), x)
+            b.assert_equal(m, b.constant(24))
+            circuits.append(b.build())
+        a, b = circuits
+        assert a.selector_tables() == b.selector_tables()
+        assert a.witness_tables() == b.witness_tables()
+        assert a.permutation_tables() != b.permutation_tables()
+        return a, b
+
+    def test_transcript_is_bound_to_the_index(self):
+        """One witness against two same-shape indices: the gate
+        ZeroCheck sums the same tables either way, and only the absorbed
+        index commitments (σ here) make its challenges differ."""
+        a, b = self.two_wirings()
+        kzg, pidx_a, _ = setup(a)
+        _, pidx_b, _ = setup(b)
+        proof_a = HyperPlonkProver(a, pidx_a, kzg).prove()
+        proof_b = HyperPlonkProver(a, pidx_b, kzg).prove()
+        assert proof_a.witness_commitments == proof_b.witness_commitments
+        assert (proof_a.gate_zerocheck.challenges[0]
+                != proof_b.gate_zerocheck.challenges[0])
+
+    def test_proof_checked_against_another_same_shape_index_rejected(self):
+        a, b = self.two_wirings()
+        kzg, pidx_a, vidx_a = setup(a)
+        _, _, vidx_b = setup(b)
+        proof = HyperPlonkProver(a, pidx_a, kzg).prove()
+        HyperPlonkVerifier(Fr, vidx_a, kzg).verify(proof)
+        with pytest.raises(HyperPlonkError):
+            HyperPlonkVerifier(Fr, vidx_b, kzg).verify(proof)
 
     def test_wrong_index_rejected(self):
         _, circuit = vanilla_circuit()

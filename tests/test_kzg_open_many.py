@@ -56,7 +56,7 @@ def srs():
 def tree_points(rho):
     """Four points over two levels of shared prefixes: all share the
     empty one, the second and fourth share ``(0,)`` as well.  (The
-    prover's own calls share the empty prefix only, see the last test.)"""
+    prover's own two walks are the last two tests.)"""
     return [
         list(rho) + [1],
         [0] + list(rho),
@@ -90,21 +90,38 @@ class TestOpenMany:
         assert (opening.value, opening.quotients) == (42, ())
         assert kzg.verify(kzg.commit(constant), opening)
 
-    def test_tree_points_cost_one_top_quotient_and_three_second(self, srs, rng):
-        f = DenseMLE.random(Fr, MU + 1, rng)
-        rho = [rng.randrange(2, P) for _ in range(MU)]
-        counting = CountingKZG(srs)
-        counting.open_many(f, tree_points(rho))
-        # prefix (): once; prefixes (rho_1), (0), (1): p1 and root share (0)
-        assert counting.commit_sizes[1 << MU] == 1
-        assert counting.commit_sizes[1 << (MU - 1)] == 3
-        assert counting.open_calls == 4  # still attributed to open(), per point
+    def test_blend_pair_shares_every_quotient_and_pi_pair_the_first(
+            self, srs, rng):
+        """The prover's two walks over a μ-variable polynomial.  h at
+        (ρ′, 0) and (ρ′, 1) differ in the last coordinate only, so its μ
+        quotients are made once and both openings carry the same tuple;
+        π at ρ and at the root point (1, …, 1, 0) part at the first
+        coordinate and share q₁ alone."""
+        mu = MU + 1
+        h = DenseMLE.random(Fr, mu, rng)
+        rho = [rng.randrange(2, P) for _ in range(mu)]
+        # quotient i has 2^(μ-1-i) entries; the last is a generator multiple
+        sizes = [1 << (mu - 1 - i) for i in range(mu - 1)]
+
+        blend = CountingKZG(srs)
+        low, high = blend.open_many(h, [rho[1:] + [0], rho[1:] + [1]])
+        assert low.quotients == high.quotients and len(low.quotients) == mu
+        assert blend.commit_sizes == Counter(sizes)
+        assert (low.value, high.value) == (
+            h.evaluate(rho[1:] + [0]), h.evaluate(rho[1:] + [1]))
+
+        pi = CountingKZG(srs)
+        at_rho, at_root = pi.open_many(h, [rho, [1] * (mu - 1) + [0]])
+        assert at_rho.quotients[0] == at_root.quotients[0]
+        assert all(a != b for a, b in zip(at_rho.quotients[1:],
+                                          at_root.quotients[1:]))
+        assert pi.commit_sizes == Counter(sizes + sizes[1:])
+        assert blend.open_calls == pi.open_calls == 2  # per point, still
 
         unshared = CountingKZG(srs)
-        for point in tree_points(rho):
-            unshared.open(f, point)
-        assert unshared.commit_sizes[1 << MU] == 4
-        assert unshared.commit_sizes[1 << (MU - 1)] == 4
+        for point in (rho[1:] + [0], rho[1:] + [1]):
+            unshared.open(h, point)
+        assert unshared.commit_sizes == Counter(sizes + sizes)
 
     def test_memo_does_not_outlive_the_call_or_leak_across_polynomials(self, srs, rng):
         f = DenseMLE.random(Fr, MU + 1, rng)
@@ -137,10 +154,10 @@ class TestOpenMany:
 
 def test_prover_opens_the_tree_through_open_many():
     """End to end: five openings, all of μ-variable polynomials — the
-    combined one, π twice and the blend h = (1 - ρ_μ)·φ + ρ_μ·π twice —
-    each pair sharing its 2^(μ-1)-point top quotient, and the proof is
-    the unshared one.  The SRS has μ variables: nothing is committed or
-    opened at arity μ+1."""
+    combined one, π twice and the blend h = (1 - ρ_1)·φ + ρ_1·π twice.
+    π's pair shares its 2^(μ-1)-point top quotient, h's pair every
+    quotient, and the proof is the unshared one.  The SRS has μ
+    variables: nothing is committed or opened at arity μ+1."""
     srs = TrapdoorSRS(MU, random.Random(0x0BE7))
     circuit = synthesize_circuit(VANILLA, MU, witness_seed=11)
     plain = MultilinearKZG(srs)
@@ -152,17 +169,21 @@ def test_prover_opens_the_tree_through_open_many():
     assert [mle.num_vars for mle in counting.opened] == [MU] * 5
     assert pi is pi_again and blend is blend_again and pi is not blend
     assert plain.commit(pi) == proof.prod_commitment
-    rho_last = proof.perm_zerocheck.challenges[-1]
+    rho_first = proof.perm_zerocheck.challenges[0]
     assert plain.commit(blend) == Commitment.combine(
-        [1 - rho_last, rho_last], [proof.phi_commitment, proof.prod_commitment]
+        [1 - rho_first, rho_first], [proof.phi_commitment, proof.prod_commitment]
     )
+    openings = proof.tree_openings
+    assert openings["p1"].quotients == openings["p2"].quotients
+    assert openings["pi"].quotients[0] == openings["root"].quotients[0]
     # witness/phi/pi commits have these sizes too, so count against a
     # prover whose open_many opens point by point
     unshared = CountingKZG(srs)
     unshared.open_many = lambda mle, points: [unshared.open(mle, p) for p in points]
     assert HyperPlonkProver(circuit, pidx, unshared).prove() == proof
-    # one top quotient saved per open_many, nothing below it: π's two
-    # points part at the first coordinate and so do h's (0 / 1)
+    # π saves its top quotient; h saves every quotient MSM of its second
+    # opening, from the top one down to two points
     saved = unshared.commit_sizes - counting.commit_sizes
-    assert saved == Counter({1 << (MU - 1): 2})
+    assert saved == Counter({1 << (MU - 1): 2}) + Counter(
+        1 << j for j in range(1, MU - 1))
     HyperPlonkVerifier(Fr, vidx, plain).verify(proof)

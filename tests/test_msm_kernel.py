@@ -43,7 +43,7 @@ from repro.curves.msm import (
     STRAUS_MAX_TERMS,
     WNAF_WIDTH,
     ResidentBases,
-    _wnaf,
+    _place_wnaf,
     msm_jacobian,
 )
 from repro.fields import FR_MODULUS as R
@@ -178,7 +178,21 @@ class TestDifferential:
         assert jac.scalar_mul(0).z == 0
 
 
+def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
+    """The digits ``_place_wnaf`` recodes ``k`` into, as (position,
+    digit), read back off a schedule it fills from a table whose entry
+    for |d| is (|d|, 1, -|d|): x names the digit, y = 1 or -1 its sign."""
+    modulus = 1 << 20
+    table = [(2 * j + 1, 1, -(2 * j + 1)) for j in range(1 << (width - 2))]
+    schedule = [[] for _ in range(k.bit_length() + 1)]
+    _place_wnaf(schedule, k, table, width, 0, modulus)
+    return [(pos, x if y == 1 else -x)
+            for pos, row in enumerate(schedule) for x, y in row]
+
+
 class TestWnaf:
+    """The recoding folded into ``_place_wnaf``."""
+
     @pytest.mark.parametrize("width", [3, WNAF_WIDTH, RESIDENT_WIDTH])
     @pytest.mark.parametrize("k", [k for k in EDGE_SCALARS if k] + [0x5555 << 100])
     def test_digits_recompose_and_are_sparse(self, k, width):
@@ -193,6 +207,19 @@ class TestWnaf:
         """The schedule's last row: position = bit length."""
         k = (1 << 127) - 1
         assert _wnaf(k, width) == [(0, -1), (127, 1)]
+
+    def test_coord_picks_the_x_a_digit_places(self):
+        table = [(2 * j + 1, 1, -(2 * j + 1)) for j in range(4)]
+        schedule = [[] for _ in range(12)]
+        _place_wnaf(schedule, 0b101_0000_0011, table, 4, 2, 1 << 20)
+        assert [row for row in schedule if row] == [[(-3, 1)], [(-5, 1)]]
+        assert [pos for pos, row in enumerate(schedule) if row] == [0, 8]
+
+    def test_infinity_entries_place_nothing(self):
+        """35 = 3 + 1·2^5: the digit 3 places, the digit 1 reads ∞."""
+        schedule = [[] for _ in range(7)]
+        _place_wnaf(schedule, 35, [None, (3, 1, 3)], 3, 0, 1 << 20)
+        assert schedule == [[(3, 1)], [], [], [], [], [], []]
 
 
 #: on the curve, of order 3: in the cofactor torsion, outside G1
@@ -434,6 +461,78 @@ def _order(pt):
                 if msm_naive([n], [pt]).inf)
 
 
+#: scalars whose GLV k₂ half is nonzero (its top wNAF digit on the
+#: schedule's last row for the last), and their neighbours
+PHI_SCALARS = [
+    G1_LAMBDA - 1, G1_LAMBDA, G1_LAMBDA + 1, (1 << 128) - 1, R - 1,
+    ((1 << 127) - 1) * G1_LAMBDA, ((1 << 127) - 1) * (G1_LAMBDA + 1),
+]
+
+
+@pytest.fixture
+def coords(monkeypatch):
+    """The ``coord`` of every ``_place_wnaf`` call: 2 reads β·x."""
+    seen = []
+    real = msm_module._place_wnaf
+
+    def place(schedule, k, table, width, coord, p):
+        if k:
+            seen.append(coord)
+        return real(schedule, k, table, width, coord, p)
+
+    monkeypatch.setattr(msm_module, "_place_wnaf", place)
+    return seen
+
+
+class TestPhiEntries:
+    """Resident and comb entries carry φ's x-coordinate β·x, which the
+    k₂ half of a GLV split reads instead of multiplying per digit."""
+
+    def test_resident_k2_halves_read_phi_x(self, points, coords):
+        bases = ResidentBases(points[:3])
+        for k in PHI_SCALARS:
+            scalars = [k, R - k, k ^ 0xF0F0]
+            assert msm_pippenger(scalars, bases) == msm_naive(scalars, bases)
+        assert 2 in coords and 0 in coords
+
+    def test_unchecked_points_over_srs_bases_never_read_phi_x(self, coords):
+        srs = TrapdoorSRS(2, random.Random(0xB7))
+        bases = srs.bases(2)
+        for k in PHI_SCALARS:
+            scalars = [k, k + 3, R - k, 5]
+            got = msm_jacobian(G1, scalars, bases, in_subgroup=False)
+            assert got.to_affine() == msm_naive(scalars, bases)
+        assert bases._tables is not None and set(coords) == {0}
+
+    def test_curve_without_endomorphism_carries_x_itself(self, points, coords):
+        plain = ShortWeierstrassCurve(G1.field, G1.a, G1.b, G1.order, "G1, no GLV")
+        bases = ResidentBases(plain.affine(pt.x, pt.y) for pt in points[:2])
+        scalars = PHI_SCALARS[-2:]
+        got = msm_pippenger(scalars, bases)
+        expected = msm_naive(scalars, points[:2])
+        assert (got.x, got.y) == (expected.x, expected.y)
+        assert all(e[2] == e[0] for row in bases.odd_multiples() for e in row)
+        assert set(coords) == {0}
+
+    @pytest.mark.parametrize("window_bits", [1, 3, 8, 9])
+    def test_comb_entries_and_k2_halves(self, points, window_bits):
+        table = FixedBaseTable(points[3], window_bits=window_bits)
+        for x, y, bx in table.rows[0][:2] + table.rows[0][-1:]:
+            entry = G1.affine(x, y)
+            assert G1.affine(bx, y) == msm_naive([G1_LAMBDA], [entry])
+        for k in PHI_SCALARS:
+            assert table.scalar_mul(k) == msm_naive([k], [points[3]])
+
+    def test_generator_comb_k2_halves(self):
+        comb = generator_table()
+        for k in PHI_SCALARS:
+            assert comb.scalar_mul(k) == msm_naive([k], [G1_GENERATOR])
+
+    def test_comb_needs_fewer_window_bits_than_columns(self, points):
+        with pytest.raises(ValueError, match="below the 11 columns"):
+            FixedBaseTable(points[0], window_bits=12)
+
+
 class TestResidentBases:
     """The odd-multiple tables an SRS arity keeps between MSMs."""
 
@@ -472,10 +571,14 @@ class TestResidentBases:
         assert bases._tables is not None
 
     def test_table_entries_are_the_odd_multiples(self, points):
+        """(x, y) is (2i+1)·B and (β·x, y) is φ of it, λ·(2i+1)·B."""
         bases = ResidentBases(points[:2])
         for pt, row in zip(bases, bases.odd_multiples()):
-            assert [G1.affine(*e) for e in row] == [
+            assert [G1.affine(x, y) for x, y, _ in row] == [
                 msm_naive([2 * i + 1], [pt]) for i in range(len(row))]
+            assert [G1.affine(bx, y) for _, y, bx in row] == [
+                msm_naive([G1_LAMBDA * (2 * i + 1)], [pt])
+                for i in range(len(row))]
 
     def test_small_order_bases_on_the_toy_curve(self, toy):
         """No endomorphism, a ≠ 0, and bases whose odd multiples are
@@ -660,14 +763,18 @@ def test_three_point_pool_collides_in_every_round(terms, window_bits):
 #: the (μ+1)-variable tree, and the root is opened on π), the SRS draws
 #: its secrets last variable first, and the circuit grew from μ=4 to μ=5
 #: so that a proof still mixes comb and resident-table commits now that
-#: its largest arity is μ.  Across kernels they must not move.
+#: its largest arity is μ.  Re-pinned again when the transcript began to
+#: absorb the index commitments (every challenge moved) and the tree took
+#: its first-variable-first layout; the quotient is now π's last at ρ_p
+#: (the root opening's last is 1 - root = 0, the point at infinity).
+#: Across kernels they must not move.
 PINNED_PHI_X = (
-    "0x35906939b83896afc6261958f8afd9ddd24d0a8dbd639aaa"
-    "b12c76c57cee302b68f71849e619c3a53230f2acff8d875"
+    "0xd44a0b27bedf72be3f4e4c8cd6ff1b24496bbade85298ce8"
+    "d3e2c40a2fac2567047576dbf318717ae6d66c3d7f00980"
 )
 PINNED_QUOTIENT_X = (
-    "0xf87c8b4c1101deddde2daedf69ccad5313d8e58ac607463e"
-    "4e8d519d3edbc1a4db08371b2e956a451ffffe014c7257a"
+    "0xbbfdb2d6b7874881a08bbaa38b9f63c470f9f334bea55e19"
+    "1d5dcd18052d4a9db6d11bef868b6d2df673bc5fe09fc5b"
 )
 
 
@@ -690,5 +797,5 @@ def test_jellyfish_proof_is_the_same_with_and_without_tables():
         assert built == ({5} if fixed_base else {1, 2, 3, 4, 5})
     assert proofs[0] == proofs[1]
     assert hex(proofs[0].phi_commitment.point.x) == PINNED_PHI_X
-    last_quotient = proofs[0].tree_openings["root"].quotients[-1]
+    last_quotient = proofs[0].tree_openings["pi"].quotients[-1]
     assert hex(last_quotient.x) == PINNED_QUOTIENT_X

@@ -242,7 +242,7 @@ class TestPublicKZGVerification:
 
     def test_blended_commitment_opening_agrees_with_verify(self, kzg):
         """The product tree's p1/p2 claims are openings of
-        h = (1 - ρ_μ)·φ + ρ_μ·π, checked against the same combination of
+        h = (1 - ρ_1)·φ + ρ_1·π, checked against the same combination of
         the two commitments in the proof.  That homomorphic combine is
         all a public verifier does beyond a plain opening check, and the
         pairing agrees with the trapdoor on it — both ways."""
@@ -253,9 +253,9 @@ class TestPublicKZGVerification:
         circuit = synthesize_circuit(VANILLA, 2, witness_seed=19)
         pidx, _ = preprocess(circuit, kzg)
         proof = HyperPlonkProver(circuit, pidx, kzg).prove()
-        rho_last = proof.perm_zerocheck.challenges[-1]
+        rho_first = proof.perm_zerocheck.challenges[0]
         blend = Commitment.combine(
-            [1 - rho_last, rho_last],
+            [1 - rho_first, rho_first],
             [proof.phi_commitment, proof.prod_commitment],
         )
         opening = proof.tree_openings["p1"]
