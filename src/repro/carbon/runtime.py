@@ -190,12 +190,10 @@ class CarbonRuntime:
                 self._resume(node, suspended[0])
             # else: stay parked; the next finish/suspend re-arms us
             return
-        job, hold = self.select_job(
-            node, now_s=now, respect_arrivals=engine.respect
-        )
+        job, hold = self.select_job(node, now_s=now)
         if job is None:
             return
-        ready = max(node.clock_s, job.arrival_s if engine.respect else 0.0)
+        ready = max(node.clock_s, job.arrival_s)
         if hold is not None and hold > now:
             if self._note_choice(
                 node, job, "hold", round(hold, 9), until_s=round(hold, 6)
@@ -233,7 +231,7 @@ class CarbonRuntime:
                 node = nodes[node_id]
                 if node.down or node.in_flight is not None:
                     continue
-                head = node.peek_next(respect_arrivals=engine.respect)
+                head = node.peek_next()
                 if head is None and not node.suspended_ids:
                     continue
                 is_realtime = (
@@ -253,7 +251,7 @@ class CarbonRuntime:
         """Start ``job`` on ``node``, recording a queue-reordering pick
         (edd / skip-ahead) if one happened — starting the queue head is
         not a decision."""
-        head = node.peek_next(respect_arrivals=self._engine.respect)
+        head = node.peek_next()
         if head is not None and head.job_id != job.job_id:
             self._note_choice(node, job, "skip_ahead")
         self._active.add(job.job_id)
@@ -436,9 +434,7 @@ class CarbonRuntime:
             return None
         return start
 
-    def select_job(
-        self, node, *, now_s: float, respect_arrivals: bool
-    ) -> tuple[ProofJob | None, float | None]:
+    def select_job(self, node, *, now_s: float) -> tuple[ProofJob | None, float | None]:
         """``(job to start next, hold-until time or None)`` for a node.
 
         * ``edd`` — earliest absolute deadline first (deadline-less
@@ -450,7 +446,7 @@ class CarbonRuntime:
           hold fires earliest.
         * ``none`` — plain queue order (cap-only runs land here).
         """
-        jobs = node.pending_jobs(respect_arrivals=respect_arrivals)
+        jobs = node.pending_jobs()
         if not jobs:
             return None, None
         if self.policy == "edd":
@@ -469,8 +465,7 @@ class CarbonRuntime:
             best: tuple[float, int, ProofJob] | None = None
             for job in jobs:
                 # the engine's earliest-start rule, never before now
-                arrival = job.arrival_s if respect_arrivals else 0.0
-                t0 = max(node.clock_s, arrival, now_s)
+                t0 = max(node.clock_s, job.arrival_s, now_s)
                 hold = self.hold_until(job, t0)
                 if hold is None:
                     return job, None

@@ -13,7 +13,8 @@ drain**, executed on the :mod:`repro.sim` discrete-event engine:
   :class:`SimIndexCache`, a model-time clock, crash/recover state, and
   (in execute mode) a private real proving service per node;
 * :mod:`repro.cluster.engine` — :class:`ClusterEngine`: the event loop
-  interleaving job completions, churn, retries, and autoscaler ticks;
+  interleaving arrivals, job completions, churn, retries, and autoscaler
+  ticks;
 * :mod:`repro.cluster.autoscale` — :class:`AutoscalePolicy`: fleet
   sizing from the plan-predicted backlog signal;
 * :mod:`repro.cluster.timemodel` — :class:`FleetTimeModel`: plan-priced
@@ -22,7 +23,9 @@ drain**, executed on the :mod:`repro.sim` discrete-event engine:
   throughput, load imbalance, install share, cache locality, shape
   spread, deadline misses, retry latency, resilience counters;
 * :mod:`repro.cluster.core` — :class:`ProvingCluster` tying it together
-  (``run`` for failure-free drains, ``run_scenario`` for churn).
+  (``run`` for the closed batch, ``run_scenario`` for churn and the
+  resilience section; both route each job at its ``arrival_s``, so a
+  stream with every arrival zero is an arrivals-ignored batch).
 
 Demo CLI: ``python -m repro.cluster --scenario zipf-mixed --nodes 1,2,4``
 (also installed as ``repro-cluster``; add ``--churn-rate 0.2`` for the

@@ -9,15 +9,16 @@ private :class:`~repro.service.ProvingService` stacks, so cache hit
 rates and preprocess seconds in the summary are measured, not modelled.
 
 Every run is executed by the discrete-event
-:class:`~repro.cluster.engine.ClusterEngine` on :mod:`repro.sim`:
-:meth:`ProvingCluster.run` / :meth:`drain` is the failure-free drain of
-pre-routed jobs, and :meth:`run_scenario` is the failure-aware path —
-jobs submitted at their arrival times, node churn from a seeded trace,
-deterministic retry/requeue that excludes the failed node, and optional
-plan-cost-driven autoscaling (:class:`~repro.cluster.autoscale.\
-AutoscalePolicy`).
+:class:`~repro.cluster.engine.ClusterEngine` on :mod:`repro.sim`, which
+routes each job at its ``arrival_s``.  :meth:`ProvingCluster.run` is the
+closed batch — no churn, and a summary without a resilience section —
+and :meth:`run_scenario` is the failure-aware path: node churn from a
+seeded trace, deterministic retry/requeue that excludes the failed node,
+optional plan-cost-driven autoscaling (:class:`~repro.cluster.autoscale.\
+AutoscalePolicy`), and the resilience section in :meth:`summary`.  To
+ignore arrivals, hand either one a stream with every ``arrival_s`` zero.
 
-Nodes can be added or removed between drains; the affinity policy's
+Nodes can be added or removed between runs; the affinity policy's
 consistent-hash ring then moves only the ~K/N fingerprints that land on
 the changed node, so warm caches elsewhere survive rebalancing.
 """
@@ -55,9 +56,6 @@ class ClusterConfig:
     node: NodeConfig = dc_field(default_factory=NodeConfig)
     #: prove for real through per-node services (slower, measured)
     execute: bool = False
-    #: make node clocks wait for model-time arrivals instead of running
-    #: saturated (throughput numbers then measure offered load)
-    respect_arrivals: bool = False
     #: virtual points per node on the affinity hash ring
     replicas: int = DEFAULT_REPLICAS
     #: crash-retry budget per job in :meth:`ProvingCluster.run_scenario`
@@ -107,7 +105,7 @@ class ProvingCluster:
         #: resilience section of the last scenario run (None = none ran)
         self.resilience: dict | None = None
         #: structured event log of the last run (shared fleet schema;
-        #: None until a drain or scenario ran)
+        #: None until one ran)
         self.events: EventLog | None = None
         #: carbon runtime of the last run (None until one ran with a
         #: ``config.carbon``); holds joule/gram accounting and counters
@@ -139,11 +137,12 @@ class ProvingCluster:
                 f"node {node_id!r} still has {node.pending} pending jobs; "
                 "drain before removing it"
             )
+        node.flush_service()  # execute mode: prove its backlog first
         self.router.remove_node(node_id)
         node.close()
         self._retired.append(self.nodes.pop(node_id))
 
-    # -- submission / draining ----------------------------------------------
+    # -- running ------------------------------------------------------------
     def check_fits(self, job: ProofJob) -> None:
         """Reject circuits larger than the per-node SRS allows."""
         max_vars = self.config.node.max_vars
@@ -159,29 +158,14 @@ class ProvingCluster:
         self._next_id += 1
         return job_id
 
-    def submit(self, job: ProofJob) -> str:
-        """Route one job; returns the chosen node id."""
-        self.check_fits(job)
-        job.job_id = self.next_job_id()
-        node_id = self.router.assign(job)
-        self.nodes[node_id].submit(job)
-        return node_id
-
-    def drain(self) -> list[JobRecord]:
-        """Drain every node; returns this wave's records in finish order."""
-        engine = ClusterEngine(
-            self, respect_arrivals=self.config.respect_arrivals
-        )
-        records = engine.run_wave()
-        self.events = engine.events
-        self.carbon = engine.carbon
-        return records
-
     def run(self, jobs: list[ProofJob]) -> list[JobRecord]:
-        """Submit and drain a whole job stream (failure-free)."""
-        for job in jobs:
-            self.submit(job)
-        return self.drain()
+        """Closed batch: route each job at its ``arrival_s``, no churn.
+
+        Returns this run's records in finish order; the summary gains no
+        resilience section (:meth:`run_scenario` adds one).  Nodes keep
+        their clocks and caches across runs.
+        """
+        return self._run(jobs, ()).records
 
     def run_scenario(
         self,
@@ -189,22 +173,16 @@ class ProvingCluster:
         *,
         churn: Iterable[ChurnEvent] = (),
     ) -> list[JobRecord]:
-        """Failure-aware run: arrival-driven submission, churn, retries.
+        """Failure-aware run: arrival-driven routing, churn, retries.
 
-        Jobs are routed at their ``arrival_s`` (arrivals are always
-        respected here); the churn trace crashes and recovers nodes by
-        initial index; ``config.max_retries`` bounds per-job crash
-        retries and ``config.autoscale`` (if set) resizes the fleet.
-        Completed records are returned; dropped jobs land in
-        :attr:`failed_jobs` and the run's failure/autoscale accounting
-        in :attr:`resilience` (both folded into :meth:`summary`).
+        The churn trace crashes and recovers nodes by initial index;
+        ``config.max_retries`` bounds per-job crash retries and
+        ``config.autoscale`` (if set) resizes the fleet.  Completed
+        records are returned; dropped jobs land in :attr:`failed_jobs`
+        and the run's failure/autoscale accounting in :attr:`resilience`
+        (both folded into :meth:`summary`).
         """
-        for job in jobs:
-            self.check_fits(job)
-        engine = ClusterEngine(self, respect_arrivals=True)
-        records = engine.run_scenario(jobs, churn=churn)
-        self.events = engine.events
-        self.carbon = engine.carbon
+        engine = self._run(jobs, churn)
         stats = engine.stats.as_dict()
         if self.resilience is None:
             self.resilience = stats
@@ -216,12 +194,35 @@ class ProvingCluster:
             merged["autoscale"]["scale_outs"] += stats["autoscale"]["scale_outs"]
             merged["autoscale"]["scale_ins"] += stats["autoscale"]["scale_ins"]
             merged["autoscale"]["actions"].extend(stats["autoscale"]["actions"])
-        return records
+        return engine.records
+
+    def _run(self, jobs: list[ProofJob], churn: Iterable[ChurnEvent]) -> ClusterEngine:
+        for job in jobs:
+            self.check_fits(job)
+        self._flush()  # one run's execute-mode waves never mix with the next's
+        engine = ClusterEngine(self)
+        engine.run(jobs, churn=churn)
+        self.events = engine.events
+        self.carbon = engine.carbon
+        return engine
 
     # -- reporting / lifecycle ----------------------------------------------
+    def _flush(self) -> None:
+        """Execute mode: really prove every model-completed job.
+
+        Proving waits until results or the summary are read (or a node
+        leaves, or the next run starts), so each node's service replays
+        its jobs in ``wave_s`` windows of the ``arrival_s`` they carry
+        then — :func:`repro.fleet.scenario.run` zeroes arrivals only for
+        the model run of an arrivals-ignored batch.
+        """
+        for node_id in sorted(self.nodes):
+            self.nodes[node_id].flush_service()
+
     @property
     def results(self) -> list[ProofResult]:
         """Execute-mode proof results across all nodes (drain order)."""
+        self._flush()
         out: list[ProofResult] = []
         for node in self._all_nodes():
             out.extend(node.results)
@@ -233,6 +234,7 @@ class ProvingCluster:
 
     def summary(self) -> dict:
         """One dict of model/cache/routing (and resilience) metrics."""
+        self._flush()
         return cluster_summary(
             self._all_nodes(),
             self.records,
@@ -240,7 +242,12 @@ class ProvingCluster:
             time_model=self.time_model.name,
             failed_jobs=self.failed_jobs,
             resilience=self.resilience,
-            deadlines=self.config.respect_arrivals or self.resilience is not None,
+            # deadlines mean something once arrivals are paced: after a
+            # scenario run, or when any job arrived after t=0
+            deadlines=(
+                self.resilience is not None
+                or any(record.arrival_s for record in self.records)
+            ),
             carbon=(
                 self.carbon.as_dict(self.records, self._all_nodes())
                 if self.carbon is not None

@@ -3,18 +3,16 @@
 :class:`ClusterEngine` drives every :class:`~repro.cluster.core.\
 ProvingCluster` run through one :class:`~repro.sim.Simulator`, so job
 completions, node crashes, recoveries, retries, and autoscaler ticks
-interleave on a single deterministic model-time axis:
-
-* :meth:`run_wave` — the failure-free drain: every pre-routed pending
-  job is processed per node in ``(arrival, job_id)`` order.  This is
-  event-scheduled but arithmetically identical to the pre-engine
-  sequential drain, so ``BENCH_cluster.json`` numbers are unchanged
-  (``tests/test_cluster.py`` holds the sim/execute equality).
-* :meth:`run_scenario` — the failure-aware run: jobs are *submitted at
-  their arrival times* and routed on arrival; a churn trace
-  (:mod:`repro.workloads.churn`) crashes and recovers nodes mid-stream;
-  an optional :class:`~repro.cluster.autoscale.AutoscalePolicy` resizes
-  the fleet from the plan-predicted backlog signal.
+interleave on a single deterministic model-time axis.  :meth:`run` is
+its one entry point: every job is *submitted at its arrival time* and
+routed on arrival; a churn trace (:mod:`repro.workloads.churn`) crashes
+and recovers nodes mid-stream; an optional
+:class:`~repro.cluster.autoscale.AutoscalePolicy` resizes the fleet from
+the plan-predicted backlog signal.  A node starts a job at ``max(node
+clock, arrival, now)``, so no start lands before the model time it
+fires at.  A closed batch with arrivals ignored is simply a stream whose
+``arrival_s`` are all zero: every job is routed at t=0, in job order,
+before any finish.
 
 Failure semantics: a crash loses the node's *in-flight* job (the lost
 model seconds are accounted), cold-starts its index cache, and takes
@@ -75,7 +73,7 @@ PRIO_TICK = 4
 class ClusterEngine(Dispatcher):
     """One event-driven cluster run; see the module docstring."""
 
-    def __init__(self, cluster: "ProvingCluster", *, respect_arrivals: bool = False):
+    def __init__(self, cluster: "ProvingCluster"):
         self.sim = Simulator()
         # the structured JSONL event log runs on the model clock (shared
         # schema with the real fleet — see :mod:`repro.sim.events`)
@@ -86,14 +84,12 @@ class ClusterEngine(Dispatcher):
             cluster.config.max_retries,
         )
         self.cluster = cluster
-        self.respect = respect_arrivals
         self.records: list[JobRecord] = []
         self._start_handles: dict[str, EventHandle] = {}
         self._finish_handles: dict[str, EventHandle] = {}
         self._cancellable: list[EventHandle] = []
         self._tick_handle: EventHandle | None = None
         self._total_jobs = 0
-        self._scenario = False
         #: the start gate and the observers (module docstring); all None
         #: unless ``config.carbon`` or the open-loop engine sets them
         self.gate = None
@@ -115,10 +111,10 @@ class ClusterEngine(Dispatcher):
         if self.gate is not None:
             self.gate.arm(node)
             return
-        job = node.peek_next(respect_arrivals=self.respect)
+        job = node.peek_next()
         if job is None:
             return
-        ready = max(node.clock_s, job.arrival_s if self.respect else 0.0)
+        ready = max(node.clock_s, job.arrival_s)
         if ready <= self.sim.now:
             self.begin(node, job)
         else:
@@ -137,18 +133,13 @@ class ClusterEngine(Dispatcher):
         if self.gate is not None:
             self.gate.arm(node)
         else:
-            self.begin(node, node.peek_next(respect_arrivals=self.respect))
+            self.begin(node, node.peek_next())
 
     def begin(self, node: ProverNode, job: ProofJob | None) -> None:
         """Start ``job`` (any queued job of ``node``) now."""
         if job is None:
             return
-        flight = node.begin(
-            job,
-            self.sim.now,
-            self.time_model.price(job),
-            respect_arrivals=self.respect,
-        )
+        flight = node.begin(job, self.sim.now, self.time_model.price(job))
         self.finish_at(node, flight)
 
     def finish_at(self, node: ProverNode, flight: InFlightJob) -> None:
@@ -177,9 +168,8 @@ class ClusterEngine(Dispatcher):
         )
         if self.on_segment_end is not None:
             self.on_segment_end(flight, record.finish_s, False)
-        if self._scenario:
-            self.router.release(node.node_id, flight.prove_s)
-            self._check_done()
+        self.router.release(node.node_id, flight.prove_s)
+        self._check_done()
         self.kick(node)
         if self.gate is not None:
             self.gate.capacity_changed()
@@ -337,8 +327,6 @@ class ClusterEngine(Dispatcher):
             return
         # retire the newest idle node: scale-in unwinds scale-out
         node_id = max(idle, key=lambda n: int(n.rsplit("-", 1)[1]))
-        node = self.cluster.nodes[node_id]
-        node.flush_service()  # execute mode: prove its backlog first
         self.cluster.remove_node(node_id)
         self.events.emit("node_down", node_id=node_id, reason="scale_in")
         self.stats.scale_ins += 1
@@ -367,7 +355,7 @@ class ClusterEngine(Dispatcher):
 
     # -- entry points --------------------------------------------------------
     def _finalize(self) -> list[JobRecord]:
-        """Sort, record, and really prove (execute mode) this run's work."""
+        """Fail stranded work, sort and record this run's results."""
         for job in sorted(self._parked, key=arrival_order):
             self._fail(job)  # stranded: fleet was down to the end
         self._parked = []
@@ -384,35 +372,18 @@ class ClusterEngine(Dispatcher):
         self.records.sort(key=lambda r: (r.finish_s, r.job_id))
         self.cluster.records.extend(self.records)
         self.cluster.failed_jobs.extend(self.failed_jobs)
-        for node_id in sorted(self.cluster.nodes):
-            self.cluster.nodes[node_id].flush_service()
         return self.records
 
-    def run_wave(self) -> list[JobRecord]:
-        """Drain every pre-routed pending job (the failure-free path)."""
-        self._scenario = False
-        self._total_jobs = sum(
-            node.pending for node in self.cluster.nodes.values()
-        )
-        for node_id in sorted(self.cluster.nodes):
-            self.kick(self.cluster.nodes[node_id])
-        self.sim.run()
-        records = self._finalize()
-        for node_id in sorted(self.cluster.nodes):
-            self.router.release(node_id)
-        return records
-
-    def run_scenario(
+    def run(
         self,
         jobs: list[ProofJob],
         *,
         churn: Iterable[ChurnEvent] = (),
     ) -> list[JobRecord]:
-        """Arrival-driven run with churn, retries, and autoscaling.
+        """Route each job at its ``arrival_s``, under churn, retries and
+        autoscaling; returns the completed records in finish order.
 
-        Arrivals are always respected (jobs are routed at their
-        ``arrival_s``), so deadline accounting is meaningful.  The
-        churn trace addresses nodes by *initial* index; events for
+        The churn trace addresses nodes by *initial* index; events for
         nodes the autoscaler has retired are skipped.
         """
         self._total_jobs = len(jobs)
@@ -427,9 +398,7 @@ class ClusterEngine(Dispatcher):
         return self._finalize()
 
     def _start_streams(self, churn: Iterable[ChurnEvent]) -> None:
-        """Enter scenario mode: install the churn trace, arm the ticks."""
-        self._scenario = True
-        self.respect = True
+        """Install the churn trace and arm the autoscaler ticks."""
         self._cancellable.extend(
             install(
                 self.sim,

@@ -15,7 +15,7 @@
   *shape spread*: the mean number of nodes that saw each circuit
   structure (1.0 = perfect affinity, ≈N = every shape installed
   everywhere);
-* ``deadlines`` (arrival-respecting runs) — :func:`deadline_stats`:
+* ``deadlines`` (paced streams and scenario runs) — :func:`deadline_stats`:
   how many deadline-carrying jobs finished late, with dropped jobs
   counted as misses — the headline the resilience benchmark gates on;
 * ``retries`` / ``resilience`` (scenario runs) — :func:`retry_stats`

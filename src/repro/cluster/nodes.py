@@ -164,11 +164,10 @@ class ProverNode:
         self.results: list[ProofResult] = []
         self.in_flight: InFlightJob | None = None
         # pending queue: insertion-ordered dict (crash requeue order)
-        # plus a (key, job_id) heap for O(log q) peek/begin; heap
+        # plus an (arrival, job_id) heap for O(log q) peek/begin; heap
         # entries for started jobs are dropped lazily in peek_next
         self._pending: dict[int, ProofJob] = {}
         self._pending_heap: list[tuple[float, int]] = []
-        self._queue_respect = False
         #: jobs parked at a phase boundary, awaiting resume (by job id)
         self._suspended: dict[int, SuspendedFlight] = {}
         #: jobs completed in model time but not yet really proven
@@ -207,31 +206,15 @@ class ProverNode:
     def submit(self, job: ProofJob) -> None:
         """Queue ``job`` on this node (the router already chose it)."""
         self._pending[job.job_id] = job
-        arrival = job.arrival_s if self._queue_respect else 0.0
-        heapq.heappush(self._pending_heap, (arrival, job.job_id))
+        heapq.heappush(self._pending_heap, (job.arrival_s, job.job_id))
         self.shapes_seen.add(job.circuit_key)
 
     # -- event-engine primitives --------------------------------------------
-    def _rekey_queue(self, respect_arrivals: bool) -> None:
-        """Rebuild the queue heap under the other arrival mode.
-
-        The queue orders by ``(arrival, job_id)`` when arrivals are
-        respected and ``(0, job_id)`` otherwise; a run uses one mode
-        throughout, so this fires at most once per node per run.
-        """
-        self._queue_respect = respect_arrivals
-        self._pending_heap = [
-            (job.arrival_s if respect_arrivals else 0.0, job_id)
-            for job_id, job in self._pending.items()
-        ]
-        heapq.heapify(self._pending_heap)
-
-    def peek_next(self, *, respect_arrivals: bool = False) -> ProofJob | None:
-        """The queued job the node would start next (None if empty)."""
+    def peek_next(self) -> ProofJob | None:
+        """The queued job the node would start next: the earliest
+        ``(arrival, job_id)`` (None if empty)."""
         if not self._pending:
             return None
-        if respect_arrivals != self._queue_respect:
-            self._rekey_queue(respect_arrivals)
         heap = self._pending_heap
         pending = self._pending
         while heap:
@@ -242,7 +225,7 @@ class ProverNode:
             return job
         return None
 
-    def pending_jobs(self, *, respect_arrivals: bool = False) -> list[ProofJob]:
+    def pending_jobs(self) -> list[ProofJob]:
         """Every queued job in queue (start) order, without popping.
 
         The carbon policies scan this to reorder or skip ahead of the
@@ -251,8 +234,6 @@ class ProverNode:
         """
         if not self._pending:
             return []
-        if respect_arrivals != self._queue_respect:
-            self._rekey_queue(respect_arrivals)
         live = sorted(
             entry for entry in self._pending_heap if entry[1] in self._pending
         )
@@ -265,18 +246,14 @@ class ProverNode:
         return jobs
 
     def begin(
-        self,
-        job: ProofJob,
-        now_s: float,
-        price: tuple[float, float],
-        *,
-        respect_arrivals: bool = False,
+        self, job: ProofJob, now_s: float, price: tuple[float, float]
     ) -> InFlightJob:
         """Start proving ``job``: cache lookup, install-or-hit, timing.
 
-        ``start = max(node clock, arrival)`` (arrival counts as 0 when
-        arrivals are not respected); a sim-cache miss charges the
-        install of ``price`` — the job's ``(install_s, prove_s)`` from
+        ``start = max(node clock, arrival, now_s)``, so a start never
+        lands before the model time it fires at; a sim-cache miss
+        charges the install of ``price`` — the job's
+        ``(install_s, prove_s)`` from
         :meth:`~repro.cluster.timemodel.FleetTimeModel.price` — before
         its prove.  The caller schedules the finish event at
         ``in_flight.finish_s``.
@@ -285,18 +262,15 @@ class ProverNode:
             raise RuntimeError(f"node {self.node_id} is down")
         if self.in_flight is not None:
             raise RuntimeError(f"node {self.node_id} is already proving")
-        if respect_arrivals != self._queue_respect:
-            self._rekey_queue(respect_arrivals)
         del self._pending[job.job_id]
-        arrival = job.arrival_s if respect_arrivals else 0.0
-        start = max(self.clock_s, arrival, now_s if respect_arrivals else 0.0)
+        start = max(self.clock_s, job.arrival_s, now_s)
         install, prove = price
         hit = self.sim_cache.lookup(job.circuit_key)
         if hit:
             install = 0.0
         self.in_flight = InFlightJob(
             job=job,
-            arrival_s=arrival,
+            arrival_s=job.arrival_s,
             start_s=start,
             finish_s=start + install + prove,
             install_s=install,

@@ -216,16 +216,17 @@ def batch_inverse(field: PrimeField, values: Sequence[int]) -> list[int]:
     """
     if not values:
         return []
+    p = field.modulus
     prefix = [0] * len(values)
     acc = 1
     for i, v in enumerate(values):
         if v == 0:
             raise ZeroDivisionError("batch_inverse: zero element")
         prefix[i] = acc
-        acc = acc * v % field.modulus
+        acc = acc * v % p
     inv_acc = field.inv(acc)
     out = [0] * len(values)
     for i in range(len(values) - 1, -1, -1):
-        out[i] = prefix[i] * inv_acc % field.modulus
-        inv_acc = inv_acc * values[i] % field.modulus
+        out[i] = prefix[i] * inv_acc % p
+        inv_acc = inv_acc * values[i] % p
     return out

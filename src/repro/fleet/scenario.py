@@ -10,17 +10,19 @@ exit status 2.  Messages name the CLI flag: each flag sets the field of
 the same name (``--churn-rate`` → ``churn_rate``), and the carbon flags
 set the :class:`~repro.carbon.CarbonConfig` fields.
 
-:func:`run` takes a scenario down one of four existing paths:
+:func:`run` takes a scenario down one of three existing paths:
 
-* the closed batch, :meth:`~repro.cluster.core.ProvingCluster.run`;
-* the failure-aware batch,
-  :meth:`~repro.cluster.core.ProvingCluster.run_scenario`, when churn
-  or autoscaling is set;
+* the simulated batch, :meth:`~repro.cluster.core.ProvingCluster.run`,
+  or :meth:`~repro.cluster.core.ProvingCluster.run_scenario` when churn
+  or autoscaling is set.  Both route each job at its ``arrival_s``; a
+  batch that is not failure-aware and does not respect arrivals is
+  handed its jobs with every ``arrival_s`` zero (deadlines untouched);
 * the open-loop path, :class:`~repro.traffic.OpenLoopEngine`;
 * the real fleet, :meth:`~repro.fleet.core.ProvingFleet.run`
-  (``runtime="fleet"``), which rejects the sim-only settings by name
-  and takes the fleet-only :class:`~repro.fleet.core.FleetConfig`
-  fields (heartbeats, timeouts, ``time_scale``) as keyword arguments.
+  (``runtime="fleet"``), which honours ``respect_arrivals`` itself,
+  rejects the sim-only settings by name and takes the fleet-only
+  :class:`~repro.fleet.core.FleetConfig` fields (heartbeats, timeouts,
+  ``time_scale``) as keyword arguments.
 
 :meth:`Scenario.as_dict` is the cell as plain JSON types: the block
 each ``BENCH_*`` record keeps next to the numbers one cell produced, and
@@ -223,14 +225,26 @@ def run(scenario: Scenario, *, runtime: str = "sim", **fleet) -> ScenarioResult:
     if runtime == "fleet":
         from repro.fleet.core import FleetConfig, ProvingFleet
 
-        real = ProvingFleet(FleetConfig(**config, **fleet))
+        real = ProvingFleet(
+            FleetConfig(**config, respect_arrivals=scenario.respect_arrivals, **fleet)
+        )
         records = real.run(jobs, churn=churn)
         return ScenarioResult(real.summary(), real.events, records, real.proofs)
     with ProvingCluster(_cluster_config(scenario, config)) as cluster:
         if scenario.failure_aware:
             records = cluster.run_scenario(jobs, churn=churn)
-        else:
+        elif scenario.respect_arrivals:
             records = cluster.run(jobs)
+        else:
+            # the model run ignores arrivals: every job arrives at t=0;
+            # execute mode's real replay still waves on the stream's own
+            # arrival times, so they are back before anything is proven
+            arrivals = [job.arrival_s for job in jobs]
+            for job in jobs:
+                job.arrival_s = 0.0
+            records = cluster.run(jobs)
+            for job, arrival_s in zip(jobs, arrivals):
+                job.arrival_s = arrival_s
         proofs = {result.job_id: result.proof for result in cluster.results}
         return ScenarioResult(cluster.summary(), cluster.events, records, proofs)
 
@@ -243,7 +257,6 @@ def _config_fields(scenario: Scenario, max_vars: int) -> dict:
         time_model=scenario.time_model,
         replicas=scenario.replicas,
         max_retries=scenario.max_retries,
-        respect_arrivals=scenario.respect_arrivals,
         node=NodeConfig(
             cache_capacity=scenario.cache_capacity,
             max_vars=max_vars,

@@ -82,7 +82,7 @@ class OpenLoopEngine(ClusterEngine):
         *,
         admission: AdmissionController | None = None,
     ):
-        super().__init__(cluster, respect_arrivals=True)
+        super().__init__(cluster)
         self.traffic = traffic
         self.admission = admission
         if admission is not None:

@@ -23,8 +23,15 @@ from repro.carbon import (
     NodePowerModel,
     node_watts,
 )
-from repro.cluster import ClusterConfig, FleetTimeModel, NodeConfig, ProvingCluster
+from repro.cluster import (
+    ClusterConfig,
+    ClusterEngine,
+    FleetTimeModel,
+    NodeConfig,
+    ProvingCluster,
+)
 from repro.cluster.nodes import ProverNode
+from repro.fleet.scenario import Scenario, run
 from repro.service.jobs import RequestClass
 from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EventLog
@@ -291,9 +298,7 @@ class TestSelectJob:
         jobs[0].deadline_s = 9.0
         jobs[1].deadline_s = 2.0
         jobs[2].deadline_s = None
-        job, hold = self._runtime("edd").select_job(
-            node, now_s=0.0, respect_arrivals=False
-        )
+        job, hold = self._runtime("edd").select_job(node, now_s=0.0)
         assert job is jobs[1] and hold is None
 
     def test_carbon_waiting_serves_realtime_first(self):
@@ -304,9 +309,7 @@ class TestSelectJob:
         jobs[0].request_class = RequestClass.DEFERRABLE
         jobs[1].request_class = RequestClass.DEFERRABLE
         jobs[2].request_class = RequestClass.REALTIME
-        job, hold = self._runtime("carbon_waiting").select_job(
-            node, now_s=0.0, respect_arrivals=False
-        )
+        job, hold = self._runtime("carbon_waiting").select_job(node, now_s=0.0)
         assert job is jobs[2] and hold is None
 
     def test_carbon_waiting_holds_deferrable_at_high_intensity(self):
@@ -322,7 +325,7 @@ class TestSelectJob:
             ),
             FleetTimeModel.preset("functional"),
         )
-        job, hold = runtime.select_job(node, now_s=0.0, respect_arrivals=False)
+        job, hold = runtime.select_job(node, now_s=0.0)
         assert job is jobs[0]
         assert hold is not None and 140.0 <= hold <= 160.0
         assert runtime.trace.intensity_at(hold) <= 200.0
@@ -483,3 +486,54 @@ class TestSuspendResume:
         assert carbon["carbon_per_proof_g"] > 0.0
         assert carbon["suspends"] == 1 and carbon["resumes"] == 1
         assert carbon["energy_lost_j"] == 0.0
+
+
+class TestClosedBatchUnderTheGate:
+    """Regression: a closed batch (every ``arrival_s`` zero) under a
+    power cap or carbon-waiting holds once computed a start from the
+    node clock alone, behind the model time it fired at, and the run
+    died with "cannot schedule into the past"."""
+
+    def _run(self, monkeypatch, scenario: Scenario):
+        """Run ``scenario``; returns its result and each job's model
+        time at the (last) moment the engine started it."""
+        fired: dict[int, float] = {}
+        begin = ClusterEngine.begin
+
+        def spy(engine, node, job):
+            if job is not None:
+                fired[job.job_id] = engine.sim.now
+            begin(engine, node, job)
+
+        monkeypatch.setattr(ClusterEngine, "begin", spy)
+        result = run(scenario)
+        assert len(result.records) == scenario.jobs
+        for record in result.records:
+            assert record.arrival_s == 0.0
+            assert record.start_s >= fired[record.job_id]
+        return result
+
+    @pytest.mark.parametrize("policy", ["none", "edd"])
+    def test_capped_batch_runs_to_completion(self, monkeypatch, policy):
+        carbon = CarbonConfig(CarbonIntensityTrace(seed=0), policy, power_cap_w=375.0)
+        result = self._run(
+            monkeypatch,
+            Scenario("uniform-small", 24, nodes=2, policy="round_robin", carbon=carbon),
+        )
+        assert result.summary["carbon"]["cap_deferrals"] >= 1
+
+    def test_held_batch_starts_no_job_before_its_hold_lifts(self, monkeypatch):
+        carbon = CarbonConfig(CarbonIntensityTrace(seed=1), "carbon_waiting")
+        result = self._run(
+            monkeypatch, Scenario("zipf-mixed", 64, nodes=3, carbon=carbon)
+        )
+        start = {record.job_id: record.start_s for record in result.records}
+        holds = [
+            event
+            for event in result.events
+            if event.kind == "scheduler_choice" and event.detail["action"] == "hold"
+        ]
+        assert holds
+        for hold in holds:
+            # until_s is rounded to 6 places in the event
+            assert start[hold.job_id] >= hold.detail["until_s"] - 1e-6

@@ -118,15 +118,20 @@ class TestClusterSimulation:
         assert summary["routing"]["shape_spread"] == 1.0
 
     def test_respect_arrivals_inserts_idle_time(self):
+        """Arrivals are a property of the stream: the same jobs with
+        every ``arrival_s`` zeroed run saturated, never slower."""
         _, jobs = stream(8)
+        for job in jobs:
+            job.arrival_s = 0.0
         with ProvingCluster(make_config(num_nodes=2)) as saturated:
             saturated.run(jobs)
             fast = saturated.summary()["model"]["makespan_s"]
+            assert "deadlines" not in saturated.summary()
         _, jobs = stream(8)
-        paced_config = make_config(num_nodes=2, respect_arrivals=True)
-        with ProvingCluster(paced_config) as paced:
+        with ProvingCluster(make_config(num_nodes=2)) as paced:
             paced.run(jobs)
             slow = paced.summary()["model"]["makespan_s"]
+            assert "deadlines" in paced.summary()
         assert slow >= fast
 
     def test_oversized_circuit_rejected(self):
@@ -136,7 +141,8 @@ class TestClusterSimulation:
         job.circuit.num_vars = 5  # forged: larger than the node SRS
         with ProvingCluster(config) as cluster:
             with pytest.raises(ValueError, match="exceeds"):
-                cluster.submit(job)
+                cluster.run([job])
+            assert cluster.records == []
 
     def test_membership_cycle(self):
         _, jobs = stream(8)
@@ -154,10 +160,12 @@ class TestClusterSimulation:
     def test_remove_with_pending_refused(self):
         _, jobs = stream(4)
         with ProvingCluster(make_config(num_nodes=1)) as cluster:
+            node = cluster.nodes["node-0"]
             for job in jobs:
-                node_id = cluster.submit(job)
+                job.job_id = cluster.next_job_id()
+                node.submit(job)
             with pytest.raises(ValueError, match="pending"):
-                cluster.remove_node(node_id)
+                cluster.remove_node("node-0")
 
     def test_time_model_presets(self):
         assert FleetTimeModel.preset("accelerator").name == "accelerator"

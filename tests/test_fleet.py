@@ -86,8 +86,11 @@ class TestParity:
             time_model="functional",
             node=NodeConfig(max_vars=generator.max_vars()),
         )
+        jobs = generator.jobs(8)
+        for job in jobs:
+            job.arrival_s = 0.0  # the fleet submits all at once by default
         with ProvingCluster(config) as cluster:
-            sim_records = cluster.run(generator.jobs(8))
+            sim_records = cluster.run(jobs)
         fleet = make_fleet(num_nodes=3, policy=policy)
         fleet_records = fleet.run(stream(8))
         sim_placement = {r.job_id: r.node_id for r in sim_records}

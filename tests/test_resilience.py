@@ -349,23 +349,24 @@ class TestOutstandingCost:
 
 
 class TestScenarioVsWave:
-    def test_calm_scenario_matches_arrival_respecting_run(self):
+    @pytest.mark.parametrize("policy", ["affinity", "round_robin", "least_loaded"])
+    def test_calm_scenario_matches_arrival_respecting_run(self, policy):
         """With no churn and no autoscaler, the scenario path reproduces
-        the failure-free drain's records exactly (affinity routing does
-        not depend on submission timing)."""
+        the closed batch's records exactly: both route each job when it
+        arrives, so even load-driven routing sees the same fleet."""
         generator = TrafficGenerator("zipf-mixed", seed=4)
         with make_cluster(
-            num_nodes=3, node=NodeConfig(max_vars=6)
+            num_nodes=3, policy=policy, node=NodeConfig(max_vars=6)
         ) as scenario_cluster:
             scenario_records = scenario_cluster.run_scenario(
                 generator.jobs(16), churn=()
             )
         generator = TrafficGenerator("zipf-mixed", seed=4)
         with make_cluster(
-            num_nodes=3, respect_arrivals=True, node=NodeConfig(max_vars=6)
-        ) as wave_cluster:
-            wave_records = wave_cluster.run(generator.jobs(16))
-        assert scenario_records == wave_records
+            num_nodes=3, policy=policy, node=NodeConfig(max_vars=6)
+        ) as batch_cluster:
+            batch_records = batch_cluster.run(generator.jobs(16))
+        assert scenario_records == batch_records
 
     def test_scenario_rejects_oversized_circuits_up_front(self):
         generator = TrafficGenerator("jellyfish-heavy", seed=0)
@@ -377,8 +378,12 @@ class TestScenarioVsWave:
             assert cluster.records == []
 
     def test_router_error_surfaces_outside_scenarios(self):
+        """The bare router raises on a fleet with every node down; a
+        closed batch parks the job and fails it when the run drains."""
         with make_cluster(num_nodes=1) as cluster:
             cluster.router.mark_down("node-0")
-            generator = TrafficGenerator("uniform-small", seed=0)
+            job = TrafficGenerator("uniform-small", seed=0).jobs(1)[0]
             with pytest.raises(NoRoutableNodeError):
-                cluster.submit(generator.jobs(1)[0])
+                cluster.router.assign(job)
+            assert cluster.run([job]) == []
+            assert cluster.failed_jobs == [job]

@@ -162,9 +162,9 @@ class TestSuspendResumeProperty:
         assert parked.start_s == baseline.start_s
         assert node.busy_s == pytest.approx(total)
         assert node.lost_s == 0.0
-        # every model second is either busy or parked wait
+        # every model second from the start is either busy or parked wait
         assert parked.finish_s == pytest.approx(
-            total + parked.suspended_s
+            parked.start_s + total + parked.suspended_s
         )
         assert parked.suspended_s >= 0.0
         if parks == 0:
