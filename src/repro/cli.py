@@ -239,7 +239,7 @@ def add_run_flags(
     add(
         "--respect-arrivals",
         action="store_true",
-        help="wait for each job's arrival time instead of running saturated",
+        help="keep arrival times, as failure-aware runs always do (default: saturated)",
     )
     add("--events", metavar="PATH", help="write the run's JSONL event log to PATH")
     add("--json", action="store_true", help="emit the raw summary as JSON")

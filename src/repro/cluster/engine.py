@@ -17,10 +17,11 @@ before any finish.
 Failure semantics: a crash loses the node's *in-flight* job (the lost
 model seconds are accounted), cold-starts its index cache, and takes
 its ring points away so only ~K/N fingerprints remap.  Routing, parking,
-requeues, retries and failures are the inherited
-:class:`~repro.cluster.records.Dispatcher` — the code the real fleet
-runs — so the same seed and trace give identical retry counts (and, in
-execute mode, identical proof bytes).  Jobs stranded with the whole
+requeues, retries, failures and a node's loss and return are the
+inherited :class:`~repro.cluster.records.Dispatcher` — the code the real
+fleet runs — so the same seed and trace give identical retry counts (and,
+in execute mode, identical proof bytes); the engine only cancels a lost
+node's armed events and flight first.  Jobs stranded with the whole
 fleet down at the end are *failed*, like retry-exhausted ones.
 
 Start gate.  By default an idle node starts the head of its queue as
@@ -212,37 +213,32 @@ class ClusterEngine(Dispatcher):
             if not node.down:
                 self._crash(node)
         elif node.down:
-            self._recover(node)
+            self.stats.recoveries += 1
+            self._revive(node, "recover")
 
     def _crash(self, node: ProverNode) -> None:
-        self.stats.crashes += 1
+        """Stop ``node``'s events and flight; the Dispatcher does the rest."""
         handle = self._start_handles.pop(node.node_id, None)
         if handle is not None:
             handle.cancel()
         if self.gate is not None:
             self.gate.node_down(node)
-        retry_job: ProofJob | None = None
+        lost = None
         if node.in_flight is not None:
             self.cancel_finish(node)
             if self.on_segment_end is not None:
                 self.on_segment_end(node.in_flight, self.sim.now, True)
-            retry_job, lost = node.abort(self.sim.now)
-            self.stats.lost_model_s += lost
-        requeued = node.crash(self.sim.now)
-        self.router.mark_down(node.node_id)
-        self.events.emit("node_down", node_id=node.node_id, reason="crash")
-        self._requeue(requeued)
-        if retry_job is not None:
-            self._lose(retry_job, node.node_id)
+            lost = node.abort(self.sim.now)
+        self._node_lost(node.node_id, "crash", node.crash(self.sim.now), lost)
         if self.gate is not None:
             self.gate.capacity_changed()
 
-    def _recover(self, node: ProverNode) -> None:
-        self.stats.recoveries += 1
+    def _revive(self, node: ProverNode, reason: str) -> None:
+        """Bring ``node`` back up (churn recovery or end of provisioning)."""
+        if self.cluster.nodes.get(node.node_id) is not node:
+            return  # retired before provisioning finished
         node.recover(self.sim.now)
-        self.router.mark_up(node.node_id)
-        self.events.emit("node_up", node_id=node.node_id, reason="recover")
-        self._unpark()
+        self._node_back(node.node_id, reason=reason)
         self.kick(node)
 
     # -- autoscaler ----------------------------------------------------------
@@ -297,21 +293,11 @@ class ClusterEngine(Dispatcher):
             self.router.mark_down(node_id)
             self.sim.schedule_after(
                 policy.provision_s,
-                lambda: self._provisioned(node),
+                lambda: self._revive(node, "scale_out"),
                 priority=PRIO_CHURN,
             )
         else:
-            self.events.emit("node_up", node_id=node_id, reason="scale_out")
-            self._unpark()
-
-    def _provisioned(self, node: ProverNode) -> None:
-        if self.cluster.nodes.get(node.node_id) is not node:
-            return  # retired before provisioning finished
-        node.recover(self.sim.now)
-        self.router.mark_up(node.node_id)
-        self.events.emit("node_up", node_id=node.node_id, reason="scale_out")
-        self._unpark()
-        self.kick(node)
+            self._node_back(node_id, reason="scale_out")
 
     def _scale_in(self, signal: float) -> None:
         policy = self.cluster.config.autoscale
@@ -364,9 +350,7 @@ class ClusterEngine(Dispatcher):
         stranded = []
         for node_id in sorted(self.cluster.nodes):
             stranded.extend(self.cluster.nodes[node_id].discard_suspended())
-        for flight in sorted(
-            stranded, key=lambda f: (f.job.arrival_s, f.job.job_id)
-        ):
+        for flight in sorted(stranded, key=lambda f: arrival_order(f.job)):
             self.stats.lost_model_s += flight.done_before_s
             self._fail(flight.job)
         self.records.sort(key=lambda r: (r.finish_s, r.job_id))

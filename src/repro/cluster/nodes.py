@@ -29,7 +29,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.cluster.records import JobRecord
+from repro.cluster.records import JobRecord, arrival_order
 from repro.service.cache import CacheStats
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.jobs import ProofJob, ProofResult
@@ -232,18 +232,7 @@ class ProverNode:
         queue head; :meth:`begin` accepts any returned job, not just
         the head.
         """
-        if not self._pending:
-            return []
-        live = sorted(
-            entry for entry in self._pending_heap if entry[1] in self._pending
-        )
-        seen: set[int] = set()
-        jobs: list[ProofJob] = []
-        for _, job_id in live:
-            if job_id not in seen:
-                seen.add(job_id)
-                jobs.append(self._pending[job_id])
-        return jobs
+        return sorted(self._pending.values(), key=arrival_order)
 
     def begin(
         self, job: ProofJob, now_s: float, price: tuple[float, float]

@@ -9,9 +9,10 @@ harness (:mod:`repro.fleet.validation`) can consume either side
 without translation.
 
 :class:`Dispatcher` is the job lifecycle both runtimes inherit — accept,
-route, park, requeue, retry, fail — counted in :class:`ResilienceStats`
-under the :class:`RetryPolicy` crash-retry contract, so a job's history
-is the same code whether its crash was simulated or a killed process.
+route, park, requeue, retry, fail, and a node's loss and return —
+counted in :class:`ResilienceStats` under the :class:`RetryPolicy`
+crash-retry contract, so a job's history is the same code whether its
+crash was simulated or a killed process.
 """
 
 from __future__ import annotations
@@ -157,7 +158,9 @@ class Dispatcher:
     A runtime (model or wall time) inherits it and supplies three hooks:
     ``_enqueue(node_id, job)`` queues a routed job and returns the
     runtime's node, ``kick(node)`` starts that node's next job if it is
-    up and idle, and ``_resolved(job)`` hears of each failed job.
+    up and idle, and ``_resolved(job)`` hears of each failed job.  A
+    runtime stops a lost node's work its own way, then calls
+    :meth:`_node_lost`; a returning node goes through :meth:`_node_back`.
     """
 
     def __init__(
@@ -230,6 +233,29 @@ class Dispatcher:
             self._route(job)
         else:
             self._fail(job)
+
+    def _node_lost(
+        self, node_id: str, reason: str, queued: Iterable[ProofJob], lost: tuple | None
+    ) -> None:
+        """``node_id`` went down for ``reason``: requeue its ``queued``
+        jobs, then retry or fail ``lost`` — the in-flight job and the
+        seconds of its work destroyed (None = the node was idle)."""
+        self.stats.crashes += 1
+        if lost is not None:
+            self.stats.lost_model_s += lost[1]
+        self.router.mark_down(node_id)
+        self.events.emit("node_down", node_id=node_id, reason=reason)
+        self._requeue(queued)
+        if lost is not None:
+            self._lose(lost[0], node_id)
+
+    def _node_back(self, node_id: str, **detail) -> None:
+        """``node_id`` is routable again: mark it up (if it is down), log
+        ``node_up`` with ``detail``, and route every parked job."""
+        if node_id in self.router.down_node_ids:
+            self.router.mark_up(node_id)
+        self.events.emit("node_up", node_id=node_id, **detail)
+        self._unpark()
 
     def _fail(self, job: ProofJob) -> None:
         """Drop ``job`` for good (it counts as a deadline miss)."""

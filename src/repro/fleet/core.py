@@ -13,11 +13,14 @@ behavior:
   failure-free placements are *identical* to the sim's
   (``tests/test_fleet.py`` locks this).  The fleet adds only wall-time
   hooks: a node's queue, its dispatch, and run completion.
+* **Arrivals** — each job is submitted ``arrival_s × time_scale`` wall
+  seconds after the fleet is warm, as the sim routes it at ``arrival_s``.
 * **Node discipline** — one in-flight job per node, queue drained in
   ``(arrival, job_id)`` order like
   :meth:`~repro.cluster.nodes.ProverNode.peek_next`.
 * **Failure detection** — a churn kill, heartbeat miss, or job timeout
-  declares a node dead; from there the shared lifecycle applies.
+  declares a node dead; the fleet kills the process, and the sim's
+  crash and recovery code (``_node_lost`` / ``_node_back``) applies.
 * **Events** — the same :class:`~repro.sim.events.EventLog` schema
   the sim engine emits, stamped with run-relative wall seconds.
 
@@ -89,7 +92,8 @@ class FleetConfig:
 
     ``node`` reuses the cluster's :class:`NodeConfig` so one object
     describes both the simulated node and the real worker built from it
-    (cache bound, SRS seed/size).
+    (cache bound, SRS seed/size).  No field switches arrivals off: a
+    saturated batch is a stream whose arrivals are all zero.
     """
 
     num_nodes: int = 3
@@ -112,8 +116,6 @@ class FleetConfig:
     job_timeout_s: float | None = None
     #: model-seconds → wall-seconds factor for arrivals and churn stamps
     time_scale: float = 1.0
-    #: submit jobs at their (scaled) arrival times instead of all at once
-    respect_arrivals: bool = False
     #: respawn a replacement worker after a *detected* failure
     #: (heartbeat miss / job timeout); churn kills instead wait for
     #: their trace's recovery event
@@ -145,6 +147,11 @@ class _Handle:
         self.stopped = asyncio.Event()
         self.in_flight: _Flight | None = None
         self.pending: list = []
+
+    @property
+    def starting(self) -> bool:
+        """Spawned, not yet ``ready``, and not dead."""
+        return not self.ready.is_set() and self.process.exitcode is None
 
 
 class ProvingFleet(Dispatcher):
@@ -255,10 +262,7 @@ class ProvingFleet(Dispatcher):
             handle.up = True
             handle.ready.set()
             self.monitor.expect(node_id)
-            if node_id in self.router.down_node_ids:
-                self.router.mark_up(node_id)
-            self.events.emit("node_up", node_id=node_id, pid=payload)
-            self._unpark()
+            self._node_back(node_id, pid=payload)
             self.kick(handle)
         elif kind == "heartbeat":
             if current and handle.up:
@@ -274,8 +278,10 @@ class ProvingFleet(Dispatcher):
             handle.stopped.set()
 
     # -- dispatcher hooks ----------------------------------------------------
-    def _submit(self, job) -> None:
-        self._accept(job, next(self._job_ids))
+    def _arrive(self, jobs: list) -> None:
+        """Id-stamp and route the ``jobs`` arriving at one instant."""
+        for job in jobs:
+            self._accept(job, next(self._job_ids))
 
     def _enqueue(self, node_id: str, job) -> _Handle:
         handle = self._handles[node_id]
@@ -312,13 +318,12 @@ class ProvingFleet(Dispatcher):
             flight.timeout.cancel()
         job = flight.job
         scale = self.config.time_scale
-        arrival = job.arrival_s * scale if self.config.respect_arrivals else 0.0
         record = JobRecord(
             job_id=job.job_id,
             tag=job.tag,
             circuit_key=job.circuit_key,
             node_id=handle.node_id,
-            arrival_s=arrival,
+            arrival_s=job.arrival_s * scale,
             start_s=flight.start_s,
             finish_s=self._now(),
             prove_model_s=outcome.prove_s,
@@ -358,27 +363,23 @@ class ProvingFleet(Dispatcher):
         )
 
     def _fail_node(self, node_id: str, *, reason: str, respawn: bool) -> None:
-        """Kill a node and apply the sim's crash semantics to its jobs."""
+        """Kill a node's process; the Dispatcher handles its jobs."""
         handle = self._handles[node_id]
         if not handle.up:
             return
         handle.up = False
-        self.stats.crashes += 1
         self.monitor.forget(node_id)
         if handle.process.is_alive():
             handle.process.kill()
         handle.outbox.put(None)  # wake the reader thread past the corpse
-        if node_id not in self.router.down_node_ids:
-            self.router.mark_down(node_id)
-        self.events.emit("node_down", node_id=node_id, reason=reason)
         flight, handle.in_flight = handle.in_flight, None
-        if flight is not None and flight.timeout is not None:
-            flight.timeout.cancel()
-        requeued, handle.pending = handle.pending, []
-        self._requeue(requeued)
+        lost = None
         if flight is not None:
-            self.stats.lost_model_s += max(0.0, self._now() - flight.start_s)
-            self._lose(flight.job, node_id)
+            if flight.timeout is not None:
+                flight.timeout.cancel()
+            lost = flight.job, max(0.0, self._now() - flight.start_s)
+        queued, handle.pending = handle.pending, []
+        self._node_lost(node_id, reason, queued, lost)
         if respawn and not self._shutting_down:
             self._spawn(node_id)
         else:
@@ -390,10 +391,7 @@ class ProvingFleet(Dispatcher):
         starting, no churn recovery due.  The jobs still owed (parked, or
         not yet arrived) could only wait out ``run_timeout_s``."""
         owed = self._total - len(self.records) - len(self.failed_jobs)
-        alive = any(
-            h.up or (not h.ready.is_set() and h.process.exitcode is None)
-            for h in self._handles.values()
-        )
+        alive = any(h.up or h.starting for h in self._handles.values())
         if owed <= 0 or alive or self._recoveries_due or self._shutting_down:
             return
         self._stalled = FleetStalledError(
@@ -404,7 +402,8 @@ class ProvingFleet(Dispatcher):
         self._done.set()
 
     def _on_churn(self, event) -> None:
-        """Apply one seeded churn event: crash = SIGKILL, recover = spawn."""
+        """Apply one seeded churn event: crash = SIGKILL, recover = spawn
+        (unless a replacement worker is already starting)."""
         if event.kind != "crash":
             self._recoveries_due -= 1
         node_id = f"node-{event.node_index}"
@@ -412,9 +411,8 @@ class ProvingFleet(Dispatcher):
         if handle is None:
             return
         if event.kind == "crash":
-            if handle.up:
-                self._fail_node(node_id, reason="churn", respawn=False)
-        elif not handle.up and not self._shutting_down:
+            self._fail_node(node_id, reason="churn", respawn=False)
+        elif not (handle.up or handle.starting or self._shutting_down):
             self._spawn(node_id)
 
     # -- test/chaos hooks ----------------------------------------------------
@@ -470,18 +468,16 @@ class ProvingFleet(Dispatcher):
         try:
             await self._await_ready()
             # makespan starts when the fleet is warm, not when Python forked
-            self._t0 = self._loop.time()
+            self._t0 = t0 = self._loop.time()
             scale = self.config.time_scale
-            if self.config.respect_arrivals:
-                for job in jobs:
-                    timers.append(
-                        self._loop.call_later(
-                            job.arrival_s * scale, self._submit, job
-                        )
-                    )
-            else:
-                for job in jobs:
-                    self._submit(job)
+            # one timer per instant keeps simultaneous arrivals in stream
+            # order, the sim's tie rule (equal asyncio deadlines are not)
+            instants = itertools.groupby(
+                sorted(jobs, key=lambda job: job.arrival_s),
+                key=lambda job: t0 + job.arrival_s * scale,
+            )
+            for at, batch in instants:
+                timers.append(self._loop.call_at(at, self._arrive, list(batch)))
             self._recoveries_due = sum(e.kind != "crash" for e in churn)
             for event in churn:
                 timers.append(
@@ -538,13 +534,9 @@ class ProvingFleet(Dispatcher):
         while True:
             await asyncio.sleep(self.config.heartbeat_s)
             for node_id in self.monitor.overdue():
-                handle = self._handles.get(node_id)
-                if handle is not None and handle.up:
-                    self._fail_node(
-                        node_id,
-                        reason="heartbeat",
-                        respawn=self.config.auto_respawn,
-                    )
+                self._fail_node(
+                    node_id, reason="heartbeat", respawn=self.config.auto_respawn
+                )
 
     async def _shutdown(self) -> None:
         """Graceful drain: stop live workers, reap everything."""
@@ -608,7 +600,8 @@ class ProvingFleet(Dispatcher):
                 "lost_wall_s": round(stats.lost_model_s, 6),
             },
         }
-        if self.config.respect_arrivals:
+        # once arrivals are paced, as in ProvingCluster.summary
+        if any(record.arrival_s for record in records):
             doc["deadlines"] = metrics.deadline_stats(records, self.failed_jobs)
         if stats.crashes:
             doc["retries"] = metrics.retry_stats(records)

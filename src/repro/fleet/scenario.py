@@ -14,15 +14,16 @@ set the :class:`~repro.carbon.CarbonConfig` fields.
 
 * the simulated batch, :meth:`~repro.cluster.core.ProvingCluster.run`,
   or :meth:`~repro.cluster.core.ProvingCluster.run_scenario` when churn
-  or autoscaling is set.  Both route each job at its ``arrival_s``; a
-  batch that is not failure-aware and does not respect arrivals is
-  handed its jobs with every ``arrival_s`` zero (deadlines untouched);
+  or autoscaling is set;
 * the open-loop path, :class:`~repro.traffic.OpenLoopEngine`;
 * the real fleet, :meth:`~repro.fleet.core.ProvingFleet.run`
-  (``runtime="fleet"``), which honours ``respect_arrivals`` itself,
-  rejects the sim-only settings by name and takes the fleet-only
-  :class:`~repro.fleet.core.FleetConfig` fields (heartbeats, timeouts,
-  ``time_scale``) as keyword arguments.
+  (``runtime="fleet"``), which rejects the sim-only settings by name
+  and takes the fleet-only :class:`~repro.fleet.core.FleetConfig` fields
+  (heartbeats, timeouts, ``time_scale``) as keyword arguments.
+
+Both runtimes take each job at its ``arrival_s``; :func:`run` keeps the
+arrivals when the scenario sets ``respect_arrivals`` or is failure-aware
+and zeroes them otherwise (deadlines untouched), once, for both.
 
 :meth:`Scenario.as_dict` is the cell as plain JSON types: the block
 each ``BENCH_*`` record keeps next to the numbers one cell produced, and
@@ -98,6 +99,7 @@ class Scenario:
     cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY
     replicas: int = DEFAULT_REPLICAS
     max_retries: int = 2
+    #: keep arrival times (a failure-aware run always keeps them)
     respect_arrivals: bool = False
 
     # -- churn: a seeded crash/recovery trace targeting a downtime
@@ -222,29 +224,26 @@ def run(scenario: Scenario, *, runtime: str = "sim", **fleet) -> ScenarioResult:
     config = _config_fields(scenario, generator.max_vars())
     horizon_s = max(job.arrival_s for job in jobs) + CHURN_HORIZON_SLACK_S
     churn = _churn(scenario, horizon_s)
+    # one pacing rule for both runtimes (module docstring)
+    arrivals = [job.arrival_s for job in jobs]
+    if not (scenario.respect_arrivals or scenario.failure_aware):
+        for job in jobs:
+            job.arrival_s = 0.0
     if runtime == "fleet":
         from repro.fleet.core import FleetConfig, ProvingFleet
 
-        real = ProvingFleet(
-            FleetConfig(**config, respect_arrivals=scenario.respect_arrivals, **fleet)
-        )
+        real = ProvingFleet(FleetConfig(**config, **fleet))
         records = real.run(jobs, churn=churn)
         return ScenarioResult(real.summary(), real.events, records, real.proofs)
     with ProvingCluster(_cluster_config(scenario, config)) as cluster:
         if scenario.failure_aware:
             records = cluster.run_scenario(jobs, churn=churn)
-        elif scenario.respect_arrivals:
-            records = cluster.run(jobs)
         else:
-            # the model run ignores arrivals: every job arrives at t=0;
-            # execute mode's real replay still waves on the stream's own
-            # arrival times, so they are back before anything is proven
-            arrivals = [job.arrival_s for job in jobs]
-            for job in jobs:
-                job.arrival_s = 0.0
             records = cluster.run(jobs)
-            for job, arrival_s in zip(jobs, arrivals):
-                job.arrival_s = arrival_s
+        # execute mode's real replay waves on the stream's own arrival
+        # times, so they are back before anything is proven
+        for job, arrival_s in zip(jobs, arrivals):
+            job.arrival_s = arrival_s
         proofs = {result.job_id: result.proof for result in cluster.results}
         return ScenarioResult(cluster.summary(), cluster.events, records, proofs)
 

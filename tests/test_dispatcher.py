@@ -4,11 +4,13 @@
 route / park / unpark / requeue / retry / fail that both the simulated
 cluster (:class:`~repro.cluster.engine.ClusterEngine`, model time) and
 the real fleet (:class:`~repro.fleet.core.ProvingFleet`, wall time)
-inherit.  These tests run it under a fake runtime that only records its
-three hooks, over a real :class:`~repro.cluster.routing.ClusterRouter`,
-so the parking, waiver, retry-budget and requeue rules are checked
-without a simulator or a worker process — and, because neither runtime
-overrides a lifecycle method, for both runtimes at once.
+inherit, together with a node's loss (``_node_lost``) and return
+(``_node_back``).  These tests run it under a fake runtime that only
+records its three hooks, over a real
+:class:`~repro.cluster.routing.ClusterRouter`, so the parking, waiver,
+retry-budget, requeue and node-lifecycle rules are checked without a
+simulator or a worker process — and, because neither runtime overrides
+a lifecycle method, for both runtimes at once.
 """
 
 import pytest
@@ -20,7 +22,16 @@ from repro.sim.events import EventLog
 from repro.traffic import OpenLoopEngine
 
 NODES = ("node-0", "node-1")
-LIFECYCLE = ("_accept", "_route", "_unpark", "_requeue", "_lose", "_fail")
+LIFECYCLE = (
+    "_accept",
+    "_route",
+    "_unpark",
+    "_requeue",
+    "_lose",
+    "_fail",
+    "_node_lost",
+    "_node_back",
+)
 
 
 class FakeRuntime(Dispatcher):
@@ -55,6 +66,11 @@ def make_jobs(arrivals: list[float]) -> list:
 
 def kinds(runtime: FakeRuntime) -> list[str]:
     return [event.kind for event in runtime.events]
+
+
+def trail(runtime: FakeRuntime) -> list[tuple]:
+    """Each event as (kind, job_id, node_id)."""
+    return [(e.kind, e.job_id, e.node_id) for e in runtime.events]
 
 
 class TestLifecycle:
@@ -125,6 +141,85 @@ class TestLifecycle:
         assert [job.excluded_node_ids for job in jobs] == [(), (), ()]
         assert runtime.enqueued() == [("node-1", 1), ("node-1", 0), ("node-1", 2)]
         assert "job_retried" not in kinds(runtime)
+
+
+class TestNodeLifecycle:
+    @staticmethod
+    def lose_node_0(max_retries: int) -> tuple[FakeRuntime, list]:
+        """Round robin puts jobs 0, 2 and 4 on node-0; node-0 goes down
+        proving job 0 with 2 and 4 queued (handed over unsorted)."""
+        runtime = FakeRuntime(max_retries=max_retries)
+        jobs = make_jobs([0.0, 0.0, 0.75, 0.0, 0.25])
+        for job_id, job in enumerate(jobs):
+            runtime._accept(job, job_id)
+        assert runtime.enqueued()[::2] == [
+            ("node-0", 0),
+            ("node-0", 2),
+            ("node-0", 4),
+        ]
+        start = len(runtime.events)
+        runtime._node_lost("node-0", "kill", [jobs[2], jobs[4]], (jobs[0], 0.5))
+        return runtime, trail(runtime)[start:]
+
+    def test_node_lost_requeues_in_arrival_order_then_retries(self):
+        runtime, events = self.lose_node_0(max_retries=2)
+        assert events == [
+            ("node_down", None, "node-0"),
+            ("job_assigned", 4, "node-1"),
+            ("job_assigned", 2, "node-1"),
+            ("job_crashed", 0, "node-0"),
+            ("job_retried", 0, None),
+            ("job_assigned", 0, "node-1"),
+        ]
+        down = [e for e in runtime.events if e.kind == "node_down"]
+        assert down[0].detail == {"reason": "kill"}
+        assert runtime.router.down_node_ids == ["node-0"]
+        stats = runtime.stats
+        counts = (stats.crashes, stats.requeues, stats.retries, stats.failed)
+        assert counts == (1, 2, 1, 0)
+        assert stats.lost_model_s == 0.5
+
+    def test_node_lost_fails_the_job_once_the_budget_is_spent(self):
+        runtime, events = self.lose_node_0(max_retries=0)
+        assert [kind for kind, _, _ in events] == [
+            "node_down",
+            "job_assigned",
+            "job_assigned",
+            "job_crashed",
+            "job_failed",
+        ]
+        stats = runtime.stats
+        counts = (stats.crashes, stats.requeues, stats.retries, stats.failed)
+        assert counts == (1, 2, 0, 1)
+        assert [c for c in runtime.calls if c[0] == "resolved"] == [("resolved", 0)]
+
+    def test_idle_node_lost_counts_a_crash_and_no_lost_seconds(self):
+        runtime = FakeRuntime()
+        runtime._node_lost("node-1", "churn", [], None)
+        assert kinds(runtime) == ["node_down"]
+        assert (runtime.stats.crashes, runtime.stats.lost_model_s) == (1, 0.0)
+
+    def test_node_back_marks_up_logs_then_unparks(self):
+        runtime = FakeRuntime()
+        for node_id in NODES:
+            runtime._node_lost(node_id, "crash", [], None)
+        jobs = make_jobs([1.0, 0.5])
+        for job_id, job in enumerate(jobs):
+            runtime._accept(job, job_id)
+        assert runtime.stats.parked == 2
+        start = len(runtime.events)
+        runtime._node_back("node-1", reason="recover")
+        assert trail(runtime)[start:] == [
+            ("node_up", None, "node-1"),
+            ("job_assigned", 1, "node-1"),
+            ("job_assigned", 0, "node-1"),
+        ]
+        assert list(runtime.events)[start].detail == {"reason": "recover"}
+        assert runtime.router.down_node_ids == ["node-0"]
+        # a node that never went down (an instant scale-out) is only logged
+        runtime._node_back("node-1", pid=42)
+        assert runtime.router.down_node_ids == ["node-0"]
+        assert kinds(runtime)[-1] == "node_up"
 
 
 @pytest.mark.parametrize("runtime", [ClusterEngine, OpenLoopEngine, ProvingFleet])

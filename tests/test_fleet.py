@@ -13,6 +13,8 @@ ISSUE 7 coverage:
   job, excludes the loser, and completes the retry on a peer;
 * **double crash** — the same node killed twice (respawn between)
   keeps handles, monitor state, and the router coherent;
+* **churn recovery** — a recovery event never spawns a second worker
+  beside a replacement that is still starting;
 * **graceful drain** — a run cut off by ``run_timeout_s`` stops its
   workers cleanly with jobs still queued, no crash accounting;
 * **build-once SRS** — a worker's final probe shows exactly one SRS
@@ -28,6 +30,7 @@ import asyncio
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,6 +43,7 @@ from repro.fleet.core import (
     FleetStalledError,
     ProvingFleet,
     WorkerStartupError,
+    _Handle,
 )
 from repro.fleet.__main__ import print_run
 from repro.fleet.scenario import Scenario
@@ -48,6 +52,7 @@ from repro.service.core import ProvingService, ServiceConfig
 from repro.service.jobs import ProofJob
 from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EventLog
+from repro.workloads.churn import ChurnEvent
 
 SCENARIO = "zipf-mixed"
 SEED = 7
@@ -67,7 +72,12 @@ def make_fleet(**kwargs) -> ProvingFleet:
 
 
 def stream(n: int):
-    return TrafficGenerator(SCENARIO, seed=SEED).jobs(n)
+    """``n`` jobs that all arrive at t=0: the fleet takes each job at its
+    ``arrival_s``, and these tests drive a saturated batch."""
+    jobs = TrafficGenerator(SCENARIO, seed=SEED).jobs(n)
+    for job in jobs:
+        job.arrival_s = 0.0
+    return jobs
 
 
 def exit_3(spec, inbox, outbox):
@@ -88,7 +98,7 @@ class TestParity:
         )
         jobs = generator.jobs(8)
         for job in jobs:
-            job.arrival_s = 0.0  # the fleet submits all at once by default
+            job.arrival_s = 0.0  # the same saturated batch as stream()
         with ProvingCluster(config) as cluster:
             sim_records = cluster.run(jobs)
         fleet = make_fleet(num_nodes=3, policy=policy)
@@ -241,6 +251,32 @@ class TestFailurePaths:
             fleet.run(stream(1))
 
 
+class TestChurnRecovery:
+    """A churn recovery spawns a worker only for a node that has none up
+    or starting.  The fleet never runs and ``_spawn`` is replaced, so no
+    process starts."""
+
+    @staticmethod
+    def recover(*, ready: bool, exitcode: int | None) -> list[str]:
+        fleet = ProvingFleet(FleetConfig(num_nodes=1))
+        handle = _Handle("node-0", SimpleNamespace(exitcode=exitcode), None, None)
+        if ready:
+            handle.ready.set()
+        fleet._handles["node-0"] = handle
+        spawned: list[str] = []
+        fleet._spawn = spawned.append
+        fleet._on_churn(ChurnEvent(at_s=1.0, node_index=0, kind="recover"))
+        return spawned
+
+    def test_replacement_still_starting_is_not_spawned_twice(self):
+        # a heartbeat or timeout respawn is under way: not ready, alive
+        assert self.recover(ready=False, exitcode=None) == []
+
+    def test_dead_node_is_spawned(self):
+        assert self.recover(ready=True, exitcode=-9) == ["node-0"]
+        assert self.recover(ready=False, exitcode=3) == ["node-0"]
+
+
 class TestWorkerState:
     def test_worker_probe_shows_build_once_srs(self):
         fleet = make_fleet(num_nodes=1, policy="affinity")
@@ -299,7 +335,7 @@ def summary_fixture() -> ProvingFleet:
     """A two-node fleet with five hand-built records, one of them a
     crash retry, and one failed deadline job; ``run`` is never called,
     so no worker process starts."""
-    fleet = ProvingFleet(FleetConfig(num_nodes=2, respect_arrivals=True))
+    fleet = ProvingFleet(FleetConfig(num_nodes=2))
     rows = [
         # job, node, arrival, start, finish, prove, install, hit, deadline, attempt
         (0, "node-0", 0.0, 0.0, 1.0, 0.75, 0.25, False, 2.0, 0),

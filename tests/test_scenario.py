@@ -24,6 +24,8 @@ from repro.carbon import CarbonConfig, CarbonIntensityTrace, NodePowerModel
 from repro.cluster.__main__ import build_parser, parse_scenario
 from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
+from repro.cluster.engine import ClusterEngine
+from repro.fleet.core import ProvingFleet
 from repro.fleet.scenario import SIM_ONLY, Scenario, run
 
 
@@ -284,3 +286,44 @@ class TestRuntimes:
 
         assert placement(fleet) == placement(sim)
         assert fleet.summary["nodes"] == 2 and len(fleet.events) > 0
+
+
+class Handed(Exception):
+    """Raised by a patched runtime with the arrival times it was handed."""
+
+
+class TestPacing:
+    """:func:`run` decides pacing once for both runtimes: the arrival
+    times the fleet would honour are the ones the sim engine routes at.
+    Both runtimes are stopped at their entry point, so no worker starts
+    and no event fires."""
+
+    @staticmethod
+    def handed(cell: Scenario, runtime: str, monkeypatch) -> list[float]:
+        def engine_run(self, jobs, *, churn=()):
+            raise Handed([job.arrival_s for job in jobs])
+
+        def fleet_run(self, jobs, *, churn=(), actions=()):
+            # no FleetConfig field can switch arrivals off: the fleet
+            # honours each arrival_s it is handed, scaled to wall seconds
+            assert not [f for f in fields(self.config) if "arrival" in f.name]
+            raise Handed([job.arrival_s * self.config.time_scale for job in jobs])
+
+        monkeypatch.setattr(ClusterEngine, "run", engine_run)
+        monkeypatch.setattr(ProvingFleet, "run", fleet_run)
+        with pytest.raises(Handed) as handed:
+            run(cell, runtime=runtime)
+        return handed.value.args[0]
+
+    @pytest.mark.parametrize("churn_rate", [0.0, 0.2], ids=["calm", "churn"])
+    @pytest.mark.parametrize("respect", [False, True], ids=["saturated", "paced"])
+    def test_fleet_honours_the_arrivals_the_sim_routes_at(
+        self, respect, churn_rate, monkeypatch
+    ):
+        cell = Scenario(
+            jobs=8, nodes=2, respect_arrivals=respect, churn_rate=churn_rate
+        )
+        sim = self.handed(cell, "sim", monkeypatch)
+        assert self.handed(cell, "fleet", monkeypatch) == sim
+        # only a calm batch that does not respect arrivals runs saturated
+        assert any(sim) == (respect or churn_rate > 0)
