@@ -11,8 +11,9 @@ finishes in well under a second.
 Run:  python examples/cluster_simulation.py
 
 (The same sweep is scriptable via ``python -m repro.cluster`` /
-``repro-cluster``; execute mode really proves on every node; see
-DESIGN.md §7.)
+``repro-cluster``; ``run(cell, runtime="fleet")`` / ``repro-fleet``
+proves the same cell on real worker processes and measures the hit
+rates printed here; see DESIGN.md §7 and §10.)
 """
 
 from repro.cluster import ROUTING_POLICIES

@@ -2,7 +2,7 @@
 
 One :class:`~repro.service.ProvingService` is a node; this package is
 the fleet above it (DESIGN.md §7–8).  The pipeline is **route → shard →
-drain**, executed on the :mod:`repro.sim` discrete-event engine:
+drain**, run on the :mod:`repro.sim` discrete-event engine:
 
 * :mod:`repro.cluster.routing` — :class:`ClusterRouter` over
   ``round_robin`` / ``least_loaded`` / ``affinity`` policies, with a
@@ -10,8 +10,8 @@ drain**, executed on the :mod:`repro.sim` discrete-event engine:
   across processes and node churn moves only ~K/N keys; down-marking
   (crashes) and ``exclude`` sets (retries) ride the same ring;
 * :mod:`repro.cluster.nodes` — :class:`ProverNode`: a bounded
-  :class:`SimIndexCache`, a model-time clock, crash/recover state, and
-  (in execute mode) a private real proving service per node;
+  :class:`SimIndexCache`, a model-time clock and crash/recover state;
+  nothing here proves (the real fleet, :mod:`repro.fleet`, does);
 * :mod:`repro.cluster.engine` — :class:`ClusterEngine`: the event loop
   interleaving arrivals, job completions, churn, retries, and autoscaler
   ticks;

@@ -85,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated routing policies ({', '.join(ROUTING_POLICIES)})",
     )
     add(
-        "--wave-s",
-        type=nonnegative_float,
-        default=1.0,
-        help="execute-mode drain-wave window in model seconds (0 = single wave)",
-    )
-    add(
         "--autoscale",
         action="store_true",
         help="enable the plan-cost-driven autoscaler (scenario runs)",
@@ -124,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=8,
         help="autoscaler fleet-size ceiling",
-    )
-    add(
-        "--execute",
-        action="store_true",
-        help="really prove on every node (slow; adds measured stats)",
     )
     add(
         "--open-loop",
@@ -234,8 +223,6 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
         )
     return Scenario(
         **fields,
-        execute=args.execute,
-        wave_s=args.wave_s or None,
         autoscale=autoscale,
         # no carbon flag at all is a carbon-free run
         carbon=None if carbon == CarbonConfig(None) else carbon,
@@ -339,8 +326,8 @@ def print_open_loop(base: Scenario, rows: list[dict]) -> None:
 
 
 def print_closed(base: Scenario, rows: list[dict]) -> None:
-    """The closed-batch table, plus the resilience and execute-mode
-    tables when those paths ran."""
+    """The closed-batch table, plus the resilience table when that path
+    ran."""
     scenario = SCENARIOS[base.scenario]
     print(
         f"scenario   : {base.scenario} ({scenario.description})\n"
@@ -357,17 +344,6 @@ def print_closed(base: Scenario, rows: list[dict]) -> None:
         )
         print_table(rows, RESILIENCE_COLUMNS)
     print_carbon(rows)
-    if base.execute:
-        print("\nmeasured (execute mode): real per-node caches + prove times")
-        for row in rows:
-            real = row["cache"].get("real", {})
-            measured = row.get("measured", {})
-            print(
-                f"{row['nodes']:>5}  {row['policy']:<12} "
-                f"real hit-rate {real.get('hit_rate', 0.0):.2f}  "
-                f"preprocess {real.get('preprocess_s', 0.0):.3f}s  "
-                f"measured makespan {measured.get('makespan_s', 0.0):.3f}s"
-            )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,12 +3,12 @@
 :class:`ProvingCluster` shards a :class:`~repro.service.jobs.ProofJob`
 stream over N :class:`~repro.cluster.nodes.ProverNode`\\ s through a
 :class:`~repro.cluster.routing.ClusterRouter`.  Model time comes from a
-:class:`~repro.cluster.timemodel.FleetTimeModel`; with
-``config.execute`` the nodes additionally prove for real through their
-private :class:`~repro.service.ProvingService` stacks, so cache hit
-rates and preprocess seconds in the summary are measured, not modelled.
+:class:`~repro.cluster.timemodel.FleetTimeModel`, and nothing is
+proven: ``runtime="fleet"`` (:func:`repro.fleet.scenario.run`) proves the
+same scenario on real worker processes and measures the cache hit rates
+and install seconds this model predicts.
 
-Every run is executed by the discrete-event
+Every run is driven by the discrete-event
 :class:`~repro.cluster.engine.ClusterEngine` on :mod:`repro.sim`, which
 routes each job at its ``arrival_s``.  :meth:`ProvingCluster.run` is the
 closed batch — no churn, and a summary without a resilience section —
@@ -34,7 +34,7 @@ from repro.cluster.metrics import cluster_summary
 from repro.cluster.nodes import JobRecord, NodeConfig, ProverNode
 from repro.cluster.routing import DEFAULT_REPLICAS, ClusterRouter
 from repro.cluster.timemodel import FleetTimeModel
-from repro.service.jobs import ProofJob, ProofResult
+from repro.service.jobs import ProofJob
 from repro.sim.events import EventLog
 from repro.workloads.churn import ChurnEvent
 
@@ -54,8 +54,6 @@ class ClusterConfig:
     time_model: str = "accelerator"
     #: shared per-node configuration
     node: NodeConfig = dc_field(default_factory=NodeConfig)
-    #: prove for real through per-node services (slower, measured)
-    execute: bool = False
     #: virtual points per node on the affinity hash ring
     replicas: int = DEFAULT_REPLICAS
     #: crash-retry budget per job in :meth:`ProvingCluster.run_scenario`
@@ -117,7 +115,7 @@ class ProvingCluster:
         return node_id
 
     def _make_node(self, node_id: str) -> ProverNode:
-        return ProverNode(node_id, self.config.node, execute=self.config.execute)
+        return ProverNode(node_id, self.config.node)
 
     # -- membership ---------------------------------------------------------
     def add_node(self) -> str:
@@ -137,9 +135,7 @@ class ProvingCluster:
                 f"node {node_id!r} still has {node.pending} pending jobs; "
                 "drain before removing it"
             )
-        node.flush_service()  # execute mode: prove its backlog first
         self.router.remove_node(node_id)
-        node.close()
         self._retired.append(self.nodes.pop(node_id))
 
     # -- running ------------------------------------------------------------
@@ -199,42 +195,19 @@ class ProvingCluster:
     def _run(self, jobs: list[ProofJob], churn: Iterable[ChurnEvent]) -> ClusterEngine:
         for job in jobs:
             self.check_fits(job)
-        self._flush()  # one run's execute-mode waves never mix with the next's
         engine = ClusterEngine(self)
         engine.run(jobs, churn=churn)
         self.events = engine.events
         self.carbon = engine.carbon
         return engine
 
-    # -- reporting / lifecycle ----------------------------------------------
-    def _flush(self) -> None:
-        """Execute mode: really prove every model-completed job.
-
-        Proving waits until results or the summary are read (or a node
-        leaves, or the next run starts), so each node's service replays
-        its jobs in ``wave_s`` windows of the ``arrival_s`` they carry
-        then — :func:`repro.fleet.scenario.run` zeroes arrivals only for
-        the model run of an arrivals-ignored batch.
-        """
-        for node_id in sorted(self.nodes):
-            self.nodes[node_id].flush_service()
-
-    @property
-    def results(self) -> list[ProofResult]:
-        """Execute-mode proof results across all nodes (drain order)."""
-        self._flush()
-        out: list[ProofResult] = []
-        for node in self._all_nodes():
-            out.extend(node.results)
-        return out
-
+    # -- reporting ----------------------------------------------------------
     def _all_nodes(self) -> list[ProverNode]:
         active = [self.nodes[node_id] for node_id in sorted(self.nodes)]
         return self._retired + active
 
     def summary(self) -> dict:
         """One dict of model/cache/routing (and resilience) metrics."""
-        self._flush()
         return cluster_summary(
             self._all_nodes(),
             self.records,
@@ -255,13 +228,9 @@ class ProvingCluster:
             ),
         )
 
-    def close(self) -> None:
-        """Shut down every node's private service (execute mode)."""
-        for node in self._all_nodes():
-            node.close()
-
     def __enter__(self) -> "ProvingCluster":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        """Nothing to release: a simulated node holds no process or
+        service."""

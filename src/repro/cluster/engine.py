@@ -19,10 +19,10 @@ model seconds are accounted), cold-starts its index cache, and takes
 its ring points away so only ~K/N fingerprints remap.  Routing, parking,
 requeues, retries, failures and a node's loss and return are the
 inherited :class:`~repro.cluster.records.Dispatcher` — the code the real
-fleet runs — so the same seed and trace give identical retry counts (and,
-in execute mode, identical proof bytes); the engine only cancels a lost
-node's armed events and flight first.  Jobs stranded with the whole
-fleet down at the end are *failed*, like retry-exhausted ones.
+fleet runs — so the same seed and trace give identical retry counts; the
+engine only cancels a lost node's armed events and flight first.  Jobs
+stranded with the whole fleet down at the end are *failed*, like
+retry-exhausted ones.
 
 Start gate.  By default an idle node starts the head of its queue as
 soon as the head is ready.  A layer above may decide *which* job starts

@@ -9,8 +9,7 @@
   of fleet busy time spent (re)building circuit indexes, which is
   exactly what affinity routing exists to shrink;
 * ``cache`` — aggregate hit/miss/eviction stats over every node's
-  simulated cache, plus the real per-node ``IndexCache`` stats when the
-  cluster executed proofs;
+  simulated cache (the real fleet measures its own, same capacity);
 * ``routing`` — jobs and distinct circuit shapes per node, and the
   *shape spread*: the mean number of nodes that saw each circuit
   structure (1.0 = perfect affinity, ≈N = every shape installed
@@ -192,22 +191,4 @@ def cluster_summary(
         doc["resilience"] = resilience
     if carbon is not None:
         doc["carbon"] = carbon
-    real_stats = [
-        node.real_cache_stats
-        for node in nodes
-        if node.real_cache_stats is not None
-    ]
-    if real_stats:
-        doc["cache"]["real"] = _aggregate_stats(real_stats)
-        measured = {n.node_id: round(n.measured_busy_s, 6) for n in nodes}
-        measured_makespan = max(measured.values(), default=0.0)
-        doc["measured"] = {
-            "busy_s": measured,
-            "makespan_s": round(measured_makespan, 6),
-            "throughput_jobs_per_s": (
-                round(len(records) / measured_makespan, 3)
-                if measured_makespan > 0
-                else 0.0
-            ),
-        }
     return doc

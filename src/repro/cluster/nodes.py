@@ -1,13 +1,10 @@
-"""One prover node: a bounded index cache, a model clock, a service.
+"""One prover node: a bounded index cache and a model clock.
 
-A :class:`ProverNode` is the sharding unit of the simulated fleet.  It
-always runs the *simulated* layer — an LRU fingerprint cache
-(:class:`SimIndexCache`) plus a model-time clock advanced by the
-cluster's :class:`~repro.cluster.timemodel.FleetTimeModel` — and, when
-the cluster runs in ``execute`` mode, additionally proves its completed
-jobs through a private sync :class:`~repro.service.ProvingService` (own
-SRS, own :class:`~repro.service.cache.IndexCache`) so the proofs, cache
-hits, and preprocess seconds it reports are real.
+A :class:`ProverNode` is the sharding unit of the simulated fleet: an
+LRU fingerprint cache (:class:`SimIndexCache`) plus a model-time clock
+advanced by the cluster's :class:`~repro.cluster.timemodel.FleetTimeModel`.
+It proves nothing; the real fleet (:mod:`repro.fleet`) proves the same
+scenario on worker processes, each with the same bounded index cache.
 
 Nodes expose event-granular primitives — :meth:`begin` /
 :meth:`complete` / :meth:`abort` / :meth:`crash` / :meth:`recover` —
@@ -17,10 +14,11 @@ time themselves.  A crash loses the in-flight job and cold-starts the
 node's index cache; queued jobs survive (queue state is
 coordinator-side) and are requeued by the engine.
 
-Every node builds its SRS from the same seed, so a proof is bit-identical
-no matter which node produced it — routing policy changes *when and
-where* work happens, never the bytes; ``tests/test_cluster.py`` locks
-this down.
+:class:`NodeConfig` is shared with the real fleet: every worker builds
+its SRS from the same seed, so a proof is bit-identical whichever node
+produced it — routing changes *when and where* work happens, never the
+bytes; ``tests/test_fleet.py`` checks the fleet's proofs against one
+sync service's.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from dataclasses import dataclass
 
 from repro.cluster.records import JobRecord, arrival_order
 from repro.service.cache import CacheStats
-from repro.service.core import ProvingService, ServiceConfig
-from repro.service.jobs import ProofJob, ProofResult
+from repro.service.jobs import ProofJob
 
 __all__ = [
     "DEFAULT_NODE_CACHE_CAPACITY",
@@ -52,8 +49,8 @@ class SimIndexCache:
     """LRU of circuit fingerprints with the service's cache statistics.
 
     Models which indexes a node currently holds without preprocessing
-    anything; the execute path's real :class:`IndexCache` runs the same
-    capacity so measured hit rates track simulated ones.
+    anything; a real fleet worker's :class:`IndexCache` runs the same
+    capacity, so measured hit rates track simulated ones.
     """
 
     def __init__(self, capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY):
@@ -98,8 +95,6 @@ class NodeConfig:
     max_vars: int = 6
     #: one seed for every node: identical SRS, bit-identical proofs
     srs_seed: int = 0x5EED
-    #: execute-mode drain-wave window in model seconds (None = one wave)
-    wave_s: float | None = 1.0
 
 
 @dataclass
@@ -140,16 +135,9 @@ class SuspendedFlight:
 class ProverNode:
     """One shard of the fleet; see the module docstring."""
 
-    def __init__(
-        self,
-        node_id: str,
-        config: NodeConfig,
-        *,
-        execute: bool = False,
-    ):
+    def __init__(self, node_id: str, config: NodeConfig):
         self.node_id = node_id
         self.config = config
-        self.execute = execute
         self.sim_cache = SimIndexCache(config.cache_capacity)
         self.clock_s = 0.0
         #: model seconds spent proving + installing (idle excluded)
@@ -161,7 +149,6 @@ class ProverNode:
         self.down = False
         self.shapes_seen: set[str] = set()
         self.records: list[JobRecord] = []
-        self.results: list[ProofResult] = []
         self.in_flight: InFlightJob | None = None
         # pending queue: insertion-ordered dict (crash requeue order)
         # plus an (arrival, job_id) heap for O(log q) peek/begin; heap
@@ -170,17 +157,6 @@ class ProverNode:
         self._pending_heap: list[tuple[float, int]] = []
         #: jobs parked at a phase boundary, awaiting resume (by job id)
         self._suspended: dict[int, SuspendedFlight] = {}
-        #: jobs completed in model time but not yet really proven
-        self._to_execute: list[ProofJob] = []
-        self.service: ProvingService | None = None
-        if execute:
-            self.service = ProvingService(
-                ServiceConfig(
-                    max_vars=config.max_vars,
-                    srs_seed=config.srs_seed,
-                    cache_capacity=config.cache_capacity,
-                )
-            )
 
     @property
     def pending(self) -> int:
@@ -298,8 +274,6 @@ class ProverNode:
             suspended_s=flight.suspended_wait_s,
         )
         self.records.append(record)
-        if self.service is not None:
-            self._to_execute.append(flight.job)
         return record
 
     def abort(self, now_s: float) -> tuple[ProofJob, float]:
@@ -405,48 +379,6 @@ class ProverNode:
             raise RuntimeError(f"node {self.node_id} is not down")
         self.down = False
         self.clock_s = max(self.clock_s, now_s)
-
-    # -- execute mode --------------------------------------------------------
-    def flush_service(self) -> list[ProofResult]:
-        """Really prove every model-completed job (execute mode only).
-
-        The node's service re-ids jobs for its own queue; results are
-        mapped back to cluster-wide ids so records and results of one
-        job line up across the fleet.
-        """
-        jobs, self._to_execute = self._to_execute, []
-        if self.service is None or not jobs:
-            return []
-        cluster_ids = {id(job): job.job_id for job in jobs}
-        results = self.service.run(jobs, wave_s=self.config.wave_s)
-        remap = {job.job_id: cluster_ids[id(job)] for job in jobs}
-        for result in results:
-            result.job_id = remap[result.job_id]
-        for job in jobs:  # leave caller-held jobs cluster-consistent
-            job.job_id = cluster_ids[id(job)]
-        self.results.extend(results)
-        return results
-
-    # -- measured side (execute mode only) ----------------------------------
-    @property
-    def real_cache_stats(self) -> CacheStats | None:
-        """The private service's index-cache stats (None in sim mode)."""
-        if self.service is None:
-            return None
-        return self.service.cache.stats
-
-    @property
-    def measured_busy_s(self) -> float:
-        """Real seconds this node spent preprocessing + proving."""
-        if self.service is None:
-            return 0.0
-        prove = sum(r.prove_s for r in self.results)
-        return self.service.cache.stats.preprocess_s + prove
-
-    def close(self) -> None:
-        """Shut down the node's private proving service (if any)."""
-        if self.service is not None:
-            self.service.close()
 
     def __repr__(self):
         state = "down" if self.down else "up"

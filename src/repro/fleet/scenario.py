@@ -2,13 +2,13 @@
 
 :class:`Scenario` is a frozen description of one run: the seeded job
 stream, the fleet, churn, and the settings only the simulator takes
-(execute mode, autoscaling, carbon, open-loop traffic).  Every
-cross-field rule is checked in ``__post_init__``, so a library caller
-gets the checks ``repro-cluster`` and ``repro-fleet`` make; the CLIs
-only parse their flags into a scenario and turn its ``ValueError`` into
-exit status 2.  Messages name the CLI flag: each flag sets the field of
-the same name (``--churn-rate`` → ``churn_rate``), and the carbon flags
-set the :class:`~repro.carbon.CarbonConfig` fields.
+(autoscaling, carbon, open-loop traffic).  Every cross-field rule is
+checked in ``__post_init__``, so a library caller gets the checks
+``repro-cluster`` and ``repro-fleet`` make; the CLIs only parse their
+flags into a scenario and turn its ``ValueError`` into exit status 2.
+Messages name the CLI flag: each flag sets the field of the same name
+(``--churn-rate`` → ``churn_rate``), and the carbon flags set the
+:class:`~repro.carbon.CarbonConfig` fields.
 
 :func:`run` takes a scenario down one of three existing paths:
 
@@ -20,6 +20,9 @@ set the :class:`~repro.carbon.CarbonConfig` fields.
   (``runtime="fleet"``), which rejects the sim-only settings by name
   and takes the fleet-only :class:`~repro.fleet.core.FleetConfig` fields
   (heartbeats, timeouts, ``time_scale``) as keyword arguments.
+
+The two simulated paths run in model time and prove nothing; the fleet
+is the one runtime that proves, so only its result carries proofs.
 
 Both runtimes take each job at its ``arrival_s``; :func:`run` keeps the
 arrivals when the scenario sets ``respect_arrivals`` or is failure-aware
@@ -57,8 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: built by the caller
 #: the settings only the simulator takes, with the value that leaves
 #: each one off; ``run(..., runtime="fleet")`` rejects any other value
 SIM_ONLY = {
-    "execute": False,
-    "wave_s": NodeConfig.wave_s,
     "autoscale": None,
     "carbon": None,
     "open_loop": False,
@@ -110,9 +111,6 @@ class Scenario:
     churn_seed: int = 0
 
     # -- sim only (see SIM_ONLY)
-    execute: bool = False
-    #: execute-mode drain-wave window (None = one wave)
-    wave_s: float | None = NodeConfig.wave_s
     #: the autoscaler's ceiling is raised to ``nodes`` when below it
     autoscale: AutoscalePolicy | None = None
     carbon: CarbonConfig | None = None
@@ -132,8 +130,6 @@ class Scenario:
         if self.admission is not None and not self.open_loop:
             raise ValueError("--admission requires --open-loop")
         if self.open_loop:
-            if self.execute:
-                raise ValueError("--open-loop is a model-time path; drop --execute")
             if self.autoscale is not None:
                 raise ValueError(
                     "--open-loop does not take --autoscale (admission and "
@@ -200,7 +196,7 @@ class ScenarioResult:
     events: EventLog
     #: completed records in finish order
     records: list[JobRecord]
-    #: proofs by job id (execute mode and the real fleet; else empty)
+    #: proofs by job id (the real fleet; the model-time sim proves none)
     proofs: dict[int, object] = field(default_factory=dict)
 
 
@@ -225,7 +221,6 @@ def run(scenario: Scenario, *, runtime: str = "sim", **fleet) -> ScenarioResult:
     horizon_s = max(job.arrival_s for job in jobs) + CHURN_HORIZON_SLACK_S
     churn = _churn(scenario, horizon_s)
     # one pacing rule for both runtimes (module docstring)
-    arrivals = [job.arrival_s for job in jobs]
     if not (scenario.respect_arrivals or scenario.failure_aware):
         for job in jobs:
             job.arrival_s = 0.0
@@ -235,17 +230,12 @@ def run(scenario: Scenario, *, runtime: str = "sim", **fleet) -> ScenarioResult:
         real = ProvingFleet(FleetConfig(**config, **fleet))
         records = real.run(jobs, churn=churn)
         return ScenarioResult(real.summary(), real.events, records, real.proofs)
-    with ProvingCluster(_cluster_config(scenario, config)) as cluster:
-        if scenario.failure_aware:
-            records = cluster.run_scenario(jobs, churn=churn)
-        else:
-            records = cluster.run(jobs)
-        # execute mode's real replay waves on the stream's own arrival
-        # times, so they are back before anything is proven
-        for job, arrival_s in zip(jobs, arrivals):
-            job.arrival_s = arrival_s
-        proofs = {result.job_id: result.proof for result in cluster.results}
-        return ScenarioResult(cluster.summary(), cluster.events, records, proofs)
+    cluster = ProvingCluster(_cluster_config(scenario, config))
+    if scenario.failure_aware:
+        records = cluster.run_scenario(jobs, churn=churn)
+    else:
+        records = cluster.run(jobs)
+    return ScenarioResult(cluster.summary(), cluster.events, records)
 
 
 def _config_fields(scenario: Scenario, max_vars: int) -> dict:
@@ -256,11 +246,7 @@ def _config_fields(scenario: Scenario, max_vars: int) -> dict:
         time_model=scenario.time_model,
         replicas=scenario.replicas,
         max_retries=scenario.max_retries,
-        node=NodeConfig(
-            cache_capacity=scenario.cache_capacity,
-            max_vars=max_vars,
-            wave_s=scenario.wave_s,
-        ),
+        node=NodeConfig(cache_capacity=scenario.cache_capacity, max_vars=max_vars),
     )
 
 
@@ -270,7 +256,6 @@ def _cluster_config(scenario: Scenario, config: dict) -> ClusterConfig:
         autoscale = replace(autoscale, max_nodes=scenario.nodes)
     return ClusterConfig(
         **config,
-        execute=scenario.execute,
         autoscale=autoscale,
         carbon=scenario.carbon,
     )
@@ -306,10 +291,10 @@ def _run_open_loop(scenario: Scenario) -> ScenarioResult:
         horizon_s=scenario.horizon_s,
     )
     config = _config_fields(scenario, traffic.max_vars())
-    with ProvingCluster(_cluster_config(scenario, config)) as cluster:
-        admission = None
-        if scenario.admission is not None:
-            admission = make_admission(cluster, scenario.admission, traffic.tenants)
-        engine = OpenLoopEngine(cluster, traffic, admission=admission)
-        records = engine.run_open_loop(churn=_churn(scenario, scenario.horizon_s))
-        return ScenarioResult(traffic_summary(engine), engine.events, records)
+    cluster = ProvingCluster(_cluster_config(scenario, config))
+    admission = None
+    if scenario.admission is not None:
+        admission = make_admission(cluster, scenario.admission, traffic.tenants)
+    engine = OpenLoopEngine(cluster, traffic, admission=admission)
+    records = engine.run_open_loop(churn=_churn(scenario, scenario.horizon_s))
+    return ScenarioResult(traffic_summary(engine), engine.events, records)

@@ -4,9 +4,8 @@ The :mod:`repro.carbon` stack must be deterministic under seeds (same
 trace and job stream → bit-identical schedules and gram totals),
 restartable (two iterations of one trace agree), and *conservative*:
 parking a deferrable job at a phase boundary and resuming it later must
-never change what is proven, only when — the suspend/resume end-to-end
-tests here pin records, event kinds, counters, and (in execute mode)
-proof bytes.
+never change the work a job does, only when — the suspend/resume
+end-to-end tests here pin records, event kinds and counters.
 """
 
 import math
@@ -346,18 +345,13 @@ def _suspend_jobs() -> list:
     return [deferrable, realtime]
 
 
-def _cap_config(*, execute: bool = False, carbon: bool = True) -> ClusterConfig:
+def _cap_config() -> ClusterConfig:
     return ClusterConfig(
         num_nodes=2,
         policy="round_robin",
         time_model="functional",
-        execute=execute,
-        node=NodeConfig(max_vars=6, wave_s=None),
-        carbon=(
-            CarbonConfig(trace=make_trace(), power_cap_w=400.0)
-            if carbon
-            else None
-        ),
+        node=NodeConfig(max_vars=6),
+        carbon=CarbonConfig(trace=make_trace(), power_cap_w=400.0),
     )
 
 
@@ -408,22 +402,6 @@ class TestSuspendResume:
         assert EventLog.replay_identical(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
 
-    def test_parking_does_not_change_proof_bytes(self):
-        """Execute mode: a parked-and-resumed schedule proves exactly
-        the bytes the carbon-free schedule proves."""
-        with ProvingCluster(_cap_config(execute=True)) as cluster:
-            cluster.run_scenario(_suspend_jobs())
-            assert cluster.carbon.suspends == 1
-            capped = {r.job_id: r.proof for r in cluster.results}
-        with ProvingCluster(_cap_config(execute=True, carbon=False)) as cluster:
-            cluster.run_scenario(_suspend_jobs())
-            free = {r.job_id: r.proof for r in cluster.results}
-        assert capped.keys() == free.keys() and len(capped) == 2
-        for job_id, proof in capped.items():
-            assert proof == free[job_id], (
-                f"job {job_id} proof diverged under cap-driven parking"
-            )
-
     def test_cap_floor_keeps_the_fleet_live(self):
         """A cap that cannot admit even one busy node breaches (counted)
         instead of deadlocking."""
@@ -449,7 +427,7 @@ class TestSuspendResume:
             num_nodes=2,
             policy="round_robin",
             time_model="functional",
-            node=NodeConfig(max_vars=6, wave_s=None),
+            node=NodeConfig(max_vars=6),
             carbon=CarbonConfig(
                 trace=make_trace(noise=0.0),
                 policy="carbon_waiting",

@@ -46,7 +46,7 @@ def make_config(*, carbon: bool, **kwargs) -> ClusterConfig:
     return ClusterConfig(
         num_nodes=3,
         time_model="functional",
-        node=NodeConfig(max_vars=6, wave_s=None),
+        node=NodeConfig(max_vars=6),
         carbon=passive_carbon() if carbon else None,
         **kwargs,
     )
@@ -200,7 +200,7 @@ class TestEventSchemaRoundTrip:
         config = ClusterConfig(
             num_nodes=2,
             time_model="functional",
-            node=NodeConfig(max_vars=6, wave_s=None),
+            node=NodeConfig(max_vars=6),
             carbon=CarbonConfig(
                 trace=CarbonIntensityTrace(noise=0.0, seed=SEED),
                 policy="carbon_waiting",

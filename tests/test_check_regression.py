@@ -56,7 +56,7 @@ CLUSTER_RECORD = {
     "acceptance": [
         {
             "exact": {
-                "scenario": Scenario(jobs=96, execute=True).as_dict(),
+                "scenario": Scenario(jobs=96, policy="round_robin").as_dict(),
                 "jobs": 96,
                 "shape_spread": 1.0,
             },

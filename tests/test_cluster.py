@@ -1,13 +1,11 @@
-"""Cluster-layer contracts: real proofs, policy-invariant bytes, model time.
+"""Cluster-layer contracts: the index cache, pricing and model time.
 
-The fleet simulation must never change *what* is proven — only where and
-when.  Every node rebuilds the same seeded SRS, so a proof is
-bit-identical whichever node (and whichever routing policy) produced it,
-and execute-mode clusters produce the same model-time numbers as pure
-simulation over the same stream.
+The simulated fleet runs in model time and proves nothing: these tests
+pin its LRU cache, the time model's prices, routing and membership.
+Proof bytes — identical whichever node and whichever routing policy
+produced them — are checked on the real fleet (``tests/test_fleet.py``
+and ``tests/test_scenario.py``).
 """
-
-import random
 
 import pytest
 
@@ -18,13 +16,6 @@ from repro.cluster import (
     ProvingCluster,
     SimIndexCache,
     TIME_MODEL_PRESETS,
-)
-from repro.fields import Fr
-from repro.hyperplonk import (
-    HyperPlonkVerifier,
-    MultilinearKZG,
-    TrapdoorSRS,
-    preprocess,
 )
 from repro.service.traffic import TrafficGenerator
 
@@ -40,7 +31,7 @@ def stream(jobs: int, *, scenario: str = SCENARIO, seed: int = SEED):
 def make_config(**kwargs) -> ClusterConfig:
     node = kwargs.pop("node", None)
     if node is None:
-        node = NodeConfig(max_vars=6, wave_s=1.0)
+        node = NodeConfig(max_vars=6)
     return ClusterConfig(node=node, **kwargs)
 
 
@@ -172,69 +163,3 @@ class TestClusterSimulation:
         assert FleetTimeModel.preset("functional").name == "functional"
         with pytest.raises(ValueError):
             FleetTimeModel.preset("nope")
-
-
-class TestClusterExecution:
-    def test_proofs_real_and_verified(self):
-        """Execute mode proves through real per-node services; every
-        proof verifies against an index built here on a same-seed SRS."""
-        _, jobs = stream(6)
-        config = make_config(num_nodes=2, execute=True)
-        with ProvingCluster(config) as cluster:
-            cluster.run(jobs)
-            results = cluster.results
-            summary = cluster.summary()
-        assert len(results) == 6
-        node = config.node
-        kzg = MultilinearKZG(TrapdoorSRS(node.max_vars, random.Random(node.srs_seed)))
-        circuits = {job.job_id: job.circuit for job in jobs}
-        for result in results:
-            _, vidx = preprocess(circuits[result.job_id], kzg)
-            HyperPlonkVerifier(Fr, vidx, kzg).verify(result.proof)
-        assert "real" in summary["cache"]
-        assert summary["measured"]["makespan_s"] > 0
-        # caller-held jobs keep their cluster-wide ids after execution,
-        # so results/records can be joined back to the submitted jobs
-        assert sorted(job.job_id for job in jobs) == list(range(6))
-        # the fleet time model must not leak into the per-node service's
-        # prediction metrics (the router never stamps predicted_cost_s)
-        assert all(r.predicted_s is None for r in results)
-
-    def test_execute_nodes_run_one_sync_prover(self):
-        """A node is one prover: its private service is sync×1 on the
-        node's SRS, and a sim-mode node has none."""
-        with ProvingCluster(make_config(num_nodes=2, execute=True)) as cluster:
-            for node in cluster.nodes.values():
-                config = node.service.config
-                assert (config.executor, config.num_workers) == ("sync", 1)
-                assert node.service.kzg.srs.max_vars == node.config.max_vars
-        with ProvingCluster(make_config(num_nodes=1)) as cluster:
-            assert all(node.service is None for node in cluster.nodes.values())
-
-    def test_policy_does_not_change_proof_bytes(self):
-        """Identical job streams produce identical proofs under every
-        routing policy — sharding moves work, never changes it."""
-        by_policy = {}
-        for policy in ("round_robin", "affinity"):
-            _, jobs = stream(6)
-            config = make_config(num_nodes=2, policy=policy, execute=True)
-            with ProvingCluster(config) as cluster:
-                cluster.run(jobs)
-                results = cluster.results
-                by_policy[policy] = {r.job_id: r.proof for r in results}
-        assert sorted(by_policy["round_robin"]) == sorted(by_policy["affinity"])
-        for job_id, proof in by_policy["round_robin"].items():
-            assert proof == by_policy["affinity"][job_id], (
-                f"job {job_id} proof diverged across routing policies"
-            )
-
-    def test_execute_matches_simulation_model_time(self):
-        """Really proving must not perturb the model-time numbers."""
-        model_sections = []
-        for execute in (False, True):
-            _, jobs = stream(6)
-            config = make_config(num_nodes=2, execute=execute)
-            with ProvingCluster(config) as cluster:
-                cluster.run(jobs)
-                model_sections.append(cluster.summary()["model"])
-        assert model_sections[0] == model_sections[1]

@@ -45,7 +45,7 @@ class TestClusterSweepParity:
             by_key[block["nodes"], block["policy"]] = row
         for num_nodes in PARITY_NODES:
             for policy in ("round_robin", "least_loaded", "affinity"):
-                fresh = sweep_row(cell(policy, num_nodes, execute=False))
+                fresh = sweep_row(cell(policy, num_nodes))
                 assert fresh == by_key[(num_nodes, policy)], (
                     f"model numbers drifted at nodes={num_nodes} "
                     f"policy={policy}: the engine rework must be "

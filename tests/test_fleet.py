@@ -6,7 +6,8 @@ ISSUE 7 coverage:
   same node the cluster sim routes it to, for every policy (the
   foundation the predicted-vs-measured validation rests on);
 * **byte identity** — proofs from N worker processes equal a single
-  sync service's proofs bit for bit;
+  sync service's proofs bit for bit, under every routing policy and for
+  a job retried after its node was killed;
 * **failure detection** — a frozen (wedged) worker misses heartbeats,
   is killed, and its in-flight job retries elsewhere;
 * **cancellation** — killing a node mid-prove crashes the in-flight
@@ -27,6 +28,7 @@ is injected through the fleet's deterministic action hooks.
 """
 
 import asyncio
+import functools
 import json
 import sys
 import time
@@ -80,6 +82,12 @@ def stream(n: int):
     return jobs
 
 
+@functools.cache
+def reference(n: int) -> dict[int, object]:
+    """One sync service's proofs of ``stream(n)``, by job id."""
+    return reference_proofs(Scenario(SCENARIO, n, SEED))
+
+
 def exit_3(spec, inbox, outbox):
     """A worker target that dies during start-up (module level so the
     forkserver child can import it)."""
@@ -110,6 +118,8 @@ class TestParity:
         assert {r.job_id: r.cache_hit for r in fleet_records} == {
             r.job_id: r.cache_hit for r in sim_records
         }
+        # sharding moves work, never changes it
+        assert fleet.proofs == reference(8)
 
     def test_fleet_proofs_byte_identical_to_service(self):
         fleet = make_fleet(num_nodes=2, policy="affinity")
@@ -185,6 +195,8 @@ class TestFailurePaths:
         assert record.attempt == 1
         assert record.node_id == "node-1"
         assert fleet.stats.lost_model_s > 0.0
+        # retried job 0 proves exactly the bytes an uninterrupted run does
+        assert fleet.proofs == reference(4)
 
     def test_double_crash_of_same_node(self):
         fleet = make_fleet(

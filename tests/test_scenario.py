@@ -13,6 +13,7 @@ scenario built here.
 """
 
 import json
+import random
 from dataclasses import fields, is_dataclass, replace
 from inspect import signature
 
@@ -25,8 +26,18 @@ from repro.cluster.__main__ import build_parser, parse_scenario
 from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.engine import ClusterEngine
+from repro.cluster.nodes import NodeConfig
+from repro.fields import Fr
 from repro.fleet.core import ProvingFleet
 from repro.fleet.scenario import SIM_ONLY, Scenario, run
+from repro.fleet.validation import reference_proofs
+from repro.hyperplonk import (
+    HyperPlonkVerifier,
+    MultilinearKZG,
+    TrapdoorSRS,
+    preprocess,
+)
+from repro.service.traffic import TrafficGenerator
 
 
 def lifecycle_cell(policy: str, max_retries: int) -> Scenario:
@@ -126,7 +137,6 @@ ALTERNATIVES = {
     "policy": ("round_robin", "affinity"),
     "time_model": ("functional", "accelerator"),
     "cache_capacity": (8,),
-    "wave_s": (1.0,),
     "autoscale": (AutoscalePolicy(),),
     "carbon": (carbon(),),
     "rate_rps": (5.0,),
@@ -216,7 +226,6 @@ class TestRules:
         "kwargs, flag",
         [
             ({"admission": AdmissionPolicy()}, "--admission"),
-            ({"open_loop": True, "execute": True}, "--execute"),
             ({"open_loop": True, "autoscale": AutoscalePolicy()}, "--autoscale"),
             ({"open_loop": True, "churn_rate": 0.2}, "--horizon-s"),
             ({"carbon": CarbonConfig(None, "carbon_waiting")}, "--carbon-trace"),
@@ -251,8 +260,6 @@ class TestRuntimes:
     @pytest.mark.parametrize("name", sorted(SIM_ONLY))
     def test_fleet_rejects_each_sim_only_setting_by_name(self, name):
         settings = {
-            "execute": True,
-            "wave_s": None,
             "autoscale": AutoscalePolicy(),
             "carbon": carbon(),
             "open_loop": True,
@@ -266,20 +273,27 @@ class TestRuntimes:
         with pytest.raises(ValueError, match="heartbeat_s"):
             run(Scenario(), heartbeat_s=0.1)
 
-    def test_result_carries_records_and_execute_mode_proofs(self):
+    def test_sim_result_carries_records_and_no_proofs(self):
         model = run(Scenario("uniform-small", 3, nodes=1))
         assert len(model.records) == 3 and model.proofs == {}
         assert len(model.events) > 0
-        executed = run(Scenario("uniform-small", 3, nodes=1, execute=True))
-        assert sorted(executed.proofs) == sorted(r.job_id for r in model.records)
 
     def test_one_scenario_on_both_runtimes(self):
-        """Failure-free, the sim and the real fleet place every job on
-        the same node and produce byte-identical proofs."""
+        """Failure-free, the real fleet places every job on the node the
+        sim places it on; its proofs are one sync service's, byte for
+        byte, and each verifies against an index built here on a
+        same-seed SRS."""
         cell = Scenario("uniform-small", 4, 3, nodes=2, time_model="functional")
         fleet = run(cell, runtime="fleet", run_timeout_s=120.0)
-        sim = run(replace(cell, execute=True))
-        assert fleet.proofs == sim.proofs and len(fleet.proofs) == 4
+        sim = run(cell)
+        assert fleet.proofs == reference_proofs(cell) and len(fleet.proofs) == 4
+        generator = TrafficGenerator(cell.scenario, seed=cell.seed)
+        circuits = {job.job_id: job.circuit for job in generator.jobs(cell.jobs)}
+        srs = TrapdoorSRS(generator.max_vars(), random.Random(NodeConfig.srs_seed))
+        kzg = MultilinearKZG(srs)
+        for job_id, proof in fleet.proofs.items():
+            _, vidx = preprocess(circuits[job_id], kzg)
+            HyperPlonkVerifier(Fr, vidx, kzg).verify(proof)
 
         def placement(result):
             return sorted((r.job_id, r.node_id) for r in result.records)

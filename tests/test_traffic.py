@@ -648,7 +648,6 @@ class TestOpenLoopCli:
         "argv",
         [
             ["--admission"],  # requires --open-loop
-            ["--open-loop", "--execute"],
             ["--open-loop", "--autoscale"],
             ["--open-loop", "--churn-rate", "0.2"],  # needs --horizon-s
             ["--open-loop", "--tenants", "0"],
