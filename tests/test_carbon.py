@@ -345,13 +345,17 @@ def _suspend_jobs() -> list:
     return [deferrable, realtime]
 
 
-def _cap_config() -> ClusterConfig:
+def _cap_config(*, carbon: bool = True) -> ClusterConfig:
     return ClusterConfig(
         num_nodes=2,
         policy="round_robin",
         time_model="functional",
         node=NodeConfig(max_vars=6),
-        carbon=CarbonConfig(trace=make_trace(), power_cap_w=400.0),
+        carbon=(
+            CarbonConfig(trace=make_trace(), power_cap_w=400.0)
+            if carbon
+            else None
+        ),
     )
 
 
@@ -401,6 +405,31 @@ class TestSuspendResume:
         assert runs[0][0] == runs[1][0]
         assert EventLog.replay_identical(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
+
+    def test_parking_does_not_change_the_work(self):
+        """A parked-and-resumed job is placed, cached and priced exactly
+        as in the carbon-free run of the same stream: parking moves
+        work in time, never changes it."""
+
+        def work(carbon: bool) -> tuple[int, dict]:
+            with ProvingCluster(_cap_config(carbon=carbon)) as cluster:
+                records = cluster.run_scenario(_suspend_jobs())
+                suspends = cluster.carbon.suspends if carbon else 0
+            return suspends, {
+                r.job_id: (
+                    r.circuit_key,
+                    r.node_id,
+                    r.cache_hit,
+                    r.install_model_s,
+                    r.prove_model_s,
+                )
+                for r in records
+            }
+
+        capped_suspends, capped = work(carbon=True)
+        _, free = work(carbon=False)
+        assert capped_suspends == 1
+        assert capped == free and len(capped) == 2
 
     def test_cap_floor_keeps_the_fleet_live(self):
         """A cap that cannot admit even one busy node breaches (counted)

@@ -3,8 +3,8 @@
 ISSUE 5 satellite coverage:
 
 * **retry determinism** — same seed + same churn trace ⇒ identical
-  records and identical retry counts across runs (the real fleet's
-  retried proofs keep their bytes: ``tests/test_fleet.py``);
+  records and identical retry counts across runs, and on the real fleet
+  crashes move work, never change it: retried proofs keep their bytes;
 * **exclusion** — a job lost to a crash never returns to the node that
   lost it, and `HashRing` failover only diverts the failed node's keys;
 * **failure accounting** — exhausted retries and stranded jobs are
@@ -22,6 +22,9 @@ from repro.cluster import (
     NoRoutableNodeError,
     ProvingCluster,
 )
+from repro.fleet.core import FleetConfig, ProvingFleet
+from repro.fleet.scenario import Scenario
+from repro.fleet.validation import reference_proofs
 from repro.plan import FunctionalProverCostModel, OutstandingCost
 from repro.service.traffic import TrafficGenerator
 from repro.workloads import (
@@ -89,6 +92,36 @@ class TestRetryDeterminism:
         assert resilience["retries"] >= 1
         assert resilience["parked"] > 0
         assert first_summary["deadlines"]["missed"] > 0
+
+    def test_proof_bytes_survive_churn_and_retries(self):
+        """The real fleet under a churn trace that kills both workers
+        mid-prove and brings them back: every job completes, and every
+        proof equals one sync service's proof of the same stream."""
+        generator = TrafficGenerator("uniform-small", seed=7)
+        jobs = generator.jobs(10)
+        for job in jobs:
+            job.arrival_s = 0.0  # a saturated batch: both nodes busy
+        fleet = ProvingFleet(
+            FleetConfig(
+                num_nodes=2,
+                policy="round_robin",
+                time_model="functional",
+                max_retries=3,
+                node=NodeConfig(max_vars=generator.max_vars()),
+                run_timeout_s=180.0,
+            )
+        )
+        churn = (
+            ChurnEvent(0.02, 0, "crash"),
+            ChurnEvent(0.03, 1, "crash"),
+            ChurnEvent(0.3, 0, "recover"),
+            ChurnEvent(0.4, 1, "recover"),
+        )
+        records = fleet.run(jobs, churn=churn)
+        assert len(records) == 10 and not fleet.failed_jobs
+        assert fleet.stats.crashes == 2
+        assert fleet.events.kinds()["job_retried"] >= 1
+        assert fleet.proofs == reference_proofs(Scenario("uniform-small", 10, 7))
 
     def test_retry_counts_visible_in_metrics(self):
         records, summary, _ = scenario_run()

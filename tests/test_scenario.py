@@ -27,6 +27,7 @@ from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.nodes import NodeConfig
+from repro.cluster.routing import ROUTING_POLICIES
 from repro.fields import Fr
 from repro.fleet.core import ProvingFleet
 from repro.fleet.scenario import SIM_ONLY, Scenario, run
@@ -239,6 +240,15 @@ class TestRules:
         with pytest.raises(ValueError, match=flag):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize("argv", [["--execute"], ["--wave-s", "1.0"]])
+    def test_removed_execute_flags_exit_2(self, argv, capsys):
+        """The simulator proves nothing, so its old execute-mode flags
+        are unknown arguments, never silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_power_cap_checks_the_configured_power_model(self):
         Scenario(carbon=carbon(power=SMALL_POWER, power_cap_w=100.0))
         with pytest.raises(ValueError, match="--power-cap"):
@@ -277,6 +287,39 @@ class TestRuntimes:
         model = run(Scenario("uniform-small", 3, nodes=1))
         assert len(model.records) == 3 and model.proofs == {}
         assert len(model.events) > 0
+
+    @pytest.mark.parametrize("cache_capacity", [1, 2, 3])
+    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
+    def test_fleet_measures_the_hit_rate_the_sim_predicts(
+        self, policy, cache_capacity
+    ):
+        """Under caches small enough that eviction costs hits, the
+        workers' real LRU caches hit on exactly the jobs the sim's model
+        caches hit on, and a fleet job pays install seconds exactly when
+        it misses."""
+        cell = Scenario(
+            "zipf-mixed",
+            16,
+            7,
+            nodes=2,
+            policy=policy,
+            time_model="functional",
+            cache_capacity=cache_capacity,
+        )
+        fleet = run(cell, runtime="fleet", run_timeout_s=120.0)
+        sim = run(cell)
+        model = sim.summary["cache"]["sim"]
+        unbounded = run(replace(cell, cache_capacity=None)).summary["cache"]["sim"]
+        assert model["hits"] < unbounded["hits"]
+        assert fleet.summary["cache"] == {
+            key: model[key] for key in ("hits", "misses", "hit_rate")
+        }
+
+        def hits(result):
+            return {r.job_id: r.cache_hit for r in result.records}
+
+        assert hits(fleet) == hits(sim)
+        assert all((r.install_model_s > 0) != r.cache_hit for r in fleet.records)
 
     def test_one_scenario_on_both_runtimes(self):
         """Failure-free, the real fleet places every job on the node the
