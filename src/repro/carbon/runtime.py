@@ -228,10 +228,8 @@ class CarbonRuntime:
         nodes = engine.cluster.nodes
         for realtime_first in (True, False):
             for node_id in sorted(nodes):
-                node = nodes[node_id]
-                if node.down or node.in_flight is not None:
-                    continue
-                head = node.peek_next()
+                node = nodes[node_id]  # a down or busy one is never kicked
+                head = node.queue.peek()
                 if head is None and not node.suspended_ids:
                     continue
                 is_realtime = (
@@ -251,7 +249,7 @@ class CarbonRuntime:
         """Start ``job`` on ``node``, recording a queue-reordering pick
         (edd / skip-ahead) if one happened — starting the queue head is
         not a decision."""
-        head = node.peek_next()
+        head = node.queue.peek()
         if head is not None and head.job_id != job.job_id:
             self._note_choice(node, job, "skip_ahead")
         self._active.add(job.job_id)
@@ -446,7 +444,7 @@ class CarbonRuntime:
           hold fires earliest.
         * ``none`` — plain queue order (cap-only runs land here).
         """
-        jobs = node.pending_jobs()
+        jobs = node.queue.jobs()
         if not jobs:
             return None, None
         if self.policy == "edd":

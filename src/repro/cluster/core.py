@@ -130,9 +130,9 @@ class ProvingCluster:
         node = self.nodes.get(node_id)
         if node is None:
             raise KeyError(f"unknown node {node_id!r}")
-        if node.pending or node.in_flight is not None or node.suspended_ids:
+        if node.queue or node.in_flight is not None or node.suspended_ids:
             raise ValueError(
-                f"node {node_id!r} still has {node.pending} pending jobs; "
+                f"node {node_id!r} still has {len(node.queue)} pending jobs; "
                 "drain before removing it"
             )
         self.router.remove_node(node_id)

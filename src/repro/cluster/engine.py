@@ -4,29 +4,30 @@
 ProvingCluster` run through one :class:`~repro.sim.Simulator`, so job
 completions, node crashes, recoveries, retries, and autoscaler ticks
 interleave on a single deterministic model-time axis.  :meth:`run` is
-its one entry point: every job is *submitted at its arrival time* and
-routed on arrival; a churn trace (:mod:`repro.workloads.churn`) crashes
-and recovers nodes mid-stream; an optional
-:class:`~repro.cluster.autoscale.AutoscalePolicy` resizes the fleet from
-the plan-predicted backlog signal.  A node starts a job at ``max(node
-clock, arrival, now)``, so no start lands before the model time it
-fires at.  A closed batch with arrivals ignored is simply a stream whose
-``arrival_s`` are all zero: every job is routed at t=0, in job order,
-before any finish.
+its one entry point: one arrival event per distinct ``arrival_s`` routes
+that instant's jobs, then kicks each node that got one; a churn trace
+(:mod:`repro.workloads.churn`) crashes and recovers nodes mid-stream; an
+optional :class:`~repro.cluster.autoscale.AutoscalePolicy` resizes the
+fleet from the plan-predicted backlog signal.  A closed batch with
+arrivals ignored is a stream whose ``arrival_s`` are all zero: one
+instant, every job queued before any starts.
 
-Failure semantics: a crash loses the node's *in-flight* job (the lost
-model seconds are accounted), cold-starts its index cache, and takes
-its ring points away so only ~K/N fingerprints remap.  Routing, parking,
-requeues, retries, failures and a node's loss and return are the
-inherited :class:`~repro.cluster.records.Dispatcher` — the code the real
-fleet runs — so the same seed and trace give identical retry counts; the
-engine only cancels a lost node's armed events and flight first.  Jobs
-stranded with the whole fleet down at the end are *failed*, like
-retry-exhausted ones.
+Routing, the node work loop (pick, start, finish, re-kick) and a
+node's loss and return are the inherited
+:class:`~repro.cluster.records.Dispatcher` — the code the real fleet
+runs — so the same seed and trace give identical placements and retry
+counts.  The engine supplies how a job starts (at ``max(node clock,
+arrival)``, so no start lands before the model time it fires at) and a
+finish event's :class:`JobRecord` in model seconds.  A crash loses the
+node's *in-flight* job (the lost model seconds are accounted),
+cold-starts its index cache, and takes its ring points away so only
+~K/N fingerprints remap; the engine cancels the node's armed events and
+flight first.  Jobs stranded with the whole fleet down at the end are
+*failed*, like retry-exhausted ones.
 
 Start gate.  By default an idle node starts the head of its queue as
 soon as the head is ready.  A layer above may decide *which* job starts
-and *when* by installing ``engine.gate``; the engine knows nothing of
+and *when* by installing ``engine.gate``; the loop knows nothing of
 what the gate optimises and consults it at three points only:
 
 * ``gate.arm(node)`` — ``node`` is up and idle with no start armed:
@@ -44,16 +45,17 @@ with only observers installed schedules exactly as one with none.
 
 A job's ``(install_s, prove_s)`` comes from one dict hit on
 :meth:`~repro.cluster.timemodel.FleetTimeModel.price`: the arrival's
-``prove_s`` is what the router charges, a finish releases the flight's
+``prove_s`` is what the router charges, a finish releases the same
 ``prove_s``, and the node times what the same memo gives at its start.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cluster.nodes import InFlightJob, JobRecord, ProverNode
-from repro.cluster.records import Dispatcher, arrival_order
+from repro.cluster.records import Dispatcher, arrival_order, instants
 from repro.service.jobs import ProofJob
 from repro.sim import EventHandle, EventLog, Simulator, TraceSource, install
 from repro.workloads.churn import ChurnEvent
@@ -84,62 +86,51 @@ class ClusterEngine(Dispatcher):
             EventLog(clock=lambda: self.sim.now),
             cluster.config.max_retries,
         )
+        self._next_job_id = cluster.next_job_id
         self.cluster = cluster
-        self.records: list[JobRecord] = []
-        self._start_handles: dict[str, EventHandle] = {}
         self._finish_handles: dict[str, EventHandle] = {}
         self._cancellable: list[EventHandle] = []
         self._tick_handle: EventHandle | None = None
-        self._total_jobs = 0
-        #: the start gate and the observers (module docstring); all None
-        #: unless ``config.carbon`` or the open-loop engine sets them
-        self.gate = None
+        #: the busy-segment observer (module docstring); None unless
+        #: ``config.carbon`` sets it
         self.on_segment_end = None
-        self.on_resolved = None
         #: what ``config.carbon`` attached to this run (None = nothing);
         #: it reports through :meth:`ProvingCluster.summary`
         carbon = cluster.config.carbon
         self.carbon = carbon.attach(self) if carbon is not None else None
 
-    # -- node work loop ------------------------------------------------------
-    def kick(self, node: ProverNode) -> None:
-        """(Re)arm ``node``: start its next job now or at its ready time."""
-        if node.down or node.in_flight is not None:
-            return
-        handle = self._start_handles.pop(node.node_id, None)
-        if handle is not None:
-            handle.cancel()
-        if self.gate is not None:
-            self.gate.arm(node)
-            return
-        job = node.peek_next()
-        if job is None:
-            return
+    # -- dispatcher hooks ----------------------------------------------------
+    def _enqueue(self, node_id: str, job: ProofJob) -> ProverNode:
+        node = self.cluster.nodes[node_id]
+        node.submit(job)
+        return node
+
+    def _launch(self, node: ProverNode, job: ProofJob) -> None:
+        """Start ``job`` now, or look again when it is ready."""
         ready = max(node.clock_s, job.arrival_s)
         if ready <= self.sim.now:
             self.begin(node, job)
         else:
             self.start_at(node, ready)
 
+    def _all_resolved(self) -> None:
+        """Stop the churn and autoscale event streams."""
+        for handle in self._cancellable:
+            handle.cancel()
+        self._cancellable.clear()
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
+
+    # -- what a start gate drives --------------------------------------------
     def start_at(self, node: ProverNode, at_s: float) -> None:
         """Arm ``node`` to look for work again at model time ``at_s``."""
-        self._start_handles[node.node_id] = self.sim.schedule(
-            at_s, lambda: self._start_event(node), priority=PRIO_START
+        self._armed[node.node_id] = self.sim.schedule(
+            at_s, lambda: self.kick(node), priority=PRIO_START
         )
 
-    def _start_event(self, node: ProverNode) -> None:
-        self._start_handles.pop(node.node_id, None)
-        if node.down or node.in_flight is not None:
-            return
-        if self.gate is not None:
-            self.gate.arm(node)
-        else:
-            self.begin(node, node.peek_next())
-
-    def begin(self, node: ProverNode, job: ProofJob | None) -> None:
+    def begin(self, node: ProverNode, job: ProofJob) -> None:
         """Start ``job`` (any queued job of ``node``) now."""
-        if job is None:
-            return
         flight = node.begin(job, self.sim.now, self.time_model.price(job))
         self.finish_at(node, flight)
 
@@ -159,50 +150,9 @@ class ClusterEngine(Dispatcher):
         self._finish_handles.pop(node.node_id, None)
         flight = node.in_flight
         record = node.complete()
-        self.records.append(record)
-        self.events.emit(
-            "job_completed",
-            job_id=record.job_id,
-            node_id=node.node_id,
-            attempt=record.attempt,
-            cache_hit=record.cache_hit,
-        )
         if self.on_segment_end is not None:
             self.on_segment_end(flight, record.finish_s, False)
-        self.router.release(node.node_id, flight.prove_s)
-        self._check_done()
-        self.kick(node)
-        if self.gate is not None:
-            self.gate.capacity_changed()
-        if self.on_resolved is not None:
-            self.on_resolved(flight.job)
-
-    # -- dispatcher hooks ----------------------------------------------------
-    def _enqueue(self, node_id: str, job: ProofJob) -> ProverNode:
-        node = self.cluster.nodes[node_id]
-        node.submit(job)
-        return node
-
-    def _resolved(self, job: ProofJob) -> None:
-        self._check_done()
-        if self.on_resolved is not None:
-            self.on_resolved(job)
-
-    def _submit(self, job: ProofJob) -> None:
-        """Arrival event: id-stamp and route one job."""
-        self.cluster.check_fits(job)
-        self._accept(job, self.cluster.next_job_id())
-
-    def _check_done(self) -> None:
-        """Stop churn/autoscale event streams once every job resolved."""
-        if len(self.records) + len(self.failed_jobs) < self._total_jobs:
-            return
-        for handle in self._cancellable:
-            handle.cancel()
-        self._cancellable.clear()
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None
+        self._finished(node, flight.job, record, flight.prove_s)
 
     # -- churn ---------------------------------------------------------------
     def _on_churn(self, event: ChurnEvent) -> None:
@@ -218,7 +168,7 @@ class ClusterEngine(Dispatcher):
 
     def _crash(self, node: ProverNode) -> None:
         """Stop ``node``'s events and flight; the Dispatcher does the rest."""
-        handle = self._start_handles.pop(node.node_id, None)
+        handle = self._armed.pop(node.node_id, None)
         if handle is not None:
             handle.cancel()
         if self.gate is not None:
@@ -371,11 +321,9 @@ class ClusterEngine(Dispatcher):
         nodes the autoscaler has retired are skipped.
         """
         self._total_jobs = len(jobs)
-        for job in jobs:
+        for at_s, batch in instants(jobs):
             self.sim.schedule(
-                job.arrival_s,
-                (lambda j=job: self._submit(j)),
-                priority=PRIO_ARRIVAL,
+                at_s, partial(self._arrive, batch), priority=PRIO_ARRIVAL
             )
         self._start_streams(churn)
         self.sim.run()

@@ -38,8 +38,9 @@ def _aggregate_stats(stats: list[CacheStats]) -> dict:
         total.hits += s.hits
         total.misses += s.misses
         total.evictions += s.evictions
-        total.preprocess_s += s.preprocess_s
-    return total.as_dict()
+    doc = total.as_dict()
+    del doc["preprocess_s"]  # a modelled cache times nothing
+    return doc
 
 
 def load_imbalance(busy: list[float]) -> float:

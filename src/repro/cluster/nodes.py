@@ -23,11 +23,10 @@ sync service's.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.cluster.records import JobRecord, arrival_order
+from repro.cluster.records import JobQueue, JobRecord
 from repro.service.cache import CacheStats
 from repro.service.jobs import ProofJob
 
@@ -148,20 +147,11 @@ class ProverNode:
         self.crashes = 0
         self.down = False
         self.shapes_seen: set[str] = set()
-        self.records: list[JobRecord] = []
         self.in_flight: InFlightJob | None = None
-        # pending queue: insertion-ordered dict (crash requeue order)
-        # plus an (arrival, job_id) heap for O(log q) peek/begin; heap
-        # entries for started jobs are dropped lazily in peek_next
-        self._pending: dict[int, ProofJob] = {}
-        self._pending_heap: list[tuple[float, int]] = []
+        #: queued jobs not yet started (in-flight work excluded)
+        self.queue = JobQueue()
         #: jobs parked at a phase boundary, awaiting resume (by job id)
         self._suspended: dict[int, SuspendedFlight] = {}
-
-    @property
-    def pending(self) -> int:
-        """Queued jobs not yet started (in-flight work excluded)."""
-        return len(self._pending)
 
     @property
     def idle(self) -> bool:
@@ -170,7 +160,7 @@ class ProverNode:
         return (
             not self.down
             and self.in_flight is None
-            and not self._pending
+            and not self.queue
             and not self._suspended
         )
 
@@ -181,35 +171,10 @@ class ProverNode:
 
     def submit(self, job: ProofJob) -> None:
         """Queue ``job`` on this node (the router already chose it)."""
-        self._pending[job.job_id] = job
-        heapq.heappush(self._pending_heap, (job.arrival_s, job.job_id))
+        self.queue.push(job)
         self.shapes_seen.add(job.circuit_key)
 
     # -- event-engine primitives --------------------------------------------
-    def peek_next(self) -> ProofJob | None:
-        """The queued job the node would start next: the earliest
-        ``(arrival, job_id)`` (None if empty)."""
-        if not self._pending:
-            return None
-        heap = self._pending_heap
-        pending = self._pending
-        while heap:
-            job = pending.get(heap[0][1])
-            if job is None:
-                heapq.heappop(heap)
-                continue
-            return job
-        return None
-
-    def pending_jobs(self) -> list[ProofJob]:
-        """Every queued job in queue (start) order, without popping.
-
-        The carbon policies scan this to reorder or skip ahead of the
-        queue head; :meth:`begin` accepts any returned job, not just
-        the head.
-        """
-        return sorted(self._pending.values(), key=arrival_order)
-
     def begin(
         self, job: ProofJob, now_s: float, price: tuple[float, float]
     ) -> InFlightJob:
@@ -227,7 +192,7 @@ class ProverNode:
             raise RuntimeError(f"node {self.node_id} is down")
         if self.in_flight is not None:
             raise RuntimeError(f"node {self.node_id} is already proving")
-        del self._pending[job.job_id]
+        self.queue.remove(job)
         start = max(self.clock_s, job.arrival_s, now_s)
         install, prove = price
         hit = self.sim_cache.lookup(job.circuit_key)
@@ -257,7 +222,7 @@ class ProverNode:
             flight.install_s + flight.prove_s - flight.done_before_s
         )
         self.jobs_done += 1
-        record = JobRecord(
+        return JobRecord(
             job_id=flight.job.job_id,
             tag=flight.job.tag,
             circuit_key=flight.job.circuit_key,
@@ -273,8 +238,6 @@ class ProverNode:
             suspensions=flight.suspensions,
             suspended_s=flight.suspended_wait_s,
         )
-        self.records.append(record)
-        return record
 
     def abort(self, now_s: float) -> tuple[ProofJob, float]:
         """Lose the in-flight job at ``now_s``; returns (job, lost seconds)."""
@@ -359,9 +322,7 @@ class ProverNode:
         self.crashes += 1
         self.clock_s = max(self.clock_s, now_s)
         self.sim_cache.clear()
-        requeued = list(self._pending.values())
-        self._pending.clear()
-        self._pending_heap.clear()
+        requeued, self.queue = self.queue.jobs(), JobQueue()
         # parked jobs survive as *jobs* but their banked phases die with
         # the node's state: busy seconds become lost seconds and the job
         # requeues from scratch alongside the queued ones

@@ -12,13 +12,16 @@ without translation.
 route, park, requeue, retry, fail, and a node's loss and return —
 counted in :class:`ResilienceStats` under the :class:`RetryPolicy`
 crash-retry contract, so a job's history is the same code whether its
-crash was simulated or a killed process.
+crash was simulated or a killed process — and the node work loop both
+run, over one :class:`JobQueue` per node.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.cluster.routing import ClusterRouter, NoRoutableNodeError
 from repro.cluster.timemodel import FleetTimeModel
@@ -104,6 +107,14 @@ def arrival_order(job: ProofJob) -> tuple[float, int]:
     return job.arrival_s, job.job_id
 
 
+def instants(jobs: Iterable[ProofJob]) -> Iterator[tuple[float, list[ProofJob]]]:
+    """``(arrival_s, jobs)`` per distinct arrival time, each instant's
+    jobs in stream order: one :meth:`Dispatcher._arrive` call each."""
+    by_time = sorted(jobs, key=lambda job: job.arrival_s)
+    for at_s, batch in itertools.groupby(by_time, key=lambda job: job.arrival_s):
+        yield at_s, list(batch)
+
+
 @dataclass
 class ResilienceStats:
     """Failure/retry/autoscale accounting for one run.
@@ -152,15 +163,54 @@ class ResilienceStats:
         }
 
 
-class Dispatcher:
-    """The job lifecycle shared by the sim engine and the real fleet.
+class JobQueue:
+    """One node's queued jobs, in either runtime, started in
+    :func:`arrival_order`: a dict by job id plus a heap of
+    ``arrival_order`` keys, whose removed jobs :meth:`peek` drops lazily."""
 
-    A runtime (model or wall time) inherits it and supplies three hooks:
-    ``_enqueue(node_id, job)`` queues a routed job and returns the
-    runtime's node, ``kick(node)`` starts that node's next job if it is
-    up and idle, and ``_resolved(job)`` hears of each failed job.  A
-    runtime stops a lost node's work its own way, then calls
-    :meth:`_node_lost`; a returning node goes through :meth:`_node_back`.
+    def __init__(self):
+        self._jobs: dict[int, ProofJob] = {}
+        self._heap: list[tuple[float, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def push(self, job: ProofJob) -> None:
+        """Queue ``job``."""
+        self._jobs[job.job_id] = job
+        heapq.heappush(self._heap, arrival_order(job))
+
+    def peek(self) -> ProofJob | None:
+        """The job the node starts next (None if empty)."""
+        heap, jobs = self._heap, self._jobs
+        while heap:
+            job = jobs.get(heap[0][1])
+            if job is not None:
+                return job
+            heapq.heappop(heap)
+        return None
+
+    def remove(self, job: ProofJob) -> None:
+        """Take ``job`` (any queued job, not only the head) off the queue."""
+        del self._jobs[job.job_id]
+
+    def jobs(self) -> list[ProofJob]:
+        """Every queued job in start order (a start gate may pick any)."""
+        return sorted(self._jobs.values(), key=arrival_order)
+
+
+class Dispatcher:
+    """The job lifecycle and node work loop of the sim engine and the
+    real fleet.
+
+    A runtime inherits it and supplies ``_enqueue(node_id, job)`` (queue
+    a routed job, return the node: anything with ``node_id``, ``down``,
+    ``in_flight`` and a :class:`JobQueue` ``queue``), ``_launch(node,
+    job)`` (start the job :meth:`kick` picked) and ``_all_resolved()``.
+    It reports a job's end through :meth:`_finished`, stops a lost
+    node's work before :meth:`_node_lost`, and brings one back through
+    :meth:`_node_back`.  ``gate`` and ``on_resolved``: see
+    :mod:`repro.cluster.engine`.
     """
 
     def __init__(
@@ -175,18 +225,85 @@ class Dispatcher:
         self.events = events
         self.retry_policy = RetryPolicy(max_retries)
         self.stats = ResilienceStats()
+        self.records: list[JobRecord] = []
         self.failed_jobs: list[ProofJob] = []
+        self.gate = None
+        self.on_resolved = None
+        #: stamps each arrival's job id (a runtime may swap in its own)
+        self._next_job_id = itertools.count().__next__
+        self._total_jobs = 0
         self._parked: list[ProofJob] = []
+        #: a start the runtime armed for later, by node id (any handle
+        #: with ``cancel()``); the next :meth:`kick` of the node voids it
+        self._armed: dict[str, object] = {}
 
-    def _accept(self, job: ProofJob, job_id: int, cost_s: float | None = None) -> None:
-        """Arrival: stamp ``job_id``, log the acceptance, route."""
+    # -- the node work loop --------------------------------------------------
+    def _arrive(self, jobs: Iterable[ProofJob]) -> None:
+        """One arrival instant: accept and route every job, then kick
+        each node that got one, once, in node-id order — so a start
+        gate sees the whole burst queued before any of it starts."""
+        touched = {}
+        for job in jobs:
+            node = self._accept(job, self._next_job_id())
+            if node is not None:
+                touched[node.node_id] = node
+        for node_id in sorted(touched):
+            self.kick(touched[node_id])
+
+    def kick(self, node) -> None:
+        """Start ``node``'s next job if it is up and idle: the gate picks
+        when one is installed, else the head of its queue is launched."""
+        if node.down or node.in_flight is not None:
+            return
+        armed = self._armed.pop(node.node_id, None)
+        if armed is not None:
+            armed.cancel()
+        if self.gate is not None:
+            self.gate.arm(node)
+            return
+        job = node.queue.peek()
+        if job is not None:
+            self._launch(node, job)
+
+    def _finished(self, node, job: ProofJob, record: JobRecord, charge_s: float):
+        """``node`` completed ``job`` as ``record``: book it, release its
+        router charge (the priced prove seconds), log it, then start the
+        node's next job."""
+        self.records.append(record)
+        self.router.release(node.node_id, charge_s)
+        self.events.emit(
+            "job_completed",
+            job_id=record.job_id,
+            node_id=record.node_id,
+            attempt=record.attempt,
+            cache_hit=record.cache_hit,
+        )
+        self._check_done()
+        self.kick(node)
+        if self.gate is not None:
+            self.gate.capacity_changed()
+        if self.on_resolved is not None:
+            self.on_resolved(job)
+
+    def _check_done(self) -> None:
+        """Tell the runtime once every job is resolved."""
+        if len(self.records) + len(self.failed_jobs) >= self._total_jobs:
+            self._all_resolved()
+
+    # -- the job lifecycle ---------------------------------------------------
+    def _accept(self, job: ProofJob, job_id: int, cost_s: float | None = None):
+        """Arrival: stamp ``job_id``, log the acceptance, route; returns
+        the node that queued the job (None = parked) for the caller to
+        kick once the whole instant is routed."""
         job.job_id = job_id
         self.events.emit("job_accepted", job_id=job_id, tag=job.tag)
-        self._route(job, cost_s)
+        return self._route(job, cost_s, kick=False)
 
-    def _route(self, job: ProofJob, cost_s: float | None = None) -> None:
+    def _route(self, job: ProofJob, cost_s: float | None = None, kick: bool = True):
         """Route one job at ``cost_s`` predicted prove seconds (default:
-        its time-model price); park it only when the whole fleet is down.
+        its time-model price) and kick its node (unless ``kick`` is
+        False); park it only when the whole fleet is down.  Returns the
+        node that queued it (None = parked).
 
         Node exclusion is best-effort: when only excluded nodes are up the
         exclusion is waived (and counted) — a recovered loser is still a
@@ -201,14 +318,16 @@ class Dispatcher:
             if not router.up_count():
                 self.stats.parked += 1
                 self._parked.append(job)
-                return
+                return None
             self.stats.exclusion_waivers += 1
             node_id = router.assign(job, cost_s=cost_s)
         node = self._enqueue(node_id, job)
         self.events.emit(
             "job_assigned", job_id=job.job_id, node_id=node_id, attempt=job.attempt
         )
-        self.kick(node)
+        if kick:
+            self.kick(node)
+        return node
 
     def _unpark(self) -> None:
         """Route every parked job again after a node became routable."""
@@ -262,4 +381,6 @@ class Dispatcher:
         self.stats.failed += 1
         self.failed_jobs.append(job)
         self.events.emit("job_failed", job_id=job.job_id, attempt=job.attempt)
-        self._resolved(job)
+        self._check_done()
+        if self.on_resolved is not None:
+            self.on_resolved(job)

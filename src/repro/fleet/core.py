@@ -6,18 +6,15 @@ ProvingCluster` simulates: N persistent worker processes
 asyncio coordinator, so measured behavior is comparable to predicted
 behavior:
 
-* **Job lifecycle** — like the sim engine, the fleet *is* a
-  :class:`~repro.cluster.records.Dispatcher`: one router charged through
-  ``time_model.price``, one parking / waiver / requeue / retry / failure
-  path, one :class:`~repro.cluster.records.ResilienceStats` — so
-  failure-free placements are *identical* to the sim's
-  (``tests/test_fleet.py`` locks this).  The fleet adds only wall-time
-  hooks: a node's queue, its dispatch, and run completion.
-* **Arrivals** — each job is submitted ``arrival_s × time_scale`` wall
-  seconds after the fleet is warm, as the sim routes it at ``arrival_s``.
-* **Node discipline** — one in-flight job per node, queue drained in
-  ``(arrival, job_id)`` order like
-  :meth:`~repro.cluster.nodes.ProverNode.peek_next`.
+* **Job lifecycle and node work loop** — like the sim engine, the fleet
+  *is* a :class:`~repro.cluster.records.Dispatcher`: one router, one
+  parking / requeue / retry / failure path, one queue discipline (one
+  job in flight per node, the rest started in ``(arrival, job_id)``
+  order) — so failure-free placements are *identical* to the sim's
+  (``tests/test_fleet.py`` locks this).  Each instant's jobs arrive
+  together ``arrival_s × time_scale`` wall seconds after the fleet is
+  warm.  The fleet adds only wall-time hooks: ``_launch`` sends a job
+  to its worker and arms its timeout, a result becomes its record.
 * **Failure detection** — a churn kill, heartbeat miss, or job timeout
   declares a node dead; the fleet kills the process, and the sim's
   crash and recovery code (``_node_lost`` / ``_node_back``) applies.
@@ -40,15 +37,15 @@ corrupt at most the dead worker's pipe.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import multiprocessing as mp
+import queue
 import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable
 
 from repro.cluster import metrics
 from repro.cluster.nodes import NodeConfig
-from repro.cluster.records import Dispatcher, JobRecord, arrival_order
+from repro.cluster.records import Dispatcher, JobQueue, JobRecord, instants
 from repro.cluster.routing import DEFAULT_REPLICAS, ClusterRouter
 from repro.cluster.timemodel import FleetTimeModel
 from repro.sim.events import EventLog
@@ -134,7 +131,7 @@ class _Flight:
 
 
 class _Handle:
-    """Coordinator-side state for one worker process."""
+    """Coordinator-side state for one worker process: the fleet's node."""
 
     def __init__(self, node_id: str, process, inbox, outbox):
         self.node_id = node_id
@@ -142,11 +139,18 @@ class _Handle:
         self.inbox = inbox
         self.outbox = outbox
         self.reader: threading.Thread | None = None
+        #: set when the coordinator lets go of the worker: its reader ends
+        self.released = threading.Event()
         self.up = False
         self.ready = asyncio.Event()
         self.stopped = asyncio.Event()
         self.in_flight: _Flight | None = None
-        self.pending: list = []
+        self.queue = JobQueue()
+
+    @property
+    def down(self) -> bool:
+        """Not (yet, or any more) serving jobs."""
+        return not self.up
 
     @property
     def starting(self) -> bool:
@@ -179,18 +183,17 @@ class ProvingFleet(Dispatcher):
         self.monitor = HeartbeatMonitor(
             config.heartbeat_s, config.heartbeat_misses
         )
-        self.records: list[JobRecord] = []
         #: completed :class:`TaskOutcome` per cluster job id
         self.outcomes: dict[int, TaskOutcome] = {}
         #: every :class:`WorkerProbe` collected (probe replies + final
         #: stop snapshots) — the build-once SRS evidence
         self.worker_probes: list[WorkerProbe] = []
         self._handles: dict[str, _Handle] = {}
+        #: every worker generation spawned (a respawn replaces the handle)
+        self._spawned: list[_Handle] = []
         self._ctx = _mp_context()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
-        self._total = 0
-        self._job_ids = itertools.count()
         self._done: asyncio.Event | None = None
         #: churn recovery events not yet applied: each will spawn a node
         self._recoveries_due = 0
@@ -230,6 +233,7 @@ class ProvingFleet(Dispatcher):
         )
         handle = _Handle(node_id, process, inbox, outbox)
         self._handles[node_id] = handle
+        self._spawned.append(handle)
         process.start()
         handle.reader = threading.Thread(
             target=self._read, args=(handle,), daemon=True
@@ -238,13 +242,17 @@ class ProvingFleet(Dispatcher):
         return handle
 
     def _read(self, handle: _Handle) -> None:
-        """Reader-thread loop: trampoline one worker's messages."""
-        while True:
+        """Reader-thread loop: trampoline one worker's messages until it
+        stops or is released.  The coordinator never writes to an outbox
+        to wake its reader: a worker killed inside ``put`` leaves the
+        queue's write lock held, and the wakeup would wait on it forever
+        (and the interpreter, joining that queue's feeder, at exit)."""
+        while not handle.released.is_set():
             try:
-                msg = handle.outbox.get()
+                msg = handle.outbox.get(timeout=self.config.heartbeat_s)
+            except queue.Empty:
+                continue
             except (EOFError, OSError):  # pragma: no cover - torn pipe
-                break
-            if msg is None:  # coordinator-injected wakeup after a kill
                 break
             try:
                 self._loop.call_soon_threadsafe(self._on_message, handle, msg)
@@ -278,24 +286,14 @@ class ProvingFleet(Dispatcher):
             handle.stopped.set()
 
     # -- dispatcher hooks ----------------------------------------------------
-    def _arrive(self, jobs: list) -> None:
-        """Id-stamp and route the ``jobs`` arriving at one instant."""
-        for job in jobs:
-            self._accept(job, next(self._job_ids))
-
     def _enqueue(self, node_id: str, job) -> _Handle:
         handle = self._handles[node_id]
-        handle.pending.append(job)
+        handle.queue.push(job)
         return handle
 
-    def kick(self, handle: _Handle) -> None:
-        """Dispatch the node's next queued job if it is idle and up."""
-        if not handle.up or handle.in_flight is not None:
-            return
-        if not handle.pending:
-            return
-        job = min(handle.pending, key=arrival_order)
-        handle.pending.remove(job)
+    def _launch(self, handle: _Handle, job) -> None:
+        """Send ``job`` to the node's worker and arm its timeout."""
+        handle.queue.remove(job)
         task = ProveTask(
             job_id=job.job_id,
             circuit=job.circuit,
@@ -334,22 +332,11 @@ class ProvingFleet(Dispatcher):
             ),
             attempt=job.attempt,
         )
-        self.records.append(record)
         self.outcomes[job.job_id] = outcome
-        self.router.release(handle.node_id, self.time_model.price(job)[1])
-        self.events.emit(
-            "job_completed",
-            job_id=job.job_id,
-            node_id=handle.node_id,
-            attempt=job.attempt,
-            cache_hit=outcome.cache_hit,
-        )
-        self._resolved(job)
-        self.kick(handle)
+        self._finished(handle, job, record, self.time_model.price(job)[1])
 
-    def _resolved(self, job) -> None:
-        if len(self.records) + len(self.failed_jobs) >= self._total:
-            self._done.set()
+    def _all_resolved(self) -> None:
+        self._done.set()
 
     # -- failure paths -------------------------------------------------------
     def _on_timeout(self, handle: _Handle, job) -> None:
@@ -371,14 +358,14 @@ class ProvingFleet(Dispatcher):
         self.monitor.forget(node_id)
         if handle.process.is_alive():
             handle.process.kill()
-        handle.outbox.put(None)  # wake the reader thread past the corpse
+        handle.released.set()
         flight, handle.in_flight = handle.in_flight, None
         lost = None
         if flight is not None:
             if flight.timeout is not None:
                 flight.timeout.cancel()
             lost = flight.job, max(0.0, self._now() - flight.start_s)
-        queued, handle.pending = handle.pending, []
+        queued, handle.queue = handle.queue.jobs(), JobQueue()
         self._node_lost(node_id, reason, queued, lost)
         if respawn and not self._shutting_down:
             self._spawn(node_id)
@@ -390,14 +377,14 @@ class ProvingFleet(Dispatcher):
         last one and nothing will bring one back: no node up or still
         starting, no churn recovery due.  The jobs still owed (parked, or
         not yet arrived) could only wait out ``run_timeout_s``."""
-        owed = self._total - len(self.records) - len(self.failed_jobs)
+        owed = self._total_jobs - len(self.records) - len(self.failed_jobs)
         alive = any(h.up or h.starting for h in self._handles.values())
         if owed <= 0 or alive or self._recoveries_due or self._shutting_down:
             return
         self._stalled = FleetStalledError(
             "every fleet node is down and none will respawn: "
             f"{sorted(self._handles)} dead (last: {node_id}, reason "
-            f"{reason!r}) with {owed} of {self._total} jobs still owed"
+            f"{reason!r}) with {owed} of {self._total_jobs} jobs still owed"
         )
         self._done.set()
 
@@ -460,7 +447,7 @@ class ProvingFleet(Dispatcher):
     async def _run(self, jobs, churn, actions) -> list[JobRecord]:
         self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
-        self._total = len(jobs)
+        self._total_jobs = len(jobs)
         for node_id in self.node_ids:
             self._spawn(node_id)
         timers = []
@@ -472,12 +459,10 @@ class ProvingFleet(Dispatcher):
             scale = self.config.time_scale
             # one timer per instant keeps simultaneous arrivals in stream
             # order, the sim's tie rule (equal asyncio deadlines are not)
-            instants = itertools.groupby(
-                sorted(jobs, key=lambda job: job.arrival_s),
-                key=lambda job: t0 + job.arrival_s * scale,
-            )
-            for at, batch in instants:
-                timers.append(self._loop.call_at(at, self._arrive, list(batch)))
+            for at_s, batch in instants(jobs):
+                timers.append(
+                    self._loop.call_at(t0 + at_s * scale, self._arrive, batch)
+                )
             self._recoveries_due = sum(e.kind != "crash" for e in churn)
             for event in churn:
                 timers.append(
@@ -488,7 +473,7 @@ class ProvingFleet(Dispatcher):
             for at_s, fn in actions:
                 timers.append(self._loop.call_later(at_s, fn, self))
             watchdog = asyncio.ensure_future(self._watch())
-            if self._total:
+            if self._total_jobs:
                 await asyncio.wait_for(
                     self._done.wait(), timeout=self.config.run_timeout_s
                 )
@@ -559,7 +544,14 @@ class ProvingFleet(Dispatcher):
             if handle.process.is_alive():  # pragma: no cover - wedged worker
                 handle.process.kill()
                 handle.process.join(timeout=5.0)
-            handle.outbox.put(None)  # release the reader if still blocked
+        # no thread outlives the run (every generation's reader, and the
+        # inbox feeder the interpreter would join at exit): a dead
+        # worker reads nothing more, so its inbox is not flushed
+        for handle in self._spawned:
+            handle.released.set()
+            handle.reader.join(timeout=1.0)
+            handle.inbox.cancel_join_thread()
+            handle.inbox.close()
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict:

@@ -114,9 +114,9 @@ class OpenLoopEngine(ClusterEngine):
         fire = self._next_job.arrival_s + self.lag_s
         if fire < self.sim.now:
             fire = self.sim.now
-        self.sim.schedule_fast(fire, self._arrive, priority=PRIO_ARRIVAL)
+        self.sim.schedule_fast(fire, self._offer, priority=PRIO_ARRIVAL)
 
-    def _arrive(self) -> None:
+    def _offer(self) -> None:
         """One arrival: lag-shift, admit or shed, route, pump the next."""
         job = self._next_job
         self._next_job = None
@@ -145,7 +145,9 @@ class OpenLoopEngine(ClusterEngine):
         )
         if admitted:
             self.admitted += 1
-            self._accept(job, job.job_id, prove_s)
+            node = self._accept(job, job.job_id, prove_s)
+            if node is not None:
+                self.kick(node)
         else:
             self.events.emit(
                 "job_shed",

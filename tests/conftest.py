@@ -5,7 +5,9 @@ also provided for hypothesis-heavy property tests where throughput matters
 more than bit-width.
 """
 
+import multiprocessing
 import random
+import threading
 
 import pytest
 
@@ -43,3 +45,34 @@ def on_kernel(monkeypatch):
                 monkeypatch.setattr(KERNEL, name, getattr(kernel, name))
 
     return route
+
+
+def leftovers() -> list[str]:
+    """What the interpreter would wait for after the last test: live
+    child processes, non-daemon threads besides the main one, and
+    multiprocessing queue feeder threads (daemons, but joined at exit —
+    one stuck on a dead worker's pipe or lock never returns)."""
+    children = [
+        f"process {child.name} (pid {child.pid})"
+        for child in multiprocessing.active_children()
+    ]
+    threads = [
+        f"thread {thread.name}"
+        for thread in threading.enumerate()
+        if thread is not threading.main_thread()
+        and (not thread.daemon or thread.name == "QueueFeederThread")
+    ]
+    return children + threads
+
+
+def pytest_sessionfinish(session):
+    """Fail the run, by name, when a test left a worker or a thread behind."""
+    left = leftovers()
+    if not left:
+        return
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line(
+            "left running after the last test: " + ", ".join(left), red=True
+        )

@@ -544,3 +544,27 @@ class TestClosedBatchUnderTheGate:
         for hold in holds:
             # until_s is rounded to 6 places in the event
             assert start[hold.job_id] >= hold.detail["until_s"] - 1e-6
+
+    def test_edd_sees_the_whole_burst_before_a_node_starts(self, monkeypatch):
+        """Every job of the batch arrives at t=0: the gate must see each
+        node's whole share queued, so ``edd`` starts the earliest
+        deadline first on every node, not the first job routed there."""
+        carbon = CarbonConfig(CarbonIntensityTrace(seed=1), "edd")
+        result = self._run(
+            monkeypatch, Scenario("zipf-mixed", 64, nodes=3, carbon=carbon)
+        )
+        by_node: dict[str, list] = {}
+        for record in result.records:
+            by_node.setdefault(record.node_id, []).append(record)
+        assert len(by_node) == 3
+        for records in by_node.values():
+            first = min(records, key=lambda r: (r.start_s, r.job_id))
+            earliest = min(
+                records,
+                key=lambda r: (
+                    r.deadline_s if r.deadline_s is not None else math.inf,
+                    r.job_id,
+                ),
+            )
+            assert first.start_s == 0.0
+            assert first.job_id == earliest.job_id

@@ -30,7 +30,9 @@ is injected through the fleet's deterministic action hooks.
 import asyncio
 import functools
 import json
+import os
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -50,6 +52,7 @@ from repro.fleet.core import (
 from repro.fleet.__main__ import print_run
 from repro.fleet.scenario import Scenario
 from repro.fleet.validation import reference_proofs, significant_pairs
+from repro.fleet.worker import worker_main
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.jobs import ProofJob
 from repro.service.traffic import TrafficGenerator
@@ -92,6 +95,28 @@ def exit_3(spec, inbox, outbox):
     """A worker target that dies during start-up (module level so the
     forkserver child can import it)."""
     sys.exit(3)
+
+
+def wedge_node_1(spec, inbox, outbox):
+    """node-1 reports ready, then goes silent holding its outbox's write
+    lock — what a worker SIGKILLed inside ``put`` leaves behind; every
+    other node serves as usual."""
+    if spec.node_id != "node-1":
+        return worker_main(spec, inbox, outbox)
+    outbox.put((spec.node_id, "ready", os.getpid()))
+    outbox.close()
+    outbox.join_thread()
+    outbox._wlock.acquire()
+    time.sleep(60)
+
+
+def threads_left(before: set) -> list[str]:
+    """Threads started since ``before`` still alive after a grace period
+    (a closed queue's feeder exits on its own)."""
+    deadline = time.monotonic() + 30.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return [thread.name for thread in set(threading.enumerate()) - before]
 
 
 class TestParity:
@@ -255,6 +280,34 @@ class TestFailurePaths:
             fleet.run(stream(2))
         assert time.monotonic() - started < 60.0  # not the 120 s ready wait
         assert not any(h.process.is_alive() for h in fleet._handles.values())
+
+    def test_a_run_leaves_no_thread_behind(self):
+        """Each worker generation's reader and queue feeders end with the
+        run, a killed and respawned one's included."""
+        before = set(threading.enumerate())
+        fleet = make_fleet(num_nodes=2, policy="round_robin")
+        fleet.run(stream(4), actions=[(0.02, lambda f: f.kill("node-0"))])
+        assert len(fleet._spawned) == 3
+        assert threads_left(before) == []
+
+    def test_a_worker_killed_holding_its_outbox_lock_blocks_no_thread(
+        self, monkeypatch
+    ):
+        """The coordinator never writes to a dead worker's outbox: a
+        wakeup sent there would wait forever on the lock the worker died
+        holding, and the interpreter, which joins that queue's feeder at
+        exit, would never exit."""
+        monkeypatch.setattr("repro.fleet.core.worker_main", wedge_node_1)
+        before = set(threading.enumerate())
+        fleet = make_fleet(num_nodes=2, policy="round_robin", auto_respawn=False)
+        records = fleet.run(stream(4))
+        assert len(records) == 4
+        assert fleet.stats.crashes == 1
+        down = [e for e in fleet.events if e.kind == "node_down"]
+        assert [(e.node_id, e.detail["reason"]) for e in down] == [
+            ("node-1", "heartbeat")
+        ]
+        assert threads_left(before) == []
 
     def test_single_run_guard(self):
         fleet = make_fleet(num_nodes=1)
