@@ -41,6 +41,10 @@ JOBS = 96
 NODES = 4
 SPEEDUP_FLOOR = 1.2
 SWEEP_NODES = (1, 2, 4, 8)
+#: heartbeats a fleet worker may miss before it is declared dead: 5 s
+#: at the default 0.05 s period.  A calm parity run has no real deaths,
+#: and the default 0.3 s kills a worker a loaded 2-vCPU host starves
+CALM_HEARTBEAT_MISSES = 100.0
 
 
 def cell(policy: str, num_nodes: int) -> Scenario:
@@ -51,7 +55,10 @@ def acceptance_row(scenario: Scenario) -> dict:
     """The sim's model-time figures beside the real fleet's measured
     cache hit rate and seconds, for one cell."""
     summary = run(scenario).summary
-    measured = run(scenario, runtime="fleet").summary
+    fleet = run(scenario, runtime="fleet", heartbeat_misses=CALM_HEARTBEAT_MISSES)
+    downs = [event for event in fleet.events if event.kind == "node_down"]
+    assert not downs, f"a worker was declared dead in a calm run: {downs}"
+    measured = fleet.summary
     model = summary["model"]
     return {
         "exact": {

@@ -25,7 +25,10 @@ question —
 
 Ordering and capping make the runtime the engine's *start gate*
 (:meth:`arm`, :meth:`node_down`, :meth:`capacity_changed`), and only a
-runtime with a policy or a cap installs itself as one.  With
+runtime with a policy or a cap installs itself as one.  The engine
+passes itself to every gate call and the runtime keeps no reference to
+it, so the runtime — which the cluster keeps for its summary — never
+keeps a finished run alive (DESIGN.md §11, "Ownership").  With
 ``policy="none"`` and no cap the runtime is :attr:`passive`: it
 installs the pricing observer and nothing else, so no scheduling
 decision can reach it — the capless-parity test (bit-identical records
@@ -36,6 +39,7 @@ path, not because a branch is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.carbon.power import NodePowerModel, node_watts
 from repro.carbon.trace import JOULES_PER_KWH, CarbonIntensityTrace
@@ -144,8 +148,6 @@ class CarbonRuntime:
         self.held_starts = 0
         self.cap_deferrals = 0
         self.cap_breaches = 0
-        #: the engine this runtime gates (None until :meth:`install`)
-        self._engine = None
         #: the one parking maneuver in flight, if any:
         #: ``(event handle, victim node id, job id, beneficiary node id)``
         self._parking: tuple | None = None
@@ -164,8 +166,12 @@ class CarbonRuntime:
         return self.policy == "none" and self.power_cap_w is None
 
     def install(self, engine) -> None:
-        """Plug into ``engine``: pricing always, the start gate if active."""
-        self._engine = engine
+        """Plug into ``engine``: pricing always, the start gate if active.
+
+        The runtime keeps no reference to ``engine``: the engine passes
+        itself to every gate call, so the runtime (which the cluster
+        keeps for its summary) never keeps a finished run alive.
+        """
         if self.passive:
             engine.on_segment_end = self.account_segment
         else:
@@ -173,7 +179,7 @@ class CarbonRuntime:
             engine.gate = self
 
     # -- the start gate (engine hooks; never reached when passive) -----------
-    def arm(self, node) -> None:
+    def arm(self, engine, node) -> None:
         """Carbon-aware (re)arm of one idle node.
 
         Parked work resumes first (its banked phases are hostage to
@@ -182,12 +188,11 @@ class CarbonRuntime:
         a veto — which for a blocked *realtime* job also requests a
         deferrable suspension somewhere in the fleet.
         """
-        engine = self._engine
         now = engine.sim.now
         suspended = node.suspended_ids
         if suspended:
-            if self.cap_allows():
-                self._resume(node, suspended[0])
+            if self.cap_allows(engine.router.up_count()):
+                self._resume(engine, node, suspended[0])
             # else: stay parked; the next finish/suspend re-arms us
             return
         job, hold = self.select_job(node, now_s=now)
@@ -196,16 +201,16 @@ class CarbonRuntime:
         ready = max(node.clock_s, job.arrival_s)
         if hold is not None and hold > now:
             if self._note_choice(
-                node, job, "hold", round(hold, 9), until_s=round(hold, 6)
+                engine, node, job, "hold", round(hold, 9), until_s=round(hold, 6)
             ):
                 self.held_starts += 1
             engine.start_at(node, max(hold, ready))
         elif ready > now:
             engine.start_at(node, ready)
-        elif self.cap_allows():
-            self._start(node, job)
+        elif self.cap_allows(engine.router.up_count()):
+            self._start(engine, node, job)
         else:
-            self._power_block(node, job)
+            self._power_block(engine, node, job)
 
     def node_down(self, node) -> None:
         """A parking maneuver touching a crashing node is moot either way."""
@@ -215,7 +220,7 @@ class CarbonRuntime:
                 handle.cancel()
                 self._parking = None
 
-    def capacity_changed(self) -> None:
+    def capacity_changed(self, engine) -> None:
         """Re-arm idle nodes after cap headroom may have changed.
 
         Two passes in node order — nodes whose next start is realtime
@@ -224,7 +229,6 @@ class CarbonRuntime:
         """
         if self.power_cap_w is None:
             return
-        engine = self._engine
         nodes = engine.cluster.nodes
         for realtime_first in (True, False):
             for node_id in sorted(nodes):
@@ -245,44 +249,48 @@ class CarbonRuntime:
         self.account_segment(flight, end_s, lost)
         self._active.discard(flight.job.job_id)
 
-    def _start(self, node, job: ProofJob) -> None:
+    def _start(self, engine, node, job: ProofJob) -> None:
         """Start ``job`` on ``node``, recording a queue-reordering pick
         (edd / skip-ahead) if one happened — starting the queue head is
         not a decision."""
         head = node.queue.peek()
         if head is not None and head.job_id != job.job_id:
-            self._note_choice(node, job, "skip_ahead")
+            self._note_choice(engine, node, job, "skip_ahead")
         self._active.add(job.job_id)
-        self._engine.begin(node, job)
+        engine.begin(node, job)
 
-    def _note_choice(self, node, job: ProofJob, action: str, *key, **detail) -> bool:
+    def _note_choice(
+        self, engine, node, job: ProofJob, action: str, *key, **detail
+    ) -> bool:
         """Emit one ``scheduler_choice`` unless it repeats the node's last."""
         key = (job.job_id, action, *key)
         if self._last_choice.get(node.node_id) == key:
             return False
         self._last_choice[node.node_id] = key
-        self._engine.events.emit(
+        engine.events.emit(
             "scheduler_choice",
             job_id=job.job_id,
             node_id=node.node_id,
             attempt=job.attempt,
+            at_s=engine.sim.now,
             action=action,
             policy=self.policy,
             **detail,
         )
         return True
 
-    def _note_cap(self, node, job: ProofJob, reason: str) -> None:
-        self._engine.events.emit(
+    def _note_cap(self, engine, node, job: ProofJob, reason: str) -> None:
+        engine.events.emit(
             "power_cap",
             job_id=job.job_id,
             node_id=node.node_id,
             attempt=job.attempt,
+            at_s=engine.sim.now,
             reason=reason,
-            draw_w=round(self.draw_w(), 6),
+            draw_w=round(self.draw_w(engine.router.up_count()), 6),
         )
 
-    def _power_block(self, node, job: ProofJob) -> None:
+    def _power_block(self, engine, node, job: ProofJob) -> None:
         """Handle a start the fleet power cap vetoed.
 
         Liveness floor: with nothing busy and no parking in flight the
@@ -293,18 +301,18 @@ class CarbonRuntime:
         """
         if not self._active and self._parking is None:
             self.cap_breaches += 1
-            self._note_cap(node, job, "floor")
-            self._start(node, job)
+            self._note_cap(engine, node, job, "floor")
+            self._start(engine, node, job)
             return
         key = (job.job_id, "defer")
         if self._last_cap_note.get(node.node_id) != key:
             self._last_cap_note[node.node_id] = key
             self.cap_deferrals += 1
-            self._note_cap(node, job, "defer")
+            self._note_cap(engine, node, job, "defer")
         if job.request_class is RequestClass.REALTIME:
-            self._request_suspension(node.node_id)
+            self._request_suspension(engine, node.node_id)
 
-    def _request_suspension(self, beneficiary_id: str) -> None:
+    def _request_suspension(self, engine, beneficiary_id: str) -> None:
         """Park the deferrable flight with the earliest phase boundary.
 
         At most one parking maneuver is in flight at a time (the next
@@ -314,7 +322,6 @@ class CarbonRuntime:
         """
         if self._parking is not None:
             return
-        engine = self._engine
         now = engine.sim.now
         candidates: list[tuple[float, str, int]] = []
         for node_id in sorted(engine.cluster.nodes):
@@ -331,13 +338,12 @@ class CarbonRuntime:
             return
         boundary, victim_id, job_id = min(candidates)
         handle = engine.sim.schedule(
-            max(boundary, now), self._park, priority=PRIO_START
+            max(boundary, now), partial(self._park, engine), priority=PRIO_START
         )
         self._parking = (handle, victim_id, job_id, beneficiary_id)
 
-    def _park(self) -> None:
+    def _park(self, engine) -> None:
         """Fire the scheduled park at the victim's phase boundary."""
-        engine = self._engine
         _, victim_id, expected_job, beneficiary_id = self._parking
         self._parking = None
         node = engine.cluster.nodes.get(victim_id)
@@ -349,7 +355,7 @@ class CarbonRuntime:
             or flight.job.job_id != expected_job
         ):
             # the victim finished, crashed, or swapped jobs meanwhile
-            self.capacity_changed()
+            self.capacity_changed(engine)
             return
         now = engine.sim.now
         engine.cancel_finish(node)
@@ -362,6 +368,7 @@ class CarbonRuntime:
             job_id=flight.job.job_id,
             node_id=victim_id,
             attempt=flight.job.attempt,
+            at_s=now,
             done_s=round(flight.done_before_s, 6),
             remaining_s=round(total - flight.done_before_s, 6),
         )
@@ -370,11 +377,10 @@ class CarbonRuntime:
         beneficiary = engine.cluster.nodes.get(beneficiary_id)
         if beneficiary is not None:
             engine.kick(beneficiary)
-        self.capacity_changed()
+        self.capacity_changed(engine)
 
-    def _resume(self, node, job_id: int) -> None:
+    def _resume(self, engine, node, job_id: int) -> None:
         """Unpark a suspended job on its node and re-arm its finish."""
-        engine = self._engine
         flight = node.resume(job_id, engine.sim.now)
         self._active.add(job_id)
         self.resumes += 1
@@ -383,26 +389,28 @@ class CarbonRuntime:
             job_id=job_id,
             node_id=node.node_id,
             attempt=flight.job.attempt,
+            at_s=engine.sim.now,
             remaining_s=round(flight.finish_s - flight.start_s, 6),
         )
         engine.finish_at(node, flight)
 
     # -- the cap's view of the fleet -------------------------------------------
-    def draw_w(self, busy: int | None = None) -> float:
-        """Fleet draw with ``busy`` nodes proving (default: right now):
-        busy rails plus idle draw of the rest of the up nodes."""
+    def draw_w(self, up_nodes: int, busy: int | None = None) -> float:
+        """Fleet draw of ``up_nodes`` up nodes with ``busy`` of them
+        proving (default: right now): busy rails plus idle draw of the
+        rest."""
         if busy is None:
             busy = len(self._active)
-        up_nodes = self._engine.cluster.router.up_count()
         return self.power.busy_w * busy + self.power.idle_w * max(
             0, up_nodes - busy
         )
 
-    def cap_allows(self) -> bool:
-        """Whether one more node may go busy under the cap."""
+    def cap_allows(self, up_nodes: int) -> bool:
+        """Whether one more of ``up_nodes`` up nodes may go busy under
+        the cap."""
         if self.power_cap_w is None:
             return True
-        return self.draw_w(len(self._active) + 1) <= self.power_cap_w + _EPS
+        return self.draw_w(up_nodes, len(self._active) + 1) <= self.power_cap_w + _EPS
 
     # -- ordering policies ----------------------------------------------------
     def hold_until(self, job: ProofJob, t0: float) -> float | None:

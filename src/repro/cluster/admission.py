@@ -35,7 +35,7 @@ reassignment or shedding would over-admit during churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (and import-cycle
     # guard: repro.traffic imports this module back through its engine)
@@ -73,25 +73,19 @@ class AdmissionController:
     """Budgeted admission + per-tenant quotas; see the module docstring.
 
     :meth:`offer` takes each job's price from the caller (the open-loop
-    engine charges the time model's install + prove seconds); ``up_nodes``
-    reports current serving capacity so the budget tracks churn and
-    autoscaling.
+    engine charges the time model's install + prove seconds), and every
+    budget question takes the fleet's current up-node count from the
+    caller too, so the budget tracks churn and autoscaling while the
+    controller holds no reference to the fleet.
     """
 
-    def __init__(
-        self,
-        policy: AdmissionPolicy,
-        tenants: list[TenantSpec],
-        *,
-        up_nodes: Callable[[], int],
-    ):
+    def __init__(self, policy: AdmissionPolicy, tenants: list[TenantSpec]):
         if not tenants:
             raise ValueError("admission needs at least one tenant")
         self.policy = policy
         self.tenants = {t.name: t for t in tenants}
         if len(self.tenants) != len(tenants):
             raise ValueError("tenant names must be unique")
-        self._up_nodes = up_nodes
         #: admitted-but-unfinished predicted seconds, fleet-wide
         self.outstanding_s = 0.0
         self._by_tenant_s: dict[str, float] = {t.name: 0.0 for t in tenants}
@@ -101,21 +95,20 @@ class AdmissionController:
         self.shed_by_tenant: dict[str, int] = {t.name: 0 for t in tenants}
 
     # -- budget --------------------------------------------------------------
-    def budget_s(self) -> float:
-        """Seconds of predicted work the up fleet may hold right now."""
-        return self.policy.window_s * self.policy.headroom * max(
-            1, self._up_nodes()
-        )
+    def budget_s(self, up_nodes: int) -> float:
+        """Seconds of predicted work a fleet of ``up_nodes`` up nodes may
+        hold."""
+        return self.policy.window_s * self.policy.headroom * max(1, up_nodes)
 
     # -- decisions -----------------------------------------------------------
-    def offer(self, job: "ProofJob", cost_s: float) -> tuple[bool, bool]:
+    def offer(self, job: "ProofJob", cost_s: float, up_nodes: int) -> tuple[bool, bool]:
         """Admit or shed ``job`` at ``cost_s`` (admitted jobs charge the
-        ledgers), then say if the fleet is :meth:`overloaded`:
-        ``(admitted, overloaded)`` on one budget."""
+        ledgers) with ``up_nodes`` up, then say if the fleet is
+        :meth:`overloaded`: ``(admitted, overloaded)`` on one budget."""
         tenant = self.tenants.get(job.tenant or "")
         if tenant is None:
             raise KeyError(f"job {job.job_id} has unknown tenant {job.tenant!r}")
-        budget = self.budget_s()
+        budget = self.budget_s(up_nodes)
         name = tenant.name
         admitted = not (
             self.outstanding_s + cost_s > budget * tenant.tier.admission_factor
@@ -147,13 +140,17 @@ class AdmissionController:
             self._by_tenant_s[name] = max(0.0, self._by_tenant_s[name] - cost)
 
     # -- backpressure --------------------------------------------------------
-    def overloaded(self) -> bool:
+    def overloaded(self, up_nodes: int) -> bool:
         """True when the generator should pause (outstanding too high)."""
-        return self.outstanding_s > self.policy.backpressure_high * self.budget_s()
+        return (
+            self.outstanding_s > self.policy.backpressure_high * self.budget_s(up_nodes)
+        )
 
-    def relieved(self) -> bool:
+    def relieved(self, up_nodes: int) -> bool:
         """True when a paused generator may resume."""
-        return self.outstanding_s < self.policy.backpressure_low * self.budget_s()
+        return (
+            self.outstanding_s < self.policy.backpressure_low * self.budget_s(up_nodes)
+        )
 
     # -- reporting -----------------------------------------------------------
     def as_dict(self) -> dict:

@@ -233,4 +233,7 @@ class ProvingCluster:
 
     def __exit__(self, *exc) -> None:
         """Nothing to release: a simulated node holds no process or
-        service."""
+        service.  A run frees itself by reference counting, with or
+        without the ``with`` block: nothing the cluster keeps after a run
+        (records, event log, carbon runtime) points back at its engine
+        or simulator."""

@@ -28,20 +28,31 @@ flight first.  Jobs stranded with the whole fleet down at the end are
 Start gate.  By default an idle node starts the head of its queue as
 soon as the head is ready.  A layer above may decide *which* job starts
 and *when* by installing ``engine.gate``; the loop knows nothing of
-what the gate optimises and consults it at three points only:
+what the gate optimises and consults it at three points only, passing
+itself so the gate need keep no reference to the engine:
 
-* ``gate.arm(node)`` — ``node`` is up and idle with no start armed:
-  :meth:`~ClusterEngine.begin` a job, look again later
+* ``gate.arm(engine, node)`` — ``node`` is up and idle with no start
+  armed: :meth:`~ClusterEngine.begin` a job, look again later
   (:meth:`~ClusterEngine.start_at`), or leave the node waiting;
 * ``gate.node_down(node)`` — ``node`` is crashing, work not yet requeued;
-* ``gate.capacity_changed()`` — a flight finished or a node went down:
-  waiting nodes may be worth a :meth:`~ClusterEngine.kick`.
+* ``gate.capacity_changed(engine)`` — a flight finished or a node went
+  down: waiting nodes may be worth a :meth:`~ClusterEngine.kick`.
 
-Two observers: ``engine.on_segment_end(flight, end_s, lost)`` — a busy
+One observer, ``engine.on_segment_end(flight, end_s, lost)`` — a busy
 segment of ``flight`` ended, finished or ``lost`` to a crash (the carbon
-runtime's, DESIGN.md §12) — and ``engine.on_resolved(job)``, called
-last, once per completed or failed job (open-loop admission's).  A run
-with only observers installed schedules exactly as one with none.
+runtime's, DESIGN.md §12) — and one hook, ``_resolved(job)``, called
+last, once per completed or failed job (open-loop admission overrides
+it).  A run with only the observer installed schedules exactly as one
+with none.
+
+Ownership (DESIGN.md §11).  A run's object graph is acyclic: events are
+stamped with ``sim.now`` as they are emitted rather than through a clock
+that closes over the engine, job ids come from an overridden method,
+the gate gets the engine as a call argument, and a fired or cancelled
+:class:`~repro.sim.EventHandle` drops its callback.  So the engine, its
+simulator and every armed event are freed by reference counting when
+the caller lets go, and the cluster's records, event log and carbon
+runtime outlive the run without keeping it alive.
 
 A job's ``(install_s, prove_s)`` comes from one dict hit on
 :meth:`~repro.cluster.timemodel.FleetTimeModel.price`: the arrival's
@@ -78,15 +89,15 @@ class ClusterEngine(Dispatcher):
 
     def __init__(self, cluster: "ProvingCluster"):
         self.sim = Simulator()
-        # the structured JSONL event log runs on the model clock (shared
-        # schema with the real fleet — see :mod:`repro.sim.events`)
+        # the structured JSONL event log (shared schema with the real
+        # fleet — see :mod:`repro.sim.events`); each event is stamped
+        # with the model clock as it is emitted (:meth:`_now`)
         super().__init__(
             cluster.router,
             cluster.time_model,
-            EventLog(clock=lambda: self.sim.now),
+            EventLog(),
             cluster.config.max_retries,
         )
-        self._next_job_id = cluster.next_job_id
         self.cluster = cluster
         self._finish_handles: dict[str, EventHandle] = {}
         self._cancellable: list[EventHandle] = []
@@ -100,6 +111,12 @@ class ClusterEngine(Dispatcher):
         self.carbon = carbon.attach(self) if carbon is not None else None
 
     # -- dispatcher hooks ----------------------------------------------------
+    def _now(self) -> float:
+        return self.sim.now
+
+    def _next_job_id(self) -> int:
+        return self.cluster.next_job_id()
+
     def _enqueue(self, node_id: str, job: ProofJob) -> ProverNode:
         node = self.cluster.nodes[node_id]
         node.submit(job)
@@ -181,7 +198,7 @@ class ClusterEngine(Dispatcher):
             lost = node.abort(self.sim.now)
         self._node_lost(node.node_id, "crash", node.crash(self.sim.now), lost)
         if self.gate is not None:
-            self.gate.capacity_changed()
+            self.gate.capacity_changed(self)
 
     def _revive(self, node: ProverNode, reason: str) -> None:
         """Bring ``node`` back up (churn recovery or end of provisioning)."""
@@ -264,7 +281,9 @@ class ClusterEngine(Dispatcher):
         # retire the newest idle node: scale-in unwinds scale-out
         node_id = max(idle, key=lambda n: int(n.rsplit("-", 1)[1]))
         self.cluster.remove_node(node_id)
-        self.events.emit("node_down", node_id=node_id, reason="scale_in")
+        self.events.emit(
+            "node_down", node_id=node_id, at_s=self.sim.now, reason="scale_in"
+        )
         self.stats.scale_ins += 1
         self._autoscaled("scale_in", node_id, signal)
 
@@ -284,6 +303,7 @@ class ClusterEngine(Dispatcher):
         self.events.emit(
             "autoscale_decision",
             node_id=node_id,
+            at_s=self.sim.now,
             action=action,
             signal_s=signal_s,
             nodes=nodes,

@@ -14,6 +14,14 @@ counted in :class:`ResilienceStats` under the :class:`RetryPolicy`
 crash-retry contract, so a job's history is the same code whether its
 crash was simulated or a killed process — and the node work loop both
 run, over one :class:`JobQueue` per node.
+
+Ownership.  A runtime owns its router, event log, records and nodes,
+and none of them points back at it: every event is stamped with the
+runtime's clock at the call (``at_s=self._now()``), the job-id stamp and
+the resolution observer are methods a runtime overrides, never bound
+methods stored on the instance, and a start gate gets the runtime as a
+call argument.  So a finished run is freed by reference counting alone,
+and its records and event log outlive it without keeping it alive.
 """
 
 from __future__ import annotations
@@ -203,14 +211,16 @@ class Dispatcher:
     """The job lifecycle and node work loop of the sim engine and the
     real fleet.
 
-    A runtime inherits it and supplies ``_enqueue(node_id, job)`` (queue
-    a routed job, return the node: anything with ``node_id``, ``down``,
-    ``in_flight`` and a :class:`JobQueue` ``queue``), ``_launch(node,
-    job)`` (start the job :meth:`kick` picked) and ``_all_resolved()``.
-    It reports a job's end through :meth:`_finished`, stops a lost
-    node's work before :meth:`_node_lost`, and brings one back through
-    :meth:`_node_back`.  ``gate`` and ``on_resolved``: see
-    :mod:`repro.cluster.engine`.
+    A runtime inherits it and supplies ``_now()`` (its clock: model or
+    run-relative wall seconds, which stamps every event),
+    ``_enqueue(node_id, job)`` (queue a routed job, return the node:
+    anything with ``node_id``, ``down``, ``in_flight`` and a
+    :class:`JobQueue` ``queue``), ``_launch(node, job)`` (start the job
+    :meth:`kick` picked) and ``_all_resolved()``; it may override
+    :meth:`_next_job_id` and :meth:`_resolved`.  It reports a job's end
+    through :meth:`_finished`, stops a lost node's work before
+    :meth:`_node_lost`, and brings one back through :meth:`_node_back`.
+    ``gate``: see :mod:`repro.cluster.engine`.
     """
 
     def __init__(
@@ -228,14 +238,20 @@ class Dispatcher:
         self.records: list[JobRecord] = []
         self.failed_jobs: list[ProofJob] = []
         self.gate = None
-        self.on_resolved = None
-        #: stamps each arrival's job id (a runtime may swap in its own)
-        self._next_job_id = itertools.count().__next__
+        self._job_ids = itertools.count()
         self._total_jobs = 0
         self._parked: list[ProofJob] = []
         #: a start the runtime armed for later, by node id (any handle
         #: with ``cancel()``); the next :meth:`kick` of the node voids it
         self._armed: dict[str, object] = {}
+
+    def _next_job_id(self) -> int:
+        """Stamp the next arrival's job id (0, 1, 2, ... by default)."""
+        return next(self._job_ids)
+
+    def _resolved(self, job: ProofJob) -> None:
+        """Called last, once per job completed or failed for good; a
+        runtime that observes resolutions overrides it."""
 
     # -- the node work loop --------------------------------------------------
     def _arrive(self, jobs: Iterable[ProofJob]) -> None:
@@ -259,7 +275,7 @@ class Dispatcher:
         if armed is not None:
             armed.cancel()
         if self.gate is not None:
-            self.gate.arm(node)
+            self.gate.arm(self, node)
             return
         job = node.queue.peek()
         if job is not None:
@@ -276,14 +292,14 @@ class Dispatcher:
             job_id=record.job_id,
             node_id=record.node_id,
             attempt=record.attempt,
+            at_s=self._now(),
             cache_hit=record.cache_hit,
         )
         self._check_done()
         self.kick(node)
         if self.gate is not None:
-            self.gate.capacity_changed()
-        if self.on_resolved is not None:
-            self.on_resolved(job)
+            self.gate.capacity_changed(self)
+        self._resolved(job)
 
     def _check_done(self) -> None:
         """Tell the runtime once every job is resolved."""
@@ -296,7 +312,7 @@ class Dispatcher:
         the node that queued the job (None = parked) for the caller to
         kick once the whole instant is routed."""
         job.job_id = job_id
-        self.events.emit("job_accepted", job_id=job_id, tag=job.tag)
+        self.events.emit("job_accepted", job_id=job_id, at_s=self._now(), tag=job.tag)
         return self._route(job, cost_s, kick=False)
 
     def _route(self, job: ProofJob, cost_s: float | None = None, kick: bool = True):
@@ -323,7 +339,11 @@ class Dispatcher:
             node_id = router.assign(job, cost_s=cost_s)
         node = self._enqueue(node_id, job)
         self.events.emit(
-            "job_assigned", job_id=job.job_id, node_id=node_id, attempt=job.attempt
+            "job_assigned",
+            job_id=job.job_id,
+            node_id=node_id,
+            attempt=job.attempt,
+            at_s=self._now(),
         )
         if kick:
             self.kick(node)
@@ -344,11 +364,17 @@ class Dispatcher:
     def _lose(self, job: ProofJob, node_id: str) -> None:
         """``node_id`` went down with ``job`` in flight: retry or fail it."""
         self.events.emit(
-            "job_crashed", job_id=job.job_id, node_id=node_id, attempt=job.attempt
+            "job_crashed",
+            job_id=job.job_id,
+            node_id=node_id,
+            attempt=job.attempt,
+            at_s=self._now(),
         )
         if self.retry_policy.register_loss(job, node_id):
             self.stats.retries += 1
-            self.events.emit("job_retried", job_id=job.job_id, attempt=job.attempt)
+            self.events.emit(
+                "job_retried", job_id=job.job_id, attempt=job.attempt, at_s=self._now()
+            )
             self._route(job)
         else:
             self._fail(job)
@@ -363,7 +389,7 @@ class Dispatcher:
         if lost is not None:
             self.stats.lost_model_s += lost[1]
         self.router.mark_down(node_id)
-        self.events.emit("node_down", node_id=node_id, reason=reason)
+        self.events.emit("node_down", node_id=node_id, at_s=self._now(), reason=reason)
         self._requeue(queued)
         if lost is not None:
             self._lose(lost[0], node_id)
@@ -373,14 +399,15 @@ class Dispatcher:
         ``node_up`` with ``detail``, and route every parked job."""
         if node_id in self.router.down_node_ids:
             self.router.mark_up(node_id)
-        self.events.emit("node_up", node_id=node_id, **detail)
+        self.events.emit("node_up", node_id=node_id, at_s=self._now(), **detail)
         self._unpark()
 
     def _fail(self, job: ProofJob) -> None:
         """Drop ``job`` for good (it counts as a deadline miss)."""
         self.stats.failed += 1
         self.failed_jobs.append(job)
-        self.events.emit("job_failed", job_id=job.job_id, attempt=job.attempt)
+        self.events.emit(
+            "job_failed", job_id=job.job_id, attempt=job.attempt, at_s=self._now()
+        )
         self._check_done()
-        if self.on_resolved is not None:
-            self.on_resolved(job)
+        self._resolved(job)

@@ -177,9 +177,7 @@ class ProvingFleet(Dispatcher):
             cost_model=time_model.prove_model,
             replicas=config.replicas,
         )
-        super().__init__(
-            router, time_model, EventLog(clock=self._now), config.max_retries
-        )
+        super().__init__(router, time_model, EventLog(), config.max_retries)
         self.monitor = HeartbeatMonitor(
             config.heartbeat_s, config.heartbeat_misses
         )

@@ -11,7 +11,9 @@ the smallest engine that does that deterministically:
   keeps whole-fleet runs reproducible across interpreters.
 * :class:`EventHandle` — returned by every ``schedule*`` call; lazily
   cancellable, which is how an in-flight job-finish event is voided when
-  its node crashes first.
+  its node crashes first.  A handle drops its callback once it fires or
+  is cancelled, so a handle its owner keeps (a churn stream, an armed
+  start) never keeps what the callback closes over alive.
 
 Million-event runs forced three fast-path changes (DESIGN.md §11), none
 of which alter the fire order:
@@ -68,11 +70,14 @@ class EventHandle:
     def cancel(self) -> None:
         """Void the event; it stays in the heap but will not fire.
 
-        Idempotent, and a no-op after the event has fired.
+        Idempotent, and a no-op after the event has fired.  The callback
+        is dropped, so a kept handle keeps nothing it would have called
+        alive.
         """
         if self.cancelled:
             return
         self.cancelled = True
+        self.action = None
         sim = self._sim
         if sim is not None:
             self._sim = None
@@ -208,7 +213,7 @@ class Simulator:
                     self._stale -= 1
                     continue
                 item._sim = None
-                action = item.action
+                action, item.action = item.action, None
             else:
                 action = item
             self.now = time_s
@@ -246,7 +251,8 @@ class Simulator:
             self.fired += 1
             if is_handle:
                 item._sim = None
-                item.action()
+                action, item.action = item.action, None
+                action()
             else:
                 item()
         return self.now

@@ -18,9 +18,9 @@ On top of the pump:
   ``job_shed`` events and never touch a queue.
 * **backpressure** — when an arrival leaves the fleet
   :meth:`~repro.cluster.admission.AdmissionController.overloaded`, the
-  pump pauses; the ``on_resolved`` observer settles each resolved job
-  and resumes the pump once outstanding cost is back under the
-  low-water mark.  Pause time becomes *lag*: subsequent
+  pump pauses; the engine's :meth:`~OpenLoopEngine._resolved` hook
+  settles each resolved job and resumes the pump once outstanding cost
+  is back under the low-water mark.  Pause time becomes *lag*: subsequent
   arrivals (and their deadlines) shift forward by the accumulated
   delay, modelling a source that retries later rather than vanishing.
 * **tenancy accounting** — per-tenant offered/shed/completed counters
@@ -31,7 +31,12 @@ On top of the pump:
 Everything else — one price per job, the shared job lifecycle
 (:class:`~repro.cluster.records.Dispatcher`: routing, parking, retries),
 node churn, autoscaling, the event log — is inherited unchanged from
-the closed-loop engine.
+the closed-loop engine.  So is its ownership rule
+(:mod:`repro.cluster.records`): the settle step is an overridden method
+and the admission controller is handed the up-node count at each call,
+so nothing the run leaves behind (records, event log, the controller)
+points back at the engine, and a finished run is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -57,19 +62,19 @@ def make_admission(
     policy: AdmissionPolicy,
     tenants,
 ) -> AdmissionController:
-    """An admission controller sized by ``cluster``'s up-node count.
+    """An admission controller for an open-loop run on ``cluster``.
 
-    The budget tracks the router's up-node count, so admission and
-    autoscaling reason about the same fleet size.
+    The budget tracks ``cluster``'s up-node count, which
+    :class:`OpenLoopEngine` reads off the router and passes at each offer
+    and settle, so admission and autoscaling reason about the same fleet
+    size and the controller keeps no reference to the cluster.
     :class:`OpenLoopEngine` offers each job at its *cold* cost — index
     install plus prove from the fleet time model — because admission
     cannot know whether the target node's cache will hit; under shape
     churn installs dominate node time, so a prove-only price would
     admit far past capacity.
     """
-    return AdmissionController(
-        policy, list(tenants), up_nodes=cluster.router.up_count
-    )
+    return AdmissionController(policy, list(tenants))
 
 
 class OpenLoopEngine(ClusterEngine):
@@ -85,8 +90,6 @@ class OpenLoopEngine(ClusterEngine):
         super().__init__(cluster)
         self.traffic = traffic
         self.admission = admission
-        if admission is not None:
-            self.on_resolved = self._settle
         self._job_iter: Iterator[ProofJob] | None = None
         self._next_job: ProofJob | None = None
         self._source_done = False
@@ -141,7 +144,7 @@ class OpenLoopEngine(ClusterEngine):
         admitted, overloaded = (
             (True, False)
             if self.admission is None
-            else self.admission.offer(job, install_s + prove_s)
+            else self.admission.offer(job, install_s + prove_s, self.router.up_count())
         )
         if admitted:
             self.admitted += 1
@@ -153,6 +156,7 @@ class OpenLoopEngine(ClusterEngine):
                 "job_shed",
                 job_id=job.job_id,
                 attempt=job.attempt,
+                at_s=self.sim.now,
                 tenant=job.tenant,
             )
         if overloaded:
@@ -161,10 +165,17 @@ class OpenLoopEngine(ClusterEngine):
             return
         self._pump()
 
-    def _settle(self, job: ProofJob) -> None:
-        """``on_resolved``: release admission debt; resume a relieved pump."""
-        self.admission.settle(job)
-        if self._paused and not self._draining and self.admission.relieved():
+    def _resolved(self, job: ProofJob) -> None:
+        """Release ``job``'s admission debt; resume a relieved pump."""
+        admission = self.admission
+        if admission is None:
+            return
+        admission.settle(job)
+        if (
+            self._paused
+            and not self._draining
+            and admission.relieved(self.router.up_count())
+        ):
             self._paused = False
             self._pump()
 

@@ -61,7 +61,12 @@ class FakeRuntime(Dispatcher):
         super().__init__(router, time_model, EventLog(), max_retries)
         self.nodes = {node_id: FakeNode(node_id) for node_id in NODES}
         self.calls: list[tuple] = []
-        self.on_resolved = lambda job: self.calls.append(("resolved", job.job_id))
+
+    def _now(self):
+        return 0.0
+
+    def _resolved(self, job):
+        self.calls.append(("resolved", job.job_id))
 
     def _enqueue(self, node_id, job):
         self.calls.append(("enqueue", node_id, job.job_id))
@@ -273,10 +278,10 @@ class RecordingGate:
     def __init__(self, calls: list):
         self.calls = calls
 
-    def arm(self, node):
+    def arm(self, runtime, node):
         self.calls.append(("arm", node.node_id))
 
-    def capacity_changed(self):
+    def capacity_changed(self, runtime):
         self.calls.append(("capacity_changed",))
 
 

@@ -61,6 +61,10 @@ from repro.workloads.churn import ChurnEvent
 
 SCENARIO = "zipf-mixed"
 SEED = 7
+#: heartbeats a worker may miss before it is declared dead in a calm
+#: parity run: 5 s at the default 0.05 s period (the default 0.3 s kills
+#: a worker a loaded 2-vCPU host starves)
+CALM_HEARTBEAT_MISSES = 100.0
 
 
 def make_fleet(**kwargs) -> ProvingFleet:
@@ -134,8 +138,12 @@ class TestParity:
             job.arrival_s = 0.0  # the same saturated batch as stream()
         with ProvingCluster(config) as cluster:
             sim_records = cluster.run(jobs)
-        fleet = make_fleet(num_nodes=3, policy=policy)
+        fleet = make_fleet(
+            num_nodes=3, policy=policy, heartbeat_misses=CALM_HEARTBEAT_MISSES
+        )
         fleet_records = fleet.run(stream(8))
+        downs = [event for event in fleet.events if event.kind == "node_down"]
+        assert not downs, f"a worker was declared dead in a calm run: {downs}"
         sim_placement = {r.job_id: r.node_id for r in sim_records}
         fleet_placement = {r.job_id: r.node_id for r in fleet_records}
         assert fleet_placement == sim_placement

@@ -81,15 +81,14 @@ def make_controller(
     window_s: float = 10.0,
     tenants=None,
 ):
-    """A controller with a mutable node count whose ``admit(job)`` offers
-    every job at the constant ``cost``."""
+    """A controller whose ``admit(job)`` offers every job at the constant
+    ``cost`` with the mutable node count ``nodes[0]`` up."""
     nodes = [up_nodes]
     controller = AdmissionController(
         AdmissionPolicy(window_s=window_s),
         tenants if tenants is not None else default_tenants(3),
-        up_nodes=lambda: nodes[0],
     )
-    controller.admit = lambda job: controller.offer(job, cost)[0]
+    controller.admit = lambda job: controller.offer(job, cost, nodes[0])[0]
     return controller, nodes
 
 
@@ -276,12 +275,11 @@ class TestTenants:
 
 class TestAdmissionController:
     def test_budget_tracks_up_nodes(self):
-        controller, nodes = make_controller(window_s=10.0, up_nodes=4)
-        assert controller.budget_s() == 40.0
-        nodes[0] = 1
-        assert controller.budget_s() == 10.0
-        nodes[0] = 0  # a fully-down fleet still budgets one node
-        assert controller.budget_s() == 10.0
+        controller, _ = make_controller(window_s=10.0)
+        assert controller.budget_s(4) == 40.0
+        assert controller.budget_s(1) == 10.0
+        # a fully-down fleet still budgets one node
+        assert controller.budget_s(0) == 10.0
 
     def test_tier_cap_sheds_lower_tiers_first(self):
         # equal quotas so only the tier factor differentiates
@@ -345,13 +343,13 @@ class TestAdmissionController:
         jobs = [stub_job(i, "tenant-0") for i in range(20)]
         for job in jobs:
             assert controller.admit(job)
-        assert not controller.overloaded()  # 20s of a 40s budget
+        assert not controller.overloaded(nodes[0])  # 20s of a 40s budget
         nodes[0] = 1  # the fleet crashes down to one node
-        assert controller.overloaded()  # 20s > 1.5 x 10s
-        assert not controller.relieved()
+        assert controller.overloaded(nodes[0])  # 20s > 1.5 x 10s
+        assert not controller.relieved(nodes[0])
         for job in jobs[:13]:
             controller.settle(job)
-        assert controller.relieved()  # 7s < 0.75 x 10s
+        assert controller.relieved(nodes[0])  # 7s < 0.75 x 10s
 
     def test_as_dict_reports_policy_and_counters(self):
         controller, _ = make_controller(cost=100.0, up_nodes=1)
@@ -466,7 +464,7 @@ def observed_run(
     engine = OpenLoopEngine(cluster, traffic, admission=admission)
     settled: list[int] = []
     resumes: list[tuple[int, int]] = []
-    settle, observer = admission.settle, engine.on_resolved
+    settle, observer = admission.settle, engine._resolved
 
     def counting_settle(job):
         settled.append(job.job_id)
@@ -479,7 +477,7 @@ def observed_run(
             resumes.append((engine.sim.fired, job.job_id))
 
     admission.settle = counting_settle
-    engine.on_resolved = watching_observer
+    engine._resolved = watching_observer
     engine.run_open_loop(churn=churn)
     return engine, settled, resumes
 
@@ -493,13 +491,13 @@ def assert_settled_once_per_resolved_job(engine, settled):
 
 
 class TestAdmissionObserver:
-    """Admission settles on the cluster engine's ``on_resolved`` hook,
-    not on overrides of the engine's finish / fail steps."""
+    """Admission settles on the dispatcher's ``_resolved`` hook, not on
+    overrides of the engine's finish / fail steps."""
 
     def test_open_loop_engine_overrides_no_resolution_step(self):
         assert "_finish" not in OpenLoopEngine.__dict__
         assert "_fail" not in OpenLoopEngine.__dict__
-        assert run_open_loop(with_admission=False, jobs=10).on_resolved is None
+        assert "_resolved" in OpenLoopEngine.__dict__
 
     def test_completed_jobs_settle_once(self):
         engine, settled, _ = observed_run(jobs=300, nodes=2, churn=())

@@ -20,8 +20,12 @@ pricing, ``max_retries=64``) and prints µs per host event, the counts
 calls, ``emit`` calls, :class:`~repro.sim.FleetEvent` constructions,
 admission budgets, Python calls per offered job), and the top
 functions grouped by layer.  ``BENCH_traffic.json`` records the same
-counts.  Point ``PYTHONPATH`` at another checkout's ``src`` to get that
-tree's table from the same harness.
+counts.  It also prints, with or without the profile, how many objects
+one run leaves in reference cycles (:func:`cyclic_objects_after_run`):
+the sim runtime's object graph is acyclic, so a finished run is freed by
+reference counting alone and the count is 0.  Point ``PYTHONPATH`` at
+another checkout's ``src`` to get that tree's table from the same
+harness.
 
 The workload models what a 10⁶-event open-loop cluster run does to the
 engine: a handful of periodic "server" chains that each reschedule
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import re
 import sys
@@ -153,6 +158,21 @@ def open_loop_run(jobs: int, seed: int, churn: list):
     return engine
 
 
+def cyclic_objects_after_run(jobs: int, seed: int, churn: list) -> int:
+    """Objects one run of the cell leaves that only the cyclic garbage
+    collector can free: collect, run with that collector off, drop the
+    engine, collect, and return what the last collection found."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        open_loop_run(jobs, seed, churn)  # the engine is dropped at once
+    finally:
+        if enabled:
+            gc.enable()
+    return gc.collect()
+
+
 def _layer_of(filename: str) -> str:
     """``repro`` subpackage of a profiled function, else builtin/stdlib."""
     if filename == "~":
@@ -167,8 +187,10 @@ def open_loop_profile(jobs: int, seed: int) -> tuple[dict, pstats.Stats]:
 
     The counts are exact for a given tree: shape-pricing calls,
     ``EventLog.emit`` calls, :class:`~repro.sim.FleetEvent`
-    constructions and admission budgets.  Python calls per offered job
-    also counts stdlib functions, so it moves with the interpreter.
+    constructions, admission budgets, and the objects a run leaves in
+    reference cycles (:func:`cyclic_objects_after_run`).  Python calls
+    per offered job also counts stdlib functions, so it moves with the
+    interpreter.
     """
     from repro.sim.events import FleetEvent
 
@@ -194,6 +216,7 @@ def open_loop_profile(jobs: int, seed: int) -> tuple[dict, pstats.Stats]:
         "emit_calls": calls_of("sim/events.py", "emit"),
         "fleet_event_constructions": calls_of("sim/events.py", "__init__", record_line),
         "admission_budgets": calls_of("cluster/admission.py", "budget_s"),
+        "cyclic_objects_after_run": cyclic_objects_after_run(jobs, seed, churn),
         "python_calls_per_offered_job": round(total / engine.offered, 2),
     }
     return counts, stats
@@ -217,8 +240,14 @@ def open_loop_report(stats: pstats.Stats) -> None:
             row(name, calls, self_s)
 
 
+def _print_count(name: str, value: int | float) -> None:
+    shown = f"{value:,.2f}" if isinstance(value, float) else f"{value:,}"
+    print(f"  {name:<38} {shown:>12}")
+
+
 def open_loop_main(args: argparse.Namespace) -> int:
-    """``--open-loop``: time (and unless ``--no-profile``, count) the cell."""
+    """``--open-loop``: time the cell, count what a run leaves in
+    reference cycles, and unless ``--no-profile`` profile it."""
     churn = open_loop_churn(args.jobs, args.seed)
     open_loop_run(args.jobs, args.seed, churn)  # warm imports and memos
     walls = []
@@ -235,11 +264,12 @@ def open_loop_main(args: argparse.Namespace) -> int:
         f"{1e6 * wall / fired:.2f} us/host event"
     )
     if args.no_profile:
+        cyclic = cyclic_objects_after_run(args.jobs, args.seed, churn)
+        _print_count("cyclic_objects_after_run", cyclic)
         return 0
     counts, stats = open_loop_profile(args.jobs, args.seed)
     for name, value in counts.items():
-        shown = f"{value:,.2f}" if isinstance(value, float) else f"{value:,}"
-        print(f"  {name:<38} {shown:>12}")
+        _print_count(name, value)
     open_loop_report(stats)
     return 0
 
