@@ -4,12 +4,13 @@
 ProvingCluster` run through one :class:`~repro.sim.Simulator`, so job
 completions, node crashes, recoveries, retries, and autoscaler ticks
 interleave on a single deterministic model-time axis.  :meth:`run` is
-its one entry point: one arrival event per distinct ``arrival_s`` routes
-that instant's jobs, then kicks each node that got one; a churn trace
-(:mod:`repro.workloads.churn`) crashes and recovers nodes mid-stream; an
-optional :class:`~repro.cluster.autoscale.AutoscalePolicy` resizes the
-fleet from the plan-predicted backlog signal.  A closed batch with
-arrivals ignored is a stream whose ``arrival_s`` are all zero: one
+the one entry point of a closed batch and an open loop alike: the
+Dispatcher's arrival pump fires one event per distinct ``arrival_s``,
+which routes that instant's jobs, then kicks each node that got one; a
+churn trace (:mod:`repro.workloads.churn`) crashes and recovers nodes
+mid-stream; an optional :class:`~repro.cluster.autoscale.AutoscalePolicy`
+resizes the fleet from the plan-predicted backlog signal.  A closed batch
+with arrivals ignored is a stream whose ``arrival_s`` are all zero: one
 instant, every job queued before any starts.
 
 Routing, the node work loop (pick, start, finish, re-kick) and a
@@ -62,11 +63,10 @@ A job's ``(install_s, prove_s)`` comes from one dict hit on
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cluster.nodes import InFlightJob, JobRecord, ProverNode
-from repro.cluster.records import Dispatcher, arrival_order, instants
+from repro.cluster.records import Dispatcher, arrival_order
 from repro.service.jobs import ProofJob
 from repro.sim import EventHandle, EventLog, Simulator, TraceSource, install
 from repro.workloads.churn import ChurnEvent
@@ -116,6 +116,10 @@ class ClusterEngine(Dispatcher):
 
     def _next_job_id(self) -> int:
         return self.cluster.next_job_id()
+
+    def _arm_instant(self, at_s: float) -> None:
+        at_s = at_s if at_s > self.sim.now else self.sim.now
+        self.sim.schedule_fast(at_s, self._fire_instant, priority=PRIO_ARRIVAL)
 
     def _enqueue(self, node_id: str, job: ProofJob) -> ProverNode:
         node = self.cluster.nodes[node_id]
@@ -226,8 +230,6 @@ class ClusterEngine(Dispatcher):
 
     def _tick(self) -> None:
         self._tick_handle = None
-        if len(self.records) + len(self.failed_jobs) >= self._total_jobs:
-            return
         policy = self.cluster.config.autoscale
         signal = self._backlog_signal_s()
         can_grow = len(self.cluster.nodes) < policy.max_nodes
@@ -330,27 +332,17 @@ class ClusterEngine(Dispatcher):
 
     def run(
         self,
-        jobs: list[ProofJob],
+        jobs: Iterable[ProofJob],
         *,
         churn: Iterable[ChurnEvent] = (),
     ) -> list[JobRecord]:
         """Route each job at its ``arrival_s``, under churn, retries and
         autoscaling; returns the completed records in finish order.
 
-        The churn trace addresses nodes by *initial* index; events for
-        nodes the autoscaler has retired are skipped.
+        ``jobs`` is a closed batch or a lazy stream (the Dispatcher's
+        arrival pump).  The churn trace addresses nodes by *initial*
+        index; events for nodes the autoscaler has retired are skipped.
         """
-        self._total_jobs = len(jobs)
-        for at_s, batch in instants(jobs):
-            self.sim.schedule(
-                at_s, partial(self._arrive, batch), priority=PRIO_ARRIVAL
-            )
-        self._start_streams(churn)
-        self.sim.run()
-        return self._finalize()
-
-    def _start_streams(self, churn: Iterable[ChurnEvent]) -> None:
-        """Install the churn trace and arm the autoscaler ticks."""
         self._cancellable.extend(
             install(
                 self.sim,
@@ -365,3 +357,11 @@ class ClusterEngine(Dispatcher):
                 self._tick,
                 priority=PRIO_TICK,
             )
+        self._start_arrivals(jobs)
+        self.sim.run()
+        if self._source is not None:
+            # the heap drained with the source held and nothing to release
+            # it (every unresolved job parked for good): the stream ends
+            self._ahead = None
+            self._pump()
+        return self._finalize()

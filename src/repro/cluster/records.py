@@ -12,8 +12,15 @@ without translation.
 route, park, requeue, retry, fail, and a node's loss and return —
 counted in :class:`ResilienceStats` under the :class:`RetryPolicy`
 crash-retry contract, so a job's history is the same code whether its
-crash was simulated or a killed process — and the node work loop both
-run, over one :class:`JobQueue` per node.
+crash was simulated or a killed process — the node work loop both
+run, over one :class:`JobQueue` per node, and the one arrival pump every
+run takes its jobs through.
+
+Arrivals.  :meth:`Dispatcher._start_arrivals` pulls any iterable of jobs
+(an iterator lazily, in its own order; anything else sorted stably by
+``arrival_s``) one instant at a time, with one job of look-ahead, so a
+start gate sees a simultaneous burst whole and a 10⁶-job stream costs
+one instant of memory.  No run is done before its source is spent.
 
 Ownership.  A runtime owns its router, event log, records and nodes,
 and none of them points back at it: every event is stamped with the
@@ -28,8 +35,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator
 
 from repro.cluster.routing import ClusterRouter, NoRoutableNodeError
 from repro.cluster.timemodel import FleetTimeModel
@@ -113,14 +120,6 @@ class RetryPolicy:
 def arrival_order(job: ProofJob) -> tuple[float, int]:
     """The ``(arrival_s, job_id)`` key every queue and requeue drains in."""
     return job.arrival_s, job.job_id
-
-
-def instants(jobs: Iterable[ProofJob]) -> Iterator[tuple[float, list[ProofJob]]]:
-    """``(arrival_s, jobs)`` per distinct arrival time, each instant's
-    jobs in stream order: one :meth:`Dispatcher._arrive` call each."""
-    by_time = sorted(jobs, key=lambda job: job.arrival_s)
-    for at_s, batch in itertools.groupby(by_time, key=lambda job: job.arrival_s):
-        yield at_s, list(batch)
 
 
 @dataclass
@@ -213,14 +212,17 @@ class Dispatcher:
 
     A runtime inherits it and supplies ``_now()`` (its clock: model or
     run-relative wall seconds, which stamps every event),
-    ``_enqueue(node_id, job)`` (queue a routed job, return the node:
-    anything with ``node_id``, ``down``, ``in_flight`` and a
-    :class:`JobQueue` ``queue``), ``_launch(node, job)`` (start the job
-    :meth:`kick` picked) and ``_all_resolved()``; it may override
-    :meth:`_next_job_id` and :meth:`_resolved`.  It reports a job's end
-    through :meth:`_finished`, stops a lost node's work before
-    :meth:`_node_lost`, and brings one back through :meth:`_node_back`.
-    ``gate``: see :mod:`repro.cluster.engine`.
+    ``_arm_instant(at_s)`` (call :meth:`_fire_instant` at model time
+    ``at_s``, or at once if that is past), ``_enqueue(node_id, job)``
+    (queue a routed job, return the node: anything with ``node_id``,
+    ``down``, ``in_flight`` and a :class:`JobQueue` ``queue``),
+    ``_launch(node, job)`` (start the job :meth:`kick` picked) and
+    ``_all_resolved()``; it may override :meth:`_next_job_id`,
+    :meth:`_offer` and :meth:`_resolved`.  It feeds a run through
+    :meth:`_start_arrivals`, reports a job's end through
+    :meth:`_finished`, stops a lost node's work before :meth:`_node_lost`,
+    and brings one back through :meth:`_node_back`.  ``gate``: see
+    :mod:`repro.cluster.engine`.
     """
 
     def __init__(
@@ -239,7 +241,13 @@ class Dispatcher:
         self.failed_jobs: list[ProofJob] = []
         self.gate = None
         self._job_ids = itertools.count()
-        self._total_jobs = 0
+        #: the open source, its next job, and whether a runtime holds it
+        self._source: Iterator[ProofJob] | None = None
+        self._ahead: ProofJob | None = None
+        self._paused = False
+        #: seconds each later arrival is shifted by (backpressure lag)
+        self.lag_s = 0.0
+        self._accepted = 0
         self._parked: list[ProofJob] = []
         #: a start the runtime armed for later, by node id (any handle
         #: with ``cancel()``); the next :meth:`kick` of the node voids it
@@ -253,14 +261,51 @@ class Dispatcher:
         """Called last, once per job completed or failed for good; a
         runtime that observes resolutions overrides it."""
 
+    def _offer(self, job: ProofJob):
+        """One arrival: accept and route ``job``; returns its node (None =
+        parked or, in a runtime that filters arrivals, turned away)."""
+        return self._accept(job, self._next_job_id())
+
+    # -- the arrival pump ----------------------------------------------------
+    def _start_arrivals(self, jobs: Iterable[ProofJob]) -> None:
+        """Take this run's arrivals from ``jobs`` (module docstring)."""
+        if not isinstance(jobs, Iterator):
+            jobs = iter(sorted(jobs, key=lambda job: job.arrival_s))
+        self._source = jobs
+        self._ahead = next(jobs, None)
+        self._pump()
+
+    def _pump(self) -> None:
+        """Arm the next instant, or close the spent source."""
+        job = self._ahead
+        if job is not None:
+            self._arm_instant(job.arrival_s + self.lag_s)
+            return
+        self._source = None
+        self._paused = False
+        self._check_done()
+
+    def _fire_instant(self) -> None:
+        """Route the look-ahead job and every job tied with it."""
+        first, self._ahead = self._ahead, None
+        batch = [first]
+        for job in self._source:
+            if job.arrival_s != first.arrival_s:
+                self._ahead = job
+                break
+            batch.append(job)
+        self._arrive(batch)
+        if not self._paused:
+            self._pump()
+
     # -- the node work loop --------------------------------------------------
     def _arrive(self, jobs: Iterable[ProofJob]) -> None:
-        """One arrival instant: accept and route every job, then kick
-        each node that got one, once, in node-id order — so a start
-        gate sees the whole burst queued before any of it starts."""
+        """One arrival instant: offer every job, then kick each node
+        that queued one, once, in node-id order — so a start gate sees
+        the whole burst queued before any of it starts."""
         touched = {}
         for job in jobs:
-            node = self._accept(job, self._next_job_id())
+            node = self._offer(job)
             if node is not None:
                 touched[node.node_id] = node
         for node_id in sorted(touched):
@@ -302,8 +347,9 @@ class Dispatcher:
         self._resolved(job)
 
     def _check_done(self) -> None:
-        """Tell the runtime once every job is resolved."""
-        if len(self.records) + len(self.failed_jobs) >= self._total_jobs:
+        """Tell the runtime once its source is spent and every job resolved."""
+        resolved = len(self.records) + len(self.failed_jobs)
+        if self._source is None and resolved >= self._accepted:
             self._all_resolved()
 
     # -- the job lifecycle ---------------------------------------------------
@@ -312,6 +358,7 @@ class Dispatcher:
         the node that queued the job (None = parked) for the caller to
         kick once the whole instant is routed."""
         job.job_id = job_id
+        self._accepted += 1
         self.events.emit("job_accepted", job_id=job_id, at_s=self._now(), tag=job.tag)
         return self._route(job, cost_s, kick=False)
 

@@ -11,10 +11,10 @@ behavior:
   parking / requeue / retry / failure path, one queue discipline (one
   job in flight per node, the rest started in ``(arrival, job_id)``
   order) — so failure-free placements are *identical* to the sim's
-  (``tests/test_fleet.py`` locks this).  Each instant's jobs arrive
-  together ``arrival_s × time_scale`` wall seconds after the fleet is
-  warm.  The fleet adds only wall-time hooks: ``_launch`` sends a job
-  to its worker and arms its timeout, a result becomes its record.
+  (``tests/test_fleet.py`` locks this), and so is the arrival pump.
+  The fleet adds only wall-time hooks: an instant fires on a ``call_at``
+  timer ``arrival_s × time_scale`` after warm-up, ``_launch`` sends a
+  job to its worker and arms its timeout, a result becomes its record.
 * **Failure detection** — a churn kill, heartbeat miss, or job timeout
   declares a node dead; the fleet kills the process, and the sim's
   crash and recovery code (``_node_lost`` / ``_node_back``) applies.
@@ -45,7 +45,7 @@ from typing import Callable, Iterable
 
 from repro.cluster import metrics
 from repro.cluster.nodes import NodeConfig
-from repro.cluster.records import Dispatcher, JobQueue, JobRecord, instants
+from repro.cluster.records import Dispatcher, JobQueue, JobRecord
 from repro.cluster.routing import DEFAULT_REPLICAS, ClusterRouter
 from repro.cluster.timemodel import FleetTimeModel
 from repro.sim.events import EventLog
@@ -193,6 +193,8 @@ class ProvingFleet(Dispatcher):
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
         self._done: asyncio.Event | None = None
+        #: the armed timer of the next arrival instant
+        self._arrival: asyncio.TimerHandle | None = None
         #: churn recovery events not yet applied: each will spawn a node
         self._recoveries_due = 0
         self._stalled: FleetStalledError | None = None
@@ -284,6 +286,11 @@ class ProvingFleet(Dispatcher):
             handle.stopped.set()
 
     # -- dispatcher hooks ----------------------------------------------------
+    def _arm_instant(self, at_s: float) -> None:
+        self._arrival = self._loop.call_at(
+            self._t0 + at_s * self.config.time_scale, self._fire_instant
+        )
+
     def _enqueue(self, node_id: str, job) -> _Handle:
         handle = self._handles[node_id]
         handle.queue.push(job)
@@ -375,14 +382,18 @@ class ProvingFleet(Dispatcher):
         last one and nothing will bring one back: no node up or still
         starting, no churn recovery due.  The jobs still owed (parked, or
         not yet arrived) could only wait out ``run_timeout_s``."""
-        owed = self._total_jobs - len(self.records) - len(self.failed_jobs)
+        owed = self._accepted - len(self.records) - len(self.failed_jobs)
+        more = self._source is not None
         alive = any(h.up or h.starting for h in self._handles.values())
-        if owed <= 0 or alive or self._recoveries_due or self._shutting_down:
+        if alive or self._recoveries_due or self._shutting_down:
+            return
+        if owed <= 0 and not more:
             return
         self._stalled = FleetStalledError(
             "every fleet node is down and none will respawn: "
             f"{sorted(self._handles)} dead (last: {node_id}, reason "
-            f"{reason!r}) with {owed} of {self._total_jobs} jobs still owed"
+            f"{reason!r}) with {owed} jobs still owed"
+            + (" and more to arrive" if more else "")
         )
         self._done.set()
 
@@ -445,7 +456,6 @@ class ProvingFleet(Dispatcher):
     async def _run(self, jobs, churn, actions) -> list[JobRecord]:
         self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
-        self._total_jobs = len(jobs)
         for node_id in self.node_ids:
             self._spawn(node_id)
         timers = []
@@ -453,14 +463,9 @@ class ProvingFleet(Dispatcher):
         try:
             await self._await_ready()
             # makespan starts when the fleet is warm, not when Python forked
-            self._t0 = t0 = self._loop.time()
+            self._t0 = self._loop.time()
             scale = self.config.time_scale
-            # one timer per instant keeps simultaneous arrivals in stream
-            # order, the sim's tie rule (equal asyncio deadlines are not)
-            for at_s, batch in instants(jobs):
-                timers.append(
-                    self._loop.call_at(t0 + at_s * scale, self._arrive, batch)
-                )
+            self._start_arrivals(jobs)
             self._recoveries_due = sum(e.kind != "crash" for e in churn)
             for event in churn:
                 timers.append(
@@ -471,16 +476,17 @@ class ProvingFleet(Dispatcher):
             for at_s, fn in actions:
                 timers.append(self._loop.call_later(at_s, fn, self))
             watchdog = asyncio.ensure_future(self._watch())
-            if self._total_jobs:
-                await asyncio.wait_for(
-                    self._done.wait(), timeout=self.config.run_timeout_s
-                )
-                if self._stalled is not None:
-                    raise self._stalled
+            await asyncio.wait_for(
+                self._done.wait(), timeout=self.config.run_timeout_s
+            )
+            if self._stalled is not None:
+                raise self._stalled
         finally:
             self._shutting_down = True
             if watchdog is not None:
                 watchdog.cancel()
+            if self._arrival is not None:
+                self._arrival.cancel()
             for timer in timers:
                 timer.cancel()
             await self._shutdown()

@@ -296,5 +296,5 @@ def _run_open_loop(scenario: Scenario) -> ScenarioResult:
     if scenario.admission is not None:
         admission = make_admission(cluster, scenario.admission, traffic.tenants)
     engine = OpenLoopEngine(cluster, traffic, admission=admission)
-    records = engine.run_open_loop(churn=_churn(scenario, scenario.horizon_s))
+    records = engine.run(traffic.jobs(), churn=_churn(scenario, scenario.horizon_s))
     return ScenarioResult(traffic_summary(engine), engine.events, records)

@@ -1,4 +1,4 @@
-"""Open-loop, multi-tenant traffic for the proving cluster (ISSUE 8).
+"""Open-loop, multi-tenant traffic for the proving cluster.
 
 The :mod:`repro.service.traffic` generator builds closed batches — every
 job materialized up front, drained to completion.  This package models
@@ -10,9 +10,9 @@ admission control, and backpressure.
   weighted tenant populations;
 * :mod:`repro.traffic.openloop` — seeded diurnal + bursty Poisson
   arrival streams and the shared circuit-shape cache;
-* :mod:`repro.traffic.engine` — the pumped
-  :class:`~repro.traffic.engine.OpenLoopEngine` over the failure-aware
-  cluster, wired to :mod:`repro.cluster.admission`;
+* :mod:`repro.traffic.engine` — :class:`OpenLoopEngine`, the
+  failure-aware cluster engine with admission
+  (:mod:`repro.cluster.admission`) and backpressure on each arrival;
 * :mod:`repro.traffic.metrics` — goodput, shed rate, tail latency, and
   Jain fairness summaries.
 """

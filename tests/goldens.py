@@ -232,7 +232,7 @@ def run_open_loop(seed: int, carbon: bool, jobs: int = 2_000) -> dict:
             cluster, AdmissionPolicy(window_s=10.0), traffic.tenants
         )
         engine = OpenLoopEngine(cluster, traffic, admission=admission)
-        records = engine.run_open_loop(churn=churn)
+        records = engine.run(traffic.jobs(), churn=churn)
         return {
             "records": records,
             "events": engine.events.to_jsonl(),

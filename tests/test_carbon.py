@@ -34,6 +34,7 @@ from repro.fleet.scenario import Scenario, run
 from repro.service.jobs import RequestClass
 from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EventLog
+from repro.traffic import OpenLoopEngine, OpenLoopTraffic
 
 
 def make_trace(**kwargs) -> CarbonIntensityTrace:
@@ -553,8 +554,32 @@ class TestClosedBatchUnderTheGate:
         result = self._run(
             monkeypatch, Scenario("zipf-mixed", 64, nodes=3, carbon=carbon)
         )
+        self._assert_each_node_starts_its_earliest_deadline(result.records)
+
+    def test_edd_sees_a_tied_open_loop_burst_whole(self):
+        """The open loop takes its arrivals through the same pump: 48
+        jobs tied at t=0 are one instant, one arrival event, queued
+        whole before the gate starts any (one event per job before)."""
+        traffic = OpenLoopTraffic("zipf-mixed", seed=0, arrival_trace=[0.0] * 48)
+        carbon = CarbonConfig(CarbonIntensityTrace(seed=1), "edd")
+        cluster = ProvingCluster(
+            ClusterConfig(
+                num_nodes=3,
+                node=NodeConfig(max_vars=traffic.max_vars()),
+                carbon=carbon,
+            )
+        )
+        engine = OpenLoopEngine(cluster, traffic)
+        records = engine.run_open_loop()
+        assert len(records) == 48
+        # one arrival instant, then one finish event per job
+        assert engine.sim.fired == 1 + 48
+        self._assert_each_node_starts_its_earliest_deadline(records)
+
+    @staticmethod
+    def _assert_each_node_starts_its_earliest_deadline(records) -> None:
         by_node: dict[str, list] = {}
-        for record in result.records:
+        for record in records:
             by_node.setdefault(record.node_id, []).append(record)
         assert len(by_node) == 3
         for records in by_node.values():

@@ -5,12 +5,13 @@ route / park / unpark / requeue / retry / fail that both the simulated
 cluster (:class:`~repro.cluster.engine.ClusterEngine`, model time) and
 the real fleet (:class:`~repro.fleet.core.ProvingFleet`, wall time)
 inherit, together with a node's loss (``_node_lost``) and return
-(``_node_back``) and the work loop that picks, starts and finishes each
-job (``_arrive`` / ``kick`` / ``_finished``).  These tests run it under
-a fake runtime whose hooks only record, over a real
-:class:`~repro.cluster.routing.ClusterRouter`, so the parking, waiver,
-retry-budget, requeue, node-lifecycle and pick-order rules are checked
-without a simulator, a clock or a worker process — and, because neither
+(``_node_back``), the work loop that picks, starts and finishes each
+job (``_arrive`` / ``kick`` / ``_finished``) and the arrival pump every
+run takes its jobs through (``_start_arrivals`` / ``_fire_instant``).
+These tests run it under a fake runtime whose hooks only record, over a
+real :class:`~repro.cluster.routing.ClusterRouter`, so the parking,
+waiver, retry-budget, requeue, node-lifecycle, pick-order and pump rules
+are checked without a simulator, a clock or a worker process — and, because neither
 runtime overrides a lifecycle or loop method, for both runtimes at once.
 """
 
@@ -37,6 +38,9 @@ LIFECYCLE = (
     "kick",
     "_finished",
     "_check_done",
+    "_start_arrivals",
+    "_pump",
+    "_fire_instant",
 )
 
 
@@ -64,6 +68,9 @@ class FakeRuntime(Dispatcher):
 
     def _now(self):
         return 0.0
+
+    def _arm_instant(self, at_s):
+        self.calls.append(("arm", at_s))
 
     def _resolved(self, job):
         self.calls.append(("resolved", job.job_id))
@@ -306,7 +313,6 @@ class TestWorkLoop:
 
     def test_a_node_starts_its_jobs_in_arrival_order(self):
         runtime = FakeRuntime()
-        runtime._total_jobs = 6
         jobs = make_jobs([0.5, 0.25, 0.75, 0.0, 0.25, 0.5])
         runtime._arrive(jobs)
         for _ in range(2):
@@ -329,7 +335,6 @@ class TestWorkLoop:
 
     def test_finished_books_releases_logs_then_restarts_the_node(self):
         runtime = FakeRuntime()
-        runtime._total_jobs = 3
         jobs = make_jobs([0.0, 0.0, 0.0])
         runtime._arrive(jobs)
         charged = runtime.router.outstanding_s["node-0"]
@@ -343,7 +348,6 @@ class TestWorkLoop:
 
     def test_a_gate_is_armed_instead_of_a_launch(self):
         runtime = FakeRuntime()
-        runtime._total_jobs = 3
         runtime.gate = RecordingGate(runtime.calls)
         runtime._arrive(make_jobs([0.0, 0.0, 0.0]))
         assert runtime.calls[3:] == [("arm", "node-0"), ("arm", "node-1")]
@@ -369,6 +373,73 @@ class TestWorkLoop:
         assert runtime.launched() == [("node-0", 0)]
         runtime.kick(runtime.nodes["node-0"])
         assert runtime.launched() == [("node-0", 0)]
+
+
+class TestArrivalPump:
+    """The pump arms one instant at a time through ``_arm_instant``; a
+    test fires it by calling ``_fire_instant``, as a runtime's timer would."""
+
+    @staticmethod
+    def logged(jobs: list, pulls: list):
+        """A lazy source that notes each job as it is pulled."""
+        for job in jobs:
+            pulls.append(job)
+            yield job
+
+    def test_the_pump_holds_one_instant_and_one_job_ahead(self):
+        runtime = FakeRuntime()
+        jobs = make_jobs([0.0, 0.0, 0.5, 0.5, 0.5, 1.0])
+        pulls: list = []
+        runtime._start_arrivals(self.logged(jobs, pulls))
+        assert pulls == jobs[:1]
+        assert runtime.calls == [("arm", 0.0)]
+        for fired, next_at in ((2, 0.5), (5, 1.0)):
+            runtime.calls.clear()
+            runtime._fire_instant()
+            # the instant's jobs and the first job of the next one
+            assert pulls == jobs[: fired + 1]
+            assert [call for call in runtime.calls if call[0] == "arm"] == [
+                ("arm", next_at)
+            ]
+        runtime._fire_instant()
+        assert pulls == jobs
+        assert [job.job_id for job in jobs] == list(range(6))
+
+    def test_an_unsorted_list_is_pumped_in_stable_arrival_order(self):
+        runtime = FakeRuntime()
+        jobs = make_jobs([0.5, 0.0, 0.5, 0.0])
+        runtime._start_arrivals(jobs)
+        runtime._fire_instant()
+        runtime._fire_instant()
+        assert [call for call in runtime.calls if call[0] == "arm"] == [
+            ("arm", 0.0),
+            ("arm", 0.5),
+        ]
+        assert [job.job_id for job in jobs] == [2, 0, 3, 1]
+
+    @pytest.mark.parametrize("source", [[], iter(())], ids=["list", "iterator"])
+    def test_an_empty_source_resolves_at_once(self, source):
+        runtime = FakeRuntime()
+        runtime._start_arrivals(source)
+        assert runtime.calls == [("all_resolved",)]
+        assert runtime._source is None
+
+    def test_the_total_is_set_only_when_the_source_ends(self):
+        runtime = FakeRuntime()
+        jobs = make_jobs([0.0, 0.0, 1.0])
+        runtime._start_arrivals(iter(jobs))
+        runtime._fire_instant()
+        for node_id in NODES:
+            runtime.finish(node_id)
+        # every job so far is resolved, but the source still has one
+        assert runtime._source is not None
+        assert ("all_resolved",) not in runtime.calls
+        runtime._fire_instant()
+        # spent: the three jobs accepted are the run's total
+        assert runtime._source is None
+        assert ("all_resolved",) not in runtime.calls
+        runtime.finish("node-0")
+        assert runtime.calls[-2:] == [("all_resolved",), ("resolved", 2)]
 
 
 @pytest.mark.parametrize("runtime", [ClusterEngine, OpenLoopEngine, ProvingFleet])

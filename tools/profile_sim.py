@@ -16,10 +16,10 @@ events/sec ``BENCH_traffic.json`` records as ``info``).
 (:func:`open_loop_run`: 4 ``least_loaded`` nodes on the accelerator
 time model, admission window 10 s, 10% churn downtime, passive carbon
 pricing, ``max_retries=64``) and prints µs per host event, the counts
-:func:`open_loop_profile` reads off one profiled run (shape-pricing
-calls, ``emit`` calls, :class:`~repro.sim.FleetEvent` constructions,
-admission budgets, Python calls per offered job), and the top
-functions grouped by layer.  ``BENCH_traffic.json`` records the same
+:func:`open_loop_profile` reads off one profiled run (events fired,
+shape-pricing calls, ``emit`` calls, :class:`~repro.sim.FleetEvent`
+constructions, admission budgets, Python calls per offered job), and
+the top functions grouped by layer.  ``BENCH_traffic.json`` records the same
 counts.  It also prints, with or without the profile, how many objects
 one run leaves in reference cycles (:func:`cyclic_objects_after_run`):
 the sim runtime's object graph is acyclic, so a finished run is freed by
@@ -154,7 +154,7 @@ def open_loop_run(jobs: int, seed: int, churn: list):
         policy = AdmissionPolicy(window_s=OPEN_LOOP_WINDOW_S)
         admission = make_admission(cluster, policy, traffic.tenants)
         engine = OpenLoopEngine(cluster, traffic, admission=admission)
-        engine.run_open_loop(churn=churn)
+        engine.run(traffic.jobs(), churn=churn)
     return engine
 
 
@@ -185,8 +185,8 @@ def open_loop_profile(jobs: int, seed: int) -> tuple[dict, pstats.Stats]:
     """Profile one warm run of the open-loop cell; returns its counts
     and the profile.
 
-    The counts are exact for a given tree: shape-pricing calls,
-    ``EventLog.emit`` calls, :class:`~repro.sim.FleetEvent`
+    The counts are exact for a given tree: events fired, shape-pricing
+    calls, ``EventLog.emit`` calls, :class:`~repro.sim.FleetEvent`
     constructions, admission budgets, and the objects a run leaves in
     reference cycles (:func:`cyclic_objects_after_run`).  Python calls
     per offered job also counts stdlib functions, so it moves with the
@@ -212,6 +212,7 @@ def open_loop_profile(jobs: int, seed: int) -> tuple[dict, pstats.Stats]:
 
     total = sum(entry[1] for entry in stats.stats.values())
     counts = {
+        "events_fired": engine.sim.fired,
         "shape_pricing_calls": sum(calls_of(*where) for where in SHAPE_PRICING),
         "emit_calls": calls_of("sim/events.py", "emit"),
         "fleet_event_constructions": calls_of("sim/events.py", "__init__", record_line),
