@@ -9,7 +9,7 @@ and tables bound to locals, and a SumCheck round kernel that runs on a
 degree-aware :class:`RoundSchedule` — every sub-sum multiplied out at its
 own degree + 1 points and carried to the rest by forward differences,
 the factor common to all terms multiplied in once, modular reduction
-deferred to the per-point sums.
+deferred to the per-point sums, the pairs streamed in fixed tiles.
 
 :class:`ReferenceBackend` is its differential oracle, as ``msm_naive`` is
 the MSM kernel's: per-element loops that mirror the original scalar code
@@ -289,16 +289,19 @@ def round_schedule(
     )
 
 
-def _extend_points(table: Sequence[int], half: int, npts: int) -> list[int]:
-    """Flat column-major extension: ``flat[x * half + j]`` is pair ``j``'s
-    line at ``X = x``, for ``x < npts``.  An adder chain over whole
-    columns, left unreduced: from canonical input ``|lo + x·δ| < npts·p``,
-    which for every degree the gates reach is the same nine 30-bit digits
-    a reduced element takes."""
-    lo = table[:2 * half:2]
+def _extend_points(
+    table: Sequence[int], start: int, stop: int, npts: int
+) -> list[int]:
+    """Flat column-major extension of pairs ``start..stop-1``:
+    ``flat[x * w + j]`` is pair ``start + j``'s line at ``X = x``, for
+    ``x < npts`` and ``w = stop - start``.  Read straight from the table;
+    an adder chain over whole columns, left unreduced: from canonical
+    input ``|lo + x·δ| < npts·p``, which for every degree the gates reach
+    is the same nine 30-bit digits a reduced element takes."""
+    lo = table[2 * start:2 * stop:2]
     if npts == 1:
         return lo
-    hi = table[1:2 * half:2]
+    hi = table[2 * start + 1:2 * stop:2]
     flat = lo + hi
     if npts > 2:
         step = [h - l for h, l in zip(hi, lo)]
@@ -373,6 +376,101 @@ def extend_by_differences(
     return out
 
 
+#: Pairs the round kernel extends and multiplies out at a time.  A tile's
+#: extension and power columns are the kernel's whole working set, so a
+#: round holds them for this many pairs whatever 2^μ is, as Fig. 1's PEs
+#: hold a few buffers per MLE rather than a table extended to d + 1
+#: points.  On the reference host one ``sumcheck_gates_mu11`` pass (gates
+#: 20, 22 and sweep-d16 at μ = 11) raises RSS 2.1 / 2.9 / 4.4 / 7.2 MB
+#: above set-up with tiles of 64 / 128 / 256 / 512 pairs, 11.7 MB untiled;
+#: in best-of-20 in-process A/B the Jellyfish and sweep proofs take the
+#: same time at every size from 32 pairs to untiled, and vanilla, with the
+#: fewest points per pair to spread a tile's fixed cost over, is 4% slower
+#: at 128 pairs and 11% at 32.  So 128 is the knee.
+ROUND_TILE_PAIRS = 128
+
+
+def _round_tile(
+    p: int, plan: RoundSchedule, coeffs: list[int], tables: dict,
+    start: int, stop: int,
+) -> list[int]:
+    """Pairs ``start..stop-1``'s share of s(0..d), reduced: ``plan`` run
+    over one tile, with ``coeffs[i]`` term ``i``'s coefficient mod p."""
+    degree = plan.degree
+    npts = degree + 1
+    w = stop - start
+    flat = {name: _extend_points(tables[name], start, stop, n)
+            for name, n in plan.mle_points.items()}
+    columns: dict[tuple[str, int], list[int]] = {}
+
+    def column(key: tuple[str, int]) -> list[int]:
+        # power columns are raised once per (name, power), over the
+        # points that power is needed at, and shared between terms
+        name, power = key
+        if power == 1:
+            return flat[name]
+        col = columns.get(key)
+        if col is None:
+            base = flat[name][:plan.points[key] * w]
+            col = columns[key] = _power_column(p, base, power)
+        return col
+
+    # With a common factor the running sum is a column per point
+    # (`w` rows, two lanes wide at most, so that times the factor it
+    # stays within three); without one every group is summed over the
+    # tile first and the running sum is one scalar per point.
+    width = w if plan.common else 1
+    running: list[int] = []
+    have = 0
+    for m, members in plan.groups:
+        want = min(m, degree) + 1
+        n = want * w
+        part = None
+        for i in members:
+            coeff = coeffs[i]
+            cols = [column(key) for key in plan.residuals[i]]
+            sign = 1
+            if plan.common:
+                if coeff > p >> 1:
+                    # centred, so that -1 is a subtraction and not a lane
+                    coeff, sign = p - coeff, -1
+                if not cols:
+                    piece = [coeff] * n
+                else:
+                    if coeff != 1:
+                        cols.append(repeat(coeff))
+                    piece = _lane_product(p, cols, n, 2)
+            elif not cols:
+                piece = [coeff * w]
+            else:
+                prods = _lane_product(p, cols, n, 3)
+                piece = [
+                    coeff * (sum(prods[x * w:(x + 1) * w]) % p)
+                    for x in range(want)
+                ]
+            if part is None:
+                part = piece if sign > 0 else [-t for t in piece]
+            elif sign > 0:
+                part = [a + t for a, t in zip(part, piece)]
+            else:
+                part = [a - t for a, t in zip(part, piece)]
+        if have:
+            carried = extend_by_differences(running, width, have, want)
+            running = [a + t for a, t in zip(carried, part)]
+        else:
+            running = part
+        have = want
+    running = extend_by_differences(running, width, have, npts)
+
+    if plan.common:
+        factor = _lane_product(
+            p, [column(key) for key in plan.common], npts * w, 1
+        )
+        prods = [r * c for r, c in zip(running, factor)]
+        return [sum(prods[x * w:(x + 1) * w]) % p for x in range(npts)]
+    return [v % p for v in running]
+
+
 # ---------------------------------------------------------------------------
 # the kernel
 # ---------------------------------------------------------------------------
@@ -392,6 +490,8 @@ class FusedBackend(VectorBackend):
       factor common to every term is multiplied in once per point;
       products are reduced only where they would pass three lanes, sums
       once per point;
+    * the round kernel streams the pairs in tiles of
+      :data:`ROUND_TILE_PAIRS`, so its columns never span the table;
     * tallies are computed in closed form and applied in bulk.
     """
 
@@ -469,7 +569,14 @@ class FusedBackend(VectorBackend):
 
     def round_evaluations(self, field, terms, tables, degree):
         """Fused-loop :meth:`VectorBackend.round_evaluations`, on the
-        degree-aware :class:`RoundSchedule` of the term structure."""
+        degree-aware :class:`RoundSchedule` of the term structure, streamed
+        over tiles of :data:`ROUND_TILE_PAIRS` pairs.
+
+        The schedule is looked up once; each tile is extended, multiplied
+        out and carried by forward differences on its own, and its d + 1
+        values are added into the round's sums mod p.  Every step is
+        linear in the pairs, so the sums are the whole table's; only one
+        tile's columns are live at a time."""
         p = field.modulus
         npts = degree + 1
         half = len(next(iter(tables.values()))) // 2
@@ -483,78 +590,13 @@ class FusedBackend(VectorBackend):
         if not terms:
             return [0] * npts
         plan = round_schedule(tuple(term.factors for term in terms), degree)
-
-        flat = {name: _extend_points(tables[name], half, n)
-                for name, n in plan.mle_points.items()}
-        columns: dict[tuple[str, int], list[int]] = {}
-
-        def column(key: tuple[str, int]) -> list[int]:
-            # power columns are raised once per (name, power), over the
-            # points that power is needed at, and shared between terms
-            name, power = key
-            if power == 1:
-                return flat[name]
-            col = columns.get(key)
-            if col is None:
-                base = flat[name][:plan.points[key] * half]
-                col = columns[key] = _power_column(p, base, power)
-            return col
-
-        # With a common factor the running sum is a column per point
-        # (`half` rows, two lanes wide at most, so that times the factor
-        # it stays within three); without one every group is summed over
-        # the table first and the running sum is one scalar per point.
-        width = half if plan.common else 1
-        running: list[int] = []
-        have = 0
-        for m, members in plan.groups:
-            want = min(m, degree) + 1
-            n = want * half
-            part = None
-            for i in members:
-                coeff = terms[i].coeff % p
-                cols = [column(key) for key in plan.residuals[i]]
-                sign = 1
-                if plan.common:
-                    if coeff > p >> 1:
-                        # centred, so that -1 is a subtraction and not a lane
-                        coeff, sign = p - coeff, -1
-                    if not cols:
-                        piece = [coeff] * n
-                    else:
-                        if coeff != 1:
-                            cols.append(repeat(coeff))
-                        piece = _lane_product(p, cols, n, 2)
-                elif not cols:
-                    piece = [coeff * half]
-                else:
-                    prods = _lane_product(p, cols, n, 3)
-                    piece = [
-                        coeff * (sum(prods[x * half:(x + 1) * half]) % p)
-                        for x in range(want)
-                    ]
-                if part is None:
-                    part = piece if sign > 0 else [-t for t in piece]
-                elif sign > 0:
-                    part = [a + t for a, t in zip(part, piece)]
-                else:
-                    part = [a - t for a, t in zip(part, piece)]
-            if have:
-                carried = extend_by_differences(running, width, have, want)
-                running = [a + t for a, t in zip(carried, part)]
-            else:
-                running = part
-            have = want
-        running = extend_by_differences(running, width, have, npts)
-
-        if plan.common:
-            factor = _lane_product(
-                p, [column(key) for key in plan.common], npts * half, 1
-            )
-            prods = [r * c for r, c in zip(running, factor)]
-            return [sum(prods[x * half:(x + 1) * half]) % p
-                    for x in range(npts)]
-        return [v % p for v in running]
+        coeffs = [term.coeff % p for term in terms]
+        evals = [0] * npts
+        for start in range(0, half, ROUND_TILE_PAIRS):
+            stop = min(start + ROUND_TILE_PAIRS, half)
+            tile = _round_tile(p, plan, coeffs, tables, start, stop)
+            evals = [e + t for e, t in zip(evals, tile)]
+        return [e % p for e in evals]
 
 
 #: the one field-vector kernel every layer calls

@@ -1,11 +1,14 @@
 """The SumCheck prover over virtual polynomials.
 
-Implements the dataflow of the paper's Figure 1: per round, every MLE's
-adjacent evaluation pair is *extended* to the d+1 points 0..d, extensions
-are multiplied across each term's factors (product lanes), products are
-accumulated down the table into the round evaluations, the evaluations
-are hashed into the transcript to obtain the round challenge, and every
-table is *updated* (folded) by that challenge.
+Implements the dataflow of the paper's Figure 1, per tile of adjacent
+pairs as the PEs stream them: per round, each tile's evaluation pairs are
+*extended* to the d+1 points 0..d, extensions are multiplied across each
+term's factors (product lanes), and the products are accumulated into the
+round evaluations, tile after tile
+(:data:`~repro.fields.vector.ROUND_TILE_PAIRS` pairs at a time, so no
+table is ever held extended).  The evaluations are hashed into the
+transcript to obtain the round challenge, and every table is *updated*
+(folded) by that challenge, each folded table replacing its predecessor.
 
 The kernel counts multiplies into :mod:`repro.fields.counters` in the
 same categories as the hardware (extension-engine vs product-lane),
@@ -108,20 +111,19 @@ class FastSumCheckProver:
         # fall back to the full table dict for the pair count
         active = vp.unique_mle_names
         for _ in range(vp.num_vars):
-            round_tables = (
-                {n: tables[n] for n in active} if active else tables
-            )
             evals = kernel.round_evaluations(
-                field, vp.terms, round_tables, degree
+                field, vp.terms,
+                {n: tables[n] for n in active} if active else tables,
+                degree,
             )
             proof.round_evals.append(evals)
             transcript.absorb_scalars(b"sumcheck/round", evals)
             r = transcript.challenge(b"sumcheck/challenge")
             proof.challenges.append(r)
-            tables = {
-                name: kernel.fold(field, t, r)
-                for name, t in tables.items()
-            }
+            # each folded table replaces its predecessor as it is made,
+            # so at most one folded generation is live
+            for name in tables:
+                tables[name] = kernel.fold(field, tables[name], r)
         proof.final_evals = {name: t[0] for name, t in tables.items()}
         transcript.absorb_scalars(b"sumcheck/final", proof.final_evals.values())
         return proof

@@ -40,6 +40,10 @@ SEED = 0xD1FF
 
 REFERENCE = ReferenceBackend()
 
+#: μ = 4 and tables whose first round has fewer pairs than a tile, one
+#: tile, two and eight (``ROUND_TILE_PAIRS`` = 128)
+TILE_EDGE_NUM_VARS = [4, 7, 8, 9, 11]
+
 #: the oracle (a self-check of the harness) and the kernel; the ids are
 #: the names the two once had in a by-name registry
 ORACLE_AND_KERNEL = pytest.mark.parametrize(
@@ -124,7 +128,7 @@ def assert_equivalent(vp: VirtualPolynomial, kernel):
 
 class TestBackendDifferential:
     @ORACLE_AND_KERNEL
-    @pytest.mark.parametrize("num_vars", range(2, 9))
+    @pytest.mark.parametrize("num_vars", [*range(2, 10), 11])
     def test_random_compositions_sweep_num_vars(self, kernel, num_vars):
         rng = random.Random(SEED + num_vars)
         degree = rng.randrange(1, 6)
@@ -139,14 +143,16 @@ class TestBackendDifferential:
         assert_equivalent(vp, kernel)
 
     @KERNEL_ONLY
-    @pytest.mark.parametrize("gate_id", [0, 20, 22, 24])
-    def test_table1_gates(self, gate_id, kernel):
-        assert_equivalent(gate_polynomial(gate_by_id(gate_id), 4), kernel)
+    @pytest.mark.parametrize("num_vars", TILE_EDGE_NUM_VARS)
+    @pytest.mark.parametrize("gate_id", [0, 20, 21, 22, 23, 24])
+    def test_table1_gates(self, gate_id, num_vars, kernel):
+        assert_equivalent(gate_polynomial(gate_by_id(gate_id), num_vars), kernel)
 
     @KERNEL_ONLY
+    @pytest.mark.parametrize("num_vars", [3, 11])
     @pytest.mark.parametrize("degree", [2, 4, 6, 9])
-    def test_high_degree_sweep_gates(self, degree, kernel):
-        vp = gate_polynomial(high_degree_sweep_gate(degree), 3)
+    def test_high_degree_sweep_gates(self, degree, num_vars, kernel):
+        vp = gate_polynomial(high_degree_sweep_gate(degree), num_vars)
         assert_equivalent(vp, kernel)
 
     @KERNEL_ONLY
@@ -172,10 +178,11 @@ class TestBackendDifferential:
         assert_equivalent(VirtualPolynomial(Fr, terms, mles), kernel)
 
     @ORACLE_AND_KERNEL
-    def test_all_constant_terms(self, kernel, rng):
+    @pytest.mark.parametrize("num_vars", [3, *TILE_EDGE_NUM_VARS[1:]])
+    def test_all_constant_terms(self, kernel, num_vars, rng):
         """Degenerate composition with no MLE factors at all (degree 0)."""
         terms = [Term(rng.randrange(1, P), ()), Term(rng.randrange(P), ())]
-        mles = {"a": DenseMLE.random(Fr, 3, rng)}
+        mles = {"a": DenseMLE.random(Fr, num_vars, rng)}
         assert_equivalent(VirtualPolynomial(Fr, terms, mles), kernel)
 
     def test_explicit_claim_and_backend_kwarg(self, rng):
@@ -274,7 +281,7 @@ GATE_MATRIX = [pytest.param(gate_by_id(i), id=f"table1-{i}") for i in range(25)]
 ]
 
 
-@pytest.mark.parametrize("num_vars", [1, 2, 3, 5])
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 5, 9])
 @pytest.mark.parametrize("spec", GATE_MATRIX)
 @pytest.mark.parametrize("tables", ["random", "boundary"])
 class TestGateMatrix:

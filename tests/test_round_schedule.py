@@ -6,18 +6,26 @@ how many points each MLE / power column is extended to.  The kernel's
 *values* are pinned to the oracle by ``test_fastpath_differential.py``;
 this file pins the *plan* — a schedule that quietly multiplied every
 term out at all d + 1 points would still be bit-identical, just slow —
-and the exactness of ``extend_by_differences``, the one piece of
-arithmetic the reference loop has no counterpart for.
+the exactness of ``extend_by_differences``, the one piece of
+arithmetic the reference loop has no counterpart for, and the size of
+the kernel's working set, which the pair tiles bound.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from repro.fields import KERNEL, Fr, ReferenceBackend
-from repro.fields.vector import extend_by_differences, round_schedule
+from repro.fields.vector import (
+    ROUND_TILE_PAIRS,
+    extend_by_differences,
+    round_schedule,
+)
 from repro.gates import gate_by_id, high_degree_sweep_gate
-from repro.mle import Term
+from repro.mle import DenseMLE, Term, VirtualPolynomial
+from repro.sumcheck import FastSumCheckProver, Transcript
 
 P = Fr.modulus
 
@@ -169,3 +177,66 @@ class TestExtendByDifferences:
     def test_nothing_to_carry_returns_the_input(self):
         flat = [1, 2, 3, 4]
         assert extend_by_differences(flat, 2, 2, 2) is flat
+
+
+def traced_peak(call) -> int:
+    """Bytes ``call()`` allocates at its high-water mark, above what was
+    live before it (allocations made before the call are not traced)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def gate_tables(gate_id: int, num_vars: int) -> tuple[list, dict]:
+    """A Table I gate's bound terms and one random table per MLE."""
+    rng = random.Random(num_vars)
+    compiled = gate_by_id(gate_id).compiled
+    terms = compiled.bind(Fr, {s: rng.randrange(1, P) for s in compiled.scalar_names})
+    tables = {
+        n: [rng.randrange(P) for _ in range(1 << num_vars)]
+        for n in compiled.mle_names
+    }
+    return terms, tables
+
+
+def round_peak(gate_id: int, num_vars: int) -> int:
+    """The traced peak of one kernel round on the gate's tables."""
+    terms, tables = gate_tables(gate_id, num_vars)
+    degree = gate_by_id(gate_id).degree
+    return traced_peak(
+        lambda: KERNEL.round_evaluations(Fr, terms, tables, degree)
+    )
+
+
+class TestWorkingSet:
+    """The round kernel holds one tile of extension and power columns,
+    whatever 2^μ is, and the prover one folded generation of tables.
+    Byte counts from tracemalloc, not seconds: nothing here is timed."""
+
+    def test_a_round_is_bounded_by_the_tile_not_by_mu(self):
+        assert (1 << 8) > ROUND_TILE_PAIRS  # μ = 9 already spans tiles
+        # 8x the pairs; a whole-table round peaks ~8x higher too
+        assert round_peak(22, 12) < 1.5 * round_peak(22, 9)
+
+    def test_a_proof_peaks_at_one_folded_generation_and_a_tile(self):
+        """Vanilla at μ = 12, whose tile is small beside a generation,
+        so folding into a fresh dict (two generations live) shows too."""
+        one_tile = round_peak(20, 8)  # 128 pairs: at least one tile
+        terms, tables = gate_tables(20, 12)
+        vp = VirtualPolynomial(
+            Fr, terms, {n: DenseMLE(Fr, t) for n, t in tables.items()}
+        )
+        del tables
+        generation = traced_peak(
+            lambda: [KERNEL.fold(Fr, m.table, 5) for m in vp.mles.values()]
+        )
+        proof_peak = traced_peak(
+            lambda: FastSumCheckProver().prove(vp, Transcript(Fr), claim=0)
+        )
+        assert proof_peak - generation < 1.25 * one_tile, (
+            proof_peak, generation, one_tile
+        )

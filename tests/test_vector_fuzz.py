@@ -164,7 +164,9 @@ class TestRoundEvaluationsFuzz:
         rng = random.Random(SEED * 11 ^ field.modulus)
         ref, fast = REFERENCE, kernel
         p = field.modulus
-        for n in (2, 8, 32):
+        # then tables with fewer pairs than a round tile, one tile, two
+        # and eight, and an odd one whose trailing element is dropped
+        for n in (2, 8, 32, 128, 256, 512, 2048, 513):
             tables = {
                 name: fuzz_table(rng, p, n) for name in ("a", "b", "c")
             }

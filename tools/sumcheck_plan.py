@@ -22,7 +22,10 @@ now (*counted*: the kernel is run on integers that tally their own
 multiplies and reductions, over one pair and over two, and the
 difference is what a pair costs — so the column cannot drift from the
 code).  One-lane reductions of extension columns, which only the old
-schedule had (d − 1 per MLE and pair), are in neither column.
+schedule had (d − 1 per MLE and pair), are in neither column.  The last
+column is the kernel's working set: the big-int entries it holds for one
+tile of ``ROUND_TILE_PAIRS`` pairs, each MLE's extension points plus
+each power column's, read off the same schedule the kernel sizes them by.
 
 Exits non-zero if a schedule asks for an MLE at more than d + 1 points.
 """
@@ -35,7 +38,12 @@ import sys
 from collections import Counter
 
 from repro.fields import Fr
-from repro.fields.vector import KERNEL, RoundSchedule, round_schedule
+from repro.fields.vector import (
+    KERNEL,
+    ROUND_TILE_PAIRS,
+    RoundSchedule,
+    round_schedule,
+)
 from repro.gates import gate_by_id, high_degree_sweep_gate
 from repro.gates.library import TABLE1, GateSpec
 
@@ -122,6 +130,16 @@ def all_points_per_pair(factors, degree: int) -> tuple[int, int]:
     return muls * (degree + 1), reductions * (degree + 1)
 
 
+def tile_entries(plan: RoundSchedule) -> int:
+    """Big-int entries the kernel holds for one tile: every MLE extended
+    to ``mle_points`` and every power column raised at ``points``, per
+    pair (as ``_round_tile`` sizes them), times ``ROUND_TILE_PAIRS``."""
+    per_pair = sum(plan.mle_points.values()) + sum(
+        n for (_, power), n in plan.points.items() if power > 1
+    )
+    return per_pair * ROUND_TILE_PAIRS
+
+
 def describe(spec: GateSpec) -> dict:
     """A gate's schedule and its per-pair costs, old and new."""
     compiled = spec.compiled
@@ -163,13 +181,15 @@ def print_gate(row: dict) -> None:
                                       ("scheduled", row["new"])):
         print(f"  {label}: {muls:4d} multiplies, {reductions:4d} reductions "
               "per pair")
+    print(f"  working set: {tile_entries(plan)} entries a tile "
+          f"({ROUND_TILE_PAIRS} pairs)")
 
 
 def print_table(rows: list[dict]) -> None:
     """The ``--all`` form: one line per gate."""
     print(f"{'gate':<24} {'d':>2} {'terms':>5}  {'common':<16} "
           f"{'groups (degree×terms)':<22} {'mul old→new':<11} "
-          f"{'red old→new':<11}")
+          f"{'red old→new':<11} {'tile entries':>12}")
     for row in rows:
         spec, plan = row["spec"], row["plan"]
         label = spec.name if spec.gate_id < 0 else f"{spec.gate_id} {spec.name}"
@@ -177,7 +197,8 @@ def print_table(rows: list[dict]) -> None:
         print(f"{label[:24]:<24} {plan.degree:>2} {spec.num_terms:>5}  "
               f"{_product(plan.common):<16} {groups:<22} "
               f"{row['old'][0]:>4}→{row['new'][0]:<6} "
-              f"{row['old'][1]:>4}→{row['new'][1]:<6}".rstrip())
+              f"{row['old'][1]:>4}→{row['new'][1]:<6} "
+              f"{tile_entries(plan):>12}")
 
 
 def over_budget(plan: RoundSchedule) -> list[str]:
