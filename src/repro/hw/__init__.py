@@ -10,7 +10,7 @@ Modules
 ``tech``            published area/power constants, 22nm→7nm scaling
 ``config``          hardware configuration dataclasses (Table III knobs)
 ``scheduler``       the Figure-2 graph-decomposition scheduler
-``sumcheck_unit``   programmable SumCheck unit latency/utilization model
+``sumcheck_unit``   SumCheck unit latency/utilization model (zkPHIRE, zkSpeed)
 ``msm_unit``        Pippenger MSM unit model
 ``forest``          Multifunction Forest (tree reduction) model
 ``permquot``        Permutation Quotient Generator model
@@ -19,7 +19,7 @@ Modules
 ``area`` / ``power`` per-module rollups (Table V)
 ``cpu_baseline``    CPU cost model calibrated to the paper's runtimes
 ``gpu_baseline``    A100/ICICLE reference numbers (Table II)
-``zkspeed``         zkSpeed / zkSpeed+ comparator models
+``zkspeed``         zkSpeed / zkSpeed+ as two SumCheck-unit configurations
 ``accelerator``     full-protocol schedule incl. ZeroCheck masking
 ``dse``             design-space exploration and Pareto frontiers
 

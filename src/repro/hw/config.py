@@ -9,13 +9,19 @@ from repro.hw import tech
 
 @dataclass(frozen=True)
 class SumCheckUnitConfig:
-    """The programmable SumCheck unit (§III)."""
+    """The SumCheck unit (§III).  The last four fields are zkSpeed's
+    datapath differences (§IV-B1, §VI-A3, :mod:`repro.hw.zkspeed`); their
+    defaults are zkPHIRE's."""
 
     pes: int = 16
     ees_per_pe: int = 7           # extension engines (Table III: 2-7)
     pls_per_pe: int = 5           # product lanes (Table III: 3-8)
     sram_bank_words: int = 4096   # per-MLE tile capacity (2^10 - 2^15)
     fixed_prime: bool = True
+    fixed_function: bool = False      # every term one node, II = 1
+    build_mle_pass: bool = False      # fr built before round 1, not in it
+    pipelined_update: bool = True     # False: a separate update pass
+    witness_scratchpad: bool = False  # free round-1 reads, nothing retained
 
     def __post_init__(self):
         if self.ees_per_pe < 2:

@@ -1,4 +1,6 @@
-"""Latency/utilization model of the programmable SumCheck unit (§III).
+"""Latency/utilization model of the SumCheck unit (§III): zkPHIRE's
+programmable unit, and the fixed-function zkSpeed / zkSpeed+ units as
+configurations of it (:mod:`repro.hw.zkspeed`).
 
 Per SumCheck round the model composes:
 
@@ -10,6 +12,13 @@ Per SumCheck round the model composes:
   (halved) tables are written back dense, until the working set fits in
   the banked scratchpads, after which off-chip traffic stops (§III-B);
 * **round latency** — max(compute, traffic/BW) + a fill/drain constant.
+
+zkSpeed's four differences are configuration fields priced by values
+derived once per run, above the round loop: ``fixed_function`` (one
+node at II = 1, §IV-B1), ``build_mle_pass`` (fr built by a separate
+pass, §III-F), ``pipelined_update=False`` (a separate update pass,
+§VI-A3) and ``witness_scratchpad`` (free round-1 reads, no retention,
+§IV-B1).
 
 Utilization is useful modmul work divided by modmul-capacity × compute
 cycles, the quantity Figure 6 plots (~0.4-0.5: update units idle in round
@@ -35,6 +44,13 @@ from repro.hw.scheduler import (
 STEP_FILL_CYCLES = 64
 #: fixed per-round control/FSM overhead cycles
 ROUND_OVERHEAD_CYCLES = 200
+#: multiplies per cycle of a separate Build-MLE pass (zkSpeed [12]'s trees)
+BUILD_MLE_MULS_PER_CYCLE = 16
+#: an unpipelined update pass: the share of a round's pair stream it adds
+#: (half hidden under the next round) and its re-read factor on rounds ≥ 2
+#: (zkSpeed [12]; zkSpeed+ fuses it, §VI-A3)
+UNPIPELINED_UPDATE_PASS = 0.5
+UNPIPELINED_UPDATE_REREAD = 1.25
 
 
 @dataclass
@@ -58,6 +74,7 @@ class SumCheckRun:
     over those rows in round order (``total = 0; total += x``), which is
     what ``sum()`` gave up to Python 3.11 — from 3.12 on ``sum()`` of
     floats is compensated and would change the model's last bits.
+    ``latency_s`` adds a separate Build-MLE pass, not a round, to the fold.
     """
 
     poly_name: str
@@ -82,7 +99,8 @@ class SumCheckRun:
 
 
 class SumCheckUnitModel:
-    """Analytical model of one programmable SumCheck unit."""
+    """Analytical model of one SumCheck unit: programmable, or
+    fixed-function when its configuration says so."""
 
     def __init__(self, config: SumCheckUnitConfig, bandwidth_gbps: float,
                  freq_ghz: float = 1.0):
@@ -101,7 +119,8 @@ class SumCheckUnitModel:
         """Model a full μ-round SumCheck of ``poly`` on 2^num_vars gates.
 
         ``fuse_fr``: build the randomizer in-datapath during round 1
-        (defaults to "poly contains fr").
+        (defaults to "poly contains fr"; never with a Build-MLE pass).  A
+        fixed-function unit refuses a term that needs a second node.
 
         The round loop is plain arithmetic on locals, and every value is
         the one a round-by-round evaluation of the formulas gives, bit for
@@ -111,8 +130,9 @@ class SumCheckUnitModel:
         sums far below 2⁵³.
         """
         cfg = self.config
-        sched = self.schedule(poly)
-        if fuse_fr is None:
+        if cfg.build_mle_pass:
+            fuse_fr = False
+        elif fuse_fr is None:
             fuse_fr = poly.has_fr
         uniq = poly.unique_mles
         num_uniq = len(uniq)
@@ -123,26 +143,50 @@ class SumCheckUnitModel:
 
         # everything below is the same in every round (round 1 differs
         # only in its lane count and read set), so it is derived once
-        steps = sched.num_steps
-        later_cycles_per_pair = steps * sched.initiation_interval()
-        # round 1 gives one lane to the Build-MLE fusion
-        first_cycles_per_pair = steps * sched.initiation_interval(
-            cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None)
-        fixed_cycles = STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES
         freq_hz = self.freq_hz
-        overhead_s = ROUND_OVERHEAD_CYCLES / freq_hz
+        if cfg.fixed_function:
+            if poly.degree > cfg.ees_per_pe:
+                raise ValueError(f"{poly.name!r} has a term wider than a "
+                                 "fixed-function unit's one node")
+            # no schedule steps to fill: the round's control overhead is
+            # its only fixed cost
+            first_cycles_per_pair = later_cycles_per_pair = 1
+            fixed_cycles = ROUND_OVERHEAD_CYCLES
+            overhead_s = 0.0
+        else:
+            sched = self.schedule(poly)
+            steps = sched.num_steps
+            later_cycles_per_pair = steps * sched.initiation_interval()
+            # round 1 gives one lane to the Build-MLE fusion
+            first_cycles_per_pair = steps * sched.initiation_interval(
+                cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None)
+            fixed_cycles = STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES
+            overhead_s = ROUND_OVERHEAD_CYCLES / freq_hz
         bytes_per_s = memory.bytes_per_second(self.bandwidth_gbps)
-        # bytes per entry of every table read or written dense
-        dense_bytes = memory.entry_bytes("dense") * num_uniq
-        # bytes per entry of the tables round 1 reads, in their encodings
-        first_bytes = 0.0
-        for name in uniq:
-            if not (fuse_fr and name == FR_NAME):
-                first_bytes += memory.entry_bytes(
-                    poly.mle_classes.get(name, "dense"))
-        # largest per-MLE table the banked scratchpads retain; with more
-        # MLEs than the 16 buffers per PE (§III-B) nothing ever fits
-        on_chip_words = cfg.sram_bank_words * pes if num_uniq <= 16 else 0
+        # bytes per entry of one table, and of every table, read or
+        # written dense
+        entry_bytes = memory.entry_bytes("dense")
+        dense_bytes = entry_bytes * num_uniq
+        later_bytes = dense_bytes
+        if not cfg.pipelined_update:
+            first_cycles_per_pair *= 1 + UNPIPELINED_UPDATE_PASS
+            later_cycles_per_pair *= 1 + UNPIPELINED_UPDATE_PASS
+            later_bytes = dense_bytes * UNPIPELINED_UPDATE_REREAD
+        if cfg.witness_scratchpad:
+            # round 1 reads only a table a Build-MLE pass wrote; no
+            # updated table is retained
+            first_bytes = entry_bytes if cfg.build_mle_pass else 0.0
+            on_chip_words = 0
+        else:
+            # bytes per entry of the tables round 1 reads, in encodings
+            first_bytes = 0.0
+            for name in uniq:
+                if not (fuse_fr and name == FR_NAME):
+                    first_bytes += memory.entry_bytes(
+                        poly.mle_classes.get(name, "dense"))
+            # largest per-MLE table the banked scratchpads retain; with
+            # more MLEs than the 16 buffers per PE (§III-B) nothing fits
+            on_chip_words = cfg.sram_bank_words * pes if num_uniq <= 16 else 0
 
         rows = []
         latency_total = bytes_total = compute_total = 0
@@ -166,8 +210,16 @@ class SumCheckUnitModel:
             latency_total += latency
             bytes_total += moved
             compute_total += compute
-            cycles_per_pair, read_bytes = later_cycles_per_pair, dense_bytes
+            cycles_per_pair, read_bytes = later_cycles_per_pair, later_bytes
             on_chip = fits and not last
+        if cfg.build_mle_pass:
+            # before round 1: 2N multiplies and one dense table write
+            n = 1 << num_vars
+            compute_s = ((2 * n / BUILD_MLE_MULS_PER_CYCLE + STEP_FILL_CYCLES)
+                         / freq_hz)
+            mem_s = n * entry_bytes / bytes_per_s
+            latency_total = ((mem_s if mem_s > compute_s else compute_s)
+                             + latency_total)
 
         # useful work: every pair's product lanes; the update multiplies
         # from round 2 on; in round 1, fr built in-datapath (2 per pair)
@@ -184,6 +236,3 @@ class SumCheckUnitModel:
             capacity_mul_cycles=float(mul_capacity * compute_total),
             round_rows=tuple(rows),
         )
-
-    def latency_s(self, poly: PolyProfile, num_vars: int) -> float:
-        return self.run(poly, num_vars).latency_s

@@ -1,112 +1,30 @@
-"""zkSpeed / zkSpeed+ comparator models (§VI-A3, Fig 9, Tables VI-IX).
+"""zkSpeed / zkSpeed+ (§VI-A3, Fig. 9, Tables VI-IX) as two configurations
+of the one SumCheck unit model (:mod:`repro.hw.sumcheck_unit`).
 
 zkSpeed [12] is the fixed-function HyperPlonk accelerator zkPHIRE is
-measured against.  Its SumCheck datapath differs from zkPHIRE's in three
-ways we model explicitly:
-
-1. **Fixed-function width** — dedicated hardware streams *all* Vanilla
-   MLEs concurrently with per-extension-point multipliers, so its lane
-   initiation interval is always 1 and its schedule has a single node.
-   (It simply cannot run other polynomial shapes — calling it on
-   non-Vanilla polynomials raises.)
-2. **Separate Build-MLE pass** — fr = eq(x, r) is materialized by the
-   tree unit before SumCheck (an O(N) pass with an extra table write +
-   round-1 read), where zkPHIRE fuses it into round 1.
-3. **zkSpeed (non-plus) updates are not pipelined** into extensions: each
-   round pays a separate update pass over the tables.  zkSpeed+ is
-   zkSpeed with the fused update (the paper reports it ~10% faster).
-
-zkSpeed also keeps witness MLEs in a large global scratchpad, so its
-round-1 reads are free; updated tables still spill off-chip (§IV-B1).
+measured against.  Its SumCheck datapath differs from zkPHIRE's in four
+ways, each a :class:`SumCheckUnitConfig` field: ``fixed_function`` (8
+pair streams, every term in one node at II = 1, so degree > 8 is
+refused; §IV-B1), ``build_mle_pass`` (fr built by a separate pass, not
+in-datapath; §III-F, §VI-A3), ``pipelined_update=False`` (a separate
+update pass, zkSpeed only: zkSpeed+ fuses it; §VI-A3) and
+``witness_scratchpad`` (round-1 witness reads from a global scratchpad,
+updated tables spill off-chip; §IV-B1).
 """
 
-from __future__ import annotations
+from dataclasses import replace
 
-from dataclasses import dataclass
+from repro.hw.config import SumCheckUnitConfig
 
-from repro.hw import memory
-from repro.hw.scheduler import PolyProfile
-from repro.hw.sumcheck_unit import ROUND_OVERHEAD_CYCLES, STEP_FILL_CYCLES
+#: 8 pair streams of 8 extension engines and one lane per point (K ≤ 9);
+#: the banks never hold a table, so ``sram_bank_words`` prices area only
+ZKSPEED_PLUS = SumCheckUnitConfig(
+    pes=8, ees_per_pe=8, pls_per_pe=9, sram_bank_words=1024,
+    fixed_function=True, build_mle_pass=True, witness_scratchpad=True)
+ZKSPEED = replace(ZKSPEED_PLUS, pipelined_update=False)
 
-#: zkSpeed's published SumCheck+MLE-update area (22nm -> 7nm happens in
-#: the caller; this is the paper's 30.8 mm^2 comparison point)
+#: zkSpeed's published SumCheck + MLE-update area, Fig. 9's iso-area point
 ZKSPEED_SUMCHECK_MM2 = 30.8
-ZKSPEED_BANDWIDTH_GBPS = 2048.0
-
-
-@dataclass
-class ZkSpeedRun:
-    poly_name: str
-    num_vars: int
-    latency_s: float
-    build_mle_s: float
-    rounds_s: float
-
-
-class ZkSpeedSumCheckModel:
-    """Fixed-function Vanilla SumCheck (zkSpeed / zkSpeed+)."""
-
-    def __init__(self, bandwidth_gbps: float = ZKSPEED_BANDWIDTH_GBPS,
-                 freq_ghz: float = 1.0, plus: bool = False,
-                 pairs_per_cycle: int = 8):
-        self.bandwidth_gbps = bandwidth_gbps
-        self.freq_hz = freq_ghz * 1e9
-        self.plus = plus
-        #: pair throughput per cycle: zkSpeed's fixed-function unit
-        #: replicates the whole Vanilla datapath across parallel lanes
-        #: (its 30.8 mm² SumCheck area buys ~8 concurrent pair streams)
-        self.pairs_per_cycle = pairs_per_cycle
-
-    def run(self, poly: PolyProfile, num_vars: int) -> ZkSpeedRun:
-        if poly.degree > 8:
-            raise ValueError(
-                "zkSpeed's fixed-function datapath supports only the "
-                "HyperPlonk Vanilla polynomial family (degree <= 8)"
-            )
-        uniq = len(poly.unique_mles)
-        n = 1 << num_vars
-
-        # Build-MLE pass: 2N tree multiplies + a table write (then read
-        # back during round 1).  zkSpeed's MTU has 8-mul trees; its
-        # datapath sustains ~16 muls/cycle for this kernel.
-        build_cycles = 2 * n / 16.0 + STEP_FILL_CYCLES
-        build_bytes = n * memory.entry_bytes("dense")
-        build_s = max(build_cycles / self.freq_hz,
-                      memory.transfer_seconds(build_bytes, self.bandwidth_gbps))
-
-        rounds_s = 0.0
-        for rnd in range(1, num_vars + 1):
-            entries = 1 << (num_vars - rnd + 1)
-            pairs = entries // 2
-            compute = pairs / self.pairs_per_cycle + ROUND_OVERHEAD_CYCLES
-            if not self.plus:
-                # separate (non-pipelined) update pass; partially
-                # overlapped with the next round's streaming, so it costs
-                # roughly half a pass (the paper reports zkSpeed+ ~10%
-                # faster overall)
-                compute += 0.5 * pairs / self.pairs_per_cycle
-
-            # round 1 reads come from the global scratchpad (free);
-            # fr is read from off-chip (it was just built)
-            if rnd == 1:
-                reads = entries * memory.entry_bytes("dense")  # fr only
-            else:
-                reads = entries * memory.entry_bytes("dense") * uniq
-            writes = (pairs * memory.entry_bytes("dense") * uniq
-                      if rnd < num_vars else 0.0)
-            if not self.plus and rnd > 1:
-                # the separate update pass partially re-reads its inputs
-                reads *= 1.25
-            mem_s = memory.transfer_seconds(reads + writes, self.bandwidth_gbps)
-            rounds_s += max(compute / self.freq_hz, mem_s)
-
-        return ZkSpeedRun(poly_name=poly.name, num_vars=num_vars,
-                          latency_s=build_s + rounds_s,
-                          build_mle_s=build_s, rounds_s=rounds_s)
-
-    def latency_s(self, poly: PolyProfile, num_vars: int) -> float:
-        return self.run(poly, num_vars).latency_s
-
 
 #: Published zkSpeed+ full-protocol runtimes (ms) for Table VI/VIII
 #: workloads (Vanilla gates) — the paper's own comparison numbers.

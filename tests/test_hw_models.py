@@ -32,11 +32,14 @@ from repro.hw.permquot import PermQuotModel
 from repro.hw.power import accelerator_power
 from repro.hw.scheduler import PolyProfile
 from repro.hw.sumcheck_unit import (
+    BUILD_MLE_MULS_PER_CYCLE,
     ROUND_OVERHEAD_CYCLES,
     STEP_FILL_CYCLES,
+    UNPIPELINED_UPDATE_PASS,
+    UNPIPELINED_UPDATE_REREAD,
     SumCheckUnitModel,
 )
-from repro.hw.zkspeed import ZkSpeedSumCheckModel
+from repro.hw.zkspeed import ZKSPEED, ZKSPEED_PLUS
 
 
 def poly(gid):
@@ -216,16 +219,34 @@ class TestSumCheckRoundsPinned:
 def _reference_run(model, p, mu, fuse_fr):
     """The round loop evaluated term by term, as the model stated it
     before it became plain arithmetic: per-round ``RoundStat`` tuples,
-    useful multiplies and capacity, each folded round by round."""
+    useful multiplies and capacity, each folded round by round, and the
+    latency of a separate Build-MLE pass (``None`` without one)."""
     cfg = model.config
-    sched = model.schedule(p)
     uniq = p.unique_mles
-    steps = sched.num_steps
-    lanes = cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None
-    first_read = [memory.entry_bytes(p.mle_classes[n]) for n in uniq
-                  if not (n == "fr" and fuse_fr)]
     dense = memory.entry_bytes("dense")
-    on_chip_words = cfg.sram_bank_words * cfg.pes if len(uniq) <= 16 else 0
+    if cfg.fixed_function:
+        # every term in one node at II = 1, no per-step fill, and the
+        # round's control overhead charged once, inside its compute
+        steps = first_ii = later_ii = 1
+        fill, overhead_s = 0, 0.0
+    else:
+        sched = model.schedule(p)
+        steps = sched.num_steps
+        lanes = cfg.pls_per_pe - 1 if fuse_fr and cfg.pls_per_pe > 1 else None
+        first_ii = sched.initiation_interval(lanes)
+        later_ii = sched.initiation_interval()
+        fill = STEP_FILL_CYCLES * steps
+        overhead_s = ROUND_OVERHEAD_CYCLES / model.freq_hz
+    if cfg.witness_scratchpad:
+        # witness tables come from the global scratchpad; only a table a
+        # Build-MLE pass wrote is read, and nothing is retained
+        first_read = [dense] if cfg.build_mle_pass else []
+        on_chip_words = 0
+    else:
+        first_read = [memory.entry_bytes(p.mle_classes[n]) for n in uniq
+                      if not (n == "fr" and fuse_fr)]
+        on_chip_words = (cfg.sram_bank_words * cfg.pes if len(uniq) <= 16
+                         else 0)
     capacity_per_cycle = (cfg.pes * cfg.ees_per_pe
                           + cfg.pes * cfg.pls_per_pe * (cfg.ees_per_pe - 1))
     prod = sum(t.degree - 1 for t in p.terms)
@@ -234,9 +255,12 @@ def _reference_run(model, p, mu, fuse_fr):
     for rnd in range(1, mu + 1):
         entries = 1 << (mu - rnd + 1)
         pairs = entries // 2
-        ii = sched.initiation_interval(lanes if rnd == 1 else None)
-        compute = (ceil(pairs / cfg.pes) * (steps * ii)
-                   + STEP_FILL_CYCLES * steps + ROUND_OVERHEAD_CYCLES)
+        ii = first_ii if rnd == 1 else later_ii
+        stream = ceil(pairs / cfg.pes) * (steps * ii)
+        compute = stream + fill + ROUND_OVERHEAD_CYCLES
+        if not cfg.pipelined_update:
+            # the separate update pass: part of another stream
+            compute += UNPIPELINED_UPDATE_PASS * stream
         reads = 0.0
         if not on_chip:
             if rnd == 1:
@@ -244,45 +268,66 @@ def _reference_run(model, p, mu, fuse_fr):
                     reads += entries * per_entry
             else:
                 reads = entries * dense * len(uniq)
+                if not cfg.pipelined_update:
+                    reads *= UNPIPELINED_UPDATE_REREAD
         fits = pairs <= on_chip_words
         writes = pairs * dense * len(uniq) if rnd < mu and not fits else 0.0
         latency = max(compute / model.freq_hz,
                       memory.transfer_seconds(reads + writes,
                                               model.bandwidth_gbps))
-        latency += ROUND_OVERHEAD_CYCLES / model.freq_hz
+        latency += overhead_s
         rounds.append((rnd, pairs, compute, reads, writes, latency, on_chip))
         on_chip = fits and rnd < mu
         useful += (pairs * (p.degree + 1) * prod
                    + (0 if rnd == 1 else 2 * len(uniq) * pairs)
                    + (2 * pairs if rnd == 1 and fuse_fr else 0))
         capacity += capacity_per_cycle * compute
-    return rounds, useful, capacity
+    build = None
+    if cfg.build_mle_pass:
+        n = 1 << mu
+        build = max((2 * n / BUILD_MLE_MULS_PER_CYCLE + STEP_FILL_CYCLES)
+                    / model.freq_hz,
+                    memory.transfer_seconds(n * dense, model.bandwidth_gbps))
+    return rounds, useful, capacity, build
 
 
 class TestSumCheckRunIsItsRounds:
     """The round loop on plain numbers gives, bit for bit, what evaluating
     every round's formulas gives, and a run's totals are in-order folds
-    over its rounds — for drawn configurations, Table I gates, μ ≤ 24,
-    bandwidth tiers and fusion settings."""
+    over its rounds — for drawn configurations (zkSpeed's four datapath
+    differences included), Table I gates, μ ≤ 24, bandwidth tiers and
+    fusion settings."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=250, deadline=None, derandomize=True)
     @given(
         shape=st.tuples(st.sampled_from(SC_PES), st.sampled_from(SC_EES),
                         st.sampled_from(SC_PLS), st.sampled_from(SC_SRAM)),
+        zkspeed=st.tuples(st.booleans(), st.booleans(), st.booleans(),
+                          st.booleans()),
         gid=st.integers(0, len(TABLE1) - 1),
         mu=st.integers(0, 24),
         bw=st.sampled_from(memory.BANDWIDTH_TIERS),
         fuse_fr=st.sampled_from((None, True, False)),
     )
-    def test_totals_are_in_order_folds(self, shape, gid, mu, bw, fuse_fr):
+    def test_totals_are_in_order_folds(self, shape, zkspeed, gid, mu, bw,
+                                       fuse_fr):
         pes, ees, pls, sram = shape
+        fixed, build, pipelined, scratchpad = zkspeed
         model = SumCheckUnitModel(
             SumCheckUnitConfig(pes=pes, ees_per_pe=ees, pls_per_pe=pls,
-                               sram_bank_words=sram), bw)
+                               sram_bank_words=sram, fixed_function=fixed,
+                               build_mle_pass=build,
+                               pipelined_update=pipelined,
+                               witness_scratchpad=scratchpad), bw)
         p = poly(gid)
+        if fixed and p.degree > ees:
+            # a term that needs a second node has no fixed-function datapath
+            with pytest.raises(ValueError, match="one node"):
+                model.run(p, mu, fuse_fr=fuse_fr)
+            return
         run = model.run(p, mu, fuse_fr=fuse_fr)
-        fused = p.has_fr if fuse_fr is None else fuse_fr
-        rounds, useful, capacity = _reference_run(model, p, mu, fused)
+        fused = not build and (p.has_fr if fuse_fr is None else fuse_fr)
+        rounds, useful, capacity, build_s = _reference_run(model, p, mu, fused)
         assert [dataclasses.astuple(r) for r in run.rounds] == rounds
 
         # the totals, folded the way sum() did up to Python 3.11
@@ -291,6 +336,8 @@ class TestSumCheckRunIsItsRounds:
             latency += r.latency_s
             total_bytes += r.bytes_read + r.bytes_written
             compute += r.compute_cycles
+        if build_s is not None:
+            latency = build_s + latency
         for got, want in ((run.latency_s, latency),
                           (run.total_bytes, total_bytes),
                           (run.compute_cycles, compute),
@@ -492,25 +539,33 @@ class TestCpuBaseline:
 class TestZkSpeed:
     def test_plus_faster_than_base(self):
         """§VI-B6: zkSpeed+ is ~10% faster than zkSpeed."""
-        base = ZkSpeedSumCheckModel(plus=False).latency_s(poly(20), 24)
-        plus = ZkSpeedSumCheckModel(plus=True).latency_s(poly(20), 24)
+        base = SumCheckUnitModel(ZKSPEED, 2048).run(poly(20), 24).latency_s
+        plus = SumCheckUnitModel(ZKSPEED_PLUS, 2048).run(
+            poly(20), 24).latency_s
         assert plus < base
         assert 1.02 < base / plus < 1.6
 
     def test_rejects_high_degree(self):
+        """A fixed-function unit runs every term in one node: zkSpeed's 8
+        extension engines take a degree-8 term and refuse a degree-9 one."""
         from repro.gates import high_degree_sweep_gate
 
-        hi = PolyProfile.from_gate(high_degree_sweep_gate(20))
-        with pytest.raises(ValueError):
-            ZkSpeedSumCheckModel().run(hi, 20)
+        widest = PolyProfile.from_gate(high_degree_sweep_gate(7))
+        assert widest.degree == ZKSPEED_PLUS.ees_per_pe
+        SumCheckUnitModel(ZKSPEED_PLUS, 2048).run(widest, 20)
+        for degree in (8, 20):
+            hi = PolyProfile.from_gate(high_degree_sweep_gate(degree))
+            for config in (ZKSPEED, ZKSPEED_PLUS):
+                with pytest.raises(ValueError, match="one node"):
+                    SumCheckUnitModel(config, 2048).run(hi, 20)
 
     def test_zkphire_competitive_at_iso_conditions(self):
         """§VI-A3: zkPHIRE within ~2x of zkSpeed+ on Vanilla SumChecks at
         iso-bandwidth (the paper reports 30% slower at iso-area)."""
-        plus = ZkSpeedSumCheckModel(plus=True, bandwidth_gbps=2048)
+        plus = SumCheckUnitModel(ZKSPEED_PLUS, 2048)
         ours = SumCheckUnitModel(
             SumCheckUnitConfig(pes=16, ees_per_pe=7, pls_per_pe=5,
                                sram_bank_words=1024), 2048)
-        t_plus = plus.latency_s(poly(20), 24)
+        t_plus = plus.run(poly(20), 24).latency_s
         t_ours = ours.run(poly(20), 24).latency_s
         assert t_ours < 2.5 * t_plus
