@@ -39,8 +39,9 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
-from repro.service import ProvingService, ServiceConfig, TrafficGenerator
+from repro.service import ProvingService, ServiceConfig
 from repro.service.traffic import GATE_TYPES, synthesize_circuit
+from repro.traffic import OpenLoopTraffic
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
@@ -58,10 +59,10 @@ SRS_SEED = 0x5EED
 
 
 def run_scenario_row(name: str, jobs: int, wave_s: float) -> dict:
-    gen = TrafficGenerator(name, seed=1)
-    config = ServiceConfig(max_vars=gen.max_vars(), executor="sync")
+    traffic = OpenLoopTraffic(name, seed=1, max_jobs=jobs)
+    config = ServiceConfig(max_vars=traffic.max_vars(), executor="sync")
     with ProvingService(config) as service:
-        service.run(gen.jobs(jobs), wave_s=wave_s)
+        service.run(list(traffic.jobs()), wave_s=wave_s)
         summary = service.summary()
     # waves bucket jobs by model-time arrival, so the batch plan is exact
     return {

@@ -72,7 +72,7 @@ def open_loop_cell(with_admission: bool, jobs: int = OPEN_LOOP_JOBS) -> Scenario
         SEED,
         nodes=NODES,
         policy=POLICY,
-        open_loop=True,
+        respect_arrivals=True,
         rate_rps=RATE_RPS,
         tenants=TENANTS,
         admission=admission,
@@ -114,7 +114,7 @@ class TestTrafficOpenLoop:
         assert (fired, now, probe) == (fired2, now2, probe2)
         assert fired >= 20_000
 
-        summary = run(open_loop_cell(True, jobs=2_000)).summary
+        summary = run(open_loop_cell(True, jobs=2_000)).summary["traffic"]
         assert summary["offered"] == 2_000
         assert (
             summary["offered"]
@@ -130,8 +130,8 @@ class TestTrafficOpenLoop:
         calls_per_job = counts.pop("python_calls_per_offered_job")
 
         admission_cell, no_admission_cell = open_loop_cell(True), open_loop_cell(False)
-        admission = run(admission_cell).summary
-        no_admission = run(no_admission_cell).summary
+        admission = run(admission_cell).summary["traffic"]
+        no_admission = run(no_admission_cell).summary["traffic"]
         for cell in (admission, no_admission):
             assert cell["offered"] == OPEN_LOOP_JOBS
             assert (

@@ -1,7 +1,8 @@
 """Proving service demo: serve a traffic scenario end to end.
 
-Builds a ``ProvingService`` (batched, cached, fixed-base MSM), generates
-a Zipf-mixed request stream with Poisson arrivals, drains it in waves,
+Builds a ``ProvingService`` (batched, cached, fixed-base MSM), draws
+eight jobs of the Zipf-mixed stream (seeded Poisson arrivals, tenants
+with SLO tiers), drains them in waves,
 verifies every proof in-service, and shows one differential check: a
 proof served through the pipeline is bit-identical to a direct
 ``HyperPlonkProver.prove()`` call against the same SRS.
@@ -20,23 +21,25 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
-from repro.service import ProvingService, ServiceConfig, TrafficGenerator
+from repro.service import ProvingService, ServiceConfig
+from repro.traffic import OpenLoopTraffic
 
 
 def main() -> None:
-    # 1. A named traffic mix: circuit sizes, gate families, arrivals,
-    #    and real-time/deferrable request classes (repro.workloads).
-    generator = TrafficGenerator("zipf-mixed", seed=2024)
-    jobs = generator.jobs(8)
-    print(f"scenario: {generator.scenario.name} — "
-          f"{generator.scenario.description}")
+    # 1. The job stream over a named traffic mix (circuit sizes, gate
+    #    families, a base rate; repro.workloads): seeded arrivals, and
+    #    tenants whose SLO tiers set each job's request class and deadline.
+    traffic = OpenLoopTraffic("zipf-mixed", seed=2024, max_jobs=8)
+    jobs = list(traffic.jobs())
+    print(f"scenario: {traffic.scenario.name} — "
+          f"{traffic.scenario.description}")
 
     # 2. The service: content-addressed index cache, same-circuit
     #    batching, a worker pool, in-service verification, and a
     #    cost-aware drain order (shortest predicted job first, priced by
     #    the shared repro.plan layer).
     config = ServiceConfig(
-        max_vars=generator.max_vars(),
+        max_vars=traffic.max_vars(),
         executor="process",
         num_workers=2,
         verify_proofs=True,

@@ -18,10 +18,8 @@ coupled layers:
   :class:`~repro.service.ProvingService` drains
   :class:`~repro.service.ProofJob` streams through a content-addressed
   :class:`~repro.service.IndexCache` and a worker pool with cost-aware
-  (``sjf`` / ``deadline``) drain policies, with traffic driven by
-  :class:`~repro.service.TrafficGenerator` over the scenarios in
-  ``repro.workloads`` (DESIGN.md §5, ``BENCH_service.json``,
-  ``BENCH_scheduler.json``);
+  (``sjf`` / ``deadline``) drain policies (DESIGN.md §5,
+  ``BENCH_service.json``, ``BENCH_scheduler.json``);
 * a **sharded proving cluster** (``repro.cluster``, on the
   ``repro.sim`` discrete-event engine) — a simulated multi-node fleet
   above the service: :class:`~repro.cluster.ProvingCluster` routes job
@@ -31,6 +29,12 @@ coupled layers:
   on one node, and a failure-aware scenario path — seeded node churn,
   deterministic crash retries, plan-cost-driven autoscaling
   (DESIGN.md §7–§8, ``BENCH_cluster.json``, ``BENCH_resilience.json``);
+* **one job stream** (``repro.traffic``) —
+  :class:`~repro.traffic.OpenLoopTraffic` draws every job any layer
+  serves over the scenarios in ``repro.workloads``: a closed batch is
+  the stream bounded by a job count, an open loop the same stream paced
+  by its seeded arrivals, with tenants, SLO tiers and admission control
+  (DESIGN.md §11, ``BENCH_traffic.json``);
 * a **hardware performance model** (``repro.hw``, ``repro.workloads``,
   ``repro.experiments``) — analytical models of every zkPHIRE module,
   calibrated baselines, and the design-space exploration that regenerates
@@ -55,13 +59,13 @@ _EXPORTS = {
     "FunctionalProverCostModel": "repro.plan",
     "IndexCache": "repro.service",
     "JobCostModel": "repro.service",
+    "OpenLoopTraffic": "repro.traffic",
     "ProofJob": "repro.service",
     "ProofResult": "repro.service",
     "ProofPlan": "repro.plan",
     "ProvingCluster": "repro.cluster",
     "ProvingService": "repro.service",
     "ServiceConfig": "repro.service",
-    "TrafficGenerator": "repro.service",
     "hyperplonk_plan": "repro.plan",
 }
 

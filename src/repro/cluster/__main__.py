@@ -10,9 +10,12 @@ A thin shell over :mod:`repro.fleet.scenario`: the flags parse into one
 :class:`~repro.fleet.scenario.Scenario` (a conflict between flags exits
 2 with its message), and each cell is that scenario with ``nodes`` and
 ``policy`` replaced, handed to :func:`~repro.fleet.scenario.run`.
-``--churn-rate`` / ``--autoscale`` take the failure-aware path (the
+``--churn-rate`` / ``--autoscale`` make the run failure-aware (the
 printout adds deadline-miss, retry, and churn columns); ``--open-loop``
-runs the multi-tenant open-loop source (:mod:`repro.traffic`).
+keeps the stream's arrivals (``respect_arrivals``) and sets its rate,
+horizon and admission policy, and the printout is the open-loop table
+(goodput, shedding, SLO, fairness) read from the summary's ``traffic``
+block.
 ``--events PATH`` writes the JSONL event log (:mod:`repro.sim.events`)
 of a single cell — one ``--nodes`` value and one policy.  The tables
 read their header from the parsed scenario and their columns from one
@@ -122,14 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "--open-loop",
         action="store_true",
-        help="run the open-loop multi-tenant traffic path "
-        "(repro.traffic) instead of replaying a closed batch",
+        help="pace the job stream at --rate-rps (default: the "
+        "scenario's) and report goodput, shedding and tenants instead of "
+        "draining a closed batch",
     )
     add(
         "--rate-rps",
         type=positive_float,
         default=None,
-        help="open-loop base arrival rate (default: the scenario's)",
+        help="job-stream base arrival rate (default: the scenario's)",
     )
     add(
         "--horizon-s",
@@ -141,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenants",
         type=positive_int,
         default=3,
-        help="open-loop tenant count (Zipf weights, cycling SLO tiers)",
+        help="tenants of the job stream (Zipf weights, cycling SLO "
+        "tiers; each job's class and deadline come from its tenant)",
     )
     add(
         "--admission",
@@ -159,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--diurnal-amplitude",
         type=rate_fraction,
         default=0.5,
-        help="open-loop diurnal rate swing, a fraction in [0, 1)",
+        help="job-stream diurnal rate swing, a fraction in [0, 1)",
     )
     add(
         "--burst-mult",
         type=multiplier,
         default=3.0,
-        help="open-loop burst-window rate multiplier (>= 1)",
+        help="job-stream burst-window rate multiplier (>= 1)",
     )
     add(
         "--carbon-trace",
@@ -203,8 +208,18 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
     """The one :class:`Scenario` the flags describe (``nodes`` and
     ``policy`` are the sweep's); raises ``ValueError`` on a conflict."""
     fields = run_fields(args)
-    if args.open_loop and args.horizon_s is not None:
-        fields["jobs"] = None  # the horizon alone bounds the stream
+    if args.open_loop and args.autoscale:
+        raise ValueError(
+            "--open-loop does not take --autoscale (admission and "
+            "backpressure bound the backlog instead)"
+        )
+    if args.admission and not args.open_loop:
+        raise ValueError("--admission requires --open-loop")
+    horizon_s = args.horizon_s if args.open_loop else None
+    if args.open_loop:
+        fields["respect_arrivals"] = True
+        if horizon_s is not None:
+            fields["jobs"] = None  # the horizon alone bounds the stream
     trace = args.carbon_trace
     carbon = CarbonConfig(
         None if trace is None else CarbonIntensityTrace(seed=args.seed, **trace),
@@ -226,9 +241,8 @@ def parse_scenario(args: argparse.Namespace) -> Scenario:
         autoscale=autoscale,
         # no carbon flag at all is a carbon-free run
         carbon=None if carbon == CarbonConfig(None) else carbon,
-        open_loop=args.open_loop,
         rate_rps=args.rate_rps,
-        horizon_s=args.horizon_s,
+        horizon_s=horizon_s,
         tenants=args.tenants,
         diurnal_amplitude=args.diurnal_amplitude,
         burst_mult=args.burst_mult,
@@ -321,7 +335,8 @@ def print_open_loop(base: Scenario, rows: list[dict]) -> None:
         f"admission: {'on' if base.admission else 'off'}   "
         f"seed: {base.seed}"
     )
-    print_table(rows, OPEN_LOOP_COLUMNS)
+    # each row's stream figures, under its nodes and policy
+    print_table([{**row, **row["traffic"]} for row in rows], OPEN_LOOP_COLUMNS)
     print_carbon(rows)
 
 
@@ -367,13 +382,10 @@ def main(argv: list[str] | None = None) -> int:
             result = run(replace(base, nodes=num_nodes, policy=policy))
             if args.events:
                 result.events.write(args.events)
-            row = result.summary
-            if base.open_loop:  # the traffic summary does not name its cell
-                row = {**row, "nodes": num_nodes, "policy": policy}
-            rows.append(row)
+            rows.append(result.summary)
     if args.json:
         print(json.dumps({"scenario": base.scenario, "rows": rows}, indent=2))
-    elif base.open_loop:
+    elif args.open_loop:
         print_open_loop(base, rows)
     else:
         print_closed(base, rows)

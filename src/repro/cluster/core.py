@@ -154,20 +154,26 @@ class ProvingCluster:
         self._next_id += 1
         return job_id
 
-    def run(self, jobs: list[ProofJob]) -> list[JobRecord]:
+    def run(
+        self, jobs: Iterable[ProofJob], *, engine: ClusterEngine | None = None
+    ) -> list[JobRecord]:
         """Closed batch: route each job at its ``arrival_s``, no churn.
 
         Returns this run's records in finish order; the summary gains no
         resilience section (:meth:`run_scenario` adds one).  Nodes keep
-        their clocks and caches across runs.
+        their clocks and caches across runs.  ``engine`` is the engine to
+        drive (default a fresh :class:`ClusterEngine`; an
+        :class:`~repro.traffic.OpenLoopEngine` checks each job's fit as
+        it arrives, so it may pull ``jobs`` lazily).
         """
-        return self._run(jobs, ()).records
+        return self._run(jobs, (), engine).records
 
     def run_scenario(
         self,
-        jobs: list[ProofJob],
+        jobs: Iterable[ProofJob],
         *,
         churn: Iterable[ChurnEvent] = (),
+        engine: ClusterEngine | None = None,
     ) -> list[JobRecord]:
         """Failure-aware run: arrival-driven routing, churn, retries.
 
@@ -176,9 +182,9 @@ class ProvingCluster:
         ``config.autoscale`` (if set) resizes the fleet.  Completed
         records are returned; dropped jobs land in :attr:`failed_jobs`
         and the run's failure/autoscale accounting in :attr:`resilience`
-        (both folded into :meth:`summary`).
+        (both folded into :meth:`summary`).  ``engine`` as in :meth:`run`.
         """
-        engine = self._run(jobs, churn)
+        engine = self._run(jobs, churn, engine)
         stats = engine.stats.as_dict()
         if self.resilience is None:
             self.resilience = stats
@@ -192,10 +198,16 @@ class ProvingCluster:
             merged["autoscale"]["actions"].extend(stats["autoscale"]["actions"])
         return engine.records
 
-    def _run(self, jobs: list[ProofJob], churn: Iterable[ChurnEvent]) -> ClusterEngine:
-        for job in jobs:
-            self.check_fits(job)
-        engine = ClusterEngine(self)
+    def _run(
+        self,
+        jobs: Iterable[ProofJob],
+        churn: Iterable[ChurnEvent],
+        engine: ClusterEngine | None,
+    ) -> ClusterEngine:
+        if engine is None:
+            for job in jobs:
+                self.check_fits(job)
+            engine = ClusterEngine(self)
         engine.run(jobs, churn=churn)
         self.events = engine.events
         self.carbon = engine.carbon

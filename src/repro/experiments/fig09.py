@@ -36,7 +36,11 @@ from repro.hw.zkspeed import ZKSPEED, ZKSPEED_PLUS, ZKSPEED_SUMCHECK_MM2
 FIG9_BANDWIDTH = 2048.0
 FIG9_NUM_VARS = 24
 
-#: roughly iso-zkSpeed-area zkPHIRE SumCheck design (35.24 mm², §VI-A3)
+#: the zkPHIRE SumCheck design behind Fig. 9's zkPHIRE bar.  It is not
+#: iso-area with zkSpeed: under this repo's area rules the standalone
+#: unit (``standalone_sumcheck_area(FIG9_CONFIG, 0.0)``: update modmuls,
+#: product-lane multipliers and SRAM) is 72.10 mm² and its update logic
+#: alone (``sumcheck_area``) 17.82 mm², not the 35.24 mm² of §VI-A3
 FIG9_CONFIG = SumCheckUnitConfig(pes=16, ees_per_pe=5, pls_per_pe=6,
                                  sram_bank_words=1024, fixed_prime=False)
 

@@ -2,31 +2,33 @@
 
 :class:`Scenario` is a frozen description of one run: the seeded job
 stream, the fleet, churn, and the settings only the simulator takes
-(autoscaling, carbon, open-loop traffic).  Every cross-field rule is
-checked in ``__post_init__``, so a library caller gets the checks
-``repro-cluster`` and ``repro-fleet`` make; the CLIs only parse their
-flags into a scenario and turn its ``ValueError`` into exit status 2.
-Messages name the CLI flag: each flag sets the field of the same name
+(autoscaling, carbon, admission).  Every cross-field rule is checked in
+``__post_init__``, so a library caller gets the checks ``repro-cluster``
+and ``repro-fleet`` make; the CLIs only parse their flags into a
+scenario and turn its ``ValueError`` into exit status 2.  Messages name
+the CLI flag: each flag sets the field of the same name
 (``--churn-rate`` → ``churn_rate``), and the carbon flags set the
 :class:`~repro.carbon.CarbonConfig` fields.
 
-:func:`run` takes a scenario down one of three existing paths:
+:func:`run` draws the jobs from one stream,
+:class:`~repro.traffic.OpenLoopTraffic` (:meth:`Scenario.traffic`), and
+runs them on the simulator — one :class:`~repro.traffic.OpenLoopEngine`,
+with the scenario's admission policy or none — or on the real fleet,
+:meth:`~repro.fleet.core.ProvingFleet.run` (``runtime="fleet"``), which
+rejects the sim-only settings by name and takes the fleet-only
+:class:`~repro.fleet.core.FleetConfig` fields (heartbeats, timeouts,
+``time_scale``) as keyword arguments.  Only the fleet proves, so only
+its result carries proofs.
 
-* the simulated batch, :meth:`~repro.cluster.core.ProvingCluster.run`,
-  or :meth:`~repro.cluster.core.ProvingCluster.run_scenario` when churn
-  or autoscaling is set;
-* the open-loop path, :class:`~repro.traffic.OpenLoopEngine`;
-* the real fleet, :meth:`~repro.fleet.core.ProvingFleet.run`
-  (``runtime="fleet"``), which rejects the sim-only settings by name
-  and takes the fleet-only :class:`~repro.fleet.core.FleetConfig` fields
-  (heartbeats, timeouts, ``time_scale``) as keyword arguments.
-
-The two simulated paths run in model time and prove nothing; the fleet
-is the one runtime that proves, so only its result carries proofs.
-
-Both runtimes take each job at its ``arrival_s``; :func:`run` keeps the
-arrivals when the scenario sets ``respect_arrivals`` or is failure-aware
-and zeroes them otherwise (deadlines untouched), once, for both.
+One pacing rule serves both runtimes (:attr:`Scenario.paced`): the
+stream's arrivals are kept when ``respect_arrivals`` is set, the run is
+failure-aware, or a horizon or admission policy reads them, and zeroed
+otherwise (deadlines untouched).  The rate only shapes the stream.  The
+churn trace runs to ``horizon_s``, else past the last arrival.  Every
+sim run has one summary: the cluster's blocks
+(:meth:`~repro.cluster.core.ProvingCluster.summary`) plus the stream's
+offered, shed, goodput and fairness figures under ``traffic``
+(:func:`~repro.traffic.traffic_summary`).
 
 :meth:`Scenario.as_dict` is the cell as plain JSON types: the block
 each ``BENCH_*`` record keeps next to the numbers one cell produced, and
@@ -34,9 +36,9 @@ that ``benchmarks/check_regression.py`` compares field by field.
 Nothing reads a scenario back in, so there is no ``from_dict``.
 
 The module sits in :mod:`repro.fleet`, the top runtime layer, so it
-reaches both runtimes downward.  It imports :mod:`repro.fleet.core`
-(and with it :mod:`multiprocessing`) only in the fleet branch, and
-:mod:`repro.traffic` only in the open-loop branch.
+reaches both runtimes and :mod:`repro.traffic` downward.  It imports
+:mod:`repro.fleet.core` (and with it :mod:`multiprocessing`) only in
+the fleet branch.
 """
 
 from __future__ import annotations
@@ -49,8 +51,14 @@ from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import DEFAULT_NODE_CACHE_CAPACITY, NodeConfig
 from repro.cluster.records import JobRecord
 from repro.cluster.routing import DEFAULT_REPLICAS
-from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EventLog
+from repro.traffic import (
+    OpenLoopEngine,
+    OpenLoopTraffic,
+    default_tenants,
+    make_admission,
+    traffic_summary,
+)
 from repro.workloads import CHURN_HORIZON_SLACK_S, trace_for_downtime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: built by the caller
@@ -62,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: built by the caller
 SIM_ONLY = {
     "autoscale": None,
     "carbon": None,
-    "open_loop": False,
+    "admission": None,
 }
 
 #: what :meth:`Scenario.as_dict` keeps of a carbon trace: its signal
@@ -86,8 +94,8 @@ class Scenario:
     # -- the job stream
     #: named traffic mix (:data:`repro.workloads.SCENARIOS`)
     scenario: str = "zipf-mixed"
-    #: jobs to generate; open loop: stop after this many (None = only
-    #: ``horizon_s`` bounds the stream)
+    #: the stream stops after this many jobs (None = only ``horizon_s``
+    #: bounds it)
     jobs: int | None = 64
     #: traffic seed; also seeds the CLI's carbon trace
     seed: int = 0
@@ -100,12 +108,13 @@ class Scenario:
     cache_capacity: int | None = DEFAULT_NODE_CACHE_CAPACITY
     replicas: int = DEFAULT_REPLICAS
     max_retries: int = 2
-    #: keep arrival times (a failure-aware run always keeps them)
+    #: keep arrival times (see :attr:`paced` for when they are kept
+    #: anyway)
     respect_arrivals: bool = False
 
     # -- churn: a seeded crash/recovery trace targeting a downtime
-    # fraction; the closed batch sizes it to the last arrival plus
-    # CHURN_HORIZON_SLACK_S, the open loop to ``horizon_s``
+    # fraction, sized to ``horizon_s`` or, without one, to the last
+    # arrival plus CHURN_HORIZON_SLACK_S
     churn_rate: float = 0.0
     churn_mttr: float = 2.0
     churn_seed: int = 0
@@ -114,34 +123,29 @@ class Scenario:
     #: the autoscaler's ceiling is raised to ``nodes`` when below it
     autoscale: AutoscalePolicy | None = None
     carbon: CarbonConfig | None = None
-    open_loop: bool = False
 
-    # -- open-loop traffic, read only when ``open_loop`` is set
+    # -- the stream's shape
     #: base arrival rate (None = the scenario's)
     rate_rps: float | None = None
-    #: model-time end of the stream and of the churn trace
+    #: model-time end of the stream and of the churn trace (keeps the
+    #: arrivals)
     horizon_s: float | None = None
+    #: tenants of the stream (Zipf weights, cycling SLO tiers): each
+    #: job's request class and deadline come from its tenant's tier
     tenants: int = 3
     diurnal_amplitude: float = 0.5
     burst_mult: float = 3.0
+    #: sim only (see SIM_ONLY); gates each arrival, so keeps them
     admission: AdmissionPolicy | None = None
 
     def __post_init__(self):
-        if self.admission is not None and not self.open_loop:
-            raise ValueError("--admission requires --open-loop")
-        if self.open_loop:
-            if self.autoscale is not None:
-                raise ValueError(
-                    "--open-loop does not take --autoscale (admission and "
-                    "backpressure bound the backlog instead)"
-                )
-            if self.churn_rate > 0 and self.horizon_s is None:
-                raise ValueError(
-                    "--open-loop with --churn-rate needs --horizon-s "
-                    "to size the churn trace"
-                )
-        if self.jobs is None and (not self.open_loop or self.horizon_s is None):
-            raise ValueError("jobs=None needs open_loop with a horizon_s")
+        if self.admission is not None and self.autoscale is not None:
+            raise ValueError(
+                "--admission does not take --autoscale (admission and "
+                "backpressure bound the backlog instead)"
+            )
+        if self.jobs is None and self.horizon_s is None:
+            raise ValueError("jobs=None needs a horizon_s to bound the stream")
         carbon = self.carbon
         if carbon is None:
             return
@@ -181,15 +185,39 @@ class Scenario:
 
     @property
     def failure_aware(self) -> bool:
-        """A closed batch with churn or autoscaling runs ``run_scenario``."""
+        """Churn or autoscaling: the summary gains a resilience section."""
         return self.churn_rate > 0 or self.autoscale is not None
+
+    @property
+    def paced(self) -> bool:
+        """The run keeps the stream's arrival times: asked for, needed by
+        churn or autoscaling, or read by a horizon or admission."""
+        return (
+            self.respect_arrivals
+            or self.failure_aware
+            or self.horizon_s is not None
+            or self.admission is not None
+        )
+
+    def traffic(self) -> OpenLoopTraffic:
+        """The seeded job stream this scenario runs (a fresh object)."""
+        return OpenLoopTraffic(
+            self.scenario,
+            seed=self.seed,
+            tenants=default_tenants(self.tenants),
+            rate_rps=self.rate_rps,
+            diurnal_amplitude=self.diurnal_amplitude,
+            burst_mult=self.burst_mult,
+            max_jobs=self.jobs,
+            horizon_s=self.horizon_s,
+        )
 
 
 @dataclass
 class ScenarioResult:
     """What one :func:`run` leaves behind."""
 
-    #: the runtime's summary (``cluster_summary`` / ``traffic_summary`` /
+    #: the runtime's summary (the sim's, see the module docstring, or
     #: the fleet's measured summary)
     summary: dict
     #: the run's structured event log
@@ -213,55 +241,61 @@ def run(scenario: Scenario, *, runtime: str = "sim", **fleet) -> ScenarioResult:
             f"Scenario.{sim_only[0]} is a sim-only setting; runtime='fleet' "
             "cannot take it"
         )
-    if scenario.open_loop:
-        return _run_open_loop(scenario)
-    generator = TrafficGenerator(scenario.scenario, seed=scenario.seed)
-    jobs = generator.jobs(scenario.jobs)
-    config = _config_fields(scenario, generator.max_vars())
-    horizon_s = max(job.arrival_s for job in jobs) + CHURN_HORIZON_SLACK_S
-    churn = _churn(scenario, horizon_s)
-    # one pacing rule for both runtimes (module docstring)
-    if not (scenario.respect_arrivals or scenario.failure_aware):
+    traffic = scenario.traffic()
+    jobs = traffic.jobs()
+    # one pacing rule for both runtimes (module docstring); the sim pulls
+    # a paced stream lazily unless the churn trace is sized by its end
+    paced = scenario.paced
+    sized_by_jobs = scenario.churn_rate > 0 and scenario.horizon_s is None
+    if runtime == "fleet" or not paced or sized_by_jobs:
+        jobs = list(jobs)
+    churn = _churn(scenario, jobs)
+    if not paced:
         for job in jobs:
             job.arrival_s = 0.0
+    config = dict(
+        num_nodes=scenario.nodes,
+        policy=scenario.policy,
+        time_model=scenario.time_model,
+        replicas=scenario.replicas,
+        max_retries=scenario.max_retries,
+        node=NodeConfig(
+            cache_capacity=scenario.cache_capacity, max_vars=traffic.max_vars()
+        ),
+    )
     if runtime == "fleet":
         from repro.fleet.core import FleetConfig, ProvingFleet
 
         real = ProvingFleet(FleetConfig(**config, **fleet))
         records = real.run(jobs, churn=churn)
         return ScenarioResult(real.summary(), real.events, records, real.proofs)
-    cluster = ProvingCluster(_cluster_config(scenario, config))
-    if scenario.failure_aware:
-        records = cluster.run_scenario(jobs, churn=churn)
-    else:
-        records = cluster.run(jobs)
-    return ScenarioResult(cluster.summary(), cluster.events, records)
-
-
-def _config_fields(scenario: Scenario, max_vars: int) -> dict:
-    """The fields ``ClusterConfig`` and ``FleetConfig`` share."""
-    return dict(
-        num_nodes=scenario.nodes,
-        policy=scenario.policy,
-        time_model=scenario.time_model,
-        replicas=scenario.replicas,
-        max_retries=scenario.max_retries,
-        node=NodeConfig(cache_capacity=scenario.cache_capacity, max_vars=max_vars),
-    )
-
-
-def _cluster_config(scenario: Scenario, config: dict) -> ClusterConfig:
     autoscale = scenario.autoscale
     if autoscale is not None and autoscale.max_nodes < scenario.nodes:
         autoscale = replace(autoscale, max_nodes=scenario.nodes)
-    return ClusterConfig(
-        **config,
-        autoscale=autoscale,
-        carbon=scenario.carbon,
+    cluster = ProvingCluster(
+        ClusterConfig(**config, autoscale=autoscale, carbon=scenario.carbon)
     )
+    admission = scenario.admission
+    if admission is not None:
+        admission = make_admission(cluster, admission, traffic.tenants)
+    engine = OpenLoopEngine(cluster, traffic, admission=admission)
+    if scenario.failure_aware:
+        records = cluster.run_scenario(jobs, churn=churn, engine=engine)
+    else:
+        records = cluster.run(jobs, engine=engine)
+    stream = traffic_summary(engine)
+    stream.pop("carbon", None)  # the cluster's block carries the same
+    summary = {**cluster.summary(), "traffic": stream}
+    return ScenarioResult(summary, engine.events, records)
 
 
-def _churn(scenario: Scenario, horizon_s: float | None) -> list:
+def _churn(scenario: Scenario, jobs) -> list:
+    """The churn trace, to ``horizon_s`` or past the last arrival."""
+    if scenario.churn_rate == 0:
+        return []
+    horizon_s = scenario.horizon_s
+    if horizon_s is None:
+        horizon_s = max(job.arrival_s for job in jobs) + CHURN_HORIZON_SLACK_S
     return trace_for_downtime(
         scenario.nodes,
         horizon_s,
@@ -269,32 +303,3 @@ def _churn(scenario: Scenario, horizon_s: float | None) -> list:
         mttr_s=scenario.churn_mttr,
         seed=scenario.churn_seed,
     )
-
-
-def _run_open_loop(scenario: Scenario) -> ScenarioResult:
-    from repro.traffic import (
-        OpenLoopEngine,
-        OpenLoopTraffic,
-        default_tenants,
-        make_admission,
-        traffic_summary,
-    )
-
-    traffic = OpenLoopTraffic(
-        scenario.scenario,
-        seed=scenario.seed,
-        tenants=default_tenants(scenario.tenants),
-        rate_rps=scenario.rate_rps,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-        burst_mult=scenario.burst_mult,
-        max_jobs=scenario.jobs,
-        horizon_s=scenario.horizon_s,
-    )
-    config = _config_fields(scenario, traffic.max_vars())
-    cluster = ProvingCluster(_cluster_config(scenario, config))
-    admission = None
-    if scenario.admission is not None:
-        admission = make_admission(cluster, scenario.admission, traffic.tenants)
-    engine = OpenLoopEngine(cluster, traffic, admission=admission)
-    records = engine.run(traffic.jobs(), churn=_churn(scenario, scenario.horizon_s))
-    return ScenarioResult(traffic_summary(engine), engine.events, records)

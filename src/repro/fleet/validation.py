@@ -79,7 +79,6 @@ from repro.cluster.nodes import NodeConfig
 from repro.cluster.routing import ROUTING_POLICIES
 from repro.fleet.scenario import Scenario, run
 from repro.service.core import ProvingService, ServiceConfig
-from repro.service.traffic import TrafficGenerator
 
 #: predicted-makespan gap below which two policies count as a modeled tie
 DEFAULT_SIGNIFICANCE = 0.10
@@ -117,17 +116,17 @@ def reference_proofs(
     same seeded SRS must produce exactly the proofs the fleet's N
     worker processes produced.
     """
-    generator = TrafficGenerator(base.scenario, seed=base.seed)
+    traffic = base.traffic()
     service = ProvingService(
         ServiceConfig(
-            max_vars=generator.max_vars(),
+            max_vars=traffic.max_vars(),
             srs_seed=srs_seed,
             executor="sync",
             cache_capacity=base.cache_capacity,
         )
     )
     try:
-        results = service.run(generator.jobs(base.jobs))
+        results = service.run(list(traffic.jobs()))
     finally:
         service.close()
     return {r.job_id: r.proof for r in results}

@@ -16,8 +16,9 @@ the software serving substrate above the functional HyperPlonk stack
 * :mod:`repro.service.workers` — sync / process executors;
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` (throughput,
   p50/p95 latency, cache hit rate, per-worker utilization, op tallies);
-* :mod:`repro.service.traffic` — :class:`TrafficGenerator` driving the
-  named scenarios in :mod:`repro.workloads`;
+* :mod:`repro.service.traffic` — :func:`synthesize_circuit` and the
+  weighted draw the job stream above
+  (:class:`repro.traffic.OpenLoopTraffic`) draws its jobs with;
 * :mod:`repro.service.core` — :class:`ProvingService` tying it together.
 
 Demo CLI: ``python -m repro.service --scenario zipf-mixed --jobs 12``
@@ -36,7 +37,7 @@ from repro.service.core import ProvingService, ServiceConfig
 from repro.service.costing import JobCostModel
 from repro.service.jobs import ProofJob, ProofResult, RequestClass
 from repro.service.metrics import ServiceMetrics, percentile
-from repro.service.traffic import TrafficGenerator, synthesize_circuit
+from repro.service.traffic import synthesize_circuit
 from repro.service.workers import (
     EXECUTOR_KINDS,
     ProcessExecutor,
@@ -63,7 +64,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "SyncExecutor",
-    "TrafficGenerator",
     "WorkerPool",
     "WorkerProbe",
     "WorkerState",

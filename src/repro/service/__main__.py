@@ -1,7 +1,10 @@
 """Proving-service demo CLI: ``python -m repro.service`` / ``repro-serve``.
 
-Generates a traffic scenario, runs it through a :class:`ProvingService`,
-verifies every proof, and prints the metrics summary.
+Draws ``--jobs`` jobs of a traffic scenario from the job stream
+(:class:`~repro.traffic.OpenLoopTraffic`), runs them through a
+:class:`ProvingService`, verifies every proof, and prints the metrics
+summary.  Every job of a shape proves the stream's one shared circuit of
+that shape, so repeats hit the index cache.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from repro.cli import cache_capacity, nonnegative_float, positive_int
 from repro.plan import FunctionalProverCostModel
 from repro.service.batching import DRAIN_POLICIES
 from repro.service.core import ProvingService, ServiceConfig
-from repro.service.traffic import TrafficGenerator
 from repro.service.workers import EXECUTOR_KINDS
+from repro.traffic.openloop import OpenLoopTraffic
 from repro.workloads import SCENARIOS
 
 
@@ -54,9 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    gen = TrafficGenerator(args.scenario, seed=args.seed)
+    traffic = OpenLoopTraffic(args.scenario, seed=args.seed, max_jobs=args.jobs)
     config = ServiceConfig(
-        max_vars=gen.max_vars(),
+        max_vars=traffic.max_vars(),
         executor=args.executor,
         num_workers=args.workers,
         cache_capacity=args.cache_capacity,
@@ -65,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         drain_policy=args.policy,
         predict_costs=True,
     )
-    jobs = gen.jobs(args.jobs)
+    jobs = list(traffic.jobs())
     with ProvingService(config) as service:
         service.run(jobs, wave_s=args.wave_s or None)
         summary = service.summary()

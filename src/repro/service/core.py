@@ -133,8 +133,9 @@ class ProvingService:
         return self.submit_job(job)
 
     def submit_job(self, job: ProofJob) -> ProofJob:
-        """Enqueue a pre-built job (e.g. from a :class:`TrafficGenerator`);
-        reassigns ``job_id`` to keep service-wide ids unique."""
+        """Enqueue a pre-built job (e.g. one of the job stream's,
+        :class:`~repro.traffic.OpenLoopTraffic`); reassigns ``job_id`` to
+        keep service-wide ids unique."""
         if job.circuit.field != Fr:
             raise ValueError("the service proves circuits over Fr only")
         if job.circuit.num_vars > self.kzg.srs.max_vars:

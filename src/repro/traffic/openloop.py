@@ -1,23 +1,25 @@
-"""Seeded open-loop arrival generation at 10⁵–10⁶ job scale.
+"""The one seeded job stream, from a 10-job batch to 10⁶-job open loops.
 
-The closed batches of :class:`~repro.service.traffic.TrafficGenerator`
-top out around 10² jobs because every job synthesizes its own circuit.
-Open-loop scale needs two changes:
+Every job in the repo comes from :class:`OpenLoopTraffic`: a closed
+batch is the stream bounded by ``max_jobs`` (:func:`repro.fleet.scenario.run`
+keeps or zeroes its arrivals), an open loop the same stream paced by its
+arrivals.
 
 * :class:`CircuitShapeCache` — circuit *structure* is a pure function
   of ``(gate family, log2 size)``, so one shared
   :class:`~repro.hyperplonk.circuit.Circuit` per shape (fingerprint
-  precomputed once) serves every job of that shape.  Model-time runs
-  never read the witness, and the cluster's index cache keys on the
-  fingerprint either way.
+  precomputed once) serves every job of that shape: the cluster's
+  index cache keys on the fingerprint, and a real prover proves the
+  shared circuit (a caller that wants distinct witnesses calls
+  :func:`~repro.service.traffic.synthesize_circuit` itself).
 * :class:`OpenLoopTraffic` — a lazy, seeded generator of
   :class:`~repro.service.jobs.ProofJob` streams whose arrival process
   is a time-varying Poisson process: a diurnal sinusoid times a
   deterministic burst square-wave, sampled by thinning against the
-  peak rate, so the seed alone fixes every arrival instant.  Jobs are
-  yielded one at a time — the open-loop engine pumps the next arrival
-  only when the previous one fires, so a 10⁶-job run never holds the
-  whole stream in memory.
+  peak rate, so the seed alone fixes every arrival instant.  A job's
+  request class and deadline come from its tenant's SLO tier.  Jobs
+  are yielded one at a time, so a 10⁶-job run never holds the whole
+  stream in memory.
 
 A recorded arrival trace (``arrival_trace=[...]``) replaces the Poisson
 process for replay-style runs; tenancy, shapes, and classes still come
@@ -85,7 +87,9 @@ class OpenLoopTraffic:
     tenant draws, shapes, and classes alike.
 
     The stream ends after ``max_jobs`` jobs or past ``horizon_s`` model
-    seconds, whichever comes first (at least one must be set).
+    seconds, whichever comes first (at least one must be set).  The
+    constructor rejects, naming the field, any rate, period, duration or
+    horizon that is not finite and positive.
     """
 
     def __init__(
@@ -106,28 +110,35 @@ class OpenLoopTraffic:
     ):
         if isinstance(scenario, str):
             scenario = scenario_by_name(scenario)
+        if rate_rps is None:
+            rate_rps = scenario.rate_rps
+        # a NaN fails every comparison, so each check is written to pass
+        # only a finite value in range: a NaN or infinite rate, period or
+        # duration would spin the thinning loop forever
+        for name, value in (
+            ("rate_rps", rate_rps),
+            ("diurnal_period_s", diurnal_period_s),
+            ("burst_duration_s", burst_duration_s),
+            ("horizon_s", horizon_s),
+        ):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0; got {value}")
         if not 0.0 <= diurnal_amplitude < 1.0:
             raise ValueError(
                 f"diurnal_amplitude must be in [0, 1); got {diurnal_amplitude}"
             )
-        if burst_mult < 1.0:
-            raise ValueError(f"burst_mult must be >= 1; got {burst_mult}")
+        if not 1.0 <= burst_mult < math.inf:
+            raise ValueError(f"burst_mult must be finite and >= 1; got {burst_mult}")
         if not 0.0 < burst_fraction <= 1.0:
             raise ValueError(
                 f"burst_fraction must be in (0, 1]; got {burst_fraction}"
-            )
-        if burst_duration_s <= 0:
-            raise ValueError(
-                f"burst_duration_s must be > 0; got {burst_duration_s}"
             )
         if max_jobs is None and horizon_s is None and arrival_trace is None:
             raise ValueError("set max_jobs and/or horizon_s (or a trace)")
         self.scenario = scenario
         self.seed = seed
         self.tenants = list(tenants) if tenants is not None else default_tenants(3)
-        self.rate_rps = rate_rps if rate_rps is not None else scenario.rate_rps
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be > 0; got {self.rate_rps}")
+        self.rate_rps = rate_rps
         self.diurnal_amplitude = diurnal_amplitude
         self.diurnal_period_s = diurnal_period_s
         self.burst_mult = burst_mult

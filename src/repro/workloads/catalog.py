@@ -6,6 +6,10 @@ Jellyfish column shows the gate-count reduction from expressive gates
 (§II-C2: up to 32×).  CPU runtimes are the paper's 32-thread EPYC-7502
 measurements — we reproduce reported baselines rather than re-measure
 (DESIGN.md §2).
+
+The traffic mixes (:data:`SCENARIOS`) name gate families, circuit sizes
+and a base rate; classes and deadlines are the job stream's tenants'
+(:class:`repro.traffic.OpenLoopTraffic`).
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def workload_by_name(name: str) -> Workload:
 @dataclass(frozen=True)
 class TrafficScenario:
     """A named proof-serving traffic mix, consumed by
-    :class:`repro.service.TrafficGenerator`.
+    :class:`repro.traffic.OpenLoopTraffic`.
 
     Sizes are log2 gate counts at the functional stack's scale (μ ≈ 3–6);
     they stand in for the full-scale catalog entries above the same way
@@ -79,16 +83,9 @@ class TrafficScenario:
     gate_mix: tuple[tuple[str, float], ...]
     #: (log2 gate count, weight) — the circuit-size distribution
     size_weights: tuple[tuple[int, float], ...]
-    #: request inter-arrival pattern: ``uniform`` | ``poisson`` | ``burst``
-    arrival: str
-    #: mean arrival rate, requests per second of model time
+    #: base arrival rate, requests per second of model time (the
+    #: stream's rate unless its caller sets one)
     rate_rps: float
-    #: fraction of requests in the REALTIME class (rest are DEFERRABLE)
-    realtime_fraction: float
-    #: model-time slack granted to REALTIME requests (deadline =
-    #: arrival + slack, consumed by the ``deadline`` drain policy);
-    #: ``None`` = the scenario sets no deadlines
-    realtime_deadline_s: float | None = None
 
     @property
     def max_log2_gates(self) -> int:
@@ -120,10 +117,7 @@ SCENARIOS: dict[str, TrafficScenario] = {
                         "(one dominant circuit shape; cache-friendly)",
             gate_mix=(("vanilla", 1.0),),
             size_weights=((3, 1.0), (4, 1.0)),
-            arrival="uniform",
             rate_rps=8.0,
-            realtime_fraction=1.0,
-            realtime_deadline_s=1.0,
         ),
         TrafficScenario(
             name="zipf-mixed",
@@ -131,21 +125,15 @@ SCENARIOS: dict[str, TrafficScenario] = {
                         "Vanilla/Jellyfish mix with Poisson arrivals",
             gate_mix=(("vanilla", 0.75), ("jellyfish", 0.25)),
             size_weights=((3, 1.0), (4, 0.5), (5, 0.25), (6, 0.125)),
-            arrival="poisson",
             rate_rps=4.0,
-            realtime_fraction=0.5,
-            realtime_deadline_s=2.0,
         ),
         TrafficScenario(
             name="jellyfish-heavy",
-            description="bursts of larger high-degree Jellyfish circuits, "
-                        "mostly deferrable (rollup-style batch proving)",
+            description="larger high-degree Jellyfish circuits at a "
+                        "low rate (rollup-style batch proving)",
             gate_mix=(("jellyfish", 1.0),),
             size_weights=((4, 0.5), (5, 0.3), (6, 0.2)),
-            arrival="burst",
             rate_rps=2.0,
-            realtime_fraction=0.25,
-            realtime_deadline_s=4.0,
         ),
     )
 }

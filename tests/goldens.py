@@ -34,7 +34,7 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import run_experiments
 from repro.fields import OpCounter
 from repro.hyperplonk import HyperPlonkProver, MultilinearKZG, TrapdoorSRS, preprocess
-from repro.service import ProvingService, ServiceConfig, TrafficGenerator
+from repro.service import ProvingService, ServiceConfig
 from repro.service.jobs import RequestClass
 from repro.service.traffic import GATE_TYPES, synthesize_circuit
 from repro.traffic import (
@@ -119,7 +119,7 @@ def prove(gate: str, kzg, counter=None, **kwargs):
 
 
 def service_batch():
-    jobs = TrafficGenerator("uniform-small", seed=3).jobs(6)
+    jobs = list(OpenLoopTraffic("uniform-small", seed=3, max_jobs=6).jobs())
     svc = ProvingService(ServiceConfig(max_vars=MU, executor="sync"))
     try:
         for job in jobs:
@@ -133,7 +133,7 @@ def service_batch():
     ]
 
 
-# -- SRS points and the closed-batch traffic stream --------------------------
+# -- SRS points and the job stream's first jobs -------------------------------
 
 SRS_SEEDS = (0, 1, 7)
 
@@ -151,8 +151,8 @@ def srs_text(seed: int, first: int = 0) -> str:
 
 
 def closed_stream_text() -> str:
-    """64 jobs of the ``zipf-mixed`` closed-batch stream, seed 0."""
-    jobs = TrafficGenerator("zipf-mixed", seed=0).jobs(64)
+    """The first 64 jobs of the ``zipf-mixed`` stream, seed 0."""
+    jobs = OpenLoopTraffic("zipf-mixed", seed=0, max_jobs=64).jobs()
     rows = [
         (
             repr(j.arrival_s),
@@ -160,6 +160,7 @@ def closed_stream_text() -> str:
             j.request_class.value,
             repr(j.deadline_s),
             j.circuit_key,
+            j.tenant,
         )
         for j in jobs
     ]
@@ -178,11 +179,13 @@ LIFECYCLE = {
 
 
 def lifecycle_cell(policy: str, max_retries: int) -> dict:
-    """120 ``zipf-mixed`` jobs (seed 1) on 3 nodes under 30% churn with an
-    out-and-in autoscaler.  The churn horizon's slack past the last arrival
-    (8 s) is spelled out so a change to the shared default cannot move a pin."""
-    generator = TrafficGenerator("zipf-mixed", seed=1)
-    jobs = generator.jobs(120)
+    """120 ``zipf-mixed`` jobs (seed 1, no burst window) on 3 nodes under
+    30% churn with an out-and-in autoscaler.  The churn horizon's slack past
+    the last arrival (8 s) is spelled out so a change to the shared default
+    cannot move a pin.  With the stream's default 3x burst windows no cell
+    of this seed reaches an exclusion waiver."""
+    traffic = OpenLoopTraffic("zipf-mixed", seed=1, max_jobs=120, burst_mult=1.0)
+    jobs = list(traffic.jobs())
     horizon = max(j.arrival_s for j in jobs) + 8.0
     churn = trace_for_downtime(3, horizon, downtime_fraction=0.3, mttr_s=2.0, seed=101)
     config = ClusterConfig(
@@ -198,7 +201,7 @@ def lifecycle_cell(policy: str, max_retries: int) -> dict:
             max_nodes=6,
             provision_s=0.25,
         ),
-        node=NodeConfig(max_vars=generator.max_vars()),
+        node=NodeConfig(max_vars=traffic.max_vars()),
     )
     with ProvingCluster(config) as cluster:
         cluster.run_scenario(jobs, churn=churn)

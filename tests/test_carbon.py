@@ -32,7 +32,6 @@ from repro.cluster import (
 from repro.cluster.nodes import ProverNode
 from repro.fleet.scenario import Scenario, run
 from repro.service.jobs import RequestClass
-from repro.service.traffic import TrafficGenerator
 from repro.sim.events import EventLog
 from repro.traffic import OpenLoopEngine, OpenLoopTraffic
 
@@ -278,7 +277,7 @@ def _node() -> ProverNode:
 
 
 def _queued_jobs(node: ProverNode, count: int = 6) -> list:
-    jobs = TrafficGenerator("uniform-small", seed=9).jobs(count)
+    jobs = list(OpenLoopTraffic("uniform-small", seed=9, max_jobs=count).jobs())
     for job_id, job in enumerate(jobs):
         job.job_id = job_id
         node.submit(job)
@@ -334,7 +333,7 @@ class TestSelectJob:
 def _suspend_jobs() -> list:
     """A long deferrable job then a realtime one: the cap-preemption
     fixture (fresh objects per call — runs stamp ids in place)."""
-    pool = TrafficGenerator("uniform-small", seed=1).jobs(50)
+    pool = list(OpenLoopTraffic("uniform-small", seed=1, max_jobs=50).jobs())
     deferrable = next(j for j in pool if j.circuit.num_vars == 4)
     realtime = next(j for j in pool if j.circuit.num_vars == 3)
     deferrable.request_class = RequestClass.DEFERRABLE
@@ -531,7 +530,11 @@ class TestClosedBatchUnderTheGate:
         assert result.summary["carbon"]["cap_deferrals"] >= 1
 
     def test_held_batch_starts_no_job_before_its_hold_lifts(self, monkeypatch):
-        carbon = CarbonConfig(CarbonIntensityTrace(seed=1), "carbon_waiting")
+        # a 12 s carbon period: the stream's deferrable (bronze) jobs
+        # carry an 8 s deadline slack, so a hold needs a low window
+        # within seconds
+        trace = CarbonIntensityTrace(seed=1, period_s=12.0)
+        carbon = CarbonConfig(trace, "carbon_waiting")
         result = self._run(
             monkeypatch, Scenario("zipf-mixed", 64, nodes=3, carbon=carbon)
         )

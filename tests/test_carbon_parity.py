@@ -26,7 +26,7 @@ from repro.carbon import CarbonConfig, CarbonIntensityTrace
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.service.jobs import RequestClass
-from repro.service.traffic import TrafficGenerator
+from repro.traffic import OpenLoopTraffic
 from repro.sim.events import EVENT_KINDS, EventLog
 from repro.workloads import trace_for_downtime
 
@@ -53,7 +53,7 @@ def make_config(*, carbon: bool, **kwargs) -> ClusterConfig:
 
 
 def run_scenario(config: ClusterConfig, *, churn=()) -> tuple:
-    jobs = TrafficGenerator(SCENARIO, seed=SEED).jobs(JOBS)
+    jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=JOBS).jobs())
     with ProvingCluster(config) as cluster:
         records = cluster.run_scenario(jobs, churn=churn)
         return records, cluster.events.events, cluster.summary()
@@ -93,11 +93,11 @@ class TestCaplessParity:
         assert (carbon["energy_lost_j"] > 0.0) == (lost_s > 0.0)
 
     def test_closed_drain_bit_identical(self):
-        jobs = TrafficGenerator(SCENARIO, seed=SEED).jobs(JOBS)
+        jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=JOBS).jobs())
         with ProvingCluster(make_config(carbon=False)) as cluster:
             free_records = cluster.run(jobs)
             free_events = cluster.events.events
-        jobs = TrafficGenerator(SCENARIO, seed=SEED).jobs(JOBS)
+        jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=JOBS).jobs())
         with ProvingCluster(make_config(carbon=True)) as cluster:
             records = cluster.run(jobs)
             events = cluster.events.events
@@ -180,7 +180,7 @@ class TestEventSchemaRoundTrip:
                 provision_s=0.2,
             ),
         )
-        jobs = TrafficGenerator(SCENARIO, seed=SEED).jobs(60)
+        jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=60).jobs())
         with ProvingCluster(config) as cluster:
             cluster.run_scenario(jobs)
             events = cluster.events
@@ -191,8 +191,7 @@ class TestEventSchemaRoundTrip:
 
     def test_carbon_log_replays_bit_identically(self):
         """The suspend/resume/cap kinds also survive the round trip."""
-        gen = TrafficGenerator("uniform-small", seed=1)
-        jobs = gen.jobs(6)
+        jobs = list(OpenLoopTraffic("uniform-small", seed=1, max_jobs=6).jobs())
         for index, job in enumerate(jobs):
             job.deadline_s = None
             if index % 2 == 0:

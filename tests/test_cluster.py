@@ -17,15 +17,15 @@ from repro.cluster import (
     SimIndexCache,
     TIME_MODEL_PRESETS,
 )
-from repro.service.traffic import TrafficGenerator
+from repro.traffic import OpenLoopTraffic
 
 SCENARIO = "uniform-small"
 SEED = 7
 
 
 def stream(jobs: int, *, scenario: str = SCENARIO, seed: int = SEED):
-    generator = TrafficGenerator(scenario, seed=seed)
-    return generator, generator.jobs(jobs)
+    traffic = OpenLoopTraffic(scenario, seed=seed, max_jobs=jobs)
+    return traffic, list(traffic.jobs())
 
 
 def make_config(**kwargs) -> ClusterConfig:
@@ -126,8 +126,7 @@ class TestClusterSimulation:
         assert slow >= fast
 
     def test_oversized_circuit_rejected(self):
-        generator = TrafficGenerator("jellyfish-heavy", seed=0)
-        job = generator.jobs(1)[0]
+        (job,) = OpenLoopTraffic("jellyfish-heavy", seed=0, max_jobs=1).jobs()
         config = make_config(node=NodeConfig(max_vars=3))
         job.circuit.num_vars = 5  # forged: larger than the node SRS
         with ProvingCluster(config) as cluster:

@@ -20,7 +20,7 @@ import pytest
 from repro.cluster import ClusterEngine, ClusterRouter, Dispatcher, FleetTimeModel
 from repro.cluster.records import JobQueue, JobRecord, arrival_order
 from repro.fleet import ProvingFleet
-from repro.service.traffic import TrafficGenerator
+from repro.traffic import OpenLoopTraffic
 from repro.sim.events import EventLog
 from repro.traffic import OpenLoopEngine
 
@@ -115,7 +115,7 @@ class FakeRuntime(Dispatcher):
 
 
 def make_jobs(arrivals: list[float]) -> list:
-    jobs = TrafficGenerator("uniform-small", seed=3).jobs(len(arrivals))
+    jobs = list(OpenLoopTraffic("uniform-small", seed=3, max_jobs=len(arrivals)).jobs())
     for job, arrival in zip(jobs, arrivals):
         job.arrival_s = arrival
     return jobs

@@ -37,6 +37,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from goldens import canonical_text
 
 from repro.cluster.core import ClusterConfig, ProvingCluster
 from repro.cluster.nodes import NodeConfig
@@ -51,12 +52,14 @@ from repro.fleet.core import (
 )
 from repro.fleet.__main__ import print_run
 from repro.fleet.scenario import Scenario
-from repro.fleet.validation import reference_proofs, significant_pairs
+from repro.fleet.validation import significant_pairs
 from repro.fleet.worker import worker_main
 from repro.service.core import ProvingService, ServiceConfig
 from repro.service.jobs import ProofJob
-from repro.service.traffic import TrafficGenerator
+from repro.service.traffic import synthesize_circuit
 from repro.sim.events import EventLog
+from repro.traffic import OpenLoopTraffic
+from repro.workloads import scenario_by_name
 from repro.workloads.churn import ChurnEvent
 
 SCENARIO = "zipf-mixed"
@@ -68,12 +71,11 @@ CALM_HEARTBEAT_MISSES = 100.0
 
 
 def make_fleet(**kwargs) -> ProvingFleet:
-    generator = TrafficGenerator(SCENARIO, seed=SEED)
     defaults = dict(
         num_nodes=2,
         policy="round_robin",
         time_model="functional",
-        node=NodeConfig(max_vars=generator.max_vars()),
+        node=NodeConfig(max_vars=scenario_by_name(SCENARIO).max_log2_gates),
         run_timeout_s=180.0,
     )
     defaults.update(kwargs)
@@ -81,18 +83,33 @@ def make_fleet(**kwargs) -> ProvingFleet:
 
 
 def stream(n: int):
-    """``n`` jobs that all arrive at t=0: the fleet takes each job at its
-    ``arrival_s``, and these tests drive a saturated batch."""
-    jobs = TrafficGenerator(SCENARIO, seed=SEED).jobs(n)
-    for job in jobs:
+    """``n`` jobs that all arrive at t=0, each with its own witness: the
+    fleet takes each job at its ``arrival_s``, and these tests drive a
+    saturated batch.  The stream's jobs of one shape share one circuit,
+    so their proofs would be equal; own witnesses keep a proof filed
+    under another job's id from passing the byte oracle."""
+    jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=n).jobs())
+    for witness_seed, job in enumerate(jobs, 1):
         job.arrival_s = 0.0
+        job.circuit = synthesize_circuit(
+            job.circuit.gate_type, job.circuit.num_vars, witness_seed=witness_seed
+        )
     return jobs
 
 
 @functools.cache
 def reference(n: int) -> dict[int, object]:
-    """One sync service's proofs of ``stream(n)``, by job id."""
-    return reference_proofs(Scenario(SCENARIO, n, SEED))
+    """One sync service's proofs of ``stream(n)``, by job id; pairwise
+    distinct."""
+    config = ServiceConfig(
+        max_vars=scenario_by_name(SCENARIO).max_log2_gates,
+        srs_seed=NodeConfig.srs_seed,
+        executor="sync",
+    )
+    with ProvingService(config) as service:
+        proofs = {r.job_id: r.proof for r in service.run(stream(n))}
+    assert len({canonical_text(proof) for proof in proofs.values()}) == n
+    return proofs
 
 
 def exit_3(spec, inbox, outbox):
@@ -126,14 +143,14 @@ def threads_left(before: set) -> list[str]:
 class TestParity:
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     def test_failure_free_placement_matches_sim(self, policy):
-        generator = TrafficGenerator(SCENARIO, seed=SEED)
+        traffic = OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=8)
         config = ClusterConfig(
             num_nodes=3,
             policy=policy,
             time_model="functional",
-            node=NodeConfig(max_vars=generator.max_vars()),
+            node=NodeConfig(max_vars=traffic.max_vars()),
         )
-        jobs = generator.jobs(8)
+        jobs = list(traffic.jobs())
         for job in jobs:
             job.arrival_s = 0.0  # the same saturated batch as stream()
         with ProvingCluster(config) as cluster:
@@ -157,7 +174,7 @@ class TestParity:
     def test_fleet_proofs_byte_identical_to_service(self):
         fleet = make_fleet(num_nodes=2, policy="affinity")
         fleet.run(stream(6))
-        assert fleet.proofs == reference_proofs(Scenario(SCENARIO, 6, SEED))
+        assert fleet.proofs == reference(6)
 
     def test_significant_pairs_orders_and_filters(self):
         pairs = significant_pairs(

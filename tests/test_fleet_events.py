@@ -15,7 +15,7 @@ import pytest
 import repro.fleet.__main__ as fleet_cli
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.__main__ import main as cluster_main
-from repro.service.traffic import TrafficGenerator
+from repro.traffic import OpenLoopTraffic
 from repro.sim.events import EVENT_KINDS, EventLog, FleetEvent
 from repro.workloads import ChurnEvent
 
@@ -28,16 +28,16 @@ CHURN = (
 
 
 def scenario_log(seed: int = 11) -> EventLog:
-    generator = TrafficGenerator("zipf-mixed", seed=seed)
+    traffic = OpenLoopTraffic("zipf-mixed", seed=seed, max_jobs=16)
     config = ClusterConfig(
         num_nodes=2,
         policy="affinity",
         time_model="functional",
         max_retries=3,
-        node=NodeConfig(max_vars=generator.max_vars()),
+        node=NodeConfig(max_vars=traffic.max_vars()),
     )
     with ProvingCluster(config) as cluster:
-        cluster.run_scenario(generator.jobs(16), churn=CHURN)
+        cluster.run_scenario(list(traffic.jobs()), churn=CHURN)
         return cluster.events
 
 

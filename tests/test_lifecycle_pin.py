@@ -31,7 +31,9 @@ class TestScenarioGolden:
         assert resilience["requeues"] > 0
         assert resilience["parked"] > 0
         policy, max_retries = cell
-        assert (resilience["exclusion_waivers"] > 0) == (policy != "least_loaded")
+        # only a retried job carries an exclusion, so only a cell with
+        # retries can waive one; every such cell does
+        assert (resilience["exclusion_waivers"] > 0) == (max_retries > 0)
         if max_retries == 0:
             assert resilience["retries"] == 0
             assert resilience["failed_jobs"] > 0

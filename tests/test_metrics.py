@@ -15,7 +15,7 @@ from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
 from repro.cluster.metrics import install_split, records_summary
 from repro.cluster.records import JobRecord
 from repro.service.metrics import FULL_TAIL, latency_tail, percentile
-from repro.service.traffic import TrafficGenerator
+from repro.traffic import OpenLoopTraffic
 
 QUANTILE = {"p50": 50, "p95": 95, "p99": 99, "p99_9": 99.9, "max": 100}
 
@@ -131,11 +131,11 @@ class TestInstallSplit:
 
 
 def test_cluster_model_block_is_built_from_the_helpers():
-    generator = TrafficGenerator("zipf-mixed", seed=3)
+    traffic = OpenLoopTraffic("zipf-mixed", seed=3, max_jobs=12)
     cluster = ProvingCluster(
-        ClusterConfig(num_nodes=2, node=NodeConfig(max_vars=generator.max_vars()))
+        ClusterConfig(num_nodes=2, node=NodeConfig(max_vars=traffic.max_vars()))
     )
-    records = cluster.run(generator.jobs(12))
+    records = cluster.run(list(traffic.jobs()))
     model = cluster.summary()["model"]
     head = records_summary(records)
     split = install_split(records)

@@ -28,7 +28,6 @@ from repro.service import (
     ProvingService,
     RequestClass,
     ServiceConfig,
-    TrafficGenerator,
     order_jobs,
     plan_batches,
     synthesize_circuit,
@@ -36,6 +35,7 @@ from repro.service import (
 from repro.service.__main__ import main as service_cli
 from repro.service.metrics import percentile
 from repro.service.traffic import GATE_TYPES
+from repro.traffic import OpenLoopTraffic
 from repro.workloads import SCENARIOS, scenario_by_name
 
 MAX_VARS = 3
@@ -307,34 +307,28 @@ class TestCostAwareScheduling:
         with pytest.raises(ValueError, match=re.escape(str(DRAIN_POLICIES))):
             ServiceConfig(drain_policy="edf2")
 
-    def test_traffic_generator_stamps_deadlines(self):
-        jobs = TrafficGenerator("zipf-mixed", seed=3).jobs(12)
-        scenario = scenario_by_name("zipf-mixed")
-        for job in jobs:
-            if job.request_class is RequestClass.REALTIME:
-                assert job.deadline_s == pytest.approx(
-                    job.arrival_s + scenario.realtime_deadline_s)
-            else:
-                assert job.deadline_s is None
+    def test_job_stream_stamps_tier_deadlines(self):
+        traffic = OpenLoopTraffic("zipf-mixed", seed=3, max_jobs=12)
+        tiers = {t.name: t.tier for t in traffic.tenants}
+        for job in traffic.jobs():
+            slack = tiers[job.tenant].deadline_slack_s
+            assert job.deadline_s == pytest.approx(job.arrival_s + slack)
 
 
-class TestTrafficGenerator:
+class TestJobStream:
     def test_deterministic(self):
-        a = TrafficGenerator("zipf-mixed", seed=5).jobs(6)
-        b = TrafficGenerator("zipf-mixed", seed=5).jobs(6)
+        a = list(OpenLoopTraffic("zipf-mixed", seed=5, max_jobs=6).jobs())
+        b = list(OpenLoopTraffic("zipf-mixed", seed=5, max_jobs=6).jobs())
         assert [j.circuit_key for j in a] == [j.circuit_key for j in b]
         assert [j.arrival_s for j in a] == [j.arrival_s for j in b]
         assert [j.request_class for j in a] == [j.request_class for j in b]
 
     def test_arrivals_monotonic_and_classes(self):
         for name in SCENARIOS:
-            jobs = TrafficGenerator(name, seed=1).jobs(8)
+            jobs = list(OpenLoopTraffic(name, seed=1, max_jobs=8).jobs())
             arrivals = [j.arrival_s for j in jobs]
             assert arrivals == sorted(arrivals)
             scenario = scenario_by_name(name)
-            if scenario.realtime_fraction == 1.0:
-                assert all(j.request_class is RequestClass.REALTIME
-                           for j in jobs)
             gate_names = {name for name, _ in scenario.gate_mix}
             sizes = {size for size, _ in scenario.size_weights}
             for j in jobs:
@@ -343,24 +337,32 @@ class TestTrafficGenerator:
                 assert int(tag_mu) in sizes
 
     def test_same_shape_draws_share_fingerprint(self):
-        jobs = TrafficGenerator("uniform-small", seed=2).jobs(10)
+        jobs = list(OpenLoopTraffic("uniform-small", seed=2, max_jobs=10).jobs())
         keys = {}
         for j in jobs:
             keys.setdefault(j.tag, set()).add(j.circuit_key)
         for tag, tag_keys in keys.items():
             assert len(tag_keys) == 1, f"{tag} produced multiple fingerprints"
 
+    def test_classes_come_from_the_tenants_tiers(self):
+        traffic = OpenLoopTraffic("uniform-small", seed=1, max_jobs=16)
+        tiers = {t.name: t.tier for t in traffic.tenants}
+        classes = [j.request_class for j in traffic.jobs()]
+        assert classes == [tiers[j.tenant].request_class for j in traffic.jobs()]
+        assert set(classes) == set(RequestClass)  # three tenants, both classes
+
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
-            TrafficGenerator("no-such-mix")
+            OpenLoopTraffic("no-such-mix", max_jobs=1)
 
 
 class TestServiceOperations:
     def test_wave_run_hits_cache_and_reports_metrics(self):
-        gen = TrafficGenerator("uniform-small", seed=3)
-        cfg = ServiceConfig(max_vars=gen.max_vars())
+        traffic = OpenLoopTraffic("uniform-small", seed=3, max_jobs=5)
+        cfg = ServiceConfig(max_vars=traffic.max_vars())
         with ProvingService(cfg) as svc:
-            results = svc.run(gen.jobs(5), wave_s=0.3)
+            # the five jobs arrive over 0.2 s (a burst window)
+            results = svc.run(list(traffic.jobs()), wave_s=0.1)
             summary = svc.summary()
         assert len(results) == 5
         assert summary["jobs"] == 5

@@ -30,9 +30,10 @@ from repro.hyperplonk import (
 )
 from repro.mle import DenseMLE, VirtualPolynomial
 from repro.plan import HYPERPLONK_PHASES
-from repro.service import ProvingService, ServiceConfig, TrafficGenerator
+from repro.service import ProvingService, ServiceConfig
 from repro.service.traffic import synthesize_circuit
 from repro.sumcheck import FastSumCheckProver, Transcript
+from repro.traffic import OpenLoopTraffic
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -232,7 +233,7 @@ class TestProofPhaseTable:
     def test_a_service_drain_sees_every_proof_once(self):
         """Workers record around each prove; an outer recording of the
         drain holds their records summed, once."""
-        jobs = TrafficGenerator("uniform-small", seed=3).jobs(3)
+        jobs = list(OpenLoopTraffic("uniform-small", seed=3, max_jobs=3).jobs())
         svc = ProvingService(
             ServiceConfig(max_vars=4, executor="sync", collect_counters=True)
         )

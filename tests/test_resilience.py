@@ -14,6 +14,7 @@ ISSUE 5 satellite coverage:
 """
 
 import pytest
+from goldens import canonical_text
 
 from repro.cluster import (
     AutoscalePolicy,
@@ -23,10 +24,11 @@ from repro.cluster import (
     ProvingCluster,
 )
 from repro.fleet.core import FleetConfig, ProvingFleet
-from repro.fleet.scenario import Scenario
-from repro.fleet.validation import reference_proofs
 from repro.plan import FunctionalProverCostModel, OutstandingCost
-from repro.service.traffic import TrafficGenerator
+from repro.service import ProvingService, ServiceConfig
+from repro.service.jobs import RequestClass
+from repro.service.traffic import synthesize_circuit
+from repro.traffic import OpenLoopTraffic, SLOTier, TenantSpec
 from repro.workloads import (
     CHURN_HORIZON_SLACK_S,
     ChurnEvent,
@@ -67,9 +69,25 @@ def make_cluster(**kwargs) -> ProvingCluster:
     return ProvingCluster(ClusterConfig(**defaults))
 
 
+#: one tenant whose every job is realtime with a 1 s deadline, so the
+#: whole-fleet outage below costs deadlines
+REALTIME_1S = [
+    TenantSpec(
+        "realtime",
+        weight=1.0,
+        tier=SLOTier("realtime", 1.0, 1.0, RequestClass.REALTIME),
+        quota_fraction=1.0,
+    )
+]
+
+
 def scenario_run(*, churn=TWO_NODE_CHURN, **kwargs):
-    generator = TrafficGenerator("uniform-small", seed=7)
-    jobs = generator.jobs(10)
+    # no burst window: the ten jobs arrive over ~0.8 s, so some arrive
+    # while TWO_NODE_CHURN has the whole fleet down
+    traffic = OpenLoopTraffic(
+        "uniform-small", seed=7, tenants=REALTIME_1S, max_jobs=10, burst_mult=1.0
+    )
+    jobs = list(traffic.jobs())
     with make_cluster(**kwargs) as cluster:
         records = cluster.run_scenario(jobs, churn=churn)
         return records, cluster.summary(), cluster.failed_jobs
@@ -96,18 +114,30 @@ class TestRetryDeterminism:
     def test_proof_bytes_survive_churn_and_retries(self):
         """The real fleet under a churn trace that kills both workers
         mid-prove and brings them back: every job completes, and every
-        proof equals one sync service's proof of the same stream."""
-        generator = TrafficGenerator("uniform-small", seed=7)
-        jobs = generator.jobs(10)
-        for job in jobs:
-            job.arrival_s = 0.0  # a saturated batch: both nodes busy
+        proof equals one sync service's proof of the same job.  Each job
+        carries its own witness, so the ten proofs differ and a retried
+        job's proof filed under another id would fail the check."""
+        traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
+
+        def own_witness_jobs():
+            jobs = list(traffic.jobs())
+            for witness_seed, job in enumerate(jobs, 1):
+                job.arrival_s = 0.0  # a saturated batch: both nodes busy
+                job.circuit = synthesize_circuit(
+                    job.circuit.gate_type,
+                    job.circuit.num_vars,
+                    witness_seed=witness_seed,
+                )
+            return jobs
+
+        jobs = own_witness_jobs()
         fleet = ProvingFleet(
             FleetConfig(
                 num_nodes=2,
                 policy="round_robin",
                 time_model="functional",
                 max_retries=3,
-                node=NodeConfig(max_vars=generator.max_vars()),
+                node=NodeConfig(max_vars=traffic.max_vars()),
                 run_timeout_s=180.0,
             )
         )
@@ -121,7 +151,15 @@ class TestRetryDeterminism:
         assert len(records) == 10 and not fleet.failed_jobs
         assert fleet.stats.crashes == 2
         assert fleet.events.kinds()["job_retried"] >= 1
-        assert fleet.proofs == reference_proofs(Scenario("uniform-small", 10, 7))
+        config = ServiceConfig(
+            max_vars=traffic.max_vars(),
+            srs_seed=NodeConfig.srs_seed,
+            executor="sync",
+        )
+        with ProvingService(config) as service:
+            expected = {r.job_id: r.proof for r in service.run(own_witness_jobs())}
+        assert len({canonical_text(proof) for proof in expected.values()}) == 10
+        assert fleet.proofs == expected
 
     def test_retry_counts_visible_in_metrics(self):
         records, summary, _ = scenario_run()
@@ -135,8 +173,8 @@ class TestCrashSemantics:
     def test_lost_job_excludes_failed_node(self):
         """The retried job's record lands on a different node, carries a
         bumped attempt, and remembers who lost it."""
-        generator = TrafficGenerator("uniform-small", seed=7)
-        jobs = generator.jobs(10)
+        traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
+        jobs = list(traffic.jobs())
         with make_cluster() as cluster:
             records = cluster.run_scenario(jobs, churn=STAGGERED_CHURN)
             summary = cluster.summary()
@@ -151,8 +189,8 @@ class TestCrashSemantics:
 
     def test_requeued_job_never_returns_to_loser(self):
         """With a peer always up, exclusion is strict end to end."""
-        generator = TrafficGenerator("uniform-small", seed=7)
-        jobs = generator.jobs(10)
+        traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
+        jobs = list(traffic.jobs())
         with make_cluster() as cluster:
             records = cluster.run_scenario(jobs, churn=STAGGERED_CHURN)
         excluded = {j.job_id: set(j.excluded_node_ids) for j in jobs}
@@ -162,8 +200,8 @@ class TestCrashSemantics:
     def test_exclusion_waived_rather_than_starving(self):
         """A job excluded from every surviving node is re-homed (and the
         waiver counted) instead of parking forever — the livelock guard."""
-        generator = TrafficGenerator("uniform-small", seed=7)
-        jobs = generator.jobs(10)
+        traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
+        jobs = list(traffic.jobs())
         with make_cluster() as cluster:
             records = cluster.run_scenario(jobs, churn=TWO_NODE_CHURN)
             summary = cluster.summary()
@@ -190,8 +228,8 @@ class TestCrashSemantics:
         assert summary["resilience"]["parked"] > 0
 
     def test_crash_cold_starts_the_sim_cache(self):
-        generator = TrafficGenerator("uniform-small", seed=7)
-        jobs = generator.jobs(12)
+        traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=12)
+        jobs = list(traffic.jobs())
         churn = (ChurnEvent(0.5, 0, "crash"), ChurnEvent(0.7, 0, "recover"))
         with make_cluster(num_nodes=1, policy="round_robin") as cluster:
             cluster.run_scenario(jobs, churn=churn)
@@ -208,8 +246,8 @@ class TestAutoscaler:
     def test_scales_out_under_backlog_and_back_in_when_idle(self):
         """A burst then a lull: the backlog signal grows the fleet, the
         idle stretch shrinks it back, all within the policy's bounds."""
-        generator = TrafficGenerator("zipf-mixed", seed=3)
-        jobs = generator.jobs(17)
+        traffic = OpenLoopTraffic("zipf-mixed", seed=3, max_jobs=17)
+        jobs = list(traffic.jobs())
         for job in jobs[:16]:
             job.arrival_s = 0.0  # one thundering herd...
         jobs[16].arrival_s = 20.0  # ...then a straggler after a lull
@@ -237,7 +275,7 @@ class TestAutoscaler:
 
     def test_autoscale_run_is_deterministic(self):
         def run_once():
-            generator = TrafficGenerator("zipf-mixed", seed=3)
+            traffic = OpenLoopTraffic("zipf-mixed", seed=3, max_jobs=24)
             policy = AutoscalePolicy(
                 scale_out_threshold_s=0.5,
                 scale_in_threshold_s=0.1,
@@ -247,7 +285,7 @@ class TestAutoscaler:
             with make_cluster(
                 num_nodes=1, autoscale=policy, node=NodeConfig(max_vars=6)
             ) as cluster:
-                cluster.run_scenario(generator.jobs(24), churn=())
+                cluster.run_scenario(list(traffic.jobs()), churn=())
                 return cluster.summary()
 
         assert run_once() == run_once()
@@ -256,8 +294,8 @@ class TestAutoscaler:
         """Regression: churn + autoscaler must never spin the event loop
         forever (parked work feeds the backlog signal, a dead fleet
         provisions a replacement, and ticks stop on a frozen heap)."""
-        generator = TrafficGenerator("zipf-mixed", seed=1)
-        jobs = generator.jobs(48)
+        traffic = OpenLoopTraffic("zipf-mixed", seed=1, max_jobs=48)
+        jobs = list(traffic.jobs())
         horizon = max(j.arrival_s for j in jobs) + CHURN_HORIZON_SLACK_S
         churn = trace_for_downtime(
             4, horizon, downtime_fraction=0.2, mttr_s=2.0, seed=101
@@ -346,8 +384,7 @@ class TestChurnTraces:
 
 class TestOutstandingCost:
     def test_add_release_and_signal(self):
-        generator = TrafficGenerator("uniform-small", seed=0)
-        job = generator.jobs(1)[0]
+        (job,) = OpenLoopTraffic("uniform-small", seed=0, max_jobs=1).jobs()
         tracker = OutstandingCost(FunctionalProverCostModel())
         tracker.track("a")
         tracker.track("b")
@@ -373,23 +410,22 @@ class TestScenarioVsWave:
         """With no churn and no autoscaler, the scenario path reproduces
         the closed batch's records exactly: both route each job when it
         arrives, so even load-driven routing sees the same fleet."""
-        generator = TrafficGenerator("zipf-mixed", seed=4)
+        traffic = OpenLoopTraffic("zipf-mixed", seed=4, max_jobs=16)
         with make_cluster(
             num_nodes=3, policy=policy, node=NodeConfig(max_vars=6)
         ) as scenario_cluster:
             scenario_records = scenario_cluster.run_scenario(
-                generator.jobs(16), churn=()
+                list(traffic.jobs()), churn=()
             )
-        generator = TrafficGenerator("zipf-mixed", seed=4)
         with make_cluster(
             num_nodes=3, policy=policy, node=NodeConfig(max_vars=6)
         ) as batch_cluster:
-            batch_records = batch_cluster.run(generator.jobs(16))
+            batch_records = batch_cluster.run(list(traffic.jobs()))
         assert scenario_records == batch_records
 
     def test_scenario_rejects_oversized_circuits_up_front(self):
-        generator = TrafficGenerator("jellyfish-heavy", seed=0)
-        jobs = generator.jobs(2)
+        traffic = OpenLoopTraffic("jellyfish-heavy", seed=0, max_jobs=2)
+        jobs = list(traffic.jobs())
         jobs[1].circuit.num_vars = 9  # forged
         with make_cluster(node=NodeConfig(max_vars=6)) as cluster:
             with pytest.raises(ValueError, match="exceeds"):
@@ -401,7 +437,7 @@ class TestScenarioVsWave:
         closed batch parks the job and fails it when the run drains."""
         with make_cluster(num_nodes=1) as cluster:
             cluster.router.mark_down("node-0")
-            job = TrafficGenerator("uniform-small", seed=0).jobs(1)[0]
+            job = list(OpenLoopTraffic("uniform-small", seed=0, max_jobs=1).jobs())[0]
             with pytest.raises(NoRoutableNodeError):
                 cluster.router.assign(job)
             assert cluster.run([job]) == []

@@ -25,8 +25,9 @@ from repro.cluster import ClusterConfig, ClusterEngine, NodeConfig, ProvingClust
 from repro.cluster.admission import AdmissionController, AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.fleet.scenario import Scenario, run
-from repro.service.traffic import TrafficGenerator
 from repro.sim import Simulator
+from repro.traffic import OpenLoopTraffic
+from repro.workloads import scenario_by_name
 
 #: the run-scoped objects a finished run must free, by the name a
 #: test reports them under
@@ -95,7 +96,6 @@ CELLS = {
             churn_rate=0.1,
             churn_seed=2,
             carbon=CarbonConfig(CarbonIntensityTrace(seed=2), policy="none"),
-            open_loop=True,
             rate_rps=40.0,
             horizon_s=15.0,
             admission=AdmissionPolicy(window_s=10.0),
@@ -149,7 +149,7 @@ def exercised(cell: str, summary: dict) -> bool:
         return summary["resilience"]["autoscale"]["scale_outs"] >= 1
     if cell == "capped_edd":
         return summary["carbon"]["cap_deferrals"] >= 1
-    return summary["shed"] > 0 and summary["carbon"]["energy_j"] > 0
+    return summary["traffic"]["shed"] > 0 and summary["carbon"]["energy_j"] > 0
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -169,11 +169,11 @@ def test_a_kept_result_keeps_no_run_alive(cell, made, no_cyclic_gc):
 
 def batch(seed: int) -> list:
     """A fresh 24-job zipf-mixed closed batch (runs stamp its jobs)."""
-    return TrafficGenerator("zipf-mixed", seed=seed).jobs(24)
+    return list(OpenLoopTraffic("zipf-mixed", seed=seed, max_jobs=24).jobs())
 
 
 def cluster() -> ProvingCluster:
-    max_vars = TrafficGenerator("zipf-mixed").max_vars()
+    max_vars = scenario_by_name("zipf-mixed").max_log2_gates
     config = ClusterConfig(num_nodes=3, node=NodeConfig(max_vars=max_vars))
     return ProvingCluster(config)
 

@@ -38,7 +38,8 @@ from repro.hyperplonk import (
     TrapdoorSRS,
     preprocess,
 )
-from repro.service.traffic import TrafficGenerator
+from repro.traffic import OpenLoopTraffic, default_tenants
+from repro.workloads import SCENARIOS
 
 
 def lifecycle_cell(policy: str, max_retries: int) -> Scenario:
@@ -53,6 +54,7 @@ def lifecycle_cell(policy: str, max_retries: int) -> Scenario:
         churn_rate=0.3,
         churn_mttr=2.0,
         churn_seed=101,
+        burst_mult=1.0,
         autoscale=AutoscalePolicy(
             scale_out_threshold_s=0.5,
             scale_in_threshold_s=0.05,
@@ -76,7 +78,6 @@ def open_loop_cell(seed: int) -> Scenario:
         churn_rate=0.1,
         churn_seed=seed,
         carbon=CarbonConfig(CarbonIntensityTrace(seed=seed), policy="none"),
-        open_loop=True,
         rate_rps=rate_rps,
         # sizes the churn trace; every job arrives well before it
         horizon_s=jobs / rate_rps,
@@ -97,19 +98,22 @@ class TestRecordedCells:
         "cell", sorted(LIFECYCLE), ids=lambda cell: f"{cell[0]}-{cell[1]}"
     )
     def test_lifecycle_golden(self, cell):
+        """The cluster blocks of the summary are the pinned
+        ``ProvingCluster.summary``; ``traffic`` rides beside them."""
         result = run(lifecycle_cell(*cell))
-        assert sha256(summary_text(result.summary)) == pinned(
-            f"{LIFECYCLE[cell]}/summary"
-        )
+        summary = dict(result.summary)
+        assert summary.pop("traffic")["offered"] == 120
+        assert sha256(summary_text(summary)) == pinned(f"{LIFECYCLE[cell]}/summary")
         assert sha256(result.events.to_jsonl()) == pinned(f"{LIFECYCLE[cell]}/events")
 
     @pytest.mark.parametrize("seed", sorted(OPEN_LOOP))
     def test_open_loop_golden(self, seed):
+        """The ``traffic`` block, with the carbon block the cluster's
+        summary carries, is the pinned ``traffic_summary``."""
         result = run(open_loop_cell(seed))
         assert sha256(result.events.to_jsonl()) == pinned(f"{OPEN_LOOP[seed]}/events")
-        assert sha256(summary_text(result.summary)) == pinned(
-            f"{OPEN_LOOP[seed]}/summary"
-        )
+        stream = {**result.summary["traffic"], "carbon": result.summary["carbon"]}
+        assert sha256(summary_text(stream)) == pinned(f"{OPEN_LOOP[seed]}/summary")
 
 
 def carbon(**kwargs) -> CarbonConfig:
@@ -236,14 +240,15 @@ class TestRules:
     @pytest.mark.parametrize(
         "kwargs, flag",
         [
-            ({"admission": AdmissionPolicy()}, "--admission"),
-            ({"open_loop": True, "autoscale": AutoscalePolicy()}, "--autoscale"),
-            ({"open_loop": True, "churn_rate": 0.2}, "--horizon-s"),
+            (
+                {"admission": AdmissionPolicy(), "autoscale": AutoscalePolicy()},
+                "--autoscale",
+            ),
             ({"carbon": CarbonConfig(None, "carbon_waiting")}, "--carbon-trace"),
             ({"carbon": CarbonConfig(None, power_cap_w=900.0)}, "--carbon-trace"),
             ({"carbon": carbon(power_cap_w=100.0)}, "--power-cap"),
             ({"jobs": None}, "jobs=None"),
-            ({"jobs": None, "open_loop": True}, "jobs=None"),
+            ({"jobs": None, "rate_rps": 5.0}, "jobs=None"),
         ],
     )
     def test_conflicts_raise_naming_the_flag(self, kwargs, flag):
@@ -264,9 +269,13 @@ class TestRules:
         with pytest.raises(ValueError, match="--power-cap"):
             Scenario(carbon=carbon(power=SMALL_POWER, power_cap_w=59.0))
 
-    def test_open_loop_settings_are_inert_in_a_closed_batch(self):
-        closed = Scenario(jobs=12, nodes=2, rate_rps=5.0, horizon_s=3.0)
-        assert run(closed).summary == run(Scenario(jobs=12, nodes=2)).summary
+    def test_open_loop_churn_is_sized_past_the_last_arrival(self):
+        """Without a horizon, an open loop's churn trace runs to the last
+        arrival plus the slack, as a closed batch's does."""
+        cell = Scenario(jobs=40, nodes=2, rate_rps=8.0, churn_rate=0.2)
+        stream = run(cell).summary["traffic"]
+        assert stream["offered"] == 40
+        assert stream["completed"] + stream["failed"] == 40
 
     def test_autoscale_ceiling_is_raised_to_the_starting_fleet(self):
         def cell(max_nodes):
@@ -282,7 +291,7 @@ class TestRuntimes:
         settings = {
             "autoscale": AutoscalePolicy(),
             "carbon": carbon(),
-            "open_loop": True,
+            "admission": AdmissionPolicy(),
         }
         with pytest.raises(ValueError, match=f"Scenario.{name} is a sim-only"):
             run(Scenario(**{name: settings[name]}), runtime="fleet")
@@ -340,9 +349,10 @@ class TestRuntimes:
         fleet = calm_fleet_run(cell)
         sim = run(cell)
         assert fleet.proofs == reference_proofs(cell) and len(fleet.proofs) == 4
-        generator = TrafficGenerator(cell.scenario, seed=cell.seed)
-        circuits = {job.job_id: job.circuit for job in generator.jobs(cell.jobs)}
-        srs = TrapdoorSRS(generator.max_vars(), random.Random(NodeConfig.srs_seed))
+        traffic = cell.traffic()
+        # the runtimes stamp job ids in stream order
+        circuits = dict(enumerate(job.circuit for job in traffic.jobs()))
+        srs = TrapdoorSRS(traffic.max_vars(), random.Random(NodeConfig.srs_seed))
         kzg = MultilinearKZG(srs)
         for job_id, proof in fleet.proofs.items():
             _, vidx = preprocess(circuits[job_id], kzg)
@@ -394,3 +404,67 @@ class TestPacing:
         assert self.handed(cell, "fleet", monkeypatch) == sim
         # only a calm batch that does not respect arrivals runs saturated
         assert any(sim) == (respect or churn_rate > 0)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"respect_arrivals": True},
+            {"horizon_s": 60.0},
+            {"admission": AdmissionPolicy()},
+        ],
+        ids=["respect", "horizon", "admission"],
+    )
+    def test_a_paced_stream_keeps_its_arrivals(self, shape, monkeypatch):
+        cell = Scenario(jobs=8, nodes=2, **shape)
+        assert cell.paced
+        stream = [job.arrival_s for job in cell.traffic().jobs()]
+        assert self.handed(cell, "sim", monkeypatch) == stream and any(stream)
+
+    def test_the_rate_shapes_the_stream_and_does_not_pace_it(self, monkeypatch):
+        """Naming the scenario's own rate draws the same stream and runs
+        it the same way as leaving the rate unset."""
+        default = Scenario(jobs=8, nodes=2)
+        named = replace(default, rate_rps=SCENARIOS[default.scenario].rate_rps)
+        assert not named.paced
+        assert run(named).summary == run(default).summary
+        assert self.handed(named, "sim", monkeypatch) == [0.0] * 8
+
+
+class TestOneStream:
+    """A closed batch is the job stream bounded by its job count: the
+    jobs :func:`run` hands the engine and the records it returns carry
+    the first ``n`` stream jobs' tenants, tags, classes and deadlines,
+    in stream order (job ids are stamped in that order)."""
+
+    @staticmethod
+    def check(name: str, seed: int, monkeypatch, n: int = 12) -> None:
+        handed = []
+        engine_run = ClusterEngine.run
+
+        def capture(self, jobs, *, churn=()):
+            jobs = list(jobs)
+            handed.extend(
+                (j.tenant, j.tag, j.request_class, j.deadline_s) for j in jobs
+            )
+            return engine_run(self, jobs, churn=churn)
+
+        monkeypatch.setattr(ClusterEngine, "run", capture)
+        result = run(Scenario(name, n, seed, nodes=2))
+        stream = list(OpenLoopTraffic(name, seed=seed, max_jobs=n).jobs())
+        assert handed == [
+            (j.tenant, j.tag, j.request_class, j.deadline_s) for j in stream
+        ]
+        records = sorted(result.records, key=lambda r: r.job_id)
+        assert [(r.job_id, r.tag, r.deadline_s) for r in records] == [
+            (i, j.tag, j.deadline_s) for i, j in enumerate(stream)
+        ]
+        tiers = {t.name: t.tier for t in default_tenants(Scenario.tenants)}
+        for j in stream:
+            tier = tiers[j.tenant]
+            assert j.request_class is tier.request_class
+            assert j.deadline_s - j.arrival_s == pytest.approx(tier.deadline_slack_s)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_closed_batch_is_the_bounded_stream(self, name, seed, monkeypatch):
+        self.check(name, seed, monkeypatch)

@@ -15,7 +15,8 @@ import pytest
 import repro
 from repro.hyperplonk.preprocess import circuit_fingerprint
 from repro.service.core import ProvingService, ServiceConfig
-from repro.service.traffic import GATE_TYPES, TrafficGenerator, synthesize_circuit
+from repro.service.traffic import GATE_TYPES, synthesize_circuit
+from repro.traffic import OpenLoopTraffic
 from repro.service.workers import (
     ProveTask,
     WorkerState,
@@ -27,7 +28,7 @@ MAX_VARS = 4
 
 
 def tasks(n: int, start_id: int = 0) -> list[ProveTask]:
-    jobs = TrafficGenerator("uniform-small", seed=3).jobs(n)
+    jobs = list(OpenLoopTraffic("uniform-small", seed=3, max_jobs=n).jobs())
     return [
         ProveTask(
             job_id=start_id + i,
@@ -137,8 +138,7 @@ class TestProcessExecutor:
             yield svc
 
     def test_two_batches_one_srs_construction(self, service):
-        generator = TrafficGenerator("uniform-small", seed=3)
-        jobs = generator.jobs(4)
+        jobs = list(OpenLoopTraffic("uniform-small", seed=3, max_jobs=4).jobs())
         first = service.run(jobs[:2])
         second = service.run(jobs[2:])
         assert len(first) == 2 and len(second) == 2

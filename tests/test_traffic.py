@@ -183,6 +183,27 @@ class TestOpenLoopTraffic:
         with pytest.raises(ValueError, match="rate_rps"):
             OpenLoopTraffic(SCENARIO, rate_rps=0.0, max_jobs=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in (
+                "rate_rps",
+                "diurnal_period_s",
+                "burst_duration_s",
+                "horizon_s",
+            )
+            for value in (math.nan, math.inf, 0.0, -1.0)
+        ]
+        + [("burst_mult", math.nan), ("burst_mult", math.inf)],
+    )
+    def test_non_finite_or_non_positive_parameter_is_rejected(self, field, value):
+        """Construction alone raises, naming the field: a NaN or infinite
+        rate, period or duration would spin the thinning loop forever,
+        and a NaN horizon would never end a horizon-bounded stream."""
+        with pytest.raises(ValueError, match=field):
+            OpenLoopTraffic(SCENARIO, **{"horizon_s": 10.0, field: value})
+
 
 def weight_lists():
     """Every weight list a committed record's stream draws from."""
@@ -222,11 +243,10 @@ class TestWeightedTable:
 
 
 class TestClosedBatchStream:
-    """The closed-batch ``TrafficGenerator`` stream feeds every service,
-    cluster and fleet run; its draws go through the same
-    :class:`WeightedTable` as the open-loop stream.  The digest
-    (``traffic/`` in ``tests/goldens.json``) was recorded when the
-    generator still drew with ``rng.choices``."""
+    """A closed batch is the job stream bounded by a job count: the pin
+    (``traffic/`` in ``tests/goldens.json``) holds the first 64 jobs of
+    the ``zipf-mixed`` stream — arrival, tag, class, deadline, circuit
+    fingerprint and tenant of each."""
 
     def test_zipf_mixed_stream_digest(self):
         assert sha256(closed_stream_text()) == pinned("traffic/zipf-mixed")
@@ -647,7 +667,6 @@ class TestOpenLoopCli:
         [
             ["--admission"],  # requires --open-loop
             ["--open-loop", "--autoscale"],
-            ["--open-loop", "--churn-rate", "0.2"],  # needs --horizon-s
             ["--open-loop", "--tenants", "0"],
             ["--open-loop", "--rate-rps", "0"],
             ["--open-loop", "--horizon-s", "-1"],

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.carbon import CarbonIntensityTrace
 from repro.cluster import FleetTimeModel, NodeConfig
 from repro.cluster.nodes import ProverNode
-from repro.service.traffic import TrafficGenerator
 from repro.traffic import OpenLoopTraffic
 
 SCENARIO = "uniform-small"
@@ -132,8 +131,8 @@ class TestSuspendResumeProperty:
         except for wall placement (finish/suspended seconds)."""
         time_model = FleetTimeModel.preset("functional")
         config = NodeConfig(max_vars=6)
-        job_a = TrafficGenerator(SCENARIO, seed=4).jobs(8)[job_index]
-        job_b = TrafficGenerator(SCENARIO, seed=4).jobs(8)[job_index]
+        job_a = list(OpenLoopTraffic(SCENARIO, seed=4, max_jobs=8).jobs())[job_index]
+        job_b = list(OpenLoopTraffic(SCENARIO, seed=4, max_jobs=8).jobs())[job_index]
         job_a.job_id = job_b.job_id = 0
 
         baseline_node = ProverNode("node-0", config)
