@@ -67,7 +67,7 @@ def run_cell(policy: str, *, threshold: float | None = None) -> dict:
         ),
     )
     with ProvingCluster(config) as cluster:
-        records = cluster.run_scenario(jobs)
+        records = cluster.run(jobs)
         carbon = cluster.summary()["carbon"]
         gold = [r for r in records if r.deadline_s - r.arrival_s < GOLD_GAP_S]
         batch = [r for r in records if r.deadline_s - r.arrival_s >= GOLD_GAP_S]

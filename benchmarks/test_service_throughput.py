@@ -58,7 +58,7 @@ ACCEPTANCE_JOBS = 8
 SRS_SEED = 0x5EED
 
 
-def run_scenario_row(name: str, jobs: int, wave_s: float) -> dict:
+def run_traffic_row(name: str, jobs: int, wave_s: float) -> dict:
     traffic = OpenLoopTraffic(name, seed=1, max_jobs=jobs)
     config = ServiceConfig(max_vars=traffic.max_vars(), executor="sync")
     with ProvingService(config) as service:
@@ -211,7 +211,7 @@ class TestProvingServiceBench:
     def test_throughput_and_emit(self):
         """The headline run: two traffic scenarios + the same-circuit
         naive-vs-service acceptance, recorded to BENCH_service.json."""
-        scenarios = [run_scenario_row(*row) for row in SCENARIO_MATRIX]
+        scenarios = [run_traffic_row(*row) for row in SCENARIO_MATRIX]
         for row in scenarios:
             assert row["info"]["throughput_proofs_per_s"] > 0
             assert 0.0 <= row["ratio"]["cache_hit_rate"] <= 1.0

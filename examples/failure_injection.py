@@ -84,16 +84,15 @@ def main() -> None:
     print("-" * len(header))
     for name, summary in variants.items():
         deadlines = summary.get("deadlines", {})
-        resilience = summary.get("resilience") or {}
-        autoscale = resilience.get("autoscale", {})
+        resilience = summary["resilience"]  # every run has one
         print(
             f"{name:<26} {summary['jobs']:>5} "
-            f"{resilience.get('failed_jobs', 0):>6} "
+            f"{resilience['failed_jobs']:>6} "
             f"{deadlines.get('miss_rate', 0.0) * 100:>5.1f}% "
-            f"{resilience.get('retries', 0):>7} "
-            f"{resilience.get('crashes', 0):>7} "
+            f"{resilience['retries']:>7} "
+            f"{resilience['crashes']:>7} "
             f"{summary['model']['latency_s']['p95']:>7.3f}s "
-            f"{autoscale.get('scale_outs', 0):>6}"
+            f"{resilience['autoscale']['scale_outs']:>6}"
         )
     dropped = variants["churn, no retry"]["resilience"]["failed_jobs"]
     print(

@@ -26,8 +26,9 @@ coupled layers:
   streams over N prover nodes under ``round_robin`` / ``least_loaded``
   / ``affinity`` policies, with consistent hashing on the circuit
   fingerprint keeping same-circuit traffic (and its index-cache wins)
-  on one node, and a failure-aware scenario path — seeded node churn,
-  deterministic crash retries, plan-cost-driven autoscaling
+  on one node, and failure-aware runs through the same entry point —
+  seeded node churn, deterministic crash retries, plan-cost-driven
+  autoscaling
   (DESIGN.md §7–§8, ``BENCH_cluster.json``, ``BENCH_resilience.json``);
 * **one job stream** (``repro.traffic``) —
   :class:`~repro.traffic.OpenLoopTraffic` draws every job any layer

@@ -21,11 +21,13 @@ drain**, run on the :mod:`repro.sim` discrete-event engine:
   prove seconds plus host-side index-install seconds on cache misses;
 * :mod:`repro.cluster.metrics` — :func:`cluster_summary`: makespan,
   throughput, load imbalance, install share, cache locality, shape
-  spread, deadline misses, retry latency, resilience counters;
+  spread, resilience counters after every run, retry latency after a
+  crash and deadline misses once arrivals are paced (one rule,
+  :func:`~repro.cluster.metrics.run_blocks`, shared with the real fleet);
 * :mod:`repro.cluster.core` — :class:`ProvingCluster` tying it together
-  (``run`` for the closed batch, ``run_scenario`` for churn and the
-  resilience section; both route each job at its ``arrival_s``, so a
-  stream with every arrival zero is an arrivals-ignored batch).
+  (``run``, the one entry point, with or without churn; it routes each
+  job at its ``arrival_s``, so a stream with every arrival zero is an
+  arrivals-ignored batch).
 
 Demo CLI: ``python -m repro.cluster --scenario zipf-mixed --nodes 1,2,4``
 (also installed as ``repro-cluster``; add ``--churn-rate 0.2`` for the

@@ -8,15 +8,16 @@ proven: ``runtime="fleet"`` (:func:`repro.fleet.scenario.run`) proves the
 same scenario on real worker processes and measures the cache hit rates
 and install seconds this model predicts.
 
-Every run is driven by the discrete-event
-:class:`~repro.cluster.engine.ClusterEngine` on :mod:`repro.sim`, which
-routes each job at its ``arrival_s``.  :meth:`ProvingCluster.run` is the
-closed batch — no churn, and a summary without a resilience section —
-and :meth:`run_scenario` is the failure-aware path: node churn from a
-seeded trace, deterministic retry/requeue that excludes the failed node,
-optional plan-cost-driven autoscaling (:class:`~repro.cluster.autoscale.\
-AutoscalePolicy`), and the resilience section in :meth:`summary`.  To
-ignore arrivals, hand either one a stream with every ``arrival_s`` zero.
+Every run goes through the one entry point, :meth:`ProvingCluster.run`,
+driven by the discrete-event :class:`~repro.cluster.engine.ClusterEngine`
+on :mod:`repro.sim`, which routes each job at its ``arrival_s``.  A run
+may take node churn from a seeded trace, with deterministic
+retry/requeue that excludes the failed node, and plan-cost-driven
+autoscaling (:class:`~repro.cluster.autoscale.AutoscalePolicy`).
+:meth:`summary` takes its optional blocks from the run's own data, by
+the rule the real fleet's summary shares
+(:func:`~repro.cluster.metrics.run_blocks`).  To ignore arrivals, hand
+:meth:`run` a stream with every ``arrival_s`` zero.
 
 Nodes can be added or removed between runs; the affinity policy's
 consistent-hash ring then moves only the ~K/N fingerprints that land on
@@ -32,6 +33,7 @@ from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.metrics import cluster_summary
 from repro.cluster.nodes import JobRecord, NodeConfig, ProverNode
+from repro.cluster.records import ResilienceStats
 from repro.cluster.routing import DEFAULT_REPLICAS, ClusterRouter
 from repro.cluster.timemodel import FleetTimeModel
 from repro.service.jobs import ProofJob
@@ -56,10 +58,10 @@ class ClusterConfig:
     node: NodeConfig = dc_field(default_factory=NodeConfig)
     #: virtual points per node on the affinity hash ring
     replicas: int = DEFAULT_REPLICAS
-    #: crash-retry budget per job in :meth:`ProvingCluster.run_scenario`
-    #: (a job lost to its ``max_retries + 1``-th crash is failed)
+    #: crash-retry budget per job under churn (a job lost to its
+    #: ``max_retries + 1``-th crash is failed)
     max_retries: int = 2
-    #: plan-cost-driven fleet sizing for scenario runs (None = fixed)
+    #: plan-cost-driven fleet sizing (None = fixed)
     autoscale: AutoscalePolicy | None = None
     #: carbon/power accounting and policies (None = carbon-free run): a
     #: :class:`repro.carbon.CarbonConfig`, which attaches its own
@@ -70,20 +72,13 @@ class ClusterConfig:
 class ProvingCluster:
     """A router plus N prover nodes; see the module docstring."""
 
-    def __init__(
-        self,
-        config: ClusterConfig | None = None,
-        *,
-        time_model: FleetTimeModel | None = None,
-    ):
+    def __init__(self, config: ClusterConfig | None = None):
         self.config = config = config or ClusterConfig()
         if config.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         if config.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if time_model is None:
-            time_model = FleetTimeModel.preset(config.time_model)
-        self.time_model = time_model
+        self.time_model = time_model = FleetTimeModel.preset(config.time_model)
         self.nodes: dict[str, ProverNode] = {}
         self._retired: list[ProverNode] = []
         self._next_node = 0
@@ -98,10 +93,10 @@ class ProvingCluster:
             replicas=config.replicas,
         )
         self.records: list[JobRecord] = []
-        #: jobs dropped by scenario runs (retries exhausted / stranded)
+        #: jobs dropped by runs (retries exhausted / stranded)
         self.failed_jobs: list[ProofJob] = []
-        #: resilience section of the last scenario run (None = none ran)
-        self.resilience: dict | None = None
+        #: resilience section, summed over every run on this cluster
+        self.resilience: dict = ResilienceStats().as_dict()
         #: structured event log of the last run (shared fleet schema;
         #: None until one ran)
         self.events: EventLog | None = None
@@ -155,63 +150,41 @@ class ProvingCluster:
         return job_id
 
     def run(
-        self, jobs: Iterable[ProofJob], *, engine: ClusterEngine | None = None
-    ) -> list[JobRecord]:
-        """Closed batch: route each job at its ``arrival_s``, no churn.
-
-        Returns this run's records in finish order; the summary gains no
-        resilience section (:meth:`run_scenario` adds one).  Nodes keep
-        their clocks and caches across runs.  ``engine`` is the engine to
-        drive (default a fresh :class:`ClusterEngine`; an
-        :class:`~repro.traffic.OpenLoopEngine` checks each job's fit as
-        it arrives, so it may pull ``jobs`` lazily).
-        """
-        return self._run(jobs, (), engine).records
-
-    def run_scenario(
         self,
         jobs: Iterable[ProofJob],
         *,
         churn: Iterable[ChurnEvent] = (),
         engine: ClusterEngine | None = None,
     ) -> list[JobRecord]:
-        """Failure-aware run: arrival-driven routing, churn, retries.
+        """Route each job at its ``arrival_s``, under ``churn``.
 
         The churn trace crashes and recovers nodes by initial index;
         ``config.max_retries`` bounds per-job crash retries and
         ``config.autoscale`` (if set) resizes the fleet.  Completed
-        records are returned; dropped jobs land in :attr:`failed_jobs`
-        and the run's failure/autoscale accounting in :attr:`resilience`
-        (both folded into :meth:`summary`).  ``engine`` as in :meth:`run`.
+        records are returned in finish order; dropped jobs land in
+        :attr:`failed_jobs` and the run's failure/autoscale counters are
+        added to :attr:`resilience` (both folded into :meth:`summary`).
+        Nodes keep their clocks and caches across runs.  ``engine`` is
+        the engine to drive (default a fresh :class:`ClusterEngine`,
+        which checks every job's fit before the run starts; an
+        :class:`~repro.traffic.OpenLoopEngine` checks each job as it
+        arrives, so it may pull ``jobs`` lazily).
         """
-        engine = self._run(jobs, churn, engine)
-        stats = engine.stats.as_dict()
-        if self.resilience is None:
-            self.resilience = stats
-        else:  # accumulate across scenario runs on one cluster
-            merged = self.resilience
-            for key, value in stats.items():
-                if isinstance(value, (int, float)):
-                    merged[key] = round(merged[key] + value, 6)
-            merged["autoscale"]["scale_outs"] += stats["autoscale"]["scale_outs"]
-            merged["autoscale"]["scale_ins"] += stats["autoscale"]["scale_ins"]
-            merged["autoscale"]["actions"].extend(stats["autoscale"]["actions"])
-        return engine.records
-
-    def _run(
-        self,
-        jobs: Iterable[ProofJob],
-        churn: Iterable[ChurnEvent],
-        engine: ClusterEngine | None,
-    ) -> ClusterEngine:
         if engine is None:
+            jobs = list(jobs)  # the fit check must not use up a generator
             for job in jobs:
                 self.check_fits(job)
             engine = ClusterEngine(self)
         engine.run(jobs, churn=churn)
         self.events = engine.events
         self.carbon = engine.carbon
-        return engine
+        # accumulate across runs on one cluster
+        stats = engine.stats.as_dict()
+        for key, value in stats.pop("autoscale").items():
+            self.resilience["autoscale"][key] += value  # actions: extended
+        for key, value in stats.items():
+            self.resilience[key] = round(self.resilience[key] + value, 6)
+        return engine.records
 
     # -- reporting ----------------------------------------------------------
     def _all_nodes(self) -> list[ProverNode]:
@@ -219,7 +192,8 @@ class ProvingCluster:
         return self._retired + active
 
     def summary(self) -> dict:
-        """One dict of model/cache/routing (and resilience) metrics."""
+        """One dict of model/cache/routing/resilience metrics, plus
+        ``deadlines`` and ``retries`` when the runs' data calls for them."""
         return cluster_summary(
             self._all_nodes(),
             self.records,
@@ -227,12 +201,6 @@ class ProvingCluster:
             time_model=self.time_model.name,
             failed_jobs=self.failed_jobs,
             resilience=self.resilience,
-            # deadlines mean something once arrivals are paced: after a
-            # scenario run, or when any job arrived after t=0
-            deadlines=(
-                self.resilience is not None
-                or any(record.arrival_s for record in self.records)
-            ),
             carbon=(
                 self.carbon.as_dict(self.records, self._all_nodes())
                 if self.carbon is not None

@@ -14,12 +14,14 @@
   *shape spread*: the mean number of nodes that saw each circuit
   structure (1.0 = perfect affinity, ≈N = every shape installed
   everywhere);
-* ``deadlines`` (paced streams and scenario runs) — :func:`deadline_stats`:
+* the blocks a run's own data decides (:func:`run_blocks`, the one
+  rule the sim's and the real fleet's summaries share): ``resilience``
+  after every run — the crash/recovery/requeue/autoscale counters;
+  ``deadlines`` when some job arrived after t=0 — :func:`deadline_stats`:
   how many deadline-carrying jobs finished late, with dropped jobs
-  counted as misses — the headline the resilience benchmark gates on;
-* ``retries`` / ``resilience`` (scenario runs) — :func:`retry_stats`
-  latency accounting for crash-retried jobs, plus the engine's
-  crash/recovery/requeue/autoscale counters.
+  counted as misses, the headline the resilience benchmark gates on;
+  ``retries`` when a node crashed — :func:`retry_stats` latency
+  accounting for crash-retried jobs.
 
 The open-loop traffic summary and the real fleet's summary build the
 same blocks from :func:`records_summary` and :func:`install_split`.
@@ -144,15 +146,28 @@ def retry_stats(records: list[JobRecord]) -> dict:
     }
 
 
+def run_blocks(records: list[JobRecord], failed_jobs: list, resilience: dict) -> dict:
+    """The summary blocks a finished run's own data decides, for the sim
+    and the real fleet alike, in this order: ``resilience`` (with at
+    least a ``crashes`` counter) always, ``deadlines`` once arrivals are
+    paced (some record arrived after t=0), ``retries`` only when a node
+    crashed."""
+    doc = {"resilience": resilience}
+    if any(record.arrival_s for record in records):
+        doc["deadlines"] = deadline_stats(records, failed_jobs)
+    if resilience["crashes"]:
+        doc["retries"] = retry_stats(records)
+    return doc
+
+
 def cluster_summary(
     nodes: list[ProverNode],
     records: list[JobRecord],
     *,
     policy: str,
     time_model: str,
-    failed_jobs: list | None = None,
-    resilience: dict | None = None,
-    deadlines: bool = False,
+    failed_jobs: list,
+    resilience: dict,
     carbon: dict | None = None,
 ) -> dict:
     """One summary dict over a finished cluster run."""
@@ -185,11 +200,7 @@ def cluster_summary(
             "shape_spread": round(shape_spread(nodes), 4),
         },
     }
-    if deadlines:
-        doc["deadlines"] = deadline_stats(records, failed_jobs or [])
-    if resilience is not None:
-        doc["retries"] = retry_stats(records)
-        doc["resilience"] = resilience
+    doc.update(run_blocks(records, failed_jobs, resilience))
     if carbon is not None:
         doc["carbon"] = carbon
     return doc

@@ -570,7 +570,16 @@ class ProvingFleet(Dispatcher):
             busy[record.node_id] += record.install_model_s + record.prove_model_s
             jobs[record.node_id] += 1
             hits += record.cache_hit
-        doc = {
+        resilience = {
+            "crashes": stats.crashes,
+            "retries": stats.retries,
+            "requeues": stats.requeues,
+            "parked": stats.parked,
+            "exclusion_waivers": stats.exclusion_waivers,
+            "failed_jobs": len(self.failed_jobs),
+            "lost_wall_s": round(stats.lost_model_s, 6),
+        }
+        return {
             "policy": self.config.policy,
             "nodes": self.config.num_nodes,
             "jobs": len(records),
@@ -586,19 +595,6 @@ class ProvingFleet(Dispatcher):
                 "hit_rate": round(hits / len(records), 4) if records else 0.0,
             },
             "routing": {"jobs_per_node": dict(sorted(jobs.items()))},
-            "resilience": {
-                "crashes": stats.crashes,
-                "retries": stats.retries,
-                "requeues": stats.requeues,
-                "parked": stats.parked,
-                "exclusion_waivers": stats.exclusion_waivers,
-                "failed_jobs": len(self.failed_jobs),
-                "lost_wall_s": round(stats.lost_model_s, 6),
-            },
+            # the optional blocks, by the sim's rule (ProvingCluster.summary)
+            **metrics.run_blocks(records, self.failed_jobs, resilience),
         }
-        # once arrivals are paced, as in ProvingCluster.summary
-        if any(record.arrival_s for record in records):
-            doc["deadlines"] = metrics.deadline_stats(records, self.failed_jobs)
-        if stats.crashes:
-            doc["retries"] = metrics.retry_stats(records)
-        return doc

@@ -185,7 +185,10 @@ class Scenario:
 
     @property
     def failure_aware(self) -> bool:
-        """Churn or autoscaling: the summary gains a resilience section."""
+        """Churn or autoscaling: the run keeps its arrivals (:attr:`paced`)
+        and the CLI prints its resilience table.  The summary's blocks do
+        not read it: they follow the run's own data (``retries`` after a
+        crash, ``deadlines`` once paced)."""
         return self.churn_rate > 0 or self.autoscale is not None
 
     @property
@@ -279,10 +282,7 @@ def run(scenario: Scenario, *, runtime: str = "sim", **fleet) -> ScenarioResult:
     if admission is not None:
         admission = make_admission(cluster, admission, traffic.tenants)
     engine = OpenLoopEngine(cluster, traffic, admission=admission)
-    if scenario.failure_aware:
-        records = cluster.run_scenario(jobs, churn=churn, engine=engine)
-    else:
-        records = cluster.run(jobs, engine=engine)
+    records = cluster.run(jobs, churn=churn, engine=engine)
     stream = traffic_summary(engine)
     stream.pop("carbon", None)  # the cluster's block carries the same
     summary = {**cluster.summary(), "traffic": stream}

@@ -204,7 +204,7 @@ def lifecycle_cell(policy: str, max_retries: int) -> dict:
         node=NodeConfig(max_vars=traffic.max_vars()),
     )
     with ProvingCluster(config) as cluster:
-        cluster.run_scenario(jobs, churn=churn)
+        cluster.run(jobs, churn=churn)
         return {"summary": cluster.summary(), "events": cluster.events.to_jsonl()}
 
 
@@ -309,13 +309,13 @@ def make_jobs() -> list:
     return list(islice(traffic.jobs(), 10_000))
 
 
-def run_capped_cell(policy: str, jobs: int, churn: bool) -> dict:
+def capped_cluster(policy: str, jobs: int, churn: bool) -> ProvingCluster:
     """An *active* start gate end to end: ``policy`` under a power cap
     that admits one busy node of the two (350 + 42 W against 400 W),
     over the first ``jobs`` jobs of the shared stream — holds, cap
     deferrals and phase-boundary parking all fire, and with ``churn``
-    nodes crash under parked and parking jobs.  Returns the summary, the
-    JSONL event log and the run's counters."""
+    nodes crash under parked and parking jobs.  Returns the cluster
+    after the run."""
     config = ClusterConfig(
         num_nodes=NODES,
         policy="least_loaded",
@@ -335,18 +335,24 @@ def run_capped_cell(policy: str, jobs: int, churn: bool) -> dict:
         else ()
     )
     with ProvingCluster(config) as cluster:
-        cluster.run_scenario(make_jobs()[:jobs], churn=trace)
-        summary = cluster.summary()
-        carbon = summary["carbon"]
-        return {
-            "summary": summary,
-            "events": cluster.events.to_jsonl(),
-            "resilience": {
-                key: cluster.resilience[key]
-                for key in ("crashes", "retries", "requeues", "failed_jobs")
-            },
-            "gate": {key: carbon[key] for key in GATE_COUNTERS},
-        }
+        cluster.run(make_jobs()[:jobs], churn=trace)
+        return cluster
+
+
+def run_capped_cell(policy: str, jobs: int, churn: bool) -> dict:
+    """:func:`capped_cluster`'s summary, JSONL event log and counters."""
+    cluster = capped_cluster(policy, jobs, churn)
+    summary = cluster.summary()
+    carbon = summary["carbon"]
+    return {
+        "summary": summary,
+        "events": cluster.events.to_jsonl(),
+        "resilience": {
+            key: cluster.resilience[key]
+            for key in ("crashes", "retries", "requeues", "failed_jobs")
+        },
+        "gate": {key: carbon[key] for key in GATE_COUNTERS},
+    }
 
 
 # -- CI's repro-cluster smoke invocations ------------------------------------

@@ -12,6 +12,7 @@ import math
 import random
 
 import pytest
+from goldens import capped_cluster
 
 from repro.carbon import (
     CARBON_POLICIES,
@@ -365,7 +366,7 @@ class TestSuspendResume:
         deferrable job at its next checkpoint, then it resumes and both
         proofs complete with no busy seconds lost."""
         with ProvingCluster(_cap_config()) as cluster:
-            records = cluster.run_scenario(_suspend_jobs())
+            records = cluster.run(_suspend_jobs())
             events = cluster.events
             carbon = cluster.carbon
         assert len(records) == 2 and not cluster.failed_jobs
@@ -398,7 +399,7 @@ class TestSuspendResume:
         runs = []
         for _ in range(2):
             with ProvingCluster(_cap_config()) as cluster:
-                records = cluster.run_scenario(_suspend_jobs())
+                records = cluster.run(_suspend_jobs())
                 runs.append(
                     (records, cluster.events.events, cluster.summary())
                 )
@@ -413,7 +414,7 @@ class TestSuspendResume:
 
         def work(carbon: bool) -> tuple[int, dict]:
             with ProvingCluster(_cap_config(carbon=carbon)) as cluster:
-                records = cluster.run_scenario(_suspend_jobs())
+                records = cluster.run(_suspend_jobs())
                 suspends = cluster.carbon.suspends if carbon else 0
             return suspends, {
                 r.job_id: (
@@ -439,7 +440,7 @@ class TestSuspendResume:
         # 2 nodes: one busy draws 350 + 42 = 392 W > 360 W cap
         config.carbon.power_cap_w = 360.0
         with ProvingCluster(config) as cluster:
-            records = cluster.run_scenario(jobs)
+            records = cluster.run(jobs)
             carbon = cluster.carbon
             events = cluster.events
         assert len(records) == 1 and not cluster.failed_jobs
@@ -464,7 +465,7 @@ class TestSuspendResume:
             ),
         )
         with ProvingCluster(config) as cluster:
-            records = cluster.run_scenario(jobs)
+            records = cluster.run(jobs)
             carbon = cluster.carbon
             events = cluster.events
         by_id = {r.job_id: r for r in records}
@@ -483,7 +484,7 @@ class TestSuspendResume:
 
     def test_summary_carries_the_carbon_block(self):
         with ProvingCluster(_cap_config()) as cluster:
-            cluster.run_scenario(_suspend_jobs())
+            cluster.run(_suspend_jobs())
             summary = cluster.summary()
         carbon = summary["carbon"]
         assert carbon["policy"] == "none"
@@ -493,6 +494,28 @@ class TestSuspendResume:
         assert carbon["carbon_per_proof_g"] > 0.0
         assert carbon["suspends"] == 1 and carbon["resumes"] == 1
         assert carbon["energy_lost_j"] == 0.0
+
+    def test_suspension_saves_gold_deadlines_the_start_gate_misses(
+        self, monkeypatch
+    ):
+        """What suspension buys on the ``capped/carbon_waiting-400`` cell
+        (gold realtime plus bronze deferrable under a 400 W cap): the
+        full cap misses fewer gold deadlines than the same cap as a start
+        gate only, which never parks a running job (0 vs 5 of 120)."""
+
+        def run_cell() -> tuple[int, int, int]:
+            """Gold jobs, gold misses and suspends of one run."""
+            cluster = capped_cluster("carbon_waiting", 400, False)
+            # gold deadlines sit 2 s after arrival, batch ones 200 s
+            gold = [r for r in cluster.records if r.deadline_s - r.arrival_s < 10]
+            misses = sum(r.missed_deadline for r in gold)
+            return len(gold), misses, cluster.carbon.suspends
+
+        full_cap = run_cell()
+        monkeypatch.setattr(CarbonRuntime, "_request_suspension", lambda *a: None)
+        start_gate = run_cell()
+        assert full_cap[1] < start_gate[1]
+        assert (full_cap, start_gate) == ((120, 0, 5), (120, 5, 0))
 
 
 class TestClosedBatchUnderTheGate:

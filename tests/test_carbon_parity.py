@@ -52,19 +52,19 @@ def make_config(*, carbon: bool, **kwargs) -> ClusterConfig:
     )
 
 
-def run_scenario(config: ClusterConfig, *, churn=()) -> tuple:
+def run_cell(config: ClusterConfig, *, churn=()) -> tuple:
     jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=JOBS).jobs())
     with ProvingCluster(config) as cluster:
-        records = cluster.run_scenario(jobs, churn=churn)
+        records = cluster.run(jobs, churn=churn)
         return records, cluster.events.events, cluster.summary()
 
 
 class TestCaplessParity:
     def test_scenario_run_bit_identical(self):
-        free_records, free_events, free_summary = run_scenario(
+        free_records, free_events, free_summary = run_cell(
             make_config(carbon=False)
         )
-        records, events, summary = run_scenario(make_config(carbon=True))
+        records, events, summary = run_cell(make_config(carbon=True))
         assert records == free_records
         assert EventLog.replay_identical(events, free_events)
         carbon = summary.pop("carbon")
@@ -80,8 +80,8 @@ class TestCaplessParity:
         churn = trace_for_downtime(
             3, 20.0, downtime_fraction=0.2, mttr_s=1.0, seed=SEED
         )
-        free = run_scenario(make_config(carbon=False), churn=churn)
-        priced = run_scenario(make_config(carbon=True), churn=churn)
+        free = run_cell(make_config(carbon=False), churn=churn)
+        priced = run_cell(make_config(carbon=True), churn=churn)
         assert priced[0] == free[0]
         assert EventLog.replay_identical(priced[1], free[1])
         summary = dict(priced[2])
@@ -182,7 +182,7 @@ class TestEventSchemaRoundTrip:
         )
         jobs = list(OpenLoopTraffic(SCENARIO, seed=SEED, max_jobs=60).jobs())
         with ProvingCluster(config) as cluster:
-            cluster.run_scenario(jobs)
+            cluster.run(jobs)
             events = cluster.events
         kinds = events.kinds()
         assert kinds.get("autoscale_decision", 0) > 0
@@ -208,7 +208,7 @@ class TestEventSchemaRoundTrip:
             ),
         )
         with ProvingCluster(config) as cluster:
-            records = cluster.run_scenario(jobs)
+            records = cluster.run(jobs)
             events = cluster.events
         assert len(records) + len(cluster.failed_jobs) == 6
         assert events.kinds().get("scheduler_choice", 0) > 0

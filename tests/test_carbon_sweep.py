@@ -78,7 +78,7 @@ def run_cell(policy: str, threshold: float | None) -> dict:
         ),
     )
     with ProvingCluster(config) as cluster:
-        records = cluster.run_scenario(make_jobs())
+        records = cluster.run(make_jobs())
         summary = cluster.summary()
         return {
             "completed": len(records),

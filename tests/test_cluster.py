@@ -134,6 +134,18 @@ class TestClusterSimulation:
                 cluster.run([job])
             assert cluster.records == []
 
+    def test_generator_and_list_give_identical_records(self):
+        """The up-front fit check must not use up a generator: the same
+        jobs handed over lazily and as a list give the same records."""
+        runs = []
+        for as_list in (False, True):
+            jobs = OpenLoopTraffic(SCENARIO, seed=1, max_jobs=12).jobs()
+            with ProvingCluster(make_config(num_nodes=2)) as cluster:
+                runs.append(cluster.run(list(jobs) if as_list else jobs))
+                assert cluster.failed_jobs == []
+        assert len(runs[0]) == 12
+        assert runs[0] == runs[1]
+
     def test_membership_cycle(self):
         _, jobs = stream(8)
         with ProvingCluster(make_config(num_nodes=2)) as cluster:

@@ -37,7 +37,7 @@ def scenario_log(seed: int = 11) -> EventLog:
         node=NodeConfig(max_vars=traffic.max_vars()),
     )
     with ProvingCluster(config) as cluster:
-        cluster.run_scenario(list(traffic.jobs()), churn=CHURN)
+        cluster.run(list(traffic.jobs()), churn=CHURN)
         return cluster.events
 
 

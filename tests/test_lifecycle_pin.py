@@ -1,6 +1,6 @@
 """Byte-level pins of the closed-batch failure-aware scenario path.
 
-:meth:`ProvingCluster.run_scenario` under churn *and* an autoscaler runs
+:meth:`ProvingCluster.run` under churn *and* an autoscaler runs
 every branch of the job lifecycle: routing on arrival, parking with the
 whole fleet down, exclusion waivers, requeues off a crashed node,
 retries, failures on an exhausted retry budget, and scale-out/scale-in

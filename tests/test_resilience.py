@@ -19,6 +19,7 @@ from goldens import canonical_text
 from repro.cluster import (
     AutoscalePolicy,
     ClusterConfig,
+    ClusterEngine,
     NodeConfig,
     NoRoutableNodeError,
     ProvingCluster,
@@ -89,7 +90,7 @@ def scenario_run(*, churn=TWO_NODE_CHURN, **kwargs):
     )
     jobs = list(traffic.jobs())
     with make_cluster(**kwargs) as cluster:
-        records = cluster.run_scenario(jobs, churn=churn)
+        records = cluster.run(jobs, churn=churn)
         return records, cluster.summary(), cluster.failed_jobs
 
 
@@ -176,7 +177,7 @@ class TestCrashSemantics:
         traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
         jobs = list(traffic.jobs())
         with make_cluster() as cluster:
-            records = cluster.run_scenario(jobs, churn=STAGGERED_CHURN)
+            records = cluster.run(jobs, churn=STAGGERED_CHURN)
             summary = cluster.summary()
         retried = [r for r in records if r.attempt > 0]
         assert retried, "the handcrafted trace must force a retry"
@@ -192,7 +193,7 @@ class TestCrashSemantics:
         traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
         jobs = list(traffic.jobs())
         with make_cluster() as cluster:
-            records = cluster.run_scenario(jobs, churn=STAGGERED_CHURN)
+            records = cluster.run(jobs, churn=STAGGERED_CHURN)
         excluded = {j.job_id: set(j.excluded_node_ids) for j in jobs}
         for record in records:
             assert record.node_id not in excluded.get(record.job_id, set())
@@ -203,7 +204,7 @@ class TestCrashSemantics:
         traffic = OpenLoopTraffic("uniform-small", seed=7, max_jobs=10)
         jobs = list(traffic.jobs())
         with make_cluster() as cluster:
-            records = cluster.run_scenario(jobs, churn=TWO_NODE_CHURN)
+            records = cluster.run(jobs, churn=TWO_NODE_CHURN)
             summary = cluster.summary()
         assert len(records) == 10, "every job must still complete"
         assert summary["resilience"]["parked"] > 0
@@ -232,7 +233,7 @@ class TestCrashSemantics:
         jobs = list(traffic.jobs())
         churn = (ChurnEvent(0.5, 0, "crash"), ChurnEvent(0.7, 0, "recover"))
         with make_cluster(num_nodes=1, policy="round_robin") as cluster:
-            cluster.run_scenario(jobs, churn=churn)
+            cluster.run(jobs, churn=churn)
             node = cluster.nodes["node-0"]
             records = cluster.records
         post_crash = [r for r in records if r.start_s >= 0.7]
@@ -262,7 +263,7 @@ class TestAutoscaler:
         with make_cluster(
             num_nodes=1, autoscale=policy, node=NodeConfig(max_vars=6)
         ) as cluster:
-            records = cluster.run_scenario(jobs, churn=())
+            records = cluster.run(jobs, churn=())
             summary = cluster.summary()
             active_nodes = len(cluster.nodes)
         assert len(records) == 17
@@ -285,7 +286,7 @@ class TestAutoscaler:
             with make_cluster(
                 num_nodes=1, autoscale=policy, node=NodeConfig(max_vars=6)
             ) as cluster:
-                cluster.run_scenario(list(traffic.jobs()), churn=())
+                cluster.run(list(traffic.jobs()), churn=())
                 return cluster.summary()
 
         assert run_once() == run_once()
@@ -314,7 +315,7 @@ class TestAutoscaler:
             autoscale=policy,
             node=NodeConfig(max_vars=6),
         ) as cluster:
-            records = cluster.run_scenario(jobs, churn=churn)
+            records = cluster.run(jobs, churn=churn)
             summary = cluster.summary()
         assert len(records) + summary["resilience"]["failed_jobs"] == 48
 
@@ -404,17 +405,53 @@ class TestOutstandingCost:
             tracker.release("ghost")
 
 
+class TestRepeatedRuns:
+    def test_resilience_sums_over_runs_on_one_cluster(self):
+        """Two churn runs on one autoscaled cluster: the summary's
+        counters are the two runs' sums and its autoscale actions the
+        two runs' lists, in run order."""
+        policy = AutoscalePolicy(
+            scale_out_threshold_s=0.5,
+            scale_in_threshold_s=0.1,
+            interval_s=0.25,
+            min_nodes=1,
+            max_nodes=4,
+            provision_s=0.25,
+        )
+        runs = []
+        with make_cluster(autoscale=policy, node=NodeConfig(max_vars=6)) as cluster:
+            for seed in (1, 2):
+                traffic = OpenLoopTraffic("zipf-mixed", seed=seed, max_jobs=24)
+                engine = ClusterEngine(cluster)
+                cluster.run(list(traffic.jobs()), churn=STAGGERED_CHURN, engine=engine)
+                runs.append(engine.stats.as_dict())
+            resilience = cluster.summary()["resilience"]
+        first, second = runs
+        assert first["crashes"] > 0 and second["crashes"] > 0
+        for key, value in first.items():
+            if key != "autoscale":
+                assert resilience[key] == round(value + second[key], 6), key
+        for key in ("scale_outs", "scale_ins"):
+            assert resilience["autoscale"][key] == (
+                first["autoscale"][key] + second["autoscale"][key]
+            )
+        actions = first["autoscale"]["actions"] + second["autoscale"]["actions"]
+        assert first["autoscale"]["actions"] and second["autoscale"]["actions"]
+        assert resilience["autoscale"]["actions"] == actions
+
+
 class TestScenarioVsWave:
     @pytest.mark.parametrize("policy", ["affinity", "round_robin", "least_loaded"])
     def test_calm_scenario_matches_arrival_respecting_run(self, policy):
-        """With no churn and no autoscaler, the scenario path reproduces
-        the closed batch's records exactly: both route each job when it
-        arrives, so even load-driven routing sees the same fleet."""
+        """With no churn and no autoscaler, a run given an explicit empty
+        churn trace reproduces the batch's records exactly: both route
+        each job when it arrives, so even load-driven routing sees the
+        same fleet."""
         traffic = OpenLoopTraffic("zipf-mixed", seed=4, max_jobs=16)
         with make_cluster(
             num_nodes=3, policy=policy, node=NodeConfig(max_vars=6)
         ) as scenario_cluster:
-            scenario_records = scenario_cluster.run_scenario(
+            scenario_records = scenario_cluster.run(
                 list(traffic.jobs()), churn=()
             )
         with make_cluster(
@@ -429,7 +466,7 @@ class TestScenarioVsWave:
         jobs[1].circuit.num_vars = 9  # forged
         with make_cluster(node=NodeConfig(max_vars=6)) as cluster:
             with pytest.raises(ValueError, match="exceeds"):
-                cluster.run_scenario(jobs)
+                cluster.run(jobs)
             assert cluster.records == []
 
     def test_router_error_surfaces_outside_scenarios(self):

@@ -364,6 +364,43 @@ class TestRuntimes:
         assert placement(fleet) == placement(sim)
         assert fleet.summary["nodes"] == 2 and len(fleet.events) > 0
 
+    @pytest.mark.parametrize(
+        "cell, blocks",
+        [
+            (
+                Scenario("uniform-small", 4, 3, nodes=2, time_model="functional"),
+                ["resilience"],
+            ),
+            # both nodes crash before the last arrival (0.344 s), while
+            # the run is still live on either runtime
+            (
+                Scenario(
+                    "uniform-small",
+                    6,
+                    3,
+                    nodes=2,
+                    time_model="functional",
+                    churn_rate=0.3,
+                    churn_mttr=0.5,
+                    churn_seed=3,
+                ),
+                ["resilience", "deadlines", "retries"],
+            ),
+        ],
+        ids=["calm", "churn"],
+    )
+    def test_both_runtimes_emit_the_same_optional_blocks(self, cell, blocks):
+        """One rule decides the optional summary blocks on both
+        runtimes: ``resilience`` always, ``retries`` only after a crash,
+        ``deadlines`` only once arrivals are paced."""
+        fleet = run(cell, runtime="fleet", run_timeout_s=120.0, heartbeat_misses=100.0)
+        for result in (run(cell), fleet):
+            summary = result.summary
+            optional = ("deadlines", "retries", "resilience")
+            assert [name for name in summary if name in optional] == blocks
+            assert ("retries" in summary) == (summary["resilience"]["crashes"] > 0)
+            assert ("deadlines" in summary) == cell.paced
+
 
 class Handed(Exception):
     """Raised by a patched runtime with the arrival times it was handed."""
