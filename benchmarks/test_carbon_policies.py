@@ -40,6 +40,7 @@ import pytest
 
 from repro.carbon import CarbonConfig
 from repro.cluster import ClusterConfig, NodeConfig, ProvingCluster
+from repro.service.jobs import RequestClass
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import goldens  # noqa: E402
@@ -48,9 +49,6 @@ from goldens import CAPPED, pinned, run_capped_cell, sha256, summary_text  # noq
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_carbon.json"
 
 RATIO_FLOOR = 1.3
-#: gold deadlines are tight (slack 2 s); batch slack is 200 s, so the
-#: arrival→deadline gap cleanly separates the tiers in the records
-GOLD_GAP_S = 10.0
 
 
 def run_cell(policy: str, *, threshold: float | None = None) -> dict:
@@ -69,8 +67,8 @@ def run_cell(policy: str, *, threshold: float | None = None) -> dict:
     with ProvingCluster(config) as cluster:
         records = cluster.run(jobs)
         carbon = cluster.summary()["carbon"]
-        gold = [r for r in records if r.deadline_s - r.arrival_s < GOLD_GAP_S]
-        batch = [r for r in records if r.deadline_s - r.arrival_s >= GOLD_GAP_S]
+        gold = [r for r in records if r.request_class is RequestClass.REALTIME]
+        batch = [r for r in records if r.request_class is RequestClass.DEFERRABLE]
         return {
             "policy": policy,
             "low_threshold_g_per_kwh": threshold,

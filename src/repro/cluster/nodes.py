@@ -107,7 +107,6 @@ class InFlightJob:
     """
 
     job: ProofJob
-    arrival_s: float
     start_s: float
     finish_s: float
     install_s: float
@@ -200,7 +199,6 @@ class ProverNode:
             install = 0.0
         self.in_flight = InFlightJob(
             job=job,
-            arrival_s=job.arrival_s,
             start_s=start,
             finish_s=start + install + prove,
             install_s=install,
@@ -222,19 +220,14 @@ class ProverNode:
             flight.install_s + flight.prove_s - flight.done_before_s
         )
         self.jobs_done += 1
-        return JobRecord(
-            job_id=flight.job.job_id,
-            tag=flight.job.tag,
-            circuit_key=flight.job.circuit_key,
-            node_id=self.node_id,
-            arrival_s=flight.arrival_s,
+        return JobRecord.of(
+            flight.job,
+            self.node_id,
             start_s=flight.first_start_s,
             finish_s=flight.finish_s,
             prove_model_s=flight.prove_s,
             install_model_s=flight.install_s,
             cache_hit=flight.cache_hit,
-            deadline_s=flight.job.deadline_s,
-            attempt=flight.job.attempt,
             suspensions=flight.suspensions,
             suspended_s=flight.suspended_wait_s,
         )

@@ -40,18 +40,18 @@ from dataclasses import dataclass, field as dc_field
 
 from repro.cluster.routing import ClusterRouter, NoRoutableNodeError
 from repro.cluster.timemodel import FleetTimeModel
-from repro.service.jobs import ProofJob
+from repro.service.jobs import ProofJob, RequestClass
 from repro.sim.events import EventLog
 
 
 @dataclass
 class JobRecord:
-    """Completion-time bookkeeping for one routed job.
+    """Completion-time bookkeeping for one routed job, built by :meth:`of`.
 
     Times are model seconds in the simulated cluster and run-relative
-    wall seconds in the real fleet; the field meanings are otherwise
-    identical (``prove_model_s`` holds the measured prove seconds on
-    the fleet side — the "model" is then the wall clock itself).
+    wall seconds in the real fleet; every ``*_model_s`` holds the
+    runtime's own seconds (the fleet's "model" is the wall clock).  A
+    record names whose job it was (``tenant``, ``request_class``).
     """
 
     job_id: int
@@ -73,6 +73,28 @@ class JobRecord:
     suspensions: int = 0
     #: model seconds spent parked between suspend and resume
     suspended_s: float = 0.0
+    #: owning tenant of the job (None = untenanted)
+    tenant: str | None = None
+    request_class: RequestClass = RequestClass.REALTIME
+
+    @classmethod
+    def of(cls, job: ProofJob, node_id: str, scale=1.0, **timings) -> "JobRecord":
+        """The record of ``job`` finished on ``node_id``: the runtime
+        gives its ``timings``, the job every other field, its arrival
+        and deadline times ``scale`` (model seconds to the runtime's)."""
+        deadline = job.deadline_s
+        return cls(
+            job_id=job.job_id,
+            tag=job.tag,
+            circuit_key=job.circuit_key,
+            node_id=node_id,
+            arrival_s=job.arrival_s * scale,
+            deadline_s=None if deadline is None else deadline * scale,
+            attempt=job.attempt,
+            tenant=job.tenant,
+            request_class=job.request_class,
+            **timings,
+        )
 
     @property
     def latency_s(self) -> float:

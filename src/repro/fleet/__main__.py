@@ -149,10 +149,11 @@ def print_run(base: Scenario, summary: dict) -> None:
     if resilience["crashes"] or resilience["failed_jobs"]:
         print(
             f"resilience: crashes {resilience['crashes']}  "
+            f"recoveries {resilience['recoveries']}  "
             f"retries {resilience['retries']}  "
             f"requeues {resilience['requeues']}  "
             f"failed {resilience['failed_jobs']}  "
-            f"lost {resilience['lost_wall_s']:.3f}s"
+            f"lost {resilience['lost_model_s']:.3f}s (wall)"
         )
 
 

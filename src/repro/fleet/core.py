@@ -320,22 +320,15 @@ class ProvingFleet(Dispatcher):
         if flight.timeout is not None:
             flight.timeout.cancel()
         job = flight.job
-        scale = self.config.time_scale
-        record = JobRecord(
-            job_id=job.job_id,
-            tag=job.tag,
-            circuit_key=job.circuit_key,
-            node_id=handle.node_id,
-            arrival_s=job.arrival_s * scale,
+        record = JobRecord.of(
+            job,
+            handle.node_id,
+            self.config.time_scale,
             start_s=flight.start_s,
             finish_s=self._now(),
             prove_model_s=outcome.prove_s,
             install_model_s=outcome.install_s,
             cache_hit=outcome.cache_hit,
-            deadline_s=(
-                job.deadline_s * scale if job.deadline_s is not None else None
-            ),
-            attempt=job.attempt,
         )
         self.outcomes[job.job_id] = outcome
         self._finished(handle, job, record, self.time_model.price(job)[1])
@@ -398,8 +391,9 @@ class ProvingFleet(Dispatcher):
         self._done.set()
 
     def _on_churn(self, event) -> None:
-        """Apply one seeded churn event: crash = SIGKILL, recover = spawn
-        (unless a replacement worker is already starting)."""
+        """Apply one seeded churn event: crash = SIGKILL, recover = spawn,
+        counted as a recovery (unless the node is up or a replacement
+        worker is already starting), as the sim engine's ``_on_churn``."""
         if event.kind != "crash":
             self._recoveries_due -= 1
         node_id = f"node-{event.node_index}"
@@ -409,6 +403,7 @@ class ProvingFleet(Dispatcher):
         if event.kind == "crash":
             self._fail_node(node_id, reason="churn", respawn=False)
         elif not (handle.up or handle.starting or self._shutting_down):
+            self.stats.recoveries += 1
             self._spawn(node_id)
 
     # -- test/chaos hooks ----------------------------------------------------
@@ -559,10 +554,11 @@ class ProvingFleet(Dispatcher):
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict:
-        """Measured-side metrics in wall seconds: ``measured`` is built
-        like the sim's ``model`` block, from the same
-        :mod:`repro.cluster.metrics` helpers, so the two compare directly."""
-        records, stats = self.records, self.stats
+        """Measured-side metrics in wall seconds, in the sim's vocabulary:
+        ``measured`` is built like the sim's ``model`` block, from the
+        same :mod:`repro.cluster.metrics` helpers, and ``resilience`` is
+        :meth:`ResilienceStats.as_dict` (``autoscale`` reads zero)."""
+        records = self.records
         busy = dict.fromkeys(self.node_ids, 0.0)
         jobs = dict.fromkeys(self.node_ids, 0)
         hits = 0
@@ -570,17 +566,9 @@ class ProvingFleet(Dispatcher):
             busy[record.node_id] += record.install_model_s + record.prove_model_s
             jobs[record.node_id] += 1
             hits += record.cache_hit
-        resilience = {
-            "crashes": stats.crashes,
-            "retries": stats.retries,
-            "requeues": stats.requeues,
-            "parked": stats.parked,
-            "exclusion_waivers": stats.exclusion_waivers,
-            "failed_jobs": len(self.failed_jobs),
-            "lost_wall_s": round(stats.lost_model_s, 6),
-        }
         return {
             "policy": self.config.policy,
+            "time_model": self.time_model.name,
             "nodes": self.config.num_nodes,
             "jobs": len(records),
             "measured": {
@@ -596,5 +584,5 @@ class ProvingFleet(Dispatcher):
             },
             "routing": {"jobs_per_node": dict(sorted(jobs.items()))},
             # the optional blocks, by the sim's rule (ProvingCluster.summary)
-            **metrics.run_blocks(records, self.failed_jobs, resilience),
+            **metrics.run_blocks(records, self.failed_jobs, self.stats.as_dict()),
         }

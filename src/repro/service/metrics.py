@@ -1,7 +1,9 @@
 """Service-side measurement: throughput, latency tails, utilization.
 
-:class:`ServiceMetrics` accumulates :class:`~repro.service.jobs.ProofResult`
-records and renders one summary dict per run: proofs/sec, the latency
+:class:`ServiceMetrics` keeps one :class:`JobRow` per
+:class:`~repro.service.jobs.ProofResult` — its numbers, never its proof
+or counter, so a long-lived service holds no proof its caller dropped —
+and renders one summary dict per run: proofs/sec, the latency
 tail (:func:`latency_tail`, p50 through max), cache hit rate (both
 per-lookup, from the cache's own stats, and per-job, from result
 records — the two differ because a batch of *n* jobs performs one
@@ -20,6 +22,7 @@ the measured mean cost per proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from repro.fields.counters import OpCounter
 from repro.service.cache import CacheStats
@@ -74,16 +77,30 @@ class WorkerStats:
     busy_s: float = 0.0
 
 
+class JobRow(NamedTuple):
+    """The numbers of one :class:`ProofResult` a summary reads."""
+
+    request_class: RequestClass
+    cache_hit: bool
+    latency_s: float
+    queue_s: float
+    prove_s: float
+    predicted_s: float | None
+
+
 @dataclass
 class ServiceMetrics:
-    results: list[ProofResult] = dc_field(default_factory=list)
+    rows: list[JobRow] = dc_field(default_factory=list)
     batches: int = 0
     drains: int = 0
     ops: OpCounter = dc_field(default_factory=OpCounter)
     _workers: dict[str, WorkerStats] = dc_field(default_factory=dict)
 
     def record_result(self, result: ProofResult) -> None:
-        self.results.append(result)
+        self.rows.append(JobRow(
+            result.request_class, result.cache_hit, result.latency_s,
+            result.queue_s, result.prove_s, result.predicted_s,
+        ))
         w = self._workers.setdefault(result.worker_id,
                                      WorkerStats(result.worker_id))
         w.jobs += 1
@@ -98,20 +115,20 @@ class ServiceMetrics:
     # -- derived -----------------------------------------------------------
     @property
     def jobs_done(self) -> int:
-        return len(self.results)
+        return len(self.rows)
 
     def latencies(self) -> list[float]:
-        return [r.latency_s for r in self.results]
+        return [r.latency_s for r in self.rows]
 
     def job_cache_hit_rate(self) -> float:
         """Fraction of jobs whose batch's index lookup hit the cache."""
-        if not self.results:
+        if not self.rows:
             return 0.0
-        return sum(r.cache_hit for r in self.results) / len(self.results)
+        return sum(r.cache_hit for r in self.rows) / len(self.rows)
 
     def prediction_error(self) -> dict | None:
         """Predicted-vs-actual prove-time accuracy (None = no predictions)."""
-        pairs = [(r.predicted_s, r.prove_s) for r in self.results
+        pairs = [(r.predicted_s, r.prove_s) for r in self.rows
                  if r.predicted_s is not None]
         if not pairs:
             return None
@@ -130,8 +147,8 @@ class ServiceMetrics:
     def estimated_capacity(self, num_workers: int) -> dict:
         """Steady-state proofs/sec ``num_workers`` could sustain on this
         job mix: workers divided by the mean seconds per proof."""
-        prove = [r.prove_s for r in self.results if r.prove_s > 0]
-        predicted = [r.predicted_s for r in self.results
+        prove = [r.prove_s for r in self.rows if r.prove_s > 0]
+        predicted = [r.predicted_s for r in self.rows
                      if r.predicted_s is not None and r.predicted_s > 0]
         out = {}
         if prove:
@@ -144,10 +161,10 @@ class ServiceMetrics:
     def summary(self, wall_s: float,
                 cache_stats: CacheStats | None = None,
                 num_workers: int = 1) -> dict:
-        queue = [r.queue_s for r in self.results]
-        prove = [r.prove_s for r in self.results]
+        queue = [r.queue_s for r in self.rows]
+        prove = [r.prove_s for r in self.rows]
         by_class = {
-            cls.value: sum(1 for r in self.results if r.request_class is cls)
+            cls.value: sum(1 for r in self.rows if r.request_class is cls)
             for cls in RequestClass
         }
         doc = {

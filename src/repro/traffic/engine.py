@@ -17,10 +17,9 @@ never holds the whole stream.  The filter:
   the low-water mark.  Pause time becomes *lag*: later arrivals (and
   their deadlines) shift forward, a source that retries rather than
   vanishes.
-* **tenancy accounting** — per-tenant offered counters and a
-  ``job_id → tenant`` map that
-  :func:`~repro.traffic.metrics.traffic_summary` joins against the
-  run's records.
+* **tenancy accounting** — per-tenant offered counters (a shed job
+  leaves no record); completions are counted off the records, which
+  name their tenant.
 
 Everything else is the closed-loop engine's, ownership rule included
 (:mod:`repro.cluster.records`): the controller gets the up-node count
@@ -77,8 +76,6 @@ class OpenLoopEngine(ClusterEngine):
         self.admission = admission
         self.offered = 0
         self.pauses = 0
-        #: job_id → tenant name, for every offered (not just admitted) job
-        self.tenant_of: dict[int, str] = {}
         self.offered_by_tenant: dict[str, int] = {}
 
     @property
@@ -103,7 +100,6 @@ class OpenLoopEngine(ClusterEngine):
         self.cluster.check_fits(job)
         job.job_id = self._next_job_id()
         if job.tenant is not None:
-            self.tenant_of[job.job_id] = job.tenant
             self.offered_by_tenant[job.tenant] = (
                 self.offered_by_tenant.get(job.tenant, 0) + 1
             )

@@ -51,9 +51,8 @@ def traffic_summary(engine: OpenLoopEngine) -> dict:
     tenants = {t.name: t for t in traffic.tenants}
     completed_by_tenant = {name: 0 for name in tenants}
     slo_met_by_tenant = {name: 0 for name in tenants}
-    tenant_of = engine.tenant_of
     for record in records:
-        name = tenant_of.get(record.job_id)
+        name = record.tenant
         if name is None:
             continue
         completed_by_tenant[name] += 1

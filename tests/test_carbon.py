@@ -506,8 +506,9 @@ class TestSuspendResume:
         def run_cell() -> tuple[int, int, int]:
             """Gold jobs, gold misses and suspends of one run."""
             cluster = capped_cluster("carbon_waiting", 400, False)
-            # gold deadlines sit 2 s after arrival, batch ones 200 s
-            gold = [r for r in cluster.records if r.deadline_s - r.arrival_s < 10]
+            gold = [
+                r for r in cluster.records if r.request_class is RequestClass.REALTIME
+            ]
             misses = sum(r.missed_deadline for r in gold)
             return len(gold), misses, cluster.carbon.suspends
 

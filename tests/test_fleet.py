@@ -449,6 +449,7 @@ def summary_fixture() -> ProvingFleet:
     ]
     fleet.stats.crashes, fleet.stats.retries, fleet.stats.requeues = 1, 1, 2
     fleet.stats.exclusion_waivers, fleet.stats.lost_model_s = 1, 0.3
+    fleet.stats.failed = len(fleet.failed_jobs)
     return fleet
 
 
@@ -456,6 +457,7 @@ class TestSummary:
     def test_summary_values_and_key_order(self):
         expected = {
             "policy": "affinity",
+            "time_model": "functional",
             "nodes": 2,
             "jobs": 5,
             "measured": {
@@ -471,14 +473,17 @@ class TestSummary:
             },
             "cache": {"hits": 2, "misses": 3, "hit_rate": 0.4},
             "routing": {"jobs_per_node": {"node-0": 3, "node-1": 2}},
+            # the sim's block: lost_model_s holds wall seconds here
             "resilience": {
                 "crashes": 1,
+                "recoveries": 0,
                 "retries": 1,
                 "requeues": 2,
                 "parked": 0,
                 "exclusion_waivers": 1,
                 "failed_jobs": 1,
-                "lost_wall_s": 0.3,
+                "lost_model_s": 0.3,
+                "autoscale": {"scale_outs": 0, "scale_ins": 0, "actions": []},
             },
             # jobs 0, 2, 4 and the failed job carry deadlines; 2 and 4
             # finish 0.5 s and 1.0 s late
@@ -510,4 +515,4 @@ class TestSummary:
         out = capsys.readouterr().out
         assert "makespan 4.000s" in out
         assert "install share 16.7%" in out
-        assert "failed 1" in out
+        assert "failed 1  lost 0.300s (wall)" in out

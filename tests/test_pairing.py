@@ -7,6 +7,8 @@ import pytest
 from repro.curves import G1, G1_GENERATOR, AffinePoint
 from repro.curves.pairing import (
     G2Point,
+    final_exponentiation,
+    miller_loop,
     multi_pairing,
     pairing,
     untwist,
@@ -139,6 +141,17 @@ class TestPairing:
         lhs = pairing(G1_GENERATOR.scalar_mul(a),
                       G2Point.generator().scalar_mul(b))
         assert lhs == e_gg.pow(a * b)
+
+    def test_split_final_exponentiation_matches_the_full_power(self, rng):
+        """The easy part (p^6 - 1)(p^2 + 1) and the hard part
+        (p^4 - p^2 + 1)/r compose to the one power (p^12 - 1)/r."""
+        from repro.fields.bls12_381 import FQ_MODULUS
+
+        full = (FQ_MODULUS**12 - 1) // FR_MODULUS
+        g2 = G2Point.generator()
+        p = G1_GENERATOR.scalar_mul(rng.randrange(2, 1 << 24))
+        for f in (miller_loop(G1_GENERATOR, g2), miller_loop(p, g2.double())):
+            assert final_exponentiation(f) == f.pow(full)
 
     def test_infinity_pairs_to_one(self):
         from repro.curves import G1

@@ -7,8 +7,10 @@ direct ``HyperPlonkProver.prove()`` call against the same SRS, and
 verifies with the stock verifier.
 """
 
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -371,6 +373,35 @@ class TestServiceOperations:
         assert summary["throughput_proofs_per_s"] > 0
         assert summary["latency_s"]["p50"] <= summary["latency_s"]["p95"]
         assert summary["workers"][0]["jobs"] == 5
+
+    def test_metrics_keep_rows_not_proofs(self):
+        """A long-lived service keeps each job's numbers, not its proof:
+        once a first drain has warmed the caches, four drains whose
+        results the caller drops retain at most ``ROW_BYTES`` a job
+        (a row costs ~180 B here; a kept μ=2 proof ~15 KB)."""
+        jobs, row_bytes = 4, 512
+        circuit = synthesize_circuit(GATE_TYPES["vanilla"], 2)
+        with ProvingService(ServiceConfig(max_vars=2)) as svc:
+
+            def drain():
+                for _ in range(jobs):
+                    svc.submit(circuit)
+                svc.drain()
+                gc.collect()
+
+            drain()
+            tracemalloc.start()
+            try:
+                drain()
+                one, _ = tracemalloc.get_traced_memory()
+                for _ in range(3):
+                    drain()
+                four, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert svc.summary()["jobs"] == 5 * jobs
+        assert one <= jobs * row_bytes
+        assert four - one <= 3 * jobs * row_bytes
 
     def test_verify_proofs_flag(self):
         cfg = ServiceConfig(max_vars=2, verify_proofs=True, collect_counters=True)

@@ -392,14 +392,28 @@ class TestRuntimes:
     def test_both_runtimes_emit_the_same_optional_blocks(self, cell, blocks):
         """One rule decides the optional summary blocks on both
         runtimes: ``resilience`` always, ``retries`` only after a crash,
-        ``deadlines`` only once arrivals are paced."""
+        ``deadlines`` only once arrivals are paced.  The ``resilience``
+        block has one key set, and a record names the same tenant and
+        request class for a job on either runtime: its stream job's."""
         fleet = run(cell, runtime="fleet", run_timeout_s=120.0, heartbeat_misses=100.0)
-        for result in (run(cell), fleet):
+        sim = run(cell)
+        for result in (sim, fleet):
             summary = result.summary
             optional = ("deadlines", "retries", "resilience")
             assert [name for name in summary if name in optional] == blocks
             assert ("retries" in summary) == (summary["resilience"]["crashes"] > 0)
             assert ("deadlines" in summary) == cell.paced
+        assert sim.summary["resilience"].keys() == fleet.summary["resilience"].keys()
+
+        # the runtimes stamp job ids in stream order
+        stream = {
+            job_id: (job.tenant, job.request_class)
+            for job_id, job in enumerate(cell.traffic().jobs())
+        }
+        assert None not in {tenant for tenant, _ in stream.values()}
+        for result in (sim, fleet):
+            owners = {r.job_id: (r.tenant, r.request_class) for r in result.records}
+            assert owners and owners.items() <= stream.items()
 
 
 class Handed(Exception):

@@ -453,7 +453,7 @@ class TestOpenLoopEngine:
         # stamped by the stream, but nothing reads it
         engine = run_open_loop(with_admission=False, jobs=50)
         assert engine.offered == 50
-        assert set(engine.tenant_of.values()) <= {
+        assert {r.tenant for r in engine.records} <= {
             t.name for t in engine.traffic.tenants
         }
 
