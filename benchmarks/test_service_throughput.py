@@ -161,7 +161,7 @@ def run_same_circuit_acceptance(jobs: int = ACCEPTANCE_JOBS) -> dict:
             for circuit in circuits[half:]:
                 service.submit(circuit)
             results.update((r.job_id, r) for r in service.drain())
-            cache = service.cache.stats.as_dict()
+            cache = service.summary()["cache"]
     service_s = time.perf_counter() - t0
     service_work = set_up_work(service_record, [service_kzg])
 

@@ -1,9 +1,10 @@
 """Batch planning: order pending jobs, then group by circuit structure.
 
-A batch is the unit of index reuse — every job in a batch shares one
-circuit fingerprint, so the service performs exactly one
-:class:`~repro.service.cache.IndexCache` lookup (and at most one
-preprocessing run) per batch regardless of batch size.
+Batches only group and order jobs: every job in a batch shares one
+circuit fingerprint, and its members drain back to back, so a proving
+worker — which looks the index up in its
+:class:`~repro.service.cache.IndexCache` once a job — preprocesses a
+batch's circuit at most once.
 
 Ordering is policy-driven (:func:`order_jobs`):
 
@@ -21,7 +22,7 @@ Ordering is policy-driven (:func:`order_jobs`):
 Batches are emitted in the order of their best-ranked member.  Grouping
 deliberately lets a deferrable job ride along in a batch anchored by a
 real-time job with the same circuit — batching it early is strictly
-cheaper than draining it later with a second index resolution.
+cheaper than draining it later, when its index may have been evicted.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ CostFn = Callable[[ProofJob], float]
 
 @dataclass
 class Batch:
-    """Jobs sharing one circuit fingerprint (hence one prover index)."""
+    """Jobs sharing one circuit fingerprint (hence one prover index),
+    drained back to back."""
 
     circuit_key: str
     jobs: list[ProofJob]

@@ -8,6 +8,11 @@ keys preprocessed :class:`~repro.hyperplonk.preprocess.ProverIndex` /
 :func:`~repro.hyperplonk.preprocess.circuit_fingerprint`, with optional
 LRU eviction and hit/miss/eviction statistics.
 
+A proving worker (:class:`~repro.service.workers.WorkerState`) looks the
+index up once a job, in the cache it holds; the service's
+:class:`~repro.service.metrics.ServiceMetrics` sums those lookups, in
+this module's :class:`CacheStats`, from the workers' outcomes.
+
 Proofs produced from a cached index are bit-identical to proofs from a
 fresh ``preprocess()`` call — preprocessing is deterministic given the
 circuit and the SRS — which ``tests/test_service_cache.py`` locks down.
@@ -31,6 +36,8 @@ from repro.hyperplonk.preprocess import (
 
 @dataclass
 class CacheStats:
+    """Index-cache lookup counts and the seconds spent preprocessing."""
+
     hits: int = 0
     misses: int = 0
     evictions: int = 0

@@ -1,10 +1,13 @@
 """The proving service: job → cache → batch → worker pipeline.
 
 :class:`ProvingService` accepts proof requests (:meth:`submit` /
-:meth:`submit_job`), deduplicates circuit preprocessing through a
-content-addressed :class:`~repro.service.cache.IndexCache`, groups
-same-circuit requests into batches, and drains them through a
-configurable worker pool.
+:meth:`submit_job`), groups same-circuit requests into batches, and
+drains them through a configurable worker pool.  The proving worker
+looks each job's index up in a content-addressed
+:class:`~repro.service.cache.IndexCache` — the service's own for the
+sync executor, a worker-local one in each process worker — so
+preprocessing is deduplicated wherever the proof is made; the service
+looks an index up itself only to verify.
 Drain order is policy-driven (``fifo`` / ``sjf`` / ``deadline``): the
 cost-aware policies price every job with a :mod:`repro.plan` cost model,
 and :class:`~repro.service.metrics.ServiceMetrics` reports the
@@ -110,9 +113,7 @@ class ProvingService:
         self.cache = IndexCache(kzg, capacity=config.cache_capacity)
         self.metrics = ServiceMetrics()
         self.pool = make_executor(
-            config.executor, config.num_workers,
-            srs_seed=config.srs_seed, srs_max_vars=kzg.srs.max_vars,
-            cache_capacity=config.cache_capacity,
+            config.executor, config.num_workers, self.cache, config.srs_seed
         )
         self._pending: list[ProofJob] = []
         self._next_id = 0
@@ -172,28 +173,15 @@ class ProvingService:
             jobs, policy=cfg.drain_policy, cost_fn=self.cost_model,
         )
 
-        # process workers resolve indexes against their own caches; the
-        # coordinator only preprocesses when it must verify
-        resolve_here = self.pool.kind != "process" or cfg.verify_proofs
-        tasks, meta = [], []
-        for batch in batches:
-            pidx = vidx = None
-            hit = False
-            if resolve_here:
-                pidx, vidx, hit = self.cache.get(
-                    batch.jobs[0].circuit, batch.circuit_key
-                )
-            for job in batch.jobs:
-                tasks.append(ProveTask(
-                    job_id=job.job_id, circuit=job.circuit,
-                    circuit_key=batch.circuit_key,
-                    collect_counter=cfg.collect_counters,
-                    index=pidx, cache_hit=hit, batch_size=len(batch),
-                ))
-                meta.append((job, vidx, len(batch)))
-
+        placed = [(job, len(batch)) for batch in batches for job in batch.jobs]
+        tasks = [
+            ProveTask(job_id=job.job_id, circuit=job.circuit,
+                      circuit_key=job.circuit_key,
+                      collect_counter=cfg.collect_counters)
+            for job, _ in placed
+        ]
         try:
-            outcomes = self.pool.run_tasks(tasks, self.kzg)
+            outcomes = self.pool.run_tasks(tasks)
         except Exception:
             # a worker/pool failure must not swallow the whole wave: put
             # the jobs back so the caller can retry or inspect them
@@ -202,7 +190,7 @@ class ProvingService:
         self.metrics.record_drain(len(batches))
 
         results = []
-        for (job, vidx, batch_size), outcome in zip(meta, outcomes):
+        for (job, batch_size), outcome in zip(placed, outcomes):
             result = ProofResult(
                 job_id=job.job_id, tag=job.tag, circuit_key=job.circuit_key,
                 proof=outcome.proof,
@@ -213,16 +201,18 @@ class ProvingService:
                 prove_s=outcome.prove_s, predicted_s=job.predicted_cost_s,
                 counter=outcome.counter,
             )
-            self.metrics.record_result(result)
+            self.metrics.record_result(result, outcome)
             results.append(result)
         self._t_end = time.perf_counter()
 
         if cfg.verify_proofs:
             # verify after every result is recorded, so one bad proof
             # doesn't discard the rest of the wave's (already computed)
-            # work; then fail loudly
+            # work; then fail loudly.  The coordinator looks an index up
+            # only here, for the verifier index.
             bad = []
-            for (job, vidx, _), result in zip(meta, results):
+            for (job, _), result in zip(placed, results):
+                _, vidx, _ = self.cache.get(job.circuit, job.circuit_key)
                 try:
                     HyperPlonkVerifier(Fr, vidx, self.kzg).verify(result.proof)
                     result.verified = True
@@ -266,8 +256,7 @@ class ProvingService:
         """Metrics summary over everything drained so far."""
         wall = (self._t_end - self._t0
                 if self._t0 is not None and self._t_end > self._t0 else 0.0)
-        doc = self.metrics.summary(wall, cache_stats=self.cache.stats,
-                                   num_workers=self.pool.num_workers)
+        doc = self.metrics.summary(wall, num_workers=self.pool.num_workers)
         doc["executor"] = self.pool.kind
         doc["num_workers"] = self.pool.num_workers
         doc["drain_policy"] = self.config.drain_policy

@@ -89,9 +89,9 @@ class ProofResult:
     proof: HyperPlonkProof
     request_class: RequestClass
     worker_id: str
-    #: whether the index lookup for this job's batch hit the cache
+    #: whether the proving worker's index lookup for this job hit its cache
     cache_hit: bool
-    #: how many jobs shared this job's batch (and its single index lookup)
+    #: how many jobs shared this job's batch (and circuit fingerprint)
     batch_size: int
     submitted_s: float
     started_s: float

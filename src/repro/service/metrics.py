@@ -4,11 +4,14 @@
 :class:`~repro.service.jobs.ProofResult` — its numbers, never its proof
 or counter, so a long-lived service holds no proof its caller dropped —
 and renders one summary dict per run: proofs/sec, the latency
-tail (:func:`latency_tail`, p50 through max), cache hit rate (both
-per-lookup, from the cache's own stats, and per-job, from result
-records — the two differ because a batch of *n* jobs performs one
-lookup), per-worker utilization, and aggregate
+tail (:func:`latency_tail`, p50 through max), the ``cache`` block,
+per-worker utilization, and aggregate
 :class:`~repro.fields.counters.OpCounter` tallies when collection is on.
+
+The ``cache`` block sums the index lookups the proving workers report
+on their :class:`~repro.service.workers.TaskOutcome` — one a job, in
+whichever cache the worker holds — so it means the same for the sync
+and the process executor; ``job_cache_hit_rate`` is its hit rate.
 
 When the service runs with a cost model, results carry a
 ``predicted_s`` and the summary gains a ``prediction`` section — how far
@@ -27,6 +30,7 @@ from typing import NamedTuple
 from repro.fields.counters import OpCounter
 from repro.service.cache import CacheStats
 from repro.service.jobs import ProofResult, RequestClass
+from repro.service.workers import TaskOutcome
 
 
 def _interp_sorted(xs: list[float], q: float) -> float:
@@ -81,7 +85,6 @@ class JobRow(NamedTuple):
     """The numbers of one :class:`ProofResult` a summary reads."""
 
     request_class: RequestClass
-    cache_hit: bool
     latency_s: float
     queue_s: float
     prove_s: float
@@ -94,13 +97,20 @@ class ServiceMetrics:
     batches: int = 0
     drains: int = 0
     ops: OpCounter = dc_field(default_factory=OpCounter)
+    #: the workers' index lookups, one a job
+    cache: CacheStats = dc_field(default_factory=CacheStats)
     _workers: dict[str, WorkerStats] = dc_field(default_factory=dict)
 
-    def record_result(self, result: ProofResult) -> None:
+    def record_result(self, result: ProofResult,
+                      outcome: TaskOutcome) -> None:
         self.rows.append(JobRow(
-            result.request_class, result.cache_hit, result.latency_s,
+            result.request_class, result.latency_s,
             result.queue_s, result.prove_s, result.predicted_s,
         ))
+        self.cache.hits += outcome.cache_hit
+        self.cache.misses += not outcome.cache_hit
+        self.cache.evictions += outcome.evictions
+        self.cache.preprocess_s += outcome.install_s
         w = self._workers.setdefault(result.worker_id,
                                      WorkerStats(result.worker_id))
         w.jobs += 1
@@ -119,12 +129,6 @@ class ServiceMetrics:
 
     def latencies(self) -> list[float]:
         return [r.latency_s for r in self.rows]
-
-    def job_cache_hit_rate(self) -> float:
-        """Fraction of jobs whose batch's index lookup hit the cache."""
-        if not self.rows:
-            return 0.0
-        return sum(r.cache_hit for r in self.rows) / len(self.rows)
 
     def prediction_error(self) -> dict | None:
         """Predicted-vs-actual prove-time accuracy (None = no predictions)."""
@@ -158,9 +162,7 @@ class ServiceMetrics:
                 num_workers * len(predicted) / sum(predicted), 3)
         return out
 
-    def summary(self, wall_s: float,
-                cache_stats: CacheStats | None = None,
-                num_workers: int = 1) -> dict:
+    def summary(self, wall_s: float, num_workers: int = 1) -> dict:
         queue = [r.queue_s for r in self.rows]
         prove = [r.prove_s for r in self.rows]
         by_class = {
@@ -179,7 +181,7 @@ class ServiceMetrics:
             "latency_s": latency_tail(self.latencies()),
             "queue_s_p50": round(percentile(queue, 50), 6),
             "prove_s_p50": round(percentile(prove, 50), 6),
-            "job_cache_hit_rate": round(self.job_cache_hit_rate(), 4),
+            "job_cache_hit_rate": round(self.cache.hit_rate, 4),
             "workers": [
                 {
                     "worker_id": w.worker_id,
@@ -198,8 +200,7 @@ class ServiceMetrics:
             doc["prediction"] = prediction
             doc["estimated_capacity_proofs_per_s"] = (
                 self.estimated_capacity(num_workers))
-        if cache_stats is not None:
-            doc["cache"] = cache_stats.as_dict()
+        doc["cache"] = self.cache.as_dict()
         if self.ops.mul or self.ops.add or self.ops.inv:
             doc["ops"] = {
                 "mul": self.ops.mul,

@@ -1,9 +1,13 @@
 """Worker pools that drain proving batches.
 
-Two executors share one interface (:class:`WorkerPool.run_tasks`):
+Every proof is made by one :meth:`WorkerState.prove`, which looks the
+job's prover index up in the state's :class:`IndexCache` and reports
+the lookup on its :class:`TaskOutcome`.  Two executors share one
+interface (:class:`WorkerPool.run_tasks`):
 
 * :class:`SyncExecutor` — inline, single worker; the default and the
-  determinism baseline.
+  determinism baseline.  Its state proves on the service's own KZG and
+  index cache.
 * :class:`ProcessExecutor` — a process pool.  Each worker rebuilds an
   *identical* KZG/SRS from the service's seed in its initializer (the
   trapdoor SRS is deterministic in the seed) and keeps a worker-local
@@ -31,27 +35,19 @@ from repro.fields.counters import OpCounter, recording
 from repro.fields.vector import require_fused
 from repro.hyperplonk.circuit import Circuit
 from repro.hyperplonk.commitment import MultilinearKZG, TrapdoorSRS
-from repro.hyperplonk.preprocess import ProverIndex
 from repro.hyperplonk.prover import HyperPlonkProof, HyperPlonkProver
 from repro.service.cache import IndexCache
 
 
 @dataclass
 class ProveTask:
-    """One unit of worker work: prove ``circuit`` with ``index``.
-
-    For the sync pool the coordinator resolves ``index`` through the
-    service's cache; for the process pool ``index`` stays ``None`` and
-    the worker resolves it against its local cache.
-    """
+    """One unit of worker work: prove ``circuit``, whose prover index
+    the worker looks up by ``circuit_key``."""
 
     job_id: int
     circuit: Circuit
     circuit_key: str
     collect_counter: bool = False
-    index: ProverIndex | None = dc_field(default=None, repr=False)
-    cache_hit: bool = False
-    batch_size: int = 1
     #: retired: accepts only ``None`` or ``"fused"`` and is not stored,
     #: so a pickled task carries no kernel name
     backend: InitVar[str | None] = None
@@ -72,40 +68,10 @@ class TaskOutcome:
     finished_s: float
     prove_s: float
     counter: OpCounter | None = dc_field(default=None, repr=False)
-    #: seconds spent resolving the index locally (0.0 on a hit or when
-    #: the coordinator resolved it)
+    #: seconds spent preprocessing the index (0.0 on a cache hit)
     install_s: float = 0.0
-
-
-def _prove(task: ProveTask, index: ProverIndex, kzg: MultilinearKZG,
-           worker_id: str, cache_hit: bool) -> TaskOutcome:
-    # wall stamps use time.time(): they are compared against the
-    # coordinator's submit stamps, and perf_counter's epoch is undefined
-    # across processes; the prove duration is a same-process delta, so it
-    # keeps the high-resolution clock
-    started = time.time()
-    t0 = time.perf_counter()
-    with recording() if task.collect_counter else nullcontext() as counter:
-        proof = HyperPlonkProver(task.circuit, index, kzg).prove()
-    prove_s = time.perf_counter() - t0
-    return TaskOutcome(
-        job_id=task.job_id,
-        proof=proof,
-        worker_id=worker_id,
-        cache_hit=cache_hit,
-        started_s=started,
-        finished_s=time.time(),
-        prove_s=prove_s,
-        counter=counter,
-    )
-
-
-def inline_prove(task: ProveTask, kzg: MultilinearKZG,
-                 worker_id: str) -> TaskOutcome:
-    """Prove a coordinator-resolved task in the calling process."""
-    if task.index is None:
-        raise ValueError("inline_prove needs a coordinator-resolved index")
-    return _prove(task, task.index, kzg, worker_id, task.cache_hit)
+    #: indexes the lookup pushed out of the worker's bounded cache
+    evictions: int = 0
 
 
 # -- process-worker side ----------------------------------------------------
@@ -132,7 +98,8 @@ class WorkerProbe:
 
 
 class WorkerState:
-    """The build-once proving state one persistent worker process owns.
+    """The build-once proving state one worker owns: the one place a
+    prover index is looked up.
 
     One seeded :class:`TrapdoorSRS`/:class:`MultilinearKZG` (identical
     to the coordinator's, since the trapdoor SRS is deterministic in
@@ -141,7 +108,8 @@ class WorkerState:
     the worker side; ``srs_builds`` counts constructions so tests and
     probes can assert the build-once invariant.  Both the service's
     :class:`ProcessExecutor` workers and the :mod:`repro.fleet` node
-    workers own exactly one of these.
+    workers own exactly one of these; the :class:`SyncExecutor` owns
+    one made by :meth:`sharing`, on the service's own KZG and cache.
     """
 
     def __init__(self, srs_seed: int, srs_max_vars: int,
@@ -153,18 +121,48 @@ class WorkerState:
         self.srs_builds = 1
         self.jobs_proved = 0
 
+    @classmethod
+    def sharing(cls, cache: IndexCache) -> "WorkerState":
+        """A state that proves on ``cache`` and its KZG and builds no SRS:
+        the in-process worker of a service that owns both."""
+        state = cls.__new__(cls)
+        state.params = None
+        state.kzg = cache.kzg
+        state.cache = cache
+        state.srs_builds = 0
+        state.jobs_proved = 0
+        return state
+
     def prove(self, task: ProveTask,
               worker_id: str | None = None) -> TaskOutcome:
-        """Prove ``task`` against this state, resolving the index locally."""
+        """Prove ``task`` against this state, looking its index up in
+        this state's cache."""
         _canonicalize_field(task.circuit)
+        evictions = self.cache.stats.evictions
         t0 = time.perf_counter()
         pidx, _, hit = self.cache.get(task.circuit, task.circuit_key)
         install_s = 0.0 if hit else time.perf_counter() - t0
         self.jobs_proved += 1
-        wid = worker_id or f"pid-{os.getpid()}"
-        outcome = _prove(task, pidx, self.kzg, wid, hit)
-        outcome.install_s = install_s
-        return outcome
+        # wall stamps use time.time(): they are compared against the
+        # coordinator's submit stamps, and perf_counter's epoch is
+        # undefined across processes; the prove duration is a
+        # same-process delta, so it keeps the high-resolution clock
+        started = time.time()
+        t0 = time.perf_counter()
+        with recording() if task.collect_counter else nullcontext() as counter:
+            proof = HyperPlonkProver(task.circuit, pidx, self.kzg).prove()
+        return TaskOutcome(
+            job_id=task.job_id,
+            proof=proof,
+            worker_id=worker_id or f"pid-{os.getpid()}",
+            cache_hit=hit,
+            started_s=started,
+            finished_s=time.time(),
+            prove_s=time.perf_counter() - t0,
+            counter=counter,
+            install_s=install_s,
+            evictions=self.cache.stats.evictions - evictions,
+        )
 
     def probe(self, worker_id: str | None = None) -> WorkerProbe:
         """Snapshot this state for the coordinator (picklable)."""
@@ -239,8 +237,7 @@ class WorkerPool:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
 
-    def run_tasks(self, tasks: list[ProveTask],
-                  kzg: MultilinearKZG) -> list[TaskOutcome]:
+    def run_tasks(self, tasks: list[ProveTask]) -> list[TaskOutcome]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -251,13 +248,16 @@ class WorkerPool:
 
 
 class SyncExecutor(WorkerPool):
+    """One in-process worker proving on the service's own KZG and cache."""
+
     kind = "sync"
 
-    def __init__(self, num_workers: int = 1):
+    def __init__(self, cache: IndexCache):
         super().__init__(1)
+        self.state = WorkerState.sharing(cache)
 
-    def run_tasks(self, tasks, kzg):
-        return [inline_prove(t, kzg, worker_id="sync-0") for t in tasks]
+    def run_tasks(self, tasks):
+        return [self.state.prove(t, worker_id="sync-0") for t in tasks]
 
 
 class ProcessExecutor(WorkerPool):
@@ -282,11 +282,7 @@ class ProcessExecutor(WorkerPool):
             initargs=(srs_seed, srs_max_vars, cache_capacity),
         )
 
-    def run_tasks(self, tasks, kzg):
-        # strip coordinator-resolved indexes: workers resolve locally, and
-        # an index is by far the heaviest thing we could ship
-        for t in tasks:
-            t.index = None
+    def run_tasks(self, tasks):
         return list(self._pool.map(process_prove, tasks))
 
     def probe(self) -> list[WorkerProbe]:
@@ -308,18 +304,15 @@ class ProcessExecutor(WorkerPool):
 EXECUTOR_KINDS = ("sync", "process")
 
 
-def make_executor(kind: str, num_workers: int, *, srs_seed: int | None = None,
-                  srs_max_vars: int | None = None,
-                  cache_capacity: int | None = None) -> WorkerPool:
+def make_executor(kind: str, num_workers: int, cache: IndexCache,
+                  srs_seed: int) -> WorkerPool:
+    """The ``kind`` pool for a service owning ``cache``: a sync worker
+    proves on it; process workers rebuild its SRS from ``srs_seed`` and
+    keep caches of its capacity."""
     if kind == "sync":
-        return SyncExecutor()
+        return SyncExecutor(cache)
     if kind == "process":
-        if srs_seed is None or srs_max_vars is None:
-            raise ValueError(
-                "process executor needs a service-owned SRS "
-                "(srs_seed + srs_max_vars) so workers can rebuild it"
-            )
         return ProcessExecutor(
-            num_workers, srs_seed, srs_max_vars, cache_capacity
+            num_workers, srs_seed, cache.kzg.srs.max_vars, cache.capacity
         )
     raise ValueError(f"unknown executor {kind!r}; choose from {EXECUTOR_KINDS}")

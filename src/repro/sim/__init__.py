@@ -9,8 +9,8 @@ on one deterministic model-time axis:
   order, and cancellable :class:`EventHandle`\\ s (how a crash voids an
   in-flight job-finish event);
 * :mod:`repro.sim.sources` — seeded :class:`EventSource` streams:
-  :class:`TraceSource` replay (churn traces) and :class:`PoissonSource`
-  arrivals, pumped into a simulator via :func:`install`;
+  :class:`TraceSource` replay (churn traces), pumped into a simulator
+  via :func:`install`;
 * :mod:`repro.sim.events` — :class:`EventLog` / :class:`FleetEvent`: the
   structured JSONL event record (stdlib-only, stamped from whatever
   clock its owner passes) that the simulated cluster and the real fleet
@@ -23,7 +23,7 @@ outside the cluster layer.
 
 from repro.sim.engine import DEFAULT_PRIORITY, EventHandle, Simulator
 from repro.sim.events import EVENT_KINDS, EventLog, FleetEvent
-from repro.sim.sources import EventSource, PoissonSource, TraceSource, install
+from repro.sim.sources import EventSource, TraceSource, install
 
 __all__ = [
     "DEFAULT_PRIORITY",
@@ -32,7 +32,6 @@ __all__ = [
     "EventLog",
     "EventSource",
     "FleetEvent",
-    "PoissonSource",
     "Simulator",
     "TraceSource",
     "install",

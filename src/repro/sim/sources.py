@@ -3,13 +3,10 @@
 An :class:`EventSource` yields ``(at_s, payload)`` pairs in
 non-decreasing time order; :func:`install` pumps any source into a
 :class:`~repro.sim.engine.Simulator` by scheduling one event per pair.
-Two concrete sources cover the cluster layer's needs:
-
-* :class:`TraceSource` — replays a pre-computed trace (e.g. a churn
-  trace from :mod:`repro.workloads.churn`), so a scenario is exactly
-  reproducible from its recorded event list;
-* :class:`PoissonSource` — draws exponential inter-arrival times from a
-  seeded :class:`random.Random`, for open-ended load or fault processes.
+One concrete source covers the cluster layer's needs:
+:class:`TraceSource` replays a pre-computed trace (e.g. a churn trace
+from :mod:`repro.workloads.churn`), so a scenario is exactly
+reproducible from its recorded event list.
 
 Sources never touch global RNG state: every stream is a pure function
 of its constructor arguments, which is what makes same-seed cluster
@@ -18,7 +15,6 @@ scenarios bit-for-bit repeatable.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable, Iterator
 
 from repro.sim.engine import DEFAULT_PRIORITY, EventHandle, Simulator
@@ -47,45 +43,6 @@ class TraceSource(EventSource):
 
     def __len__(self) -> int:
         return len(self.trace)
-
-
-class PoissonSource(EventSource):
-    """Seeded Poisson process emitting ``payload_fn(i)`` at each arrival.
-
-    Arrivals start at ``start_s`` and stop at ``horizon_s`` (exclusive);
-    ``rate_rps`` is the mean number of events per model second.
-    """
-
-    def __init__(
-        self,
-        rate_rps: float,
-        horizon_s: float,
-        *,
-        seed: int = 0,
-        start_s: float = 0.0,
-        payload_fn: Callable[[int], object] = lambda i: i,
-    ):
-        if rate_rps <= 0:
-            raise ValueError(f"rate_rps must be > 0, got {rate_rps}")
-        if horizon_s < start_s:
-            raise ValueError("horizon_s must be >= start_s")
-        self.rate_rps = rate_rps
-        self.horizon_s = horizon_s
-        self.seed = seed
-        self.start_s = start_s
-        self.payload_fn = payload_fn
-
-    def events(self) -> Iterator[tuple[float, object]]:
-        """Draw the arrival stream (fresh RNG per call: re-iterable)."""
-        rng = random.Random(self.seed)
-        t = self.start_s
-        i = 0
-        while True:
-            t += rng.expovariate(self.rate_rps)
-            if t >= self.horizon_s:
-                return
-            yield (t, self.payload_fn(i))
-            i += 1
 
 
 def install(

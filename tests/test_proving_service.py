@@ -161,7 +161,7 @@ class TestSchedulingAndBatching:
             stats = svc.cache.stats
         assert [r.batch_size for r in results] == [3, 3, 3]
         assert all(r.proof == results[0].proof for r in results)
-        assert (stats.misses, stats.hits) == (1, 0)  # one lookup a batch
+        assert (stats.misses, stats.hits) == (1, 2)  # one lookup a job
 
     def test_drain_runs_realtime_first(self):
         cfg = ServiceConfig(max_vars=MAX_VARS)
@@ -480,7 +480,7 @@ class TestServiceOperations:
         with ProvingService(ServiceConfig(max_vars=2)) as svc:
             svc.submit(c)
 
-            def boom(tasks, kzg):
+            def boom(tasks):
                 raise RuntimeError("worker died")
 
             monkeypatch.setattr(svc.pool, "run_tasks", boom)

@@ -20,7 +20,6 @@ from repro.traffic import OpenLoopTraffic
 from repro.service.workers import (
     ProveTask,
     WorkerState,
-    inline_prove,
     worker_state,
 )
 
@@ -94,16 +93,6 @@ class TestWorkerState:
         assert state.kzg.fixed_base
         assert state.cache.capacity == 2
 
-    def test_inline_prove_reports_the_given_worker(self):
-        state = WorkerState(0x5EED, MAX_VARS)
-        task = tasks(1)[0]
-        with pytest.raises(ValueError, match="coordinator-resolved index"):
-            inline_prove(task, state.kzg, "sync-0")
-        task.index, _, task.cache_hit = state.cache.get(task.circuit)
-        outcome = inline_prove(task, state.kzg, "sync-0")
-        assert outcome.worker_id == "sync-0"
-        assert outcome.proof == state.prove(tasks(1)[0]).proof
-
 
 @pytest.mark.parametrize("package", ["curves", "hyperplonk", "service"])
 def test_proving_layers_import_no_threads(package):
@@ -150,3 +139,34 @@ class TestProcessExecutor:
         (probe,) = service.pool.probe()
         assert probe.cache_capacity == 3
         assert probe.cache_len <= 3
+
+
+class TestOneProvingPath:
+    """Every executor looks an index up once a job, in its worker's
+    cache, so the sync and process services report the same lookups."""
+
+    @staticmethod
+    def serve(executor: str, num_workers: int = 1):
+        traffic = OpenLoopTraffic("uniform-small", seed=3, max_jobs=6)
+        config = ServiceConfig(
+            max_vars=traffic.max_vars(), executor=executor, num_workers=num_workers
+        )
+        with ProvingService(config) as svc:
+            results = svc.run(list(traffic.jobs()))
+            return results, svc.summary()["cache"]
+
+    def test_sync_and_one_process_worker_agree(self):
+        sync, sync_cache = self.serve("sync")
+        pool, pool_cache = self.serve("process")
+        assert [r.proof for r in pool] == [r.proof for r in sync]
+        lookups = [(r.cache_hit, r.batch_size) for r in sync]
+        assert [(r.cache_hit, r.batch_size) for r in pool] == lookups
+        keep = ("hits", "misses", "evictions", "hit_rate")
+        assert {k: pool_cache[k] for k in keep} == {k: sync_cache[k] for k in keep}
+        assert sync_cache["hits"] + sync_cache["misses"] == len(sync) == 6
+        assert sync_cache["preprocess_s"] > 0 and pool_cache["preprocess_s"] > 0
+
+    def test_two_process_workers_count_every_job(self):
+        results, cache = self.serve("process", num_workers=2)
+        assert cache["hits"] + cache["misses"] == len(results) == 6
+        assert cache["hits"] == sum(r.cache_hit for r in results)

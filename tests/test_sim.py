@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PoissonSource, Simulator, TraceSource, install
+from repro.sim import Simulator, TraceSource, install
 
 
 class TestSimulator:
@@ -93,22 +93,6 @@ class TestSources:
         source = TraceSource([(2.0, "b"), (1.0, "a"), (3.0, "c")])
         assert [p for _, p in source] == ["a", "b", "c"]
         assert len(source) == 3
-
-    def test_poisson_source_deterministic_per_seed(self):
-        first = list(PoissonSource(4.0, 10.0, seed=7))
-        second = list(PoissonSource(4.0, 10.0, seed=7))
-        other = list(PoissonSource(4.0, 10.0, seed=8))
-        assert first == second
-        assert first != other
-        assert all(0.0 <= t < 10.0 for t, _ in first)
-        times = [t for t, _ in first]
-        assert times == sorted(times)
-
-    def test_poisson_source_validates(self):
-        with pytest.raises(ValueError):
-            PoissonSource(0.0, 10.0)
-        with pytest.raises(ValueError):
-            PoissonSource(1.0, -1.0)
 
     def test_install_pumps_source_into_simulator(self):
         sim = Simulator()
