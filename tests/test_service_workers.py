@@ -93,6 +93,44 @@ class TestWorkerState:
         assert state.kzg.fixed_base
         assert state.cache.capacity == 2
 
+    def test_prove_reports_the_given_worker(self):
+        state = WorkerState(0x5EED, MAX_VARS)
+        named = state.prove(tasks(1)[0], worker_id="sync-0")
+        unnamed = state.prove(tasks(1)[0])
+        assert named.worker_id == "sync-0"
+        assert unnamed.worker_id.startswith("pid-")
+        assert named.proof == unnamed.proof
+
+    def test_sharing_state_proves_on_the_given_cache(self):
+        owner = WorkerState(0x5EED, MAX_VARS)
+        shared = WorkerState.sharing(owner.cache)
+        assert shared.cache is owner.cache and shared.kzg is owner.kzg
+        assert shared.srs_builds == 0
+        miss, hit = shared.prove(tasks(1)[0]), owner.prove(tasks(1)[0])
+        assert (miss.cache_hit, hit.cache_hit) == (False, True)
+        assert hit.proof == miss.proof
+        assert (owner.cache.stats.misses, owner.cache.stats.hits) == (1, 1)
+
+    def test_outcome_counts_the_evictions_of_its_lookup(self):
+        state = WorkerState(0x5EED, MAX_VARS, cache_capacity=1)
+        outcomes = [state.prove(t) for t in tasks(3)]  # keys a, b, a
+        assert [o.cache_hit for o in outcomes] == [False, False, False]
+        assert [o.evictions for o in outcomes] == [0, 1, 1]
+        assert state.cache.stats.evictions == 2
+
+
+class TestSyncExecutor:
+    def test_sync_service_proves_on_its_own_cache(self):
+        with ProvingService(ServiceConfig(max_vars=MAX_VARS)) as svc:
+            assert svc.pool.state.cache is svc.cache
+            assert svc.pool.state.srs_builds == 0
+            for job in OpenLoopTraffic("uniform-small", seed=3,
+                                       max_jobs=3).jobs():
+                svc.submit_job(job)
+            results = svc.drain()
+            assert {r.worker_id for r in results} == {"sync-0"}
+            assert svc.cache.stats.lookups == len(results) == 3
+
 
 @pytest.mark.parametrize("package", ["curves", "hyperplonk", "service"])
 def test_proving_layers_import_no_threads(package):
